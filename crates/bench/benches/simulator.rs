@@ -11,7 +11,7 @@ use machvm::{MemObjId, PageIdx};
 use svmsim::{Dur, EventQueue, Machine, MachineConfig, NodeId, Stats, Time};
 use workloads::{
     copy_chain_probe, em3d_run, fault_probe, run_pattern, CopyChainSpec, Em3dSpec, FaultProbeSpec,
-    Pattern, ProbeAccess,
+    Pattern, ProbeAccess, Scenario,
 };
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -215,8 +215,7 @@ fn bench_patterns(c: &mut Criterion) {
     g.bench_function("migratory_8n", |b| {
         b.iter(|| {
             black_box(run_pattern(
-                ManagerKind::asvm(),
-                8,
+                &Scenario::new(ManagerKind::asvm(), 8, 17),
                 32,
                 Pattern::Migratory { rounds: 2 },
             ))

@@ -8,9 +8,11 @@
 //! plus the effect of shrinking the dynamic hint cache.
 
 use asvm::AsvmConfig;
-use bench::sweep::Sweep;
 use cluster::ManagerKind;
-use workloads::{run_pattern, Pattern, PatternOutcome};
+use workloads::{run_pattern, Outcome, Pattern, Scenario};
+
+use crate::cli::Args;
+use crate::sweep::Sweep;
 
 type ConfigFn = fn() -> AsvmConfig;
 
@@ -26,17 +28,24 @@ const CONFIGS: [(&str, ConfigFn); 4] = [
 
 const CACHE_SIZES: [usize; 5] = [0, 4, 16, 64, 4096];
 
-fn row(label: &str, outs: &[&PatternOutcome]) {
+fn row(label: &str, outs: &[&Outcome]) {
     print!("{label:<36}");
     for o in outs {
-        print!("{:>9.2}{:>9}", o.mean_fault_ms, o.messages);
+        print!("{:>9.2}{:>9}", o.mean_fault_ms(), o.messages());
     }
     println!();
 }
 
-fn main() {
-    let nodes = 8;
-    let pages = 32;
+const NODES: u16 = 8;
+const PAGES: u32 = 32;
+
+fn run_cell(cfg: AsvmConfig, pattern: Pattern) -> Outcome {
+    let sc = Scenario::new(ManagerKind::Asvm(cfg), NODES, 17);
+    run_pattern(&sc, PAGES, pattern).expect_completed("forwarding cell")
+}
+
+pub fn run(args: &Args) {
+    let (nodes, pages) = (NODES, PAGES);
     let patterns: [(&str, Pattern); 3] = [
         ("migratory", Pattern::Migratory { rounds: 4 }),
         ("producer/consumer", Pattern::ProducerConsumer { rounds: 4 }),
@@ -49,30 +58,22 @@ fn main() {
         ),
     ];
 
-    let mut sweep = Sweep::from_env("ablation_forwarding");
+    let mut sweep = Sweep::with_config("ablation_forwarding", args.sweep.clone());
     for (label, cfg) in CONFIGS {
         for (pl, p) in patterns {
-            sweep.cell(format!("{label} / {pl}"), move || {
-                let o = run_pattern(ManagerKind::Asvm(cfg()), nodes, pages, p);
-                let events = o.events;
-                (o, events)
+            crate::cell(&mut sweep, format!("{label} / {pl}"), &[], move || {
+                run_cell(cfg(), p)
             });
         }
     }
     for entries in CACHE_SIZES {
-        sweep.cell(format!("cache {entries} / migratory"), move || {
+        let label = format!("cache {entries} / migratory");
+        crate::cell(&mut sweep, label, &[], move || {
             let cfg = AsvmConfig {
                 dynamic_cache_entries: entries,
                 ..AsvmConfig::default()
             };
-            let o = run_pattern(
-                ManagerKind::Asvm(cfg),
-                nodes,
-                pages,
-                Pattern::Migratory { rounds: 4 },
-            );
-            let events = o.events;
-            (o, events)
+            run_cell(cfg, Pattern::Migratory { rounds: 4 })
         });
     }
     let report = sweep.run();
@@ -87,7 +88,7 @@ fn main() {
     println!("{}", "-".repeat(36 + 18 * patterns.len()));
     let mut cells = report.values();
     for (label, _) in CONFIGS {
-        let outs: Vec<&PatternOutcome> = patterns
+        let outs: Vec<&Outcome> = patterns
             .iter()
             .map(|_| cells.next().expect("one result per pattern"))
             .collect();
@@ -102,7 +103,11 @@ fn main() {
     );
     for entries in CACHE_SIZES {
         let o = cells.next().expect("one result per cache size");
-        println!("{entries:>14}{:>16.2}{:>16}", o.mean_fault_ms, o.messages);
+        println!(
+            "{entries:>14}{:>16.2}{:>16}",
+            o.mean_fault_ms(),
+            o.messages()
+        );
     }
     println!();
     println!("hints cut forwarding hops; when a cache level is disabled or too");

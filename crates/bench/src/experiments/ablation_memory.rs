@@ -8,51 +8,36 @@
 //! ties it to physical pages"* — manager memory must grow with the
 //! *resident set*, not with `address space × nodes`.
 
-use bench::sweep::Sweep;
-use cluster::{ManagerKind, ScriptProgram, Ssi, Step};
-use machvm::{Access, Inherit};
-use svmsim::NodeId;
+use cluster::{ManagerKind, Step};
+use svmsim::{NodeId, Time};
+use workloads::{Outcome, Scenario};
+
+use crate::cli::Args;
+use crate::sweep::Sweep;
 
 /// Builds a cluster where every node maps a large, sparsely touched object
-/// and touches `touched` pages each; returns ((max per-node state bytes,
-/// total state bytes), events).
+/// and touches `touched` pages each; returns (max per-node, total) manager
+/// state bytes — the page-state structures the paper's claim is about,
+/// not the whole engine footprint the state probe gauges.
 fn measure(
     kind: ManagerKind,
     nodes: u16,
     object_pages: u32,
     touched: u32,
-) -> ((usize, usize), u64) {
-    let mut ssi = Ssi::new(nodes, kind, 5);
-    let home = NodeId(0);
-    let mobj = ssi.create_object(home, object_pages, false);
-    let tasks: Vec<_> = (0..nodes)
-        .map(|n| {
-            let t = ssi.alloc_task();
-            ssi.map_shared(
-                t,
-                NodeId(n),
-                0,
-                mobj,
-                home,
-                object_pages,
-                Access::Write,
-                Inherit::Share,
-            );
-            t
-        })
-        .collect();
-    ssi.finalize();
+) -> ((usize, usize), Outcome) {
+    let sc = Scenario::new(kind, nodes, 5);
+    let mut ssi = sc.build();
+    let (_, tasks) = Scenario::shared_region(&mut ssi, nodes, object_pages, false);
     for (i, t) in tasks.iter().enumerate() {
         // Each node touches a disjoint slice of the sparse address space.
         let first = i as u32 * touched;
-        let steps: Vec<Step> = (first..first + touched)
+        let steps = (first..first + touched)
             .map(|p| Step::Write {
                 va_page: p as u64,
                 value: p as u64,
             })
-            .chain([Step::Done])
             .collect();
-        ssi.spawn(NodeId(i as u16), *t, Box::new(ScriptProgram::new(steps)));
+        Scenario::spawn_script(&mut ssi, NodeId(i as u16), *t, steps);
     }
     ssi.run(100_000_000).expect("quiesces");
 
@@ -68,20 +53,23 @@ fn measure(
         max = max.max(bytes);
         total += bytes;
     }
-    ((max, total), ssi.world.events_processed())
+    (
+        (max, total),
+        sc.finish(ssi, Time::ZERO).expect_completed("sparse touch"),
+    )
 }
 
 const GRID: [(u16, u32); 5] = [(4, 4096), (8, 4096), (16, 4096), (16, 65536), (32, 65536)];
 
-fn main() {
+pub fn run(args: &Args) {
     let touched = 32u32;
-    let mut sweep = Sweep::from_env("ablation_memory");
+    let mut sweep = Sweep::with_config("ablation_memory", args.sweep.clone());
     for (nodes, object_pages) in GRID {
         for kind in [ManagerKind::xmm(), ManagerKind::asvm()] {
-            sweep.cell(
-                format!("{} {}n {}p", kind.label(), nodes, object_pages),
-                move || measure(kind, nodes, object_pages, touched),
-            );
+            let label = format!("{} {}n {}p", kind.label(), nodes, object_pages);
+            crate::cell(&mut sweep, label, &[], move || {
+                measure(kind, nodes, object_pages, touched)
+            });
         }
     }
     let report = sweep.run();
@@ -94,8 +82,8 @@ fn main() {
     println!("{}", "-".repeat(84));
     let mut cells = report.values();
     for (nodes, object_pages) in GRID {
-        let (xmax, xtot) = *cells.next().expect("xmm cell");
-        let (amax, atot) = *cells.next().expect("asvm cell");
+        let (xmax, xtot) = cells.next().expect("xmm cell").0;
+        let (amax, atot) = cells.next().expect("asvm cell").0;
         println!(
             "{:>8}{:>12}{:>16}{:>16}{:>16}{:>16}",
             nodes, object_pages, xmax, xtot, amax, atot

@@ -14,15 +14,18 @@
 //! `cluster.suspect.*` counters, landing in `BENCH_chaossweep.json` under
 //! `--json` / `--stable-json` (schema in EXPERIMENTS.md).
 //!
-//! Determinism: the plan seed comes from `ASVM_FAULTS_SEED` (default
-//! 1996) and also seeds the uniform cell, so two invocations with the
-//! same seed and flags produce byte-identical JSON — CI's chaos-matrix
-//! job relies on this.
+//! Determinism: the plan seed comes from `--seed` (default 1996) and
+//! also seeds the uniform cell, so two invocations with the same seed and
+//! flags produce byte-identical JSON — `ci/bench_check.sh` relies on
+//! this.
 
-use bench::sweep::Sweep;
 use cluster::ManagerKind;
 use svmsim::{FaultPlan, NodeId, Time};
-use workloads::{run_pattern_faulted, Pattern};
+use workloads::{run_pattern, Outcome, Pattern, Scenario};
+
+use crate::cli::Args;
+use crate::sweep::Sweep;
+use crate::Key;
 
 const NODES: u16 = 8;
 const PAGES: u32 = 8;
@@ -34,38 +37,26 @@ const VICTIM: NodeId = NodeId(5);
 /// early enough that most of the run happens degraded.
 const BLACKOUT_AT: Time = Time::from_nanos(30_000_000);
 
-fn plan_seed() -> u64 {
-    std::env::var("ASVM_FAULTS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1996)
+const KEYS: &[Key] = &[
+    "suspect.count=cluster.suspect.count",
+    "recover.reissue=asvm.recover.reissue",
+    "recover.refetch=asvm.recover.refetch",
+    "recover.elected=asvm.recover.elected",
+    "retry.resent=asvm.retry.resent",
+    "retry.exhausted=asvm.retry.exhausted",
+    "fault.blackout=dropped",
+    "page.faults=faults",
+];
+
+fn run_cell(seed: u64, pattern: Pattern) -> Outcome {
+    let plan = FaultPlan::seeded(seed).with_blackout(VICTIM, BLACKOUT_AT, Time::MAX);
+    let sc = Scenario::new(ManagerKind::asvm(), NODES, seed).faults(plan);
+    run_pattern(&sc, PAGES, pattern).expect_completed("chaos cell (despite the blackout)")
 }
 
-fn run_cell(pattern: Pattern) -> (f64, u64, Vec<(String, u64)>) {
-    let plan = FaultPlan::seeded(plan_seed()).with_blackout(VICTIM, BLACKOUT_AT, Time::MAX);
-    let out = run_pattern_faulted(ManagerKind::asvm(), NODES, PAGES, pattern, plan);
-    assert!(
-        out.completed,
-        "chaos cell {pattern:?} must complete despite the blackout \
-         (suspected={} reissued={} refetched={} elected={})",
-        out.suspected, out.reissued, out.refetched, out.elected
-    );
-    let counters = vec![
-        ("suspect.count".to_string(), out.suspected),
-        ("recover.reissue".to_string(), out.reissued),
-        ("recover.refetch".to_string(), out.refetched),
-        ("recover.elected".to_string(), out.elected),
-        ("retry.resent".to_string(), out.resent),
-        ("retry.exhausted".to_string(), out.exhausted),
-        ("fault.blackout".to_string(), out.dropped),
-        ("page.faults".to_string(), out.outcome.faults),
-    ];
-    (out.outcome.elapsed_s, out.outcome.events, counters)
-}
-
-fn main() {
-    let seed = plan_seed();
-    let cells: Vec<(&str, Pattern)> = vec![
+pub fn run(args: &Args) {
+    let seed = args.seed;
+    let cells: [(&str, Pattern); 4] = [
         ("migratory", Pattern::Migratory { rounds: 3 }),
         ("producer-consumer", Pattern::ProducerConsumer { rounds: 3 }),
         (
@@ -80,13 +71,14 @@ fn main() {
             Pattern::Uniform {
                 ops: 40,
                 write_pct: 30,
-                seed,
             },
         ),
     ];
-    let mut sweep = Sweep::from_env("chaossweep");
+    let mut sweep = Sweep::with_config("chaossweep", args.sweep.clone());
     for (name, pattern) in cells {
-        sweep.cell_with_counters(format!("{name} +blackout"), move || run_cell(pattern));
+        crate::cell(&mut sweep, format!("{name} +blackout"), KEYS, move || {
+            run_cell(seed, pattern)
+        });
     }
     let report = sweep.run();
 
@@ -97,7 +89,7 @@ fn main() {
     );
     println!("{:>28} {:>12}", "cell", "elapsed s");
     for c in &report.cells {
-        println!("{:>28} {:>12.4}", c.label, c.value);
+        println!("{:>28} {:>12.4}", c.label, c.value.elapsed_s());
     }
     report.finish();
 }

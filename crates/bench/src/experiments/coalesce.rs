@@ -14,7 +14,7 @@
 //! Both arms run identical readahead (the main source of same-destination
 //! bursts) and identical per-touch think time, so the fault denominator
 //! depends only on the access pattern — see
-//! `workloads::run_pattern_paced` — and the only difference between the
+//! `workloads::Scenario::think` — and the only difference between the
 //! arms is the combiner. Migratory rides along as the honest
 //! counter-case: its write-token hops serialize one page per step, so
 //! there is almost nothing to merge.
@@ -23,10 +23,13 @@
 //! `BENCH_coalesce.json` byte-identically.
 
 use asvm::AsvmConfig;
-use bench::sweep::Sweep;
 use cluster::ManagerKind;
 use svmsim::Dur;
-use workloads::{run_pattern_paced, Pattern, PatternOutcome};
+use workloads::{run_pattern, Outcome, Pattern, Scenario};
+
+use crate::cli::Args;
+use crate::sweep::Sweep;
+use crate::Key;
 
 const NODES: u16 = 4;
 const PAGES: u32 = 32;
@@ -45,41 +48,31 @@ const PATTERNS: [(&str, Pattern); 3] = [
     ("migratory", Pattern::Migratory { rounds: 4 }),
 ];
 
-fn run_cell(pattern: Pattern, coalesce: bool) -> (PatternOutcome, u64, Vec<(String, u64)>) {
+const KEYS: &[Key] = &[
+    "page.faults=faults",
+    "asvm.msgs",
+    "asvm.frames",
+    "coalesce.merged=asvm.coalesce.merged",
+    "coalesce.piggyback_hint=asvm.coalesce.piggyback_hint",
+    "coalesce.piggyback_ack=asvm.coalesce.piggyback_ack",
+    "frames_per_fault_x100",
+];
+
+fn run_cell(pattern: Pattern, coalesce: bool) -> Outcome {
     let mut cfg = AsvmConfig::with_readahead(READAHEAD);
     if coalesce {
         cfg = cfg.coalesced();
     }
-    let o = run_pattern_paced(
-        ManagerKind::Asvm(cfg),
-        NODES,
-        PAGES,
-        pattern,
-        Dur::from_micros_f64(THINK_US),
-    );
-    let counters = vec![
-        ("page.faults".to_string(), o.faults),
-        ("asvm.msgs".to_string(), o.asvm_msgs),
-        ("asvm.frames".to_string(), o.asvm_frames),
-        ("coalesce.merged".to_string(), o.coalesce_merged),
-        ("coalesce.piggyback_hint".to_string(), o.coalesce_hints),
-        ("coalesce.piggyback_ack".to_string(), o.coalesce_acks),
-        (
-            "frames_per_fault_x100".to_string(),
-            (o.messages_per_fault() * 100.0).round() as u64,
-        ),
-    ];
-    let events = o.events;
-    (o, events, counters)
+    let sc = Scenario::new(ManagerKind::Asvm(cfg), NODES, 17).think(Dur::from_micros_f64(THINK_US));
+    run_pattern(&sc, PAGES, pattern).expect_completed("coalesce cell")
 }
 
-fn main() {
-    let mut sweep = Sweep::from_env("coalesce");
+pub fn run(args: &Args) {
+    let mut sweep = Sweep::with_config("coalesce", args.sweep.clone());
     for (label, pattern) in PATTERNS {
         for (arm, coalesce) in [("off", false), ("on", true)] {
-            sweep.cell_with_counters(format!("{label} / coalesce {arm}"), move || {
-                run_cell(pattern, coalesce)
-            });
+            let label = format!("{label} / coalesce {arm}");
+            crate::cell(&mut sweep, label, KEYS, move || run_cell(pattern, coalesce));
         }
     }
     let report = sweep.run();
@@ -98,7 +91,7 @@ fn main() {
     for (label, _) in PATTERNS {
         let off = cells.next().expect("off cell");
         let on = cells.next().expect("on cell");
-        let (m_off, m_on) = (off.messages_per_fault(), on.messages_per_fault());
+        let (m_off, m_on) = (off.frames_per_fault(), on.frames_per_fault());
         let reduction = if m_off > 0.0 {
             100.0 * (1.0 - m_on / m_off)
         } else {
@@ -107,13 +100,13 @@ fn main() {
         println!(
             "{:<20}{:>8}{:>10.2}{:>10.2}{:>11.1}%{:>12}{:>8}{:>8}",
             label,
-            on.faults,
+            on.faults(),
             m_off,
             m_on,
             reduction,
-            on.coalesce_merged,
-            on.coalesce_hints,
-            on.coalesce_acks
+            on.counter("asvm.coalesce.merged"),
+            on.counter("asvm.coalesce.piggyback_hint"),
+            on.counter("asvm.coalesce.piggyback_ack")
         );
     }
     println!();

@@ -14,10 +14,13 @@
 //! Determinism: the plan seed is fixed per cell, so two invocations with
 //! the same flags produce byte-identical JSON.
 
-use bench::sweep::Sweep;
 use cluster::ManagerKind;
 use svmsim::{Dur, FaultPlan};
-use workloads::{run_pattern_faulted, Pattern};
+use workloads::{run_pattern, Outcome, Pattern, Scenario};
+
+use crate::cli::Args;
+use crate::sweep::Sweep;
+use crate::Key;
 
 /// Per-message loss rates swept, in parts per million.
 const LOSS_PPM: [u32; 6] = [0, 1_000, 5_000, 10_000, 50_000, 100_000];
@@ -27,7 +30,17 @@ const PAGES: u32 = 16;
 const ROUNDS: u32 = 4;
 const PLAN_SEED: u64 = 1996;
 
-fn run_cell(loss_ppm: u32) -> (f64, u64, Vec<(String, u64)>) {
+const KEYS: &[Key] = &[
+    "fault.dropped=dropped",
+    "fault.duplicated=transport.fault.duplicated",
+    "fault.delayed=transport.fault.delayed",
+    "retry.resent=asvm.retry.resent",
+    "retry.exhausted=asvm.retry.exhausted",
+    "page.faults=faults",
+    "protocol.messages=messages",
+];
+
+fn run_cell(loss_ppm: u32) -> Outcome {
     let plan = if loss_ppm == 0 {
         FaultPlan::none()
     } else {
@@ -38,41 +51,20 @@ fn run_cell(loss_ppm: u32) -> (f64, u64, Vec<(String, u64)>) {
             .with_dup_ppm(loss_ppm / 5)
             .with_delay(loss_ppm / 10, Dur::from_millis(2))
     };
-    let out = run_pattern_faulted(
-        ManagerKind::asvm(),
-        NODES,
-        PAGES,
-        Pattern::Migratory { rounds: ROUNDS },
-        plan,
-    );
-    assert!(
-        out.completed,
-        "sweep cell at {loss_ppm} ppm must complete (exhausted={})",
-        out.exhausted
-    );
-    let counters = vec![
-        ("fault.dropped".to_string(), out.dropped),
-        ("fault.duplicated".to_string(), out.duplicated),
-        ("fault.delayed".to_string(), out.delayed),
-        ("retry.resent".to_string(), out.resent),
-        ("retry.exhausted".to_string(), out.exhausted),
-        ("page.faults".to_string(), out.outcome.faults),
-        ("protocol.messages".to_string(), out.outcome.messages),
-    ];
-    (out.outcome.elapsed_s, out.outcome.events, counters)
+    let sc = Scenario::new(ManagerKind::asvm(), NODES, 17).faults(plan);
+    run_pattern(&sc, PAGES, Pattern::Migratory { rounds: ROUNDS }).expect_completed("sweep cell")
 }
 
-fn main() {
-    let mut sweep = Sweep::from_env("faultsweep");
+pub fn run(args: &Args) {
+    let mut sweep = Sweep::with_config("faultsweep", args.sweep.clone());
     for ppm in LOSS_PPM {
-        sweep.cell_with_counters(format!("loss {:.1}%", ppm as f64 / 10_000.0), move || {
-            run_cell(ppm)
-        });
+        let label = format!("loss {:.1}%", ppm as f64 / 10_000.0);
+        crate::cell(&mut sweep, label, KEYS, move || run_cell(ppm));
     }
     let report = sweep.run();
 
     println!("Fault sweep: migratory pattern, {NODES} nodes x {PAGES} pages x {ROUNDS} rounds");
-    let elapsed: Vec<f64> = report.values().copied().collect();
+    let elapsed: Vec<f64> = report.values().map(Outcome::elapsed_s).collect();
     let base = elapsed[0];
     println!("{:>8} {:>12} {:>10}", "loss", "elapsed s", "slowdown");
     for (ppm, e) in LOSS_PPM.iter().zip(&elapsed) {

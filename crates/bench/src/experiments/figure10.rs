@@ -7,14 +7,16 @@
 //! (pipelined invalidations at the owner); XMM latencies grow steeply
 //! (serialized NORMA-IPC flush messages at the centralized manager).
 
-use bench::sweep::Sweep;
 use cluster::ManagerKind;
 use workloads::{fault_probe, FaultProbeSpec, ProbeAccess};
 
+use crate::cli::Args;
+use crate::sweep::Sweep;
+
 const READERS: [u16; 8] = [1, 2, 4, 8, 16, 32, 48, 64];
 
-fn main() {
-    let mut sweep = Sweep::from_env("figure10");
+pub fn run(args: &Args) {
+    let mut sweep = Sweep::with_config("figure10", args.sweep.clone());
     for r in READERS {
         for (kind, has_copy) in [
             (ManagerKind::asvm(), false),
@@ -36,7 +38,7 @@ fn main() {
             let tag = if has_copy { "upg" } else { "wf" };
             sweep.cell(format!("{} {} {}r", kind.label(), tag, r), move || {
                 let out = fault_probe(spec);
-                (Some(out.latency.as_millis_f64()), out.events)
+                (Some(out.mean_fault_ms()), out.events)
             });
         }
     }

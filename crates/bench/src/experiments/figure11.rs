@@ -9,14 +9,16 @@
 //!   internal-pager fault over NORMA-IPC);
 //! * ASVM: lb ≈ 2.7 ms, la ≈ 0.48 ms per hop (pull operations over STS).
 
-use bench::sweep::Sweep;
 use cluster::ManagerKind;
 use workloads::{copy_chain_probe, CopyChainSpec};
 
+use crate::cli::Args;
+use crate::sweep::Sweep;
+
 const LENGTHS: [u16; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
-fn main() {
-    let mut sweep = Sweep::from_env("figure11");
+pub fn run(args: &Args) {
+    let mut sweep = Sweep::with_config("figure11", args.sweep.clone());
     for len in LENGTHS {
         for kind in [ManagerKind::asvm(), ManagerKind::xmm()] {
             let spec = CopyChainSpec {
@@ -24,10 +26,8 @@ fn main() {
                 chain_len: len,
                 region_pages: 16,
             };
-            sweep.cell(format!("{} chain{}", kind.label(), len), move || {
-                let out = copy_chain_probe(spec);
-                (out.mean_fault.as_millis_f64(), out.events)
-            });
+            let label = format!("{} chain{}", kind.label(), len);
+            crate::cell(&mut sweep, label, &[], move || copy_chain_probe(spec));
         }
     }
     let report = sweep.run();
@@ -39,8 +39,8 @@ fn main() {
     let mut xmm = Vec::new();
     let mut cells = report.values();
     for len in LENGTHS {
-        let a = *cells.next().expect("asvm cell");
-        let x = *cells.next().expect("xmm cell");
+        let a = cells.next().expect("asvm cell").mean_fault_ms();
+        let x = cells.next().expect("xmm cell").mean_fault_ms();
         asvm.push(a);
         xmm.push(x);
         println!("{:>8}{:>12.2}{:>12.2}", len, a, x);

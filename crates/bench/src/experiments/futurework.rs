@@ -6,20 +6,24 @@
 //! (3) clustering of page-in requests. All three are implemented behind
 //! `AsvmConfig`/`Ssi` switches; this harness measures what they buy.
 
-use bench::sweep::Sweep;
-use cluster::{ManagerKind, ScriptProgram, Ssi, Step};
+use cluster::{ManagerKind, Step};
 use machvm::{Access, Inherit};
-use svmsim::{MachineConfig, NodeId};
+use svmsim::{MachineConfig, NodeId, Time};
+use workloads::{Outcome, Scenario};
+
+use crate::cli::Args;
+use crate::sweep::Sweep;
 
 const STRIPES: [u16; 3] = [1, 2, 4];
 const READAHEADS: [u32; 3] = [0, 4, 8];
 
 /// Sequential cold read of a populated file; returns MB/s seen by node 0.
-fn read_rate(stripes: u16, readahead: u32, pages: u32) -> (f64, u64) {
+fn read_rate(stripes: u16, readahead: u32, pages: u32) -> (f64, Outcome) {
     let mut cfg = MachineConfig::paragon(2);
     cfg.io_nodes = stripes.max(1);
     let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_readahead(readahead));
-    let mut ssi = Ssi::with_machine(cfg, kind, 7);
+    let sc = Scenario::new(kind, 2, 7).machine(cfg);
+    let mut ssi = sc.build();
     let mobj = if stripes > 1 {
         ssi.create_striped_object(pages, true, stripes)
     } else {
@@ -37,27 +41,28 @@ fn read_rate(stripes: u16, readahead: u32, pages: u32) -> (f64, u64) {
         Inherit::Share,
     );
     ssi.finalize();
-    let steps: Vec<Step> = (0..pages)
+    let steps = (0..pages)
         .map(|p| Step::Read { va_page: p as u64 })
-        .chain([Step::Done])
         .collect();
-    ssi.spawn(NodeId(0), t, Box::new(ScriptProgram::new(steps)));
-    ssi.run(u64::MAX / 2).expect("quiesces");
+    Scenario::run_script(&mut ssi, NodeId(0), t, steps);
     let secs = ssi
         .node(NodeId(0))
         .task_runtime(t)
         .expect("finished")
         .as_secs_f64();
     let rate = pages as f64 * 8192.0 / secs / (1024.0 * 1024.0);
-    (rate, ssi.world.events_processed())
+    (
+        rate,
+        sc.finish(ssi, Time::ZERO).expect_completed("cold read"),
+    )
 }
 
-fn main() {
+pub fn run(args: &Args) {
     let pages = 512; // a 4 MB file, as in Table 2
-    let mut sweep = Sweep::from_env("futurework");
+    let mut sweep = Sweep::with_config("futurework", args.sweep.clone());
     for stripes in STRIPES {
         for ra in READAHEADS {
-            sweep.cell(format!("{stripes}s ra{ra}"), move || {
+            crate::cell(&mut sweep, format!("{stripes}s ra{ra}"), &[], move || {
                 read_rate(stripes, ra, pages)
             });
         }
@@ -74,7 +79,7 @@ fn main() {
     for stripes in STRIPES {
         print!("{stripes:<12}");
         for _ in READAHEADS {
-            print!("{:>14.2}", cells.next().expect("one result per cell"));
+            print!("{:>14.2}", cells.next().expect("one result per cell").0);
         }
         println!();
     }

@@ -25,17 +25,20 @@
 //! prefetch engine. Backend rows: the scan on RDMA (speculative reads go
 //! one-sided, `transport.rdma.prefetch_read`) and prodcons on NORMA-IPC.
 //!
-//! Environment knobs (CI smoke): `ASVM_PREFETCH_SEED`.
+//! Knobs: `--seed` (the world seed of every cell).
 //!
 //! Determinism: fully seeded; `--json --stable-json` regenerates
 //! `BENCH_prefetch.json` byte-identically.
 
 use asvm::{AsvmConfig, PrefetchCfg};
-use bench::sweep::Sweep;
 use cluster::ManagerKind;
-use svmsim::{Dur, FaultPlan};
+use svmsim::Dur;
 use transport::Transport;
-use workloads::{run_pattern_backend_seeded, Pattern, PatternOutcome};
+use workloads::{run_pattern, Outcome, Pattern, Scenario};
+
+use crate::cli::Args;
+use crate::sweep::Sweep;
+use crate::Key;
 
 const NODES: u16 = 4;
 const PAGES: u32 = 64;
@@ -67,12 +70,23 @@ const HANDOFF: Pattern = Pattern::Chain {
 
 const ARMS: [(&str, u8); 3] = [("off", 0), ("hint", 1), ("hint+data", 2)];
 
-fn seed() -> u64 {
-    match std::env::var("ASVM_PREFETCH_SEED") {
-        Ok(v) => v.parse().expect("ASVM_PREFETCH_SEED: u64"),
-        Err(_) => 1996,
-    }
-}
+/// `fpka_x10` and `wasted_kb` are gauges [`run_cell`] derives into the
+/// snapshot (the analytic access count and the page size are the cell's
+/// knowledge, not the run's).
+const KEYS: &[Key] = &[
+    "page.faults=faults",
+    "fpka_x10",
+    "fault_us_mean=mean_fault_us",
+    "asvm.prefetch.issued",
+    "asvm.prefetch.hit",
+    "asvm.prefetch.late",
+    "asvm.prefetch.wasted",
+    "asvm.prefetch.cancelled",
+    "asvm.prefetch.hint",
+    "wasted_kb",
+    "transport.rdma.prefetch_read",
+    "asvm.policy.prefetch_off",
+];
 
 fn arm_cfg(arm: u8) -> AsvmConfig {
     let mut cfg = AsvmConfig::default().coalesced();
@@ -101,90 +115,78 @@ fn arm_cfg(arm: u8) -> AsvmConfig {
     cfg
 }
 
-fn run_cell(
-    pattern: Pattern,
-    arm: u8,
-    transport: Transport,
-) -> (PatternOutcome, u64, Vec<(String, u64)>) {
-    let out = run_pattern_backend_seeded(
-        ManagerKind::Asvm(arm_cfg(arm)),
-        transport,
-        NODES,
-        PAGES,
-        pattern,
-        FaultPlan::none(),
-        Dur::from_micros_f64(THINK_US),
-        seed(),
-    );
-    assert!(out.completed, "prefetch cell tasks finish");
-    let o = out.outcome;
-    let accesses = pattern.accesses(NODES, PAGES);
-    let counters = vec![
-        ("page.faults".to_string(), o.faults),
-        (
-            "fpka_x10".to_string(),
-            (o.faults_per_kilo_access(accesses) * 10.0).round() as u64,
-        ),
-        (
-            "fault_us_mean".to_string(),
-            (o.mean_fault_ms * 1000.0).round() as u64,
-        ),
-        ("asvm.prefetch.issued".to_string(), o.prefetch_issued),
-        ("asvm.prefetch.hit".to_string(), o.prefetch_hit),
-        ("asvm.prefetch.late".to_string(), o.prefetch_late),
-        ("asvm.prefetch.wasted".to_string(), o.prefetch_wasted),
-        ("asvm.prefetch.cancelled".to_string(), o.prefetch_cancelled),
-        ("asvm.prefetch.hint".to_string(), o.prefetch_hints),
-        ("wasted_kb".to_string(), o.prefetch_wasted * PAGE_KB),
-        (
-            "transport.rdma.prefetch_read".to_string(),
-            o.rdma_prefetch_reads,
-        ),
-        (
-            "asvm.policy.prefetch_off".to_string(),
-            o.policy_prefetch_off,
-        ),
-    ];
-    let events = o.events;
-    (o, events, counters)
+fn run_cell(seed: u64, pattern: Pattern, arm: u8, transport: Transport) -> Outcome {
+    let sc = Scenario::new(ManagerKind::Asvm(arm_cfg(arm)), NODES, seed)
+        .transport(transport)
+        .think(Dur::from_micros_f64(THINK_US));
+    let mut o = run_pattern(&sc, PAGES, pattern).expect_completed("prefetch cell");
+    let fpka = o.faults_per_kilo_access(pattern.accesses(NODES, PAGES));
+    o.stats.add("fpka_x10", (fpka * 10.0).round() as u64);
+    let wasted = o.counter("asvm.prefetch.wasted");
+    o.stats.add("wasted_kb", wasted * PAGE_KB);
+    o
 }
 
-fn main() {
-    let mut sweep = Sweep::from_env("prefetch");
+/// Every cell: (table row, arm label, arm, pattern, transport).
+fn cells() -> Vec<(String, &'static str, u8, Pattern, Transport)> {
+    let mut cells = Vec::new();
     // STS: every pattern × every arm.
     for (label, pattern) in PATTERNS {
         for (arm_label, arm) in ARMS {
-            sweep.cell_with_counters(format!("sts / {label} / {arm_label}"), move || {
-                run_cell(pattern, arm, Transport::STS)
-            });
+            cells.push((
+                format!("sts / {label}"),
+                arm_label,
+                arm,
+                pattern,
+                Transport::STS,
+            ));
         }
     }
     // The waste counter-case, plus the policy latch that caps it.
-    for (arm_label, arm) in [("off", 0u8), ("hint+data", 2), ("latch", 3)] {
-        sweep.cell_with_counters(format!("sts / handoff / {arm_label}"), move || {
-            run_cell(HANDOFF, arm, Transport::STS)
-        });
+    for (arm_label, arm) in [("off", 0), ("hint+data", 2), ("latch", 3)] {
+        cells.push((
+            "sts / handoff".into(),
+            arm_label,
+            arm,
+            HANDOFF,
+            Transport::STS,
+        ));
     }
     // Backend rows: the streaming scan on RDMA (speculative reads go
     // one-sided), prodcons on NORMA-IPC.
-    for (arm_label, arm) in [("off", 0u8), ("hint+data", 2)] {
-        let (label, pattern) = PATTERNS[0];
-        sweep.cell_with_counters(format!("rdma / {label} / {arm_label}"), move || {
-            run_cell(pattern, arm, Transport::RDMA)
-        });
+    for (backend, transport, (label, pattern)) in [
+        ("rdma", Transport::RDMA, PATTERNS[0]),
+        ("norma", Transport::NORMA, PATTERNS[2]),
+    ] {
+        for (arm_label, arm) in [("off", 0), ("hint+data", 2)] {
+            cells.push((
+                format!("{backend} / {label}"),
+                arm_label,
+                arm,
+                pattern,
+                transport,
+            ));
+        }
     }
-    for (arm_label, arm) in [("off", 0u8), ("hint+data", 2)] {
-        let (label, pattern) = PATTERNS[2];
-        sweep.cell_with_counters(format!("norma / {label} / {arm_label}"), move || {
-            run_cell(pattern, arm, Transport::NORMA)
-        });
+    cells
+}
+
+pub fn run(args: &Args) {
+    let seed = args.seed;
+    let mut sweep = Sweep::with_config("prefetch", args.sweep.clone());
+    for (row, arm_label, arm, pattern, transport) in cells() {
+        crate::cell(
+            &mut sweep,
+            format!("{row} / {arm_label}"),
+            KEYS,
+            move || run_cell(seed, pattern, arm, transport),
+        );
     }
     let report = sweep.run();
 
     println!(
         "Prefetch ablation ({NODES} nodes, {PAGES} pages, depth {DEPTH}, \
-         {THINK_US:.0}us think/touch, seed {})",
-        seed()
+         {THINK_US:.0}us think/touch, seed {seed})"
     );
     println!("fpka = demand faults per 1000 accesses (analytic access count per pattern)");
     println!(
@@ -192,40 +194,20 @@ fn main() {
         "pattern", "arm", "faults", "fpka", "flt us", "issued", "hit", "late", "wasted", "hints"
     );
     println!("{}", "-".repeat(96));
-    let mut cells = report.values();
-    let print_row = |label: &str, arm: &str, pattern: Pattern, o: &PatternOutcome| {
-        let accesses = pattern.accesses(NODES, PAGES);
+    for ((row, arm_label, _, pattern, _), o) in cells().iter().zip(report.values()) {
         println!(
             "{:<22}{:>8}{:>8}{:>8.1}{:>9.0}{:>9}{:>8}{:>8}{:>8}{:>8}",
-            label,
-            arm,
-            o.faults,
-            o.faults_per_kilo_access(accesses),
-            o.mean_fault_ms * 1000.0,
-            o.prefetch_issued,
-            o.prefetch_hit,
-            o.prefetch_late,
-            o.prefetch_wasted,
-            o.prefetch_hints,
+            row,
+            arm_label,
+            o.faults(),
+            o.faults_per_kilo_access(pattern.accesses(NODES, PAGES)),
+            o.mean_fault_ms() * 1000.0,
+            o.counter("asvm.prefetch.issued"),
+            o.counter("asvm.prefetch.hit"),
+            o.counter("asvm.prefetch.late"),
+            o.counter("asvm.prefetch.wasted"),
+            o.counter("asvm.prefetch.hint"),
         );
-    };
-    for (label, pattern) in PATTERNS {
-        for (arm_label, _) in ARMS {
-            let o = cells.next().expect("sts cell");
-            print_row(&format!("sts / {label}"), arm_label, pattern, o);
-        }
-    }
-    for arm_label in ["off", "hint+data", "latch"] {
-        let o = cells.next().expect("handoff cell");
-        print_row("sts / handoff", arm_label, HANDOFF, o);
-    }
-    for (arm_label, _) in [("off", ()), ("hint+data", ())] {
-        let o = cells.next().expect("rdma cell");
-        print_row("rdma / filescan", arm_label, PATTERNS[0].1, o);
-    }
-    for (arm_label, _) in [("off", ()), ("hint+data", ())] {
-        let o = cells.next().expect("norma cell");
-        print_row("norma / prodcons", arm_label, PATTERNS[2].1, o);
     }
     println!();
     println!("migratory (pure write-token hops) earns zero speculation: only read");

@@ -3,9 +3,17 @@
 //! Seven characteristic SVM fault types, measured in task context exactly
 //! as the paper does, under both ASVM and NMK13 XMM.
 
-use bench::sweep::Sweep;
 use cluster::ManagerKind;
 use workloads::{fault_probe, FaultProbeSpec, ProbeAccess};
+
+use crate::cli::Args;
+use crate::sweep::Sweep;
+use crate::Key;
+
+/// Per-message-kind protocol traffic of the measured fault — the counters
+/// `ci/bench_check.sh`'s golden diff guards against chattiness
+/// regressions.
+const KEYS: &[Key] = &["asvm.msg.*", "emmi.*", "xmm.msg.*"];
 
 struct Row {
     label: &'static str,
@@ -75,8 +83,8 @@ const ROWS: &[Row] = &[
     },
 ];
 
-fn main() {
-    let mut sweep = Sweep::from_env("table1");
+pub fn run(args: &Args) {
+    let mut sweep = Sweep::with_config("table1", args.sweep.clone());
     for row in ROWS {
         for kind in [ManagerKind::asvm(), ManagerKind::xmm()] {
             let spec = FaultProbeSpec {
@@ -85,15 +93,8 @@ fn main() {
                 faulter_has_copy: row.faulter_has_copy,
                 access: row.access,
             };
-            sweep.cell_with_counters(format!("{} {}", kind.label(), row.label), move || {
-                let out = fault_probe(spec);
-                let counters = out
-                    .msg_counts
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), *v))
-                    .collect();
-                (out.latency.as_millis_f64(), out.events, counters)
-            });
+            let label = format!("{} {}", kind.label(), row.label);
+            crate::cell(&mut sweep, label, KEYS, move || fault_probe(spec));
         }
     }
     let report = sweep.run();
@@ -108,8 +109,8 @@ fn main() {
         println!(
             "{:<32}{:>18}{:>18}",
             row.label,
-            bench::pair(row.paper_asvm, *asvm),
-            bench::pair(row.paper_xmm, *xmm),
+            crate::pair(row.paper_asvm, asvm.mean_fault_ms()),
+            crate::pair(row.paper_xmm, xmm.mean_fault_ms()),
         );
     }
     report.finish();

@@ -7,9 +7,11 @@
 //! scan the whole populated file on every node (bounded by the pager — or,
 //! under ASVM, served from peer caches after the first copy).
 
-use bench::sweep::Sweep;
 use cluster::ManagerKind;
 use workloads::{file_scan, FileScanSpec, ScanDir};
+
+use crate::cli::Args;
+use crate::sweep::Sweep;
 
 const NODES: [u16; 7] = [1, 2, 4, 8, 16, 32, 64];
 const PAPER_ASVM_WRITE: [f64; 7] = [2.80, 2.60, 2.05, 1.22, 0.62, 0.30, 0.15];
@@ -17,9 +19,9 @@ const PAPER_XMM_WRITE: [f64; 7] = [2.15, 1.77, 0.90, 0.49, 0.24, 0.12, 0.06];
 const PAPER_ASVM_READ: [f64; 7] = [1.57, 1.53, 1.14, 0.91, 0.70, 0.66, 0.66];
 const PAPER_XMM_READ: [f64; 7] = [1.18, 0.38, 0.25, 0.11, 0.05, 0.02, 0.01];
 
-fn main() {
+pub fn run(args: &Args) {
     let file_pages = 512; // 4 MB
-    let mut sweep = Sweep::from_env("table2");
+    let mut sweep = Sweep::with_config("table2", args.sweep.clone());
     for n in NODES {
         for (kind, dir) in [
             (ManagerKind::asvm(), ScanDir::Write),
@@ -33,10 +35,8 @@ fn main() {
                 file_pages,
                 dir,
             };
-            sweep.cell(format!("{} {:?} {}n", kind.label(), dir, n), move || {
-                let out = file_scan(spec);
-                (out.rate_mb_s, out.events)
-            });
+            let label = format!("{} {:?} {}n", kind.label(), dir, n);
+            crate::cell(&mut sweep, label, &[], move || file_scan(spec));
         }
     }
     let report = sweep.run();
@@ -49,17 +49,18 @@ fn main() {
     println!("{}", "-".repeat(78));
     let mut cells = report.values();
     for (i, n) in NODES.iter().enumerate() {
-        let aw = *cells.next().expect("asvm write");
-        let xw = *cells.next().expect("xmm write");
-        let ar = *cells.next().expect("asvm read");
-        let xr = *cells.next().expect("xmm read");
+        let mut rate = |what| cells.next().expect(what).rate_mb_s;
+        let aw = rate("asvm write");
+        let xw = rate("xmm write");
+        let ar = rate("asvm read");
+        let xr = rate("xmm read");
         println!(
             "{:>6}{:>18}{:>18}{:>18}{:>18}",
             n,
-            bench::pair(PAPER_ASVM_WRITE[i], aw),
-            bench::pair(PAPER_XMM_WRITE[i], xw),
-            bench::pair(PAPER_ASVM_READ[i], ar),
-            bench::pair(PAPER_XMM_READ[i], xr),
+            crate::pair(PAPER_ASVM_WRITE[i], aw),
+            crate::pair(PAPER_XMM_WRITE[i], xw),
+            crate::pair(PAPER_ASVM_READ[i], ar),
+            crate::pair(PAPER_XMM_READ[i], xr),
         );
     }
     println!();

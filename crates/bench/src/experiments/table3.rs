@@ -7,9 +7,11 @@
 //! combined memory of the nodes cannot hold the data set — the same
 //! footnotes as the paper.
 
-use bench::sweep::Sweep;
 use cluster::ManagerKind;
 use workloads::{em3d_run, Em3dSpec};
+
+use crate::cli::Args;
+use crate::sweep::Sweep;
 
 const NODES: [u16; 7] = [1, 2, 4, 8, 16, 32, 64];
 
@@ -90,7 +92,7 @@ fn run_cell(kind: ManagerKind, nodes: u16, cells: u64, paper: Option<f64>) -> (S
             if spec32.feasible() {
                 let out = em3d_run(spec32);
                 return (
-                    format!("{:>7.1}/{:<7.1}*", paper.unwrap_or(0.0), out.elapsed_secs),
+                    format!("{:>7.1}/{:<7.1}*", paper.unwrap_or(0.0), out.elapsed_s()),
                     out.events,
                 );
             }
@@ -99,15 +101,15 @@ fn run_cell(kind: ManagerKind, nodes: u16, cells: u64, paper: Option<f64>) -> (S
     }
     let out = em3d_run(spec);
     let text = match paper {
-        Some(p) => format!("{:>7.1}/{:<8.1}", p, out.elapsed_secs),
-        None => format!("{:>7}/{:<8.1}", "-", out.elapsed_secs),
+        Some(p) => format!("{:>7.1}/{:<8.1}", p, out.elapsed_s()),
+        None => format!("{:>7}/{:<8.1}", "-", out.elapsed_s()),
     };
     (text, out.events)
 }
 
-fn main() {
+pub fn run(args: &Args) {
     // Sequential baselines run with 32 MB nodes, as in the paper.
-    let mut sweep = Sweep::from_env("table3");
+    let mut sweep = Sweep::with_config("table3", args.sweep.clone());
     for row in &PAPER {
         for kind in [ManagerKind::asvm(), ManagerKind::xmm()] {
             let paper = match kind {

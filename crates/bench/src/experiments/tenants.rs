@@ -36,16 +36,22 @@
 //! adaptive arm pays `asvm.policy.switch` churn without a stall win —
 //! raise the window or disable the policy for such tenants.
 //!
-//! Environment knobs (CI smoke): `ASVM_TENANTS_OBJECTS`,
-//! `ASVM_TENANTS_TASKS`, `ASVM_TENANTS_OPS`, `ASVM_TENANTS_SEED`.
+//! Knobs: `--seed` (classes, working sets, access streams) and `--quick`
+//! (24 objects / 8 tasks / 120 ops instead of 96 / 24 / 400: the policy
+//! still closes windows and switches modes, but a cell runs in seconds —
+//! only determinism holds at that size, not the adaptive win).
 //!
 //! Determinism: fully seeded; `--json --stable-json` regenerates
 //! `BENCH_tenants.json` byte-identically.
 
 use asvm::AsvmConfig;
-use bench::sweep::Sweep;
 use transport::Transport;
-use workloads::tenants::{run_tenants, TenantsOutcome, TenantsSpec};
+use workloads::tenants::{run_tenants, TenantsSpec, MODE_GAUGES};
+use workloads::Outcome;
+
+use crate::cli::Args;
+use crate::sweep::Sweep;
+use crate::Key;
 
 /// Readahead depth of the accelerated arms (the committed `futurework`
 /// sweep's depth; deep enough to stream a 16-page scan).
@@ -57,21 +63,33 @@ const RA: u32 = 4;
 /// default 2).
 const WINDOW: u32 = 8;
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    match std::env::var(key) {
-        Ok(v) => v.parse().unwrap_or_else(|_| panic!("{key}: u64")),
-        Err(_) => default,
-    }
-}
+const KEYS: &[Key] = &[
+    "page.faults=faults",
+    "stall_ms",
+    "fault_us_mean=mean_fault_us",
+    "asvm.msgs",
+    "asvm.frames",
+    "coalesce.merged=asvm.coalesce.merged",
+    "policy.observe=asvm.policy.observe",
+    "policy.switch=asvm.policy.switch",
+    "modes.dynamic=tenants.modes.dynamic",
+    "modes.static=tenants.modes.static",
+    "modes.global=tenants.modes.global",
+];
 
-/// The base mixed-tenant shape (the generator's defaults); the workload
-/// rows perturb it.
-fn base_spec() -> TenantsSpec {
+/// The base mixed-tenant shape (the generator's defaults, or the reduced
+/// `--quick` shape); the workload rows perturb it.
+pub fn base_spec(args: &Args) -> TenantsSpec {
+    let (objects, tasks, ops_per_task) = if args.quick {
+        (24, 8, 120)
+    } else {
+        (96, 24, 400)
+    };
     TenantsSpec {
-        objects: env_u64("ASVM_TENANTS_OBJECTS", 96) as u32,
-        tasks: env_u64("ASVM_TENANTS_TASKS", 24) as u32,
-        ops_per_task: env_u64("ASVM_TENANTS_OPS", 400) as u32,
-        seed: env_u64("ASVM_TENANTS_SEED", 1996),
+        objects,
+        tasks,
+        ops_per_task,
+        seed: args.seed,
         ..TenantsSpec::default()
     }
 }
@@ -86,7 +104,7 @@ fn accel() -> AsvmConfig {
 /// starts conservative: static forwarding with the accelerants stripped
 /// at object creation (the policy's Static mode), upgrading per replica
 /// on read evidence.
-fn configs() -> [(&'static str, AsvmConfig); 5] {
+pub fn configs() -> [(&'static str, AsvmConfig); 5] {
     let mut adaptive = AsvmConfig::fixed_distributed().coalesced().adaptive();
     adaptive.prefetch = asvm::PrefetchCfg::readahead(RA);
     adaptive.policy.window = WINDOW;
@@ -100,8 +118,7 @@ fn configs() -> [(&'static str, AsvmConfig); 5] {
 }
 
 /// Workload rows: label × spec perturbation.
-fn workloads() -> [(&'static str, TenantsSpec); 4] {
-    let base = base_spec();
+pub fn workloads(base: TenantsSpec) -> [(&'static str, TenantsSpec); 4] {
     let mut read_mostly = base.clone();
     read_mostly.read_mostly_pct = 90;
     let mut write_heavy = base.clone();
@@ -118,64 +135,41 @@ fn workloads() -> [(&'static str, TenantsSpec); 4] {
     ]
 }
 
-fn cell(
-    cfg: AsvmConfig,
-    transport: Transport,
-    spec: TenantsSpec,
-    oracle: bool,
-) -> (TenantsOutcome, u64, Vec<(String, u64)>) {
-    let o = run_tenants(cfg, transport, &spec, oracle);
-    let counters = vec![
-        ("page.faults".to_string(), o.faults),
-        ("stall_ms".to_string(), o.stall_ms.round() as u64),
-        (
-            "fault_us_mean".to_string(),
-            (o.mean_fault_ms * 1000.0).round() as u64,
-        ),
-        ("asvm.msgs".to_string(), o.asvm_msgs),
-        ("asvm.frames".to_string(), o.asvm_frames),
-        ("coalesce.merged".to_string(), o.coalesce_merged),
-        ("policy.observe".to_string(), o.policy_observe),
-        ("policy.switch".to_string(), o.policy_switch),
-        ("modes.dynamic".to_string(), o.modes[0]),
-        ("modes.static".to_string(), o.modes[1]),
-        ("modes.global".to_string(), o.modes[2]),
-    ];
-    let events = o.events;
-    (o, events, counters)
-}
-
-fn main() {
-    let mut sweep = Sweep::from_env("tenants");
+pub fn run(args: &Args) {
+    let base = base_spec(args);
+    let mut sweep = Sweep::with_config("tenants", args.sweep.clone());
     // STS: every workload row × every configuration column.
-    for (wl, spec) in workloads() {
+    for (wl, spec) in workloads(base.clone()) {
         for (arm, cfg) in configs() {
             let spec = spec.clone();
-            sweep.cell_with_counters(format!("sts / {wl} / {arm}"), move || {
-                cell(cfg, Transport::STS, spec, false)
+            crate::cell(&mut sweep, format!("sts / {wl} / {arm}"), KEYS, move || {
+                run_tenants(cfg, Transport::STS, &spec, false)
             });
         }
     }
     // The oracle bound on the headline mixed row (class-ideal per-object
     // configs, accelerants restored on the read-mostly class).
     {
-        let spec = base_spec();
-        sweep.cell_with_counters("sts / mixed / oracle", move || {
-            cell(accel(), Transport::STS, spec, true)
+        let spec = base.clone();
+        crate::cell(&mut sweep, "sts / mixed / oracle", KEYS, move || {
+            run_tenants(accel(), Transport::STS, &spec, true)
         });
     }
     // Backend generality: the headline row on NORMA-IPC and RDMA.
     for (bl, backend) in [("norma", Transport::NORMA), ("rdma", Transport::RDMA)] {
         for (arm, cfg) in configs() {
-            let spec = base_spec();
-            sweep.cell_with_counters(format!("{bl} / mixed / {arm}"), move || {
-                cell(cfg, backend, spec, false)
-            });
+            let spec = base.clone();
+            crate::cell(
+                &mut sweep,
+                format!("{bl} / mixed / {arm}"),
+                KEYS,
+                move || run_tenants(cfg, backend, &spec, false),
+            );
         }
     }
     let report = sweep.run();
 
-    let spec = base_spec();
+    let spec = &base;
     println!(
         "Multi-tenant sweep ({} nodes, {} objects x {} pages, {} tasks x {} ops, \
          object skew {}, readahead {RA}, policy window {WINDOW})",
@@ -204,40 +198,46 @@ fn main() {
     );
     println!("{}", "-".repeat(96));
     let mut cells = report.values();
-    let print_row = |label: &str, cells: &mut dyn Iterator<Item = &TenantsOutcome>| {
-        let uniform: Vec<&TenantsOutcome> = (0..4)
+    let print_row = |label: &str, cells: &mut dyn Iterator<Item = &Outcome>| {
+        let uniform: Vec<&Outcome> = (0..4)
             .map(|_| cells.next().expect("uniform cell"))
             .collect();
         let adaptive = cells.next().expect("adaptive cell");
         let best = uniform
             .iter()
-            .map(|o| o.stall_ms)
+            .map(|o| o.stall_ms())
             .fold(f64::INFINITY, f64::min);
-        let worst = uniform.iter().map(|o| o.stall_ms).fold(0.0, f64::max);
-        let delta = 100.0 * (adaptive.stall_ms / best - 1.0);
-        let flt_best = uniform.iter().map(|o| o.faults).min().unwrap();
+        let worst = uniform.iter().map(|o| o.stall_ms()).fold(0.0, f64::max);
+        let delta = 100.0 * (adaptive.stall_ms() / best - 1.0);
+        let flt_best = uniform
+            .iter()
+            .map(|o| o.faults())
+            .min()
+            .expect("four uniform arms");
+        let modes = MODE_GAUGES.map(|k| adaptive.counter(k));
         println!(
             "{:<22}{:>10.0}{:>10.0}{:>10.0}{:>+8.1}%{:>9}{:>9}{:>7}  {:>3}/{:<3}/{:<3}",
             label,
             best,
             worst,
-            adaptive.stall_ms,
+            adaptive.stall_ms(),
             delta,
             flt_best,
-            adaptive.faults,
-            adaptive.policy_switch,
-            adaptive.modes[0],
-            adaptive.modes[1],
-            adaptive.modes[2],
+            adaptive.faults(),
+            adaptive.counter("asvm.policy.switch"),
+            modes[0],
+            modes[1],
+            modes[2],
         );
     };
-    for (wl, _) in workloads() {
+    for (wl, _) in workloads(base.clone()) {
         print_row(&format!("sts / {wl}"), &mut cells);
     }
     let oracle = cells.next().expect("oracle cell");
     println!(
         "{:<22}{:>10.0}   (per-object class-ideal configs via set_object_config)",
-        "sts / mixed / oracle", oracle.stall_ms
+        "sts / mixed / oracle",
+        oracle.stall_ms()
     );
     for (bl, _) in [("norma", ()), ("rdma", ())] {
         print_row(&format!("{bl} / mixed"), &mut cells);

@@ -1,4 +1,4 @@
-//! Parallel sweep harness for the benchmark binaries.
+//! Parallel sweep harness for the `bench` driver's experiments.
 //!
 //! Every table/figure reproduction sweeps a grid of simulation cells
 //! (manager kind × node count × problem size). The cells are independent
@@ -13,14 +13,14 @@
 //! between serial and parallel runs. Timing goes to stderr and, with
 //! `--json`, to a `BENCH_<name>.json` trajectory file — never stdout.
 //!
-//! Thread count: `--threads N` > `--serial` > `ASVM_BENCH_THREADS` >
-//! available parallelism.
+//! The driver's flags (`--serial`, `--threads N`, `--json`,
+//! `--stable-json`; see [`crate::cli`]) resolve to a [`SweepConfig`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// How a sweep should execute, resolved from CLI args and environment.
+/// How a sweep should execute.
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
     /// Worker thread count (1 = serial).
@@ -28,57 +28,12 @@ pub struct SweepConfig {
     /// Write a `BENCH_<name>.json` trajectory file after the sweep.
     pub json: bool,
     /// Zero out host wall-clock fields in the JSON so two runs of a
-    /// deterministic sweep produce byte-identical files (`--stable-json`
-    /// or `ASVM_BENCH_STABLE_JSON=1`; used by the fault-sweep determinism
-    /// check).
+    /// deterministic sweep produce byte-identical files (`--stable-json`;
+    /// what `ci/bench_check.sh` compares).
     pub stable_json: bool,
 }
 
 impl SweepConfig {
-    /// Resolves the configuration from `std::env` (process args + the
-    /// `ASVM_BENCH_THREADS` variable).
-    pub fn from_env() -> SweepConfig {
-        let mut threads: Option<usize> = std::env::var("ASVM_BENCH_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        let mut json = false;
-        let mut stable_json = std::env::var("ASVM_BENCH_STABLE_JSON").is_ok_and(|v| v == "1");
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--serial" => threads = Some(1),
-                "--threads" => {
-                    let n = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads needs a positive integer");
-                    threads = Some(n)
-                }
-                "--json" => json = true,
-                "--stable-json" => {
-                    json = true;
-                    stable_json = true;
-                }
-                other => panic!(
-                    "unknown benchmark flag: {other} \
-                     (expected --serial | --threads N | --json | --stable-json)"
-                ),
-            }
-        }
-        let threads = threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .max(1);
-        SweepConfig {
-            threads,
-            json,
-            stable_json,
-        }
-    }
-
     /// A fixed-thread-count configuration (used by the determinism tests).
     pub fn with_threads(threads: usize) -> SweepConfig {
         SweepConfig {
@@ -135,13 +90,7 @@ pub struct SweepReport<T> {
 }
 
 impl<T: Send> Sweep<T> {
-    /// A sweep configured from process args and environment — what the
-    /// benchmark binaries use.
-    pub fn from_env(name: &'static str) -> Sweep<T> {
-        Sweep::with_config(name, SweepConfig::from_env())
-    }
-
-    /// A sweep with an explicit configuration (tests).
+    /// A sweep named `name` (its `BENCH_<name>.json`) run under `config`.
     pub fn with_config(name: &'static str, config: SweepConfig) -> Sweep<T> {
         Sweep {
             name,

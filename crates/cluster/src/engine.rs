@@ -37,17 +37,22 @@
 //! and pager traffic stay on NORMA-IPC, which models Mach's reliable
 //! kernel-to-kernel IPC. The full model lives in `docs/RELIABILITY.md`.
 //!
-//! Retry pacing comes from [`asvm::RetryConfig`] (set cluster-wide with
-//! [`crate::Ssi::set_retry_config`]):
+//! Retry pacing and the watchdog deadline come from
+//! [`asvm::RecoveryTiming`], sized for the carrying transport by
+//! [`crate::Ssi::set_asvm_transport`]:
 //!
 //! ```
-//! use asvm::RetryConfig;
+//! use asvm::RecoveryTiming;
 //! use svmsim::Dur;
 //!
-//! let cfg = RetryConfig::default();
+//! let sts = RecoveryTiming::default();
 //! // Bounded exponential backoff: 2, 4, 8, ... capped at 50 ms.
-//! assert_eq!(cfg.timeout_for(0), Dur::from_millis(2));
-//! assert!(cfg.timeout_for(10) <= Dur::from_millis(50));
+//! assert_eq!(sts.retry.timeout_for(0), Dur::from_millis(2));
+//! assert!(sts.retry.timeout_for(10) <= Dur::from_millis(50));
+//! // A carrier with 10x the per-message software cost waits 10x longer.
+//! let norma = RecoveryTiming::for_carrier(Dur::from_millis(1), Dur::from_micros_f64(100.0));
+//! assert_eq!(norma.retry.timeout_for(0), Dur::from_millis(20));
+//! assert_eq!(norma.watchdog_deadline, Dur::from_millis(2500));
 //! ```
 
 use asvm::{AsvmNode, PageRange};
@@ -371,10 +376,10 @@ pub trait CoherenceEngine {
     fn peer_cleared(&mut self, _now: Time, _vm: &mut VmSystem, _peer: NodeId, _out: &mut EngineFx) {
     }
 
-    /// Periodic watchdog pass: re-issue requests stalled past their
-    /// deadline. Driven by the heartbeat tick, only under active fault
-    /// plans.
-    fn on_watchdog(&mut self, _now: Time, _vm: &mut VmSystem, _out: &mut EngineFx) {}
+    /// Periodic watchdog pass: re-issue requests stalled past `deadline`.
+    /// Driven by the heartbeat tick, only under active fault plans.
+    fn on_watchdog(&mut self, _now: Time, _deadline: Dur, _vm: &mut VmSystem, _out: &mut EngineFx) {
+    }
 
     /// Downcast: the ASVM instance, if this engine is ASVM.
     fn as_asvm(&self) -> Option<&AsvmNode> {
@@ -494,9 +499,9 @@ impl CoherenceEngine for AsvmNode {
         AsvmNode::peer_cleared(self, peer);
     }
 
-    fn on_watchdog(&mut self, now: Time, vm: &mut VmSystem, out: &mut EngineFx) {
+    fn on_watchdog(&mut self, now: Time, deadline: Dur, vm: &mut VmSystem, out: &mut EngineFx) {
         let mut fx = out.take_asvm();
-        AsvmNode::watchdog(self, now, vm, &mut fx);
+        AsvmNode::watchdog(self, now, deadline, vm, &mut fx);
         out.absorb_asvm(self.me(), fx);
     }
 

@@ -9,7 +9,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use asvm::{AsvmMsg, AsvmNode, FrameBody, LinkReceiver, LinkSender, RetryConfig, TimeoutVerdict};
+use asvm::{
+    AsvmMsg, AsvmNode, FrameBody, LinkReceiver, LinkSender, RecoveryTiming, TimeoutVerdict,
+};
 use machvm::{
     Access, EmmiToKernel, EmmiToPager, Inherit, MemObjId, PageData, TaskId, VmEffect, VmObjId,
     VmSystem,
@@ -107,9 +109,10 @@ pub struct ClusterNode {
     /// Protocol event trace, recorded only when installed
     /// ([`crate::Ssi::enable_trace`]).
     pub trace: Option<TraceRing<ProtoEvent>>,
-    /// Retry/timeout policy of the ASVM frame channel (used only while
-    /// the machine's fault plan is active).
-    pub retry_cfg: RetryConfig,
+    /// ARQ and watchdog timeouts (used only while the machine's fault plan
+    /// is active), sized for the carrier by
+    /// [`crate::Ssi::set_asvm_transport`].
+    pub timing: RecoveryTiming,
     /// Sender halves of the per-peer ASVM retry channels. Each sequenced
     /// unit is a [`FrameBody`]: a singleton on the classic path, a whole
     /// coalesced batch when coalescing is on.
@@ -186,7 +189,7 @@ impl ClusterNode {
             asvm_transport: Transport::STS,
             tasks_done: 0,
             trace: None,
-            retry_cfg: RetryConfig::default(),
+            timing: RecoveryTiming::default(),
             link_tx: BTreeMap::new(),
             link_rx: BTreeMap::new(),
             coalesce: asvm::CoalesceCfg::default(),
@@ -305,10 +308,9 @@ impl ClusterNode {
     }
 
     /// Installs the coalescing configuration (harness setup, before any
-    /// traffic), sizing the combiner to the configured frame capacity.
+    /// traffic).
     pub fn set_coalesce(&mut self, cfg: asvm::CoalesceCfg) {
         self.coalesce = cfg;
-        self.combiner = asvm::FrameCombiner::new(cfg.max_subframes);
     }
 
     /// The single pager-request send site: every EMMI request to a real
@@ -395,7 +397,7 @@ impl ClusterNode {
                             .entry(dst)
                             .or_default()
                             .enqueue(body.clone(), payload, kind);
-                    let timeout = self.retry_cfg.timeout_for(0);
+                    let timeout = self.timing.retry.timeout_for(0);
                     self.transmit_frame(
                         ctx,
                         dst,
@@ -575,46 +577,44 @@ impl ClusterNode {
         // time — after the engine finished handling the event — so the
         // hints reflect post-transition truth. Telling the destination
         // about itself is useless; skip those.
-        if self.coalesce.piggyback_hints {
-            if let Some(eng) = self.engine.as_asvm() {
-                let mut hints = Vec::new();
-                for m in &body.msgs {
-                    if !(m.carries_data() || m.is_ack_class()) {
-                        continue;
-                    }
-                    if let Some(page) = m.page() {
-                        let mobj = m.mobj();
-                        if let Some(owner) = eng.owner_view(mobj, page) {
-                            if owner != dst {
-                                hints.push((mobj, page, owner));
-                            }
+        if let Some(eng) = self.engine.as_asvm() {
+            let mut hints = Vec::new();
+            for m in &body.msgs {
+                if !(m.carries_data() || m.is_ack_class()) {
+                    continue;
+                }
+                if let Some(page) = m.page() {
+                    let mobj = m.mobj();
+                    if let Some(owner) = eng.owner_view(mobj, page) {
+                        if owner != dst {
+                            hints.push((mobj, page, owner));
                         }
                     }
                 }
-                for h in hints {
+            }
+            for h in hints {
+                body.push_hint(h);
+            }
+            // Prefetch hint tier: beyond the pages this frame already
+            // addresses, attach the sender's owner view for the pages
+            // it predicts `dst` will fault on *next* (per-peer demand
+            // stream detector), so the peer's dynamic hint cache is
+            // warm before the fault even happens. Zero extra frames —
+            // only hint bytes on a frame already flowing.
+            let mut window = Vec::new();
+            let mut seen: Vec<MemObjId> = Vec::new();
+            for m in &body.msgs {
+                let mobj = m.mobj();
+                if seen.contains(&mobj) {
+                    continue;
+                }
+                seen.push(mobj);
+                eng.prefetch_hint_window(mobj, dst, &mut window);
+            }
+            if !window.is_empty() {
+                ctx.stats().add("asvm.prefetch.hint", window.len() as u64);
+                for h in window {
                     body.push_hint(h);
-                }
-                // Prefetch hint tier: beyond the pages this frame already
-                // addresses, attach the sender's owner view for the pages
-                // it predicts `dst` will fault on *next* (per-peer demand
-                // stream detector), so the peer's dynamic hint cache is
-                // warm before the fault even happens. Zero extra frames —
-                // only hint bytes on a frame already flowing.
-                let mut window = Vec::new();
-                let mut seen: Vec<MemObjId> = Vec::new();
-                for m in &body.msgs {
-                    let mobj = m.mobj();
-                    if seen.contains(&mobj) {
-                        continue;
-                    }
-                    seen.push(mobj);
-                    eng.prefetch_hint_window(mobj, dst, &mut window);
-                }
-                if !window.is_empty() {
-                    ctx.stats().add("asvm.prefetch.hint", window.len() as u64);
-                    for h in window {
-                        body.push_hint(h);
-                    }
                 }
             }
         }
@@ -649,7 +649,7 @@ impl ClusterNode {
                 .entry(dst)
                 .or_default()
                 .enqueue(body.clone(), payload, kind);
-            let timeout = self.retry_cfg.timeout_for(0);
+            let timeout = self.timing.retry.timeout_for(0);
             self.transmit_frame(
                 ctx,
                 dst,
@@ -714,7 +714,7 @@ impl ClusterNode {
 
     /// Handles a sender-side retry timer firing for frame `seq` to `dst`.
     fn on_retry_tick(&mut self, ctx: &mut Ctx<'_, Msg>, dst: NodeId, seq: u64) {
-        let cfg = self.retry_cfg;
+        let cfg = self.timing.retry;
         let verdict = self.link_tx.entry(dst).or_default().on_timeout(seq, &cfg);
         match verdict {
             TimeoutVerdict::Stale => {}
@@ -790,7 +790,8 @@ impl ClusterNode {
             self.suspect_peer(ctx, n);
         }
         let mut fx = self.take_fx();
-        self.engine.on_watchdog(now, &mut self.vm, &mut fx);
+        self.engine
+            .on_watchdog(now, self.timing.watchdog_deadline, &mut self.vm, &mut fx);
         self.run_fx(ctx, &mut fx);
         self.put_fx(fx);
         if !self.all_tasks_done() {
@@ -1168,16 +1169,20 @@ impl ClusterNode {
                     st.finished = Some(ctx.now());
                     self.tasks_done += 1;
                     ctx.stats().bump("tasks.done");
-                    // Our heartbeats stop with the tick loop; a reliable
-                    // farewell keeps peers from reading that as death.
-                    if self.all_tasks_done()
-                        && ctx.machine().config.faults.is_active()
-                        && self.engine.as_asvm().is_some()
-                    {
-                        let me = self.id;
-                        for n in ctx.machine().compute_nodes().collect::<Vec<_>>() {
-                            if n != me {
-                                Transport::STS.send(ctx, n, 0, Msg::Farewell { from: me });
+                    if self.all_tasks_done() && ctx.machine().config.faults.is_active() {
+                        if let Some(a) = self.engine.as_asvm_mut() {
+                            // The watchdog stops with the tick loop, so
+                            // speculation nobody is left to claim must not
+                            // wait on it.
+                            let cancelled = a.cancel_unclaimed_speculation();
+                            ctx.stats().add("asvm.prefetch.cancelled", cancelled);
+                            // So do our heartbeats; a reliable farewell
+                            // keeps peers from reading that as death.
+                            let me = self.id;
+                            for n in ctx.machine().compute_nodes().collect::<Vec<_>>() {
+                                if n != me {
+                                    Transport::STS.send(ctx, n, 0, Msg::Farewell { from: me });
+                                }
                             }
                         }
                     }

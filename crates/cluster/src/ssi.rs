@@ -348,18 +348,24 @@ impl Ssi {
     }
 
     /// Switches the transport carrying ASVM protocol traffic (the
-    /// transport ablation: identical state machines over NORMA-IPC).
+    /// transport ablation: identical state machines over NORMA-IPC) and
+    /// sizes the loss-recovery timeouts for it: ARQ timeouts and the
+    /// watchdog deadline stretch with the software cost of one ARQ frame
+    /// on `t` relative to STS, which the defaults were sized for. A
+    /// fabric-reliable backend has no software ARQ to out-wait and keeps
+    /// the STS bounds (its one-sided reads are cheaper than an STS frame).
     pub fn set_asvm_transport(&mut self, t: transport::Transport) {
+        let cost = &self.world.machine().config.cost;
+        let timing = if t.per_link_arq() {
+            let sts = transport::Transport::STS.per_message_cpu(cost);
+            asvm::RecoveryTiming::for_carrier(t.per_message_cpu(cost), sts)
+        } else {
+            asvm::RecoveryTiming::default()
+        };
         for id in self.world.machine().mesh.node_ids().collect::<Vec<_>>() {
-            self.world.node_mut(id).asvm_transport = t;
-        }
-    }
-
-    /// Sets the retry/timeout policy of the ASVM frame channel on every
-    /// node (only consulted while the machine's fault plan is active).
-    pub fn set_retry_config(&mut self, cfg: asvm::RetryConfig) {
-        for id in self.world.machine().mesh.node_ids().collect::<Vec<_>>() {
-            self.world.node_mut(id).retry_cfg = cfg;
+            let n = self.world.node_mut(id);
+            n.asvm_transport = t;
+            n.timing = timing;
         }
     }
 

@@ -113,7 +113,7 @@ pub struct FrameCombiner {
 
 impl Default for FrameCombiner {
     fn default() -> FrameCombiner {
-        FrameCombiner::new(crate::CoalesceCfg::default().max_subframes)
+        FrameCombiner::new(crate::config::MAX_SUBFRAMES)
     }
 }
 

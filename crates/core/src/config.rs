@@ -1,14 +1,29 @@
 //! Per-object ASVM configuration.
+//!
+//! Only values some experiment, test or workload actually varies are
+//! settable here; the rest of the protocol's sizing is the constants
+//! below (and [`crate::RecoveryTiming`], derived from the carrying
+//! transport).
 
-use svmsim::Dur;
+/// Capacity of each static ownership manager's hint cache, in entries
+/// (effectively multiplied by the node count, since the static cache is
+/// distributed across all static managers).
+pub const STATIC_CACHE_ENTRIES: usize = 4096;
 
-/// Bounds on the forwarding machinery and the request watchdog.
+/// Watchdog re-issues before a pending request gives up on its peers and
+/// falls back to a terminal pager re-fetch.
+pub const WATCHDOG_RETRY_BUDGET: u8 = 5;
+
+/// Maximum subframes per coalesced wire frame: the model of STS's
+/// preallocated receive buffer capacity. A full frame is flushed
+/// immediately and a fresh one started.
+pub const MAX_SUBFRAMES: usize = 16;
+
+/// Bound on the forwarding machinery.
 ///
-/// Forwarding chases ownership hints that can be stale; these knobs keep a
-/// request from orbiting a hint cycle forever and, together with the
-/// failure detector, drain requests whose target died (see
-/// `docs/RELIABILITY.md`).
-#[derive(Clone, Copy, Debug)]
+/// Forwarding chases ownership hints that can be stale; the bound keeps a
+/// request from orbiting a hint cycle forever (see `docs/RELIABILITY.md`).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ForwardCfg {
     /// Maximum number of dynamic-hint hops a request may take before the
     /// hint chain is abandoned in favour of the static manager / global
@@ -18,24 +33,6 @@ pub struct ForwardCfg {
     /// absorbs a transfer racing the request. Trips of this bound are
     /// counted under `asvm.forward.loop_trip`.
     pub hop_limit: Option<u16>,
-    /// Age after which the watchdog re-issues a pending request. Must stay
-    /// comfortably above the ARQ worst case (two chained full-backoff
-    /// frame deliveries ≈ 224 ms) so mere link loss never looks like a
-    /// dead peer.
-    pub watchdog_deadline: Dur,
-    /// Watchdog re-issues before a pending request gives up on its peers
-    /// and falls back to a terminal pager re-fetch.
-    pub retry_budget: u8,
-}
-
-impl Default for ForwardCfg {
-    fn default() -> ForwardCfg {
-        ForwardCfg {
-            hop_limit: None,
-            watchdog_deadline: Dur::from_millis(250),
-            retry_budget: 5,
-        }
-    }
 }
 
 /// Message coalescing on the ASVM/STS protocol path (off by default).
@@ -44,9 +41,10 @@ impl Default for ForwardCfg {
 /// protocol messages headed for the same node can share one wire frame:
 /// one fixed header is charged for the frame, and each additional
 /// subframe only pays a small demultiplex overhead instead of a full
-/// per-message send/receive. Acks ride on data frames going the same way,
-/// and data/ack frames piggyback the sender's current owner hint for the
-/// page so dynamic hint caches stay warm without dedicated traffic.
+/// per-message send/receive ([`MAX_SUBFRAMES`] per frame). Acks ride on
+/// data frames going the same way, and data/ack frames piggyback the
+/// sender's current owner hint for every page they address, so dynamic
+/// hint caches stay warm without dedicated traffic.
 ///
 /// The combiner's window is one scheduling step (one delivered event):
 /// every protocol send an engine produces while handling a single event
@@ -54,38 +52,17 @@ impl Default for ForwardCfg {
 /// end of the step, so enabling coalescing never delays traffic across
 /// events and determinism is preserved. The ARQ layer treats a coalesced
 /// frame as one sequenced unit (see `docs/RELIABILITY.md`).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CoalesceCfg {
     /// Master switch. Off keeps the classic one-frame-per-message path,
     /// byte-identical to builds without the coalescing layer.
     pub enabled: bool,
-    /// Maximum subframes per wire frame: the model of STS's preallocated
-    /// receive buffer capacity. A full frame is flushed immediately and a
-    /// fresh one started.
-    pub max_subframes: usize,
-    /// Piggyback the sender's owner hint for every page addressed by a
-    /// data/ack subframe.
-    pub piggyback_hints: bool,
-}
-
-impl Default for CoalesceCfg {
-    fn default() -> CoalesceCfg {
-        CoalesceCfg {
-            enabled: false,
-            max_subframes: 16,
-            piggyback_hints: true,
-        }
-    }
 }
 
 impl CoalesceCfg {
-    /// Coalescing on, with the default frame capacity and hint
-    /// piggybacking.
+    /// Coalescing on.
     pub fn on() -> CoalesceCfg {
-        CoalesceCfg {
-            enabled: true,
-            ..CoalesceCfg::default()
-        }
+        CoalesceCfg { enabled: true }
     }
 }
 
@@ -106,15 +83,11 @@ pub struct AsvmConfig {
     pub static_forwarding: bool,
     /// Capacity of each node's dynamic hint cache, in entries.
     pub dynamic_cache_entries: usize,
-    /// Capacity of each static ownership manager's cache, in entries
-    /// (effectively multiplied by the node count, since the static cache is
-    /// distributed across all static managers).
-    pub static_cache_entries: usize,
     /// Access-pattern-driven prefetch (§6 future work, "read
     /// clustering"): stream detection plus hint/data prefetch tiers. Off
     /// by default (the paper's measured system); see [`crate::prefetch`].
     pub prefetch: crate::prefetch::PrefetchCfg,
-    /// Forwarding hop bound and request-watchdog parameters.
+    /// Forwarding hop bound.
     pub forward: ForwardCfg,
     /// Protocol message coalescing over STS (default off).
     pub coalesce: CoalesceCfg,
@@ -129,7 +102,6 @@ impl Default for AsvmConfig {
             dynamic_forwarding: true,
             static_forwarding: true,
             dynamic_cache_entries: 4096,
-            static_cache_entries: 4096,
             prefetch: crate::prefetch::PrefetchCfg::default(),
             forward: ForwardCfg::default(),
             coalesce: CoalesceCfg::default(),
@@ -219,9 +191,7 @@ mod tests {
     fn coalescing_defaults_off() {
         let c = AsvmConfig::default().coalesce;
         assert!(!c.enabled, "coalescing must be opt-in");
-        assert_eq!(c.max_subframes, 16);
-        let on = AsvmConfig::default().coalesced().coalesce;
-        assert!(on.enabled && on.piggyback_hints);
+        assert!(AsvmConfig::default().coalesced().coalesce.enabled);
     }
 
     #[test]
@@ -244,17 +214,21 @@ mod tests {
         assert!(!d.enabled, "prefetch must be opt-in");
         let ra = AsvmConfig::with_readahead(8).prefetch;
         assert!(ra.enabled && ra.data && !ra.hints);
-        assert_eq!((ra.min_run, ra.depth, ra.max_inflight), (0, 8, 0));
+        assert_eq!((ra.min_run, ra.depth, ra.inflight_budget()), (0, 8, None));
         let st = AsvmConfig::with_prefetch(4).prefetch;
         assert!(st.enabled && st.data && st.hints);
-        assert_eq!((st.min_run, st.depth, st.max_inflight), (2, 4, 4));
+        assert_eq!(
+            (st.min_run, st.depth, st.inflight_budget()),
+            (2, 4, Some(4))
+        );
     }
 
     #[test]
     fn forward_defaults_are_documented_values() {
         let f = ForwardCfg::default();
         assert_eq!(f.hop_limit, None, "default bound derives from members");
-        assert_eq!(f.watchdog_deadline, Dur::from_millis(250));
-        assert_eq!(f.retry_budget, 5);
+        assert_eq!(WATCHDOG_RETRY_BUDGET, 5);
+        let t = crate::RecoveryTiming::default();
+        assert_eq!(t.watchdog_deadline, svmsim::Dur::from_millis(250));
     }
 }

@@ -60,7 +60,7 @@ pub use policy::{
 };
 pub use prefetch::{PrefetchCfg, StreamDetector};
 pub use protocol::{AsvmMsg, NetSend, PagerSend, ReqKind, ReqPath};
-pub use retry::{Accepted, LinkReceiver, LinkSender, RetryConfig, TimeoutVerdict};
+pub use retry::{Accepted, LinkReceiver, LinkSender, RecoveryTiming, RetryConfig, TimeoutVerdict};
 
 use machvm::MemObjId;
 use svmsim::NodeId;

@@ -599,14 +599,13 @@ impl AsvmNode {
         let Some((stride, depth)) = o.local_stream.prediction(&o.cfg.prefetch) else {
             return;
         };
-        let budget = o.cfg.prefetch.max_inflight;
-        let mut inflight = if budget > 0 {
-            o.pending.values().filter(|p| p.speculative).count() as u32
-        } else {
-            0
+        let budget = o.cfg.prefetch.inflight_budget();
+        let mut inflight = match budget {
+            Some(_) => o.pending.values().filter(|p| p.speculative).count() as u32,
+            None => 0,
         };
         for k in 1..=depth {
-            if budget > 0 && inflight >= budget {
+            if budget.is_some_and(|b| inflight >= b) {
                 break;
             }
             let idx = page.0 as i64 + stride * k as i64;
@@ -621,6 +620,23 @@ impl AsvmNode {
             inflight += 1;
             Self::request(o, me, cost, now, vm, p, Access::Read, true, fx);
         }
+    }
+
+    /// No local task is left to claim a speculative fill: forgets every
+    /// speculative request still unanswered and returns how many (the
+    /// caller scores them `asvm.prefetch.cancelled`). A fill that arrives
+    /// anyway installs as an unsolicited read copy. Without this, a
+    /// speculative one-sided read lost on a backend without link ARQ
+    /// stays pending forever: only the watchdog re-issues it, and the
+    /// watchdog tick stops with the node's last task.
+    pub fn cancel_unclaimed_speculation(&mut self) -> u64 {
+        let mut cancelled = 0;
+        for o in self.objects.values_mut() {
+            let before = o.pending.len();
+            o.pending.retain(|_, p| !p.speculative);
+            cancelled += (before - o.pending.len()) as u64;
+        }
+        cancelled
     }
 
     /// Settles the speculative fill for `page`, if one is still waiting
@@ -2660,8 +2676,9 @@ impl AsvmNode {
     /// (down the fallback chain: invalidate the dynamic hint, retry via
     /// the live static manager, finally re-fetch from the pager). Driven
     /// by the cluster layer's heartbeat tick, only under active fault
-    /// plans.
-    pub fn watchdog(&mut self, now: Time, vm: &mut VmSystem, fx: &mut Fx) {
+    /// plans; `deadline` is the carrier's
+    /// [`crate::RecoveryTiming::watchdog_deadline`].
+    pub fn watchdog(&mut self, now: Time, deadline: Dur, vm: &mut VmSystem, fx: &mut Fx) {
         fx.cpu += self.cost.asvm_handle;
         let me = self.me;
         let cost = &self.cost;
@@ -2671,8 +2688,7 @@ impl AsvmNode {
                 // chain; recovery of those is out of scope (documented).
                 continue;
             }
-            let deadline = o.cfg.forward.watchdog_deadline;
-            let budget = o.cfg.forward.retry_budget;
+            let budget = crate::config::WATCHDOG_RETRY_BUDGET;
             let stalled: Vec<(PageIdx, PendingLocal)> = o
                 .pending
                 .iter()

@@ -154,7 +154,8 @@ pub struct PendingLocal {
     pub has_copy: bool,
     /// When the request (or its latest watchdog re-issue) left this node.
     pub issued: Time,
-    /// Watchdog re-issues so far (bounded by `ForwardCfg::retry_budget`).
+    /// Watchdog re-issues so far (bounded by
+    /// [`crate::config::WATCHDOG_RETRY_BUDGET`]).
     pub retries: u8,
     /// Issued by the prefetch engine ahead of any demand fault; cleared
     /// (and counted `asvm.prefetch.late`) when a demand fault catches up
@@ -333,7 +334,7 @@ impl AsvmObject {
             stash: BTreeMap::new(),
             fill_waiters: BTreeMap::new(),
             dyn_cache: Lru::new(cfg.dynamic_cache_entries),
-            static_cache: Lru::new(cfg.static_cache_entries),
+            static_cache: Lru::new(crate::config::STATIC_CACHE_ENTRIES),
             static_filling: BTreeMap::new(),
             static_waiting: BTreeMap::new(),
             static_seen: BTreeSet::new(),

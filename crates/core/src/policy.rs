@@ -112,12 +112,6 @@ pub struct PolicyCfg {
     /// applied. 1 switches on every disagreeing window; the default of 2
     /// absorbs a single anomalous window.
     pub hysteresis: u8,
-    /// Write fraction (percent of observed accesses that want write
-    /// access) at or above which the window recommends
-    /// [`PolicyMode::Static`]. The forwarding ablation's crossover:
-    /// migratory (all-write) sharing ran 2.24 → 2.11 ms/fault when
-    /// dynamic hints were disabled, while read-fanout shapes prefer them.
-    pub write_threshold_pct: u32,
     /// Let the policy toggle the object's `CoalesceCfg::enabled` along
     /// with the mode (restored to its configured base in Dynamic, off
     /// otherwise). Only bites on transports that support coalescing;
@@ -145,13 +139,19 @@ impl Default for PolicyCfg {
             enabled: false,
             window: 48,
             hysteresis: 2,
-            write_threshold_pct: 50,
             manage_coalesce: true,
             manage_prefetch: true,
             prefetch_wasted_pct: 50,
         }
     }
 }
+
+/// Write fraction (percent of observed accesses that want write access)
+/// at or above which a window recommends [`PolicyMode::Static`]. The
+/// forwarding ablation's crossover: migratory (all-write) sharing ran
+/// 2.24 → 2.11 ms/fault when dynamic hints were disabled, while
+/// read-fanout shapes prefer them.
+pub const WRITE_THRESHOLD_PCT: u32 = 50;
 
 impl PolicyCfg {
     /// The policy switched on with the default window and hysteresis.
@@ -469,7 +469,7 @@ impl PolicyState {
             return PolicyMode::Global;
         }
         let total = self.seen.max(1);
-        if self.writes * 100 >= self.cfg.write_threshold_pct * total {
+        if self.writes * 100 >= WRITE_THRESHOLD_PCT * total {
             PolicyMode::Static
         } else {
             PolicyMode::Dynamic

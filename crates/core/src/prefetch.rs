@@ -19,7 +19,7 @@
 //!   warm before it faults: zero extra frames, only extra subframe bytes;
 //! * **data prefetch** ([`PrefetchCfg::data`]) — the faulting node itself
 //!   pulls read copies ahead of the stream, bounded by
-//!   [`PrefetchCfg::max_inflight`], cancelled (no further issues) the
+//!   [`PrefetchCfg::inflight_budget`], cancelled (no further issues) the
 //!   moment the stride breaks.
 //!
 //! Accounting is honest: `asvm.prefetch.issued` / `hit` / `late` /
@@ -54,15 +54,19 @@ pub struct PrefetchCfg {
     /// Pages predicted (and, with [`PrefetchCfg::data`], requested) ahead
     /// of the newest fault. `0` disables prediction.
     pub depth: u32,
-    /// Budget of in-flight speculative pulls per object (`0` = unbounded,
-    /// the legacy mode's behaviour).
-    pub max_inflight: u32,
 }
 
 impl PrefetchCfg {
     /// Everything off (the paper's measured system).
     pub fn off() -> PrefetchCfg {
         PrefetchCfg::default()
+    }
+
+    /// Budget of in-flight speculative pulls per object: one window
+    /// ([`PrefetchCfg::depth`]) for a detector-gated stream, `None`
+    /// (unbounded) in the legacy ungated mode, which never had one.
+    pub fn inflight_budget(&self) -> Option<u32> {
+        (self.min_run > 0).then_some(self.depth)
     }
 
     /// The legacy §6 "read clustering" preset: on every read fault,
@@ -76,7 +80,6 @@ impl PrefetchCfg {
             data: pages > 0,
             min_run: 0,
             depth: pages,
-            max_inflight: 0,
         }
     }
 
@@ -90,7 +93,6 @@ impl PrefetchCfg {
             data: depth > 0,
             min_run: 2,
             depth,
-            max_inflight: depth,
         }
     }
 
@@ -100,7 +102,6 @@ impl PrefetchCfg {
     pub fn hints_only(depth: u32) -> PrefetchCfg {
         PrefetchCfg {
             data: false,
-            max_inflight: 0,
             ..PrefetchCfg::streaming(depth)
         }
     }

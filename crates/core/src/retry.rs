@@ -57,10 +57,12 @@ pub struct RetryConfig {
 }
 
 impl Default for RetryConfig {
-    /// Defaults sized for the simulated Paragon: an STS round trip is
-    /// ~200 µs plus queueing, so 2 ms catches real losses without firing
-    /// on ordinary contention; six attempts with doubling reach ~112 ms
-    /// of cumulative patience before declaring the link dead.
+    /// Defaults sized for ASVM over STS on the simulated Paragon: an STS
+    /// round trip is ~200 µs plus queueing, so 2 ms catches real losses
+    /// without firing on ordinary contention; six attempts with doubling
+    /// reach ~112 ms of cumulative patience before declaring the link
+    /// dead. Another carrier gets them through
+    /// [`RecoveryTiming::for_carrier`].
     fn default() -> RetryConfig {
         RetryConfig {
             base_timeout: Dur::from_millis(2),
@@ -82,6 +84,55 @@ impl RetryConfig {
         Dur::from_nanos(ns)
             .max(self.base_timeout)
             .min(self.max_timeout)
+    }
+}
+
+/// Every timeout of the loss-recovery layers, as one unit because the
+/// bounds constrain each other: the request watchdog must stay
+/// comfortably above the ARQ worst case (two chained full-backoff frame
+/// deliveries, ≈ 224 ms with the defaults) so mere link loss never looks
+/// like a dead peer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecoveryTiming {
+    /// The per-link ARQ channel's timeouts.
+    pub retry: RetryConfig,
+    /// Age after which the watchdog re-issues a pending request.
+    pub watchdog_deadline: Dur,
+}
+
+impl Default for RecoveryTiming {
+    /// The STS-sized bounds: 2 ms / 50 ms ARQ timeouts, 250 ms watchdog.
+    fn default() -> RecoveryTiming {
+        RecoveryTiming {
+            retry: RetryConfig::default(),
+            watchdog_deadline: Dur::from_millis(250),
+        }
+    }
+}
+
+impl RecoveryTiming {
+    /// The default bounds stretched for a carrier whose ARQ frames cost
+    /// `per_message` of software time where an STS frame costs `sts`:
+    /// applied to a 10× dearer carrier unstretched, the 2 ms base timeout
+    /// sits *inside* one loaded round trip, so every queueing delay
+    /// retransmits, the retransmissions add load, and the 250 ms watchdog
+    /// re-issues requests that are merely slow. A carrier as cheap as STS
+    /// gets exactly the defaults.
+    pub fn for_carrier(per_message: Dur, sts: Dur) -> RecoveryTiming {
+        let stretch = |d: Dur| {
+            let ns = d.as_nanos() as u128 * per_message.as_nanos() as u128
+                / sts.as_nanos().max(1) as u128;
+            Dur::from_nanos(ns as u64)
+        };
+        let base = RecoveryTiming::default();
+        RecoveryTiming {
+            retry: RetryConfig {
+                base_timeout: stretch(base.retry.base_timeout),
+                max_timeout: stretch(base.retry.max_timeout),
+                max_attempts: base.retry.max_attempts,
+            },
+            watchdog_deadline: stretch(base.watchdog_deadline),
+        }
     }
 }
 
@@ -259,6 +310,20 @@ mod tests {
         assert_eq!(c.timeout_for(4), Dur::from_millis(32));
         assert_eq!(c.timeout_for(5), Dur::from_millis(50));
         assert_eq!(c.timeout_for(40), Dur::from_millis(50));
+    }
+
+    #[test]
+    fn carrier_timing_scales_with_per_message_cost() {
+        let (sts, norma) = (Dur::from_micros_f64(100.0), Dur::from_micros_f64(1000.0));
+        assert_eq!(
+            RecoveryTiming::for_carrier(sts, sts),
+            RecoveryTiming::default()
+        );
+        let t = RecoveryTiming::for_carrier(norma, sts);
+        assert_eq!(t.retry.base_timeout, Dur::from_millis(20));
+        assert_eq!(t.retry.max_timeout, Dur::from_millis(500));
+        assert_eq!(t.retry.max_attempts, 6);
+        assert_eq!(t.watchdog_deadline, Dur::from_millis(2500));
     }
 
     #[test]

@@ -381,6 +381,14 @@ impl Transport {
         self.backend.costs(cost, payload_bytes)
     }
 
+    /// Software time one header-only message costs end to end (sender plus
+    /// receiver CPU) — what timeouts layered over this transport scale
+    /// with.
+    pub fn per_message_cpu(&self, cost: &CostModel) -> Dur {
+        let c = self.costs(cost, 0);
+        c.send_cpu + c.recv_cpu
+    }
+
     /// Cost envelope for a *coalesced* frame carrying `subframes` protocol
     /// messages and `payload_bytes` of total payload in one wire message.
     ///

@@ -8,9 +8,11 @@
 //! for ASVM's pull operations versus ~4.3 ms/hop for XMM's blocking
 //! internal-pager chain.
 
-use cluster::{ManagerKind, Program, Ssi, Step, TaskEnv};
+use cluster::{ManagerKind, Program, Step, TaskEnv};
 use machvm::{Access, Inherit, TaskId};
-use svmsim::{Dur, NodeId};
+use svmsim::{NodeId, Time};
+
+use crate::scenario::{Outcome, Scenario};
 
 /// One copy-chain experiment.
 #[derive(Clone, Copy, Debug)]
@@ -21,20 +23,6 @@ pub struct CopyChainSpec {
     pub chain_len: u16,
     /// Region size in pages (128 KB = 16 pages in the paper).
     pub region_pages: u32,
-}
-
-/// Result of a copy-chain run.
-#[derive(Clone, Copy, Debug)]
-pub struct CopyChainResult {
-    /// Mean latency of the last task's page faults.
-    pub mean_fault: Dur,
-    /// Number of faults measured (should equal `region_pages`).
-    pub faults: u64,
-    /// Internal-pager requests that stalled waiting for a thread (XMM
-    /// deadlock indicator; zero for ASVM).
-    pub stalled: u64,
-    /// Simulator events processed by the run (parallel-sweep accounting).
-    pub events: u64,
 }
 
 /// The chain program: intermediate tasks fork the next link; the last task
@@ -118,10 +106,11 @@ impl Program for Root {
 }
 
 /// Runs one copy-chain experiment; verifies the last task observed the
-/// initializer's data.
-pub fn copy_chain_probe(spec: CopyChainSpec) -> CopyChainResult {
-    let nodes = spec.chain_len + 1;
-    let mut ssi = Ssi::new(nodes.max(2), spec.kind, 11);
+/// initializer's data. [`Outcome::mean_fault`] is the mean latency of
+/// the last task's page faults.
+pub fn copy_chain_probe(spec: CopyChainSpec) -> Outcome {
+    let sc = Scenario::new(spec.kind, (spec.chain_len + 1).max(2), 11);
+    let mut ssi = sc.build();
     let root_task = ssi.alloc_task();
 
     // The root's region is node-private anonymous memory with copy
@@ -144,8 +133,8 @@ pub fn copy_chain_probe(spec: CopyChainSpec) -> CopyChainResult {
     }
     ssi.finalize();
 
-    let now = ssi.world.now();
-    ssi.world.node_mut(NodeId(0)).install_task(
+    ssi.spawn(
+        NodeId(0),
         root_task,
         Box::new(Root {
             region_pages: spec.region_pages,
@@ -153,46 +142,20 @@ pub fn copy_chain_probe(spec: CopyChainSpec) -> CopyChainResult {
             chain_len: spec.chain_len,
             forked: false,
         }),
-        now,
     );
-    ssi.world
-        .post(now, NodeId(0), cluster::Msg::Resume(root_task));
     ssi.run(20_000_000).expect("copy chain quiesces");
 
     // Verify: the last task's pages carry the initializer's stamps.
-    let last_node = NodeId(spec.chain_len);
+    let last = ssi.node(NodeId(spec.chain_len));
     let last_task = TaskId(1000 + spec.chain_len as u32);
-    let last = ssi.node(last_node);
-    let mut verified = 0;
     for p in 0..spec.region_pages {
-        if let Some(v) = last.vm.peek_task_page(last_task, p as u64) {
-            assert_eq!(
-                v,
-                0xC0FFEE00 + p as u64,
-                "inherited page {p} corrupted through the chain"
-            );
-            verified += 1;
-        }
+        assert_eq!(
+            last.vm.peek_task_page(last_task, p as u64),
+            Some(0xC0FFEE00 + p as u64),
+            "inherited page {p} must reach the last task intact"
+        );
     }
-    assert_eq!(
-        verified, spec.region_pages,
-        "last task must have faulted every page in"
-    );
-
-    let tally = ssi.stats().tally("fault.ms").expect("faults happened");
-    let stalled = (0..nodes)
-        .map(|n| ssi.node(NodeId(n)).xmm().map_or(0, |x| x.stalled))
-        .sum();
-    // Only the last task faults remotely; the tally may also contain the
-    // internal pagers' local snapshot faults (XMM) — those are cheap local
-    // zero-cost entries that would skew the mean downward, so filter by
-    // counting only the last `region_pages` worth via count bookkeeping.
-    CopyChainResult {
-        mean_fault: tally.mean(),
-        faults: tally.count,
-        stalled,
-        events: ssi.world.events_processed(),
-    }
+    sc.finish(ssi, Time::ZERO).expect_completed("copy chain")
 }
 
 #[cfg(test)]
@@ -206,8 +169,7 @@ mod tests {
             chain_len: 3,
             region_pages: 16,
         });
-        assert!(r.faults >= 16);
-        assert_eq!(r.stalled, 0);
+        assert!(r.faults() >= 16);
     }
 
     #[test]
@@ -217,7 +179,7 @@ mod tests {
             chain_len: 3,
             region_pages: 16,
         });
-        assert!(r.faults >= 16);
+        assert!(r.faults() >= 16);
     }
 
     #[test]
@@ -232,7 +194,7 @@ mod tests {
             chain_len: 8,
             region_pages: 16,
         });
-        let per_hop = (long.mean_fault.as_millis_f64() - short.mean_fault.as_millis_f64()) / 7.0;
+        let per_hop = (long.mean_fault_ms() - short.mean_fault_ms()) / 7.0;
         assert!(
             per_hop < 2.0,
             "ASVM per-hop cost {per_hop} ms too high (paper: ~0.48 ms)"

@@ -18,11 +18,13 @@
 
 use std::collections::BTreeSet;
 
-use cluster::{ManagerKind, Program, Ssi, Step, TaskEnv};
-use machvm::{Access, Inherit};
+use cluster::{ManagerKind, Program, Step, TaskEnv};
+use machvm::Access;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use svmsim::{Dur, MachineConfig, NodeId};
+
+use crate::scenario::{Outcome, Scenario};
 
 /// Bytes per cell (fixed by the paper).
 pub const CELL_BYTES: u64 = 224;
@@ -92,19 +94,6 @@ impl Em3dSpec {
         };
         self.cells * CELL_BYTES <= per_node * self.nodes as u64
     }
-}
-
-/// Outcome of an EM3D run.
-#[derive(Clone, Copy, Debug)]
-pub struct Em3dOutcome {
-    /// Execution time of the computation loop, seconds.
-    pub elapsed_secs: f64,
-    /// Page faults completed during the loop.
-    pub faults: u64,
-    /// Internode page transfers (ASVM internode paging activity).
-    pub pageouts: u64,
-    /// Simulator events processed by the run (parallel-sweep accounting).
-    pub events: u64,
 }
 
 /// Per-node access pattern derived from the generated graph.
@@ -238,65 +227,36 @@ impl Program for Em3dProgram {
     }
 }
 
-/// Runs one EM3D experiment and returns the computation-loop time.
+/// Runs one EM3D experiment; the [`Outcome`] covers the computation
+/// loop only (`elapsed`, `faults.completed`, `pageouts`, …).
 ///
 /// The initialization phase (building the graph, first-touch population of
 /// the region) is excluded from the measurement, as in the paper.
-pub fn em3d_run(spec: Em3dSpec) -> Em3dOutcome {
-    em3d_run_probed(spec).0
-}
-
-/// [`em3d_run`] plus the megascale state probe: per-node protocol-state
-/// bytes and event-queue telemetry read after the computation loop (see
-/// [`crate::megascale`]).
-pub fn em3d_run_probed(spec: Em3dSpec) -> (Em3dOutcome, crate::megascale::StateProbe) {
+pub fn em3d_run(spec: Em3dSpec) -> Outcome {
     assert!(spec.feasible(), "configuration does not fit in memory");
     let machine = if spec.mem_32mb {
         MachineConfig::paragon_32mb(spec.nodes)
     } else {
         MachineConfig::paragon(spec.nodes)
     };
-    let mut ssi = Ssi::with_machine(machine, spec.kind, spec.seed);
-    let home = NodeId(0);
-    let pages = spec.region_pages();
-    let mobj = ssi.create_object(home, pages, false);
-
-    let patterns = build_patterns(&spec);
-    let mut tasks = Vec::new();
-    for i in 0..spec.nodes {
-        let t = ssi.alloc_task();
-        ssi.map_shared(
-            t,
-            NodeId(i),
-            0,
-            mobj,
-            home,
-            pages,
-            Access::Write,
-            Inherit::Share,
-        );
-        tasks.push(t);
-    }
-    ssi.finalize();
+    let sc = Scenario::new(spec.kind, spec.nodes, spec.seed).machine(machine);
+    let mut ssi = sc.build();
+    let (_, tasks) = Scenario::shared_region(&mut ssi, spec.nodes, spec.region_pages(), false);
     ssi.set_barrier_parties(spec.nodes as u32);
 
     // Initialization phase: every node first-touches (writes) its own
     // block. Excluded from the measurement.
+    let patterns = build_patterns(&spec);
     for (i, pat) in patterns.iter().enumerate() {
-        let steps: Vec<Step> = pat
+        let steps = pat
             .own_pages
             .iter()
             .map(|p| Step::Touch {
                 va_page: *p,
                 access: Access::Write,
             })
-            .chain(std::iter::once(Step::Done))
             .collect();
-        ssi.spawn(
-            NodeId(i as u16),
-            tasks[i],
-            Box::new(cluster::ScriptProgram::new(steps)),
-        );
+        Scenario::spawn_script(&mut ssi, NodeId(i as u16), tasks[i], steps);
     }
     ssi.run(u64::MAX / 2).expect("init quiesces");
 
@@ -304,11 +264,9 @@ pub fn em3d_run_probed(spec: Em3dSpec) -> (Em3dOutcome, crate::megascale::StateP
     ssi.world.stats_mut().reset();
     let start = ssi.world.now();
     for (i, pat) in patterns.into_iter().enumerate() {
-        let t = tasks[i];
-        let node = NodeId(i as u16);
-        let now = ssi.world.now();
-        ssi.world.node_mut(node).install_task(
-            t,
+        ssi.spawn(
+            NodeId(i as u16),
+            tasks[i],
             Box::new(Em3dProgram {
                 own_pages: pat.own_pages,
                 remote_pages: pat.remote_pages,
@@ -318,19 +276,10 @@ pub fn em3d_run_probed(spec: Em3dSpec) -> (Em3dOutcome, crate::megascale::StateP
                 idx: 0,
                 stage: Stage::ReadRemote,
             }),
-            now,
         );
-        ssi.world.post(now, node, cluster::Msg::Resume(t));
     }
     ssi.run(u64::MAX / 2).expect("computation quiesces");
-    let elapsed = ssi.world.now().since(start);
-    let out = Em3dOutcome {
-        elapsed_secs: elapsed.as_secs_f64(),
-        faults: ssi.stats().counter("faults.completed"),
-        pageouts: ssi.stats().counter("pageouts"),
-        events: ssi.world.events_processed(),
-    };
-    (out, crate::megascale::probe_state(&ssi))
+    sc.finish(ssi, start).expect_completed("EM3D")
 }
 
 #[cfg(test)]
@@ -344,9 +293,9 @@ mod tests {
         let out = em3d_run(spec);
         // 8 000 cells × 6 edges × 2 × 10 iters × 0.568 µs ≈ 0.545 s.
         assert!(
-            (out.elapsed_secs - 0.545).abs() < 0.1,
+            (out.elapsed_s() - 0.545).abs() < 0.1,
             "sequential time {} s",
-            out.elapsed_secs
+            out.elapsed_s()
         );
     }
 
@@ -362,10 +311,10 @@ mod tests {
         seq.iterations = 10;
         let s = em3d_run(seq);
         assert!(
-            par.elapsed_secs < s.elapsed_secs,
+            par.elapsed < s.elapsed,
             "4 nodes ({}) must beat 1 node ({})",
-            par.elapsed_secs,
-            s.elapsed_secs
+            par.elapsed,
+            s.elapsed
         );
     }
 
@@ -400,8 +349,8 @@ mod pressure_tests {
         // 60 000 cells x 224 B = 13.4 MB over 2 x 9 MB: tight but feasible.
         assert!(spec.feasible());
         let out = em3d_run(spec);
-        assert!(out.elapsed_secs > 0.0);
-        assert!(out.faults > 0);
+        assert!(out.elapsed > Dur::ZERO);
+        assert!(out.counter("faults.completed") > 0);
     }
 
     #[test]

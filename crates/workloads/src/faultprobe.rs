@@ -16,9 +16,11 @@
 //! remote from both the faulting node and the nodes that have read
 //! copies"*.
 
-use cluster::{ManagerKind, ScriptProgram, Ssi, Step};
-use machvm::{Access, Inherit};
-use svmsim::{Dur, NodeId};
+use cluster::{ManagerKind, Step};
+use machvm::Access;
+use svmsim::NodeId;
+
+use crate::scenario::{Outcome, Scenario};
 
 /// What the measured access is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -44,136 +46,62 @@ pub struct FaultProbeSpec {
     pub access: ProbeAccess,
 }
 
-/// Result of a probe run.
-#[derive(Clone, Debug)]
-pub struct FaultProbeResult {
-    /// Latency of the measured fault.
-    pub latency: Dur,
-    /// ASVM/XMMI protocol messages during the measured fault.
-    pub protocol_messages: u64,
-    /// Messages carrying page contents during the measured fault.
-    pub page_messages: u64,
-    /// Per-message-kind counters during the measured fault (the interned
-    /// `asvm.msg.*` / `xmm.msg.*` / `emmi.*` keys), sorted by key.
-    pub msg_counts: Vec<(&'static str, u64)>,
-    /// Simulator events processed by the run (parallel-sweep accounting).
-    pub events: u64,
-}
-
-/// Runs one fault-latency probe.
+/// Runs one fault-latency probe. The [`Outcome`] covers exactly the one
+/// measured fault: its latency is [`Outcome::mean_fault`], its protocol
+/// traffic the `asvm.msg.*` / `xmm.msg.*` / `emmi.*` counters.
 ///
 /// # Panics
 ///
-/// Panics if the simulation fails to quiesce (protocol bug).
-pub fn fault_probe(spec: FaultProbeSpec) -> FaultProbeResult {
+/// Panics if the simulation fails to quiesce (protocol bug) or the
+/// measured access does not fault exactly once.
+pub fn fault_probe(spec: FaultProbeSpec) -> Outcome {
     // Layout: node 0 = home/manager (and barrier coordinator),
     // node 1 = initializer, nodes 2.. = additional readers, last = faulter.
     let extra_readers = spec.read_copies.saturating_sub(1);
     let n_nodes = 3 + extra_readers;
-    let mut ssi = Ssi::new(n_nodes.max(4), spec.kind, 7);
-    let home = NodeId(0);
+    let sc = Scenario::new(spec.kind, n_nodes.max(4), 7);
+    let mut ssi = sc.build();
     let init = NodeId(1);
     let faulter = NodeId(n_nodes - 1);
-    let mobj = ssi.create_object(home, 16, false);
-
-    let mut tasks = Vec::new();
-    for n in 0..n_nodes {
-        let t = ssi.alloc_task();
-        ssi.map_shared(
-            t,
-            NodeId(n),
-            0,
-            mobj,
-            home,
-            16,
-            Access::Write,
-            Inherit::Share,
-        );
-        tasks.push(t);
-    }
-    ssi.finalize();
+    let (_, tasks) = Scenario::shared_region(&mut ssi, n_nodes, 16, false);
+    let task_on = |n: NodeId| tasks[n.0 as usize];
 
     let page = 0u64;
     // Phase A: the initializer dirties the page.
-    ssi.spawn(
-        init,
-        tasks[init.0 as usize],
-        Box::new(ScriptProgram::new(vec![
-            Step::Write {
-                va_page: page,
-                value: 0xD1,
-            },
-            Step::Done,
-        ])),
-    );
-    ssi.run(1_000_000).expect("phase A quiesces");
+    let dirty = vec![Step::Write {
+        va_page: page,
+        value: 0xD1,
+    }];
+    Scenario::run_script(&mut ssi, init, task_on(init), dirty);
 
     // Phase B: build up the read copies.
     if spec.read_copies > 0 {
-        let mut phase_b: Vec<NodeId> = (0..extra_readers).map(|i| NodeId(2 + i)).collect();
+        let mut readers: Vec<NodeId> = (0..extra_readers).map(|i| NodeId(2 + i)).collect();
         if spec.faulter_has_copy {
-            phase_b.push(faulter);
+            readers.push(faulter);
         }
-        for n in phase_b {
-            let t = tasks[n.0 as usize];
-            let now = ssi.world.now();
-            ssi.world.node_mut(n).install_task(
-                t,
-                Box::new(ScriptProgram::new(vec![
-                    Step::Read { va_page: page },
-                    Step::Done,
-                ])),
-                now,
-            );
-            ssi.world.post(now, n, cluster::Msg::Resume(t));
+        for n in readers {
+            Scenario::spawn_script(&mut ssi, n, task_on(n), vec![Step::Read { va_page: page }]);
         }
         ssi.run(1_000_000).expect("phase B quiesces");
     }
 
     // Phase C: the measured fault.
     ssi.world.stats_mut().reset();
-    let t = tasks[faulter.0 as usize];
+    let start = ssi.world.now();
     let access = match spec.access {
         ProbeAccess::Read => Access::Read,
         ProbeAccess::Write => Access::Write,
     };
-    let now = ssi.world.now();
-    ssi.world.node_mut(faulter).install_task(
-        t,
-        Box::new(ScriptProgram::new(vec![
-            Step::Touch {
-                va_page: page,
-                access,
-            },
-            Step::Done,
-        ])),
-        now,
-    );
-    ssi.world.post(now, faulter, cluster::Msg::Resume(t));
-    ssi.run(1_000_000).expect("phase C quiesces");
+    let touch = vec![Step::Touch {
+        va_page: page,
+        access,
+    }];
+    Scenario::run_script(&mut ssi, faulter, task_on(faulter), touch);
 
-    let tally = ssi
-        .stats()
-        .tally("fault.ms")
-        .expect("the measured access must fault");
-    assert_eq!(tally.count, 1, "exactly one measured fault expected");
-    let stats = ssi.stats();
-    let msg_counts: Vec<(&'static str, u64)> = stats
-        .counters()
-        .filter(|(k, v)| {
-            *v > 0
-                && (k.starts_with("asvm.msg.")
-                    || k.starts_with("xmm.msg.")
-                    || k.starts_with("emmi."))
-        })
-        .collect();
-    FaultProbeResult {
-        latency: tally.mean(),
-        protocol_messages: stats.counter("sts.messages") + stats.counter("norma.messages"),
-        page_messages: stats.counter("sts.page_messages") + stats.counter("norma.page_messages"),
-        msg_counts,
-        events: ssi.world.events_processed(),
-    }
+    let out = sc.finish(ssi, start).expect_completed("fault probe");
+    assert_eq!(out.faults(), 1, "exactly one measured fault expected");
+    out
 }
 
 #[cfg(test)]
@@ -188,7 +116,7 @@ mod tests {
             faulter_has_copy: false,
             access: ProbeAccess::Write,
         });
-        let ms = r.latency.as_millis_f64();
+        let ms = r.mean_fault_ms();
         assert!(ms > 0.5 && ms < 10.0, "ASVM write fault {ms} ms");
     }
 
@@ -200,7 +128,7 @@ mod tests {
             faulter_has_copy: false,
             access: ProbeAccess::Write,
         });
-        let ms = r.latency.as_millis_f64();
+        let ms = r.mean_fault_ms();
         assert!(ms > 15.0 && ms < 90.0, "XMM write fault {ms} ms");
     }
 
@@ -212,7 +140,7 @@ mod tests {
             faulter_has_copy: true,
             access: ProbeAccess::Write,
         });
-        assert_eq!(r.page_messages, 0, "upgrades must not move page contents");
+        assert_eq!(r.page_messages(), 0, "upgrades must not move page contents");
     }
 
     #[test]
@@ -229,6 +157,6 @@ mod tests {
             faulter_has_copy: false,
             access: ProbeAccess::Write,
         });
-        assert!(many.latency > few.latency);
+        assert!(many.mean_fault() > few.mean_fault());
     }
 }

@@ -8,9 +8,10 @@
 //! populated file in parallel (the bound is the pager's supply rate — or,
 //! under ASVM, the peer caches once the first copy is in memory).
 
-use cluster::{ManagerKind, Program, Ssi, Step, TaskEnv};
-use machvm::{Access, Inherit};
-use svmsim::{Dur, NodeId};
+use cluster::{ManagerKind, Program, Step, TaskEnv};
+use svmsim::{NodeId, Time};
+
+use crate::scenario::{Outcome, Scenario};
 
 /// Scan direction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -35,16 +36,13 @@ pub struct FileScanSpec {
 }
 
 /// Result of a file-scan run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct FileScanResult {
-    /// Mean effective transfer rate seen by each node, MB/s.
+    /// Mean effective transfer rate seen by each node, MB/s — derived
+    /// from per-task runtimes, which no statistic records.
     pub rate_mb_s: f64,
-    /// Elapsed simulated time of the slowest node.
-    pub elapsed: Dur,
-    /// Total pager-supplied pages.
-    pub pages_supplied: u64,
-    /// Simulator events processed by the run (parallel-sweep accounting).
-    pub events: u64,
+    /// Everything else (pager-supplied pages are `disk.reads`).
+    pub outcome: Outcome,
 }
 
 struct Scanner {
@@ -75,27 +73,10 @@ impl Program for Scanner {
 
 /// Runs one file-scan experiment.
 pub fn file_scan(spec: FileScanSpec) -> FileScanResult {
-    let mut ssi = Ssi::new(spec.nodes, spec.kind, 23);
-    let home = NodeId(0);
+    let sc = Scenario::new(spec.kind, spec.nodes, 23);
+    let mut ssi = sc.build();
     let populated = spec.dir == ScanDir::Read;
-    let mobj = ssi.create_object(home, spec.file_pages, populated);
-
-    let mut tasks = Vec::new();
-    for n in 0..spec.nodes {
-        let t = ssi.alloc_task();
-        ssi.map_shared(
-            t,
-            NodeId(n),
-            0,
-            mobj,
-            home,
-            spec.file_pages,
-            Access::Write,
-            Inherit::Share,
-        );
-        tasks.push(t);
-    }
-    ssi.finalize();
+    let (mobj, tasks) = Scenario::shared_region(&mut ssi, spec.nodes, spec.file_pages, populated);
 
     let per_node = spec.file_pages / spec.nodes as u32;
     for (i, t) in tasks.iter().enumerate() {
@@ -137,13 +118,11 @@ pub fn file_scan(spec: FileScanSpec) -> FileScanResult {
     // Per-node rate: section bytes / that node's elapsed time.
     let page_bytes = 8192u64;
     let mut rates = Vec::new();
-    let mut slowest = Dur::ZERO;
     for (i, t) in tasks.iter().enumerate() {
         let rt = ssi
             .node(NodeId(i as u16))
             .task_runtime(*t)
             .expect("task finished");
-        slowest = slowest.max(rt);
         let bytes = match spec.dir {
             ScanDir::Read => spec.file_pages as u64 * page_bytes,
             ScanDir::Write => per_node as u64 * page_bytes,
@@ -153,9 +132,7 @@ pub fn file_scan(spec: FileScanSpec) -> FileScanResult {
     let rate_mb_s = rates.iter().sum::<f64>() / rates.len() as f64;
     FileScanResult {
         rate_mb_s,
-        elapsed: slowest,
-        pages_supplied: ssi.stats().counter("disk.reads"),
-        events: ssi.world.events_processed(),
+        outcome: sc.finish(ssi, Time::ZERO),
     }
 }
 

@@ -8,13 +8,17 @@
 //!   shared-memory communication (Table 3);
 //! * [`patterns`] — reusable synthetic access patterns (migratory,
 //!   producer/consumer, hotspot, uniform) for ablations and tests;
-//! * [`megascale`] — per-node protocol-state gauges, event-queue telemetry
-//!   and the compute-only event-loop saturation workload backing the
-//!   128–1024-node `megascale` benchmark;
+//! * [`megascale`] — the compute-only event-loop saturation workload of
+//!   the 128–1024-node `megascale` benchmark;
 //! * [`tenants`] — the multi-tenant consolidation shape: thousands of
 //!   Zipf-popular memory objects with mixed per-object read/write ratios
 //!   and tasks arriving/departing in waves, driving the per-object
 //!   adaptive strategy selection of [`asvm::policy`].
+//!
+//! Every shape builds its cluster through [`Scenario::build`] and drains
+//! it through [`Scenario::finish`] into the one [`Outcome`] type — the
+//! owned statistics snapshot plus the [`StateProbe`] gauges — after the
+//! quiescence invariants have been checked ([`scenario`]).
 
 pub mod copychain;
 pub mod em3d;
@@ -22,15 +26,14 @@ pub mod faultprobe;
 pub mod filescan;
 pub mod megascale;
 pub mod patterns;
+pub mod scenario;
 pub mod tenants;
 
-pub use copychain::{copy_chain_probe, CopyChainResult, CopyChainSpec};
-pub use em3d::{em3d_run, em3d_run_probed, Em3dOutcome, Em3dSpec};
-pub use faultprobe::{fault_probe, FaultProbeResult, FaultProbeSpec, ProbeAccess};
+pub use copychain::{copy_chain_probe, CopyChainSpec};
+pub use em3d::{em3d_run, Em3dSpec};
+pub use faultprobe::{fault_probe, FaultProbeSpec, ProbeAccess};
 pub use filescan::{file_scan, FileScanResult, FileScanSpec, ScanDir};
-pub use megascale::{probe_state, run_eventloop, EventLoopOutcome, StateProbe};
-pub use patterns::{
-    run_pattern, run_pattern_backend, run_pattern_backend_seeded, run_pattern_faulted,
-    run_pattern_mega, run_pattern_paced, FaultedOutcome, Pattern, PatternOutcome,
-};
-pub use tenants::{run_tenants, TenantsOutcome, TenantsSpec, Zipf};
+pub use megascale::run_eventloop;
+pub use patterns::{run_pattern, Pattern};
+pub use scenario::{Outcome, Scenario, StateProbe};
+pub use tenants::{run_tenants, TenantsSpec, Zipf};

@@ -1,58 +1,12 @@
-//! Megascale instrumentation: per-node protocol-state gauges and event-
-//! queue telemetry for the 128–1024-node bounded-memory sweeps.
-//!
-//! The paper's scaling argument is about *memory*, not just messages: an
-//! ASVM node's protocol state (ownership records, copyset entries, hint
-//! caches) is bounded by the pages it actually uses, while the XMM
-//! baseline's centralized manager keeps a lock-state table of one entry
-//! per page *per using node* — state that grows linearly with the cluster.
-//! [`probe_state`] reads both through [`cluster::engine::CoherenceEngine::
-//! state_bytes`] after a run, so the `megascale` benchmark can plot the
-//! ASVM-flat vs. XMM-growing curve directly.
-//!
-//! The probe also reports the event queue's high-water mark and
-//! reallocation count ([`svmsim`]'s `queue_peak` / `queue_grow_events`),
-//! which is the telemetry behind the queue's pre-reservation heuristic.
+//! The compute-only event-loop saturation workload of the 128–1024-node
+//! `megascale` experiment. (The per-node protocol-state gauges and
+//! event-queue telemetry that experiment reports are read for every run,
+//! by [`crate::Scenario::finish`] — see [`crate::StateProbe`].)
 
-use cluster::{ManagerKind, Program, Ssi, Step, TaskEnv};
-use svmsim::{Dur, NodeId};
+use cluster::{ManagerKind, Program, Step, TaskEnv};
+use svmsim::{Dur, NodeId, Time};
 
-/// Protocol-state and event-queue gauges read from a finished run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StateProbe {
-    /// Largest per-node protocol state across the compute nodes, bytes.
-    /// Under XMM this is the manager node; under ASVM it is whichever
-    /// node owns the most pages.
-    pub state_max_bytes: u64,
-    /// Mean per-node protocol state across the compute nodes, bytes.
-    pub state_mean_bytes: u64,
-    /// Total protocol state across the compute nodes, bytes.
-    pub state_total_bytes: u64,
-    /// High-water mark of simultaneously pending events.
-    pub queue_peak: u64,
-    /// Event-queue pushes that outgrew the pre-reserved capacity (each
-    /// implies a heap reallocation; zero means the sizing heuristic held).
-    pub queue_grow: u64,
-}
-
-/// Reads the per-node state gauges and queue telemetry from `ssi`.
-pub fn probe_state(ssi: &Ssi) -> StateProbe {
-    let ids: Vec<NodeId> = ssi.world.machine().compute_nodes().collect();
-    let mut max = 0u64;
-    let mut total = 0u64;
-    for id in &ids {
-        let b = ssi.node(*id).engine.state_bytes();
-        max = max.max(b);
-        total += b;
-    }
-    StateProbe {
-        state_max_bytes: max,
-        state_mean_bytes: total / (ids.len() as u64).max(1),
-        state_total_bytes: total,
-        queue_peak: ssi.world.queue_peak() as u64,
-        queue_grow: ssi.world.queue_grow_events(),
-    }
-}
+use crate::scenario::{Outcome, Scenario};
 
 /// A compute-only task: `left` short compute bursts, then done. No memory
 /// traffic at all — every simulator event it generates is a bare resume on
@@ -73,26 +27,13 @@ impl Program for SpinProgram {
     }
 }
 
-/// Outcome of an event-loop saturation run.
-#[derive(Clone, Copy, Debug)]
-pub struct EventLoopOutcome {
-    /// Simulator events processed.
-    pub events: u64,
-    /// Simulated seconds the run covered.
-    pub elapsed_s: f64,
-}
-
 /// Runs one compute-only task per node, each burning `steps_per_node`
 /// short compute bursts. The result is a pure event-hot-path workload at
 /// cluster scale: `nodes × steps_per_node` resume events flowing through
 /// a queue that holds about one pending event per node.
-pub fn run_eventloop(
-    kind: ManagerKind,
-    nodes: u16,
-    steps_per_node: u32,
-    burst: Dur,
-) -> (EventLoopOutcome, StateProbe) {
-    let mut ssi = Ssi::new(nodes, kind, 7);
+pub fn run_eventloop(kind: ManagerKind, nodes: u16, steps_per_node: u32, burst: Dur) -> Outcome {
+    let sc = Scenario::new(kind, nodes, 7);
+    let mut ssi = sc.build();
     let tasks: Vec<_> = (0..nodes).map(|_| ssi.alloc_task()).collect();
     ssi.finalize();
     for (i, t) in tasks.iter().enumerate() {
@@ -106,12 +47,7 @@ pub fn run_eventloop(
         );
     }
     ssi.run(u64::MAX / 2).expect("event loop quiesces");
-    let out = EventLoopOutcome {
-        events: ssi.world.events_processed(),
-        elapsed_s: ssi.world.now().as_secs_f64(),
-    };
-    let probe = probe_state(&ssi);
-    (out, probe)
+    sc.finish(ssi, Time::ZERO)
 }
 
 #[cfg(test)]
@@ -120,32 +56,11 @@ mod tests {
 
     #[test]
     fn eventloop_generates_one_event_per_burst() {
-        let (out, probe) = run_eventloop(ManagerKind::asvm(), 8, 100, Dur::from_nanos(500));
+        let out = run_eventloop(ManagerKind::asvm(), 8, 100, Dur::from_nanos(500));
         // One resume event per burst plus spawn/bookkeeping events.
         assert!(out.events >= 8 * 100, "events: {}", out.events);
-        assert!(out.elapsed_s > 0.0);
+        assert!(out.elapsed > Dur::ZERO);
         // Queue never holds much more than one pending event per node.
-        assert!(probe.queue_peak >= 8);
-    }
-
-    #[test]
-    fn probe_reads_nonzero_state_after_sharing() {
-        use crate::patterns::{run_pattern_mega, Pattern};
-        let (_, asvm) = run_pattern_mega(
-            ManagerKind::asvm(),
-            4,
-            8,
-            Pattern::ProducerConsumer { rounds: 2 },
-        );
-        let (_, xmm) = run_pattern_mega(
-            ManagerKind::xmm(),
-            4,
-            8,
-            Pattern::ProducerConsumer { rounds: 2 },
-        );
-        assert!(asvm.state_max_bytes > 0);
-        assert!(xmm.state_max_bytes > 0);
-        assert!(asvm.state_max_bytes >= asvm.state_mean_bytes);
-        assert!(xmm.queue_peak > 0);
+        assert!(out.probe.queue_peak >= 8);
     }
 }

@@ -6,12 +6,12 @@
 //! uniform random mixes. The forwarding ablation and several integration
 //! tests are built from these.
 
-use cluster::{ManagerKind, Program, Ssi, Step, TaskEnv};
-use machvm::{Access, Inherit, TaskId};
+use cluster::{Program, Step, TaskEnv};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use svmsim::{Dur, FaultPlan, MachineConfig, NodeId};
-use transport::Transport;
+use svmsim::{Dur, NodeId, Time};
+
+use crate::scenario::{Outcome, Scenario};
 
 /// Which synthetic pattern to run.
 #[derive(Clone, Copy, Debug)]
@@ -36,15 +36,13 @@ pub enum Pattern {
         /// A write is injected every `write_every` rounds.
         write_every: u32,
     },
-    /// Uniformly random reads/writes (seeded), no barriers: raw protocol
-    /// churn.
+    /// Uniformly random reads/writes (seeded by the scenario), no
+    /// barriers: raw protocol churn.
     Uniform {
         /// Operations per node.
         ops: u32,
         /// Fraction of writes, in percent.
         write_pct: u32,
-        /// Seed.
-        seed: u64,
     },
     /// Every node sequentially reads every page each round (barriered
     /// rounds): the file-scan shape — a pure stride-1 read stream, the
@@ -90,94 +88,6 @@ impl Pattern {
     }
 }
 
-/// Outcome of a pattern run.
-#[derive(Clone, Copy, Debug)]
-pub struct PatternOutcome {
-    /// Mean fault latency.
-    pub mean_fault_ms: f64,
-    /// Faults completed.
-    pub faults: u64,
-    /// Protocol messages sent.
-    pub messages: u64,
-    /// Simulated wall-clock of the run, seconds.
-    pub elapsed_s: f64,
-    /// Simulator events processed by the run (parallel-sweep accounting).
-    pub events: u64,
-    /// Logical ASVM protocol messages (Σ `asvm.msg.*`) — unchanged by
-    /// coalescing, which only merges them onto shared wire frames.
-    pub asvm_msgs: u64,
-    /// Physical ASVM wire frames: logical messages minus the subframes
-    /// that shared a frame with an earlier one (`asvm.coalesce.merged`).
-    /// Equal to `asvm_msgs` with coalescing off.
-    pub asvm_frames: u64,
-    /// Subframes that rode an earlier message's frame
-    /// (`asvm.coalesce.merged`).
-    pub coalesce_merged: u64,
-    /// Owner hints piggybacked on outgoing data/ack frames
-    /// (`asvm.coalesce.piggyback_hint`).
-    pub coalesce_hints: u64,
-    /// Ack-class subframes that shared a frame with page data
-    /// (`asvm.coalesce.piggyback_ack`).
-    pub coalesce_acks: u64,
-    /// Messages on the STS backend (`sts.messages`).
-    pub sts_msgs: u64,
-    /// Messages on the NORMA-IPC backend (`norma.messages`).
-    pub norma_msgs: u64,
-    /// Messages on the RDMA backend (`rdma.messages`).
-    pub rdma_msgs: u64,
-    /// One-sided reads completed entirely by the target's NIC
-    /// (`transport.rdma.read_served`).
-    pub rdma_read_served: u64,
-    /// One-sided reads the NIC had to raise to the target host
-    /// (`transport.rdma.read_fallback`).
-    pub rdma_read_fallback: u64,
-    /// Speculative page requests issued by the prefetch engine
-    /// (`asvm.prefetch.issued`).
-    pub prefetch_issued: u64,
-    /// Prefetched fills consumed by a later demand access
-    /// (`asvm.prefetch.hit`).
-    pub prefetch_hit: u64,
-    /// Demand faults that caught their prefetch still in flight
-    /// (`asvm.prefetch.late`).
-    pub prefetch_late: u64,
-    /// Prefetched fills evicted, invalidated, or transferred away before
-    /// any demand access used them (`asvm.prefetch.wasted`).
-    pub prefetch_wasted: u64,
-    /// In-flight speculations cancelled by a stride break
-    /// (`asvm.prefetch.cancelled`).
-    pub prefetch_cancelled: u64,
-    /// Predicted-window owner hints piggybacked for peers
-    /// (`asvm.prefetch.hint`).
-    pub prefetch_hints: u64,
-    /// Speculative reads that went one-sided on the RDMA backend
-    /// (`transport.rdma.prefetch_read`).
-    pub rdma_prefetch_reads: u64,
-    /// Objects whose data tier the online policy latched off for a
-    /// mostly-wasted speculation record (`asvm.policy.prefetch_off`).
-    pub policy_prefetch_off: u64,
-}
-
-impl PatternOutcome {
-    /// ASVM wire frames per resolved page fault — the headline metric of
-    /// the coalescing ablation (`BENCH_coalesce.json`).
-    pub fn messages_per_fault(&self) -> f64 {
-        if self.faults == 0 {
-            return 0.0;
-        }
-        self.asvm_frames as f64 / self.faults as f64
-    }
-
-    /// Demand faults per thousand memory accesses — the prefetch
-    /// ablation's headline rate (`BENCH_prefetch.json`); pass the
-    /// pattern's analytic [`Pattern::accesses`] count.
-    pub fn faults_per_kilo_access(&self, accesses: u64) -> f64 {
-        if accesses == 0 {
-            return 0.0;
-        }
-        self.faults as f64 * 1000.0 / accesses as f64
-    }
-}
-
 struct PatternProgram {
     me: u16,
     nodes: u16,
@@ -188,7 +98,7 @@ struct PatternProgram {
     barrier: u32,
     phase: u8,
     rng: StdRng,
-    /// Per-touch compute time ([`run_pattern_paced`]); `Dur::ZERO` keeps
+    /// Per-touch compute time ([`Scenario::think`]); `Dur::ZERO` keeps
     /// the classic back-to-back access stream.
     think: Dur,
     think_pending: bool,
@@ -203,6 +113,35 @@ impl PatternProgram {
         }
         s
     }
+
+    /// The next page of a `count`-page phase, while this node `takes_part`
+    /// in it and pages remain.
+    fn next_page(&mut self, takes_part: bool, count: u32) -> Option<u64> {
+        (takes_part && self.idx < count).then(|| {
+            self.idx += 1;
+            (self.idx - 1) as u64
+        })
+    }
+
+    fn read(&mut self, va_page: u64) -> Step {
+        self.touch(Step::Read { va_page })
+    }
+
+    fn write(&mut self, va_page: u64, value: u64) -> Step {
+        self.touch(Step::Write { va_page, value })
+    }
+
+    /// A value that names the round and page that wrote it.
+    fn stamp(&self, page: u64) -> u64 {
+        (self.round as u64) << 8 | page
+    }
+
+    /// Closes the phase: everyone meets at the next barrier.
+    fn end_phase(&mut self) -> Step {
+        self.idx = 0;
+        self.barrier += 1;
+        Step::Barrier(self.barrier - 1)
+    }
 }
 
 impl Program for PatternProgram {
@@ -211,351 +150,90 @@ impl Program for PatternProgram {
             self.think_pending = false;
             return Step::Compute(self.think);
         }
+        let (me, nodes, pages) = (self.me as u32, self.nodes as u32, self.pages);
+        let rounds = match self.pattern {
+            // Round-robin turns: every node writes once per rotation.
+            Pattern::Migratory { rounds } => rounds * nodes,
+            Pattern::ProducerConsumer { rounds }
+            | Pattern::Hotspot { rounds, .. }
+            | Pattern::Scan { rounds }
+            | Pattern::Chain { rounds, .. } => rounds,
+            Pattern::Uniform { ops, .. } => ops,
+        };
+        if self.round >= rounds {
+            return Step::Done;
+        }
         match self.pattern {
-            Pattern::Migratory { rounds } => {
-                // Round-robin turns: in round r, node (r % nodes) writes
-                // all pages; everyone barriers between turns.
-                let total_turns = rounds * self.nodes as u32;
-                if self.round >= total_turns {
-                    return Step::Done;
-                }
-                let turn_node = (self.round % self.nodes as u32) as u16;
-                if turn_node == self.me && self.idx < self.pages {
-                    let p = self.idx;
-                    self.idx += 1;
-                    return self.touch(Step::Write {
-                        va_page: p as u64,
-                        value: (self.round as u64) << 8 | p as u64,
-                    });
-                }
-                self.idx = 0;
-                let b = self.barrier;
-                self.barrier += 1;
-                self.round += 1;
-                Step::Barrier(b)
-            }
-            Pattern::ProducerConsumer { rounds } => {
-                if self.round >= rounds {
-                    return Step::Done;
-                }
-                match self.phase {
-                    0 => {
-                        // Producer writes its batch.
-                        if self.me == 0 && self.idx < self.pages {
-                            let p = self.idx;
-                            self.idx += 1;
-                            return self.touch(Step::Write {
-                                va_page: p as u64,
-                                value: (self.round as u64) << 8 | p as u64,
-                            });
-                        }
-                        self.phase = 1;
-                        self.idx = 0;
-                        let b = self.barrier;
-                        self.barrier += 1;
-                        Step::Barrier(b)
-                    }
-                    1 => {
-                        // Consumers read everything.
-                        if self.me != 0 && self.idx < self.pages {
-                            let p = self.idx;
-                            self.idx += 1;
-                            return self.touch(Step::Read { va_page: p as u64 });
-                        }
-                        self.phase = 0;
-                        self.idx = 0;
-                        self.round += 1;
-                        let b = self.barrier;
-                        self.barrier += 1;
-                        Step::Barrier(b)
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            Pattern::Hotspot {
-                rounds,
-                write_every,
-            } => {
-                if self.round >= rounds {
-                    return Step::Done;
-                }
-                if self.idx < self.pages {
-                    let p = self.idx;
-                    self.idx += 1;
-                    let writer_round = self.round % write_every == write_every - 1;
-                    if writer_round && self.me == 0 {
-                        return self.touch(Step::Write {
-                            va_page: p as u64,
-                            value: self.round as u64,
-                        });
-                    }
-                    return self.touch(Step::Read { va_page: p as u64 });
-                }
-                self.idx = 0;
-                self.round += 1;
-                let b = self.barrier;
-                self.barrier += 1;
-                Step::Barrier(b)
-            }
-            Pattern::Uniform { ops, write_pct, .. } => {
-                if self.round >= ops {
-                    return Step::Done;
+            Pattern::Migratory { .. } => {
+                // In turn r, node (r % nodes) writes all pages; everyone
+                // barriers between turns.
+                if let Some(p) = self.next_page(self.round % nodes == me, pages) {
+                    return self.write(p, self.stamp(p));
                 }
                 self.round += 1;
-                let p = self.rng.gen_range(0..self.pages) as u64;
-                let s = if self.rng.gen_range(0..100) < write_pct {
-                    Step::Write {
-                        va_page: p,
-                        value: self.round as u64,
-                    }
-                } else {
-                    Step::Read { va_page: p }
+            }
+            Pattern::ProducerConsumer { .. } | Pattern::Chain { .. } => {
+                // Two barriered phases per round: the round's writer
+                // writes the region, then its readers stream it back.
+                let (writer, reads, read_pages) = match self.pattern {
+                    Pattern::Chain { read_pages, .. } => (
+                        self.round % nodes,
+                        (self.round + 1) % nodes == me,
+                        read_pages.min(pages),
+                    ),
+                    _ => (0, me != 0, pages),
                 };
-                self.touch(s)
+                if self.phase == 0 {
+                    if let Some(p) = self.next_page(writer == me, pages) {
+                        return self.write(p, self.stamp(p));
+                    }
+                    self.phase = 1;
+                } else {
+                    if let Some(p) = self.next_page(reads, read_pages) {
+                        return self.read(p);
+                    }
+                    self.phase = 0;
+                    self.round += 1;
+                }
             }
-            Pattern::Scan { rounds } => {
-                if self.round >= rounds {
-                    return Step::Done;
+            Pattern::Hotspot { write_every, .. } => {
+                if let Some(p) = self.next_page(true, pages) {
+                    let writer_round = self.round % write_every == write_every - 1;
+                    return if writer_round && me == 0 {
+                        self.write(p, self.round as u64)
+                    } else {
+                        self.read(p)
+                    };
                 }
-                if self.idx < self.pages {
-                    let p = self.idx;
-                    self.idx += 1;
-                    return self.touch(Step::Read { va_page: p as u64 });
-                }
-                self.idx = 0;
                 self.round += 1;
-                let b = self.barrier;
-                self.barrier += 1;
-                Step::Barrier(b)
             }
-            Pattern::Chain { rounds, read_pages } => {
-                if self.round >= rounds {
-                    return Step::Done;
+            Pattern::Scan { .. } => {
+                if let Some(p) = self.next_page(true, pages) {
+                    return self.read(p);
                 }
-                let writer = (self.round % self.nodes as u32) as u16;
-                let reader = ((self.round + 1) % self.nodes as u32) as u16;
-                match self.phase {
-                    0 => {
-                        if self.me == writer && self.idx < self.pages {
-                            let p = self.idx;
-                            self.idx += 1;
-                            return self.touch(Step::Write {
-                                va_page: p as u64,
-                                value: (self.round as u64) << 8 | p as u64,
-                            });
-                        }
-                        self.phase = 1;
-                        self.idx = 0;
-                        let b = self.barrier;
-                        self.barrier += 1;
-                        Step::Barrier(b)
-                    }
-                    1 => {
-                        if self.me == reader && self.idx < read_pages.min(self.pages) {
-                            let p = self.idx;
-                            self.idx += 1;
-                            return self.touch(Step::Read { va_page: p as u64 });
-                        }
-                        self.phase = 0;
-                        self.idx = 0;
-                        self.round += 1;
-                        let b = self.barrier;
-                        self.barrier += 1;
-                        Step::Barrier(b)
-                    }
-                    _ => unreachable!(),
-                }
+                self.round += 1;
+            }
+            Pattern::Uniform { write_pct, .. } => {
+                self.round += 1;
+                let p = self.rng.gen_range(0..pages) as u64;
+                return if self.rng.gen_range(0..100) < write_pct {
+                    self.write(p, self.round as u64)
+                } else {
+                    self.read(p)
+                };
             }
         }
+        self.end_phase()
     }
 }
 
-/// Outcome of a pattern run under an active fault plan.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultedOutcome {
-    /// Whether every task finished (retry exhaustion can strand tasks).
-    pub completed: bool,
-    /// The usual pattern statistics.
-    pub outcome: PatternOutcome,
-    /// Messages the fault layer dropped (loss + blackout).
-    pub dropped: u64,
-    /// Messages the fault layer duplicated.
-    pub duplicated: u64,
-    /// Messages the fault layer delayed.
-    pub delayed: u64,
-    /// Frames retransmitted by the ASVM retry channel.
-    pub resent: u64,
-    /// Frames abandoned after retry exhaustion.
-    pub exhausted: u64,
-    /// Stalled requests the watchdog re-issued down the fallback chain.
-    pub reissued: u64,
-    /// Requests that fell all the way back to a pager re-fetch.
-    pub refetched: u64,
-    /// New owners elected by ownership reconstruction.
-    pub elected: u64,
-    /// Peer-suspicion events raised by the failure detector.
-    pub suspected: u64,
-}
-
-/// Runs `pattern` on a fresh cluster and reports protocol statistics.
-pub fn run_pattern(kind: ManagerKind, nodes: u16, pages: u32, pattern: Pattern) -> PatternOutcome {
-    let out = run_pattern_faulted(kind, nodes, pages, pattern, FaultPlan::none());
-    assert!(out.completed, "pattern tasks finish");
-    out.outcome
-}
-
-/// [`run_pattern`] plus the megascale state probe: per-node protocol-state
-/// bytes and event-queue telemetry read after the run (see
-/// [`crate::megascale`]).
-pub fn run_pattern_mega(
-    kind: ManagerKind,
-    nodes: u16,
-    pages: u32,
-    pattern: Pattern,
-) -> (PatternOutcome, crate::megascale::StateProbe) {
-    let (out, probe) = run_pattern_full(
-        kind,
-        nodes,
-        pages,
-        pattern,
-        FaultPlan::none(),
-        Dur::ZERO,
-        None,
-    );
-    assert!(out.completed, "pattern tasks finish");
-    (out.outcome, probe)
-}
-
-/// [`run_pattern_paced`] with the ASVM protocol carried on an explicit
-/// transport backend — the construction site of the 3-way backend ×
-/// pattern ablation. Tolerates stranded tasks like
-/// [`run_pattern_faulted`] (a faulted RDMA run has no link-level ARQ, so
-/// an exhausted watchdog legally strands a waiter) and reports through
-/// [`FaultedOutcome`].
-pub fn run_pattern_backend(
-    kind: ManagerKind,
-    transport: Transport,
-    nodes: u16,
-    pages: u32,
-    pattern: Pattern,
-    faults: FaultPlan,
-    think: Dur,
-) -> FaultedOutcome {
-    run_pattern_full(kind, nodes, pages, pattern, faults, think, Some(transport)).0
-}
-
-/// [`run_pattern_backend`] with an explicit world seed (the prefetch
-/// ablation's `ASVM_PREFETCH_SEED` knob). The default runners keep their
-/// fixed seed so existing goldens are untouched.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pattern_backend_seeded(
-    kind: ManagerKind,
-    transport: Transport,
-    nodes: u16,
-    pages: u32,
-    pattern: Pattern,
-    faults: FaultPlan,
-    think: Dur,
-    seed: u64,
-) -> FaultedOutcome {
-    run_pattern_seeded(
-        kind,
-        nodes,
-        pages,
-        pattern,
-        faults,
-        think,
-        Some(transport),
-        Some(seed),
-    )
-    .0
-}
-
-/// [`run_pattern`] with `think` of modeled compute after every memory
-/// touch. Back-to-back streams (the `Dur::ZERO` default) race ahead of
-/// in-flight readahead fills and book extra near-zero-latency faults, so
-/// fault counts become sensitive to fill *arrival spacing*; a realistic
-/// per-touch think time makes the fault denominator depend only on the
-/// access pattern, which is what a messages-per-fault comparison needs.
-pub fn run_pattern_paced(
-    kind: ManagerKind,
-    nodes: u16,
-    pages: u32,
-    pattern: Pattern,
-    think: Dur,
-) -> PatternOutcome {
-    let (out, _) = run_pattern_full(kind, nodes, pages, pattern, FaultPlan::none(), think, None);
-    assert!(out.completed, "pattern tasks finish");
-    out.outcome
-}
-
-/// [`run_pattern`] on a machine with `faults` armed. Unlike the reliable
-/// runner this tolerates stranded tasks (a retry-exhausted link legally
-/// leaves waiters suspended) and reports them through
-/// [`FaultedOutcome::completed`] instead of asserting.
-pub fn run_pattern_faulted(
-    kind: ManagerKind,
-    nodes: u16,
-    pages: u32,
-    pattern: Pattern,
-    faults: FaultPlan,
-) -> FaultedOutcome {
-    run_pattern_full(kind, nodes, pages, pattern, faults, Dur::ZERO, None).0
-}
-
-fn run_pattern_full(
-    kind: ManagerKind,
-    nodes: u16,
-    pages: u32,
-    pattern: Pattern,
-    faults: FaultPlan,
-    think: Dur,
-    transport: Option<Transport>,
-) -> (FaultedOutcome, crate::megascale::StateProbe) {
-    run_pattern_seeded(kind, nodes, pages, pattern, faults, think, transport, None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_pattern_seeded(
-    kind: ManagerKind,
-    nodes: u16,
-    pages: u32,
-    pattern: Pattern,
-    faults: FaultPlan,
-    think: Dur,
-    transport: Option<Transport>,
-    seed: Option<u64>,
-) -> (FaultedOutcome, crate::megascale::StateProbe) {
-    let seed = seed.unwrap_or(match pattern {
-        Pattern::Uniform { seed, .. } => seed,
-        _ => 17,
-    });
-    let faults_active = faults.is_active();
-    let mut cfg = MachineConfig::paragon(nodes);
-    cfg.faults = faults;
-    let mut ssi = Ssi::with_machine(cfg, kind, seed);
-    if let Some(t) = transport {
-        ssi.set_asvm_transport(t);
-    }
-    let home = NodeId(0);
-    let mobj = ssi.create_object(home, pages, false);
-    let tasks: Vec<TaskId> = (0..nodes)
-        .map(|n| {
-            let t = ssi.alloc_task();
-            ssi.map_shared(
-                t,
-                NodeId(n),
-                0,
-                mobj,
-                home,
-                pages,
-                Access::Write,
-                Inherit::Share,
-            );
-            t
-        })
-        .collect();
-    ssi.finalize();
+/// Runs `pattern` over one shared `pages`-page region, one task per node
+/// of `sc`, and drains the run. Stranded tasks (legal under an active
+/// fault plan) are reported through [`Outcome::completed`], not asserted.
+pub fn run_pattern(sc: &Scenario, pages: u32, pattern: Pattern) -> Outcome {
+    let nodes = sc.machine.compute_nodes;
+    let mut ssi = sc.build();
+    let (_, tasks) = Scenario::shared_region(&mut ssi, nodes, pages, false);
     ssi.set_barrier_parties(nodes as u32);
     for (i, t) in tasks.iter().enumerate() {
         ssi.spawn(
@@ -570,110 +248,48 @@ fn run_pattern_seeded(
                 idx: 0,
                 barrier: 0,
                 phase: 0,
-                rng: StdRng::seed_from_u64(seed ^ (i as u64) << 32),
-                think,
+                rng: StdRng::seed_from_u64(sc.seed ^ (i as u64) << 32),
+                think: sc.think,
                 think_pending: false,
             }),
         );
     }
     ssi.run(u64::MAX / 2).expect("pattern quiesces");
-    let completed = ssi.all_done();
-    let s = ssi.stats();
-    if !faults_active {
-        // The whole recovery layer is gated on the fault plan: a healthy
-        // run must not arm heartbeats, suspect anyone, or re-issue
-        // anything — otherwise baseline results would stop being
-        // byte-identical to a build without the recovery layer.
-        for (key, v) in s.counters() {
-            assert!(
-                !(key.starts_with("asvm.recover.") || key.starts_with("cluster.suspect.")),
-                "healthy run bumped recovery counter {key} = {v}"
-            );
-        }
-    }
-    let probe = crate::megascale::probe_state(&ssi);
-    let faults = s.tally("fault.ms");
-    let asvm_msgs: u64 = s
-        .counters()
-        .filter(|(k, _)| k.starts_with("asvm.msg."))
-        .map(|(_, v)| v)
-        .sum();
-    let merged = s.counter("asvm.coalesce.merged");
-    let out = FaultedOutcome {
-        completed,
-        outcome: PatternOutcome {
-            mean_fault_ms: faults.map(|t| t.mean().as_millis_f64()).unwrap_or(0.0),
-            faults: faults.map(|t| t.count).unwrap_or(0),
-            messages: s.counter("sts.messages")
-                + s.counter("norma.messages")
-                + s.counter("rdma.messages"),
-            elapsed_s: ssi.world.now().as_secs_f64(),
-            events: ssi.world.events_processed(),
-            asvm_msgs,
-            asvm_frames: asvm_msgs - merged,
-            coalesce_merged: merged,
-            coalesce_hints: s.counter("asvm.coalesce.piggyback_hint"),
-            coalesce_acks: s.counter("asvm.coalesce.piggyback_ack"),
-            sts_msgs: s.counter("sts.messages"),
-            norma_msgs: s.counter("norma.messages"),
-            rdma_msgs: s.counter("rdma.messages"),
-            rdma_read_served: s.counter("transport.rdma.read_served"),
-            rdma_read_fallback: s.counter("transport.rdma.read_fallback"),
-            prefetch_issued: s.counter("asvm.prefetch.issued"),
-            prefetch_hit: s.counter("asvm.prefetch.hit"),
-            prefetch_late: s.counter("asvm.prefetch.late"),
-            prefetch_wasted: s.counter("asvm.prefetch.wasted"),
-            prefetch_cancelled: s.counter("asvm.prefetch.cancelled"),
-            prefetch_hints: s.counter("asvm.prefetch.hint"),
-            rdma_prefetch_reads: s.counter("transport.rdma.prefetch_read"),
-            policy_prefetch_off: s.counter("asvm.policy.prefetch_off"),
-        },
-        dropped: s.counter("transport.fault.dropped") + s.counter("transport.fault.blackout"),
-        duplicated: s.counter("transport.fault.duplicated"),
-        delayed: s.counter("transport.fault.delayed"),
-        resent: s.counter("asvm.retry.resent"),
-        exhausted: s.counter("asvm.retry.exhausted"),
-        reissued: s.counter("asvm.recover.reissue"),
-        refetched: s.counter("asvm.recover.refetch"),
-        elected: s.counter("asvm.recover.elected"),
-        suspected: s.counter("cluster.suspect.count"),
-    };
-    (out, probe)
-}
-
-/// Compute-bound spin helper used by tests that need time to pass without
-/// memory traffic.
-pub fn spin(d: Dur) -> Step {
-    Step::Compute(d)
+    sc.finish(ssi, Time::ZERO)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cluster::ManagerKind;
+
+    fn healthy(kind: ManagerKind, nodes: u16, pages: u32, pattern: Pattern) -> Outcome {
+        run_pattern(&Scenario::new(kind, nodes, 17), pages, pattern).expect_completed("pattern")
+    }
 
     #[test]
     fn migratory_pattern_migrates_ownership() {
-        let out = run_pattern(ManagerKind::asvm(), 4, 8, Pattern::Migratory { rounds: 3 });
+        let out = healthy(ManagerKind::asvm(), 4, 8, Pattern::Migratory { rounds: 3 });
         // Each turn after the first re-faults the pages at the new writer.
-        assert!(out.faults >= 8 * 3, "faults: {}", out.faults);
-        assert!(out.mean_fault_ms > 0.5);
+        assert!(out.faults() >= 8 * 3, "faults: {}", out.faults());
+        assert!(out.mean_fault_ms() > 0.5);
     }
 
     #[test]
     fn producer_consumer_fans_out_reads() {
-        let out = run_pattern(
+        let out = healthy(
             ManagerKind::asvm(),
             4,
             8,
             Pattern::ProducerConsumer { rounds: 3 },
         );
         // 3 consumers x 8 pages x 3 rounds of reads (plus write upgrades).
-        assert!(out.faults >= 72, "faults: {}", out.faults);
+        assert!(out.faults() >= 72, "faults: {}", out.faults());
     }
 
     #[test]
     fn hotspot_reads_are_mostly_free_after_warmup() {
-        let out = run_pattern(
+        let out = healthy(
             ManagerKind::asvm(),
             4,
             4,
@@ -684,7 +300,7 @@ mod tests {
         );
         // Reads hit after the first round except right after the writes:
         // far fewer faults than accesses (4 nodes x 4 pages x 12 rounds).
-        assert!(out.faults < 4 * 4 * 12 / 2, "faults: {}", out.faults);
+        assert!(out.faults() < 4 * 4 * 12 / 2, "faults: {}", out.faults());
     }
 
     #[test]
@@ -695,17 +311,16 @@ mod tests {
         for seed in [5u64, 6, 7, 1996] {
             for kind in [ManagerKind::asvm(), ManagerKind::xmm()] {
                 let out = run_pattern(
-                    kind,
-                    4,
+                    &Scenario::new(kind, 4, seed),
                     4,
                     Pattern::Uniform {
                         ops: 60,
                         write_pct: 30,
-                        seed,
                     },
-                );
-                assert!(out.faults > 0);
-                assert!(out.elapsed_s > 0.0);
+                )
+                .expect_completed("uniform churn");
+                assert!(out.faults() > 0);
+                assert!(out.elapsed > Dur::ZERO);
             }
         }
     }
@@ -724,24 +339,28 @@ mod tests {
                 write_every: 4,
             },
         ] {
-            // 200µs of compute per touch: enough for staggered readahead
+            // 800µs of compute per touch: enough for staggered readahead
             // fills to land before the next access in both arms, so the
             // fault denominator reflects the pattern, not fill spacing.
-            let think = Dur::from_micros_f64(800.0);
-            let off = run_pattern_paced(ManagerKind::Asvm(off_cfg), 4, 32, pattern, think);
-            let on = run_pattern_paced(ManagerKind::Asvm(on_cfg), 4, 32, pattern, think);
+            let run = |cfg| {
+                let sc =
+                    Scenario::new(ManagerKind::Asvm(cfg), 4, 17).think(Dur::from_micros_f64(800.0));
+                run_pattern(&sc, 32, pattern).expect_completed("paced pattern")
+            };
+            let (off, on) = (run(off_cfg), run(on_cfg));
+            let merged = on.counter("asvm.coalesce.merged");
             assert_eq!(
-                off.coalesce_merged, 0,
+                off.counter("asvm.coalesce.merged"),
+                0,
                 "off arm must not touch the combiner"
             );
-            assert!(on.coalesce_merged > 0, "on arm must merge subframes");
-            assert!(on.coalesce_hints > 0, "data/ack frames carry hints");
-            let (m_off, m_on) = (off.messages_per_fault(), on.messages_per_fault());
-            eprintln!(
-                "{pattern:?}: {m_off:.2} -> {m_on:.2} frames/fault \
-                 (merged {} hints {} acks {})",
-                on.coalesce_merged, on.coalesce_hints, on.coalesce_acks
+            assert!(merged > 0, "on arm must merge subframes");
+            assert!(
+                on.counter("asvm.coalesce.piggyback_hint") > 0,
+                "data/ack frames carry hints"
             );
+            let (m_off, m_on) = (off.frames_per_fault(), on.frames_per_fault());
+            eprintln!("{pattern:?}: {m_off:.2} -> {m_on:.2} frames/fault (merged {merged})");
             assert!(
                 m_on <= 0.75 * m_off,
                 "{pattern:?}: expected >=25% reduction, got {m_off:.2} -> {m_on:.2}"
@@ -758,16 +377,15 @@ mod tests {
             asvm::AsvmConfig::global_only(),
         ] {
             let out = run_pattern(
-                ManagerKind::Asvm(cfg),
-                4,
+                &Scenario::new(ManagerKind::Asvm(cfg), 4, 11),
                 4,
                 Pattern::Uniform {
                     ops: 50,
                     write_pct: 40,
-                    seed: 11,
                 },
-            );
-            assert!(out.faults > 0);
+            )
+            .expect_completed("uniform churn");
+            assert!(out.faults() > 0);
         }
     }
 }

@@ -38,12 +38,14 @@
 //! improve) — see the `tenants` bench.
 
 use asvm::{AccelBase, AsvmConfig, PolicyMode};
-use cluster::{ManagerKind, Program, Ssi, Step, TaskEnv};
+use cluster::{ManagerKind, Program, Step, TaskEnv};
 use machvm::{Access, Inherit};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use svmsim::{Dur, MachineConfig, NodeId, Time};
+use svmsim::{Dur, NodeId, Time};
 use transport::Transport;
+
+use crate::scenario::{Outcome, Scenario};
 
 /// A seeded Zipf sampler over `0..n` by inverse CDF: rank `i` carries
 /// weight `1 / (i + 1)^skew`. Skew 0 degenerates to uniform; skew around
@@ -143,46 +145,15 @@ impl Default for TenantsSpec {
     }
 }
 
-/// Outcome of a tenants run.
-#[derive(Clone, Copy, Debug)]
-pub struct TenantsOutcome {
-    /// Page faults completed.
-    pub faults: u64,
-    /// Mean fault latency, milliseconds.
-    pub mean_fault_ms: f64,
-    /// Total fault stall (faults × mean latency), milliseconds — the
-    /// page-wait cost the tenant mix actually pays. Mean latency alone
-    /// misreads readahead: averting a scan's cheap faults *raises* the
-    /// mean of the remaining ones even as total waiting falls.
-    pub stall_ms: f64,
-    /// Simulated wall-clock, seconds.
-    pub elapsed_s: f64,
-    /// Simulator events processed.
-    pub events: u64,
-    /// Logical ASVM protocol messages (Σ `asvm.msg.*`).
-    pub asvm_msgs: u64,
-    /// Physical ASVM wire frames (logical minus coalesce-merged).
-    pub asvm_frames: u64,
-    /// Subframes that rode an earlier message's frame.
-    pub coalesce_merged: u64,
-    /// Policy windows evaluated (`asvm.policy.observe`).
-    pub policy_observe: u64,
-    /// Policy mode switches applied (`asvm.policy.switch`).
-    pub policy_switch: u64,
-    /// Object replicas (per node, per object) ending the run in
-    /// Dynamic / Static / Global mode.
-    pub modes: [u64; 3],
-}
-
-impl TenantsOutcome {
-    /// ASVM wire frames per resolved fault.
-    pub fn frames_per_fault(&self) -> f64 {
-        if self.faults == 0 {
-            return 0.0;
-        }
-        self.asvm_frames as f64 / self.faults as f64
-    }
-}
+/// Statistics keys under which [`run_tenants`] records how many object
+/// replicas (per node, per object) ended the run in Dynamic / Static /
+/// Global mode — engine state, not traffic, so the run books it as gauges
+/// for the snapshot to carry.
+pub const MODE_GAUGES: [&str; 3] = [
+    "tenants.modes.dynamic",
+    "tenants.modes.static",
+    "tenants.modes.global",
+];
 
 struct TenantProgram {
     pages: u32,
@@ -240,8 +211,8 @@ impl Program for TenantProgram {
     }
 }
 
-/// Runs the tenants workload under `cfg` on `transport` and reports
-/// protocol statistics. With `oracle` set, every object is registered
+/// Runs the tenants workload under `cfg` on `transport` and drains it
+/// (every task must depart). With `oracle` set, every object is registered
 /// with its class-ideal configuration through
 /// [`cluster::Ssi::set_object_config`] — dynamic + coalescing for
 /// read-mostly objects, the fixed distributed manager for write-heavy
@@ -252,19 +223,17 @@ pub fn run_tenants(
     transport: Transport,
     spec: &TenantsSpec,
     oracle: bool,
-) -> TenantsOutcome {
+) -> Outcome {
     assert!(spec.objects > 0 && spec.tasks > 0 && spec.objs_per_task > 0);
     assert!(
         spec.objs_per_task <= spec.objects,
         "working set larger than the object pool"
     );
     let mut setup = StdRng::seed_from_u64(spec.seed);
-    let mut ssi = Ssi::with_machine(
-        MachineConfig::paragon(spec.nodes),
-        ManagerKind::Asvm(cfg),
-        spec.seed,
-    );
-    ssi.set_asvm_transport(transport);
+    let sc = Scenario::new(ManagerKind::Asvm(cfg), spec.nodes, spec.seed)
+        .transport(transport)
+        .think(Dur::from_micros_f64(spec.think_us));
+    let mut ssi = sc.build();
 
     // The object pool: homes round-robin, classes drawn by the setup RNG.
     let mut mobjs = Vec::with_capacity(spec.objects as usize);
@@ -345,38 +314,13 @@ pub fn run_tenants(
             page_zipf: Zipf::new(spec.pages_per_object as usize, spec.page_skew),
             phase_flip: spec.phase_flip,
             rng: StdRng::seed_from_u64(spec.seed ^ ((task.0 as u64) << 32)),
-            think: Dur::from_micros_f64(spec.think_us),
+            think: sc.think,
             think_pending: false,
         };
         ssi.spawn_at(at, node, task, Box::new(program));
     }
     ssi.run(u64::MAX / 2).expect("tenants run quiesces");
-    assert!(ssi.all_done(), "tenants tasks all depart");
 
-    let s = ssi.stats();
-    // Healthy run: the recovery layer must stay dark (same gate the
-    // pattern runners assert). One exception: `asvm.recover.stale_grant`
-    // also absorbs the benign same-node upgrade race — task A's read
-    // request is in flight when task B write-faults the same page, the
-    // write request supersedes the pending read, and the late read grant
-    // is dropped as a duplicate. Single-task-per-node patterns can never
-    // produce it; a multi-task tenants node legitimately can.
-    for (key, v) in s.counters() {
-        if key == "asvm.recover.stale_grant" {
-            continue;
-        }
-        assert!(
-            !(key.starts_with("asvm.recover.") || key.starts_with("cluster.suspect.")),
-            "healthy tenants run bumped recovery counter {key} = {v}"
-        );
-    }
-    let faults = s.tally("fault.ms");
-    let asvm_msgs: u64 = s
-        .counters()
-        .filter(|(k, _)| k.starts_with("asvm.msg."))
-        .map(|(_, v)| v)
-        .sum();
-    let merged = s.counter("asvm.coalesce.merged");
     let mut modes = [0u64; 3];
     for n in 0..spec.nodes {
         if let Some(a) = ssi.node(NodeId(n)).asvm() {
@@ -390,21 +334,11 @@ pub fn run_tenants(
             }
         }
     }
-    TenantsOutcome {
-        faults: faults.map(|t| t.count).unwrap_or(0),
-        mean_fault_ms: faults.map(|t| t.mean().as_millis_f64()).unwrap_or(0.0),
-        stall_ms: faults
-            .map(|t| t.count as f64 * t.mean().as_millis_f64())
-            .unwrap_or(0.0),
-        elapsed_s: ssi.world.now().as_secs_f64(),
-        events: ssi.world.events_processed(),
-        asvm_msgs,
-        asvm_frames: asvm_msgs - merged,
-        coalesce_merged: merged,
-        policy_observe: s.counter("asvm.policy.observe"),
-        policy_switch: s.counter("asvm.policy.switch"),
-        modes,
+    for (key, n) in MODE_GAUGES.into_iter().zip(modes) {
+        ssi.world.stats_mut().add(key, n);
     }
+    sc.finish(ssi, Time::ZERO)
+        .expect_completed("tenants (all tasks depart)")
 }
 
 #[cfg(test)]
@@ -448,6 +382,10 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "all ranks reachable: {seen:?}");
     }
 
+    fn modes(out: &Outcome) -> [u64; 3] {
+        MODE_GAUGES.map(|k| out.counter(k))
+    }
+
     fn small_spec() -> TenantsSpec {
         TenantsSpec {
             nodes: 4,
@@ -468,16 +406,16 @@ mod tests {
         let spec = small_spec();
         let a = run_tenants(AsvmConfig::default(), Transport::STS, &spec, false);
         let b = run_tenants(AsvmConfig::default(), Transport::STS, &spec, false);
-        assert_eq!(a.faults, b.faults);
-        assert_eq!(a.asvm_msgs, b.asvm_msgs);
+        assert_eq!(a.faults(), b.faults());
+        assert_eq!(a.asvm_msgs(), b.asvm_msgs());
         assert_eq!(a.events, b.events);
-        assert_eq!(a.elapsed_s, b.elapsed_s);
+        assert_eq!(a.elapsed, b.elapsed);
         let mut other = spec;
         other.seed = 7;
         let c = run_tenants(AsvmConfig::default(), Transport::STS, &other, false);
         assert_ne!(
-            (a.faults, a.asvm_msgs, a.events),
-            (c.faults, c.asvm_msgs, c.events),
+            (a.faults(), a.asvm_msgs(), a.events),
+            (c.faults(), c.asvm_msgs(), c.events),
             "a different seed must reshape the workload"
         );
     }
@@ -486,9 +424,10 @@ mod tests {
     fn static_configs_never_touch_the_policy_counters() {
         let spec = small_spec();
         let out = run_tenants(AsvmConfig::default(), Transport::STS, &spec, false);
-        assert_eq!(out.policy_observe, 0);
-        assert_eq!(out.policy_switch, 0);
-        assert_eq!(out.modes[1] + out.modes[2], 0, "all replicas stay Dynamic");
+        assert_eq!(out.counter("asvm.policy.observe"), 0);
+        assert_eq!(out.counter("asvm.policy.switch"), 0);
+        let modes = modes(&out);
+        assert_eq!(modes[1] + modes[2], 0, "all replicas stay Dynamic");
     }
 
     #[test]
@@ -499,12 +438,15 @@ mod tests {
         let mut cfg = AsvmConfig::default().adaptive();
         cfg.policy.window = 24;
         let out = run_tenants(cfg, Transport::STS, &spec, false);
-        assert!(out.policy_observe > 0, "windows must close");
-        assert!(out.policy_switch > 0, "mixed classes must force switches");
+        assert!(out.counter("asvm.policy.observe") > 0, "windows must close");
         assert!(
-            out.modes[1] + out.modes[2] > 0,
-            "some replicas leave Dynamic: {:?}",
-            out.modes
+            out.counter("asvm.policy.switch") > 0,
+            "mixed classes must force switches"
+        );
+        let modes = modes(&out);
+        assert!(
+            modes[1] + modes[2] > 0,
+            "some replicas leave Dynamic: {modes:?}"
         );
     }
 
@@ -512,11 +454,15 @@ mod tests {
     fn oracle_assigns_class_ideal_configs() {
         let spec = small_spec();
         let out = run_tenants(AsvmConfig::default(), Transport::STS, &spec, true);
+        let modes = modes(&out);
         assert!(
-            out.modes[0] > 0 && out.modes[1] > 0,
-            "both classes appear: {:?}",
-            out.modes
+            modes[0] > 0 && modes[1] > 0,
+            "both classes appear: {modes:?}"
         );
-        assert_eq!(out.policy_switch, 0, "the oracle never adapts at runtime");
+        assert_eq!(
+            out.counter("asvm.policy.switch"),
+            0,
+            "the oracle never adapts at runtime"
+        );
     }
 }

@@ -33,9 +33,9 @@ fn main() {
         println!(
             "{:<8}{:>14.2}{:>14.2}{:>11.1}x",
             nodes,
-            a.elapsed_secs,
-            x.elapsed_secs,
-            x.elapsed_secs / a.elapsed_secs
+            a.elapsed_s(),
+            x.elapsed_s(),
+            x.elapsed_s() / a.elapsed_s()
         );
     }
     println!();

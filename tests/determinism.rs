@@ -18,8 +18,8 @@ fn fault_probe_is_deterministic() {
     };
     let a = fault_probe(spec);
     let b = fault_probe(spec);
-    assert_eq!(a.latency, b.latency);
-    assert_eq!(a.protocol_messages, b.protocol_messages);
+    assert_eq!(a.mean_fault(), b.mean_fault());
+    assert_eq!(a.messages(), b.messages());
 }
 
 #[test]
@@ -30,8 +30,8 @@ fn copy_chain_is_deterministic() {
         region_pages: 16,
     };
     assert_eq!(
-        copy_chain_probe(spec).mean_fault,
-        copy_chain_probe(spec).mean_fault
+        copy_chain_probe(spec).mean_fault(),
+        copy_chain_probe(spec).mean_fault()
     );
 }
 
@@ -45,7 +45,7 @@ fn file_scan_is_deterministic() {
     };
     let a = file_scan(spec);
     let b = file_scan(spec);
-    assert_eq!(a.elapsed, b.elapsed);
+    assert_eq!(a.outcome.elapsed, b.outcome.elapsed);
     assert_eq!(a.rate_mb_s, b.rate_mb_s);
 }
 
@@ -55,8 +55,8 @@ fn em3d_is_deterministic() {
     spec.iterations = 3;
     let a = em3d_run(spec);
     let b = em3d_run(spec);
-    assert_eq!(a.elapsed_secs, b.elapsed_secs);
-    assert_eq!(a.faults, b.faults);
+    assert_eq!(a.elapsed, b.elapsed);
+    assert_eq!(a.faults(), b.faults());
 }
 
 #[test]
@@ -70,11 +70,11 @@ fn tenants_is_deterministic() {
     let cfg = asvm::AsvmConfig::fixed_distributed().coalesced().adaptive();
     let a = run_tenants(cfg, transport::Transport::STS, &spec, false);
     let b = run_tenants(cfg, transport::Transport::STS, &spec, false);
-    assert_eq!(a.faults, b.faults);
-    assert_eq!(a.stall_ms, b.stall_ms);
-    assert_eq!(a.asvm_msgs, b.asvm_msgs);
-    assert_eq!(a.policy_switch, b.policy_switch);
-    assert_eq!(a.modes, b.modes);
+    assert_eq!(a.faults(), b.faults());
+    assert_eq!(a.stall_ms(), b.stall_ms());
+    assert_eq!(a.asvm_msgs(), b.asvm_msgs());
+    // Every counter, the policy's switches and final modes included.
+    assert!(a.stats.counters().eq(b.stats.counters()));
 }
 
 #[test]
@@ -100,11 +100,11 @@ fn tenants_seed_changes_the_schedule_not_the_regime() {
         false,
     );
     assert_ne!(
-        (a.faults, a.asvm_msgs),
-        (b.faults, b.asvm_msgs),
+        (a.faults(), a.asvm_msgs()),
+        (b.faults(), b.asvm_msgs()),
         "different seeds must draw different Zipf schedules"
     );
-    let ratio = a.stall_ms / b.stall_ms;
+    let ratio = a.stall_ms() / b.stall_ms();
     assert!(
         ratio > 0.5 && ratio < 2.0,
         "seed changed the regime: {ratio}"
@@ -122,7 +122,7 @@ fn different_seeds_change_only_workload_randomness() {
     s2.seed = 4242;
     let a = em3d_run(s1);
     let b = em3d_run(s2);
-    let ratio = a.elapsed_secs / b.elapsed_secs;
+    let ratio = a.elapsed_s() / b.elapsed_s();
     assert!(
         ratio > 0.5 && ratio < 2.0,
         "seed changed the regime: {ratio}"

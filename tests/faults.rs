@@ -15,7 +15,7 @@ use common::{run_trace_faulted, with_trace_dump, TraceOp};
 use machvm::{Access, Inherit};
 use proptest::prelude::*;
 use svmsim::{Dur, FaultPlan, LinkFaults, MachineConfig, NodeId};
-use workloads::{run_pattern_faulted, Pattern};
+use workloads::{run_pattern, Outcome, Pattern, Scenario};
 
 /// Base seed for every fault plan in this file (CI matrix: 1996, 777).
 fn fault_seed() -> u64 {
@@ -23,6 +23,19 @@ fn fault_seed() -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1996)
+}
+
+/// `pattern` on `nodes` × `pages` of ASVM over STS under `plan`. A run
+/// that completes has passed the quiescence invariants
+/// (`Scenario::finish`).
+fn faulted(
+    kind: ManagerKind,
+    nodes: u16,
+    pages: u32,
+    pattern: Pattern,
+    plan: FaultPlan,
+) -> Outcome {
+    run_pattern(&Scenario::new(kind, nodes, 17).faults(plan), pages, pattern)
 }
 
 fn trace_strategy(nodes: u16, pages: u32, max_ops: usize) -> impl Strategy<Value = Vec<TraceOp>> {
@@ -200,7 +213,7 @@ fn faulted_runs_are_deterministic() {
             .with_delay(10_000, Dur::from_millis(1))
     };
     let run = || {
-        let out = run_pattern_faulted(
+        let out = faulted(
             ManagerKind::asvm(),
             4,
             8,
@@ -209,15 +222,15 @@ fn faulted_runs_are_deterministic() {
         );
         (
             out.completed,
-            out.outcome.faults,
-            out.outcome.messages,
-            out.outcome.events,
-            out.outcome.elapsed_s.to_bits(),
-            out.dropped,
-            out.duplicated,
-            out.delayed,
-            out.resent,
-            out.exhausted,
+            out.faults(),
+            out.messages(),
+            out.events,
+            out.elapsed,
+            out.dropped(),
+            out.counter("transport.fault.duplicated"),
+            out.counter("transport.fault.delayed"),
+            out.counter("asvm.retry.resent"),
+            out.counter("asvm.retry.exhausted"),
         )
     };
     let a = run();
@@ -234,19 +247,14 @@ fn faulted_runs_are_deterministic() {
 #[test]
 fn inactive_plans_do_not_perturb_runs() {
     let run = |plan: FaultPlan| {
-        let out = run_pattern_faulted(
+        let out = faulted(
             ManagerKind::asvm(),
             4,
             8,
             Pattern::ProducerConsumer { rounds: 2 },
             plan,
         );
-        (
-            out.outcome.faults,
-            out.outcome.messages,
-            out.outcome.events,
-            out.outcome.elapsed_s.to_bits(),
-        )
+        (out.faults(), out.messages(), out.events, out.elapsed)
     };
     let baseline = run(FaultPlan::none());
     // Seeded but all rates zero: is_active() is false, nothing changes.
@@ -275,7 +283,7 @@ fn duplicates_are_suppressed_not_applied() {
 
     // Counter-level check: the duplicates actually happened and were
     // caught at the receiver.
-    let out = run_pattern_faulted(
+    let out = faulted(
         ManagerKind::asvm(),
         4,
         8,
@@ -283,7 +291,10 @@ fn duplicates_are_suppressed_not_applied() {
         plan,
     );
     assert!(out.completed);
-    assert!(out.duplicated > 0, "20% dup rate must duplicate something");
+    assert!(
+        out.counter("transport.fault.duplicated") > 0,
+        "20% dup rate must duplicate something"
+    );
 }
 
 /// A dropped *coalesced* frame retries and converges exactly like its
@@ -300,14 +311,14 @@ fn dropped_coalesced_frames_retry_and_converge() {
             .with_dup_ppm(10_000)
     };
     let base = asvm::AsvmConfig::with_readahead(8);
-    let off = run_pattern_faulted(
+    let off = faulted(
         ManagerKind::Asvm(base),
         4,
         16,
         Pattern::ProducerConsumer { rounds: 3 },
         plan(),
     );
-    let on = run_pattern_faulted(
+    let on = faulted(
         ManagerKind::Asvm(base.coalesced()),
         4,
         16,
@@ -317,25 +328,24 @@ fn dropped_coalesced_frames_retry_and_converge() {
     assert!(off.completed, "unbatched arm completes under 3% loss");
     assert!(on.completed, "coalesced arm completes under 3% loss");
     assert!(
-        on.outcome.coalesce_merged > 0,
+        on.counter("asvm.coalesce.merged") > 0,
         "the coalesced arm must have merged subframes while being hit"
     );
     assert!(
-        on.dropped > 0,
+        on.dropped() > 0,
         "the plan must have dropped coalesced frames"
     );
     assert!(
-        on.resent > 0,
+        on.counter("asvm.retry.resent") > 0,
         "dropped coalesced frames must be retransmitted as whole bodies"
     );
-    assert_eq!(
-        off.exhausted, 0,
-        "loss rate stays below the exhaustion regime (off arm)"
-    );
-    assert_eq!(
-        on.exhausted, 0,
-        "loss rate stays below the exhaustion regime (on arm)"
-    );
+    for (arm, out) in [("off", &off), ("on", &on)] {
+        assert_eq!(
+            out.counter("asvm.retry.exhausted"),
+            0,
+            "loss rate stays below the exhaustion regime ({arm} arm)"
+        );
+    }
 }
 
 /// A scripted blackout window delays progress but, once it lifts, retries
@@ -348,7 +358,7 @@ fn blackout_window_recovers_after_it_lifts() {
         Time::ZERO,
         Time::ZERO + Dur::from_millis(20),
     );
-    let out = run_pattern_faulted(
+    let out = faulted(
         ManagerKind::asvm(),
         4,
         8,
@@ -356,6 +366,48 @@ fn blackout_window_recovers_after_it_lifts() {
         plan,
     );
     assert!(out.completed, "workload must finish after the blackout");
-    assert!(out.dropped > 0, "the blackout must have eaten messages");
-    assert!(out.resent > 0, "recovery happens through retransmission");
+    assert!(out.dropped() > 0, "the blackout must have eaten messages");
+    assert!(
+        out.counter("asvm.retry.resent") > 0,
+        "recovery happens through retransmission"
+    );
+}
+
+/// ARQ and watchdog timeouts follow the carrier: over NORMA-IPC (≈10× the
+/// per-message software cost of STS) the STS-sized 2 ms / 250 ms bounds
+/// sat inside one loaded round trip, so queueing alone retransmitted
+/// (3 624 resends for 248 drops in the committed ablation cell), the
+/// watchdog re-issued requests that were merely slow, and a re-issue
+/// racing its live original minted a second owner — 8 of 8 seeds ended
+/// incoherent. With `Ssi::set_asvm_transport` stretching the bounds to
+/// the carrier's cost, every arm of every seed must complete and pass the
+/// quiescence invariants without the watchdog ever firing.
+#[test]
+fn norma_carrier_stays_coherent_under_loss() {
+    let readahead = asvm::AsvmConfig::with_readahead(8);
+    for seed in (0..8).map(|i| fault_seed() + i) {
+        for (arm, cfg) in [
+            ("default", asvm::AsvmConfig::default()),
+            ("readahead 8", readahead),
+            ("readahead 8 + coalescing", readahead.coalesced()),
+        ] {
+            let plan = FaultPlan::seeded(seed)
+                .with_drop_ppm(10_000)
+                .with_dup_ppm(2_000);
+            let sc = Scenario::new(ManagerKind::Asvm(cfg), 4, seed)
+                .transport(transport::Transport::NORMA)
+                .faults(plan);
+            let pattern = Pattern::Uniform {
+                ops: 80,
+                write_pct: 30,
+            };
+            let out = run_pattern(&sc, 16, pattern).expect_completed(arm);
+            assert!(out.dropped() > 0, "seed {seed} / {arm}: the plan must bite");
+            assert_eq!(
+                out.counter("asvm.recover.reissue"),
+                0,
+                "seed {seed} / {arm}: link loss alone must never look like a dead peer"
+            );
+        }
+    }
 }

@@ -134,3 +134,31 @@ fn serving_node_piggybacks_predicted_owner_hints() {
     assert_healthy(&ssi);
     cluster::check_asvm_invariants(&ssi);
 }
+
+/// A speculative one-sided read lost on RDMA (no link ARQ) is recovered
+/// only by the requester's watchdog — which stops ticking with the node's
+/// last task. The speculation nobody is left to claim must be cancelled
+/// then, not left pending forever (this seed used to end with "pending
+/// requests at quiescence"; `Scenario::finish` checks the invariants).
+#[test]
+fn lost_speculative_read_is_cancelled_when_the_node_goes_idle() {
+    use svmsim::FaultPlan;
+    use workloads::{run_pattern, Pattern, Scenario};
+    let seed = 3;
+    let plan = FaultPlan::seeded(seed)
+        .with_drop_ppm(10_000)
+        .with_dup_ppm(2_000);
+    let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_readahead(8));
+    let sc = Scenario::new(kind, 4, seed)
+        .transport(transport::Transport::RDMA)
+        .faults(plan);
+    let pattern = Pattern::Uniform {
+        ops: 80,
+        write_pct: 30,
+    };
+    let out = run_pattern(&sc, 16, pattern).expect_completed("faulted rdma readahead");
+    assert!(
+        out.counter("asvm.prefetch.cancelled") >= 1,
+        "the stranded speculative read must be scored as cancelled"
+    );
+}

@@ -286,27 +286,25 @@ fn forward_hop_limit_trips_are_counted_and_survivable() {
 /// proptest in `faults.rs` — asserts the counters those only sample.
 #[test]
 fn permanent_blackout_drives_the_full_fallback_chain() {
-    use workloads::{run_pattern_faulted, Pattern};
+    use workloads::{run_pattern, Pattern, Scenario};
     let plan = FaultPlan::seeded(fault_seed()).with_blackout(
         NodeId(5),
         Time::from_nanos(30_000_000),
         Time::MAX,
     );
-    let out = run_pattern_faulted(
-        ManagerKind::asvm(),
-        8,
-        8,
-        Pattern::Migratory { rounds: 3 },
-        plan,
-    );
+    let sc = Scenario::new(ManagerKind::asvm(), 8, 17).faults(plan);
+    let out = run_pattern(&sc, 8, Pattern::Migratory { rounds: 3 });
     assert!(out.completed, "migratory run must survive the blackout");
-    assert!(out.suspected >= 1, "survivors must suspect the dark node");
     assert!(
-        out.reissued + out.refetched >= 1,
+        out.counter("cluster.suspect.count") >= 1,
+        "survivors must suspect the dark node"
+    );
+    assert!(
+        out.counter("asvm.recover.reissue") + out.counter("asvm.recover.refetch") >= 1,
         "stalled requests must be re-issued or re-fetched"
     );
     assert!(
-        out.exhausted >= 1,
+        out.counter("asvm.retry.exhausted") >= 1,
         "frames to the dark node must exhaust their retries"
     );
 }

@@ -21,12 +21,10 @@ fn em3d_slice(threads: usize) -> Vec<(u64, u64, u64, u64)> {
                 let mut spec = Em3dSpec::paper(kind, nodes, 16_000);
                 spec.iterations = 2;
                 let out = em3d_run(spec);
-                // Compare exact integer observables (elapsed_secs derives
-                // from them deterministically but is floating point).
                 let value = (
-                    (out.elapsed_secs * 1e9) as u64,
-                    out.faults,
-                    out.pageouts,
+                    out.elapsed.as_nanos(),
+                    out.faults(),
+                    out.counter("pageouts"),
                     out.events,
                 );
                 (value, out.events)
@@ -63,9 +61,9 @@ fn fault_probe_slice_is_thread_count_invariant() {
                         access: ProbeAccess::Write,
                     });
                     let value = (
-                        out.latency.as_nanos(),
-                        out.protocol_messages,
-                        out.page_messages,
+                        out.mean_fault().as_nanos(),
+                        out.messages(),
+                        out.page_messages(),
                         out.events,
                     );
                     (value, out.events)
