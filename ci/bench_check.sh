@@ -11,6 +11,10 @@
 # message (the per-kind `asvm.msg.*` / `asvm.prefetch.*` counters live in
 # those JSONs) or cost model that moved shows up here. Every cell that
 # completes has also passed the quiescence invariants, or the run fails.
+# Where `bench list` says --seed changes the cells, different seeds must
+# also write different JSON (a seed that stopped reaching the workload
+# would otherwise go unnoticed). Each run has a 120 s wall-clock budget:
+# the slowest experiments (megascale, table3) take about 10 s.
 #
 # Runs in a scratch directory (the driver writes its JSON into the cwd),
 # so the checkout stays clean.
@@ -31,8 +35,9 @@ trap 'rm -rf "$work"' EXIT
 # run <dir> <seed>: one run's stdout and JSON, side by side in <dir>.
 run() {
     mkdir -p "$1"
-    (cd "$1" && "$bench" "$name" --serial --stable-json --seed "$2" >stdout.txt 2>stderr.txt) || {
-        echo "bench_check: bench $name --seed $2 failed:"
+    (cd "$1" && timeout 120 "$bench" "$name" --serial --stable-json --seed "$2" \
+        >stdout.txt 2>stderr.txt) || {
+        echo "bench_check: bench $name --seed $2 failed or ran past 120 s:"
         cat "$1/stderr.txt"
         exit 1
     }
@@ -55,6 +60,15 @@ for seed in "${seeds[@]}"; do
     same "two runs at seed $seed wrote different JSON" "$work/$seed".{a,b}/"$json"
     echo "bench_check: $name seed $seed: two runs byte-identical"
 done
+
+if "$bench" list | grep -q "^$name  *--seed"; then
+    for seed in "${seeds[@]:1}"; do
+        if cmp -s "$work/${seeds[0]}.a/$json" "$work/$seed.a/$json"; then
+            echo "bench_check: $name: seeds ${seeds[0]} and $seed wrote the same JSON"
+            exit 1
+        fi
+    done
+fi
 
 if [ -d "$work/1996.a" ]; then
     hint="regenerate from the repo root with: target/release/bench $name --serial --stable-json > goldens/$name.stdout.txt"

@@ -1,15 +1,14 @@
 //! The `bench` driver's command line: `bench <name> [flags]`, `bench list`.
 //!
-//! Every experiment takes the same flags; `bench list` says which of
-//! `--seed`, `--nodes` and `--quick` an experiment actually varies with
-//! (a fully deterministic experiment is trivially seed-invariant).
+//! Every experiment takes the same flags; `bench list` says which
+//! experiments `--seed` actually varies (a fully deterministic experiment
+//! is trivially seed-invariant).
 
 use crate::sweep::SweepConfig;
 
 /// Usage text, printed on a bad invocation.
 pub const USAGE: &str = "usage: bench list
-       bench <name> [--serial | --threads N] [--json | --stable-json]
-                    [--seed S] [--nodes a,b,...] [--quick]";
+       bench <name> [--serial | --threads N] [--json | --stable-json] [--seed S]";
 
 /// Parsed flags of one `bench <name>` invocation.
 #[derive(Clone, Debug)]
@@ -20,10 +19,6 @@ pub struct Args {
     /// access streams, generated graphs and tenant mixes. The committed
     /// goldens are the 1996 runs.
     pub seed: u64,
-    /// Node counts to sweep, for experiments that sweep them.
-    pub nodes: Option<Vec<u16>>,
-    /// Run the reduced shape, for a quick look where the full one is slow.
-    pub quick: bool,
 }
 
 impl Default for Args {
@@ -35,8 +30,6 @@ impl Default for Args {
                 stable_json: false,
             },
             seed: 1996,
-            nodes: None,
-            quick: false,
         }
     }
 }
@@ -65,18 +58,6 @@ impl Args {
                 "--seed" => {
                     args.seed = value("a u64")?.parse().map_err(|_| "--seed needs a u64")?
                 }
-                "--nodes" => {
-                    let list = value("comma-separated node counts")?;
-                    let nodes: Result<Vec<u16>, _> =
-                        list.split(',').map(|n| n.trim().parse()).collect();
-                    args.nodes = Some(
-                        nodes
-                            .ok()
-                            .filter(|n| !n.is_empty() && n.iter().all(|n| *n > 0))
-                            .ok_or("--nodes needs comma-separated positive node counts")?,
-                    );
-                }
-                "--quick" => args.quick = true,
                 other => return Err(format!("unknown flag {other}")),
             }
         }
@@ -96,27 +77,16 @@ mod tests {
     fn defaults_are_the_golden_configuration() {
         let a = parse(&[]).unwrap();
         assert_eq!(a.seed, 1996);
-        assert!(!a.sweep.json && !a.sweep.stable_json && !a.quick);
-        assert!(a.nodes.is_none());
+        assert!(!a.sweep.json && !a.sweep.stable_json);
         assert!(a.sweep.threads >= 1);
     }
 
     #[test]
     fn flags_combine() {
-        let a = parse(&[
-            "--serial",
-            "--stable-json",
-            "--seed",
-            "777",
-            "--nodes",
-            "128, 256",
-            "--quick",
-        ])
-        .unwrap();
+        let a = parse(&["--serial", "--stable-json", "--seed", "777"]).unwrap();
         assert_eq!(a.sweep.threads, 1);
-        assert!(a.sweep.json && a.sweep.stable_json && a.quick);
+        assert!(a.sweep.json && a.sweep.stable_json);
         assert_eq!(a.seed, 777);
-        assert_eq!(a.nodes, Some(vec![128, 256]));
         assert_eq!(parse(&["--threads", "3"]).unwrap().sweep.threads, 3);
     }
 
@@ -126,7 +96,5 @@ mod tests {
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--threads"]).is_err());
         assert!(parse(&["--seed", "x"]).is_err());
-        assert!(parse(&["--nodes", "8,,9"]).is_err());
-        assert!(parse(&["--nodes", "0"]).is_err());
     }
 }

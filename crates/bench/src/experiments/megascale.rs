@@ -20,9 +20,8 @@
 //! cluster grows, while the XMM manager's lock table grows with
 //! (pages × using nodes).
 //!
-//! Knobs: `--nodes a,b,...` picks the node counts (default
-//! `128,256,512,1024`), `--seed` the EM3D graph seed. Same
-//! seed ⇒ byte-identical `--stable-json` output.
+//! Knob: `--seed`, the EM3D graph seed. Same seed ⇒ byte-identical
+//! `--stable-json` output.
 
 use cluster::ManagerKind;
 use svmsim::Dur;
@@ -47,6 +46,9 @@ const PATTERN_PAGES: u32 = 32;
 const PRODCONS_ROUNDS: u32 = 2;
 const HOTSPOT_ROUNDS: u32 = 4;
 const HOTSPOT_WRITE_EVERY: u32 = 2;
+
+/// Cluster sizes swept.
+const NODES: [u16; 4] = [128, 256, 512, 1024];
 
 /// The state probe, then the fault count (which the compute-only
 /// event-loop cells leave out).
@@ -74,11 +76,10 @@ fn em3d_spec(kind: ManagerKind, nodes: u16, seed: u64) -> Em3dSpec {
 }
 
 pub fn run(args: &Args) {
-    let nodes = args.nodes.clone().unwrap_or(vec![128, 256, 512, 1024]);
     let seed = args.seed;
     let mut sweep = Sweep::with_config("megascale", args.sweep.clone());
 
-    for &n in &nodes {
+    for n in NODES {
         let probe_only = &KEYS[..KEYS.len() - 1];
         crate::cell(
             &mut sweep,
@@ -148,14 +149,14 @@ pub fn run(args: &Args) {
     println!();
     println!("Bounded-memory check: max per-node protocol state (bytes)");
     print!("{:<10} {:>6}", "workload", "mgr");
-    for n in &nodes {
+    for n in NODES {
         print!(" {:>10}", format!("{n}n"));
     }
     println!();
     for family in ["em3d", "prodcons", "hotspot"] {
         for mgr in ["ASVM", "XMM"] {
             print!("{family:<10} {mgr:>6}");
-            for n in &nodes {
+            for n in NODES {
                 let label = format!("{family} {mgr} {n}n");
                 let bytes = report
                     .cells

@@ -25,8 +25,8 @@ pub struct Experiment {
     pub name: &'static str,
     /// What it reproduces.
     pub about: &'static str,
-    /// Which of `--seed`, `--nodes`, `--quick` change its cells (the
-    /// others are accepted and change nothing).
+    /// `"--seed"` if the seed changes its cells (it is accepted, and
+    /// changes nothing, elsewhere).
     pub knobs: &'static str,
     /// Runs the sweep and prints its table.
     pub run: fn(&Args),
@@ -58,9 +58,9 @@ experiments! {
     faultsweep [""] "completion time and retry traffic vs link loss",
     chaossweep ["--seed"] "every pattern through a permanent node blackout",
     coalesce [""] "frames per fault, STS combiner off vs on",
-    megascale ["--seed --nodes"] "events/s and per-node protocol state at 128–1024 nodes",
-    prefetch ["--seed"] "stream-driven hint/data prefetch, off vs hint vs hint+data",
-    tenants ["--seed --quick"] "multi-tenant Zipf mix, adaptive policy vs uniform arms",
+    megascale ["--seed"] "events/s and per-node protocol state at 128–1024 nodes",
+    prefetch [""] "stream-driven hint/data prefetch, off vs hint vs hint+data",
+    tenants ["--seed"] "multi-tenant Zipf mix, adaptive policy vs uniform arms",
 }
 
 /// Looks an experiment up by name.

@@ -25,9 +25,8 @@
 //! prefetch engine. Backend rows: the scan on RDMA (speculative reads go
 //! one-sided, `transport.rdma.prefetch_read`) and prodcons on NORMA-IPC.
 //!
-//! Knobs: `--seed` (the world seed of every cell).
-//!
-//! Determinism: fully seeded; `--json --stable-json` regenerates
+//! Determinism: the patterns draw nothing from the world seed, so
+//! `--seed` only relabels the table; `--json --stable-json` regenerates
 //! `BENCH_prefetch.json` byte-identically.
 
 use asvm::{AsvmConfig, PrefetchCfg};

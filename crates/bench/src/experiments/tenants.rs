@@ -36,10 +36,7 @@
 //! adaptive arm pays `asvm.policy.switch` churn without a stall win —
 //! raise the window or disable the policy for such tenants.
 //!
-//! Knobs: `--seed` (classes, working sets, access streams) and `--quick`
-//! (24 objects / 8 tasks / 120 ops instead of 96 / 24 / 400: the policy
-//! still closes windows and switches modes, but a cell runs in seconds —
-//! only determinism holds at that size, not the adaptive win).
+//! Knob: `--seed` (classes, working sets, access streams).
 //!
 //! Determinism: fully seeded; `--json --stable-json` regenerates
 //! `BENCH_tenants.json` byte-identically.
@@ -77,19 +74,11 @@ const KEYS: &[Key] = &[
     "modes.global=tenants.modes.global",
 ];
 
-/// The base mixed-tenant shape (the generator's defaults, or the reduced
-/// `--quick` shape); the workload rows perturb it.
-pub fn base_spec(args: &Args) -> TenantsSpec {
-    let (objects, tasks, ops_per_task) = if args.quick {
-        (24, 8, 120)
-    } else {
-        (96, 24, 400)
-    };
+/// The base mixed-tenant shape (the generator's defaults at `seed`); the
+/// workload rows perturb it.
+pub fn base_spec(seed: u64) -> TenantsSpec {
     TenantsSpec {
-        objects,
-        tasks,
-        ops_per_task,
-        seed: args.seed,
+        seed,
         ..TenantsSpec::default()
     }
 }
@@ -136,7 +125,7 @@ pub fn workloads(base: TenantsSpec) -> [(&'static str, TenantsSpec); 4] {
 }
 
 pub fn run(args: &Args) {
-    let base = base_spec(args);
+    let base = base_spec(args.seed);
     let mut sweep = Sweep::with_config("tenants", args.sweep.clone());
     // STS: every workload row × every configuration column.
     for (wl, spec) in workloads(base.clone()) {

@@ -4,17 +4,12 @@
 //! test is the first failing cell of its seed — executable starting
 //! points for the exhaustive explorer of ROADMAP item 4(a).
 
-use bench::cli::Args;
 use bench::experiments::tenants::{base_spec, configs, workloads};
 use transport::Transport;
 use workloads::run_tenants;
 
 fn cell(seed: u64, backend: Transport, workload: &str, arm: &str) {
-    let args = Args {
-        seed,
-        ..Args::default()
-    };
-    let (_, spec) = workloads(base_spec(&args))
+    let (_, spec) = workloads(base_spec(seed))
         .into_iter()
         .find(|(wl, _)| *wl == workload)
         .expect("a workload row");

@@ -1170,12 +1170,17 @@ impl ClusterNode {
                     self.tasks_done += 1;
                     ctx.stats().bump("tasks.done");
                     if self.all_tasks_done() && ctx.machine().config.faults.is_active() {
+                        let lossy = !self.asvm_transport.per_link_arq();
                         if let Some(a) = self.engine.as_asvm_mut() {
-                            // The watchdog stops with the tick loop, so
-                            // speculation nobody is left to claim must not
-                            // wait on it.
-                            let cancelled = a.cancel_unclaimed_speculation();
-                            ctx.stats().add("asvm.prefetch.cancelled", cancelled);
+                            if lossy {
+                                // Without link ARQ only the watchdog
+                                // re-issues a lost speculative read, and
+                                // it stops with the tick loop: speculation
+                                // nobody is left to claim must not wait
+                                // on it.
+                                let cancelled = a.cancel_unclaimed_speculation();
+                                ctx.stats().add("asvm.prefetch.cancelled", cancelled);
+                            }
                             // So do our heartbeats; a reliable farewell
                             // keeps peers from reading that as death.
                             let me = self.id;

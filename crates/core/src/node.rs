@@ -20,7 +20,7 @@ use machvm::{
     Access, EmmiToKernel, EmmiToPager, LockMode, LockOp, MemObjId, PageData, PageIdx, SupplyMode,
     VmObjId, VmSystem,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use svmsim::{CostModel, Dur, NodeId, Time};
 
 use crate::config::AsvmConfig;
@@ -80,6 +80,11 @@ pub struct AsvmNode {
     /// bookkeeping hook ([`AsvmNode::prefetch_note_access`]) so
     /// prefetch-off runs pay exactly one boolean test per access.
     prefetch_live: bool,
+    /// Speculative requests [`AsvmNode::cancel_unclaimed_speculation`]
+    /// forgot. The static manager may have routed one to the pager and
+    /// be serializing the page behind that fill: when the supply arrives
+    /// after all, it must still install here and report ownership.
+    cancelled_fills: BTreeSet<(MemObjId, PageIdx)>,
 }
 
 impl AsvmNode {
@@ -91,6 +96,7 @@ impl AsvmNode {
             objects: BTreeMap::new(),
             by_vmobj: BTreeMap::new(),
             prefetch_live: false,
+            cancelled_fills: BTreeSet::new(),
         }
     }
 
@@ -114,6 +120,7 @@ impl AsvmNode {
         let pages = |n: usize| (n * size_of::<PageIdx>()) as u64;
         let mut total =
             (self.by_vmobj.len() * (size_of::<VmObjId>() + size_of::<MemObjId>())) as u64;
+        total += (self.cancelled_fills.len() * size_of::<(MemObjId, PageIdx)>()) as u64;
         for o in self.objects.values() {
             total += size_of::<AsvmObject>() as u64;
             total += node_ids(o.nodes.len() + o.stripe.len() + o.suspects.len());
@@ -624,17 +631,23 @@ impl AsvmNode {
 
     /// No local task is left to claim a speculative fill: forgets every
     /// speculative request still unanswered and returns how many (the
-    /// caller scores them `asvm.prefetch.cancelled`). A fill that arrives
-    /// anyway installs as an unsolicited read copy. Without this, a
-    /// speculative one-sided read lost on a backend without link ARQ
-    /// stays pending forever: only the watchdog re-issues it, and the
-    /// watchdog tick stops with the node's last task.
+    /// caller scores them `asvm.prefetch.cancelled`). Only for carriers
+    /// that can lose a request for good: a speculative one-sided read
+    /// dropped on a backend without link ARQ is re-issued by nothing but
+    /// the watchdog, and the watchdog tick stops with the node's last
+    /// task. A request that was not lost is still answered — a peer's
+    /// grant installs as an unsolicited read copy, a pager supply through
+    /// the remembered `cancelled_fills`.
     pub fn cancel_unclaimed_speculation(&mut self) -> u64 {
         let mut cancelled = 0;
-        for o in self.objects.values_mut() {
-            let before = o.pending.len();
-            o.pending.retain(|_, p| !p.speculative);
-            cancelled += (before - o.pending.len()) as u64;
+        for (mobj, o) in &mut self.objects {
+            o.pending.retain(|page, p| {
+                if p.speculative {
+                    self.cancelled_fills.insert((*mobj, *page));
+                    cancelled += 1;
+                }
+                !p.speculative
+            });
         }
         cancelled
     }
@@ -1202,6 +1215,25 @@ impl AsvmNode {
         let o = self.objects.get_mut(&mobj).unwrap();
         match reply {
             EmmiToKernel::DataSupply { page, data, .. } => {
+                if self.cancelled_fills.remove(&(mobj, page))
+                    && !o.pages.contains_key(&page)
+                    && !o.pending.contains_key(&page)
+                {
+                    // The fill of a cancelled speculation: the static
+                    // manager serializes the page behind it, so take it
+                    // as the plain read it now is.
+                    fx.bump("asvm.prefetch.cancelled_fill");
+                    o.pending.insert(
+                        page,
+                        PendingLocal {
+                            access: Access::Read,
+                            has_copy: false,
+                            issued: now,
+                            retries: 0,
+                            speculative: false,
+                        },
+                    );
+                }
                 // A recovery re-fetch can race the regular protocol: a
                 // late grant may rebuild local page state (completing the
                 // pending request, possibly followed by a newer pending)

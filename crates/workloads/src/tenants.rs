@@ -230,9 +230,7 @@ pub fn run_tenants(
         "working set larger than the object pool"
     );
     let mut setup = StdRng::seed_from_u64(spec.seed);
-    let sc = Scenario::new(ManagerKind::Asvm(cfg), spec.nodes, spec.seed)
-        .transport(transport)
-        .think(Dur::from_micros_f64(spec.think_us));
+    let sc = Scenario::new(ManagerKind::Asvm(cfg), spec.nodes, spec.seed).transport(transport);
     let mut ssi = sc.build();
 
     // The object pool: homes round-robin, classes drawn by the setup RNG.
@@ -314,7 +312,7 @@ pub fn run_tenants(
             page_zipf: Zipf::new(spec.pages_per_object as usize, spec.page_skew),
             phase_flip: spec.phase_flip,
             rng: StdRng::seed_from_u64(spec.seed ^ ((task.0 as u64) << 32)),
-            think: sc.think,
+            think: Dur::from_micros_f64(spec.think_us),
             think_pending: false,
         };
         ssi.spawn_at(at, node, task, Box::new(program));

@@ -162,3 +162,51 @@ fn lost_speculative_read_is_cancelled_when_the_node_goes_idle() {
         "the stranded speculative read must be scored as cancelled"
     );
 }
+
+/// A cancelled speculation is not always a lost one: readahead onto
+/// never-touched pages is routed by the static manager to the pager,
+/// which serializes every later request for the page behind that fill.
+/// The supply arriving after the requester went idle must still install
+/// and report ownership — dropping it as stale left the manager's fill
+/// record, and the second node's read queued behind it, stranded forever.
+#[test]
+fn cancelled_speculation_still_completes_its_pager_fill() {
+    use svmsim::{Dur, FaultPlan};
+    use workloads::Scenario;
+    // An armed plan that (at 1 ppm) never fires: the cancellation path
+    // runs, nothing is lost.
+    let plan = FaultPlan::seeded(1).with_dup_ppm(1);
+    let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_readahead(8));
+    let sc = Scenario::new(kind, 3, 1)
+        .transport(transport::Transport::RDMA)
+        .faults(plan);
+    let mut ssi = sc.build();
+    let (_, tasks) = Scenario::shared_region(&mut ssi, 3, 32, false);
+    // Node 1's only access issues readahead for pages 1..=8 and the task
+    // is done before any pager fill returns.
+    Scenario::spawn_script(
+        &mut ssi,
+        NodeId(1),
+        tasks[1],
+        vec![Step::Read { va_page: 0 }],
+    );
+    // Node 2 asks for one of those pages while its fill is in flight,
+    // and for another long after.
+    let late = vec![
+        Step::Compute(Dur::from_millis_f64(1.0)),
+        Step::Read { va_page: 3 },
+        Step::Compute(Dur::from_millis_f64(200.0)),
+        Step::Read { va_page: 5 },
+    ];
+    Scenario::spawn_script(&mut ssi, NodeId(2), tasks[2], late);
+    ssi.run(u64::MAX / 2).expect("quiesces");
+    let out = sc
+        .finish(ssi, svmsim::Time::ZERO)
+        .expect_completed("reads behind a cancelled speculation's fill");
+    assert!(out.counter("asvm.prefetch.cancelled") >= 1);
+    assert!(
+        out.counter("asvm.prefetch.cancelled_fill") >= 1,
+        "the late supplies must install, not be dropped as stale"
+    );
+    assert_eq!(out.counter("asvm.recover.stale_fill"), 0);
+}
