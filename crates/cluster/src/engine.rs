@@ -1,36 +1,43 @@
-//! The coherence-engine boundary: one trait, one effect vocabulary.
+//! The coherence-engine boundary: one trait, one effect sink.
 //!
-//! The paper's central comparison — ASVM's distributed manager against
-//! XMM's centralized one — used to be wired into [`crate::ClusterNode`]
-//! through a `Manager` enum matched in every glue site. This module makes
-//! the protocol a first-class, swappable layer instead:
+//! The paper can swap XMM for ASVM because both are *EMMI memory
+//! managers*: the Mach VM talks to either through one interface and never
+//! asks which one backs an object. [`CoherenceEngine`] is that boundary in
+//! this repository:
 //!
-//! * [`CoherenceEngine`] is the single surface a manager presents to the
-//!   node — EMMI ingress, inbound protocol messages, pager replies,
-//!   eviction, copy notification, fault completion;
-//! * every entry point returns an [`EngineFx`]: a CPU charge, an ordered
-//!   list of [`EngineEffect`]s, and the VM effects to drain;
-//! * exactly one interpreter loop (`ClusterNode::interpret`) consumes
-//!   those effects, so transport choice, pager routing, per-message-kind
+//! * it is the single surface a manager presents to the node — EMMI
+//!   ingress, inbound protocol messages, pager replies, eviction, copy
+//!   notification, fault completion, object registration, fork export and
+//!   import, and the optional capabilities (owner hints, access notes,
+//!   range locks) as defaulted methods an engine without them inherits;
+//! * every entry point writes into the caller's [`EngineFx`], which *is*
+//!   the manager's own sink ([`machvm::Fx`], defined once for both
+//!   managers): the trait impls hand [`AsvmNode`] and [`XmmNode`] the
+//!   field they write, nothing is converted or re-wrapped;
+//! * exactly one interpreter (`ClusterNode::interpret`) drains those
+//!   sinks, so transport choice, pager routing, per-message-kind
 //!   statistics and the protocol trace live in one place.
 //!
-//! A new protocol variant is now a trait impl plus a `Box::new` in the
-//! cluster factory — no new `match` arms anywhere.
+//! The trait is *closed*: `ClusterNode` and `Ssi` never downcast. The
+//! read-only [`CoherenceEngine::as_asvm`]/[`CoherenceEngine::as_xmm`]
+//! views exist for invariant checks, tests and bench probes only
+//! (`ci/check_engine_boundary.sh` keeps them out of `node.rs`/`ssi.rs`).
+//! A new protocol variant is a trait impl plus a `Box::new` in the cluster
+//! factory.
 //!
-//! **Effect ordering is load-bearing.** Pager sends precede protocol sends
-//! in the effect list: acknowledgements must never causally overtake the
-//! writebacks they follow, or a forwarded request could reach the pager
-//! first and be answered with stale contents. The conversions from the
-//! managers' native effect structs preserve exactly the order the old
-//! hand-rolled emitters used (pager → net → settled → lock grants → VM).
+//! **Drain order is load-bearing.** The interpreter empties a sink class
+//! by class — pager sends, protocol sends, settled copies, lock grants,
+//! then the VM effects (see [`machvm::fx`]). Acknowledgements must never
+//! causally overtake the writebacks they follow, or a forwarded request
+//! could reach the pager first and be answered with stale contents.
 //!
 //! # Delivery guarantees
 //!
 //! Engines emit protocol sends assuming reliable, but not ordered,
 //! delivery; the interpreter chooses how to honor that contract. On a
-//! fault-free machine every [`EngineEffect::Protocol`] send goes straight
-//! to the wire. When the machine's fault plan
-//! ([`svmsim::MachineConfig::faults`]) is active, ASVM sends instead ride
+//! fault-free machine every protocol send goes straight to the wire. When
+//! the machine's fault plan ([`svmsim::MachineConfig::faults`]) is
+//! active, ASVM sends instead ride
 //! a per-link retry channel (`asvm::retry`) — sequence numbers, acks,
 //! bounded exponential backoff, duplicate suppression — so the engines
 //! themselves never see a dropped, duplicated or reordered message. XMMI
@@ -55,10 +62,17 @@
 //! assert_eq!(norma.watchdog_deadline, Dur::from_millis(2500));
 //! ```
 
-use asvm::{AsvmNode, PageRange};
-use machvm::{EmmiToKernel, EmmiToPager, MemObjId, PageData, PageIdx, TaskId, VmObjId, VmSystem};
+use std::collections::BTreeMap;
+
+use asvm::{AsvmNode, OwnerHintEntry, PageRange};
+use machvm::{
+    Backing, EmmiToKernel, EmmiToPager, Inherit, MemObjId, PageData, PageIdx, TaskId, VmObjId,
+    VmSystem,
+};
 use svmsim::{Dur, NodeId, Time};
-use xmm::XmmNode;
+use xmm::{XmmBacking, XmmNode};
+
+use crate::msg::{ForkEntry, ObjInfo};
 
 /// A protocol message in transit between two engine instances, transport
 /// not yet chosen (that is the interpreter's job).
@@ -109,162 +123,59 @@ impl ProtocolMsg {
     }
 }
 
-/// One effect requested by a coherence engine, interpreted by the node.
-#[derive(Clone, Debug)]
-pub enum EngineEffect {
-    /// Send an EMMI request to a real pager task (NORMA-IPC).
-    Pager {
-        /// The I/O node hosting the pager.
-        pager_node: NodeId,
-        /// Node the pager's reply must go to (the request origin — not
-        /// necessarily the node dispatching the request).
-        reply_to: NodeId,
-        /// The memory object addressed.
-        mobj: MemObjId,
-        /// Reply-routing VM object on `reply_to`.
-        obj: VmObjId,
-        /// The EMMI call.
-        call: EmmiToPager,
-    },
-    /// Send a protocol message to a peer engine instance.
-    Protocol {
-        /// Destination node.
-        dst: NodeId,
-        /// The message.
-        msg: ProtocolMsg,
-    },
-    /// A copy notification settled on every sharing node; forks waiting on
-    /// `mobj` may complete.
-    CopySettled(MemObjId),
-    /// A range lock was granted; the waiting task may resume.
-    LockGranted(MemObjId, PageRange),
-}
-
-/// What one engine entry point asks the interpreter to do.
-///
-/// `EngineFx` is a *reusable sink*: engine entry points write into a
-/// caller-provided `&mut EngineFx`, and the interpreter drains it in
-/// place. The cluster node keeps a small pool of drained shells, so in
-/// steady state every vector here — and the native effect scratch buffers
-/// the conversions recycle — retains its capacity across millions of
-/// engine calls and the hot path allocates nothing.
+/// What one engine entry point asks the interpreter to do: the engines'
+/// own sinks, side by side. Each trait impl hands its manager the field
+/// it writes (the other stays empty), and `ClusterNode::interpret` drains
+/// both in place — nothing is copied between effect shapes. The cluster
+/// node pools drained shells, so every vector keeps its capacity across
+/// millions of engine calls and the hot path allocates nothing.
 #[derive(Debug, Default)]
 pub struct EngineFx {
-    /// Manager CPU consumed (charged to the message processor).
-    pub cpu: Dur,
-    /// Effects, in mandatory order (see the module docs).
-    pub out: Vec<EngineEffect>,
-    /// Kernel VM effects to drain after the sends.
-    pub vm: machvm::Effects,
-    /// Statistics counters to bump (the sans-IO engines have no stats
-    /// handle; the interpreter applies these).
-    pub bumps: Vec<&'static str>,
-    /// Drained ASVM native-effect shell, lent out by [`EngineFx::take_asvm`]
-    /// for the next engine call so its vectors keep their capacity.
-    asvm_scratch: asvm::Fx,
-    /// Drained XMM native-effect shell (see `asvm_scratch`).
-    xmm_scratch: xmm::Fx,
+    /// Written by [`AsvmNode`]; protocol sends leave as
+    /// [`ProtocolMsg::Asvm`].
+    pub asvm: asvm::Fx,
+    /// Written by [`XmmNode`]; protocol sends leave as
+    /// [`ProtocolMsg::Xmm`].
+    pub xmm: xmm::Fx,
 }
 
 impl EngineFx {
-    /// An empty effect set.
-    pub fn new() -> EngineFx {
-        EngineFx::default()
+    /// True if nothing is waiting to be interpreted.
+    pub fn is_drained(&self) -> bool {
+        self.asvm.is_drained() && self.xmm.is_drained()
+    }
+}
+
+/// Mints the node-unique names a fork needs.
+#[derive(Debug)]
+pub struct IdAlloc {
+    node: NodeId,
+    next_mobj: u32,
+    next_pseudo_task: u32,
+}
+
+impl IdAlloc {
+    /// The allocator of `node`.
+    pub fn new(node: NodeId) -> IdAlloc {
+        IdAlloc {
+            node,
+            next_mobj: 1,
+            next_pseudo_task: 1,
+        }
     }
 
-    /// Lends out the recycled ASVM effect sink for one native engine call;
-    /// [`EngineFx::absorb_asvm`] takes it back.
-    fn take_asvm(&mut self) -> asvm::Fx {
-        std::mem::take(&mut self.asvm_scratch)
+    /// A runtime memory object id unique to this node.
+    pub fn mobj(&mut self) -> MemObjId {
+        let m = MemObjId(((self.node.0 as u32 + 1) << 20) | self.next_mobj);
+        self.next_mobj += 1;
+        m
     }
 
-    /// Lends out the recycled XMM effect sink (see [`EngineFx::take_asvm`]).
-    fn take_xmm(&mut self) -> xmm::Fx {
-        std::mem::take(&mut self.xmm_scratch)
-    }
-
-    /// Drains ASVM's native effect struct into this sink, preserving emit
-    /// order, and keeps the emptied shell (vector capacities intact) as
-    /// scratch for the next call.
-    pub fn absorb_asvm(&mut self, me: NodeId, mut fx: asvm::Fx) {
-        self.cpu += fx.cpu;
-        fx.cpu = Dur::ZERO;
-        self.out
-            .reserve(fx.pager.len() + fx.net.len() + fx.settled.len() + fx.lock_granted.len());
-        for p in fx.pager.drain(..) {
-            self.out.push(EngineEffect::Pager {
-                pager_node: p.pager_node,
-                reply_to: p.reply_to,
-                mobj: p.mobj,
-                obj: p.obj,
-                call: p.call,
-            });
-        }
-        for ns in fx.net.drain(..) {
-            self.out.push(EngineEffect::Protocol {
-                dst: ns.dst,
-                msg: ProtocolMsg::Asvm {
-                    from: me,
-                    msg: ns.msg,
-                },
-            });
-        }
-        for mobj in fx.settled.drain(..) {
-            self.out.push(EngineEffect::CopySettled(mobj));
-        }
-        for (mobj, range) in fx.lock_granted.drain(..) {
-            self.out.push(EngineEffect::LockGranted(mobj, range));
-        }
-        self.bumps.append(&mut fx.bumps);
-        debug_assert!(
-            self.vm.out.is_empty() && self.vm.cpu.is_zero(),
-            "absorbing into a sink with undrained VM effects"
-        );
-        std::mem::swap(&mut self.vm, &mut fx.vm);
-        self.asvm_scratch = fx;
-    }
-
-    /// Drains XMM's native effect struct, preserving emit order (see
-    /// [`EngineFx::absorb_asvm`]).
-    pub fn absorb_xmm(&mut self, mut fx: xmm::Fx) {
-        self.cpu += fx.cpu;
-        fx.cpu = Dur::ZERO;
-        self.out.reserve(fx.pager.len() + fx.net.len());
-        for p in fx.pager.drain(..) {
-            self.out.push(EngineEffect::Pager {
-                pager_node: p.pager_node,
-                reply_to: p.reply_to,
-                mobj: p.mobj,
-                obj: p.obj,
-                call: p.call,
-            });
-        }
-        for xs in fx.net.drain(..) {
-            self.out.push(EngineEffect::Protocol {
-                dst: xs.dst,
-                msg: ProtocolMsg::Xmm(xs.msg),
-            });
-        }
-        debug_assert!(
-            self.vm.out.is_empty() && self.vm.cpu.is_zero(),
-            "absorbing into a sink with undrained VM effects"
-        );
-        std::mem::swap(&mut self.vm, &mut fx.vm);
-        self.xmm_scratch = fx;
-    }
-
-    /// Converts ASVM's native effect struct, preserving emit order.
-    pub fn from_asvm(me: NodeId, fx: asvm::Fx) -> EngineFx {
-        let mut out = EngineFx::new();
-        out.absorb_asvm(me, fx);
-        out
-    }
-
-    /// Converts XMM's native effect struct, preserving emit order.
-    pub fn from_xmm(fx: xmm::Fx) -> EngineFx {
-        let mut out = EngineFx::new();
-        out.absorb_xmm(fx);
-        out
+    /// A pseudo task id (fork snapshots) unique to this node.
+    pub fn pseudo_task(&mut self) -> TaskId {
+        let t = TaskId(0x8000_0000 | ((self.node.0 as u32) << 16) | self.next_pseudo_task);
+        self.next_pseudo_task += 1;
+        t
     }
 }
 
@@ -279,6 +190,10 @@ impl EngineFx {
 /// [`XmmNode`] (the NMK13 baseline) both implement it; the parity
 /// property test drives the same workload through each via this exact
 /// surface.
+///
+/// Methods with a default body are capabilities an engine may lack: the
+/// node calls them unconditionally and an engine without the capability
+/// answers "nothing to do".
 pub trait CoherenceEngine {
     /// Short engine name for traces and diagnostics.
     fn name(&self) -> &'static str;
@@ -286,11 +201,104 @@ pub trait CoherenceEngine {
     /// The memory object backing `obj`, if this engine manages it.
     fn mobj_of(&self, obj: VmObjId) -> Option<MemObjId>;
 
+    /// The local VM object representing `mobj`, if it is registered here.
+    fn vm_obj_of(&self, mobj: MemObjId) -> Option<VmObjId>;
+
     /// Approximate bytes of protocol metadata this engine holds right now
     /// (copyset entries, hint caches, manager tables, in-flight request
     /// state). Purely a telemetry gauge for the bounded-memory claim —
     /// never consulted by the protocol itself.
     fn state_bytes(&self) -> u64;
+
+    // --- Objects and forks ----------------------------------------------------
+
+    /// Registers `vm_obj` as the local representation of `mobj`.
+    fn register(&mut self, mobj: MemObjId, vm_obj: VmObjId, info: &ObjInfo, out: &mut EngineFx);
+
+    /// Ensures the local representation of `mobj` exists; returns its VM
+    /// object. Asking again for a known object emits nothing.
+    fn ensure_object(
+        &mut self,
+        vm: &mut VmSystem,
+        mobj: MemObjId,
+        info: &ObjInfo,
+        out: &mut EngineFx,
+    ) -> VmObjId {
+        if let Some(vo) = self.vm_obj_of(mobj) {
+            return vo;
+        }
+        let vo = vm.create_object(info.size_pages, Backing::External(mobj));
+        self.register(mobj, vo, info, out);
+        vo
+    }
+
+    /// Parent side of a remote fork: describes every region of `parent`'s
+    /// address space a child inherits, preparing `Copy` regions for
+    /// delayed copying the engine's way. `pager_node` backs objects that
+    /// become managed on the way; `ids` mints their names.
+    fn fork_export(
+        &mut self,
+        now: Time,
+        vm: &mut VmSystem,
+        parent: TaskId,
+        pager_node: NodeId,
+        ids: &mut IdAlloc,
+        out: &mut EngineFx,
+    ) -> Vec<ForkEntry>;
+
+    /// Child side of a remote fork: maps one inherited region into
+    /// `child`'s address space. Returns the object whose copy notification
+    /// must settle before the fork completes, if any.
+    fn fork_import(
+        &mut self,
+        vm: &mut VmSystem,
+        child: TaskId,
+        entry: ForkEntry,
+        out: &mut EngineFx,
+    ) -> Option<MemObjId> {
+        match entry {
+            ForkEntry::Share {
+                va_page,
+                pages,
+                prot,
+                inherit,
+                mobj,
+                info,
+            } => {
+                let vo = self.ensure_object(vm, mobj, &info, out);
+                vm.map_object(child, va_page, pages, vo, 0, prot, inherit);
+                None
+            }
+            copy => self.import_copy(vm, child, copy, out),
+        }
+    }
+
+    /// [`CoherenceEngine::fork_import`] for a `Copy` region, whose entry
+    /// kind is the exporting engine's own.
+    fn import_copy(
+        &mut self,
+        vm: &mut VmSystem,
+        child: TaskId,
+        entry: ForkEntry,
+        out: &mut EngineFx,
+    ) -> Option<MemObjId>;
+
+    /// Setup: `mobj`'s pages are striped over the pagers on `stripe`.
+    /// Engines with one pager per object ignore it.
+    fn set_object_stripe(&mut self, _mobj: MemObjId, _stripe: Vec<NodeId>) {}
+
+    /// Setup: the objects whose member lists
+    /// [`CoherenceEngine::finalize_membership`] wants. Engines that keep
+    /// no membership report none.
+    fn registered_objects(&self) -> Vec<MemObjId> {
+        Vec::new()
+    }
+
+    /// Setup: fixes each registered object's member list to the nodes that
+    /// registered it (`members`, gathered over the whole cluster).
+    fn finalize_membership(&mut self, _members: &BTreeMap<MemObjId, Vec<NodeId>>) {}
+
+    // --- Stimuli ----------------------------------------------------------------
 
     /// Handles an EMMI call from the local VM on a managed object.
     fn handle_emmi(
@@ -381,23 +389,95 @@ pub trait CoherenceEngine {
     fn on_watchdog(&mut self, _now: Time, _deadline: Dur, _vm: &mut VmSystem, _out: &mut EngineFx) {
     }
 
-    /// Downcast: the ASVM instance, if this engine is ASVM.
+    /// The node's last task finished under an active fault plan, so its
+    /// heartbeat and watchdog ticks stop. `lossy_carrier`: the protocol
+    /// transport has no link ARQ, so a request it lost is re-issued by
+    /// nothing but that watchdog. Returns whether peers run a failure
+    /// detector against this node and must be told the coming silence is
+    /// deliberate.
+    fn on_idle(&mut self, _lossy_carrier: bool, _out: &mut EngineFx) -> bool {
+        false
+    }
+
+    // --- Optional capabilities ----------------------------------------------------
+
+    /// Whether protocol sends for `mobj` go through the frame combiner,
+    /// where the engine configures that per object; `None` defers to the
+    /// node-level switch.
+    fn coalesce_enabled(&self, _mobj: MemObjId) -> Option<bool> {
+        None
+    }
+
+    /// This node's current ownership view of `(mobj, page)`, for
+    /// piggybacking on outgoing coalesced frames; `None` when cold.
+    fn owner_view(&self, _mobj: MemObjId, _page: PageIdx) -> Option<NodeId> {
+        None
+    }
+
+    /// Appends owner hints for the pages `dst` is predicted to fault on
+    /// next in `mobj`.
+    fn hint_window(&self, _mobj: MemObjId, _dst: NodeId, _out: &mut Vec<OwnerHintEntry>) {}
+
+    /// Applies a piggybacked owner hint; returns whether it was taken.
+    fn apply_owner_hint(&mut self, _mobj: MemObjId, _page: PageIdx, _owner: NodeId) -> bool {
+        false
+    }
+
+    /// Whether [`CoherenceEngine::note_access`] wants to hear about
+    /// accesses that hit in local memory. One boolean test per hit, so
+    /// engines that do not care cost the hot path nothing.
+    fn wants_access_notes(&self) -> bool {
+        false
+    }
+
+    /// A demand access to `page` of `obj` was satisfied locally (no fault).
+    #[allow(clippy::too_many_arguments)]
+    fn note_access(
+        &mut self,
+        _now: Time,
+        _vm: &mut VmSystem,
+        _obj: VmObjId,
+        _page: PageIdx,
+        _write: bool,
+        _out: &mut EngineFx,
+    ) {
+    }
+
+    /// Requests an exclusive range lock (§6 future work). Returns whether
+    /// it was granted within this call; otherwise the grant arrives later
+    /// as a lock-granted effect.
+    ///
+    /// # Panics
+    ///
+    /// Panics on engines without range locks.
+    fn lock_range(&mut self, _mobj: MemObjId, _range: PageRange, _out: &mut EngineFx) -> bool {
+        panic!(
+            "range locks require an ASVM cluster (this one runs {})",
+            self.name()
+        )
+    }
+
+    /// Releases a range lock previously granted to this node.
+    ///
+    /// # Panics
+    ///
+    /// Panics on engines without range locks.
+    fn unlock_range(&mut self, _mobj: MemObjId, _range: PageRange, _out: &mut EngineFx) {
+        panic!(
+            "range locks require an ASVM cluster (this one runs {})",
+            self.name()
+        )
+    }
+
+    // --- Inspection (invariant checks, tests, bench probes) -----------------------
+
+    /// Read-only view of the ASVM instance, if this engine is ASVM.
     fn as_asvm(&self) -> Option<&AsvmNode> {
         None
     }
 
-    /// Downcast: mutable ASVM instance.
-    fn as_asvm_mut(&mut self) -> Option<&mut AsvmNode> {
-        None
-    }
-
-    /// Downcast: the XMM instance, if this engine is XMM.
+    /// Read-only view of the XMM instance, if this engine is XMM.
     fn as_xmm(&self) -> Option<&XmmNode> {
-        None
-    }
-
-    /// Downcast: mutable XMM instance.
-    fn as_xmm_mut(&mut self) -> Option<&mut XmmNode> {
         None
     }
 }
@@ -411,8 +491,109 @@ impl CoherenceEngine for AsvmNode {
         AsvmNode::mobj_of(self, obj)
     }
 
+    fn vm_obj_of(&self, mobj: MemObjId) -> Option<VmObjId> {
+        self.find_object(mobj).map(|o| o.vm_obj)
+    }
+
     fn state_bytes(&self) -> u64 {
         AsvmNode::state_bytes(self)
+    }
+
+    fn register(&mut self, mobj: MemObjId, vm_obj: VmObjId, info: &ObjInfo, out: &mut EngineFx) {
+        self.register_object(
+            mobj,
+            vm_obj,
+            info.size_pages,
+            info.home,
+            info.pager_node,
+            info.cfg,
+            &mut out.asvm,
+        );
+        asvm::declare_copy_link(self, mobj, info.source, info.peer);
+    }
+
+    fn fork_export(
+        &mut self,
+        _now: Time,
+        vm: &mut VmSystem,
+        parent: TaskId,
+        pager_node: NodeId,
+        ids: &mut IdAlloc,
+        out: &mut EngineFx,
+    ) -> Vec<ForkEntry> {
+        let mut fes = Vec::new();
+        for e in vm.address_map(parent).entries().to_vec() {
+            match e.inherit {
+                Inherit::None => {}
+                Inherit::Share => {
+                    let mobj = AsvmNode::mobj_of(self, e.object)
+                        .expect("Share-inherited region must be ASVM-managed");
+                    fes.push(ForkEntry::Share {
+                        va_page: e.va_page,
+                        pages: e.pages,
+                        prot: e.prot,
+                        inherit: e.inherit,
+                        mobj,
+                        info: obj_info(self, mobj),
+                    });
+                }
+                Inherit::Copy => {
+                    let source_mobj =
+                        manage_copy_source(self, vm, e.object, pager_node, ids, &mut out.asvm);
+                    fes.push(ForkEntry::CopyAsvm {
+                        va_page: e.va_page,
+                        pages: e.pages,
+                        prot: e.prot,
+                        source_mobj,
+                        info: obj_info(self, source_mobj),
+                    });
+                }
+            }
+        }
+        fes
+    }
+
+    fn import_copy(
+        &mut self,
+        vm: &mut VmSystem,
+        child: TaskId,
+        entry: ForkEntry,
+        out: &mut EngineFx,
+    ) -> Option<MemObjId> {
+        let ForkEntry::CopyAsvm {
+            va_page,
+            pages,
+            prot,
+            source_mobj,
+            info,
+        } = entry
+        else {
+            panic!("ASVM cannot import fork entry {entry:?}");
+        };
+        // Paper §3.7: establish a shared mapping of the source, then
+        // create a local copy through the VM; the resulting CopyCreated
+        // effect broadcasts the version bump, and the fork completes only
+        // when every member settled it.
+        let src_vo = self.ensure_object(vm, source_mobj, &info, out);
+        let copy = vm.copy_delayed(src_vo, &mut out.asvm.vm);
+        vm.map_object(child, va_page, pages, copy, 0, prot, Inherit::Copy);
+        Some(source_mobj)
+    }
+
+    fn set_object_stripe(&mut self, mobj: MemObjId, stripe: Vec<NodeId>) {
+        self.object_mut(mobj).stripe = stripe;
+    }
+
+    fn registered_objects(&self) -> Vec<MemObjId> {
+        self.objects().map(|o| o.mobj).collect()
+    }
+
+    fn finalize_membership(&mut self, members: &BTreeMap<MemObjId, Vec<NodeId>>) {
+        for mobj in self.registered_objects() {
+            if let Some(list) = members.get(&mobj) {
+                self.object_mut(mobj).nodes = list.clone();
+            }
+        }
     }
 
     fn handle_emmi(
@@ -423,9 +604,7 @@ impl CoherenceEngine for AsvmNode {
         call: EmmiToPager,
         out: &mut EngineFx,
     ) {
-        let mut fx = out.take_asvm();
-        AsvmNode::handle_emmi(self, now, vm, obj, call, &mut fx);
-        out.absorb_asvm(self.me(), fx);
+        AsvmNode::handle_emmi(self, now, vm, obj, call, &mut out.asvm);
     }
 
     fn handle_protocol(
@@ -437,9 +616,7 @@ impl CoherenceEngine for AsvmNode {
     ) {
         match msg {
             ProtocolMsg::Asvm { from, msg } => {
-                let mut fx = out.take_asvm();
-                AsvmNode::handle_msg(self, now, vm, from, msg, &mut fx);
-                out.absorb_asvm(self.me(), fx);
+                AsvmNode::handle_msg(self, now, vm, from, msg, &mut out.asvm);
             }
             ProtocolMsg::Xmm(m) => {
                 // Cannot happen in a well-formed cluster (every node runs
@@ -458,9 +635,7 @@ impl CoherenceEngine for AsvmNode {
         reply: EmmiToKernel,
         out: &mut EngineFx,
     ) {
-        let mut fx = out.take_asvm();
-        AsvmNode::on_pager_reply(self, now, vm, obj, reply, &mut fx);
-        out.absorb_asvm(self.me(), fx);
+        AsvmNode::on_pager_reply(self, now, vm, obj, reply, &mut out.asvm);
     }
 
     fn handle_evict(
@@ -473,26 +648,19 @@ impl CoherenceEngine for AsvmNode {
         dirty: bool,
         out: &mut EngineFx,
     ) {
-        let mut fx = out.take_asvm();
-        AsvmNode::evict_external(self, now, vm, obj, page, data, dirty, &mut fx);
-        out.absorb_asvm(self.me(), fx);
+        AsvmNode::evict_external(self, now, vm, obj, page, data, dirty, &mut out.asvm);
     }
 
     fn copy_created(&mut self, now: Time, vm: &mut VmSystem, source: VmObjId, out: &mut EngineFx) {
         // Only copies of managed objects trigger the distributed version
         // bump (§3.7); anonymous shadow-chain internals stay local.
-        let Some(mobj) = AsvmNode::mobj_of(self, source) else {
-            return;
-        };
-        let mut fx = out.take_asvm();
-        AsvmNode::copy_made_local(self, now, vm, mobj, &mut fx);
-        out.absorb_asvm(self.me(), fx);
+        if let Some(mobj) = AsvmNode::mobj_of(self, source) {
+            AsvmNode::copy_made_local(self, now, vm, mobj, &mut out.asvm);
+        }
     }
 
     fn peer_suspected(&mut self, now: Time, vm: &mut VmSystem, peer: NodeId, out: &mut EngineFx) {
-        let mut fx = out.take_asvm();
-        AsvmNode::peer_suspected(self, now, vm, peer, &mut fx);
-        out.absorb_asvm(self.me(), fx);
+        AsvmNode::peer_suspected(self, now, vm, peer, &mut out.asvm);
     }
 
     fn peer_cleared(&mut self, _now: Time, _vm: &mut VmSystem, peer: NodeId, _out: &mut EngineFx) {
@@ -500,18 +668,108 @@ impl CoherenceEngine for AsvmNode {
     }
 
     fn on_watchdog(&mut self, now: Time, deadline: Dur, vm: &mut VmSystem, out: &mut EngineFx) {
-        let mut fx = out.take_asvm();
-        AsvmNode::watchdog(self, now, deadline, vm, &mut fx);
-        out.absorb_asvm(self.me(), fx);
+        AsvmNode::watchdog(self, now, deadline, vm, &mut out.asvm);
+    }
+
+    fn on_idle(&mut self, lossy_carrier: bool, out: &mut EngineFx) -> bool {
+        if lossy_carrier {
+            // Speculation nobody is left to claim must not wait on a
+            // re-issue that will never come.
+            for _ in 0..self.cancel_unclaimed_speculation() {
+                out.asvm.bump("asvm.prefetch.cancelled");
+            }
+        }
+        true
+    }
+
+    fn coalesce_enabled(&self, mobj: MemObjId) -> Option<bool> {
+        self.find_object(mobj).map(|o| o.cfg.coalesce.enabled)
+    }
+
+    fn owner_view(&self, mobj: MemObjId, page: PageIdx) -> Option<NodeId> {
+        AsvmNode::owner_view(self, mobj, page)
+    }
+
+    fn hint_window(&self, mobj: MemObjId, dst: NodeId, out: &mut Vec<OwnerHintEntry>) {
+        self.prefetch_hint_window(mobj, dst, out);
+    }
+
+    fn apply_owner_hint(&mut self, mobj: MemObjId, page: PageIdx, owner: NodeId) -> bool {
+        AsvmNode::apply_owner_hint(self, mobj, page, owner)
+    }
+
+    fn wants_access_notes(&self) -> bool {
+        AsvmNode::wants_access_notes(self)
+    }
+
+    fn note_access(
+        &mut self,
+        now: Time,
+        vm: &mut VmSystem,
+        obj: VmObjId,
+        page: PageIdx,
+        write: bool,
+        out: &mut EngineFx,
+    ) {
+        self.prefetch_note_access(now, vm, obj, page, write, &mut out.asvm);
+    }
+
+    fn lock_range(&mut self, mobj: MemObjId, range: PageRange, out: &mut EngineFx) -> bool {
+        AsvmNode::lock_range(self, mobj, range, &mut out.asvm);
+        out.asvm.lock_granted.contains(&(mobj, range))
+    }
+
+    fn unlock_range(&mut self, mobj: MemObjId, range: PageRange, out: &mut EngineFx) {
+        AsvmNode::unlock_range(self, mobj, range, &mut out.asvm);
     }
 
     fn as_asvm(&self) -> Option<&AsvmNode> {
         Some(self)
     }
+}
 
-    fn as_asvm_mut(&mut self) -> Option<&mut AsvmNode> {
-        Some(self)
+/// What another node needs to instantiate `mobj`, as this node knows it.
+fn obj_info(a: &AsvmNode, mobj: MemObjId) -> ObjInfo {
+    let o = a.object(mobj);
+    ObjInfo {
+        size_pages: o.size_pages,
+        home: o.home,
+        pager_node: o.pager_node,
+        cfg: o.cfg,
+        peer: o.peer,
+        source: o.source,
     }
+}
+
+/// Ensures a VM object about to be copied by a fork is ASVM-managed
+/// (§3.7): an unmanaged one gets a memory object id homed on this node,
+/// which adopts the resident pages as owned here.
+fn manage_copy_source(
+    a: &mut AsvmNode,
+    vm: &mut VmSystem,
+    obj: VmObjId,
+    pager_node: NodeId,
+    ids: &mut IdAlloc,
+    fx: &mut asvm::Fx,
+) -> MemObjId {
+    if let Some(m) = a.mobj_of(obj) {
+        return m;
+    }
+    let mobj = ids.mobj();
+    let me = a.me();
+    let source = vm.object(obj).shadow.and_then(|s| a.mobj_of(s));
+    vm.associate(obj, mobj);
+    let size = vm.object(obj).size_pages;
+    let cfg = asvm::AsvmConfig::default();
+    a.register_object(mobj, obj, size, me, pager_node, cfg, fx);
+    asvm::declare_copy_link(a, mobj, source, source.map(|_| me));
+    let o = a.object_mut(mobj);
+    for (p, rp) in vm.object(obj).pages.iter() {
+        let mut pi = asvm::PageInfo::new(rp.prot, true, o.version);
+        pi.dirty = true;
+        o.pages.insert(p, pi);
+    }
+    mobj
 }
 
 impl CoherenceEngine for XmmNode {
@@ -523,8 +781,112 @@ impl CoherenceEngine for XmmNode {
         XmmNode::mobj_of(self, obj)
     }
 
+    fn vm_obj_of(&self, mobj: MemObjId) -> Option<VmObjId> {
+        self.has_object(mobj).then(|| self.object(mobj).vm_obj)
+    }
+
     fn state_bytes(&self) -> u64 {
         XmmNode::state_bytes(self)
+    }
+
+    fn register(&mut self, mobj: MemObjId, vm_obj: VmObjId, info: &ObjInfo, _out: &mut EngineFx) {
+        let backing = XmmBacking::RealPager {
+            node: info.pager_node,
+        };
+        self.register_object(mobj, vm_obj, info.size_pages, info.home, backing);
+    }
+
+    fn fork_export(
+        &mut self,
+        now: Time,
+        vm: &mut VmSystem,
+        parent: TaskId,
+        _pager_node: NodeId,
+        ids: &mut IdAlloc,
+        out: &mut EngineFx,
+    ) -> Vec<ForkEntry> {
+        let entries = vm.address_map(parent).entries().to_vec();
+        // Snapshot the parent's address space into a pseudo task;
+        // internal pagers serve the copies (paper §2.3.3).
+        let pseudo = ids.pseudo_task();
+        vm.fork_local(now, parent, pseudo, &mut out.xmm.vm);
+        let mut fes = Vec::new();
+        for e in entries {
+            match e.inherit {
+                Inherit::None => {}
+                Inherit::Share => {
+                    let mobj = XmmNode::mobj_of(self, e.object)
+                        .expect("Share-inherited region must be XMM-managed");
+                    let xo = self.object(mobj);
+                    let XmmBacking::RealPager { node: pager_node } = xo.backing else {
+                        panic!("shared mapping of internal-pager object")
+                    };
+                    fes.push(ForkEntry::Share {
+                        va_page: e.va_page,
+                        pages: e.pages,
+                        prot: e.prot,
+                        inherit: e.inherit,
+                        mobj,
+                        info: ObjInfo {
+                            size_pages: xo.size_pages,
+                            home: xo.manager,
+                            pager_node,
+                            cfg: asvm::AsvmConfig::default(),
+                            peer: None,
+                            source: None,
+                        },
+                    });
+                }
+                Inherit::Copy => {
+                    if let Some(m) = XmmNode::mobj_of(self, e.object) {
+                        // Inherited-memory *chains* are fine (the object
+                        // is backed by an internal pager); combining
+                        // truly shared (real-pager) memory with
+                        // inheritance is NMK13's semantic gap and
+                        // unsupported.
+                        assert!(
+                            matches!(self.object(m).backing, XmmBacking::InternalPager { .. }),
+                            "NMK13 XMM cannot combine shared and inherited memory \
+                             (the semantic gap the paper notes)"
+                        );
+                    }
+                    let mobj = ids.mobj();
+                    self.register_internal_pager(mobj, pseudo, e.va_page);
+                    fes.push(ForkEntry::CopyXmm {
+                        va_page: e.va_page,
+                        pages: e.pages,
+                        prot: e.prot,
+                        mobj,
+                        ip_node: self.me(),
+                    });
+                }
+            }
+        }
+        fes
+    }
+
+    fn import_copy(
+        &mut self,
+        vm: &mut VmSystem,
+        child: TaskId,
+        entry: ForkEntry,
+        _out: &mut EngineFx,
+    ) -> Option<MemObjId> {
+        let ForkEntry::CopyXmm {
+            va_page,
+            pages,
+            prot,
+            mobj,
+            ip_node,
+        } = entry
+        else {
+            panic!("XMM cannot import fork entry {entry:?}");
+        };
+        let vo = vm.create_object(pages, Backing::External(mobj));
+        let backing = XmmBacking::InternalPager { node: ip_node };
+        self.register_object(mobj, vo, pages, ip_node, backing);
+        vm.map_object(child, va_page, pages, vo, 0, prot, Inherit::Copy);
+        None
     }
 
     fn handle_emmi(
@@ -535,9 +897,7 @@ impl CoherenceEngine for XmmNode {
         call: EmmiToPager,
         out: &mut EngineFx,
     ) {
-        let mut fx = out.take_xmm();
-        XmmNode::handle_emmi(self, now, vm, obj, call, &mut fx);
-        out.absorb_xmm(fx);
+        XmmNode::handle_emmi(self, now, vm, obj, call, &mut out.xmm);
     }
 
     fn handle_protocol(
@@ -548,11 +908,7 @@ impl CoherenceEngine for XmmNode {
         out: &mut EngineFx,
     ) {
         match msg {
-            ProtocolMsg::Xmm(m) => {
-                let mut fx = out.take_xmm();
-                XmmNode::handle_msg(self, now, vm, m, &mut fx);
-                out.absorb_xmm(fx);
-            }
+            ProtocolMsg::Xmm(m) => XmmNode::handle_msg(self, now, vm, m, &mut out.xmm),
             ProtocolMsg::Asvm { msg, .. } => {
                 debug_assert!(false, "ASVM message delivered to XMM engine: {msg:?}");
             }
@@ -567,9 +923,7 @@ impl CoherenceEngine for XmmNode {
         reply: EmmiToKernel,
         out: &mut EngineFx,
     ) {
-        let mut fx = out.take_xmm();
-        XmmNode::on_pager_reply(self, now, vm, obj, reply, &mut fx);
-        out.absorb_xmm(fx);
+        XmmNode::on_pager_reply(self, now, vm, obj, reply, &mut out.xmm);
     }
 
     fn handle_evict(
@@ -582,9 +936,7 @@ impl CoherenceEngine for XmmNode {
         dirty: bool,
         out: &mut EngineFx,
     ) {
-        let mut fx = out.take_xmm();
-        XmmNode::evict_external(self, now, vm, obj, page, data, dirty, &mut fx);
-        out.absorb_xmm(fx);
+        XmmNode::evict_external(self, now, vm, obj, page, data, dirty, &mut out.xmm);
     }
 
     fn fault_completed(
@@ -600,21 +952,14 @@ impl CoherenceEngine for XmmNode {
         if !self.is_ip_task(task) {
             return false;
         }
-        let mut fx = out.take_xmm();
-        self.ip_fault_done(now, vm, task, fault, &mut fx);
-        out.absorb_xmm(fx);
+        self.ip_fault_done(now, vm, task, fault, &mut out.xmm);
         true
     }
 
     fn as_xmm(&self) -> Option<&XmmNode> {
         Some(self)
     }
-
-    fn as_xmm_mut(&mut self) -> Option<&mut XmmNode> {
-        Some(self)
-    }
 }
-
 /// Direction of a traced protocol event, relative to the recording node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TraceDir {
@@ -624,8 +969,12 @@ pub enum TraceDir {
     Recv,
 }
 
-/// One entry in the protocol trace ring: enough to reconstruct the message
-/// interleaving around a failure without retaining page contents.
+/// One entry in the trace ring: a protocol message sent or received, an
+/// EMMI request sent to a pager, or a local completion (`cluster.suspect`,
+/// `cluster.copy_settled`, `cluster.lock_granted`, recorded as received
+/// from the node concerned) — in the order the interpreter acted, enough
+/// to reconstruct the interleaving around a failure without retaining page
+/// contents.
 #[derive(Clone, Debug)]
 pub struct ProtoEvent {
     /// Simulation time of the send or delivery.

@@ -6,9 +6,10 @@
 //!
 //! * [`CoherenceEngine`] — the trait boundary every distributed memory
 //!   manager implements ([`asvm::AsvmNode`] and [`xmm::XmmNode`]); each
-//!   entry point returns an [`EngineFx`] consumed by the node's single
-//!   effect interpreter, which owns transport choice, pager routing,
-//!   per-message-kind statistics and the protocol trace ring;
+//!   entry point writes the manager's own effect sink ([`EngineFx`],
+//!   one [`machvm::Fx`] per manager), drained in place by the node's
+//!   single effect interpreter, which owns transport choice, pager
+//!   routing, per-message-kind statistics and the protocol trace ring;
 //! * [`ClusterNode`] — one multicomputer node: kernel VM, engine instance,
 //!   pager tasks (on I/O nodes), and the task driver that executes
 //!   [`Program`]s step by step, suspending on faults and barriers;
@@ -27,7 +28,7 @@ pub mod program;
 pub mod ssi;
 pub mod validate;
 
-pub use engine::{CoherenceEngine, EngineEffect, EngineFx, ProtoEvent, ProtocolMsg, TraceDir};
+pub use engine::{CoherenceEngine, EngineFx, IdAlloc, ProtoEvent, ProtocolMsg, TraceDir};
 pub use msg::{ForkEntry, ForkMsg, Msg, ObjInfo};
 pub use node::{ClusterNode, LinkFailure};
 pub use program::{FnProgram, Program, ScriptProgram, Step, TaskEnv};

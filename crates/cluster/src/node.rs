@@ -1,28 +1,28 @@
 //! The cluster node: kernel VM + coherence engine + pagers + task driver,
 //! bound to the simulation event loop.
 //!
-//! Protocol work is delegated to the node's [`CoherenceEngine`]; everything
-//! the engine wants done comes back as [`EngineFx`] and flows through one
-//! interpreter (`ClusterNode::interpret`), which is the only place that
-//! chooses transports, routes pager traffic, counts per-message-kind
-//! statistics and records the protocol trace.
+//! Protocol work is delegated to the node's [`CoherenceEngine`] — only
+//! through the trait; this file never asks which engine it runs.
+//! Everything the engine wants done is written into an [`EngineFx`] and
+//! drained by one interpreter (`ClusterNode::interpret`), which is the
+//! only place that chooses transports, routes pager traffic, counts
+//! per-message-kind statistics and records the protocol trace.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use asvm::{
-    AsvmMsg, AsvmNode, FrameBody, LinkReceiver, LinkSender, RecoveryTiming, TimeoutVerdict,
+    AsvmMsg, FrameBody, LinkReceiver, LinkSender, PageRange, RecoveryTiming, TimeoutVerdict,
 };
 use machvm::{
-    Access, EmmiToKernel, EmmiToPager, Inherit, MemObjId, PageData, TaskId, VmEffect, VmObjId,
+    Access, EmmiToKernel, EmmiToPager, MemObjId, PageData, PageIdx, PagerSend, TaskId, VmEffect,
     VmSystem,
 };
 use pager::{DefaultPager, FilePager, PagerIn};
 use svmsim::{Ctx, Dur, NodeBehavior, NodeId, NodeKind, Time, TraceRing};
 use transport::Transport;
-use xmm::{XmmBacking, XmmNode};
 
-use crate::engine::{CoherenceEngine, EngineEffect, EngineFx, ProtoEvent, ProtocolMsg, TraceDir};
-use crate::msg::{ForkEntry, ForkMsg, Msg, ObjInfo};
+use crate::engine::{CoherenceEngine, EngineFx, IdAlloc, ProtoEvent, ProtocolMsg, TraceDir};
+use crate::msg::{ForkMsg, Msg};
 use crate::program::{Program, Step, TaskEnv};
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -96,8 +96,8 @@ pub struct ClusterNode {
     pub barrier_parties: u32,
     barrier_counts: BTreeMap<u32, u32>,
     barrier_waiting: BTreeMap<u32, Vec<TaskId>>,
-    next_mobj: u32,
-    next_pseudo_task: u32,
+    /// Names this node mints for objects and pseudo tasks created by forks.
+    ids: IdAlloc,
     deferred_forks: Vec<DeferredFork>,
     /// Tasks waiting for a range-lock grant, keyed by (object, range).
     lock_waiters: BTreeMap<(MemObjId, u32, u32), TaskId>,
@@ -106,7 +106,8 @@ pub struct ClusterNode {
     pub asvm_transport: Transport,
     /// Tasks that have finished on this node.
     pub tasks_done: u32,
-    /// Protocol event trace, recorded only when installed
+    /// Trace of protocol messages, pager sends and local completions, in
+    /// the order the interpreter acted; recorded only when installed
     /// ([`crate::Ssi::enable_trace`]).
     pub trace: Option<TraceRing<ProtoEvent>>,
     /// ARQ and watchdog timeouts (used only while the machine's fault plan
@@ -182,8 +183,7 @@ impl ClusterNode {
             barrier_parties: 0,
             barrier_counts: BTreeMap::new(),
             barrier_waiting: BTreeMap::new(),
-            next_mobj: 1,
-            next_pseudo_task: 1,
+            ids: IdAlloc::new(id),
             deferred_forks: Vec::new(),
             lock_waiters: BTreeMap::new(),
             asvm_transport: Transport::STS,
@@ -203,26 +203,6 @@ impl ClusterNode {
             effects_pool: Vec::new(),
             vmq_pool: Vec::new(),
         }
-    }
-
-    /// The ASVM instance, if this node runs ASVM.
-    pub fn asvm(&self) -> Option<&AsvmNode> {
-        self.engine.as_asvm()
-    }
-
-    /// Mutable ASVM instance, if this node runs ASVM.
-    pub fn asvm_mut(&mut self) -> Option<&mut AsvmNode> {
-        self.engine.as_asvm_mut()
-    }
-
-    /// The XMM instance, if this node runs XMM.
-    pub fn xmm(&self) -> Option<&XmmNode> {
-        self.engine.as_xmm()
-    }
-
-    /// Mutable XMM instance, if this node runs XMM.
-    pub fn xmm_mut(&mut self) -> Option<&mut XmmNode> {
-        self.engine.as_xmm_mut()
     }
 
     /// Installs a task with its program (does not start it; post a
@@ -260,33 +240,43 @@ impl ClusterNode {
         Some(t.finished?.since(t.started))
     }
 
-    /// Allocates a runtime memory object id unique to this node.
-    fn alloc_mobj(&mut self) -> MemObjId {
-        let m = MemObjId(((self.id.0 as u32 + 1) << 20) | self.next_mobj);
-        self.next_mobj += 1;
-        m
-    }
-
-    fn alloc_pseudo_task(&mut self) -> TaskId {
-        let t = TaskId(0x8000_0000 | ((self.id.0 as u32) << 16) | self.next_pseudo_task);
-        self.next_pseudo_task += 1;
-        t
-    }
-
     // --- The effect interpreter --------------------------------------------
+
+    /// Pushes one event onto the trace ring. Callers on the per-message
+    /// path test `self.trace` first, so an untraced run computes no keys.
+    fn trace_event(
+        &mut self,
+        time: Time,
+        dir: TraceDir,
+        peer: NodeId,
+        kind: &'static str,
+        mobj: MemObjId,
+        page: Option<PageIdx>,
+    ) {
+        if let Some(ring) = &mut self.trace {
+            let node = self.id;
+            ring.push(ProtoEvent {
+                time,
+                node,
+                peer,
+                dir,
+                kind,
+                mobj,
+                page,
+            });
+        }
+    }
+
+    /// Records something that happened on this node — `kind` concerning
+    /// `peer` — rather than a message.
+    fn trace_local(&mut self, now: Time, kind: &'static str, peer: NodeId, mobj: MemObjId) {
+        self.trace_event(now, TraceDir::Recv, peer, kind, mobj, None);
+    }
 
     /// Records a protocol event if a trace ring is installed.
     fn record_trace(&mut self, now: Time, dir: TraceDir, peer: NodeId, msg: &ProtocolMsg) {
-        if let Some(ring) = &mut self.trace {
-            ring.push(ProtoEvent {
-                time: now,
-                node: self.id,
-                peer,
-                dir,
-                kind: msg.stat_key(),
-                mobj: msg.mobj(),
-                page: msg.page(),
-            });
+        if self.trace.is_some() {
+            self.trace_event(now, dir, peer, msg.stat_key(), msg.mobj(), msg.page());
         }
     }
 
@@ -294,16 +284,8 @@ impl ClusterNode {
     /// subframes of a coalesced frame are traced individually without
     /// rebuilding a `ProtocolMsg` per subframe.
     fn record_trace_asvm(&mut self, now: Time, dir: TraceDir, peer: NodeId, msg: &AsvmMsg) {
-        if let Some(ring) = &mut self.trace {
-            ring.push(ProtoEvent {
-                time: now,
-                node: self.id,
-                peer,
-                dir,
-                kind: msg.stat_key(),
-                mobj: msg.mobj(),
-                page: msg.page(),
-            });
+        if self.trace.is_some() {
+            self.trace_event(now, dir, peer, msg.stat_key(), msg.mobj(), msg.page());
         }
     }
 
@@ -316,24 +298,18 @@ impl ClusterNode {
     /// The single pager-request send site: every EMMI request to a real
     /// pager — manager-issued or anonymous-memory — leaves through here,
     /// tagged with its per-call-kind counter.
-    fn send_pager_req(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        pager_node: NodeId,
-        reply_to: NodeId,
-        mobj: MemObjId,
-        obj: VmObjId,
-        call: EmmiToPager,
-    ) {
-        let payload = pager_payload(&call, self.vm.page_size());
-        let kind = call.stat_key();
+    fn send_pager_req(&mut self, ctx: &mut Ctx<'_, Msg>, p: PagerSend) {
+        let payload = pager_payload(&p.call, self.vm.page_size());
+        let kind = p.call.stat_key();
+        let page = Some(p.call.page());
+        self.trace_event(ctx.now(), TraceDir::Send, p.pager_node, kind, p.mobj, page);
         let pin = PagerIn {
-            from_node: reply_to,
-            obj,
-            mobj,
-            call,
+            from_node: p.reply_to,
+            obj: p.obj,
+            mobj: p.mobj,
+            call: p.call,
         };
-        Transport::NORMA.send_tagged(ctx, pager_node, payload, kind, Msg::PagerReq(pin));
+        Transport::NORMA.send_tagged(ctx, p.pager_node, payload, kind, Msg::PagerReq(pin));
     }
 
     /// Sends one protocol message, choosing the transport and counting the
@@ -434,16 +410,13 @@ impl ClusterNode {
     }
 
     /// Whether protocol sends for `mobj` should go through the frame
-    /// combiner: the object's own configuration where the engine has one
-    /// (so per-object overrides and runtime policy switches take effect),
-    /// the node-level default otherwise (XMM, or an object not registered
-    /// here). Identical to the node-level switch whenever every object was
-    /// registered with the cluster-wide configuration.
+    /// combiner: the object's own setting where the engine keeps one (so
+    /// per-object overrides and runtime policy switches take effect), the
+    /// node-level default otherwise.
     fn coalesce_enabled_for(&self, mobj: MemObjId) -> bool {
-        match self.engine.as_asvm().and_then(|a| a.object_cfg(mobj)) {
-            Some(cfg) => cfg.coalesce.enabled,
-            None => self.coalesce.enabled,
-        }
+        self.engine
+            .coalesce_enabled(mobj)
+            .unwrap_or(self.coalesce.enabled)
     }
 
     /// Charges the backend's one-time per-peer link setup (queue pair
@@ -480,20 +453,17 @@ impl ClusterNode {
     /// interpreted normally, so protocol state stays identical across
     /// backends.
     fn finish_rdma_read(&mut self, ctx: &mut Ctx<'_, Msg>, requester: NodeId, fx: &mut EngineFx) {
-        let nic_served = fx.out.len() == 1
+        let a = &fx.asvm;
+        let nic_served = a.pager.is_empty()
+            && a.settled.is_empty()
+            && a.lock_granted.is_empty()
             && matches!(
-                &fx.out[0],
-                EngineEffect::Protocol {
-                    dst,
-                    msg: ProtocolMsg::Asvm {
-                        msg: AsvmMsg::Grant {
-                            ownership: false,
-                            pull_snapshot: false,
-                            ..
-                        },
-                        ..
-                    },
-                } if *dst == requester
+                a.net.as_slice(),
+                [(dst, AsvmMsg::Grant {
+                    ownership: false,
+                    pull_snapshot: false,
+                    ..
+                })] if *dst == requester
             );
         if !nic_served {
             ctx.stats().bump("transport.rdma.read_fallback");
@@ -502,19 +472,17 @@ impl ClusterNode {
             self.run_fx(ctx, fx);
             return;
         }
-        let Some(EngineEffect::Protocol { dst, msg: pm }) = fx.out.pop() else {
-            unreachable!("nic_served matched a single Protocol effect");
+        let Some((dst, msg)) = fx.asvm.net.pop() else {
+            unreachable!("nic_served matched a single grant");
         };
-        fx.cpu = Dur::ZERO;
+        fx.asvm.cpu = Dur::ZERO;
         ctx.stats().bump("transport.rdma.read_served");
         // Drain the residual effects first (hint bumps, the mapping
         // downgrade): the reply may not depart before the host finished
         // making the page stable.
         self.run_fx(ctx, fx);
-        self.record_trace(ctx.now(), TraceDir::Send, dst, &pm);
-        let ProtocolMsg::Asvm { from, msg } = pm else {
-            unreachable!("nic_served matched an ASVM grant");
-        };
+        self.record_trace_asvm(ctx.now(), TraceDir::Send, dst, &msg);
+        let from = self.id;
         let payload = msg.payload_bytes(self.vm.page_size());
         let kind = msg.stat_key();
         let transport = self.asvm_transport;
@@ -577,45 +545,43 @@ impl ClusterNode {
         // time — after the engine finished handling the event — so the
         // hints reflect post-transition truth. Telling the destination
         // about itself is useless; skip those.
-        if let Some(eng) = self.engine.as_asvm() {
-            let mut hints = Vec::new();
-            for m in &body.msgs {
-                if !(m.carries_data() || m.is_ack_class()) {
-                    continue;
-                }
-                if let Some(page) = m.page() {
-                    let mobj = m.mobj();
-                    if let Some(owner) = eng.owner_view(mobj, page) {
-                        if owner != dst {
-                            hints.push((mobj, page, owner));
-                        }
+        let mut hints = Vec::new();
+        for m in &body.msgs {
+            if !(m.carries_data() || m.is_ack_class()) {
+                continue;
+            }
+            if let Some(page) = m.page() {
+                let mobj = m.mobj();
+                if let Some(owner) = self.engine.owner_view(mobj, page) {
+                    if owner != dst {
+                        hints.push((mobj, page, owner));
                     }
                 }
             }
-            for h in hints {
+        }
+        for h in hints {
+            body.push_hint(h);
+        }
+        // Prefetch hint tier: beyond the pages this frame already
+        // addresses, attach the sender's owner view for the pages
+        // it predicts `dst` will fault on *next* (per-peer demand
+        // stream detector), so the peer's dynamic hint cache is
+        // warm before the fault even happens. Zero extra frames —
+        // only hint bytes on a frame already flowing.
+        let mut window = Vec::new();
+        let mut seen: Vec<MemObjId> = Vec::new();
+        for m in &body.msgs {
+            let mobj = m.mobj();
+            if seen.contains(&mobj) {
+                continue;
+            }
+            seen.push(mobj);
+            self.engine.hint_window(mobj, dst, &mut window);
+        }
+        if !window.is_empty() {
+            ctx.stats().add("asvm.prefetch.hint", window.len() as u64);
+            for h in window {
                 body.push_hint(h);
-            }
-            // Prefetch hint tier: beyond the pages this frame already
-            // addresses, attach the sender's owner view for the pages
-            // it predicts `dst` will fault on *next* (per-peer demand
-            // stream detector), so the peer's dynamic hint cache is
-            // warm before the fault even happens. Zero extra frames —
-            // only hint bytes on a frame already flowing.
-            let mut window = Vec::new();
-            let mut seen: Vec<MemObjId> = Vec::new();
-            for m in &body.msgs {
-                let mobj = m.mobj();
-                if seen.contains(&mobj) {
-                    continue;
-                }
-                seen.push(mobj);
-                eng.prefetch_hint_window(mobj, dst, &mut window);
-            }
-            if !window.is_empty() {
-                ctx.stats().add("asvm.prefetch.hint", window.len() as u64);
-                for h in window {
-                    body.push_hint(h);
-                }
             }
         }
         let ps = self.vm.page_size();
@@ -688,27 +654,17 @@ impl ClusterNode {
     /// handles every subframe in order, exactly like the equivalent
     /// sequence of singleton frames.
     fn deliver_body(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, body: FrameBody) {
-        if !body.hints.is_empty() {
-            if let Some(eng) = self.engine.as_asvm_mut() {
-                let mut applied = 0u64;
-                for (mobj, page, owner) in &body.hints {
-                    if eng.apply_owner_hint(*mobj, *page, *owner) {
-                        applied += 1;
-                    }
-                }
-                if applied > 0 {
-                    ctx.stats().add("asvm.coalesce.hint_applied", applied);
-                }
+        let mut applied = 0u64;
+        for (mobj, page, owner) in &body.hints {
+            if self.engine.apply_owner_hint(*mobj, *page, *owner) {
+                applied += 1;
             }
         }
+        if applied > 0 {
+            ctx.stats().add("asvm.coalesce.hint_applied", applied);
+        }
         for m in body.msgs {
-            let pm = ProtocolMsg::Asvm { from, msg: m };
-            self.record_trace(ctx.now(), TraceDir::Recv, from, &pm);
-            let mut fx = self.take_fx();
-            self.engine
-                .handle_protocol(ctx.now(), &mut self.vm, pm, &mut fx);
-            self.run_fx(ctx, &mut fx);
-            self.put_fx(fx);
+            self.deliver_protocol(ctx, from, ProtocolMsg::Asvm { from, msg: m });
         }
     }
 
@@ -789,11 +745,8 @@ impl ClusterNode {
         for n in newly {
             self.suspect_peer(ctx, n);
         }
-        let mut fx = self.take_fx();
-        self.engine
-            .on_watchdog(now, self.timing.watchdog_deadline, &mut self.vm, &mut fx);
-        self.run_fx(ctx, &mut fx);
-        self.put_fx(fx);
+        let deadline = self.timing.watchdog_deadline;
+        self.engine_call(ctx, |e, vm, fx| e.on_watchdog(now, deadline, vm, fx));
         if !self.all_tasks_done() {
             ctx.post_self(now + HB_PERIOD, Msg::HbTick);
         }
@@ -806,32 +759,35 @@ impl ClusterNode {
             return;
         }
         ctx.stats().bump("cluster.suspect.count");
-        if let Some(ring) = &mut self.trace {
-            ring.push(ProtoEvent {
-                time: ctx.now(),
-                node: self.id,
-                peer,
-                dir: TraceDir::Recv,
-                kind: "cluster.suspect",
-                mobj: MemObjId(0),
-                page: None,
-            });
-        }
-        let mut fx = self.take_fx();
-        self.engine
-            .peer_suspected(ctx.now(), &mut self.vm, peer, &mut fx);
-        self.run_fx(ctx, &mut fx);
-        self.put_fx(fx);
+        self.trace_local(ctx.now(), "cluster.suspect", peer, MemObjId(0));
+        let now = ctx.now();
+        self.engine_call(ctx, |e, vm, fx| e.peer_suspected(now, vm, peer, fx));
     }
 
-    /// Interprets one engine effect batch in place: charges CPU, performs
-    /// the sends and completions in order, and queues the VM effects for
-    /// draining. The sink comes back drained (vector capacities intact)
-    /// so the caller can return it to the shell pool.
+    /// Interprets one engine effect batch in place and queues the VM
+    /// effects it carries on `q`. The sink comes back drained (vector
+    /// capacities intact) so the caller can return it to the shell pool.
     fn interpret(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         fx: &mut EngineFx,
+        q: &mut VecDeque<machvm::Effects>,
+    ) {
+        let from = self.id;
+        self.drain_sink(ctx, &mut fx.asvm, |msg| ProtocolMsg::Asvm { from, msg }, q);
+        self.drain_sink(ctx, &mut fx.xmm, ProtocolMsg::Xmm, q);
+    }
+
+    /// Drains one manager sink: charges CPU, applies counters, then
+    /// empties the effect classes in the mandatory order — pager sends,
+    /// protocol sends, settled copies, lock grants, and last the VM
+    /// effects (see [`crate::engine`]: a send must never overtake the
+    /// writeback it acknowledges).
+    fn drain_sink<M>(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        fx: &mut machvm::Fx<M>,
+        wrap: impl Fn(M) -> ProtocolMsg,
         q: &mut VecDeque<machvm::Effects>,
     ) {
         if !fx.cpu.is_zero() {
@@ -841,33 +797,38 @@ impl ClusterNode {
         for k in fx.bumps.drain(..) {
             ctx.stats().bump(k);
         }
-        for eff in fx.out.drain(..) {
-            match eff {
-                EngineEffect::Pager {
-                    pager_node,
-                    reply_to,
-                    mobj,
-                    obj,
-                    call,
-                } => self.send_pager_req(ctx, pager_node, reply_to, mobj, obj, call),
-                EngineEffect::Protocol { dst, msg } => self.send_protocol(ctx, dst, msg),
-                EngineEffect::CopySettled(mobj) => self.copy_settled(ctx, mobj),
-                EngineEffect::LockGranted(mobj, range) => {
-                    let key = (mobj, range.first.0, range.count);
-                    if let Some(task) = self.lock_waiters.remove(&key) {
-                        if let Some(st) = self.tasks.get_mut(&task) {
-                            if st.status == TaskStatus::WaitingLock {
-                                st.status = TaskStatus::Running;
-                            }
-                        }
-                        let now = ctx.now();
-                        ctx.post_self(now, Msg::Resume(task));
-                    }
+        for p in fx.pager.drain(..) {
+            self.send_pager_req(ctx, p);
+        }
+        for (dst, msg) in fx.net.drain(..) {
+            self.send_protocol(ctx, dst, wrap(msg));
+        }
+        for mobj in fx.settled.drain(..) {
+            self.copy_settled(ctx, mobj);
+        }
+        for (mobj, range) in fx.lock_granted.drain(..) {
+            self.lock_granted(ctx, mobj, range);
+        }
+        if !fx.vm.out.is_empty() || !fx.vm.cpu.is_zero() {
+            let vm = std::mem::replace(&mut fx.vm, self.effects_pool.pop().unwrap_or_default());
+            q.push_back(vm);
+        }
+    }
+
+    /// A range lock was granted: resume the task waiting on it, if any
+    /// (a grant within the requesting call has no waiter).
+    fn lock_granted(&mut self, ctx: &mut Ctx<'_, Msg>, mobj: MemObjId, range: PageRange) {
+        self.trace_local(ctx.now(), "cluster.lock_granted", self.id, mobj);
+        let key = (mobj, range.first.0, range.count);
+        if let Some(task) = self.lock_waiters.remove(&key) {
+            if let Some(st) = self.tasks.get_mut(&task) {
+                if st.status == TaskStatus::WaitingLock {
+                    st.status = TaskStatus::Running;
                 }
             }
+            let now = ctx.now();
+            ctx.post_self(now, Msg::Resume(task));
         }
-        let vm = std::mem::replace(&mut fx.vm, self.effects_pool.pop().unwrap_or_default());
-        q.push_back(vm);
     }
 
     /// A drained [`EngineFx`] shell to write the next engine call into.
@@ -877,7 +838,35 @@ impl ClusterNode {
 
     /// Returns a drained shell to the pool.
     fn put_fx(&mut self, fx: EngineFx) {
-        debug_assert!(fx.out.is_empty() && fx.bumps.is_empty() && fx.cpu.is_zero());
+        debug_assert!(fx.is_drained(), "pooling an undrained effect sink");
+        self.fx_pool.push(fx);
+    }
+
+    /// Runs one engine entry point against a pooled sink and interprets
+    /// what it wrote, to completion.
+    fn engine_call<R>(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        call: impl FnOnce(&mut dyn CoherenceEngine, &mut VmSystem, &mut EngineFx) -> R,
+    ) -> R {
+        let mut fx = self.take_fx();
+        let r = call(self.engine.as_mut(), &mut self.vm, &mut fx);
+        self.run_fx(ctx, &mut fx);
+        self.put_fx(fx);
+        r
+    }
+
+    /// Hands one arriving protocol message (from `peer`) to the engine.
+    fn deliver_protocol(&mut self, ctx: &mut Ctx<'_, Msg>, peer: NodeId, pm: ProtocolMsg) {
+        let now = ctx.now();
+        self.record_trace(now, TraceDir::Recv, peer, &pm);
+        self.engine_call(ctx, |e, vm, fx| e.handle_protocol(now, vm, pm, fx));
+    }
+
+    /// Hands the next engine call a sink that already holds effects, so a
+    /// test can put a hand-built batch through the real interpreter.
+    #[cfg(test)]
+    pub(crate) fn preload_sink(&mut self, fx: EngineFx) {
         self.fx_pool.push(fx);
     }
 
@@ -958,9 +947,14 @@ impl ClusterNode {
                 machvm::Backing::Anonymous => {
                     // Node-private anonymous memory pages out to the default
                     // pager on this node's I/O node.
-                    let io = ctx.machine().io_node_for(self.id);
-                    let me = self.id;
-                    self.send_pager_req(ctx, io, me, MemObjId(0), obj, call);
+                    let anon = PagerSend {
+                        pager_node: ctx.machine().io_node_for(self.id),
+                        reply_to: self.id,
+                        mobj: MemObjId(0),
+                        obj,
+                        call,
+                    };
+                    self.send_pager_req(ctx, anon);
                 }
             },
             VmEffect::CopyCreated { source, .. } => {
@@ -988,6 +982,7 @@ impl ClusterNode {
 
     /// A copy notification settled: release any fork waiting on it.
     fn copy_settled(&mut self, ctx: &mut Ctx<'_, Msg>, mobj: MemObjId) {
+        self.trace_local(ctx.now(), "cluster.copy_settled", self.id, mobj);
         let mut ready = Vec::new();
         for df in &mut self.deferred_forks {
             df.waiting.remove(&mobj);
@@ -1109,38 +1104,18 @@ impl ClusterNode {
                 }
                 Step::LockRange { va_page, pages } => {
                     let (mobj, range) = self.resolve_range(task, va_page, pages);
-                    let me = self.id;
-                    let mut afx = asvm::Fx::new();
-                    self.engine
-                        .as_asvm_mut()
-                        .expect("range locks require an ASVM cluster")
-                        .lock_range(mobj, range, &mut afx);
-                    let granted = afx
-                        .lock_granted
-                        .iter()
-                        .any(|(m, r)| *m == mobj && *r == range);
-                    if !granted {
+                    if !self.engine_call(ctx, |e, _, fx| e.lock_range(mobj, range, fx)) {
+                        // The grant arrives later, as a lock-granted effect.
                         self.lock_waiters
                             .insert((mobj, range.first.0, range.count), task);
                         let st = self.tasks.get_mut(&task).unwrap();
                         st.status = TaskStatus::WaitingLock;
-                    }
-                    let mut fx = EngineFx::from_asvm(me, afx);
-                    self.run_fx(ctx, &mut fx);
-                    if !granted {
                         return;
                     }
                 }
                 Step::UnlockRange { va_page, pages } => {
                     let (mobj, range) = self.resolve_range(task, va_page, pages);
-                    let me = self.id;
-                    let mut afx = asvm::Fx::new();
-                    self.engine
-                        .as_asvm_mut()
-                        .expect("range locks require an ASVM cluster")
-                        .unlock_range(mobj, range, &mut afx);
-                    let mut fx = EngineFx::from_asvm(me, afx);
-                    self.run_fx(ctx, &mut fx);
+                    self.engine_call(ctx, |e, _, fx| e.unlock_range(mobj, range, fx));
                 }
                 Step::Barrier(id) => {
                     let st = self.tasks.get_mut(&task).unwrap();
@@ -1170,19 +1145,12 @@ impl ClusterNode {
                     self.tasks_done += 1;
                     ctx.stats().bump("tasks.done");
                     if self.all_tasks_done() && ctx.machine().config.faults.is_active() {
+                        // Our watchdog and heartbeat ticks stop with the
+                        // last task: the engine settles what depended on
+                        // them, and a reliable farewell keeps peers from
+                        // reading the silence as death.
                         let lossy = !self.asvm_transport.per_link_arq();
-                        if let Some(a) = self.engine.as_asvm_mut() {
-                            if lossy {
-                                // Without link ARQ only the watchdog
-                                // re-issues a lost speculative read, and
-                                // it stops with the tick loop: speculation
-                                // nobody is left to claim must not wait
-                                // on it.
-                                let cancelled = a.cancel_unclaimed_speculation();
-                                ctx.stats().add("asvm.prefetch.cancelled", cancelled);
-                            }
-                            // So do our heartbeats; a reliable farewell
-                            // keeps peers from reading that as death.
+                        if self.engine_call(ctx, |e, _, fx| e.on_idle(lossy, fx)) {
                             let me = self.id;
                             for n in ctx.machine().compute_nodes().collect::<Vec<_>>() {
                                 if n != me {
@@ -1197,40 +1165,27 @@ impl ClusterNode {
         }
     }
 
-    /// Tells the ASVM prefetcher about a demand access that hit in local
-    /// memory (no fault): a speculative fill covering the page settles —
-    /// as a prefetch hit when read, as wasted when a write clobbered it
-    /// unread — and detector-gated streams top their window back up on
-    /// read hits. Gated on `wants_access_notes` so runs without any
-    /// prefetch-configured object pay exactly one boolean test per hit.
+    /// Tells the engine about a demand access that hit in local memory
+    /// (no fault) — ASVM's prefetcher settles speculative fills and tops
+    /// up detector-gated streams on these. Gated on `wants_access_notes`
+    /// so engines and runs that do not care pay exactly one boolean test
+    /// per hit.
     fn note_hit_access(&mut self, ctx: &mut Ctx<'_, Msg>, task: TaskId, va_page: u64, write: bool) {
-        if !self
-            .engine
-            .as_asvm()
-            .is_some_and(|a| a.wants_access_notes())
-        {
+        if !self.engine.wants_access_notes() {
             return;
         }
         let Some(entry) = self.vm.address_map(task).lookup(va_page) else {
             return;
         };
         let (obj, page) = (entry.object, entry.object_page(va_page));
-        let me = self.id;
-        let mut afx = asvm::Fx::new();
-        self.engine.as_asvm_mut().unwrap().prefetch_note_access(
-            ctx.now(),
-            &mut self.vm,
-            obj,
-            page,
-            write,
-            &mut afx,
-        );
-        let mut fx = EngineFx::from_asvm(me, afx);
-        self.run_fx(ctx, &mut fx);
+        let now = ctx.now();
+        self.engine_call(ctx, |e, vm, fx| {
+            e.note_access(now, vm, obj, page, write, fx)
+        });
     }
 
     /// Translates a task-relative page range to `(object, object range)`.
-    fn resolve_range(&self, task: TaskId, va_page: u64, pages: u32) -> (MemObjId, asvm::PageRange) {
+    fn resolve_range(&self, task: TaskId, va_page: u64, pages: u32) -> (MemObjId, PageRange) {
         let entry = self
             .vm
             .address_map(task)
@@ -1241,13 +1196,8 @@ impl ClusterNode {
             .engine
             .mobj_of(entry.object)
             .expect("range locks need a managed region");
-        (
-            mobj,
-            asvm::PageRange {
-                first,
-                count: pages,
-            },
-        )
+        let count = pages;
+        (mobj, PageRange { first, count })
     }
 
     /// Ensures `task` can access `va_page`; on a miss, starts the fault and
@@ -1308,12 +1258,15 @@ impl ClusterNode {
         program: Box<dyn Program>,
     ) {
         ctx.stats().bump("forks");
-        let entries: Vec<machvm::MapEntry> = self.vm.address_map(parent).entries().to_vec();
-        let fes = if self.engine.as_asvm().is_some() {
-            self.fork_entries_asvm(ctx, &entries)
-        } else {
-            self.fork_entries_xmm(ctx, parent, &entries)
-        };
+        let pager_node = ctx.machine().io_node_for(self.id);
+        // Not `engine_call`: the export also borrows the id allocator.
+        let mut fx = self.take_fx();
+        let (vm, ids) = (&mut self.vm, &mut self.ids);
+        let fes = self
+            .engine
+            .fork_export(ctx.now(), vm, parent, pager_node, ids, &mut fx);
+        self.run_fx(ctx, &mut fx);
+        self.put_fx(fx);
         Transport::NORMA.send(
             ctx,
             node,
@@ -1328,251 +1281,13 @@ impl ClusterNode {
         );
     }
 
-    fn fork_entries_asvm(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        entries: &[machvm::MapEntry],
-    ) -> Vec<ForkEntry> {
-        let mut fes = Vec::new();
-        for e in entries {
-            match e.inherit {
-                Inherit::None => {}
-                Inherit::Share => {
-                    let mobj = self
-                        .engine
-                        .mobj_of(e.object)
-                        .expect("Share-inherited region must be ASVM-managed");
-                    let info = self.obj_info_asvm(mobj);
-                    fes.push(ForkEntry::Share {
-                        va_page: e.va_page,
-                        pages: e.pages,
-                        prot: e.prot,
-                        inherit: e.inherit,
-                        mobj,
-                        info,
-                    });
-                }
-                Inherit::Copy => {
-                    let mobj = self.asvmize(ctx, e.object);
-                    let info = self.obj_info_asvm(mobj);
-                    fes.push(ForkEntry::CopyAsvm {
-                        va_page: e.va_page,
-                        pages: e.pages,
-                        prot: e.prot,
-                        source_mobj: mobj,
-                        info,
-                    });
-                }
-            }
-        }
-        fes
-    }
-
-    fn fork_entries_xmm(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        parent: TaskId,
-        entries: &[machvm::MapEntry],
-    ) -> Vec<ForkEntry> {
-        // Snapshot the parent's address space into a pseudo task;
-        // internal pagers serve the copies (paper §2.3.3).
-        let pseudo = self.alloc_pseudo_task();
-        let mut fx = machvm::Effects::new();
-        self.vm.fork_local(ctx.now(), parent, pseudo, &mut fx);
-        self.drain(ctx, fx);
-        let mut fes = Vec::new();
-        for e in entries {
-            match e.inherit {
-                Inherit::None => {}
-                Inherit::Share => {
-                    let x = self.engine.as_xmm().expect("XMM fork path");
-                    let mobj = x
-                        .mobj_of(e.object)
-                        .expect("Share-inherited region must be XMM-managed");
-                    let xo = x.object(mobj);
-                    let XmmBacking::RealPager { node: pn } = xo.backing else {
-                        panic!("shared mapping of internal-pager object")
-                    };
-                    let info = ObjInfo {
-                        size_pages: xo.size_pages,
-                        home: xo.manager,
-                        pager_node: pn,
-                        cfg: asvm::AsvmConfig::default(),
-                        peer: None,
-                        source: None,
-                    };
-                    fes.push(ForkEntry::Share {
-                        va_page: e.va_page,
-                        pages: e.pages,
-                        prot: e.prot,
-                        inherit: e.inherit,
-                        mobj,
-                        info,
-                    });
-                }
-                Inherit::Copy => {
-                    let x = self.engine.as_xmm().expect("XMM fork path");
-                    if let Some(m) = x.mobj_of(e.object) {
-                        // Inherited-memory *chains* are fine (the
-                        // object is backed by an internal pager);
-                        // combining truly shared (real-pager)
-                        // memory with inheritance is NMK13's
-                        // semantic gap and unsupported.
-                        assert!(
-                            matches!(x.object(m).backing, XmmBacking::InternalPager { .. }),
-                            "NMK13 XMM cannot combine shared and inherited memory \
-                             (the semantic gap the paper notes)"
-                        );
-                    }
-                    let mobj = self.alloc_mobj();
-                    self.engine
-                        .as_xmm_mut()
-                        .expect("XMM fork path")
-                        .register_internal_pager(mobj, pseudo, e.va_page);
-                    fes.push(ForkEntry::CopyXmm {
-                        va_page: e.va_page,
-                        pages: e.pages,
-                        prot: e.prot,
-                        mobj,
-                        ip_node: self.id,
-                    });
-                }
-            }
-        }
-        fes
-    }
-
-    fn obj_info_asvm(&self, mobj: MemObjId) -> ObjInfo {
-        let o = self.asvm().expect("ASVM fork path").object(mobj);
-        ObjInfo {
-            size_pages: o.size_pages,
-            home: o.home,
-            pager_node: o.pager_node,
-            cfg: o.cfg,
-            peer: o.peer,
-            source: o.source,
-        }
-    }
-
-    /// Ensures a VM object is ASVM-managed, assigning it a memory object id
-    /// and adopting its resident pages as owned here.
-    fn asvmize(&mut self, ctx: &mut Ctx<'_, Msg>, obj: VmObjId) -> MemObjId {
-        if let Some(m) = self.engine.mobj_of(obj) {
-            return m;
-        }
-        let mobj = self.alloc_mobj();
-        let me = self.id;
-        let size = self.vm.object(obj).size_pages;
-        let source_mobj = self
-            .vm
-            .object(obj)
-            .shadow
-            .and_then(|s| self.engine.mobj_of(s));
-        let pager_node = ctx.machine().io_node_for(me);
-        self.vm.associate(obj, mobj);
-        let mut afx = asvm::Fx::new();
-        let a = self.engine.as_asvm_mut().expect("asvmize on ASVM cluster");
-        a.register_object(
-            mobj,
-            obj,
-            size,
-            me,
-            pager_node,
-            asvm::AsvmConfig::default(),
-            &mut afx,
-        );
-        // Adopt resident pages: this node owns everything it already has.
-        let resident: Vec<(machvm::PageIdx, Access)> = self
-            .vm
-            .object(obj)
-            .pages
-            .iter()
-            .map(|(p, rp)| (p, rp.prot))
-            .collect();
-        {
-            let a = self.engine.as_asvm_mut().expect("asvmize on ASVM cluster");
-            asvm::declare_copy_link(a, mobj, source_mobj, source_mobj.map(|_| me));
-            let o = a.object_mut(mobj);
-            for (p, prot) in resident {
-                let mut pi = asvm::PageInfo::new(prot, true, o.version);
-                pi.dirty = true;
-                o.pages.insert(p, pi);
-            }
-        }
-        if let Some(sm) = source_mobj {
-            let a = self.engine.as_asvm_mut().expect("asvmize on ASVM cluster");
-            let src = a.object_mut(sm);
-            if !src.copies.contains(&mobj) {
-                src.copies.push(mobj);
-            }
-        }
-        let mut fx = EngineFx::from_asvm(me, afx);
-        self.run_fx(ctx, &mut fx);
-        mobj
-    }
-
     /// Child-side fork processing.
     fn do_fork_child(&mut self, ctx: &mut Ctx<'_, Msg>, fm: ForkMsg) {
         let child = fm.child;
         let mut waiting: std::collections::BTreeSet<MemObjId> = Default::default();
         self.vm.create_task(child);
         for fe in fm.entries {
-            match fe {
-                ForkEntry::Share {
-                    va_page,
-                    pages,
-                    prot,
-                    inherit,
-                    mobj,
-                    info,
-                } => {
-                    let vo = self.ensure_object(ctx, mobj, &info);
-                    self.vm
-                        .map_object(child, va_page, pages, vo, 0, prot, inherit);
-                }
-                ForkEntry::CopyAsvm {
-                    va_page,
-                    pages,
-                    prot,
-                    source_mobj,
-                    info,
-                } => {
-                    // Paper §3.7: establish a shared mapping of the source,
-                    // then create a local copy through the VM; the resulting
-                    // CopyCreated effect broadcasts the version bump, and
-                    // the fork completes only when every member settled it.
-                    let src_vo = self.ensure_object(ctx, source_mobj, &info);
-                    let mut fx = machvm::Effects::new();
-                    let copy = self.vm.copy_delayed(src_vo, &mut fx);
-                    self.vm
-                        .map_object(child, va_page, pages, copy, 0, prot, Inherit::Copy);
-                    waiting.insert(source_mobj);
-                    self.drain(ctx, fx);
-                }
-                ForkEntry::CopyXmm {
-                    va_page,
-                    pages,
-                    prot,
-                    mobj,
-                    ip_node,
-                } => {
-                    let vo = self
-                        .vm
-                        .create_object(pages, machvm::Backing::External(mobj));
-                    self.engine
-                        .as_xmm_mut()
-                        .expect("CopyXmm entry on XMM cluster")
-                        .register_object(
-                            mobj,
-                            vo,
-                            pages,
-                            ip_node,
-                            XmmBacking::InternalPager { node: ip_node },
-                        );
-                    self.vm
-                        .map_object(child, va_page, pages, vo, 0, prot, Inherit::Copy);
-                }
-            }
+            waiting.extend(self.engine_call(ctx, |e, vm, fx| e.fork_import(vm, child, fe, fx)));
         }
         let df = DeferredFork {
             child,
@@ -1585,59 +1300,6 @@ impl ClusterNode {
             self.complete_fork(ctx, df);
         } else {
             self.deferred_forks.push(df);
-        }
-    }
-
-    /// Ensures the local representation of `mobj` exists; returns its VM
-    /// object.
-    fn ensure_object(&mut self, ctx: &mut Ctx<'_, Msg>, mobj: MemObjId, info: &ObjInfo) -> VmObjId {
-        if self.engine.as_asvm().is_some() {
-            if let Some(o) = self
-                .asvm()
-                .and_then(|a| a.objects().find(|o| o.mobj == mobj))
-            {
-                return o.vm_obj;
-            }
-            let vo = self
-                .vm
-                .create_object(info.size_pages, machvm::Backing::External(mobj));
-            let me = self.id;
-            let mut afx = asvm::Fx::new();
-            let a = self.engine.as_asvm_mut().expect("ASVM ensure_object");
-            a.register_object(
-                mobj,
-                vo,
-                info.size_pages,
-                info.home,
-                info.pager_node,
-                info.cfg,
-                &mut afx,
-            );
-            asvm::declare_copy_link(a, mobj, info.source, info.peer);
-            let mut fx = EngineFx::from_asvm(me, afx);
-            self.run_fx(ctx, &mut fx);
-            vo
-        } else {
-            let x = self.engine.as_xmm().expect("XMM ensure_object");
-            if x.has_object(mobj) {
-                return x.object(mobj).vm_obj;
-            }
-            let vo = self
-                .vm
-                .create_object(info.size_pages, machvm::Backing::External(mobj));
-            self.engine
-                .as_xmm_mut()
-                .expect("XMM ensure_object")
-                .register_object(
-                    mobj,
-                    vo,
-                    info.size_pages,
-                    info.home,
-                    XmmBacking::RealPager {
-                        node: info.pager_node,
-                    },
-                );
-            vo
         }
     }
 
@@ -1673,13 +1335,7 @@ impl NodeBehavior<Msg> for ClusterNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
         match msg {
             Msg::Asvm { from, msg } => {
-                let pm = ProtocolMsg::Asvm { from, msg };
-                self.record_trace(ctx.now(), TraceDir::Recv, from, &pm);
-                let mut fx = self.take_fx();
-                self.engine
-                    .handle_protocol(ctx.now(), &mut self.vm, pm, &mut fx);
-                self.run_fx(ctx, &mut fx);
-                self.put_fx(fx);
+                self.deliver_protocol(ctx, from, ProtocolMsg::Asvm { from, msg });
             }
             Msg::RdmaRead { from, msg } => {
                 // One-sided read posting: the engine computes the same
@@ -1700,13 +1356,7 @@ impl NodeBehavior<Msg> for ClusterNode {
                 // requester's registered buffer and is handled exactly
                 // like its two-sided twin (the completion CPU was part of
                 // the delivery envelope).
-                let pm = ProtocolMsg::Asvm { from, msg };
-                self.record_trace(ctx.now(), TraceDir::Recv, from, &pm);
-                let mut fx = self.take_fx();
-                self.engine
-                    .handle_protocol(ctx.now(), &mut self.vm, pm, &mut fx);
-                self.run_fx(ctx, &mut fx);
-                self.put_fx(fx);
+                self.deliver_protocol(ctx, from, ProtocolMsg::Asvm { from, msg });
             }
             Msg::AsvmFrame { from, seq, msg } => {
                 // Ack every arrival — including duplicates, whose original
@@ -1766,11 +1416,8 @@ impl NodeBehavior<Msg> for ClusterNode {
                 self.last_heard.insert(from, ctx.now());
                 if self.suspects.remove(&from) {
                     ctx.stats().bump("cluster.suspect.cleared");
-                    let mut fx = self.take_fx();
-                    self.engine
-                        .peer_cleared(ctx.now(), &mut self.vm, from, &mut fx);
-                    self.run_fx(ctx, &mut fx);
-                    self.put_fx(fx);
+                    let now = ctx.now();
+                    self.engine_call(ctx, |e, vm, fx| e.peer_cleared(now, vm, from, fx));
                 }
             }
             Msg::HbTick => {
@@ -1784,15 +1431,8 @@ impl NodeBehavior<Msg> for ClusterNode {
                 self.last_heard.remove(&from);
             }
             Msg::Xmm(m) => {
-                let pm = ProtocolMsg::Xmm(m);
                 // XMMI messages carry no sender; record the node itself.
-                let me = self.id;
-                self.record_trace(ctx.now(), TraceDir::Recv, me, &pm);
-                let mut fx = self.take_fx();
-                self.engine
-                    .handle_protocol(ctx.now(), &mut self.vm, pm, &mut fx);
-                self.run_fx(ctx, &mut fx);
-                self.put_fx(fx);
+                self.deliver_protocol(ctx, self.id, ProtocolMsg::Xmm(m));
             }
             Msg::PagerReq(pin) => {
                 let cost = ctx.machine().config.cost.pager_handle;
@@ -1841,11 +1481,10 @@ impl NodeBehavior<Msg> for ClusterNode {
             }
             Msg::PagerReply { obj, reply } => {
                 if self.engine.mobj_of(obj).is_some() {
-                    let mut fx = self.take_fx();
-                    self.engine
-                        .handle_pager_reply(ctx.now(), &mut self.vm, obj, reply, &mut fx);
-                    self.run_fx(ctx, &mut fx);
-                    self.put_fx(fx);
+                    let now = ctx.now();
+                    self.engine_call(ctx, |e, vm, fx| {
+                        e.handle_pager_reply(now, vm, obj, reply, fx)
+                    });
                 } else {
                     // Plain anonymous memory refetched from the default pager.
                     let mut fx = self.take_effects();

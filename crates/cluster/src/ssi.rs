@@ -1,13 +1,15 @@
 //! Single-system-image facade: the public API harnesses and examples use
 //! to build a cluster, create tasks and memory objects, and run programs.
 
-use asvm::{AsvmConfig, AsvmNode};
-use machvm::{Access, Inherit, MemObjId, TaskId, VmObjId, VmSystem};
-use svmsim::{EventBudgetExceeded, Machine, MachineConfig, NodeId, Stats, Time, World};
-use xmm::{XmmBacking, XmmNode};
+use std::collections::BTreeMap;
 
-use crate::engine::ProtoEvent;
-use crate::msg::Msg;
+use asvm::{AsvmConfig, AsvmNode};
+use machvm::{Access, Inherit, MemObjId, TaskId, VmSystem};
+use svmsim::{EventBudgetExceeded, Machine, MachineConfig, NodeId, Stats, Time, World};
+use xmm::XmmNode;
+
+use crate::engine::{EngineFx, ProtoEvent};
+use crate::msg::{Msg, ObjInfo};
 use crate::node::ClusterNode;
 use crate::program::Program;
 
@@ -232,94 +234,47 @@ impl Ssi {
         prot: Access,
         inherit: Inherit,
     ) {
-        let pager_node = self.world.machine().io_node_for(home);
-        let mut kind = self.kind;
-        if let (ManagerKind::Asvm(_), Some(cfg)) = (kind, self.object_cfgs.get(&mobj)) {
-            kind = ManagerKind::Asvm(*cfg);
-        }
+        let info = ObjInfo {
+            size_pages,
+            home,
+            pager_node: self.world.machine().io_node_for(home),
+            cfg: match self.kind {
+                ManagerKind::Asvm(cfg) => *self.object_cfgs.get(&mobj).unwrap_or(&cfg),
+                ManagerKind::Xmm { .. } => AsvmConfig::default(),
+            },
+            peer: None,
+            source: None,
+        };
         let stripe = self.striped.get(&mobj).cloned();
         let n = self.world.node_mut(node);
         if !n.vm.has_task(task) {
             n.vm.create_task(task);
         }
-        let vo = Self::ensure_setup_object(n, kind, mobj, home, pager_node, size_pages);
-        if let (Some(set), Some(a)) = (stripe, n.asvm_mut()) {
-            a.object_mut(mobj).stripe = set;
+        // Setup-time registration: membership is fixed by `finalize`, so
+        // the effects (the MapNotify to the home node) are dropped.
+        let mut dropped = EngineFx::default();
+        let vo = n.engine.ensure_object(&mut n.vm, mobj, &info, &mut dropped);
+        if let Some(set) = stripe {
+            n.engine.set_object_stripe(mobj, set);
         }
         n.vm.map_object(task, va_page, size_pages, vo, 0, prot, inherit);
     }
 
-    fn ensure_setup_object(
-        n: &mut ClusterNode,
-        kind: ManagerKind,
-        mobj: MemObjId,
-        home: NodeId,
-        pager_node: NodeId,
-        size_pages: u32,
-    ) -> VmObjId {
-        match kind {
-            ManagerKind::Asvm(cfg) => {
-                let a = n.asvm_mut().expect("ASVM setup on XMM node");
-                if let Some(o) = a.objects().find(|o| o.mobj == mobj) {
-                    return o.vm_obj;
-                }
-                let vo =
-                    n.vm.create_object(size_pages, machvm::Backing::External(mobj));
-                // Setup-time registration: membership is fixed by finalize,
-                // so the MapNotify effect is dropped.
-                let mut afx = asvm::Fx::new();
-                let a = n.asvm_mut().expect("ASVM setup on XMM node");
-                a.register_object(mobj, vo, size_pages, home, pager_node, cfg, &mut afx);
-                vo
-            }
-            ManagerKind::Xmm { .. } => {
-                let x = n.xmm().expect("XMM setup on ASVM node");
-                if x.has_object(mobj) {
-                    return x.object(mobj).vm_obj;
-                }
-                let vo =
-                    n.vm.create_object(size_pages, machvm::Backing::External(mobj));
-                n.xmm_mut()
-                    .expect("XMM setup on ASVM node")
-                    .register_object(
-                        mobj,
-                        vo,
-                        size_pages,
-                        home,
-                        XmmBacking::RealPager { node: pager_node },
-                    );
-                vo
-            }
-        }
-    }
-
-    /// Fixes up ASVM membership lists after setup-time mapping: every
-    /// object's member set becomes exactly the nodes that registered it.
+    /// Fixes up membership lists after setup-time mapping: every object's
+    /// member set becomes exactly the nodes that registered it.
     pub fn finalize(&mut self) {
-        if !matches!(self.kind, ManagerKind::Asvm(_)) {
-            return;
-        }
-        // Collect membership per object.
-        let mut members: std::collections::BTreeMap<MemObjId, Vec<NodeId>> =
-            std::collections::BTreeMap::new();
-        for id in self.world.machine().mesh.node_ids().collect::<Vec<_>>() {
-            let n = self.world.node(id);
-            if let Some(a) = n.asvm() {
-                for o in a.objects() {
-                    members.entry(o.mobj).or_default().push(id);
-                }
+        let ids: Vec<NodeId> = self.world.machine().mesh.node_ids().collect();
+        let mut members: BTreeMap<MemObjId, Vec<NodeId>> = BTreeMap::new();
+        for id in &ids {
+            for mobj in self.world.node(*id).engine.registered_objects() {
+                members.entry(mobj).or_default().push(*id);
             }
         }
-        for id in self.world.machine().mesh.node_ids().collect::<Vec<_>>() {
-            let n = self.world.node_mut(id);
-            if let Some(a) = n.asvm_mut() {
-                let objs: Vec<MemObjId> = a.objects().map(|o| o.mobj).collect();
-                for m in objs {
-                    if let Some(list) = members.get(&m) {
-                        a.object_mut(m).nodes = list.clone();
-                    }
-                }
-            }
+        for id in &ids {
+            self.world
+                .node_mut(*id)
+                .engine
+                .finalize_membership(&members);
         }
     }
 

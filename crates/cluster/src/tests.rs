@@ -1,8 +1,14 @@
 //! End-to-end tests driving full clusters through the public facade.
 
-use machvm::{Access, Inherit, TaskId};
-use svmsim::NodeId;
+use asvm::{AsvmMsg, PageRange};
+use machvm::{
+    Access, Backing, EmmiToPager, Inherit, MemObjId, PageData, PageIdx, PagerSend, TaskId,
+    VmEffect, VmObjId,
+};
+use svmsim::{NodeId, TraceRing};
 
+use crate::engine::{EngineFx, TraceDir};
+use crate::msg::{Msg, ObjInfo};
 use crate::program::{ScriptProgram, Step};
 use crate::ssi::{ManagerKind, Ssi};
 
@@ -341,6 +347,24 @@ fn fork_with_shared_region_connects_parent_and_child() {
         ssi.finalize();
         ssi.set_barrier_parties(2);
 
+        // The closed trait, same on both engines: registering a known
+        // object again returns the same VM object and emits nothing.
+        let info = ObjInfo {
+            size_pages: 4,
+            home: NodeId(0),
+            pager_node: ssi.pager_node_for(NodeId(0)),
+            cfg: asvm::AsvmConfig::default(),
+            peer: None,
+            source: None,
+        };
+        let n0 = ssi.world.node_mut(NodeId(0));
+        let known = n0.engine.vm_obj_of(mobj).expect("mapped at setup");
+        let mut fx = EngineFx::default();
+        let again = n0.engine.ensure_object(&mut n0.vm, mobj, &info, &mut fx);
+        assert_eq!(again, known, "{}: second register", kind.label());
+        assert!(fx.is_drained(), "{}: second register emits", kind.label());
+        assert_eq!(n0.engine.mobj_of(known), Some(mobj));
+
         let child_task = machvm::TaskId(7001);
         // Parent: write, fork (Share inheritance), barrier, read child's
         // reply.
@@ -525,4 +549,147 @@ fn mixed_inheritance_fork_shares_and_copies_correctly() {
     // child side instead.
     assert_eq!(n1.vm.peek_task_page(child, 0), Some(0xC0DE));
     let _ = n0;
+}
+
+/// What node `n`'s trace ring saw, oldest first.
+fn traced(ssi: &Ssi, n: u16) -> Vec<(TraceDir, &'static str, MemObjId)> {
+    let ring = ssi.node(NodeId(n)).trace.as_ref().expect("trace installed");
+    ring.iter().map(|e| (e.dir, e.kind, e.mobj)).collect()
+}
+
+fn writeback(page: u32) -> EmmiToPager {
+    EmmiToPager::DataReturn {
+        page: PageIdx(page),
+        data: PageData::Word(1),
+        dirty: true,
+    }
+}
+
+/// The drain order the engine module calls load-bearing: whatever order
+/// an engine call filled its sink in, the interpreter acts pager →
+/// protocol → settled copies → lock grants → VM effects.
+#[test]
+fn interpreter_drains_effect_classes_in_the_mandatory_order() {
+    let (mut ssi, mobj, _tasks) = setup_shared(ManagerKind::asvm(), 2, 4);
+    let pager_node = ssi.pager_node_for(NodeId(0));
+    let now = ssi.world.now();
+    let n0 = ssi.world.node_mut(NodeId(0));
+    n0.trace = Some(TraceRing::new(16));
+    let obj = n0.engine.vm_obj_of(mobj).expect("mapped at setup");
+    // One effect of each class, pushed in reverse class order.
+    let mut fx = EngineFx::default();
+    fx.asvm.vm.out.push(VmEffect::ToPager {
+        obj: VmObjId(999),
+        backing: Backing::Anonymous,
+        call: writeback(3),
+    });
+    let first = PageIdx(1);
+    fx.asvm
+        .lock_granted
+        .push((mobj, PageRange { first, count: 2 }));
+    fx.asvm.settled.push(mobj);
+    let page = PageIdx(2);
+    fx.asvm.send(NodeId(1), AsvmMsg::PagedHint { mobj, page });
+    fx.asvm.pager.push(PagerSend {
+        pager_node,
+        reply_to: NodeId(0),
+        mobj,
+        obj,
+        call: writeback(0),
+    });
+    n0.preload_sink(fx);
+    // The next engine call writes into the preloaded sink.
+    let msg = AsvmMsg::PagedHint { mobj, page };
+    let from = NodeId(1);
+    ssi.world.post(now, NodeId(0), Msg::Asvm { from, msg });
+    ssi.run(BUDGET).expect("must quiesce");
+    assert_eq!(
+        traced(&ssi, 0),
+        [
+            (TraceDir::Recv, "asvm.msg.paged_hint", mobj),
+            (TraceDir::Send, "emmi.req.data_return", mobj),
+            (TraceDir::Send, "asvm.msg.paged_hint", mobj),
+            (TraceDir::Recv, "cluster.copy_settled", mobj),
+            (TraceDir::Recv, "cluster.lock_granted", mobj),
+            (TraceDir::Send, "emmi.req.data_return", MemObjId(0)),
+        ]
+    );
+}
+
+/// §3.6 step 4 through the real engine: the owner of a dirty page nobody
+/// reads, whose only peer has no room, returns the page to the pager and
+/// tells the static manager from *one* engine call — and the writeback
+/// must leave before the hint that lets requests reach the pager.
+#[test]
+fn evicted_page_is_written_back_before_the_paged_hint() {
+    let (mut ssi, mobj, tasks) = setup_shared(ManagerKind::asvm(), 2, 4);
+    let write = Step::Write {
+        va_page: 0,
+        value: 5,
+    };
+    ssi.spawn(
+        NodeId(1),
+        tasks[1],
+        Box::new(ScriptProgram::new(vec![write, Step::Done])),
+    );
+    ssi.run(BUDGET).expect("must quiesce");
+    let now = ssi.world.now();
+    let n1 = ssi.world.node_mut(NodeId(1));
+    n1.trace = Some(TraceRing::new(16));
+    let obj = n1.engine.vm_obj_of(mobj).expect("mapped at setup");
+    // The kernel evicts the page; with no reader to hand ownership to,
+    // the engine asks its peer to take it (step 3).
+    let mut vmfx = machvm::Effects::new();
+    n1.vm.evict(now, obj, PageIdx(0), &mut vmfx);
+    let Some(VmEffect::EvictExternal {
+        page, data, dirty, ..
+    }) = vmfx.out.pop()
+    else {
+        panic!("external page must be handed to its manager");
+    };
+    assert!(dirty, "the page was written");
+    let mut asked = EngineFx::default();
+    n1.engine
+        .handle_evict(now, &mut n1.vm, obj, page, data, dirty, &mut asked);
+    assert!(matches!(
+        asked.asvm.net[..],
+        [(NodeId(0), AsvmMsg::AcceptAsk { .. })]
+    ));
+    // The peer declines (its AcceptAsk is answered by hand): step 4, with
+    // node 0 the static manager of page 0.
+    let from = NodeId(0);
+    let msg = AsvmMsg::AcceptReply {
+        mobj,
+        page,
+        from,
+        accept: false,
+    };
+    ssi.world.post(now, NodeId(1), Msg::Asvm { from, msg });
+    ssi.run(BUDGET).expect("must quiesce");
+    assert_eq!(
+        traced(&ssi, 1),
+        [
+            (TraceDir::Recv, "asvm.msg.accept_reply", mobj),
+            (TraceDir::Send, "emmi.req.data_return", mobj),
+            (TraceDir::Send, "asvm.msg.paged_hint", mobj),
+        ]
+    );
+}
+
+/// A capability the engine lacks is refused by the trait's default, not
+/// by the node asking which engine it runs.
+#[test]
+#[should_panic(expected = "range locks require an ASVM cluster")]
+fn range_locks_are_refused_on_an_xmm_cluster() {
+    let (mut ssi, _mobj, tasks) = setup_shared(ManagerKind::xmm(), 2, 4);
+    let lock = Step::LockRange {
+        va_page: 0,
+        pages: 2,
+    };
+    ssi.spawn(
+        NodeId(0),
+        tasks[0],
+        Box::new(ScriptProgram::new(vec![lock, Step::Done])),
+    );
+    let _ = ssi.run(BUDGET);
 }

@@ -9,9 +9,27 @@
 //! * no stranded work: no pending requests, parked fills, queued lock
 //!   waiters or manager transactions survive quiescence.
 
+use asvm::AsvmNode;
 use machvm::MemObjId;
+use xmm::XmmNode;
 
+use crate::node::ClusterNode;
 use crate::ssi::Ssi;
+
+/// Read-only engine inspectors for the checks below, tests, examples and
+/// bench probes. They live here, not in `node.rs`: the node's own control
+/// flow goes through [`crate::CoherenceEngine`] alone.
+impl ClusterNode {
+    /// The ASVM instance, if this node runs ASVM.
+    pub fn asvm(&self) -> Option<&AsvmNode> {
+        self.engine.as_asvm()
+    }
+
+    /// The XMM instance, if this node runs XMM.
+    pub fn xmm(&self) -> Option<&XmmNode> {
+        self.engine.as_xmm()
+    }
+}
 
 /// Checks every ASVM invariant on a quiescent cluster, for every object.
 ///

@@ -25,7 +25,7 @@
 
 use machvm::{
     Access, EmmiToKernel, LockMode, LockOp, LockResult, MemObjId, PageData, PageIdx, PullResult,
-    SupplyMode, VmSystem,
+    SupplyMode, VmObjId, VmSystem,
 };
 use svmsim::{CostModel, NodeId, Time};
 
@@ -71,14 +71,14 @@ pub(crate) fn start_push(
         return;
     }
     for n in &others {
-        fx.net.push(crate::protocol::NetSend {
-            dst: *n,
-            msg: AsvmMsg::PushReq {
+        fx.send(
+            *n,
+            AsvmMsg::PushReq {
                 mobj,
                 page,
                 from: me,
             },
-        });
+        );
     }
     pi.busy = Some(Busy::Push {
         pending: others,
@@ -177,15 +177,15 @@ pub(crate) fn on_push_ack(
                 _ => None,
             })
             .expect("push owner lost the page contents");
-        fx.net.push(crate::protocol::NetSend {
-            dst: from,
-            msg: AsvmMsg::PushData {
+        fx.send(
+            from,
+            AsvmMsg::PushData {
                 mobj,
                 page,
                 from: me,
                 data,
             },
-        });
+        );
         return;
     }
     push_peer_done(o, me, cost, now, vm, page, from, fx);
@@ -217,14 +217,14 @@ pub(crate) fn on_push_data(
         &mut fx.vm,
     );
     // Report completion to the coordinating owner.
-    fx.net.push(crate::protocol::NetSend {
-        dst: from,
-        msg: AsvmMsg::PushDone {
+    fx.send(
+        from,
+        AsvmMsg::PushDone {
             mobj,
             page,
             from: me,
         },
-    });
+    );
 }
 
 /// The owner learned one sharing node finished its push.
@@ -272,14 +272,14 @@ fn push_peer_done(
                 // push is bounced back with a retry indicator — the pushed
                 // contents now live in the copy objects, so re-pulling from
                 // the (about to change) source page would be wrong.
-                fx.net.push(crate::protocol::NetSend {
-                    dst: q.origin,
-                    msg: AsvmMsg::Retry {
+                fx.send(
+                    q.origin,
+                    AsvmMsg::Retry {
                         mobj: deliver,
                         page,
                         access: q.access,
                     },
-                });
+                );
             } else {
                 crate::node::AsvmNode::route(o, me, cost, now, vm, page, q, ReqPath::default(), fx);
             }
@@ -300,15 +300,15 @@ pub(crate) fn push_scan_found(
     req: QueuedReq,
     fx: &mut Fx,
 ) {
-    fx.net.push(crate::protocol::NetSend {
-        dst: req.origin,
-        msg: AsvmMsg::PushAck {
+    fx.send(
+        req.origin,
+        AsvmMsg::PushAck {
             mobj: o.mobj,
             page,
             from: req.origin,
             needs_data: false,
         },
-    });
+    );
 }
 
 /// A push scan fell through to "no owner": the push proceeds for this copy
@@ -325,15 +325,15 @@ pub(crate) fn push_scan_no_owner(
     req: QueuedReq,
     fx: &mut Fx,
 ) {
-    fx.net.push(crate::protocol::NetSend {
-        dst: req.origin,
-        msg: AsvmMsg::PushAck {
+    fx.send(
+        req.origin,
+        AsvmMsg::PushAck {
             mobj: o.mobj,
             page,
             from: req.origin,
             needs_data: true,
         },
-    });
+    );
 }
 
 /// A fault in a distributed copy object found no owner anywhere: pull the
@@ -368,9 +368,9 @@ pub(crate) fn pull_dispatch(
         }
     } else {
         // Hand the request to the peer node; it will issue the pull there.
-        fx.net.push(crate::protocol::NetSend {
-            dst: peer,
-            msg: AsvmMsg::PullHop {
+        fx.send(
+            peer,
+            AsvmMsg::PullHop {
                 mobj: o.mobj,
                 page,
                 access: req.access,
@@ -378,55 +378,42 @@ pub(crate) fn pull_dispatch(
                 origin_obj: req.origin_obj,
                 deliver: req.deliver.expect("set above"),
             },
-        });
+        );
     }
 }
 
-/// Outcome of a `pull_request` we issued on the local shadow chain.
-#[allow(clippy::too_many_arguments)]
+/// Outcome of a `pull_request` we issued on the local shadow chain. When
+/// the chain continues in another distributed object, returns that object
+/// and the requests the node dispatcher must forward into it (§3.7.3).
 pub(crate) fn on_pull_completed(
     o: &mut AsvmObject,
-    _me: NodeId,
-    _cost: &CostModel,
-    _now: Time,
-    _vm: &mut VmSystem,
     page: PageIdx,
     result: PullResult,
     fx: &mut Fx,
-) {
+) -> Option<(VmObjId, Vec<QueuedReq>)> {
     let reqs = o.pull_in_flight.remove(&page).unwrap_or_default();
     if reqs.is_empty() {
-        return;
+        return None;
     }
-    match result {
-        PullResult::Zero => {
-            for req in reqs {
-                grant_pull(o, page, req, PageData::Zero, fx);
-            }
-        }
-        PullResult::Data(data) => {
-            for req in reqs {
-                grant_pull(o, page, req, data.clone(), fx);
-            }
-        }
-        PullResult::AskShadow(shadow_obj) => {
-            // The chain continues in another distributed object: the node
-            // dispatcher forwards the request into it.
-            for req in reqs {
-                fx.pull_escalations.push((shadow_obj, page, req));
-            }
-        }
+    let data = match result {
+        PullResult::Zero => PageData::Zero,
+        PullResult::Data(data) => data,
+        PullResult::AskShadow(shadow_obj) => return Some((shadow_obj, reqs)),
+    };
+    for req in reqs {
+        grant_pull(page, req, data.clone(), fx);
     }
+    None
 }
 
 /// Sends a pulled page snapshot to the request origin, making it the
 /// page's first owner inside the copy object. Loopback sends are fine:
 /// the glue delivers self-addressed messages locally.
-fn grant_pull(o: &mut AsvmObject, page: PageIdx, req: QueuedReq, data: PageData, fx: &mut Fx) {
+fn grant_pull(page: PageIdx, req: QueuedReq, data: PageData, fx: &mut Fx) {
     let deliver = req.deliver.expect("pull without deliver object");
-    fx.net.push(crate::protocol::NetSend {
-        dst: req.origin,
-        msg: AsvmMsg::Grant {
+    fx.send(
+        req.origin,
+        AsvmMsg::Grant {
             mobj: deliver,
             page,
             access: req.access,
@@ -437,8 +424,7 @@ fn grant_pull(o: &mut AsvmObject, page: PageIdx, req: QueuedReq, data: PageData,
             version: 0,
             pull_snapshot: true,
         },
-    });
-    let _ = o;
+    );
 }
 
 /// Outcome of a `lock_request` we issued (push mode) — used by the local

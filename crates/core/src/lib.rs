@@ -59,7 +59,7 @@ pub use policy::{
     AccelBase, Observation, PolicyCfg, PolicyMode, PolicyState, PolicyVerdict, PrefetchVerdict,
 };
 pub use prefetch::{PrefetchCfg, StreamDetector};
-pub use protocol::{AsvmMsg, NetSend, PagerSend, ReqKind, ReqPath};
+pub use protocol::{AsvmMsg, ReqKind, ReqPath};
 pub use retry::{Accepted, LinkReceiver, LinkSender, RecoveryTiming, RetryConfig, TimeoutVerdict};
 
 use machvm::MemObjId;

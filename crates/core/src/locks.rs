@@ -17,31 +17,8 @@
 
 use std::collections::VecDeque;
 
-use machvm::{MemObjId, PageIdx};
+pub use machvm::PageRange;
 use svmsim::NodeId;
-
-/// A held or requested page range.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PageRange {
-    /// First page.
-    pub first: PageIdx,
-    /// Length in pages.
-    pub count: u32,
-}
-
-impl PageRange {
-    /// True if the ranges share any page (empty ranges overlap nothing).
-    pub fn overlaps(&self, other: &PageRange) -> bool {
-        if self.count == 0 || other.count == 0 {
-            return false;
-        }
-        let a0 = self.first.0;
-        let a1 = self.first.0 + self.count;
-        let b0 = other.first.0;
-        let b1 = other.first.0 + other.count;
-        a0 < b1 && b0 < a1
-    }
-}
 
 /// A lock held by a node.
 #[derive(Clone, Copy, Debug)]
@@ -121,12 +98,10 @@ impl RangeLockMgr {
     }
 }
 
-/// A grant to deliver: `(object, range, holder)`.
-pub type LockGrant = (MemObjId, PageRange, NodeId);
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use machvm::PageIdx;
 
     fn r(first: u32, count: u32) -> PageRange {
         PageRange {

@@ -17,58 +17,22 @@
 //! concurrent first-touch faults cannot mint two owners.
 
 use machvm::{
-    Access, EmmiToKernel, EmmiToPager, LockMode, LockOp, MemObjId, PageData, PageIdx, SupplyMode,
-    VmObjId, VmSystem,
+    Access, EmmiToKernel, EmmiToPager, LockMode, LockOp, MemObjId, PageData, PageIdx, PagerSend,
+    SupplyMode, VmObjId, VmSystem,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use svmsim::{CostModel, Dur, NodeId, Time};
 
 use crate::config::AsvmConfig;
+use crate::locks::PageRange;
 use crate::object::{
     AsvmObject, Busy, EvictStage, PageInfo, PendingLocal, QueuedReq, RecoverState, StaticHint,
 };
-use crate::protocol::{AsvmMsg, NetSend, PagerSend, ReqKind, ReqPath};
+use crate::protocol::{AsvmMsg, ReqKind, ReqPath};
 
-/// Effects produced by ASVM handlers.
-#[derive(Debug, Default)]
-pub struct Fx {
-    /// Message-processor time to charge.
-    pub cpu: Dur,
-    /// ASVM protocol messages to send over STS.
-    pub net: Vec<NetSend>,
-    /// EMMI requests to real pagers, to send over NORMA-IPC.
-    pub pager: Vec<PagerSend>,
-    /// Effects emitted by nested VM calls (fault completions, further EMMI
-    /// traffic); the caller must drain these.
-    pub vm: machvm::Effects,
-    /// Pull requests that must continue in another distributed object on
-    /// this node (shadow-chain escalations, §3.7.3).
-    pub(crate) pull_escalations: Vec<(VmObjId, PageIdx, crate::object::QueuedReq)>,
-    /// Objects whose copy notification has been applied by every sharing
-    /// node; a fork waiting on them may complete.
-    pub settled: Vec<MemObjId>,
-    /// Range locks granted to this node (§6 future work); the cluster
-    /// resumes the task waiting on each.
-    pub lock_granted: Vec<(MemObjId, crate::locks::PageRange)>,
-    /// Statistics counters to bump, by interned key. The core crate has no
-    /// stats handle; the cluster-layer interpreter applies these.
-    pub bumps: Vec<&'static str>,
-}
-
-impl Fx {
-    /// Creates an empty effect sink.
-    pub fn new() -> Fx {
-        Fx::default()
-    }
-
-    pub(crate) fn send(&mut self, dst: NodeId, msg: AsvmMsg) {
-        self.net.push(NetSend { dst, msg });
-    }
-
-    pub(crate) fn bump(&mut self, key: &'static str) {
-        self.bumps.push(key);
-    }
-}
+/// Effects produced by ASVM handlers: the shared manager sink, carrying
+/// ASVM protocol messages.
+pub type Fx = machvm::Fx<AsvmMsg>;
 
 /// The ASVM instance of one node.
 pub struct AsvmNode {
@@ -219,13 +183,13 @@ impl AsvmNode {
         self.by_vmobj.get(&vm_obj).copied()
     }
 
-    /// The configuration currently governing `mobj` on this node, if the
-    /// object is registered here — the non-panicking lookup the cluster
-    /// layer uses to consult per-object transport choices (coalescing) on
-    /// the protocol send path. Reflects any runtime changes the online
-    /// policy has applied.
-    pub fn object_cfg(&self, mobj: MemObjId) -> Option<&AsvmConfig> {
-        self.objects.get(&mobj).map(|o| &o.cfg)
+    /// The object state, if `mobj` is registered here — the non-panicking
+    /// lookup the cluster layer uses on paths where an unknown object is
+    /// legitimate (first mapping; per-object transport choices on the
+    /// protocol send path, which reflect any runtime changes the online
+    /// policy has applied to the object's configuration).
+    pub fn find_object(&self, mobj: MemObjId) -> Option<&AsvmObject> {
+        self.objects.get(&mobj)
     }
 
     /// Feeds one traffic observation to the object's online policy and
@@ -335,7 +299,6 @@ impl AsvmNode {
         if settled && !write && o.cfg.prefetch.min_run > 0 {
             Self::issue_prefetch(o, self.me, &self.cost, now, vm, page, fx);
         }
-        self.drain_escalations(now, vm, fx);
         settled
     }
 
@@ -388,29 +351,6 @@ impl AsvmNode {
     }
 
     // --- Local VM ingress --------------------------------------------------
-
-    /// Continues pull lookups that must proceed in another distributed
-    /// object on this node (shadow-chain escalations, §3.7.3).
-    fn drain_escalations(&mut self, now: Time, vm: &mut VmSystem, fx: &mut Fx) {
-        while let Some((vm_obj, page, req)) = fx.pull_escalations.pop() {
-            let mobj = *self
-                .by_vmobj
-                .get(&vm_obj)
-                .expect("pull escalation into unmanaged object");
-            let o = self.objects.get_mut(&mobj).unwrap();
-            Self::route(
-                o,
-                self.me,
-                &self.cost,
-                now,
-                vm,
-                page,
-                req,
-                ReqPath::default(),
-                fx,
-            );
-        }
-    }
 
     /// Handles an EMMI call from the local VM system on `vm_obj`.
     pub fn handle_emmi(
@@ -499,12 +439,23 @@ impl AsvmNode {
                 );
             }
             EmmiToPager::PullCompleted { page, result } => {
-                crate::copymgmt::on_pull_completed(
-                    o, self.me, &self.cost, now, vm, page, result, fx,
-                );
+                let Some((shadow, reqs)) = crate::copymgmt::on_pull_completed(o, page, result, fx)
+                else {
+                    return;
+                };
+                // The chain continues in another distributed object on
+                // this node: forward the requests into it, last first.
+                let mobj = *self
+                    .by_vmobj
+                    .get(&shadow)
+                    .expect("pull escalation into unmanaged object");
+                let o = self.objects.get_mut(&mobj).unwrap();
+                for req in reqs.into_iter().rev() {
+                    let path = ReqPath::default();
+                    Self::route(o, self.me, &self.cost, now, vm, page, req, path, fx);
+                }
             }
         }
-        self.drain_escalations(now, vm, fx);
     }
 
     /// A local fault needs `access` to `page`.
@@ -688,7 +639,9 @@ impl AsvmNode {
 
     // --- Peer message ingress ------------------------------------------------
 
-    /// Handles one ASVM protocol message from node `from`.
+    /// Handles one ASVM protocol message from node `from`: charges the
+    /// handling cost, lets the policy and the hint prefetcher observe
+    /// arriving requests, and dispatches to the message's handler.
     pub fn handle_msg(
         &mut self,
         now: Time,
@@ -699,133 +652,26 @@ impl AsvmNode {
     ) {
         // Acknowledgements are cheap bookkeeping; state-machine work pays
         // the full handling cost.
-        fx.cpu += match &msg {
-            AsvmMsg::InvalidateAck { .. }
-            | AsvmMsg::ReadCheckReply { .. }
-            | AsvmMsg::AcceptReply { .. }
-            | AsvmMsg::PushAck { .. }
-            | AsvmMsg::PushDone { .. }
-            | AsvmMsg::OwnerHint { .. }
-            | AsvmMsg::PagedHint { .. } => self.cost.asvm_ack_handle,
-            _ => self.cost.asvm_handle,
+        fx.cpu += if msg.is_ack_class() {
+            self.cost.asvm_ack_handle
+        } else {
+            self.cost.asvm_handle
         };
         let me = self.me;
         let mobj = msg.mobj();
         let Some(o) = self.objects.get_mut(&mobj) else {
             panic!("{me}: message for unregistered object {mobj:?}: {msg:?}");
         };
-        // The policy learns from arriving access requests — the traffic a
-        // forwarding-strategy change would actually redirect. Push scans,
-        // pull lookups and bookkeeping replies carry no signal about the
-        // object's read/write mix.
-        if let AsvmMsg::PageReq {
-            access,
-            page,
-            origin,
-            path,
-            kind: ReqKind::Access,
-            deliver: None,
-            ..
-        } = &msg
-        {
-            Self::policy_observe(
-                o,
-                crate::policy::Observation::RemoteReq {
-                    write: *access == Access::Write,
-                },
-                fx,
-            );
-            // Hint prefetch learns the *demand* stream of the faulting
-            // node: frames flowing back to it will carry owner hints for
-            // its predicted next pages. Speculative requests are its
-            // prefetcher echoing the same stride — not new evidence.
-            if o.cfg.prefetch.enabled && o.cfg.prefetch.hints && !path.speculative {
-                o.peer_streams.entry(*origin).or_default().observe(*page);
-            }
-        }
+        Self::observe_request(o, &msg, fx);
         let cost = &self.cost;
         match msg {
-            AsvmMsg::MapNotify { node, .. } => {
-                assert_eq!(o.home, me, "MapNotify must go to the home node");
-                if !o.nodes.contains(&node) {
-                    o.nodes.push(node);
-                    o.nodes.sort();
-                    let nodes = o.nodes.clone();
-                    for n in &nodes {
-                        if *n != me {
-                            fx.send(
-                                *n,
-                                AsvmMsg::Membership {
-                                    mobj,
-                                    nodes: nodes.clone(),
-                                },
-                            );
-                        }
-                    }
-                    // The home applies the same membership-change rules as
-                    // everyone else: the fresh shortcut is no longer sound,
-                    // and ownership must be re-announced to the (moved)
-                    // static managers before the new member's first fault
-                    // (the synchronous fork guarantees the ordering).
-                    o.fresh_valid = false;
-                    let owned: Vec<PageIdx> = o
-                        .pages
-                        .iter()
-                        .filter(|(_, pi)| pi.owner)
-                        .map(|(p, _)| *p)
-                        .collect();
-                    for page in owned {
-                        Self::notify_owner_hint(o, me, cost, now, vm, page, fx);
-                    }
-                }
-            }
+            AsvmMsg::MapNotify { node, .. } => Self::on_map_notify(o, me, cost, now, vm, node, fx),
             AsvmMsg::Membership { nodes, .. } => {
-                o.nodes = nodes;
-                o.fresh_valid = false;
-                // Static-manager hashing moved: re-announce ownership of
-                // our pages to the (possibly new) static managers so
-                // requests keep finding owners without a global walk, and
-                // so the fresh/pull shortcut cannot mint a second owner.
-                let owned: Vec<PageIdx> = o
-                    .pages
-                    .iter()
-                    .filter(|(_, pi)| pi.owner)
-                    .map(|(p, _)| *p)
-                    .collect();
-                for page in owned {
-                    Self::notify_owner_hint(o, me, cost, now, vm, page, fx);
-                }
-                // Static-manager hashing may have moved: re-dispatch
-                // anything parked on static routing so nothing is stranded.
-                let parked: Vec<(PageIdx, Vec<QueuedReq>)> =
-                    std::mem::take(&mut o.static_waiting).into_iter().collect();
-                for (page, reqs) in parked {
-                    for q in reqs {
-                        Self::route(o, me, cost, now, vm, page, q, ReqPath::default(), fx);
-                    }
-                }
+                Self::on_membership(o, me, cost, now, vm, nodes, fx)
             }
             AsvmMsg::PageReq {
-                page,
-                access,
-                origin,
-                origin_obj,
-                has_copy,
-                path,
-                kind,
-                deliver,
-                ..
-            } => {
-                let req = QueuedReq {
-                    access,
-                    origin,
-                    origin_obj,
-                    has_copy,
-                    kind,
-                    deliver,
-                };
-                Self::route(o, me, cost, now, vm, page, req, path, fx);
-            }
+                page, req, path, ..
+            } => Self::route(o, me, cost, now, vm, page, req, path, fx),
             AsvmMsg::Grant {
                 page,
                 access,
@@ -845,78 +691,19 @@ impl AsvmNode {
                     version, fx,
                 );
             }
-            AsvmMsg::Invalidate {
-                page, from: owner, ..
-            } => {
-                if let Some(pi) = o.pages.get(&page) {
-                    assert!(
-                        pi.busy.is_none() || matches!(pi.busy, Some(Busy::AwaitingOwnership)),
-                        "invalidate raced a busy page"
-                    );
-                    if !pi.owner {
-                        vm.set_busy(o.vm_obj, page, false);
-                        vm.kernel_call(
-                            now,
-                            o.vm_obj,
-                            EmmiToKernel::LockRequest {
-                                page,
-                                op: LockOp::Flush {
-                                    return_dirty: false,
-                                },
-                                mode: LockMode::Normal,
-                            },
-                            &mut fx.vm,
-                        );
-                        o.pages.remove(&page);
-                        // A speculative fill invalidated before any demand
-                        // access consumed it: the transfer was wasted.
-                        Self::spec_settle(o, page, true, fx);
-                    }
-                }
-                o.dyn_cache.insert(page, owner);
-                fx.send(
-                    owner,
-                    AsvmMsg::InvalidateAck {
-                        mobj,
-                        page,
-                        from: me,
-                    },
-                );
+            AsvmMsg::Invalidate { page, from, .. } => {
+                Self::on_invalidate(o, me, now, vm, page, from, fx)
             }
-            AsvmMsg::InvalidateAck {
-                page, from: acker, ..
-            } => {
-                Self::invalidate_ack(o, me, cost, now, vm, page, acker, fx);
+            AsvmMsg::InvalidateAck { page, from, .. } => {
+                Self::invalidate_ack(o, me, cost, now, vm, page, from, fx)
             }
-            AsvmMsg::ReadCheck {
-                page, from: owner, ..
-            } => {
-                let has = match o.pages.get_mut(&page) {
-                    Some(pi) if !pi.owner && pi.busy.is_none() => {
-                        pi.busy = Some(Busy::AwaitingOwnership);
-                        vm.set_busy(o.vm_obj, page, true);
-                        true
-                    }
-                    _ => false,
-                };
-                fx.send(
-                    owner,
-                    AsvmMsg::ReadCheckReply {
-                        mobj,
-                        page,
-                        from: me,
-                        has_copy: has,
-                    },
-                );
-            }
+            AsvmMsg::ReadCheck { page, from, .. } => Self::on_read_check(o, me, vm, page, from, fx),
             AsvmMsg::ReadCheckReply {
                 page,
-                from: reader,
+                from,
                 has_copy,
                 ..
-            } => {
-                Self::read_check_reply(o, me, cost, now, vm, page, reader, has_copy, fx);
-            }
+            } => Self::read_check_reply(o, me, cost, now, vm, page, from, has_copy, fx),
             AsvmMsg::OwnershipTransfer {
                 page,
                 readers,
@@ -924,165 +711,44 @@ impl AsvmNode {
                 dirty,
                 ..
             } => {
-                let pi = o
-                    .pages
-                    .get_mut(&page)
-                    .expect("ownership transfer to node without the page");
-                // `busy == None` happens only when the watchdog broke an
-                // AwaitingOwnership limbo (suspected-dead transferor) and
-                // the transfer then arrived after all; accept it.
-                assert!(
-                    pi.busy.is_none() || matches!(pi.busy, Some(Busy::AwaitingOwnership)),
-                    "ownership transfer raced a busy page"
-                );
-                pi.busy = None;
-                vm.set_busy(o.vm_obj, page, false);
-                pi.owner = true;
-                pi.readers = readers.into_iter().collect();
-                pi.readers.remove(&me);
-                pi.version = version;
-                pi.dirty |= dirty;
-                let queued: Vec<QueuedReq> = pi.queued.drain(..).collect();
-                Self::notify_owner_hint(o, me, cost, now, vm, page, fx);
-                for q in queued {
-                    Self::route(o, me, cost, now, vm, page, q, ReqPath::default(), fx);
-                }
-                Self::drain_parked(o, me, cost, now, vm, page, fx);
+                Self::on_ownership_transfer(o, me, cost, now, vm, page, readers, version, dirty, fx)
             }
-            AsvmMsg::AcceptAsk {
-                page, from: owner, ..
-            } => {
-                let accept = Self::has_free_memory(vm) && !o.incoming_transfer.contains(&page);
-                if accept {
-                    o.incoming_transfer.insert(page);
-                }
-                fx.send(
-                    owner,
-                    AsvmMsg::AcceptReply {
-                        mobj,
-                        page,
-                        from: me,
-                        accept,
-                    },
-                );
-            }
+            AsvmMsg::AcceptAsk { page, from, .. } => Self::on_accept_ask(o, me, vm, page, from, fx),
             AsvmMsg::AcceptReply {
-                page,
-                from: candidate,
-                accept,
-                ..
-            } => {
-                Self::accept_reply(o, me, cost, now, vm, page, candidate, accept, fx);
-            }
+                page, from, accept, ..
+            } => Self::accept_reply(o, me, cost, now, vm, page, from, accept, fx),
             AsvmMsg::PageTransfer {
                 page,
                 data,
                 dirty,
                 version,
                 ..
-            } => {
-                o.incoming_transfer.remove(&page);
-                let mut pi = PageInfo::new(Access::Read, true, version);
-                pi.dirty = dirty;
-                let prev = o.pages.insert(page, pi);
-                assert!(prev.is_none(), "page transfer onto existing state");
-                vm.kernel_call(
-                    now,
-                    o.vm_obj,
-                    EmmiToKernel::DataSupply {
-                        page,
-                        data,
-                        lock: Access::Read,
-                        mode: SupplyMode::Normal,
-                    },
-                    &mut fx.vm,
-                );
-                Self::notify_owner_hint(o, me, cost, now, vm, page, fx);
-                Self::drain_parked(o, me, cost, now, vm, page, fx);
-            }
+            } => Self::on_page_transfer(o, me, cost, now, vm, page, data, dirty, version, fx),
             AsvmMsg::OwnerHint { page, owner, .. } => {
-                Self::owner_hint(o, me, cost, now, vm, page, owner, fx);
+                Self::owner_hint(o, me, cost, now, vm, page, owner, fx)
             }
             AsvmMsg::PagedHint { page, .. } => {
                 o.static_seen.insert(page);
                 o.static_cache.insert(page, StaticHint::Paged);
             }
             AsvmMsg::PushReq { page, from, .. } => {
-                crate::copymgmt::on_push_req(o, me, cost, now, vm, page, from, fx);
+                crate::copymgmt::on_push_req(o, me, cost, now, vm, page, from, fx)
             }
             AsvmMsg::PushAck {
                 page,
                 from,
                 needs_data,
                 ..
-            } => {
-                crate::copymgmt::on_push_ack(o, me, cost, now, vm, page, from, needs_data, fx);
-            }
+            } => crate::copymgmt::on_push_ack(o, me, cost, now, vm, page, from, needs_data, fx),
             AsvmMsg::PushData {
                 page, from, data, ..
-            } => {
-                crate::copymgmt::on_push_data(o, me, cost, now, vm, page, from, data, fx);
-            }
+            } => crate::copymgmt::on_push_data(o, me, cost, now, vm, page, from, data, fx),
             AsvmMsg::PushDone { page, from, .. } => {
-                crate::copymgmt::on_push_done(o, me, cost, now, vm, page, from, fx);
+                crate::copymgmt::on_push_done(o, me, cost, now, vm, page, from, fx)
             }
-            AsvmMsg::CopyMade { from: creator, .. } => {
-                Self::apply_copy_made(o, now, vm, fx);
-                if o.home == me {
-                    // Relay to every other member and settle when all ack.
-                    let targets: Vec<NodeId> = o
-                        .nodes
-                        .iter()
-                        .copied()
-                        .filter(|n| *n != me && *n != creator)
-                        .collect();
-                    if targets.is_empty() {
-                        if creator == me {
-                            fx.settled.push(mobj);
-                        } else {
-                            fx.send(creator, AsvmMsg::CopySettled { mobj });
-                        }
-                    } else {
-                        for n in &targets {
-                            fx.send(
-                                *n,
-                                AsvmMsg::CopyMade {
-                                    mobj,
-                                    from: creator,
-                                },
-                            );
-                        }
-                        o.copy_settles
-                            .push((creator, targets.into_iter().collect()));
-                    }
-                } else {
-                    // Relayed notification: acknowledge to the home node.
-                    fx.send(o.home, AsvmMsg::CopyMadeAck { mobj, from: me });
-                }
-            }
-            AsvmMsg::CopyMadeAck { from: acker, .. } => {
-                assert_eq!(o.home, me, "copy acks aggregate at the home node");
-                let mut settled_child = None;
-                for (child, pending) in o.copy_settles.iter_mut() {
-                    if pending.remove(&acker) {
-                        if pending.is_empty() {
-                            settled_child = Some(*child);
-                        }
-                        break;
-                    }
-                }
-                if let Some(child) = settled_child {
-                    o.copy_settles.retain(|(_, p)| !p.is_empty());
-                    if child == me {
-                        fx.settled.push(mobj);
-                    } else {
-                        fx.send(child, AsvmMsg::CopySettled { mobj });
-                    }
-                }
-            }
-            AsvmMsg::CopySettled { .. } => {
-                fx.settled.push(mobj);
-            }
+            AsvmMsg::CopyMade { from, .. } => Self::on_copy_made(o, me, now, vm, from, fx),
+            AsvmMsg::CopyMadeAck { from, .. } => Self::on_copy_made_ack(o, me, from, fx),
+            AsvmMsg::CopySettled { .. } => fx.settled.push(mobj),
             AsvmMsg::PullHop {
                 page,
                 access,
@@ -1102,97 +768,446 @@ impl AsvmNode {
                 crate::copymgmt::pull_dispatch(o, me, cost, now, vm, page, req, fx);
             }
             AsvmMsg::RangeLockReq {
-                first,
-                count,
-                from: holder,
-                ..
-            } => {
-                assert_eq!(o.home, me, "range locks are managed at the home node");
-                let range = crate::locks::PageRange { first, count };
-                if o.range_locks.acquire(range, holder) {
-                    if holder == me {
-                        fx.lock_granted.push((mobj, range));
-                    } else {
-                        fx.send(holder, AsvmMsg::RangeLockGrant { mobj, first, count });
-                    }
-                }
-            }
+                first, count, from, ..
+            } => Self::acquire_range_lock(o, me, PageRange { first, count }, from, fx),
             AsvmMsg::RangeLockGrant { first, count, .. } => {
-                fx.lock_granted
-                    .push((mobj, crate::locks::PageRange { first, count }));
+                fx.lock_granted.push((mobj, PageRange { first, count }))
             }
             AsvmMsg::RangeLockRelease {
-                first,
-                count,
-                from: holder,
-                ..
-            } => {
-                assert_eq!(o.home, me, "range locks are managed at the home node");
-                let range = crate::locks::PageRange { first, count };
-                for g in o.range_locks.release(range, holder) {
-                    if g.holder == me {
-                        fx.lock_granted.push((mobj, g.range));
-                    } else {
-                        fx.send(
-                            g.holder,
-                            AsvmMsg::RangeLockGrant {
-                                mobj,
-                                first: g.range.first,
-                                count: g.range.count,
-                            },
-                        );
-                    }
-                }
-            }
+                first, count, from, ..
+            } => Self::release_range_lock(o, me, PageRange { first, count }, from, fx),
             AsvmMsg::Retry { page, access, .. } => {
                 // Re-issue our own request after a push/pull race.
                 o.pending.remove(&page);
                 Self::local_request(o, me, cost, now, vm, page, access, fx);
             }
-            AsvmMsg::RecoverQuery {
-                page, from: asker, ..
-            } => {
-                // Report our local view. A page mid-transition is not a
-                // usable copy — except AwaitingOwnership, which is exactly
-                // the dead-owner limbo reconstruction resolves.
-                let (has_copy, version, owner) = match o.pages.get(&page) {
-                    Some(pi)
-                        if pi.busy.is_none()
-                            || matches!(pi.busy, Some(Busy::AwaitingOwnership)) =>
-                    {
-                        (true, pi.version, pi.owner)
-                    }
-                    _ => (false, 0, false),
-                };
-                fx.send(
-                    asker,
-                    AsvmMsg::RecoverReply {
-                        mobj,
-                        page,
-                        from: me,
-                        has_copy,
-                        version,
-                        owner,
-                    },
-                );
+            AsvmMsg::RecoverQuery { page, from, .. } => {
+                Self::on_recover_query(o, me, page, from, fx)
             }
             AsvmMsg::RecoverReply {
                 page,
-                from: peer,
+                from,
                 has_copy,
                 version,
                 owner,
                 ..
-            } => {
-                Self::recover_reply(
-                    o, me, cost, now, vm, page, peer, has_copy, version, owner, fx,
-                );
-            }
+            } => Self::recover_reply(
+                o, me, cost, now, vm, page, from, has_copy, version, owner, fx,
+            ),
             AsvmMsg::RecoverElect { page, readers, .. } => {
-                Self::recover_elect(o, me, cost, now, vm, page, readers, fx);
+                Self::recover_elect(o, me, cost, now, vm, page, readers, fx)
             }
         }
-        self.drain_escalations(now, vm, fx);
+    }
+
+    /// The policy learns from arriving access requests — the traffic a
+    /// forwarding-strategy change would actually redirect. Push scans,
+    /// pull lookups and bookkeeping replies carry no signal about the
+    /// object's read/write mix.
+    fn observe_request(o: &mut AsvmObject, msg: &AsvmMsg, fx: &mut Fx) {
+        let AsvmMsg::PageReq {
+            page,
+            req:
+                QueuedReq {
+                    access,
+                    origin,
+                    kind: ReqKind::Access,
+                    deliver: None,
+                    ..
+                },
+            path,
+            ..
+        } = msg
+        else {
+            return;
+        };
+        let write = *access == Access::Write;
+        Self::policy_observe(o, crate::policy::Observation::RemoteReq { write }, fx);
+        // Hint prefetch learns the *demand* stream of the faulting node:
+        // frames flowing back to it will carry owner hints for its
+        // predicted next pages. Speculative requests are its prefetcher
+        // echoing the same stride — not new evidence.
+        if o.cfg.prefetch.enabled && o.cfg.prefetch.hints && !path.speculative {
+            o.peer_streams.entry(*origin).or_default().observe(*page);
+        }
+    }
+
+    /// Re-announces ownership of every page this node owns to the pages'
+    /// static managers. Membership changes move the static-manager
+    /// hashing: without this, requests would need a global walk to find
+    /// owners and the fresh/pull shortcut could mint a second owner.
+    fn reannounce_owned(
+        o: &mut AsvmObject,
+        me: NodeId,
+        cost: &CostModel,
+        now: Time,
+        vm: &mut VmSystem,
+        fx: &mut Fx,
+    ) {
+        o.fresh_valid = false;
+        let owned: Vec<PageIdx> = o
+            .pages
+            .iter()
+            .filter(|(_, pi)| pi.owner)
+            .map(|(p, _)| *p)
+            .collect();
+        for page in owned {
+            Self::notify_owner_hint(o, me, cost, now, vm, page, fx);
+        }
+    }
+
+    /// `node` mapped the object: the home node extends the member list and
+    /// broadcasts it.
+    fn on_map_notify(
+        o: &mut AsvmObject,
+        me: NodeId,
+        cost: &CostModel,
+        now: Time,
+        vm: &mut VmSystem,
+        node: NodeId,
+        fx: &mut Fx,
+    ) {
+        assert_eq!(o.home, me, "MapNotify must go to the home node");
+        if o.nodes.contains(&node) {
+            return;
+        }
+        o.nodes.push(node);
+        o.nodes.sort();
+        let mobj = o.mobj;
+        for n in o.nodes.iter().filter(|n| **n != me) {
+            let nodes = o.nodes.clone();
+            fx.send(*n, AsvmMsg::Membership { mobj, nodes });
+        }
+        // The home applies the same membership-change rules as everyone
+        // else, before the new member's first fault (the synchronous fork
+        // guarantees the ordering).
+        Self::reannounce_owned(o, me, cost, now, vm, fx);
+    }
+
+    /// The home node broadcast a new member list.
+    fn on_membership(
+        o: &mut AsvmObject,
+        me: NodeId,
+        cost: &CostModel,
+        now: Time,
+        vm: &mut VmSystem,
+        nodes: Vec<NodeId>,
+        fx: &mut Fx,
+    ) {
+        o.nodes = nodes;
+        Self::reannounce_owned(o, me, cost, now, vm, fx);
+        // Static-manager hashing may have moved: re-dispatch anything
+        // parked on static routing so nothing is stranded.
+        for (page, reqs) in std::mem::take(&mut o.static_waiting) {
+            for q in reqs {
+                Self::route(o, me, cost, now, vm, page, q, ReqPath::default(), fx);
+            }
+        }
+    }
+
+    /// The owner invalidates our read copy (transition 8).
+    fn on_invalidate(
+        o: &mut AsvmObject,
+        me: NodeId,
+        now: Time,
+        vm: &mut VmSystem,
+        page: PageIdx,
+        owner: NodeId,
+        fx: &mut Fx,
+    ) {
+        if let Some(pi) = o.pages.get(&page) {
+            assert!(
+                pi.busy.is_none() || matches!(pi.busy, Some(Busy::AwaitingOwnership)),
+                "invalidate raced a busy page"
+            );
+            if !pi.owner {
+                vm.set_busy(o.vm_obj, page, false);
+                vm.kernel_call(
+                    now,
+                    o.vm_obj,
+                    EmmiToKernel::LockRequest {
+                        page,
+                        op: LockOp::Flush {
+                            return_dirty: false,
+                        },
+                        mode: LockMode::Normal,
+                    },
+                    &mut fx.vm,
+                );
+                o.pages.remove(&page);
+                // A speculative fill invalidated before any demand access
+                // consumed it: the transfer was wasted.
+                Self::spec_settle(o, page, true, fx);
+            }
+        }
+        o.dyn_cache.insert(page, owner);
+        fx.send(
+            owner,
+            AsvmMsg::InvalidateAck {
+                mobj: o.mobj,
+                page,
+                from: me,
+            },
+        );
+    }
+
+    /// An evicting owner asks whether we still hold a read copy that
+    /// could take the page over (§3.6 step 2).
+    fn on_read_check(
+        o: &mut AsvmObject,
+        me: NodeId,
+        vm: &mut VmSystem,
+        page: PageIdx,
+        owner: NodeId,
+        fx: &mut Fx,
+    ) {
+        let has_copy = match o.pages.get_mut(&page) {
+            Some(pi) if !pi.owner && pi.busy.is_none() => {
+                pi.busy = Some(Busy::AwaitingOwnership);
+                vm.set_busy(o.vm_obj, page, true);
+                true
+            }
+            _ => false,
+        };
+        fx.send(
+            owner,
+            AsvmMsg::ReadCheckReply {
+                mobj: o.mobj,
+                page,
+                from: me,
+                has_copy,
+            },
+        );
+    }
+
+    /// Ownership of a page we hold a copy of arrives (§3.6 step 2).
+    fn on_ownership_transfer(
+        o: &mut AsvmObject,
+        me: NodeId,
+        cost: &CostModel,
+        now: Time,
+        vm: &mut VmSystem,
+        page: PageIdx,
+        readers: Vec<NodeId>,
+        version: u64,
+        dirty: bool,
+        fx: &mut Fx,
+    ) {
+        let pi = o
+            .pages
+            .get_mut(&page)
+            .expect("ownership transfer to node without the page");
+        // `busy == None` happens only when the watchdog broke an
+        // AwaitingOwnership limbo (suspected-dead transferor) and the
+        // transfer then arrived after all; accept it.
+        assert!(
+            pi.busy.is_none() || matches!(pi.busy, Some(Busy::AwaitingOwnership)),
+            "ownership transfer raced a busy page"
+        );
+        pi.busy = None;
+        vm.set_busy(o.vm_obj, page, false);
+        pi.owner = true;
+        pi.readers = readers.into_iter().collect();
+        pi.readers.remove(&me);
+        pi.version = version;
+        pi.dirty |= dirty;
+        let queued: Vec<QueuedReq> = pi.queued.drain(..).collect();
+        Self::notify_owner_hint(o, me, cost, now, vm, page, fx);
+        for q in queued {
+            Self::route(o, me, cost, now, vm, page, q, ReqPath::default(), fx);
+        }
+        Self::drain_parked(o, me, cost, now, vm, page, fx);
+    }
+
+    /// An evicting owner asks whether we have room for the page (§3.6
+    /// step 3).
+    fn on_accept_ask(
+        o: &mut AsvmObject,
+        me: NodeId,
+        vm: &VmSystem,
+        page: PageIdx,
+        owner: NodeId,
+        fx: &mut Fx,
+    ) {
+        let accept = Self::has_free_memory(vm) && !o.incoming_transfer.contains(&page);
+        if accept {
+            o.incoming_transfer.insert(page);
+        }
+        fx.send(
+            owner,
+            AsvmMsg::AcceptReply {
+                mobj: o.mobj,
+                page,
+                from: me,
+                accept,
+            },
+        );
+    }
+
+    /// A page we accepted arrives with its ownership (§3.6 step 3).
+    fn on_page_transfer(
+        o: &mut AsvmObject,
+        me: NodeId,
+        cost: &CostModel,
+        now: Time,
+        vm: &mut VmSystem,
+        page: PageIdx,
+        data: PageData,
+        dirty: bool,
+        version: u64,
+        fx: &mut Fx,
+    ) {
+        o.incoming_transfer.remove(&page);
+        let mut pi = PageInfo::new(Access::Read, true, version);
+        pi.dirty = dirty;
+        let prev = o.pages.insert(page, pi);
+        assert!(prev.is_none(), "page transfer onto existing state");
+        vm.kernel_call(
+            now,
+            o.vm_obj,
+            EmmiToKernel::DataSupply {
+                page,
+                data,
+                lock: Access::Read,
+                mode: SupplyMode::Normal,
+            },
+            &mut fx.vm,
+        );
+        Self::notify_owner_hint(o, me, cost, now, vm, page, fx);
+        Self::drain_parked(o, me, cost, now, vm, page, fx);
+    }
+
+    /// `creator` made a delayed copy of the object: apply the version bump
+    /// here, then relay (home node) or acknowledge (everyone else).
+    fn on_copy_made(
+        o: &mut AsvmObject,
+        me: NodeId,
+        now: Time,
+        vm: &mut VmSystem,
+        creator: NodeId,
+        fx: &mut Fx,
+    ) {
+        Self::apply_copy_made(o, now, vm, fx);
+        if o.home == me {
+            Self::relay_copy_made(o, me, creator, fx);
+        } else {
+            let mobj = o.mobj;
+            fx.send(o.home, AsvmMsg::CopyMadeAck { mobj, from: me });
+        }
+    }
+
+    /// Home node: relays `creator`'s copy notification to every other
+    /// member and settles it once all have acknowledged (at once when
+    /// there is nobody else to tell).
+    fn relay_copy_made(o: &mut AsvmObject, me: NodeId, creator: NodeId, fx: &mut Fx) {
+        let mobj = o.mobj;
+        let targets: Vec<NodeId> = o
+            .nodes
+            .iter()
+            .copied()
+            .filter(|n| *n != me && *n != creator)
+            .collect();
+        if targets.is_empty() {
+            return Self::settle_copy(mobj, me, creator, fx);
+        }
+        for n in &targets {
+            fx.send(
+                *n,
+                AsvmMsg::CopyMade {
+                    mobj,
+                    from: creator,
+                },
+            );
+        }
+        o.copy_settles
+            .push((creator, targets.into_iter().collect()));
+    }
+
+    /// Home node: a member applied a relayed copy notification.
+    fn on_copy_made_ack(o: &mut AsvmObject, me: NodeId, acker: NodeId, fx: &mut Fx) {
+        assert_eq!(o.home, me, "copy acks aggregate at the home node");
+        let Some(i) = o.copy_settles.iter().position(|(_, p)| p.contains(&acker)) else {
+            return;
+        };
+        o.copy_settles[i].1.remove(&acker);
+        if o.copy_settles[i].1.is_empty() {
+            let (creator, _) = o.copy_settles.remove(i);
+            Self::settle_copy(o.mobj, me, creator, fx);
+        }
+    }
+
+    /// Every member applied `creator`'s copy notification: tell it, so the
+    /// fork waiting on the copy may complete.
+    fn settle_copy(mobj: MemObjId, me: NodeId, creator: NodeId, fx: &mut Fx) {
+        if creator == me {
+            fx.settled.push(mobj);
+        } else {
+            fx.send(creator, AsvmMsg::CopySettled { mobj });
+        }
+    }
+
+    /// Home node: `holder` asks for a range lock; granted at once when the
+    /// range is free, queued otherwise.
+    fn acquire_range_lock(
+        o: &mut AsvmObject,
+        me: NodeId,
+        range: PageRange,
+        holder: NodeId,
+        fx: &mut Fx,
+    ) {
+        assert_eq!(o.home, me, "range locks are managed at the home node");
+        if o.range_locks.acquire(range, holder) {
+            Self::grant_range_lock(o.mobj, me, range, holder, fx);
+        }
+    }
+
+    /// Home node: `holder` releases a range lock; queued requests that now
+    /// fit are granted.
+    fn release_range_lock(
+        o: &mut AsvmObject,
+        me: NodeId,
+        range: PageRange,
+        holder: NodeId,
+        fx: &mut Fx,
+    ) {
+        assert_eq!(o.home, me, "range locks are managed at the home node");
+        for g in o.range_locks.release(range, holder) {
+            Self::grant_range_lock(o.mobj, me, g.range, g.holder, fx);
+        }
+    }
+
+    /// Delivers a range-lock grant to `holder`.
+    fn grant_range_lock(mobj: MemObjId, me: NodeId, range: PageRange, holder: NodeId, fx: &mut Fx) {
+        if holder == me {
+            fx.lock_granted.push((mobj, range));
+        } else {
+            let PageRange { first, count } = range;
+            fx.send(holder, AsvmMsg::RangeLockGrant { mobj, first, count });
+        }
+    }
+
+    /// A recovering static manager asks for our local view of `page`.
+    fn on_recover_query(o: &AsvmObject, me: NodeId, page: PageIdx, asker: NodeId, fx: &mut Fx) {
+        // A page mid-transition is not a usable copy — except
+        // AwaitingOwnership, which is exactly the dead-owner limbo
+        // reconstruction resolves.
+        let (has_copy, version, owner) = match o.pages.get(&page) {
+            Some(pi) if pi.busy.is_none() || matches!(pi.busy, Some(Busy::AwaitingOwnership)) => {
+                (true, pi.version, pi.owner)
+            }
+            _ => (false, 0, false),
+        };
+        fx.send(
+            asker,
+            AsvmMsg::RecoverReply {
+                mobj: o.mobj,
+                page,
+                from: me,
+                has_copy,
+                version,
+                owner,
+            },
+        );
     }
 
     // --- Pager ingress ----------------------------------------------------------
@@ -1243,7 +1258,6 @@ impl AsvmNode {
                 // (`docs/RELIABILITY.md`).
                 if o.pages.contains_key(&page) || !o.pending.contains_key(&page) {
                     fx.bump("asvm.recover.stale_fill");
-                    self.drain_escalations(now, vm, fx);
                     return;
                 }
                 let pend = o
@@ -1296,7 +1310,6 @@ impl AsvmNode {
             }
             other => panic!("unexpected pager reply {other:?}"),
         }
-        self.drain_escalations(now, vm, fx);
     }
 
     // --- Eviction ingress ----------------------------------------------------------
@@ -2838,7 +2851,6 @@ impl AsvmNode {
                 }
             }
         }
-        self.drain_escalations(now, vm, fx);
     }
 
     /// The failure detector now suspects `peer`: scrub hints naming it,
@@ -2976,7 +2988,6 @@ impl AsvmNode {
                 }
             }
         }
-        self.drain_escalations(now, vm, fx);
     }
 
     /// The failure detector heard from `peer` again: drop the suspicion.
@@ -2991,62 +3002,45 @@ impl AsvmNode {
     /// Requests an exclusive range lock (§6 future work). The grant
     /// arrives via [`Fx::lock_granted`] — possibly within this call when
     /// this node is the home node and the range is free.
-    pub fn lock_range(&mut self, mobj: MemObjId, range: crate::locks::PageRange, fx: &mut Fx) {
+    pub fn lock_range(&mut self, mobj: MemObjId, range: PageRange, fx: &mut Fx) {
         let me = self.me;
         let o = self
             .objects
             .get_mut(&mobj)
             .expect("lock on unregistered object");
         if o.home == me {
-            if o.range_locks.acquire(range, me) {
-                fx.lock_granted.push((mobj, range));
-            }
-        } else {
-            fx.send(
-                o.home,
-                AsvmMsg::RangeLockReq {
-                    mobj,
-                    first: range.first,
-                    count: range.count,
-                    from: me,
-                },
-            );
+            return Self::acquire_range_lock(o, me, range, me, fx);
         }
+        fx.send(
+            o.home,
+            AsvmMsg::RangeLockReq {
+                mobj,
+                first: range.first,
+                count: range.count,
+                from: me,
+            },
+        );
     }
 
     /// Releases a range lock previously granted to this node.
-    pub fn unlock_range(&mut self, mobj: MemObjId, range: crate::locks::PageRange, fx: &mut Fx) {
+    pub fn unlock_range(&mut self, mobj: MemObjId, range: PageRange, fx: &mut Fx) {
         let me = self.me;
         let o = self
             .objects
             .get_mut(&mobj)
             .expect("unlock on unregistered object");
         if o.home == me {
-            for g in o.range_locks.release(range, me) {
-                if g.holder == me {
-                    fx.lock_granted.push((mobj, g.range));
-                } else {
-                    fx.send(
-                        g.holder,
-                        AsvmMsg::RangeLockGrant {
-                            mobj,
-                            first: g.range.first,
-                            count: g.range.count,
-                        },
-                    );
-                }
-            }
-        } else {
-            fx.send(
-                o.home,
-                AsvmMsg::RangeLockRelease {
-                    mobj,
-                    first: range.first,
-                    count: range.count,
-                    from: me,
-                },
-            );
+            return Self::release_range_lock(o, me, range, me, fx);
         }
+        fx.send(
+            o.home,
+            AsvmMsg::RangeLockRelease {
+                mobj,
+                first: range.first,
+                count: range.count,
+                from: me,
+            },
+        );
     }
 
     /// A delayed copy of `mobj` was created on this node: bump versions
@@ -3060,15 +3054,7 @@ impl AsvmNode {
             .expect("copy of unregistered object");
         Self::apply_copy_made(o, now, vm, fx);
         if o.home == me {
-            let targets: Vec<NodeId> = o.nodes.iter().copied().filter(|n| *n != me).collect();
-            if targets.is_empty() {
-                fx.settled.push(mobj);
-            } else {
-                for n in &targets {
-                    fx.send(*n, AsvmMsg::CopyMade { mobj, from: me });
-                }
-                o.copy_settles.push((me, targets.into_iter().collect()));
-            }
+            Self::relay_copy_made(o, me, me, fx);
         } else {
             fx.send(o.home, AsvmMsg::CopyMade { mobj, from: me });
         }
@@ -3119,13 +3105,8 @@ impl AsvmNode {
             AsvmMsg::PageReq {
                 mobj: o.mobj,
                 page,
-                access: req.access,
-                origin: req.origin,
-                origin_obj: req.origin_obj,
-                has_copy: req.has_copy,
+                req: req.clone(),
                 path,
-                kind: req.kind,
-                deliver: req.deliver,
             },
         );
     }

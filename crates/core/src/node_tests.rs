@@ -4,15 +4,15 @@
 //! tests assert on protocol decisions, page state and invariants.
 
 use machvm::{
-    Access, Backing, EmmiToKernel, EmmiToPager, Inherit, MemObjId, PageData, PageIdx, SupplyMode,
-    TaskId, VmObjId, VmSystem,
+    Access, Backing, EmmiToKernel, EmmiToPager, Inherit, MemObjId, PageData, PageIdx, PagerSend,
+    SupplyMode, TaskId, VmObjId, VmSystem,
 };
 use svmsim::{CostModel, NodeId, Time};
 
 use crate::config::AsvmConfig;
 use crate::node::{AsvmNode, Fx};
 use crate::object::StaticHint;
-use crate::protocol::{AsvmMsg, PagerSend};
+use crate::protocol::AsvmMsg;
 
 const MOBJ: MemObjId = MemObjId(7);
 const PAGES: u32 = 16;
@@ -77,8 +77,8 @@ impl MiniNet {
     }
 
     fn absorb(&mut self, from: NodeId, fx: Fx) {
-        for ns in fx.net {
-            self.wire.push((from, ns.dst, ns.msg));
+        for (dst, msg) in fx.net {
+            self.wire.push((from, dst, msg));
         }
         self.pager_wire.extend(fx.pager);
         // VM effects: route EMMI back into the local ASVM; surface fault
@@ -90,8 +90,8 @@ impl MiniNet {
                 let (a, vm) = &mut self.nodes[from.index()];
                 let mut fx2 = Fx::new();
                 a.handle_emmi(now, vm, obj, call, &mut fx2);
-                for ns in fx2.net {
-                    self.wire.push((from, ns.dst, ns.msg));
+                for (dst, msg) in fx2.net {
+                    self.wire.push((from, dst, msg));
                 }
                 self.pager_wire.extend(fx2.pager);
                 vm_out.extend(fx2.vm.out);
@@ -345,9 +345,9 @@ fn eviction_hands_ownership_to_a_reader_without_contents() {
     }
     // Check that no page payload travels during the hand-off.
     let ps = 8192;
-    for ns in &fx.net {
+    for (_, msg) in &fx.net {
         assert_eq!(
-            ns.msg.payload_bytes(ps),
+            msg.payload_bytes(ps),
             0,
             "ownership hand-off must not carry page contents"
         );

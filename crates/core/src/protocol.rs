@@ -10,6 +10,8 @@
 use machvm::{Access, MemObjId, PageData, PageIdx, VmObjId};
 use svmsim::NodeId;
 
+use crate::object::QueuedReq;
+
 /// Routing state carried by a request while the redirector forwards it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReqPath {
@@ -69,25 +71,12 @@ pub enum AsvmMsg {
         mobj: MemObjId,
         /// The page.
         page: PageIdx,
-        /// Requested access.
-        access: Access,
-        /// The requesting node (grant destination).
-        origin: NodeId,
-        /// The requester's VM object for this memory object (reply-routing
-        /// token for pager dispatches).
-        origin_obj: VmObjId,
-        /// The requester already holds a read copy (upgrade: the grant need
-        /// not carry page contents).
-        has_copy: bool,
+        /// The request in flight: who wants which access (`origin` is the
+        /// grant destination), whether an upgrade may elide the page
+        /// contents, and the push-scan / pull-lookup markers (§3.7.3).
+        req: QueuedReq,
         /// Routing state.
         path: ReqPath,
-        /// Normal access or push scan.
-        kind: ReqKind,
-        /// Pull-lookup marker (§3.7.3): when set, the request is a
-        /// snapshot lookup on behalf of a *copy* object; the grant is
-        /// delivered in terms of this object and does not register the
-        /// origin as a reader here.
-        deliver: Option<MemObjId>,
     },
     /// Owner's (or pager path's) answer to a `PageReq`.
     Grant {
@@ -450,12 +439,15 @@ impl AsvmMsg {
         matches!(
             self,
             AsvmMsg::PageReq {
-                access: Access::Read,
-                origin,
-                has_copy: false,
+                req: QueuedReq {
+                    access: Access::Read,
+                    origin,
+                    has_copy: false,
+                    kind: ReqKind::Access,
+                    deliver: None,
+                    ..
+                },
                 path: ReqPath { recovering: false, .. },
-                kind: ReqKind::Access,
-                deliver: None,
                 ..
             } if *origin == me
         )
@@ -573,31 +565,6 @@ impl AsvmMsg {
                 | AsvmMsg::PushData { .. }
         )
     }
-}
-
-/// A network send requested by the ASVM state machine.
-#[derive(Clone, Debug)]
-pub struct NetSend {
-    /// Destination node.
-    pub dst: NodeId,
-    /// The message.
-    pub msg: AsvmMsg,
-}
-
-/// An EMMI request to a real pager task, carried over NORMA-IPC.
-#[derive(Clone, Debug)]
-pub struct PagerSend {
-    /// The I/O node hosting the pager.
-    pub pager_node: NodeId,
-    /// Node the pager's reply must go to (the request origin — not
-    /// necessarily the node that dispatched the request).
-    pub reply_to: NodeId,
-    /// The memory object addressed.
-    pub mobj: MemObjId,
-    /// Reply-routing VM object on `reply_to`.
-    pub obj: VmObjId,
-    /// The EMMI call.
-    pub call: machvm::EmmiToPager,
 }
 
 #[cfg(test)]

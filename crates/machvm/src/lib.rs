@@ -30,6 +30,7 @@
 #![allow(clippy::too_many_arguments)]
 
 pub mod emmi;
+pub mod fx;
 pub mod ids;
 pub mod map;
 pub mod object;
@@ -42,6 +43,7 @@ mod chain_tests;
 mod system_tests;
 
 pub use emmi::{EmmiToKernel, EmmiToPager, LockMode, LockOp, LockResult, PullResult, SupplyMode};
+pub use fx::{Fx, PageRange, PagerSend};
 pub use ids::{Access, FaultId, Inherit, MemObjId, PageIdx, TaskId, VmObjId};
 pub use map::{AddressMap, MapEntry};
 pub use object::{Backing, CopyStrategy, ResidentPage, VmObject};

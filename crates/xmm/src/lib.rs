@@ -22,5 +22,5 @@ pub mod protocol;
 #[cfg(test)]
 mod node_tests;
 
-pub use node::{Fx, MgrState, XmmBacking, XmmNode, XmmObject, XmmPagerSend, XmmSend};
+pub use node::{Fx, MgrState, XmmBacking, XmmNode, XmmObject};
 pub use protocol::{XLock, XmmMsg};

@@ -19,59 +19,15 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use machvm::{
     Access, EmmiToKernel, EmmiToPager, FaultId, FaultOutcome, LockMode, LockOp, MemObjId, PageIdx,
-    SupplyMode, TaskId, VmObjId, VmSystem,
+    PagerSend, SupplyMode, TaskId, VmObjId, VmSystem,
 };
-use svmsim::{CostModel, Dur, NodeId, Time};
+use svmsim::{CostModel, NodeId, Time};
 
 use crate::protocol::{XLock, XmmMsg};
 
-/// A cross-node send requested by XMM (carried over NORMA-IPC).
-#[derive(Clone, Debug)]
-pub struct XmmSend {
-    /// Destination node.
-    pub dst: NodeId,
-    /// The message.
-    pub msg: XmmMsg,
-}
-
-/// An EMMI request to a real pager task (also NORMA-IPC).
-#[derive(Clone, Debug)]
-pub struct XmmPagerSend {
-    /// The I/O node hosting the pager.
-    pub pager_node: NodeId,
-    /// Node the reply must go to.
-    pub reply_to: NodeId,
-    /// The memory object addressed.
-    pub mobj: MemObjId,
-    /// Reply-routing VM object on `reply_to`.
-    pub obj: VmObjId,
-    /// The EMMI call.
-    pub call: EmmiToPager,
-}
-
-/// Effects produced by XMM handlers.
-#[derive(Debug, Default)]
-pub struct Fx {
-    /// Message-processor time to charge.
-    pub cpu: Dur,
-    /// XMMI messages to send.
-    pub net: Vec<XmmSend>,
-    /// EMMI requests to real pagers.
-    pub pager: Vec<XmmPagerSend>,
-    /// Effects emitted by nested VM calls.
-    pub vm: machvm::Effects,
-}
-
-impl Fx {
-    /// Creates an empty effect sink.
-    pub fn new() -> Fx {
-        Fx::default()
-    }
-
-    fn send(&mut self, dst: NodeId, msg: XmmMsg) {
-        self.net.push(XmmSend { dst, msg });
-    }
-}
+/// Effects produced by XMM handlers: the shared manager sink, carrying
+/// XMMI messages (always over NORMA-IPC).
+pub type Fx = machvm::Fx<XmmMsg>;
 
 /// What backs an XMM-managed object.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -374,7 +330,7 @@ impl XmmNode {
             EmmiToPager::DataReturn { page, data, dirty } => {
                 if dirty {
                     if let XmmBacking::RealPager { node } = o.backing {
-                        fx.pager.push(XmmPagerSend {
+                        fx.pager.push(PagerSend {
                             pager_node: node,
                             reply_to: me,
                             mobj,
@@ -579,7 +535,7 @@ impl XmmNode {
         let o = self.objects.get_mut(&mobj).unwrap();
         if dirty {
             if let XmmBacking::RealPager { node } = o.backing {
-                fx.pager.push(XmmPagerSend {
+                fx.pager.push(PagerSend {
                     pager_node: node,
                     reply_to: me,
                     mobj,
@@ -773,7 +729,7 @@ impl XmmNode {
             if req.access == Access::Write { 2 } else { 1 };
         match backing {
             XmmBacking::RealPager { node } => {
-                fx.pager.push(XmmPagerSend {
+                fx.pager.push(PagerSend {
                     pager_node: node,
                     reply_to: req.origin,
                     mobj,
@@ -911,7 +867,7 @@ impl XmmNode {
         o: &XmmObject,
         me: NodeId,
         vmfx: &mut machvm::Effects,
-        pager: &mut Vec<XmmPagerSend>,
+        pager: &mut Vec<PagerSend>,
     ) {
         let XmmBacking::RealPager { node } = o.backing else {
             return;
@@ -924,7 +880,7 @@ impl XmmNode {
                     call: EmmiToPager::DataReturn { page, data, dirty },
                     ..
                 } if obj == o.vm_obj => {
-                    pager.push(XmmPagerSend {
+                    pager.push(PagerSend {
                         pager_node: node,
                         reply_to: me,
                         mobj: o.mobj,

@@ -3,12 +3,12 @@
 //! pairs.
 
 use machvm::{
-    Access, Backing, EmmiToKernel, EmmiToPager, Inherit, MemObjId, PageData, PageIdx, SupplyMode,
-    TaskId, VmSystem,
+    Access, Backing, EmmiToKernel, EmmiToPager, Inherit, MemObjId, PageData, PageIdx, PagerSend,
+    SupplyMode, TaskId, VmSystem,
 };
 use svmsim::{CostModel, NodeId, Time};
 
-use crate::node::{Fx, XmmBacking, XmmNode, XmmPagerSend};
+use crate::node::{Fx, XmmBacking, XmmNode};
 use crate::protocol::XmmMsg;
 
 const MOBJ: MemObjId = MemObjId(3);
@@ -17,7 +17,7 @@ const PAGES: u32 = 8;
 struct MiniNet {
     nodes: Vec<(XmmNode, VmSystem)>,
     wire: Vec<(NodeId, XmmMsg)>,
-    pager_wire: Vec<XmmPagerSend>,
+    pager_wire: Vec<PagerSend>,
     /// Pages the fake pager holds (written back to it).
     pager_store: std::collections::BTreeMap<PageIdx, PageData>,
     pager_writes: u32,
@@ -67,9 +67,7 @@ impl MiniNet {
     }
 
     fn absorb(&mut self, from: NodeId, fx: Fx) {
-        for xs in fx.net {
-            self.wire.push((xs.dst, xs.msg));
-        }
+        self.wire.extend(fx.net);
         self.pager_wire.extend(fx.pager);
         let mut vm_out: std::collections::VecDeque<machvm::VmEffect> = fx.vm.out.into();
         while let Some(eff) = vm_out.pop_front() {
@@ -78,9 +76,7 @@ impl MiniNet {
                 let (x, vm) = &mut self.nodes[from.index()];
                 let mut fx2 = Fx::new();
                 x.handle_emmi(now, vm, obj, call, &mut fx2);
-                for xs in fx2.net {
-                    self.wire.push((xs.dst, xs.msg));
-                }
+                self.wire.extend(fx2.net);
                 self.pager_wire.extend(fx2.pager);
                 vm_out.extend(fx2.vm.out);
             }
