@@ -5,9 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use asvm::{AsvmMsg, FrameBody, FrameCombiner};
+use asvm::{AsvmMsg, FrameBody, FrameCombiner, Lru};
 use cluster::ManagerKind;
-use machvm::{MemObjId, PageIdx};
+use machvm::{KeyTable, MemObjId, NodeSet, PageIdx};
 use svmsim::{Dur, EventQueue, Machine, MachineConfig, NodeId, Stats, Time};
 use workloads::{
     copy_chain_probe, em3d_run, fault_probe, run_pattern, CopyChainSpec, Em3dSpec, FaultProbeSpec,
@@ -209,6 +209,86 @@ fn bench_frame_combiner(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_lru(c: &mut Criterion) {
+    let mut g = c.benchmark_group("lru");
+    // The `migratory` shape: a 128-page working set in a dynamic hint
+    // cache far below capacity — every forwarded request peeks, refreshes
+    // and rewrites its page's hint, and nothing is ever evicted.
+    g.bench_function("working_set_128_cap_4096", |b| {
+        let mut hints: Lru<PageIdx, NodeId> = Lru::new(4096);
+        for p in 0..128 {
+            hints.insert(PageIdx(p), NodeId(0));
+        }
+        b.iter(|| {
+            for p in 0..128u32 {
+                let page = PageIdx(p);
+                if hints.peek(&page).is_some() {
+                    black_box(hints.get(&page));
+                }
+                hints.insert(page, NodeId((p % 64) as u16));
+            }
+            black_box(hints.len())
+        })
+    });
+    // A cache smaller than its working set: every insert evicts.
+    g.bench_function("evict_every_insert_cap_64", |b| {
+        let mut hints: Lru<PageIdx, NodeId> = Lru::new(64);
+        let mut next = 0u32;
+        b.iter(|| {
+            for _ in 0..1000 {
+                hints.insert(PageIdx(next), NodeId(1));
+                next = next.wrapping_add(1);
+            }
+            black_box(hints.evictions())
+        })
+    });
+    g.finish();
+}
+
+fn bench_node_set(c: &mut Criterion) {
+    // The `readshare` shape: 255 readers join a page's reader list, a write
+    // fault copies the list into the outstanding-ack set, and the acks
+    // trickle in.
+    c.bench_function("node_set/insert_clone_remove_255", |b| {
+        b.iter(|| {
+            let mut readers = NodeSet::new();
+            for n in 1..256u16 {
+                readers.insert(NodeId(n));
+            }
+            let mut acks = readers.clone();
+            for n in 1..256u16 {
+                acks.remove(&NodeId(n));
+            }
+            black_box((readers.len(), acks.is_empty()))
+        })
+    });
+}
+
+fn bench_page_table(c: &mut Criterion) {
+    // A page-keyed engine table (`AsvmObject::pages`) holding `live`
+    // entries: look one up, take it out, put it back.
+    let mut g = c.benchmark_group("page_table");
+    for live in [64u32, 4096] {
+        g.bench_function(&format!("get_remove_insert_{live}_live"), |b| {
+            let mut table: KeyTable<PageIdx, u64> = KeyTable::new();
+            for p in 0..live {
+                table.insert(PageIdx(p * 3), p as u64);
+            }
+            b.iter(|| {
+                let mut sum = 0u64;
+                for p in (0..live).step_by((live / 64) as usize) {
+                    let page = PageIdx(p * 3);
+                    sum += table.get(&page).copied().unwrap_or(0);
+                    let v = table.remove(&page).expect("live key");
+                    table.insert(page, v + 1);
+                }
+                black_box(sum)
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_patterns(c: &mut Criterion) {
     let mut g = c.benchmark_group("patterns");
     g.sample_size(10);
@@ -246,6 +326,9 @@ criterion_group!(
     bench_fault_probe,
     bench_copy_chain,
     bench_frame_combiner,
+    bench_lru,
+    bench_node_set,
+    bench_page_table,
     bench_patterns,
     bench_em3d
 );

@@ -767,7 +767,7 @@ fn manage_copy_source(
     for (p, rp) in vm.object(obj).pages.iter() {
         let mut pi = asvm::PageInfo::new(rp.prot, true, o.version);
         pi.dirty = true;
-        o.pages.insert(p, pi);
+        o.pages.insert(p, Box::new(pi));
     }
     mobj
 }

@@ -14,8 +14,8 @@ use asvm::{
     AsvmMsg, FrameBody, LinkReceiver, LinkSender, PageRange, RecoveryTiming, TimeoutVerdict,
 };
 use machvm::{
-    Access, EmmiToKernel, EmmiToPager, MemObjId, PageData, PageIdx, PagerSend, TaskId, VmEffect,
-    VmSystem,
+    Access, EmmiToKernel, EmmiToPager, MemObjId, PageData, PageIdx, PagerSend, SlotTable,
+    SortedMap, TaskId, VmEffect, VmSystem,
 };
 use pager::{DefaultPager, FilePager, PagerIn};
 use svmsim::{Ctx, Dur, NodeBehavior, NodeId, NodeKind, Time, TraceRing};
@@ -91,7 +91,7 @@ pub struct ClusterNode {
     pub file_pager: Option<FilePager>,
     /// Default pager (I/O nodes only).
     pub default_pager: Option<DefaultPager>,
-    tasks: BTreeMap<TaskId, TaskState>,
+    tasks: SortedMap<TaskId, TaskState>,
     /// Barrier coordination (node 0 only).
     pub barrier_parties: u32,
     barrier_counts: BTreeMap<u32, u32>,
@@ -117,9 +117,9 @@ pub struct ClusterNode {
     /// Sender halves of the per-peer ASVM retry channels. Each sequenced
     /// unit is a [`FrameBody`]: a singleton on the classic path, a whole
     /// coalesced batch when coalescing is on.
-    link_tx: BTreeMap<NodeId, LinkSender<FrameBody>>,
+    link_tx: SlotTable<NodeId, LinkSender<FrameBody>>,
     /// Receiver halves of the per-peer ASVM retry channels.
-    link_rx: BTreeMap<NodeId, LinkReceiver<FrameBody>>,
+    link_rx: SlotTable<NodeId, LinkReceiver<FrameBody>>,
     /// Message coalescing configuration (default off; set by the harness
     /// through [`ClusterNode::set_coalesce`]).
     coalesce: asvm::CoalesceCfg,
@@ -133,7 +133,7 @@ pub struct ClusterNode {
     pub link_failures: Vec<LinkFailure>,
     /// Failure detector: when each compute peer was last heard from
     /// (heartbeat arrivals; lazily baselined at our first tick).
-    last_heard: BTreeMap<NodeId, Time>,
+    last_heard: SlotTable<NodeId, Time>,
     /// Compute peers this node currently suspects dead.
     pub suspects: BTreeSet<NodeId>,
     /// Peers that announced graceful completion — silence from them is
@@ -142,8 +142,10 @@ pub struct ClusterNode {
     /// Drained [`EngineFx`] shells reused across engine calls, so the
     /// per-message hot path allocates nothing in steady state. A pool
     /// (not a single slot) because `interpret` re-enters through
-    /// `fault_completed`.
-    fx_pool: Vec<EngineFx>,
+    /// `fault_completed`; boxed, so taking and returning a shell moves a
+    /// pointer rather than the two sinks' dozen vector headers.
+    #[allow(clippy::vec_box)]
+    fx_pool: Vec<Box<EngineFx>>,
     /// Drained VM-effect sinks (same recycling discipline).
     effects_pool: Vec<machvm::Effects>,
     /// Drained drain-loop work queues.
@@ -179,7 +181,7 @@ impl ClusterNode {
             engine,
             file_pager,
             default_pager,
-            tasks: BTreeMap::new(),
+            tasks: SortedMap::new(),
             barrier_parties: 0,
             barrier_counts: BTreeMap::new(),
             barrier_waiting: BTreeMap::new(),
@@ -190,13 +192,13 @@ impl ClusterNode {
             tasks_done: 0,
             trace: None,
             timing: RecoveryTiming::default(),
-            link_tx: BTreeMap::new(),
-            link_rx: BTreeMap::new(),
+            link_tx: SlotTable::new(),
+            link_rx: SlotTable::new(),
             coalesce: asvm::CoalesceCfg::default(),
             combiner: asvm::FrameCombiner::default(),
             rdma_links: BTreeSet::new(),
             link_failures: Vec::new(),
-            last_heard: BTreeMap::new(),
+            last_heard: SlotTable::new(),
             suspects: BTreeSet::new(),
             farewelled: BTreeSet::new(),
             fx_pool: Vec::new(),
@@ -368,11 +370,10 @@ impl ClusterNode {
                     && self.asvm_transport.per_link_arq()
                 {
                     let body = FrameBody::single(msg);
-                    let seq =
-                        self.link_tx
-                            .entry(dst)
-                            .or_default()
-                            .enqueue(body.clone(), payload, kind);
+                    let seq = self
+                        .link_tx
+                        .get_or_insert_with(dst, Default::default)
+                        .enqueue(body.clone(), payload, kind);
                     let timeout = self.timing.retry.timeout_for(0);
                     self.transmit_frame(
                         ctx,
@@ -612,8 +613,7 @@ impl ClusterNode {
             let kind = body.msgs[0].stat_key();
             let seq = self
                 .link_tx
-                .entry(dst)
-                .or_default()
+                .get_or_insert_with(dst, Default::default)
                 .enqueue(body.clone(), payload, kind);
             let timeout = self.timing.retry.timeout_for(0);
             self.transmit_frame(
@@ -671,7 +671,10 @@ impl ClusterNode {
     /// Handles a sender-side retry timer firing for frame `seq` to `dst`.
     fn on_retry_tick(&mut self, ctx: &mut Ctx<'_, Msg>, dst: NodeId, seq: u64) {
         let cfg = self.timing.retry;
-        let verdict = self.link_tx.entry(dst).or_default().on_timeout(seq, &cfg);
+        let verdict = self
+            .link_tx
+            .get_or_insert_with(dst, Default::default)
+            .on_timeout(seq, &cfg);
         match verdict {
             TimeoutVerdict::Stale => {}
             TimeoutVerdict::Resend {
@@ -737,7 +740,7 @@ impl ClusterNode {
             // `now.since(at)`: arrival stamps carry receive-side CPU
             // charges, so they can sit slightly past this tick's delivery
             // time.
-            let at = *self.last_heard.entry(*n).or_insert(now);
+            let at = *self.last_heard.get_or_insert_with(*n, || now);
             if now > at + HB_SUSPECT_AFTER {
                 newly.push(*n);
             }
@@ -832,12 +835,12 @@ impl ClusterNode {
     }
 
     /// A drained [`EngineFx`] shell to write the next engine call into.
-    fn take_fx(&mut self) -> EngineFx {
+    fn take_fx(&mut self) -> Box<EngineFx> {
         self.fx_pool.pop().unwrap_or_default()
     }
 
     /// Returns a drained shell to the pool.
-    fn put_fx(&mut self, fx: EngineFx) {
+    fn put_fx(&mut self, fx: Box<EngineFx>) {
         debug_assert!(fx.is_drained(), "pooling an undrained effect sink");
         self.fx_pool.push(fx);
     }
@@ -867,7 +870,7 @@ impl ClusterNode {
     /// test can put a hand-built batch through the real interpreter.
     #[cfg(test)]
     pub(crate) fn preload_sink(&mut self, fx: EngineFx) {
-        self.fx_pool.push(fx);
+        self.fx_pool.push(Box::new(fx));
     }
 
     /// A recycled empty VM-effect sink (capacity retained from prior use).
@@ -1370,8 +1373,7 @@ impl NodeBehavior<Msg> for ClusterNode {
                     });
                 let accepted = self
                     .link_rx
-                    .entry(from)
-                    .or_default()
+                    .get_or_insert_with(from, Default::default)
                     .accept(seq, FrameBody::single(msg));
                 if accepted.duplicate {
                     ctx.stats().bump("asvm.retry.dup_drop");
@@ -1394,7 +1396,10 @@ impl NodeBehavior<Msg> for ClusterNode {
                         from: me,
                         seq,
                     });
-                let accepted = self.link_rx.entry(from).or_default().accept(seq, body);
+                let accepted = self
+                    .link_rx
+                    .get_or_insert_with(from, Default::default)
+                    .accept(seq, body);
                 if accepted.duplicate {
                     ctx.stats().bump("asvm.retry.dup_drop");
                 } else if accepted.deliver.is_empty() {
@@ -1405,7 +1410,11 @@ impl NodeBehavior<Msg> for ClusterNode {
                 }
             }
             Msg::AsvmAck { from, seq } => {
-                if self.link_tx.entry(from).or_default().ack(seq) {
+                if self
+                    .link_tx
+                    .get_or_insert_with(from, Default::default)
+                    .ack(seq)
+                {
                     ctx.stats().bump("asvm.retry.acked");
                 }
             }

@@ -112,7 +112,7 @@ pub fn check_asvm_invariants_except(ssi: &Ssi, dead: &[svmsim::NodeId]) {
                 "{id}: {mobj:?} has unfinished ownership reconstruction: {:?}",
                 o.recover.keys().collect::<Vec<_>>()
             );
-            for (page, pi) in &o.pages {
+            for (page, pi) in o.pages.iter() {
                 assert!(
                     pi.busy.is_none(),
                     "{id}: {mobj:?} {page:?} still busy at quiescence: {:?}",
@@ -124,11 +124,11 @@ pub fn check_asvm_invariants_except(ssi: &Ssi, dead: &[svmsim::NodeId]) {
                 );
                 // State tied to residency (paper §3.1/§3.4).
                 assert!(
-                    node.vm.object(o.vm_obj).resident(*page),
+                    node.vm.object(o.vm_obj).resident(page),
                     "{id}: {mobj:?} holds state for non-resident {page:?}"
                 );
                 if pi.owner {
-                    owners.push((*id, *page));
+                    owners.push((*id, page));
                 }
             }
         }
@@ -151,7 +151,7 @@ pub fn check_asvm_invariants_except(ssi: &Ssi, dead: &[svmsim::NodeId]) {
                 continue;
             }
             let o = a.object(mobj);
-            for (page, pi) in &o.pages {
+            for (page, pi) in o.pages.iter() {
                 if pi.access == machvm::Access::Write {
                     for other in &nodes {
                         if other == id {
@@ -161,7 +161,7 @@ pub fn check_asvm_invariants_except(ssi: &Ssi, dead: &[svmsim::NodeId]) {
                         let Some(oa) = onode.asvm() else {
                             continue;
                         };
-                        if let Some(opi) = oa.page_info(mobj, *page) {
+                        if let Some(opi) = oa.page_info(mobj, page) {
                             panic!(
                                 "{id} holds {mobj:?} {page:?} writable while {other} \
                                  also holds it ({:?})",

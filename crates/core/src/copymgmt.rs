@@ -61,8 +61,7 @@ pub(crate) fn start_push(
         &mut fx.vm,
     );
     // Remote half: every other sharing node pushes too.
-    let others: std::collections::BTreeSet<NodeId> =
-        o.nodes.iter().copied().filter(|n| *n != me).collect();
+    let others: machvm::NodeSet = o.nodes.iter().copied().filter(|n| *n != me).collect();
     let pi = o.pages.get_mut(&page).expect("push on untracked page");
     if others.is_empty() {
         pi.version = o.version;

@@ -5,50 +5,75 @@
 //! bounds are what keep ASVM's memory requirements independent of address
 //! space size. Lookups refresh recency; inserts evict the least recently
 //! used entry when full.
+//!
+//! Every operation is `O(1)`: entries live in a slab threaded by an
+//! intrusive recency list, found through a keyed index. A request costs a
+//! cache probe, not a search — this cache is consulted on every forwarded
+//! message. The slab grows with the entries held, never with `cap`.
 
-use std::collections::BTreeMap;
+use std::hash::Hash;
 
-/// An exact LRU cache with `O(log n)` operations.
+use machvm::KeyTable;
+
+/// Slab index meaning "no entry".
+const NIL: u32 = u32::MAX;
+
 #[derive(Clone, Debug)]
-pub struct Lru<K: Ord + Copy, V> {
+struct Entry<K, V> {
+    key: K,
+    val: V,
+    /// Toward the most recently used end.
+    newer: u32,
+    /// Toward the least recently used end.
+    older: u32,
+}
+
+/// An exact LRU cache with `O(1)` operations.
+#[derive(Clone, Debug)]
+pub struct Lru<K: Copy + Ord + Hash, V> {
     cap: usize,
-    tick: u64,
-    map: BTreeMap<K, (u64, V)>,
-    by_age: BTreeMap<u64, K>,
+    index: KeyTable<K, u32>,
+    slab: Vec<Entry<K, V>>,
+    /// Most recently used entry.
+    newest: u32,
+    /// Least recently used entry: the next victim.
+    oldest: u32,
     evictions: u64,
 }
 
-impl<K: Ord + Copy, V> Lru<K, V> {
+impl<K: Copy + Ord + Hash, V> Lru<K, V> {
     /// Creates a cache holding at most `cap` entries (`cap == 0` disables
     /// the cache entirely: inserts are dropped).
     pub fn new(cap: usize) -> Lru<K, V> {
         Lru {
             cap,
-            tick: 0,
-            map: BTreeMap::new(),
-            by_age: BTreeMap::new(),
+            index: KeyTable::new(),
+            slab: Vec::new(),
+            newest: NIL,
+            oldest: NIL,
             evictions: 0,
         }
     }
 
     /// Looks up `k`, refreshing its recency.
     pub fn get(&mut self, k: &K) -> Option<&V> {
-        let tick = self.next_tick();
-        let (age, _) = self.map.get_mut(k)?;
-        self.by_age.remove(age);
-        *age = tick;
-        self.by_age.insert(tick, *k);
-        self.map.get(k).map(|(_, v)| v)
+        let at = *self.index.get(k)?;
+        self.touch(at);
+        Some(&self.slab[at as usize].val)
     }
 
     /// Looks up `k` without refreshing recency.
     pub fn peek(&self, k: &K) -> Option<&V> {
-        self.map.get(k).map(|(_, v)| v)
+        let at = *self.index.get(k)?;
+        Some(&self.slab[at as usize].val)
     }
 
     /// Iterates over all entries in key order without touching recency.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.map.iter().map(|(k, (_, v))| (k, v))
+        self.index.iter().map(|(_, at)| {
+            let e = &self.slab[*at as usize];
+            (&e.key, &e.val)
+        })
     }
 
     /// Inserts or updates `k`, evicting the LRU entry if over capacity.
@@ -56,35 +81,66 @@ impl<K: Ord + Copy, V> Lru<K, V> {
         if self.cap == 0 {
             return;
         }
-        let tick = self.next_tick();
-        if let Some((age, _)) = self.map.get(&k) {
-            self.by_age.remove(age);
+        if let Some(&at) = self.index.get(&k) {
+            self.slab[at as usize].val = v;
+            self.touch(at);
+            return;
         }
-        self.map.insert(k, (tick, v));
-        self.by_age.insert(tick, k);
-        while self.map.len() > self.cap {
-            let (&oldest, &victim) = self.by_age.iter().next().expect("len > 0");
-            self.by_age.remove(&oldest);
-            self.map.remove(&victim);
+        let entry = Entry {
+            key: k,
+            val: v,
+            newer: NIL,
+            older: NIL,
+        };
+        let at = if self.index.len() == self.cap {
+            // Full: the victim's slot takes the new entry.
+            let victim = self.oldest;
+            self.unlink(victim);
+            self.index.remove(&self.slab[victim as usize].key);
+            self.slab[victim as usize] = entry;
             self.evictions += 1;
-        }
+            victim
+        } else {
+            self.slab.push(entry);
+            (self.slab.len() - 1) as u32
+        };
+        self.index.insert(k, at);
+        self.link_newest(at);
     }
 
     /// Removes `k`.
     pub fn remove(&mut self, k: &K) -> Option<V> {
-        let (age, v) = self.map.remove(k)?;
-        self.by_age.remove(&age);
-        Some(v)
+        let at = self.index.remove(k)?;
+        self.unlink(at);
+        let removed = self.slab.swap_remove(at as usize);
+        if let Some(moved) = self.slab.get(at as usize) {
+            // The last entry now lives in the vacated slot: re-point its
+            // neighbours and its index entry.
+            let (key, newer, older) = (moved.key, moved.newer, moved.older);
+            match newer {
+                NIL => self.newest = at,
+                n => self.slab[n as usize].older = at,
+            }
+            match older {
+                NIL => self.oldest = at,
+                o => self.slab[o as usize].newer = at,
+            }
+            *self
+                .index
+                .get_mut(&key)
+                .expect("every slab entry is indexed") = at;
+        }
+        Some(removed.val)
     }
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// True if the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     /// Total evictions so far — non-zero means forwarding information may
@@ -93,15 +149,180 @@ impl<K: Ord + Copy, V> Lru<K, V> {
         self.evictions
     }
 
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    /// Slots allocated by the larger of the slab and its index.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.slab.capacity().max(self.index.capacity())
+    }
+
+    /// Makes `at` the most recently used entry.
+    fn touch(&mut self, at: u32) {
+        if self.newest != at {
+            self.unlink(at);
+            self.link_newest(at);
+        }
+    }
+
+    fn unlink(&mut self, at: u32) {
+        let (newer, older) = {
+            let e = &self.slab[at as usize];
+            (e.newer, e.older)
+        };
+        match newer {
+            NIL => self.newest = older,
+            n => self.slab[n as usize].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slab[o as usize].newer = newer,
+        }
+    }
+
+    fn link_newest(&mut self, at: u32) {
+        let prev = self.newest;
+        let e = &mut self.slab[at as usize];
+        e.newer = NIL;
+        e.older = prev;
+        match prev {
+            NIL => self.oldest = at,
+            p => self.slab[p as usize].newer = at,
+        }
+        self.newest = at;
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    use std::collections::BTreeMap;
+
+    /// The `O(log n)` B-tree LRU this cache replaced, kept as the model the
+    /// `O(1)` version must match step for step: same answers, same victims.
+    #[derive(Clone, Debug)]
+    pub struct BTreeLru<K: Ord + Copy, V> {
+        cap: usize,
+        tick: u64,
+        map: BTreeMap<K, (u64, V)>,
+        by_age: BTreeMap<u64, K>,
+        evictions: u64,
+    }
+
+    impl<K: Ord + Copy, V> BTreeLru<K, V> {
+        /// Creates a cache holding at most `cap` entries (`cap == 0` disables
+        /// the cache entirely: inserts are dropped).
+        pub fn new(cap: usize) -> BTreeLru<K, V> {
+            BTreeLru {
+                cap,
+                tick: 0,
+                map: BTreeMap::new(),
+                by_age: BTreeMap::new(),
+                evictions: 0,
+            }
+        }
+
+        /// Looks up `k`, refreshing its recency.
+        pub fn get(&mut self, k: &K) -> Option<&V> {
+            let tick = self.next_tick();
+            let (age, _) = self.map.get_mut(k)?;
+            self.by_age.remove(age);
+            *age = tick;
+            self.by_age.insert(tick, *k);
+            self.map.get(k).map(|(_, v)| v)
+        }
+
+        /// Looks up `k` without refreshing recency.
+        pub fn peek(&self, k: &K) -> Option<&V> {
+            self.map.get(k).map(|(_, v)| v)
+        }
+
+        /// Iterates over all entries in key order without touching recency.
+        pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+            self.map.iter().map(|(k, (_, v))| (k, v))
+        }
+
+        /// Inserts or updates `k`, evicting the LRU entry if over capacity.
+        pub fn insert(&mut self, k: K, v: V) {
+            if self.cap == 0 {
+                return;
+            }
+            let tick = self.next_tick();
+            if let Some((age, _)) = self.map.get(&k) {
+                self.by_age.remove(age);
+            }
+            self.map.insert(k, (tick, v));
+            self.by_age.insert(tick, k);
+            while self.map.len() > self.cap {
+                let (&oldest, &victim) = self.by_age.iter().next().expect("len > 0");
+                self.by_age.remove(&oldest);
+                self.map.remove(&victim);
+                self.evictions += 1;
+            }
+        }
+
+        /// Removes `k`.
+        pub fn remove(&mut self, k: &K) -> Option<V> {
+            let (age, v) = self.map.remove(k)?;
+            self.by_age.remove(&age);
+            Some(v)
+        }
+
+        /// Entries currently held.
+        pub fn len(&self) -> usize {
+            self.map.len()
+        }
+
+        /// True if the cache is empty.
+        pub fn is_empty(&self) -> bool {
+            self.map.is_empty()
+        }
+
+        /// Total evictions so far — non-zero means forwarding information may
+        /// have been lost and fallback strategies can kick in.
+        pub fn evictions(&self) -> u64 {
+            self.evictions
+        }
+
+        fn next_tick(&mut self) -> u64 {
+            self.tick += 1;
+            self.tick
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::BTreeLru;
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The `O(1)` cache and the B-tree reference agree on every return
+        /// value and, after every step, on `len`, `evictions` and key-ordered
+        /// contents — hence on every eviction victim, which is what keeps
+        /// simulated time identical.
+        #[test]
+        fn matches_the_btree_reference(
+            cap in prop::sample::select(vec![0usize, 1, 2, 8]),
+            ops in prop::collection::vec((0u32..12, 0u32..1000, 0u8..4), 1..400),
+        ) {
+            let mut lru: Lru<u32, u32> = Lru::new(cap);
+            let mut model: BTreeLru<u32, u32> = BTreeLru::new(cap);
+            for (k, v, op) in ops {
+                match op {
+                    0 => {
+                        lru.insert(k, v);
+                        model.insert(k, v);
+                    }
+                    1 => prop_assert_eq!(lru.get(&k), model.get(&k)),
+                    2 => prop_assert_eq!(lru.peek(&k), model.peek(&k)),
+                    _ => prop_assert_eq!(lru.remove(&k), model.remove(&k)),
+                }
+                prop_assert_eq!(lru.len(), model.len());
+                prop_assert_eq!(lru.is_empty(), model.is_empty());
+                prop_assert_eq!(lru.evictions(), model.evictions());
+                prop_assert_eq!(lru.iter().collect::<Vec<_>>(), model.iter().collect::<Vec<_>>());
+            }
+        }
+    }
 
     #[test]
     fn evicts_least_recently_used() {

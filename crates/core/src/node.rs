@@ -17,10 +17,10 @@
 //! concurrent first-touch faults cannot mint two owners.
 
 use machvm::{
-    Access, EmmiToKernel, EmmiToPager, LockMode, LockOp, MemObjId, PageData, PageIdx, PagerSend,
-    SupplyMode, VmObjId, VmSystem,
+    Access, EmmiToKernel, EmmiToPager, KeyTable, LockMode, LockOp, MemObjId, PageData, PageIdx,
+    PagerSend, SlotTable, SupplyMode, VmObjId, VmSystem,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use svmsim::{CostModel, Dur, NodeId, Time};
 
 use crate::config::AsvmConfig;
@@ -38,8 +38,10 @@ pub type Fx = machvm::Fx<AsvmMsg>;
 pub struct AsvmNode {
     me: NodeId,
     cost: CostModel,
-    objects: BTreeMap<MemObjId, AsvmObject>,
-    by_vmobj: BTreeMap<VmObjId, MemObjId>,
+    /// Boxed: an object record is ~800 bytes, and the table's load-factor
+    /// slack should cost pointers.
+    objects: KeyTable<MemObjId, Box<AsvmObject>>,
+    by_vmobj: SlotTable<VmObjId, MemObjId>,
     /// Any registered object ever enabled prefetch: gates the per-access
     /// bookkeeping hook ([`AsvmNode::prefetch_note_access`]) so
     /// prefetch-off runs pay exactly one boolean test per access.
@@ -57,8 +59,8 @@ impl AsvmNode {
         AsvmNode {
             me,
             cost,
-            objects: BTreeMap::new(),
-            by_vmobj: BTreeMap::new(),
+            objects: KeyTable::new(),
+            by_vmobj: SlotTable::new(),
             prefetch_live: false,
             cancelled_fills: BTreeSet::new(),
         }
@@ -144,7 +146,7 @@ impl AsvmNode {
         // Static-start object can still have its prefetch restored later.
         self.prefetch_live |= cfg.prefetch.enabled;
         let o = AsvmObject::new(mobj, vm_obj, size_pages, home, pager_node, self.me, cfg);
-        let prev = self.objects.insert(mobj, o);
+        let prev = self.objects.insert(mobj, Box::new(o));
         assert!(prev.is_none(), "object {mobj:?} registered twice");
         self.by_vmobj.insert(vm_obj, mobj);
         if self.me != home {
@@ -175,7 +177,7 @@ impl AsvmNode {
 
     /// Iterates over all registered objects.
     pub fn objects(&self) -> impl Iterator<Item = &AsvmObject> {
-        self.objects.values()
+        self.objects.values().map(|o| &**o)
     }
 
     /// The memory object behind a VM object, if ASVM manages it.
@@ -189,7 +191,7 @@ impl AsvmNode {
     /// protocol send path, which reflect any runtime changes the online
     /// policy has applied to the object's configuration).
     pub fn find_object(&self, mobj: MemObjId) -> Option<&AsvmObject> {
-        self.objects.get(&mobj)
+        self.objects.get(&mobj).map(|o| &**o)
     }
 
     /// Feeds one traffic observation to the object's online policy and
@@ -212,7 +214,7 @@ impl AsvmNode {
 
     /// Page state for `(mobj, page)` on this node.
     pub fn page_info(&self, mobj: MemObjId, page: PageIdx) -> Option<&PageInfo> {
-        self.objects.get(&mobj)?.pages.get(&page)
+        self.objects.get(&mobj)?.pages.get(&page).map(|pi| &**pi)
     }
 
     /// This node's current ownership view of `(mobj, page)`, for
@@ -591,14 +593,18 @@ impl AsvmNode {
     /// the remembered `cancelled_fills`.
     pub fn cancel_unclaimed_speculation(&mut self) -> u64 {
         let mut cancelled = 0;
-        for (mobj, o) in &mut self.objects {
-            o.pending.retain(|page, p| {
-                if p.speculative {
-                    self.cancelled_fills.insert((*mobj, *page));
-                    cancelled += 1;
-                }
-                !p.speculative
-            });
+        for (mobj, o) in self.objects.iter_mut() {
+            let speculative: Vec<PageIdx> = o
+                .pending
+                .iter()
+                .filter(|(_, p)| p.speculative)
+                .map(|(page, _)| page)
+                .collect();
+            for page in speculative {
+                o.pending.remove(&page);
+                self.cancelled_fills.insert((mobj, page));
+                cancelled += 1;
+            }
         }
         cancelled
     }
@@ -849,7 +855,7 @@ impl AsvmNode {
             .pages
             .iter()
             .filter(|(_, pi)| pi.owner)
-            .map(|(p, _)| *p)
+            .map(|(p, _)| p)
             .collect();
         for page in owned {
             Self::notify_owner_hint(o, me, cost, now, vm, page, fx);
@@ -1060,7 +1066,7 @@ impl AsvmNode {
         o.incoming_transfer.remove(&page);
         let mut pi = PageInfo::new(Access::Read, true, version);
         pi.dirty = dirty;
-        let prev = o.pages.insert(page, pi);
+        let prev = o.pages.insert(page, Box::new(pi));
         assert!(prev.is_none(), "page transfer onto existing state");
         vm.kernel_call(
             now,
@@ -1275,7 +1281,7 @@ impl AsvmNode {
                 };
                 let mut pi = PageInfo::new(lock, true, 0);
                 pi.dirty = false;
-                let prev = o.pages.insert(page, pi);
+                let prev = o.pages.insert(page, Box::new(pi));
                 assert!(prev.is_none(), "pager supply onto existing page state");
                 if pend.speculative {
                     o.prefetched.insert(page);
@@ -1361,7 +1367,7 @@ impl AsvmNode {
             return;
         }
         pi.dirty |= dirty;
-        let readers: Vec<NodeId> = pi.readers.iter().copied().collect();
+        let readers = pi.readers.as_slice().to_vec();
         if let Some((first, rest)) = readers.split_first() {
             // Step 2: ask readers, one after another.
             pi.busy = Some(Busy::Evict {
@@ -1803,12 +1809,8 @@ impl AsvmNode {
                 // Transition 4/6: transfer ownership; invalidate readers
                 // first if any exist.
                 let pi = o.pages.get_mut(&page).unwrap();
-                let acks: std::collections::BTreeSet<NodeId> = pi
-                    .readers
-                    .iter()
-                    .copied()
-                    .filter(|r| *r != req.origin)
-                    .collect();
+                let mut acks = pi.readers.clone();
+                acks.remove(&req.origin);
                 if acks.is_empty() {
                     Self::finish_write_transfer(
                         o,
@@ -1856,7 +1858,7 @@ impl AsvmNode {
         let mobj = o.mobj;
         let pi = o.pages.get_mut(&page).unwrap();
         debug_assert!(pi.owner);
-        let acks: std::collections::BTreeSet<NodeId> = pi.readers.iter().copied().collect();
+        let acks = pi.readers.clone();
         if acks.is_empty() {
             pi.access = Access::Write;
             pi.dirty = true;
@@ -2083,8 +2085,7 @@ impl AsvmNode {
         }
         let pi = o
             .pages
-            .entry(page)
-            .or_insert_with(|| PageInfo::new(lock, false, version));
+            .get_or_insert_with(page, || Box::new(PageInfo::new(lock, false, version)));
         pi.access = pi.access.max(lock);
         pi.owner |= ownership;
         pi.version = version;
@@ -2188,7 +2189,7 @@ impl AsvmNode {
             // Ownership moves to the reader; no page contents needed.
             let d = *dirty;
             pi.readers.remove(&reader);
-            let readers: Vec<NodeId> = pi.readers.iter().copied().collect();
+            let readers = pi.readers.as_slice().to_vec();
             let version = pi.version;
             fx.send(
                 reader,
@@ -2757,7 +2758,7 @@ impl AsvmNode {
                         None => true,
                     }
                 })
-                .map(|(p, pl)| (*p, *pl))
+                .map(|(p, pl)| (p, *pl))
                 .collect();
             for (page, pl) in stalled {
                 // The hint that routed the stalled request is the prime
@@ -2893,30 +2894,30 @@ impl AsvmNode {
             for (page, pi) in o.pages.iter() {
                 match &pi.busy {
                     Some(Busy::WriteTransfer { to, .. }) if *to == peer => {
-                        abort_transfers.push(*page);
+                        abort_transfers.push(page);
                     }
                     Some(Busy::WriteTransfer { pending_acks, .. })
                         if pending_acks.contains(&peer) =>
                     {
-                        dead_acks.push(*page);
+                        dead_acks.push(page);
                     }
                     Some(Busy::LocalUpgrade { pending_acks }) if pending_acks.contains(&peer) => {
-                        dead_acks.push(*page);
+                        dead_acks.push(page);
                     }
                     Some(Busy::Push { pending, .. }) if pending.contains(&peer) => {
-                        push_dones.push(*page);
+                        push_dones.push(page);
                     }
                     Some(Busy::Evict {
                         stage: EvictStage::CheckingReaders { current, .. },
                         ..
                     }) if *current == peer => {
-                        read_checks.push(*page);
+                        read_checks.push(page);
                     }
                     Some(Busy::Evict {
                         stage: EvictStage::Asking { candidate, .. },
                         ..
                     }) if *candidate == peer => {
-                        accept_asks.push(*page);
+                        accept_asks.push(page);
                     }
                     _ => {}
                 }
@@ -3069,7 +3070,7 @@ impl AsvmNode {
             .pages
             .iter()
             .filter(|(_, pi)| pi.access == Access::Write)
-            .map(|(p, _)| *p)
+            .map(|(p, _)| p)
             .collect();
         for page in pages {
             vm.kernel_call(

@@ -171,10 +171,10 @@ impl MiniNet {
     fn check_state_tied_to_residency(&self) {
         for (i, (a, vm)) in self.nodes.iter().enumerate() {
             let o = a.object(MOBJ);
-            for (page, pi) in &o.pages {
+            for (page, pi) in o.pages.iter() {
                 if pi.busy.is_none() {
                     assert!(
-                        vm.object(o.vm_obj).resident(*page),
+                        vm.object(o.vm_obj).resident(page),
                         "node {i} holds state for non-resident {page:?}"
                     );
                 }
@@ -457,7 +457,13 @@ fn stashed_copy_survives_eviction_during_pending_upgrade() {
         },
     );
     assert!(
-        net.nodes[1].0.object(MOBJ).pending[&PageIdx(0)].has_copy,
+        net.nodes[1]
+            .0
+            .object(MOBJ)
+            .pending
+            .get(&PageIdx(0))
+            .unwrap()
+            .has_copy,
         "the in-flight request claims the read copy"
     );
 

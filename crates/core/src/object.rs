@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use machvm::{Access, MemObjId, PageData, PageIdx, VmObjId};
+use machvm::{Access, KeyTable, MemObjId, NodeSet, PageData, PageIdx, VmObjId};
 use svmsim::{NodeId, Time};
 
 use crate::config::AsvmConfig;
@@ -65,12 +65,12 @@ pub enum Busy {
         /// reader list when the transfer completes).
         to_has_copy: bool,
         /// Acks still outstanding.
-        pending_acks: BTreeSet<NodeId>,
+        pending_acks: NodeSet,
     },
     /// Transition 7: invalidating readers before upgrading our own access.
     LocalUpgrade {
         /// Acks still outstanding.
-        pending_acks: BTreeSet<NodeId>,
+        pending_acks: NodeSet,
     },
     /// Internode pageout in progress; the contents were already removed
     /// from the VM cache and are held here.
@@ -89,7 +89,7 @@ pub enum Busy {
     /// before write access is granted (§3.7.2).
     Push {
         /// Nodes that have not yet completed their local push.
-        pending: BTreeSet<NodeId>,
+        pending: NodeSet,
         /// The write request to serve once the push completes.
         resume: Box<QueuedReq>,
     },
@@ -103,7 +103,7 @@ pub struct PageInfo {
     /// This node is the page owner.
     pub owner: bool,
     /// Nodes holding read copies (meaningful only when `owner`).
-    pub readers: BTreeSet<NodeId>,
+    pub readers: NodeSet,
     /// Delayed-copy page version (paper §3.7.2).
     pub version: u64,
     /// The distributed page differs from the pager's version.
@@ -120,7 +120,7 @@ impl PageInfo {
         PageInfo {
             access,
             owner,
-            readers: BTreeSet::new(),
+            readers: NodeSet::new(),
             version,
             dirty: false,
             busy: None,
@@ -211,10 +211,12 @@ pub struct AsvmObject {
     /// All nodes that have mapped the object, sorted (kept consistent by
     /// home-node broadcasts).
     pub nodes: Vec<NodeId>,
-    /// Page state (resident/owned pages only).
-    pub pages: BTreeMap<PageIdx, PageInfo>,
+    /// Page state (resident/owned pages only). Boxed: the table's
+    /// load-factor slack then costs a pointer per free slot, not a whole
+    /// 128-byte record.
+    pub pages: KeyTable<PageIdx, Box<PageInfo>>,
     /// Our own outstanding requests.
-    pub pending: BTreeMap<PageIdx, PendingLocal>,
+    pub pending: KeyTable<PageIdx, PendingLocal>,
     /// Read copies discarded by the VM while an upgrade request claiming
     /// them was in flight (see [`StashedCopy`]); consumed when the grant
     /// arrives.
@@ -329,8 +331,8 @@ impl AsvmObject {
             stripe: vec![pager_node],
             cfg,
             nodes,
-            pages: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            pages: KeyTable::new(),
+            pending: KeyTable::new(),
             stash: BTreeMap::new(),
             fill_waiters: BTreeMap::new(),
             dyn_cache: Lru::new(cfg.dynamic_cache_entries),
@@ -403,6 +405,20 @@ impl AsvmObject {
         self.stripe[page.0 as usize % self.stripe.len()]
     }
 
+    /// The most slots any page-keyed table of this object has allocated.
+    #[cfg(test)]
+    fn max_table_slots(&self) -> usize {
+        [
+            self.pages.capacity(),
+            self.pending.capacity(),
+            self.dyn_cache.slots(),
+            self.static_cache.slots(),
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0)
+    }
+
     /// Approximate bytes of non-pageable memory this node spends on the
     /// object's distributed-memory state (for the memory ablation).
     pub fn state_bytes(&self) -> usize {
@@ -428,10 +444,14 @@ mod tests {
     use super::*;
 
     fn obj(me: u16, home: u16) -> AsvmObject {
+        obj_sized(me, home, 64)
+    }
+
+    fn obj_sized(me: u16, home: u16, size_pages: u32) -> AsvmObject {
         AsvmObject::new(
             MemObjId(1),
             VmObjId(1),
-            64,
+            size_pages,
             NodeId(home),
             NodeId(9),
             NodeId(me),
@@ -478,11 +498,38 @@ mod tests {
         let mut o = obj(0, 0);
         let empty = o.state_bytes();
         o.pages
-            .insert(PageIdx(0), PageInfo::new(Access::Read, true, 0));
+            .insert(PageIdx(0), Box::new(PageInfo::new(Access::Read, true, 0)));
         assert!(o.state_bytes() > empty);
-        // Crucially: no term proportional to size_pages.
-        let mut big = obj(0, 0);
-        big.size_pages = 1 << 20;
+        // Crucially: no term proportional to size_pages — neither in the
+        // gauge nor in what the tables allocate (§3.1's memory rule).
+        let mut big = obj_sized(0, 0, 1 << 24);
         assert_eq!(big.state_bytes(), empty);
+        let touch = |o: &mut AsvmObject, pages: [PageIdx; 2]| {
+            for p in pages {
+                o.pages
+                    .insert(p, Box::new(PageInfo::new(Access::Read, true, 0)));
+                o.pending.insert(
+                    p,
+                    PendingLocal {
+                        access: Access::Write,
+                        has_copy: true,
+                        issued: Time::ZERO,
+                        retries: 0,
+                        speculative: false,
+                    },
+                );
+                o.dyn_cache.insert(p, NodeId(1));
+                o.static_cache.insert(p, StaticHint::Paged);
+            }
+        };
+        let mut small = obj(0, 0);
+        touch(&mut small, [PageIdx(0), PageIdx(63)]);
+        touch(&mut big, [PageIdx(0), PageIdx((1 << 24) - 1)]);
+        assert_eq!(big.state_bytes(), small.state_bytes());
+        assert!(
+            big.max_table_slots() <= 8,
+            "two entries per table, {} slots allocated",
+            big.max_table_slots()
+        );
     }
 }

@@ -29,6 +29,7 @@
 // protocol flow the paper describes.
 #![allow(clippy::too_many_arguments)]
 
+pub mod containers;
 pub mod emmi;
 pub mod fx;
 pub mod ids;
@@ -42,6 +43,7 @@ mod chain_tests;
 #[cfg(test)]
 mod system_tests;
 
+pub use containers::{KeyTable, NodeSet, SlotTable, SortedMap};
 pub use emmi::{EmmiToKernel, EmmiToPager, LockMode, LockOp, LockResult, PullResult, SupplyMode};
 pub use fx::{Fx, PageRange, PagerSend};
 pub use ids::{Access, FaultId, Inherit, MemObjId, PageIdx, TaskId, VmObjId};

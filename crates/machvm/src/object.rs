@@ -6,6 +6,7 @@ use std::collections::BTreeSet;
 
 use svmsim::Time;
 
+use crate::containers::SlotTable;
 use crate::ids::{Access, MemObjId, PageIdx, VmObjId};
 use crate::pagedata::PageData;
 
@@ -69,98 +70,11 @@ impl ResidentPage {
 /// This sits on the hottest path in the simulator — every Touch/Read/
 /// Write step walks a shadow chain doing one lookup per object — so the
 /// page record lives in a flat slot array (`O(1)` index instead of a
-/// B-tree descent). Iteration order is ascending page index, exactly the
-/// order the previous `BTreeMap<PageIdx, ResidentPage>` iterated in, so
-/// the swap is invisible to every deterministic consumer. The trade is
+/// B-tree descent), iterated in ascending page index. The trade is
 /// memory proportional to the highest resident page index per object;
 /// simulated regions are compact, and sparse giants would only pay one
 /// `Option` slot per hole.
-#[derive(Clone, Debug, Default)]
-pub struct PageTable {
-    slots: Vec<Option<ResidentPage>>,
-    resident: usize,
-}
-
-impl PageTable {
-    /// An empty table.
-    pub fn new() -> PageTable {
-        PageTable::default()
-    }
-
-    /// The resident page record, if the page is resident.
-    #[inline]
-    pub fn get(&self, page: &PageIdx) -> Option<&ResidentPage> {
-        self.slots.get(page.0 as usize)?.as_ref()
-    }
-
-    /// Mutable access to the resident page record.
-    #[inline]
-    pub fn get_mut(&mut self, page: &PageIdx) -> Option<&mut ResidentPage> {
-        self.slots.get_mut(page.0 as usize)?.as_mut()
-    }
-
-    /// True if `page` is resident.
-    #[inline]
-    pub fn contains_key(&self, page: &PageIdx) -> bool {
-        self.get(page).is_some()
-    }
-
-    /// Makes `page` resident, returning the previous record if any.
-    pub fn insert(&mut self, page: PageIdx, rp: ResidentPage) -> Option<ResidentPage> {
-        let i = page.0 as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
-        }
-        let prev = self.slots[i].replace(rp);
-        if prev.is_none() {
-            self.resident += 1;
-        }
-        prev
-    }
-
-    /// Removes `page`, returning its record if it was resident.
-    pub fn remove(&mut self, page: &PageIdx) -> Option<ResidentPage> {
-        let prev = self.slots.get_mut(page.0 as usize)?.take();
-        if prev.is_some() {
-            self.resident -= 1;
-        }
-        prev
-    }
-
-    /// Number of resident pages.
-    pub fn len(&self) -> usize {
-        self.resident
-    }
-
-    /// True if no pages are resident.
-    pub fn is_empty(&self) -> bool {
-        self.resident == 0
-    }
-
-    /// Drops every resident page.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.resident = 0;
-    }
-
-    /// Resident pages in ascending page order.
-    pub fn iter(&self) -> impl Iterator<Item = (PageIdx, &ResidentPage)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|rp| (PageIdx(i as u32), rp)))
-    }
-
-    /// Resident page records in ascending page order.
-    pub fn values(&self) -> impl Iterator<Item = &ResidentPage> {
-        self.slots.iter().filter_map(|s| s.as_ref())
-    }
-
-    /// Mutable records in ascending page order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut ResidentPage> {
-        self.slots.iter_mut().filter_map(|s| s.as_mut())
-    }
-}
+pub type PageTable = SlotTable<PageIdx, ResidentPage>;
 
 /// A kernel VM object.
 #[derive(Clone, Debug)]

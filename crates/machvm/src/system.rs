@@ -13,11 +13,11 @@
 //! ever blocks a thread, mirroring the paper's "asynchronous state
 //! transitions" design rule.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use svmsim::{CostModel, Dur, Time};
 
+use crate::containers::{KeyTable, SlotTable, SortedMap};
 use crate::emmi::{
     EmmiToKernel, EmmiToPager, LockMode, LockOp, LockResult, PullResult, SupplyMode,
 };
@@ -145,12 +145,12 @@ pub struct VmSystem {
     cost: CostModel,
     next_obj: u32,
     next_fault: u64,
-    objects: BTreeMap<VmObjId, VmObject>,
-    maps: BTreeMap<TaskId, AddressMap>,
+    objects: SlotTable<VmObjId, VmObject>,
+    maps: SortedMap<TaskId, AddressMap>,
     resident_total: u32,
-    faults: BTreeMap<FaultId, PendingFault>,
-    waiters: BTreeMap<(VmObjId, PageIdx), Vec<Waiter>>,
-    outstanding: BTreeMap<(VmObjId, PageIdx), Access>,
+    faults: KeyTable<FaultId, PendingFault>,
+    waiters: KeyTable<(VmObjId, PageIdx), Vec<Waiter>>,
+    outstanding: KeyTable<(VmObjId, PageIdx), Access>,
     clock: VecDeque<(VmObjId, PageIdx)>,
 }
 
@@ -163,12 +163,12 @@ impl VmSystem {
             cost,
             next_obj: 1,
             next_fault: 1,
-            objects: BTreeMap::new(),
-            maps: BTreeMap::new(),
+            objects: SlotTable::new(),
+            maps: SortedMap::new(),
             resident_total: 0,
-            faults: BTreeMap::new(),
-            waiters: BTreeMap::new(),
-            outstanding: BTreeMap::new(),
+            faults: KeyTable::new(),
+            waiters: KeyTable::new(),
+            outstanding: KeyTable::new(),
             clock: VecDeque::new(),
         }
     }
@@ -560,8 +560,7 @@ impl VmSystem {
                     },
                 );
                 self.waiters
-                    .entry((obj, page))
-                    .or_default()
+                    .get_or_insert_with((obj, page), Vec::new)
                     .push(Waiter::Fault(id));
                 FaultOutcome::Pending(id)
             }
@@ -1034,8 +1033,7 @@ impl VmSystem {
             if o.paged_out.contains(&page) {
                 // Fetch from the default pager, then re-run the pull.
                 self.waiters
-                    .entry((oid, page))
-                    .or_default()
+                    .get_or_insert_with((oid, page), Vec::new)
                     .push(Waiter::Pull { origin: obj, page });
                 self.request(oid, page, Access::Write, fx);
                 return;
@@ -1098,8 +1096,7 @@ impl VmSystem {
                         }
                         Resolve::Wait(o2, p2) => {
                             self.waiters
-                                .entry((o2, p2))
-                                .or_default()
+                                .get_or_insert_with((o2, p2), Vec::new)
                                 .push(Waiter::Fault(fid));
                         }
                     }
@@ -1118,7 +1115,7 @@ impl VmSystem {
     pub fn fork_local(&mut self, _now: Time, parent: TaskId, child: TaskId, fx: &mut Effects) {
         assert!(self.maps.contains_key(&parent), "no such parent task");
         self.create_task(child);
-        let entries: Vec<MapEntry> = self.maps[&parent].entries().to_vec();
+        let entries: Vec<MapEntry> = self.address_map(parent).entries().to_vec();
         for e in entries {
             match e.inherit {
                 Inherit::None => {}

@@ -447,11 +447,21 @@ impl<'a, M> Ctx<'a, M> {
     /// the local node is allowed (loopback with no wire time) — used by the
     /// protocol layers for uniform self-delivery.
     pub fn send(&mut self, dst: NodeId, costs: MsgCosts, msg: M) {
+        self.send_gated(dst, costs, Dur::ZERO, Time::ZERO, msg);
+    }
+
+    /// The one send body: charges the sender CPU now, lets the message hit
+    /// the wire no earlier than `earliest`, and delivers it `extra` after
+    /// its natural arrival.
+    #[inline]
+    fn send_gated(&mut self, dst: NodeId, costs: MsgCosts, extra: Dur, earliest: Time, msg: M) {
         let cpu = &mut self.cpus[self.me.index()];
         let departure = cpu.msg_free.max(self.now) + costs.send_cpu;
         cpu.msg_free = departure;
-        let arrival =
-            departure + self.machine.wire_time(self.me, dst, costs.bytes) + costs.extra_latency;
+        let arrival = departure.max(earliest)
+            + self.machine.wire_time(self.me, dst, costs.bytes)
+            + costs.extra_latency
+            + extra;
         self.stats.bump_id(self.hot.net_messages);
         self.stats.add_id(self.hot.net_bytes, costs.bytes as u64);
         self.queue.push(
@@ -492,23 +502,7 @@ impl<'a, M> Ctx<'a, M> {
     /// duplicated message). Within that window, younger messages on the
     /// same link can overtake it.
     pub fn send_delayed(&mut self, dst: NodeId, costs: MsgCosts, extra: Dur, msg: M) {
-        let cpu = &mut self.cpus[self.me.index()];
-        let departure = cpu.msg_free.max(self.now) + costs.send_cpu;
-        cpu.msg_free = departure;
-        let arrival = departure
-            + self.machine.wire_time(self.me, dst, costs.bytes)
-            + costs.extra_latency
-            + extra;
-        self.stats.bump_id(self.hot.net_messages);
-        self.stats.add_id(self.hot.net_bytes, costs.bytes as u64);
-        self.queue.push(
-            arrival,
-            Event::Deliver(Envelope {
-                dst,
-                recv_cpu: costs.recv_cpu,
-                msg,
-            }),
-        );
+        self.send_gated(dst, costs, extra, Time::ZERO, msg);
     }
 
     /// Like [`Ctx::send`], but the message may not hit the wire before
@@ -518,22 +512,7 @@ impl<'a, M> Ctx<'a, M> {
     /// work while the buffered message waits for its gate; only the wire
     /// departure is delayed.
     pub fn send_after(&mut self, earliest: Time, dst: NodeId, costs: MsgCosts, msg: M) {
-        let cpu = &mut self.cpus[self.me.index()];
-        let departure = cpu.msg_free.max(self.now) + costs.send_cpu;
-        cpu.msg_free = departure;
-        let arrival = departure.max(earliest)
-            + self.machine.wire_time(self.me, dst, costs.bytes)
-            + costs.extra_latency;
-        self.stats.bump_id(self.hot.net_messages);
-        self.stats.add_id(self.hot.net_bytes, costs.bytes as u64);
-        self.queue.push(
-            arrival,
-            Event::Deliver(Envelope {
-                dst,
-                recv_cpu: costs.recv_cpu,
-                msg,
-            }),
-        );
+        self.send_gated(dst, costs, Dur::ZERO, earliest, msg);
     }
 
     /// Schedules `msg` for local delivery at absolute time `at` with no CPU

@@ -15,11 +15,11 @@
 //! exhaustion deadlock the paper calls out (and which ASVM's asynchronous
 //! transitions avoid).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use machvm::{
-    Access, EmmiToKernel, EmmiToPager, FaultId, FaultOutcome, LockMode, LockOp, MemObjId, PageIdx,
-    PagerSend, SupplyMode, TaskId, VmObjId, VmSystem,
+    Access, EmmiToKernel, EmmiToPager, FaultId, FaultOutcome, KeyTable, LockMode, LockOp, MemObjId,
+    NodeSet, PageIdx, PagerSend, SlotTable, SupplyMode, TaskId, VmObjId, VmSystem,
 };
 use svmsim::{CostModel, NodeId, Time};
 
@@ -57,7 +57,7 @@ struct PendingReq {
 #[derive(Debug)]
 struct Txn {
     req: PendingReq,
-    awaiting: BTreeSet<NodeId>,
+    awaiting: NodeSet,
     upgrade: bool,
     dispatched: bool,
 }
@@ -67,9 +67,9 @@ struct Txn {
 pub struct MgrState {
     /// The paper's memory hog: one state byte per page per using node
     /// (0 = none, 1 = read, 2 = write).
-    table: BTreeMap<NodeId, Vec<u8>>,
-    busy: BTreeMap<PageIdx, Txn>,
-    queue: BTreeMap<PageIdx, VecDeque<PendingReq>>,
+    table: SlotTable<NodeId, Vec<u8>>,
+    busy: KeyTable<PageIdx, Txn>,
+    queue: KeyTable<PageIdx, VecDeque<PendingReq>>,
 }
 
 impl MgrState {
@@ -96,8 +96,7 @@ impl MgrState {
 
     fn node_row(&mut self, node: NodeId, pages: u32) -> &mut Vec<u8> {
         self.table
-            .entry(node)
-            .or_insert_with(|| vec![0; pages as usize])
+            .get_or_insert_with(node, || vec![0; pages as usize])
     }
 }
 
@@ -117,7 +116,7 @@ pub struct XmmObject {
     /// Manager state (populated on the manager node only).
     pub mgr: Option<MgrState>,
     /// Our own outstanding requests.
-    pub pending: BTreeMap<PageIdx, Access>,
+    pub pending: KeyTable<PageIdx, Access>,
 }
 
 /// An internal copy pager: serves one inherited memory object from a local
@@ -138,8 +137,8 @@ pub struct InternalPager {
 pub struct XmmNode {
     me: NodeId,
     cost: CostModel,
-    objects: BTreeMap<MemObjId, XmmObject>,
-    by_vmobj: BTreeMap<VmObjId, MemObjId>,
+    objects: KeyTable<MemObjId, XmmObject>,
+    by_vmobj: SlotTable<VmObjId, MemObjId>,
     internal: BTreeMap<MemObjId, InternalPager>,
     ip_tasks: BTreeMap<TaskId, MemObjId>,
     /// Copy-pager thread pool (node wide). Blocking threads are XMM's
@@ -158,8 +157,8 @@ impl XmmNode {
         XmmNode {
             me,
             cost,
-            objects: BTreeMap::new(),
-            by_vmobj: BTreeMap::new(),
+            objects: KeyTable::new(),
+            by_vmobj: SlotTable::new(),
             internal: BTreeMap::new(),
             ip_tasks: BTreeMap::new(),
             threads_free: copy_threads,
@@ -218,7 +217,7 @@ impl XmmNode {
                 manager,
                 backing,
                 mgr,
-                pending: BTreeMap::new(),
+                pending: KeyTable::new(),
             },
         );
         assert!(prev.is_none(), "object {mobj:?} registered twice");
@@ -608,7 +607,9 @@ impl XmmNode {
         assert_eq!(o.manager, self.me, "request at non-manager node");
         let mgr = o.mgr.as_mut().unwrap();
         if mgr.busy.contains_key(&page) {
-            mgr.queue.entry(page).or_default().push_back(req);
+            mgr.queue
+                .get_or_insert_with(page, VecDeque::new)
+                .push_back(req);
             return;
         }
         Self::mgr_start(o, self.me, page, req, fx);
@@ -620,21 +621,19 @@ impl XmmNode {
         let size = o.size_pages;
         let mgr = o.mgr.as_mut().unwrap();
         let p = page.0 as usize;
-        let writer: Option<NodeId> = mgr
-            .table
-            .iter()
-            .find(|(_, row)| row[p] == 2)
-            .map(|(n, _)| *n);
-        let readers: Vec<NodeId> = mgr
-            .table
-            .iter()
-            .filter(|(_, row)| row[p] == 1)
-            .map(|(n, _)| *n)
-            .collect();
+        let mut writer: Option<NodeId> = None;
+        let mut readers: Vec<NodeId> = Vec::new();
+        for (n, row) in mgr.table.iter() {
+            match row[p] {
+                1 => readers.push(n),
+                2 if writer.is_none() => writer = Some(n),
+                _ => {}
+            }
+        }
 
         // Upgrade fast path: the origin already holds a clean read copy.
         if req.access == Access::Write && writer.is_none() && readers.contains(&req.origin) {
-            let others: BTreeSet<NodeId> = readers
+            let others: NodeSet = readers
                 .iter()
                 .copied()
                 .filter(|r| *r != req.origin)
@@ -669,7 +668,7 @@ impl XmmNode {
         }
 
         // General path: create a coherent version at the pager first.
-        let mut awaiting = BTreeSet::new();
+        let mut awaiting = NodeSet::new();
         if let Some(w) = writer {
             if w != req.origin {
                 mgr.node_row(w, size)[p] = 0;
