@@ -8,7 +8,10 @@ use std::hint::black_box;
 use asvm::{AsvmMsg, FrameBody, FrameCombiner, Lru};
 use cluster::ManagerKind;
 use machvm::{KeyTable, MemObjId, NodeSet, PageIdx};
-use svmsim::{Dur, EventQueue, Machine, MachineConfig, NodeId, Stats, Time};
+use svmsim::{
+    Ctx, Dur, EventQueue, Machine, MachineConfig, MsgCosts, NodeBehavior, NodeId, Stats, Time,
+    World,
+};
 use workloads::{
     copy_chain_probe, em3d_run, fault_probe, run_pattern, CopyChainSpec, Em3dSpec, FaultProbeSpec,
     Pattern, ProbeAccess, Scenario,
@@ -45,6 +48,85 @@ fn bench_event_queue_preallocated(c: &mut Criterion) {
             black_box(sum)
         })
     });
+}
+
+/// A message as fat as `cluster::Msg` in its envelope: what the event
+/// loop pays to move a payload, which the `M = ()` drivers cannot see.
+type Fat = [u64; 12];
+
+/// Reposts its message to itself `left` more times, 500 ns apart.
+struct Reposter {
+    left: u32,
+}
+
+impl NodeBehavior<Fat> for Reposter {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Fat>, mut msg: Fat) {
+        if self.left > 0 {
+            self.left -= 1;
+            msg[0] += 1;
+            let at = ctx.now() + Dur::from_nanos(500);
+            ctx.post_self(at, msg);
+        }
+    }
+}
+
+/// Node 0 sinks; every other node answers its kick-off message with
+/// `BURST` costed sends to node 0.
+struct FanIn {
+    sunk: u64,
+}
+
+const BURST: u64 = 16;
+
+impl NodeBehavior<Fat> for FanIn {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Fat>, msg: Fat) {
+        if ctx.me() == NodeId(0) {
+            self.sunk += msg[0];
+            return;
+        }
+        let costs = MsgCosts {
+            send_cpu: Dur::from_micros(1),
+            recv_cpu: Dur::from_micros(20),
+            bytes: 96,
+            extra_latency: Dur::ZERO,
+        };
+        for i in 0..BURST {
+            ctx.send(NodeId(0), costs, [i + 1; 12]);
+        }
+    }
+}
+
+fn bench_world(c: &mut Criterion) {
+    let mut g = c.benchmark_group("world");
+    g.sample_size(20);
+    // The hold model at the `eventloop` shape: 512 pending events, each
+    // delivery schedules the next; 64 reposts per node per iteration.
+    g.bench_function("hold_512_msg96", |b| {
+        b.iter(|| {
+            let machine = Machine::new(MachineConfig::paragon(512));
+            let mut w: World<Reposter, Fat> = World::new(machine, 1, |_, _| Reposter { left: 64 });
+            for n in 0..512u16 {
+                w.post(Time::from_nanos(n as u64), NodeId(n), [n as u64; 12]);
+            }
+            w.run_to_quiescence(u64::MAX / 2).expect("reposters stop");
+            black_box(w.events_processed())
+        })
+    });
+    // The `readshare` shape at the writer: 255 senders' bursts reach one
+    // receiver whose message processor takes 20 µs per arrival, so nearly
+    // every arrival parks and is woken in turn.
+    g.bench_function("fan_in_park_255", |b| {
+        b.iter(|| {
+            let machine = Machine::new(MachineConfig::paragon(256));
+            let mut w: World<FanIn, Fat> = World::new(machine, 1, |_, _| FanIn { sunk: 0 });
+            for n in 1..256u16 {
+                w.post(Time::ZERO, NodeId(n), [0; 12]);
+            }
+            w.run_to_quiescence(u64::MAX / 2).expect("the sink drains");
+            black_box(w.node(NodeId(0)).sunk)
+        })
+    });
+    g.finish();
 }
 
 fn bench_stats(c: &mut Criterion) {
@@ -321,6 +403,7 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_event_queue_preallocated,
+    bench_world,
     bench_stats,
     bench_mesh_routing,
     bench_fault_probe,

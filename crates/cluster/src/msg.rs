@@ -217,11 +217,11 @@ pub enum Msg {
 }
 
 // The event queue's slot arena stores one `Msg` (inside its delivery
-// envelope) per pending event, and `World::step` moves envelopes by value
-// on every deliver/requeue — so the size of the *largest* variant is a
-// hot-path constant. These assertions fail the build if a new variant
-// (or a grown payload type) silently fattens every event in the system;
-// box the offender instead (see `Msg::Fork`).
+// envelope) per pending or parked event, written once on send and moved
+// out once by `World::step` into the handler — so the size of the
+// *largest* variant is a hot-path constant. These assertions fail the
+// build if a new variant (or a grown payload type) silently fattens every
+// event in the system; box the offender instead (see `Msg::Fork`).
 const _: () = assert!(
     std::mem::size_of::<Msg>() <= 80,
     "cluster::Msg grew past 80 bytes; box the fat variant"

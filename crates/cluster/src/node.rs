@@ -725,14 +725,15 @@ impl ClusterNode {
     fn on_hb_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
         let me = self.id;
-        let peers: Vec<NodeId> = ctx.machine().compute_nodes().filter(|n| *n != me).collect();
-        for n in &peers {
+        let machine = ctx.machine();
+        let peers = || machine.compute_nodes().filter(move |n| *n != me);
+        for n in peers() {
             self.asvm_transport
-                .send_lossy(ctx, *n, 0, "cluster.hb", || Msg::Heartbeat { from: me });
+                .send_lossy(ctx, n, 0, "cluster.hb", || Msg::Heartbeat { from: me });
         }
         let mut newly = Vec::new();
-        for n in &peers {
-            if self.farewelled.contains(n) || self.suspects.contains(n) {
+        for n in peers() {
+            if self.farewelled.contains(&n) || self.suspects.contains(&n) {
                 continue;
             }
             // Lazily baseline at our first tick, so suspicion always
@@ -740,9 +741,9 @@ impl ClusterNode {
             // `now.since(at)`: arrival stamps carry receive-side CPU
             // charges, so they can sit slightly past this tick's delivery
             // time.
-            let at = *self.last_heard.get_or_insert_with(*n, || now);
+            let at = *self.last_heard.get_or_insert_with(n, || now);
             if now > at + HB_SUSPECT_AFTER {
-                newly.push(*n);
+                newly.push(n);
             }
         }
         for n in newly {
@@ -1155,7 +1156,7 @@ impl ClusterNode {
                         let lossy = !self.asvm_transport.per_link_arq();
                         if self.engine_call(ctx, |e, _, fx| e.on_idle(lossy, fx)) {
                             let me = self.id;
-                            for n in ctx.machine().compute_nodes().collect::<Vec<_>>() {
+                            for n in ctx.machine().compute_nodes() {
                                 if n != me {
                                     Transport::STS.send(ctx, n, 0, Msg::Farewell { from: me });
                                 }
@@ -1526,7 +1527,7 @@ impl NodeBehavior<Msg> for ClusterNode {
                 *c += 1;
                 if *c >= self.barrier_parties {
                     self.barrier_counts.remove(&id);
-                    for n in ctx.machine().compute_nodes().collect::<Vec<_>>() {
+                    for n in ctx.machine().compute_nodes() {
                         if n == self.id {
                             let now = ctx.now();
                             ctx.post_self(now, Msg::BarrierGo { id });

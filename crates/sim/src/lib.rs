@@ -56,7 +56,7 @@ pub use disk::{Disk, DiskOp};
 pub use faults::{Blackout, FaultCause, FaultDecision, FaultPlan, LinkFaults};
 pub use machine::{CostModel, Machine, MachineConfig, NodeKind};
 pub use mesh::{Mesh, NodeId};
-pub use queue::EventQueue;
+pub use queue::{EventQueue, Slot};
 pub use stats::{HistId, Histogram, StatId, Stats, Tally, TallyId};
 pub use time::{Dur, Time};
 pub use trace::TraceRing;

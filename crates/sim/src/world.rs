@@ -12,6 +12,12 @@
 //! The world is generic over the node behaviour `N` and the message type
 //! `M`, so the protocol crates stay independent of each other; the `cluster`
 //! crate instantiates it with its unified message enum.
+//!
+//! A message in flight is written once, by `Ctx::send*` / `post*`, into the
+//! event queue's arena and stays there — through any time it spends parked
+//! behind a busy message processor — until [`World::step`] moves it out,
+//! once, into [`NodeBehavior::on_message`]. Everything in between handles a
+//! 4-byte [`Slot`]; see the `queue` module docs.
 
 use std::collections::VecDeque;
 
@@ -22,7 +28,7 @@ use crate::disk::{Disk, DiskOp};
 use crate::faults::FaultDecision;
 use crate::machine::Machine;
 use crate::mesh::NodeId;
-use crate::queue::EventQueue;
+use crate::queue::{EventQueue, Slot};
 use crate::stats::{StatId, Stats};
 use crate::time::{Dur, Time};
 
@@ -78,21 +84,11 @@ pub struct CpuState {
     pub compute_free: Time,
 }
 
+/// One scheduled delivery, as it sits in the event queue's arena.
 struct Envelope<M> {
     dst: NodeId,
     recv_cpu: Dur,
     msg: M,
-}
-
-/// One scheduled occurrence: a message delivery, or a wake-up for the
-/// head of a node's blocked-receive queue (see [`World::step`]).
-enum Event<M> {
-    Deliver(Envelope<M>),
-    /// Re-examine this node's message processor: if it has freed up,
-    /// deliver the oldest blocked message; otherwise go back to sleep
-    /// until the new `msg_free`. One such event stands in for the whole
-    /// backlog, however deep.
-    Wake(NodeId),
 }
 
 /// Error returned when the event loop exceeds its safety budget.
@@ -117,11 +113,12 @@ pub struct World<N, M> {
     nodes: Vec<N>,
     cpus: Vec<CpuState>,
     disks: Vec<Disk>,
-    queue: EventQueue<Event<M>>,
+    queue: EventQueue<Envelope<M>>,
     /// Per-node FIFO of messages that arrived while the node's message
-    /// processor was busy, paired with (at most) one `Event::Wake` per
-    /// node in the event queue. See [`World::step`].
-    blocked: Vec<VecDeque<Envelope<M>>>,
+    /// processor was busy: handles to envelopes that stay where they are
+    /// in the queue's arena. Only the head of a FIFO holds a ticket in
+    /// the event queue. See [`World::step`].
+    blocked: Vec<VecDeque<Slot>>,
     stats: Stats,
     hot: HotIds,
     rng: SmallRng,
@@ -156,8 +153,8 @@ impl<N: NodeBehavior<M>, M> World<N, M> {
             // Pending events scale with node count (in-flight messages plus
             // timers); pre-reserve so steady state never reallocates. The
             // megascale sweep's queue-depth gauge puts the observed peak
-            // near 2·n across 128-1024 nodes (blocked receives park in
-            // per-node FIFOs, not the heap), so 4·n leaves 2× headroom;
+            // near 2·n across 128-1024 nodes (of a node's blocked receives
+            // only the head holds a ticket), so 4·n leaves 2× headroom;
             // `queue.grow` in BENCH_megascale.json confirms zero
             // steady-state reallocations at this size.
             queue: EventQueue::with_capacity((n * 4).max(1024)),
@@ -248,69 +245,72 @@ impl<N: NodeBehavior<M>, M> World<N, M> {
         assert!(at >= self.now, "cannot schedule into the past");
         self.queue.push(
             at,
-            Event::Deliver(Envelope {
+            Envelope {
                 dst,
                 recv_cpu: Dur::ZERO,
                 msg,
-            }),
+            },
         );
     }
 
     /// Runs a single event. Returns `false` when the queue is empty.
     ///
     /// Messages that reach a node whose message processor is busy park in
-    /// the node's `blocked` FIFO; a single `Event::Wake` per node stands
-    /// in for the whole backlog and re-checks `msg_free` each time it
-    /// fires, delivering exactly one waiter per free instant. Naively
-    /// retrying every waiter at `msg_free` costs O(k²) heap churn at k-way
-    /// fan-in — ruinous at kilo-node scale — while service order and
-    /// delivery times are the same either way: strict arrival order,
+    /// the node's `blocked` FIFO. Only the head of the FIFO holds a ticket:
+    /// it stands in for the whole backlog and re-checks `msg_free` each
+    /// time it fires, so exactly one waiter is delivered per free instant.
+    /// Naively retrying every waiter at `msg_free` costs O(k²) heap churn
+    /// at k-way fan-in — ruinous at kilo-node scale — while service order
+    /// and delivery times are the same either way: strict arrival order,
     /// yielding to any send CPU the in-between handlers charge.
+    ///
+    /// The envelope is examined where it lies in the queue's arena: parking
+    /// moves a 4-byte [`Slot`], a waiter that must sleep again gets a new
+    /// ticket for the slot it already has, and the message is moved out
+    /// exactly once, into the handler.
     pub fn step(&mut self) -> bool {
-        let Some((t, ev)) = self.queue.pop() else {
+        let Some((t, slot)) = self.queue.pop_slot() else {
+            debug_assert!(
+                self.queue.resident() == 0 && self.blocked.iter().all(VecDeque::is_empty),
+                "quiescent world still holds events"
+            );
             return false;
         };
         debug_assert!(t >= self.now, "event queue violated time order");
         self.now = t;
-        let (env, from_wake) = match ev {
-            Event::Wake(who) => {
-                let d = who.index();
-                let free = self.cpus[d].msg_free;
-                if free > t {
-                    // The processor picked up other work (a handler's send,
-                    // or a same-instant delivery) after this wake was
-                    // scheduled: sleep until it frees again.
-                    self.queue.push(free, Event::Wake(who));
-                    return true;
-                }
-                let env = self.blocked[d]
-                    .pop_front()
-                    .expect("wake fired for a node with no blocked messages");
-                (env, true)
-            }
-            Event::Deliver(env) => {
-                let d = env.dst.index();
-                if !env.recv_cpu.is_zero() && self.cpus[d].msg_free > t {
-                    // Busy receiver: park in arrival order. The first
-                    // waiter brings the wake event with it; later ones
-                    // just queue behind.
-                    if self.blocked[d].is_empty() {
-                        self.queue.push(self.cpus[d].msg_free, Event::Wake(env.dst));
-                    }
-                    self.blocked[d].push_back(env);
-                    return true;
-                }
-                (env, false)
-            }
-        };
-        let me = env.dst;
+        let Envelope {
+            dst: me, recv_cpu, ..
+        } = *self.queue.payload(slot);
         let dst = me.index();
         let mut handler_now = t;
-        if !env.recv_cpu.is_zero() {
-            self.cpus[dst].msg_free = t + env.recv_cpu;
-            handler_now = t + env.recv_cpu;
+        // Zero-`recv_cpu` deliveries need no processor and never park.
+        let mut woken = false;
+        if !recv_cpu.is_zero() {
+            let waiters = &mut self.blocked[dst];
+            woken = waiters.front() == Some(&slot);
+            let free = self.cpus[dst].msg_free;
+            if free > t {
+                // Busy receiver. The head of the FIFO sleeps until `free`:
+                // a fresh arrival that finds nobody waiting, or a woken
+                // head that found the processor taken again (a handler's
+                // send, or a same-instant delivery) since it was ticketed.
+                // Any other arrival just queues behind, in arrival order.
+                if woken || waiters.is_empty() {
+                    self.queue.reticket(free, slot);
+                }
+                if !woken {
+                    waiters.push_back(slot);
+                }
+                return true;
+            }
+            if woken {
+                waiters.pop_front();
+            }
+            handler_now = t + recv_cpu;
+            self.cpus[dst].msg_free = handler_now;
         }
         self.events_processed += 1;
+        let msg = self.queue.take(slot).msg;
         let node = &mut self.nodes[dst];
         let mut ctx = Ctx {
             now: handler_now,
@@ -324,13 +324,13 @@ impl<N: NodeBehavior<M>, M> World<N, M> {
             rng: &mut self.rng,
             fault_rng: &mut self.fault_rng,
         };
-        node.on_message(&mut ctx, env.msg);
-        // A delivery consumed off the blocked FIFO consumed its wake too;
-        // re-arm for the next waiter once the handler has finished charging
-        // this node's processor.
-        if from_wake && !self.blocked[dst].is_empty() {
-            let at = self.cpus[dst].msg_free;
-            self.queue.push(at, Event::Wake(me));
+        node.on_message(&mut ctx, msg);
+        // The next waiter is ticketed only now, once the handler has
+        // finished charging this node's processor.
+        if woken {
+            if let Some(&next) = self.blocked[dst].front() {
+                self.queue.reticket(self.cpus[dst].msg_free, next);
+            }
         }
         true
     }
@@ -382,7 +382,7 @@ pub struct Ctx<'a, M> {
     machine: &'a Machine,
     cpus: &'a mut [CpuState],
     disks: &'a mut [Disk],
-    queue: &'a mut EventQueue<Event<M>>,
+    queue: &'a mut EventQueue<Envelope<M>>,
     stats: &'a mut Stats,
     hot: HotIds,
     rng: &'a mut SmallRng,
@@ -400,8 +400,10 @@ impl<'a, M> Ctx<'a, M> {
         self.me
     }
 
-    /// The machine description.
-    pub fn machine(&self) -> &Machine {
+    /// The machine description. The reference outlives the borrow of
+    /// `self`, so a handler can walk `machine.compute_nodes()` while it
+    /// sends through the same `Ctx`.
+    pub fn machine(&self) -> &'a Machine {
         self.machine
     }
 
@@ -466,11 +468,11 @@ impl<'a, M> Ctx<'a, M> {
         self.stats.add_id(self.hot.net_bytes, costs.bytes as u64);
         self.queue.push(
             arrival,
-            Event::Deliver(Envelope {
+            Envelope {
                 dst,
                 recv_cpu: costs.recv_cpu,
                 msg,
-            }),
+            },
         );
     }
 
@@ -517,29 +519,36 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Schedules `msg` for local delivery at absolute time `at` with no CPU
     /// charge (timers, task resumptions, deferred work).
+    ///
+    /// `at` is clamped to [`Ctx::now`]: an instant the handler's own CPU
+    /// charges have already passed means "as soon as possible", not an
+    /// error. Periodic timers beware — a period computed from an instant
+    /// captured *before* the handler's sends can land in its past, and the
+    /// clamp then fires the next tick back to back (docs/RELIABILITY.md
+    /// §7.5).
     pub fn post_self(&mut self, at: Time, msg: M) {
-        debug_assert!(at >= self.now || at >= Time::ZERO);
         self.queue.push(
             at.max(self.now),
-            Event::Deliver(Envelope {
+            Envelope {
                 dst: self.me,
                 recv_cpu: Dur::ZERO,
                 msg,
-            }),
+            },
         );
     }
 
     /// Schedules `msg` for delivery to `dst` at absolute time `at` with no
     /// transport cost. Used for intra-kernel hand-offs whose cost has
-    /// already been charged by the caller.
+    /// already been charged by the caller. Like [`Ctx::post_self`], `at` is
+    /// clamped to [`Ctx::now`].
     pub fn post(&mut self, at: Time, dst: NodeId, msg: M) {
         self.queue.push(
             at.max(self.now),
-            Event::Deliver(Envelope {
+            Envelope {
                 dst,
                 recv_cpu: Dur::ZERO,
                 msg,
-            }),
+            },
         );
     }
 
@@ -837,5 +846,170 @@ mod send_after_tests {
         w.post(Time::ZERO, NodeId(0), M::Go);
         w.run_to_quiescence(10).unwrap();
         assert!(w.node(NodeId(0)).got);
+    }
+}
+
+#[cfg(test)]
+mod fan_in_tests {
+    //! Pins the busy-receiver parking semantics: which handler runs when,
+    //! in what order, and how many steps the loop spends getting there.
+    //! The expectation in `testdata/fan_in_trace.txt` was recorded on the
+    //! commit *before* parked receives became arena handles (when `blocked`
+    //! held whole envelopes and an `Event::Wake` stood in for the backlog)
+    //! and must never be regenerated to make a queue or `World::step`
+    //! change pass.
+    use super::*;
+    use crate::machine::MachineConfig;
+    use rand::Rng;
+    use std::cell::RefCell;
+    use std::fmt::Write as _;
+    use std::rc::Rc;
+
+    const SINK: NodeId = NodeId(0);
+    /// Id offsets telling the message kinds apart in the trace.
+    const ACK: u32 = 100_000;
+    const NOTE: u32 = 200_000;
+    const GO: u32 = 900_000;
+
+    /// `Go` kicks a sender into `n` costed `Data` sends to the sink.
+    enum Fan {
+        Go { id: u32, n: u32 },
+        Data { id: u32, from: NodeId },
+        Ack { id: u32 },
+        Note { id: u32 },
+    }
+
+    type Log = Rc<RefCell<Vec<(Time, NodeId, u32)>>>;
+
+    struct FanNode {
+        log: Log,
+        senders: u32,
+    }
+
+    fn costs() -> MsgCosts {
+        MsgCosts {
+            send_cpu: Dur::from_micros(10),
+            recv_cpu: Dur::from_micros(20),
+            bytes: 64,
+            extra_latency: Dur::ZERO,
+        }
+    }
+
+    impl NodeBehavior<Fan> for FanNode {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Fan>, msg: Fan) {
+            let (me, now) = (ctx.me(), ctx.now());
+            let id = match msg {
+                Fan::Go { id, .. } => GO + id,
+                Fan::Data { id, .. } | Fan::Ack { id } | Fan::Note { id } => id,
+            };
+            self.log.borrow_mut().push((now, me, id));
+            match msg {
+                Fan::Go { id, n } => {
+                    for j in 0..n {
+                        let id = id * 4 + j;
+                        ctx.send(SINK, costs(), Fan::Data { id, from: me });
+                    }
+                }
+                Fan::Data { id, from } => {
+                    // A send mid-backlog pushes `msg_free` out before the
+                    // next waiter's wake is armed.
+                    if id % 3 == 0 {
+                        ctx.send(from, costs(), Fan::Ack { id: ACK + id });
+                    }
+                    // Zero-`recv_cpu` deliveries bypass parking however
+                    // busy the processor is.
+                    if id % 5 == 0 {
+                        ctx.post_self(now, Fan::Note { id: NOTE + id });
+                    }
+                    if id % 7 == 0 {
+                        let at = now + Dur::from_micros(3);
+                        ctx.post(at, from, Fan::Note { id: 2 * NOTE + id });
+                    }
+                }
+                Fan::Ack { id } => {
+                    if id % 2 == 0 {
+                        ctx.post(now, SINK, Fan::Note { id: 3 * NOTE + id });
+                    }
+                }
+                // A handler that ran without the processor (zero
+                // `recv_cpu`) and then sends: the wake armed for the old
+                // `msg_free` fires early and must go back to sleep.
+                Fan::Note { id } if me == SINK && id % 2 == 0 => {
+                    let to = NodeId(1 + (id % self.senders) as u16);
+                    ctx.send(
+                        to,
+                        costs(),
+                        Fan::Ack {
+                            id: 4 * NOTE + id + 1,
+                        },
+                    );
+                }
+                Fan::Note { .. } => {}
+            }
+        }
+    }
+
+    /// Runs the `k`-way script step by step and renders its trace.
+    fn run(k: u16) -> String {
+        let log = Log::default();
+        let mut w: World<FanNode, Fan> =
+            World::new(Machine::new(MachineConfig::paragon(k + 1)), 7, |_, _| {
+                FanNode {
+                    log: log.clone(),
+                    senders: k as u32,
+                }
+            });
+        let mut rng = SmallRng::seed_from_u64(1996 + k as u64);
+        for s in 1..=k {
+            // Most senders start together so that equidistant ones reach
+            // the sink at the same instant.
+            let at = [0, 0, 0, 40, 90][rng.gen_range(0..5usize)];
+            let n = rng.gen_range(1..4u32);
+            let go = Fan::Go { id: s as u32, n };
+            w.post(Time::ZERO + Dur::from_micros(at), NodeId(s), go);
+        }
+        let (mut steps, mut parked, mut peak_live) = (0u64, 0u64, 0usize);
+        loop {
+            let before = w.events_processed();
+            // Every resident payload is accounted for at every step
+            // boundary: ticketed, or parked behind a FIFO's head (the head
+            // itself holds a ticket and is already counted).
+            let waiting = w.blocked.iter().map(|q| q.len().saturating_sub(1));
+            let live = w.queue.len() + waiting.sum::<usize>();
+            assert_eq!(w.queue.resident(), live, "arena leaked at step {steps}");
+            peak_live = peak_live.max(live);
+            if !w.step() {
+                break;
+            }
+            steps += 1;
+            parked += u64::from(w.events_processed() == before);
+        }
+        assert!(w.is_quiescent() && w.queue.resident() == 0);
+        assert!(w.blocked.iter().all(VecDeque::is_empty));
+        assert!(
+            w.queue.arena_len() <= peak_live,
+            "arena outgrew its peak load"
+        );
+        let mut out = format!("# k={k}\n");
+        for (t, dst, id) in log.borrow().iter() {
+            writeln!(out, "{} {} {}", t.as_nanos(), dst.0, id).unwrap();
+        }
+        let (events, end) = (w.events_processed(), w.now().as_nanos());
+        writeln!(
+            out,
+            "= events {events} steps {steps} parked {parked} end {end}"
+        )
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn fan_in_trace_matches_the_recorded_one() {
+        let got: String = [1u16, 2, 17, 255].into_iter().map(run).collect();
+        let want = include_str!("../testdata/fan_in_trace.txt");
+        for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+            assert_eq!(g, w, "trace diverges at line {}", n + 1);
+        }
+        assert_eq!(got.lines().count(), want.lines().count());
     }
 }
