@@ -1310,19 +1310,21 @@ impl ClusterNode {
     // --- Pageout --------------------------------------------------------------------
 
     fn pageout(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let mut guard = 0u32;
-        while self.vm.over_capacity() > 0 {
-            guard += 1;
-            if guard > 4096 {
-                break; // Nothing evictable right now; try after the next event.
+        loop {
+            let over = self.vm.over_capacity();
+            if over == 0 {
+                break;
             }
             let Some((obj, page)) = self.vm.select_victim() else {
-                break;
+                break; // Nothing evictable right now; try after the next event.
             };
             ctx.stats().bump("pageouts");
             let mut fx = self.take_effects();
             self.vm.evict(ctx.now(), obj, page, &mut fx);
             self.drain(ctx, fx);
+            // A victim is a resident page and its manager's reaction brings
+            // none in: the loop ends after `over` passes.
+            debug_assert_eq!(self.vm.over_capacity(), over - 1);
         }
     }
 }

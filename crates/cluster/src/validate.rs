@@ -5,7 +5,8 @@
 //!
 //! * at most one owner per page, system-wide;
 //! * the single-writer-XOR-multiple-readers rule;
-//! * page state only for resident pages (state tied to physical memory);
+//! * page state only for resident pages (state tied to physical memory),
+//!   in the engine and in the VM's replacement queue;
 //! * no stranded work: no pending requests, parked fills, queued lock
 //!   waiters or manager transactions survive quiescence.
 
@@ -57,6 +58,9 @@ pub fn check_asvm_invariants_except(ssi: &Ssi, dead: &[svmsim::NodeId]) {
         .node_ids()
         .filter(|id| !dead.contains(id))
         .collect();
+    for id in &nodes {
+        ssi.world.node(*id).vm.check_replacement_queue();
+    }
     // Collect object ids from every node.
     let mut objects: Vec<MemObjId> = Vec::new();
     for id in &nodes {
@@ -184,6 +188,7 @@ pub fn check_asvm_invariants_except(ssi: &Ssi, dead: &[svmsim::NodeId]) {
 pub fn check_xmm_invariants(ssi: &Ssi) {
     for id in ssi.world.machine().mesh.node_ids().collect::<Vec<_>>() {
         let node = ssi.world.node(id);
+        node.vm.check_replacement_queue();
         let Some(x) = node.xmm() else { continue };
         assert_eq!(
             x.thread_queue_len(),

@@ -3,7 +3,7 @@
 
 use svmsim::{CostModel, Time};
 
-use crate::emmi::{EmmiToKernel, EmmiToPager, PullResult, SupplyMode};
+use crate::emmi::{EmmiToKernel, EmmiToPager, LockMode, LockOp, PullResult, SupplyMode};
 use crate::ids::{Access, Inherit, MemObjId, PageIdx, TaskId};
 use crate::object::Backing;
 use crate::pagedata::PageData;
@@ -179,7 +179,7 @@ fn cow_write_after_eviction_of_ancestor_page() {
 }
 
 #[test]
-fn clock_gives_second_chance_via_busy_skip_and_wraps() {
+fn victims_come_in_fault_in_order_and_wrap() {
     let mut v = vm();
     let task = TaskId(1);
     v.create_task(task);
@@ -188,19 +188,76 @@ fn clock_gives_second_chance_via_busy_skip_and_wraps() {
     for p in 0..8 {
         v.fault(t(p), task, p, Access::Write, &mut Effects::new());
     }
+    let eight_victims = |v: &mut VmSystem| -> Vec<u32> {
+        (0..8)
+            .map(|_| {
+                let (o, p) = v.select_victim().unwrap();
+                assert_eq!(o, obj);
+                p.0
+            })
+            .collect()
+    };
     // Victims come out in insertion order and cycle.
-    let mut victims = Vec::new();
-    for _ in 0..8 {
-        let (o, p) = v.select_victim().unwrap();
-        assert_eq!(o, obj);
-        victims.push(p.0);
-    }
-    assert_eq!(victims, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-    // Evicted pages stop being offered.
+    assert_eq!(eight_victims(&mut v), vec![0, 1, 2, 3, 4, 5, 6, 7]);
+    // A page that left and came back is the youngest, and is queued once.
     v.evict(t(20), obj, PageIdx(0), &mut Effects::new());
-    for _ in 0..16 {
+    v.fault(t(21), task, 0, Access::Write, &mut Effects::new());
+    v.kernel_call(
+        t(22),
+        obj,
+        EmmiToKernel::DataSupply {
+            page: PageIdx(0),
+            data: PageData::Zero,
+            lock: Access::Write,
+            mode: SupplyMode::Normal,
+        },
+        &mut Effects::new(),
+    );
+    v.check_replacement_queue();
+    assert_eq!(eight_victims(&mut v), vec![1, 2, 3, 4, 5, 6, 7, 0]);
+    // Evicted pages stop being offered.
+    v.evict(t(30), obj, PageIdx(0), &mut Effects::new());
+    for _ in 0..14 {
         let (_, p) = v.select_victim().unwrap();
-        assert_ne!(p.0, 0, "evicted page must leave the clock");
+        assert_ne!(p.0, 0, "evicted page must leave the queue");
+    }
+}
+
+#[test]
+fn flush_and_resupply_cycles_do_not_grow_the_replacement_queue() {
+    // A reader's copy invalidated and fetched again, over and over, with
+    // no eviction anywhere: still one resident page, still one entry.
+    let mut v = vm();
+    let obj = v.create_object(4, Backing::External(MemObjId(1)));
+    for round in 0..100 {
+        v.kernel_call(
+            t(2 * round),
+            obj,
+            EmmiToKernel::DataSupply {
+                page: PageIdx(0),
+                data: PageData::Word(round),
+                lock: Access::Read,
+                mode: SupplyMode::Normal,
+            },
+            &mut Effects::new(),
+        );
+        v.check_replacement_queue();
+        assert_eq!(v.select_victim(), Some((obj, PageIdx(0))));
+        v.kernel_call(
+            t(2 * round + 1),
+            obj,
+            EmmiToKernel::LockRequest {
+                page: PageIdx(0),
+                op: LockOp::Flush {
+                    return_dirty: false,
+                },
+                mode: LockMode::Normal,
+            },
+            &mut Effects::new(),
+        );
+        assert_eq!(v.resident_total(), 0);
+        v.check_replacement_queue();
+        assert_eq!(v.select_victim(), None);
     }
 }
 
@@ -273,6 +330,7 @@ fn unmap_releases_pages_and_objects() {
     assert_eq!(v.resident_total(), 4);
     v.unmap(task, 0);
     assert_eq!(v.resident_total(), 0, "sole mapping dropped the cache");
+    v.check_replacement_queue();
 }
 
 #[test]
@@ -327,6 +385,7 @@ fn destroying_forked_chains_releases_shadow_objects() {
         v.destroy_task(c);
     }
     assert_eq!(v.resident_total(), 0, "every page released");
+    v.check_replacement_queue();
 }
 
 #[test]

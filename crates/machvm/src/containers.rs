@@ -17,7 +17,10 @@
 //!   independent of object size. [`SlotTable`] trades that for a plain
 //!   array index and is only for keys issued densely from zero and
 //!   bounded by construction: node ids, a node's VM object ids, and the
-//!   VM's own resident-page table.
+//!   VM's own resident-page table. A [`HandleQueue`] holds one slot per
+//!   live entry and reuses the slots of entries that left, so the VM's
+//!   replacement queue is proportional to the pages resident, never to
+//!   how often they came and went.
 //!
 //! | key kind | container | why |
 //! |---|---|---|
@@ -25,6 +28,7 @@
 //! | node id, VM object id, resident page | [`SlotTable`] | dense from zero: array index, ordered for free |
 //! | task id | [`SortedMap`] | a handful per node out of a machine-wide id space, looked up on every task event: a one-entry search is one compare |
 //! | set of nodes (readers, outstanding acks) | [`NodeSet`] | small, cloned per write fault: sorted `Vec`, `clone` is one `memcpy` |
+//! | resident page, in fault-in order | [`HandleQueue`] | leaves from the middle on flush or eviction: the page keeps a stable handle, unlink is `O(1)`, memory ∝ resident pages |
 
 use std::collections::HashMap;
 use std::fmt;
@@ -565,12 +569,165 @@ impl fmt::Debug for NodeSet {
     }
 }
 
+/// Slot index meaning "no entry".
+const NIL: u32 = u32::MAX;
+/// `prev` of a slot on the free list (never a live slot's: the slab
+/// cannot grow that far).
+const FREE: u32 = u32::MAX - 1;
+
+#[derive(Clone, Debug)]
+struct QueueSlot<T> {
+    /// Toward the front; [`FREE`] while the slot is on the free list.
+    prev: u32,
+    /// Toward the back; the next free slot while on the free list.
+    next: u32,
+    val: T,
+}
+
+/// A FIFO queue whose entries can leave from the middle: a slab of doubly
+/// linked slots with a free list. [`HandleQueue::push_back`] returns the
+/// entry's handle, which stays valid — no other operation moves the entry
+/// to another slot — until [`HandleQueue::unlink`] returns the slot to the
+/// free list. Every operation is `O(1)`; the slab is as long as the most
+/// entries ever live at once.
+#[derive(Clone, Debug)]
+pub struct HandleQueue<T> {
+    slots: Vec<QueueSlot<T>>,
+    front: u32,
+    back: u32,
+    free: u32,
+    len: usize,
+}
+
+impl<T> Default for HandleQueue<T> {
+    fn default() -> Self {
+        HandleQueue {
+            slots: Vec::new(),
+            front: NIL,
+            back: NIL,
+            free: NIL,
+            len: 0,
+        }
+    }
+}
+
+impl<T: Copy> HandleQueue<T> {
+    /// An empty queue (allocates nothing).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the queue holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Slots allocated, live or free (for memory-rule tests).
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Appends `val`, returning its handle.
+    pub fn push_back(&mut self, val: T) -> u32 {
+        let at = match self.free {
+            NIL => {
+                assert!(self.slots.len() < FREE as usize, "queue slab exhausted");
+                self.slots.push(QueueSlot {
+                    prev: NIL,
+                    next: NIL,
+                    val,
+                });
+                self.slots.len() as u32 - 1
+            }
+            at => {
+                self.free = self.slots[at as usize].next;
+                self.slots[at as usize].val = val;
+                at
+            }
+        };
+        self.attach_back(at);
+        self.len += 1;
+        at
+    }
+
+    /// Removes the entry `handle` names, returning its value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handle` does not name a live entry.
+    pub fn unlink(&mut self, handle: u32) -> T {
+        self.detach(handle);
+        let slot = &mut self.slots[handle as usize];
+        slot.prev = FREE;
+        slot.next = self.free;
+        self.free = handle;
+        self.len -= 1;
+        slot.val
+    }
+
+    /// Makes the entry `handle` names the last one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handle` does not name a live entry.
+    pub fn move_to_back(&mut self, handle: u32) {
+        if self.back != handle {
+            self.detach(handle);
+            self.attach_back(handle);
+        }
+    }
+
+    /// The first entry and its handle.
+    pub fn front(&self) -> Option<(u32, T)> {
+        self.iter().next()
+    }
+
+    /// Entries and their handles, front to back.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, T)> + '_ {
+        let mut at = self.front;
+        std::iter::from_fn(move || {
+            let slot = self.slots.get(at as usize)?;
+            let entry = (at, slot.val);
+            at = slot.next;
+            Some(entry)
+        })
+    }
+
+    fn detach(&mut self, at: u32) {
+        let QueueSlot { prev, next, .. } = self.slots[at as usize];
+        assert!(prev != FREE, "queue handle {at} names no live entry");
+        match prev {
+            NIL => self.front = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.back = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn attach_back(&mut self, at: u32) {
+        let back = std::mem::replace(&mut self.back, at);
+        self.slots[at as usize].prev = back;
+        self.slots[at as usize].next = NIL;
+        match back {
+            NIL => self.front = at,
+            b => self.slots[b as usize].next = at,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::{FaultId, MemObjId, TaskId};
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
     /// One step of a random map history: the key, a value, and which
     /// operation to run.
@@ -672,6 +829,56 @@ mod tests {
             set.clear();
             prop_assert!(set.is_empty());
         }
+
+        /// `HandleQueue` agrees with a `VecDeque` of (handle, value) pairs
+        /// whose unlink and rotate search linearly: same order, `len` and
+        /// `front` after every step. A handle handed out is never one a
+        /// live entry holds, and the slab never outgrows the most entries
+        /// live at once.
+        #[test]
+        fn handle_queue_matches_vecdeque(
+            ops in prop::collection::vec((0usize..64, 0u8..4), 1..400),
+        ) {
+            let mut queue: HandleQueue<u32> = HandleQueue::new();
+            let mut model: VecDeque<(u32, u32)> = VecDeque::new();
+            let mut peak = 0;
+            for (step, (pick, op)) in ops.into_iter().enumerate() {
+                match op {
+                    0 | 1 => {
+                        let val = step as u32;
+                        let handle = queue.push_back(val);
+                        prop_assert!(model.iter().all(|e| e.0 != handle));
+                        model.push_back((handle, val));
+                    }
+                    _ if model.is_empty() => prop_assert_eq!(queue.front(), None),
+                    2 => {
+                        let (handle, val) = model.remove(pick % model.len()).unwrap();
+                        prop_assert_eq!(queue.unlink(handle), val);
+                    }
+                    _ => {
+                        let entry = model.remove(pick % model.len()).unwrap();
+                        queue.move_to_back(entry.0);
+                        model.push_back(entry);
+                    }
+                }
+                peak = peak.max(model.len());
+                prop_assert_eq!(queue.len(), model.len());
+                prop_assert_eq!(queue.is_empty(), model.is_empty());
+                prop_assert_eq!(queue.front(), model.front().copied());
+                prop_assert_eq!(queue.iter().collect::<Vec<_>>(), Vec::from(model.clone()));
+                prop_assert!(queue.slots() <= peak);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "names no live entry")]
+    fn handle_queue_rejects_a_handle_it_took_back() {
+        let mut queue = HandleQueue::new();
+        let handle = queue.push_back(7u32);
+        queue.push_back(8);
+        queue.unlink(handle);
+        queue.unlink(handle);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   pager tasks, including the five ASVM extensions of §3.7.1
 //!   (`lock_request` mode, `lock_completed` result, `data_supply` mode,
 //!   `pull_request`, `pull_completed`);
-//! * **pageout** — clock-based victim selection and eviction, with
+//! * **pageout** — FIFO victim selection (fault-in order, busy pages
+//!   skipped) over an exact queue of the resident pages, and eviction, with
 //!   anonymous pages going to the default pager and externally managed
 //!   pages handed to their manager (where ASVM's internode paging takes
 //!   over).

@@ -4,8 +4,6 @@
 
 use std::collections::BTreeSet;
 
-use svmsim::Time;
-
 use crate::containers::SlotTable;
 use crate::ids::{Access, MemObjId, PageIdx, VmObjId};
 use crate::pagedata::PageData;
@@ -47,19 +45,27 @@ pub struct ResidentPage {
     /// A protocol operation (fault completion, push, eviction) is in
     /// flight; the page must not be evicted or flushed underneath it.
     pub busy: bool,
-    /// Last access time, for LRU victim selection.
-    pub last_use: Time,
+    /// Handle of this page's entry in its VM system's replacement queue
+    /// (what makes leaving the queue `O(1)`).
+    pub(crate) queued: u32,
 }
 
+// One of these per resident page in the whole cluster.
+const _: () = assert!(
+    std::mem::size_of::<ResidentPage>() == 24,
+    "machvm::ResidentPage is no longer 24 bytes"
+);
+
 impl ResidentPage {
-    /// A freshly supplied page.
-    pub fn new(data: PageData, prot: Access, now: Time) -> ResidentPage {
+    /// A page entering the cache, not busy, queued for replacement under
+    /// handle `queued`.
+    pub(crate) fn new(data: PageData, prot: Access, dirty: bool, queued: u32) -> ResidentPage {
         ResidentPage {
             data,
             prot,
-            dirty: false,
+            dirty,
             busy: false,
-            last_use: now,
+            queued,
         }
     }
 }
@@ -173,11 +179,11 @@ mod tests {
         let mut o = VmObject::new(VmObjId(1), 4, Backing::Anonymous);
         o.pages.insert(
             PageIdx(0),
-            ResidentPage::new(PageData::Zero, Access::Write, Time::ZERO),
+            ResidentPage::new(PageData::Zero, Access::Write, false, 0),
         );
         o.pages.insert(
             PageIdx(1),
-            ResidentPage::new(PageData::Zero, Access::Read, Time::ZERO),
+            ResidentPage::new(PageData::Zero, Access::Read, false, 1),
         );
         assert_eq!(o.write_protect_all(), 1);
         assert!(o.pages.values().all(|p| p.prot == Access::Read));

@@ -13,11 +13,9 @@
 //! ever blocks a thread, mirroring the paper's "asynchronous state
 //! transitions" design rule.
 
-use std::collections::VecDeque;
-
 use svmsim::{CostModel, Dur, Time};
 
-use crate::containers::{KeyTable, SlotTable, SortedMap};
+use crate::containers::{HandleQueue, KeyTable, SlotTable, SortedMap};
 use crate::emmi::{
     EmmiToKernel, EmmiToPager, LockMode, LockOp, LockResult, PullResult, SupplyMode,
 };
@@ -151,7 +149,9 @@ pub struct VmSystem {
     faults: KeyTable<FaultId, PendingFault>,
     waiters: KeyTable<(VmObjId, PageIdx), Vec<Waiter>>,
     outstanding: KeyTable<(VmObjId, PageIdx), Access>,
-    clock: VecDeque<(VmObjId, PageIdx)>,
+    /// Every resident page, once, in the order the pages entered the cache
+    /// (a selected victim that stays goes to the back).
+    replacement: HandleQueue<(VmObjId, PageIdx)>,
 }
 
 impl VmSystem {
@@ -169,7 +169,7 @@ impl VmSystem {
             faults: KeyTable::new(),
             waiters: KeyTable::new(),
             outstanding: KeyTable::new(),
-            clock: VecDeque::new(),
+            replacement: HandleQueue::new(),
         }
     }
 
@@ -325,13 +325,12 @@ impl VmSystem {
         // Last reference: release the cache and follow the shadow link.
         // (A live copy link means a copy object still shadows us, which
         // keeps refs > 0 — so reaching zero implies no live copies.)
-        let shadow = o.shadow.take();
-        let resident = o.pages.len() as u32;
-        o.pages.clear();
-        o.paged_out.clear();
-        self.resident_total -= resident;
-        self.objects.remove(&obj);
-        if let Some(s) = shadow {
+        let o = self.objects.remove(&obj).expect("no such VM object");
+        for rp in o.pages.values() {
+            self.replacement.unlink(rp.queued);
+        }
+        self.resident_total -= o.pages.len() as u32;
+        if let Some(s) = o.shadow {
             self.deallocate_ref(s);
         }
     }
@@ -396,18 +395,16 @@ impl VmSystem {
 
     /// Combined [`VmSystem::can_access`] + [`VmSystem::read_page`]: one
     /// translation walk instead of two. Returns the page contents when the
-    /// read can proceed without faulting (updating the page's use stamp
-    /// exactly as `read_page` would), `None` when the caller must fault.
+    /// read can proceed without faulting, `None` when the caller must fault.
     /// The `None` cases are precisely those where `can_access(.., Read)`
     /// is false, so `try_read_page(..).is_some() == can_access(.., Read)`.
-    pub fn try_read_page(&mut self, now: Time, task: TaskId, va_page: u64) -> Option<PageData> {
+    pub fn try_read_page(&self, _now: Time, task: TaskId, va_page: u64) -> Option<PageData> {
         let entry = self.maps.get(&task).and_then(|m| m.lookup(va_page))?;
         let page = entry.object_page(va_page);
         let mut oid = entry.object;
         loop {
-            let o = self.objects.get_mut(&oid).expect("no such VM object");
-            if let Some(rp) = o.pages.get_mut(&page) {
-                rp.last_use = now;
+            let o = self.object(oid);
+            if let Some(rp) = o.pages.get(&page) {
                 return Some(rp.data.clone());
             }
             if o.paged_out.contains(&page) {
@@ -428,7 +425,7 @@ impl VmSystem {
     /// fault first.
     pub fn try_write_page(
         &mut self,
-        now: Time,
+        _now: Time,
         task: TaskId,
         va_page: u64,
         data: PageData,
@@ -457,7 +454,6 @@ impl VmSystem {
         }
         rp.data = data;
         rp.dirty = true;
-        rp.last_use = now;
         true
     }
 
@@ -482,7 +478,7 @@ impl VmSystem {
     /// # Panics
     ///
     /// Panics if the access would fault — callers must fault first.
-    pub fn read_page(&mut self, now: Time, task: TaskId, va_page: u64) -> PageData {
+    pub fn read_page(&self, _now: Time, task: TaskId, va_page: u64) -> PageData {
         let entry = self
             .maps
             .get(&task)
@@ -491,8 +487,7 @@ impl VmSystem {
         let page = entry.object_page(va_page);
         let mut oid = entry.object;
         loop {
-            if let Some(rp) = self.objects.get_mut(&oid).unwrap().pages.get_mut(&page) {
-                rp.last_use = now;
+            if let Some(rp) = self.object(oid).pages.get(&page) {
                 return rp.data.clone();
             }
             oid = self
@@ -508,7 +503,7 @@ impl VmSystem {
     ///
     /// Panics if the task lacks a resident, writable page — callers must
     /// fault for write first.
-    pub fn write_page(&mut self, now: Time, task: TaskId, va_page: u64, data: PageData) {
+    pub fn write_page(&mut self, _now: Time, task: TaskId, va_page: u64, data: PageData) {
         let entry = self
             .maps
             .get(&task)
@@ -527,7 +522,6 @@ impl VmSystem {
         assert_eq!(rp.prot, Access::Write, "write_page without write grant");
         rp.data = data;
         rp.dirty = true;
-        rp.last_use = now;
     }
 
     // --- Fault entry ------------------------------------------------------------
@@ -542,7 +536,7 @@ impl VmSystem {
         fx: &mut Effects,
     ) -> FaultOutcome {
         fx.charge(self.cost.vm_fault_entry);
-        match self.try_resolve(now, task, va_page, access, fx) {
+        match self.try_resolve(task, va_page, access, fx) {
             Resolve::Done => {
                 fx.charge(self.cost.vm_fault_finish);
                 FaultOutcome::Hit
@@ -574,7 +568,6 @@ impl VmSystem {
 
     fn try_resolve(
         &mut self,
-        now: Time,
         task: TaskId,
         va_page: u64,
         access: Access,
@@ -616,7 +609,7 @@ impl VmSystem {
                 "fault beyond object size: {page:?} in {oid:?}"
             );
             if obj.resident(page) {
-                return self.resolve_at(now, top, oid, page, depth, access, fx);
+                return self.resolve_at(top, oid, page, depth, access, fx);
             }
             if obj.paged_out.contains(&page) {
                 // The default pager holds this anonymous page.
@@ -641,17 +634,8 @@ impl VmSystem {
                 (Backing::Anonymous, None) => {
                     // End of chain: zero-fill into the top object.
                     fx.charge(self.cost.vm_zero_fill);
-                    self.insert_page(
-                        top,
-                        page,
-                        ResidentPage {
-                            data: PageData::Zero,
-                            prot: Access::Write,
-                            dirty: access == Access::Write,
-                            busy: false,
-                            last_use: now,
-                        },
-                    );
+                    let dirty = access == Access::Write;
+                    self.insert_page(top, page, PageData::Zero, Access::Write, dirty);
                     return Resolve::Done;
                 }
             }
@@ -662,7 +646,6 @@ impl VmSystem {
     /// `depth` below `top`.
     fn resolve_at(
         &mut self,
-        now: Time,
         top: VmObjId,
         oid: VmObjId,
         page: PageIdx,
@@ -678,7 +661,6 @@ impl VmSystem {
                 .pages
                 .get_mut(&page)
                 .unwrap();
-            rp.last_use = now;
             if access == Access::Read || rp.prot == Access::Write {
                 if access == Access::Write {
                     rp.dirty = true;
@@ -687,7 +669,7 @@ impl VmSystem {
             }
             // Write upgrade on a read-only page. Push down the local copy
             // chain first if a copy object lacks the page.
-            self.local_push(now, oid, page, fx);
+            self.local_push(oid, page, fx);
             let obj = self.object(oid);
             match obj.backing {
                 Backing::Anonymous => {
@@ -713,14 +695,6 @@ impl VmSystem {
             if access == Access::Read {
                 // Enter the source object's page directly (paper §2.2: read
                 // faults are satisfied from the source object; no copy).
-                let rp = self
-                    .objects
-                    .get_mut(&oid)
-                    .unwrap()
-                    .pages
-                    .get_mut(&page)
-                    .unwrap();
-                rp.last_use = now;
                 return Resolve::Done;
             }
             // Write: copy the page up into the top object (copy-on-write).
@@ -728,17 +702,7 @@ impl VmSystem {
                 Backing::Anonymous => {
                     let data = self.object(oid).pages.get(&page).unwrap().data.clone();
                     fx.charge(self.cost.vm_page_copy);
-                    self.insert_page(
-                        top,
-                        page,
-                        ResidentPage {
-                            data,
-                            prot: Access::Write,
-                            dirty: true,
-                            busy: false,
-                            last_use: now,
-                        },
-                    );
+                    self.insert_page(top, page, data, Access::Write, true);
                     Resolve::Done
                 }
                 Backing::External(_) => {
@@ -759,7 +723,7 @@ impl VmSystem {
     /// read-only: writes must fault into its manager, which coordinates
     /// the copy object's *own* distributed push machinery. Pushes into
     /// purely local copy objects grant write directly.
-    fn local_push(&mut self, now: Time, oid: VmObjId, page: PageIdx, fx: &mut Effects) -> bool {
+    fn local_push(&mut self, oid: VmObjId, page: PageIdx, fx: &mut Effects) -> bool {
         let Some(copy) = self.object(oid).copy else {
             return false;
         };
@@ -772,17 +736,7 @@ impl VmSystem {
             Backing::External(_) => Access::Read,
         };
         fx.charge(self.cost.vm_page_copy);
-        self.insert_page(
-            copy,
-            page,
-            ResidentPage {
-                data,
-                prot,
-                dirty: true,
-                busy: false,
-                last_use: now,
-            },
-        );
+        self.insert_page(copy, page, data, prot, true);
         true
     }
 
@@ -823,18 +777,18 @@ impl VmSystem {
     // --- EMMI ingress (manager → kernel) -------------------------------------------
 
     /// Handles an EMMI call from the manager/pager of `obj`.
-    pub fn kernel_call(&mut self, now: Time, obj: VmObjId, call: EmmiToKernel, fx: &mut Effects) {
+    pub fn kernel_call(&mut self, _now: Time, obj: VmObjId, call: EmmiToKernel, fx: &mut Effects) {
         match call {
             EmmiToKernel::DataSupply {
                 page,
                 data,
                 lock,
                 mode,
-            } => self.data_supply(now, obj, page, data, lock, mode, fx),
+            } => self.data_supply(obj, page, data, lock, mode, fx),
             EmmiToKernel::LockRequest { page, op, mode } => {
-                self.lock_request(now, obj, page, op, mode, fx)
+                self.lock_request(obj, page, op, mode, fx)
             }
-            EmmiToKernel::PullRequest { page } => self.pull_request(now, obj, page, fx),
+            EmmiToKernel::PullRequest { page } => self.pull_request(obj, page, fx),
             EmmiToKernel::DataError { page } => {
                 panic!("pager reported data error for {obj:?} {page:?}")
             }
@@ -843,7 +797,6 @@ impl VmSystem {
 
     fn data_supply(
         &mut self,
-        now: Time,
         obj: VmObjId,
         page: PageIdx,
         data: PageData,
@@ -880,33 +833,21 @@ impl VmSystem {
                     // arrives as a fresh supply): upgrade in place.
                     rp.prot = rp.prot.max(lock);
                     rp.data = data;
-                    rp.last_use = now;
                 }
-                None => self.insert_page(
-                    target,
-                    page,
-                    ResidentPage {
-                        data,
-                        prot: lock,
-                        dirty,
-                        busy: false,
-                        last_use: now,
-                    },
-                ),
+                None => self.insert_page(target, page, data, lock, dirty),
             }
         }
         if mode == SupplyMode::Normal {
             self.outstanding.remove(&(obj, page));
         }
-        self.wake(now, target, page, fx);
+        self.wake(target, page, fx);
         if target != obj {
-            self.wake(now, obj, page, fx);
+            self.wake(obj, page, fx);
         }
     }
 
     fn lock_request(
         &mut self,
-        now: Time,
         obj: VmObjId,
         page: PageIdx,
         op: LockOp,
@@ -928,7 +869,7 @@ impl VmSystem {
             return;
         }
         if mode == LockMode::PushFirst {
-            self.local_push(now, obj, page, fx);
+            self.local_push(obj, page, fx);
         }
         if self.object(obj).resident(page) {
             match op {
@@ -982,16 +923,15 @@ impl VmSystem {
                         .get_mut(&page)
                         .unwrap();
                     rp.prot = rp.prot.max(a);
-                    rp.last_use = now;
                     self.outstanding.remove(&(obj, page));
-                    self.wake(now, obj, page, fx);
+                    self.wake(obj, page, fx);
                 }
             }
         } else if let LockOp::Grant(_) = op {
             // Grant for a page that is no longer resident: the fault will
             // re-request; nothing to do.
             self.outstanding.remove(&(obj, page));
-            self.wake(now, obj, page, fx);
+            self.wake(obj, page, fx);
         }
         fx.pager(
             obj,
@@ -1003,22 +943,14 @@ impl VmSystem {
         );
     }
 
-    fn pull_request(&mut self, now: Time, obj: VmObjId, page: PageIdx, fx: &mut Effects) {
+    fn pull_request(&mut self, obj: VmObjId, page: PageIdx, fx: &mut Effects) {
         fx.charge(self.cost.vm_object_op);
         let backing = self.object(obj).backing;
         let mut oid = obj;
         let mut depth = 0u32;
         loop {
             let o = self.object(oid);
-            if o.resident(page) {
-                let rp = self
-                    .objects
-                    .get_mut(&oid)
-                    .unwrap()
-                    .pages
-                    .get_mut(&page)
-                    .unwrap();
-                rp.last_use = now;
+            if let Some(rp) = o.pages.get(&page) {
                 let data = rp.data.clone();
                 fx.pager(
                     obj,
@@ -1074,7 +1006,7 @@ impl VmSystem {
     }
 
     /// Re-runs everything stalled on `(obj, page)`.
-    fn wake(&mut self, now: Time, obj: VmObjId, page: PageIdx, fx: &mut Effects) {
+    fn wake(&mut self, obj: VmObjId, page: PageIdx, fx: &mut Effects) {
         let Some(list) = self.waiters.remove(&(obj, page)) else {
             return;
         };
@@ -1084,7 +1016,7 @@ impl VmSystem {
                     let Some(pf) = self.faults.get(&fid).copied() else {
                         continue;
                     };
-                    match self.try_resolve(now, pf.task, pf.va_page, pf.access, fx) {
+                    match self.try_resolve(pf.task, pf.va_page, pf.access, fx) {
                         Resolve::Done => {
                             self.faults.remove(&fid);
                             fx.charge(self.cost.vm_fault_finish);
@@ -1102,7 +1034,7 @@ impl VmSystem {
                     }
                 }
                 Waiter::Pull { origin, page } => {
-                    self.pull_request(now, origin, page, fx);
+                    self.pull_request(origin, page, fx);
                 }
             }
         }
@@ -1173,27 +1105,43 @@ impl VmSystem {
 
     // --- Pageout -------------------------------------------------------------------------
 
-    /// Selects the next eviction victim using a clock (second-chance)
-    /// policy. Returns `None` if nothing is evictable.
+    /// Selects the next eviction victim: FIFO in fault-in order, busy
+    /// pages skipped. There is no reference bit — a hit does not keep a
+    /// page. Everything looked at, the victim included, goes to the back
+    /// of the queue, so a victim the caller does not evict is offered again
+    /// only after every other page. Returns `None` if nothing is evictable.
     pub fn select_victim(&mut self) -> Option<(VmObjId, PageIdx)> {
-        let mut passes = self.clock.len();
-        while passes > 0 {
-            passes -= 1;
-            let (obj, page) = self.clock.pop_front()?;
-            let Some(o) = self.objects.get_mut(&obj) else {
-                continue;
-            };
-            let Some(rp) = o.pages.get_mut(&page) else {
-                continue;
-            };
-            if rp.busy {
-                self.clock.push_back((obj, page));
-                continue;
+        for _ in 0..self.replacement.len() {
+            let (handle, (obj, page)) = self.replacement.front()?;
+            self.replacement.move_to_back(handle);
+            let rp = self.object(obj).pages.get(&page);
+            if !rp.expect("queued page is resident").busy {
+                return Some((obj, page));
             }
-            self.clock.push_back((obj, page));
-            return Some((obj, page));
         }
         None
+    }
+
+    /// Checks that the replacement queue holds exactly the resident pages,
+    /// each once, under the handle the page records.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a diagnostic if it does not.
+    pub fn check_replacement_queue(&self) {
+        assert_eq!(
+            self.replacement.len(),
+            self.resident_total as usize,
+            "replacement queue length differs from the resident page count"
+        );
+        for (handle, (obj, page)) in self.replacement.iter() {
+            let rp = self.objects.get(&obj).and_then(|o| o.pages.get(&page));
+            assert_eq!(
+                rp.map(|rp| rp.queued),
+                Some(handle),
+                "replacement queue entry {handle} names {obj:?} {page:?}"
+            );
+        }
     }
 
     /// Evicts `(obj, page)` from the cache.
@@ -1248,18 +1196,30 @@ impl VmSystem {
 
     // --- internals ------------------------------------------------------------------------
 
-    fn insert_page(&mut self, obj: VmObjId, page: PageIdx, rp: ResidentPage) {
+    /// Enters a page into the cache (not busy) and, last, into the
+    /// replacement queue.
+    fn insert_page(
+        &mut self,
+        obj: VmObjId,
+        page: PageIdx,
+        data: PageData,
+        prot: Access,
+        dirty: bool,
+    ) {
+        let queued = self.replacement.push_back((obj, page));
         let o = self.objects.get_mut(&obj).unwrap();
-        let prev = o.pages.insert(page, rp);
+        let prev = o
+            .pages
+            .insert(page, ResidentPage::new(data, prot, dirty, queued));
         assert!(prev.is_none(), "page already resident: {obj:?} {page:?}");
         o.paged_out.remove(&page);
         self.resident_total += 1;
-        self.clock.push_back((obj, page));
     }
 
     fn remove_page(&mut self, obj: VmObjId, page: PageIdx) -> ResidentPage {
         let o = self.objects.get_mut(&obj).unwrap();
         let rp = o.pages.remove(&page).expect("removing non-resident page");
+        self.replacement.unlink(rp.queued);
         self.resident_total -= 1;
         rp
     }
