@@ -91,47 +91,39 @@ pub struct ForkMsg {
 
 /// Every message a cluster node can receive.
 pub enum Msg {
-    /// ASVM protocol traffic (STS).
+    /// One ASVM protocol message (STS unless the carrier is swapped).
+    /// `seq` is the frame's per-`(from, dst)` sequence number on the
+    /// retry channel, which carries protocol traffic whenever the
+    /// machine's fault plan is active (see `asvm::retry` and
+    /// `docs/RELIABILITY.md`); 0 — no channel ever assigns it — marks an
+    /// unsequenced message, delivered as it arrives: the healthy path,
+    /// loopback, fabric-reliable backends, and the completion of a
+    /// one-sided read (a grant DMA'd back into the requester's registered
+    /// buffer, handled exactly like its two-sided twin so protocol state
+    /// stays backend-independent).
     Asvm {
         /// Sending node.
         from: NodeId,
+        /// Retry-channel sequence number, or 0.
+        seq: u64,
         /// The message.
         msg: AsvmMsg,
     },
-    /// ASVM protocol traffic framed on the per-link retry channel — used
-    /// instead of [`Msg::Asvm`] whenever the machine's fault plan is
-    /// active (see `asvm::retry` and `docs/RELIABILITY.md`).
-    AsvmFrame {
-        /// Sending node.
-        from: NodeId,
-        /// Per-`(from, dst)` sequence number.
-        seq: u64,
-        /// The framed protocol message.
-        msg: AsvmMsg,
-    },
-    /// A *coalesced* ASVM frame on the reliable path: several protocol
-    /// subframes (plus piggybacked owner hints) sharing one wire message.
-    /// Only emitted when the node's [`asvm::CoalesceCfg`] is enabled —
-    /// the classic [`Msg::Asvm`] path is untouched otherwise.
+    /// A *coalesced* ASVM frame: several protocol subframes (plus
+    /// piggybacked owner hints) sharing one wire message. Only emitted
+    /// when coalescing is enabled ([`asvm::CoalesceCfg`]). With `seq` ≠ 0
+    /// the whole body is **one sequenced ARQ unit** — its subframes share
+    /// loss, retransmission and duplicate-suppression fate.
     AsvmBatch {
         /// Sending node.
         from: NodeId,
-        /// Subframes and hints.
-        body: asvm::FrameBody,
-    },
-    /// A coalesced ASVM frame on the per-link retry channel: the whole
-    /// body is **one sequenced ARQ unit** — its subframes share loss,
-    /// retransmission and duplicate-suppression fate.
-    AsvmBatchFrame {
-        /// Sending node.
-        from: NodeId,
-        /// Per-`(from, dst)` sequence number.
+        /// Retry-channel sequence number, or 0 (as for [`Msg::Asvm`]).
         seq: u64,
         /// Subframes and hints.
         body: asvm::FrameBody,
     },
-    /// Acknowledgement of an [`Msg::AsvmFrame`] or [`Msg::AsvmBatchFrame`]
-    /// (STS, header-only).
+    /// Acknowledgement of a sequenced [`Msg::Asvm`] or [`Msg::AsvmBatch`]
+    /// (header-only).
     AsvmAck {
         /// The acknowledging node (the frame's receiver).
         from: NodeId,
@@ -146,7 +138,7 @@ pub enum Msg {
         /// The in-flight frame the timer covers.
         seq: u64,
     },
-    /// Failure-detector liveness beacon, sent on the lossy STS path so a
+    /// Failure-detector liveness beacon, exposed to the fault plan so a
     /// blacked-out link actually silences it (see `docs/RELIABILITY.md`).
     Heartbeat {
         /// The beaconing node.
@@ -164,21 +156,13 @@ pub enum Msg {
     /// A one-sided remote read posted by `from`'s RNIC (RDMA backend
     /// only): the carried [`AsvmMsg::PageReq`] is served against this
     /// node's protocol state **without occupying its event handler** —
-    /// the reply, when the owner can serve a plain copy, goes back as
-    /// [`Msg::RdmaReadReply`] with zero host CPU charged here.
+    /// the reply, when the owner can serve a plain copy, goes back as an
+    /// unsequenced [`Msg::Asvm`] at one-sided cost, with zero host CPU
+    /// charged here.
     RdmaRead {
         /// The requesting node.
         from: NodeId,
         /// The read request (always an `AsvmMsg::PageReq`).
-        msg: AsvmMsg,
-    },
-    /// Completion of a one-sided read: the page copy DMA'd back into the
-    /// requester's registered buffer. Handled exactly like the equivalent
-    /// [`Msg::Asvm`] grant so protocol state stays backend-independent.
-    RdmaReadReply {
-        /// The serving node (the page owner).
-        from: NodeId,
-        /// The reply (always an `AsvmMsg::Grant`).
         msg: AsvmMsg,
     },
     /// XMMI traffic (NORMA-IPC).

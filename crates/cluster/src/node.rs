@@ -19,7 +19,7 @@ use machvm::{
 };
 use pager::{DefaultPager, FilePager, PagerIn};
 use svmsim::{Ctx, Dur, NodeBehavior, NodeId, NodeKind, Time, TraceRing};
-use transport::Transport;
+use transport::{once, CostClass, Frame, Transport};
 
 use crate::engine::{CoherenceEngine, EngineFx, IdAlloc, ProtoEvent, ProtocolMsg, TraceDir};
 use crate::msg::{ForkMsg, Msg};
@@ -44,16 +44,11 @@ struct DeferredFork {
     parent_task: TaskId,
 }
 
-/// One (re)transmission of an ASVM frame on the retry channel. The body
-/// holds one subframe on the classic path and the whole coalesced batch
-/// when [`asvm::CoalesceCfg`] is enabled — either way it is one sequenced
-/// ARQ unit.
-struct FrameTx {
-    seq: u64,
-    body: FrameBody,
-    payload: u32,
-    kind: &'static str,
-    timeout: Dur,
+/// What one wire frame of ASVM traffic carries: a single protocol message,
+/// or a coalesced body.
+enum Unit {
+    One(AsvmMsg),
+    Batch(FrameBody),
 }
 
 /// One ASVM frame that exhausted its retries: the link is considered
@@ -311,101 +306,117 @@ impl ClusterNode {
             mobj: p.mobj,
             call: p.call,
         };
-        Transport::NORMA.send_tagged(ctx, p.pager_node, payload, kind, Msg::PagerReq(pin));
+        let frame = Frame::new(CostClass::Plain, payload).tagged(kind);
+        Transport::NORMA.send_frame(ctx, p.pager_node, frame, once(Msg::PagerReq(pin)));
     }
 
     /// Sends one protocol message, choosing the transport and counting the
     /// per-message-kind statistic.
     fn send_protocol(&mut self, ctx: &mut Ctx<'_, Msg>, dst: NodeId, msg: ProtocolMsg) {
         self.record_trace(ctx.now(), TraceDir::Send, dst, &msg);
-        let ps = self.vm.page_size();
-        let payload = msg.payload_bytes(ps);
+        let payload = msg.payload_bytes(self.vm.page_size());
         let kind = msg.stat_key();
-        match msg {
-            ProtocolMsg::Asvm { from, msg } => {
-                // Remote sends take, in order of preference: a one-sided
-                // read posting (RDMA backend, eligible request), the frame
-                // combiner (coalescing enabled — buffered per destination
-                // and flushed as one wire frame per peer at the end of
-                // this scheduling step), the per-link retry channel (an
-                // active fault plan, on backends whose reliability is in
-                // software), or the classic direct path, byte-identical
-                // to pre-fault builds. Loopback always goes direct. NORMA
-                // (XMMI, EMMI, fork) stays on the reliable path in all
-                // cases — it models Mach's guaranteed kernel-to-kernel
-                // IPC.
-                if dst != self.id
-                    && self.asvm_transport.one_sided_reads()
-                    && msg.one_sided_read_candidate(self.id)
-                {
-                    // Post the read as a one-sided pull: header-only on
-                    // the wire, served by the target's NIC with zero host
-                    // occupancy there. Travels the fault seam un-ARQ'd —
-                    // a lost posting stalls only the requester, whose
-                    // watchdog re-issues it (marked `recovering`, which
-                    // forces the two-sided path on the retry).
-                    self.charge_link_setup(ctx, dst);
-                    if msg.is_speculative_req() {
-                        // Speculative reads ride the same one-sided path;
-                        // the counter keeps the prefetcher's share of NIC
-                        // traffic visible.
-                        ctx.stats().bump("transport.rdma.prefetch_read");
-                    }
-                    self.asvm_transport
-                        .send_one_sided(ctx, dst, kind, || Msg::RdmaRead {
-                            from,
-                            msg: msg.clone(),
-                        });
-                } else if dst != self.id
-                    && self.coalesce_enabled_for(msg.mobj())
-                    && self.asvm_transport.supports_coalescing()
-                {
-                    if let Some(full) = self.combiner.push(dst, msg) {
-                        // Frame hit its subframe capacity: send it now so
-                        // order is preserved.
-                        self.send_frame_body(ctx, dst, full);
-                    }
-                } else if dst != self.id
-                    && ctx.machine().config.faults.is_active()
-                    && self.asvm_transport.per_link_arq()
-                {
-                    let body = FrameBody::single(msg);
-                    let seq = self
-                        .link_tx
-                        .get_or_insert_with(dst, Default::default)
-                        .enqueue(body.clone(), payload, kind);
-                    let timeout = self.timing.retry.timeout_for(0);
-                    self.transmit_frame(
-                        ctx,
-                        dst,
-                        FrameTx {
-                            seq,
-                            body,
-                            payload,
-                            kind,
-                            timeout,
-                        },
-                    );
-                } else {
-                    // Two-sided control traffic on a fabric-reliable
-                    // backend (`per_link_arq() == false`) also lands
-                    // here under an active fault plan: hardware
-                    // retransmission makes the link lossless, so it
-                    // takes the reliable path by construction.
-                    if dst != self.id {
-                        self.charge_link_setup(ctx, dst);
-                    }
-                    self.asvm_transport.send_tagged(
-                        ctx,
-                        dst,
-                        payload,
-                        kind,
-                        Msg::Asvm { from, msg },
-                    );
-                }
-            }
+        let (from, msg) = match msg {
+            ProtocolMsg::Asvm { from, msg } => (from, msg),
             ProtocolMsg::Xmm(m) => {
-                Transport::NORMA.send_tagged(ctx, dst, payload, kind, Msg::Xmm(m));
+                // NORMA (XMMI, EMMI, fork) is never exposed to the fault
+                // plan — it models Mach's guaranteed kernel-to-kernel IPC.
+                let frame = Frame::new(CostClass::Plain, payload).tagged(kind);
+                Transport::NORMA.send_frame(ctx, dst, frame, once(Msg::Xmm(m)));
+                return;
+            }
+        };
+        // The one place an ASVM message picks its way out. Remote sends
+        // take, in order of preference: a one-sided read posting (RDMA
+        // backend, eligible request), the frame combiner (coalescing
+        // enabled — buffered per destination and flushed as one wire
+        // frame per peer at the end of this scheduling step), or a frame
+        // of their own. Loopback always goes direct.
+        let remote = dst != self.id;
+        if remote && self.asvm_transport.one_sided_reads() && msg.one_sided_read_candidate(self.id)
+        {
+            // Post the read as a one-sided pull: header-only on the wire,
+            // served by the target's NIC with zero host occupancy there.
+            // Travels the fault seam un-ARQ'd — a lost posting stalls only
+            // the requester, whose watchdog re-issues it (marked
+            // `recovering`, which forces the two-sided path on the retry).
+            self.charge_link_setup(ctx, dst);
+            if msg.is_speculative_req() {
+                // Speculative reads ride the same one-sided path; the
+                // counter keeps the prefetcher's share of NIC traffic
+                // visible.
+                ctx.stats().bump("transport.rdma.prefetch_read");
+            }
+            let frame = Frame::new(CostClass::OneSidedRead, 0)
+                .tagged(kind)
+                .exposed();
+            self.asvm_transport
+                .send_frame(ctx, dst, frame, || Msg::RdmaRead {
+                    from,
+                    msg: msg.clone(),
+                });
+        } else if remote
+            && self.coalesce_enabled_for(msg.mobj())
+            && self.asvm_transport.supports_coalescing()
+        {
+            if let Some(full) = self.combiner.push(dst, msg) {
+                // Frame hit its subframe capacity: send it now so order
+                // is preserved.
+                self.send_frame_body(ctx, dst, full);
+            }
+        } else {
+            self.carry(ctx, dst, Unit::One(msg), payload, kind);
+        }
+    }
+
+    /// Whether protocol frames to remote peers are sequenced on the
+    /// per-link retry channel: an active fault plan, on a backend whose
+    /// reliability is in software. A fabric-reliable backend
+    /// (`per_link_arq() == false`) stays unsequenced and unexposed under
+    /// any plan — hardware retransmission makes its two-sided path
+    /// lossless by construction.
+    fn arq_active(&self, ctx: &Ctx<'_, Msg>) -> bool {
+        ctx.machine().config.faults.is_active() && self.asvm_transport.per_link_arq()
+    }
+
+    /// Hands one ASVM unit its own wire frame — the one place that chooses
+    /// between the retry channel and the bare path, which is byte-identical
+    /// to pre-fault builds and neither builds a [`FrameBody`] nor clones
+    /// anything for a single message.
+    fn carry(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        dst: NodeId,
+        unit: Unit,
+        payload: u32,
+        kind: &'static str,
+    ) {
+        let (from, remote) = (self.id, dst != self.id);
+        if remote && self.arq_active(ctx) {
+            let body = match unit {
+                Unit::One(msg) => FrameBody::single(msg),
+                Unit::Batch(body) => body,
+            };
+            let seq = self
+                .link_tx
+                .get_or_insert_with(dst, Default::default)
+                .enqueue(body.clone(), payload, kind);
+            let timeout = self.timing.retry.timeout_for(0);
+            self.transmit_frame(ctx, dst, seq, &body, timeout);
+            return;
+        }
+        let t = self.asvm_transport;
+        match unit {
+            Unit::One(msg) => {
+                if remote {
+                    self.charge_link_setup(ctx, dst);
+                }
+                let frame = Frame::new(CostClass::Plain, payload).tagged(kind);
+                t.send_frame(ctx, dst, frame, once(Msg::Asvm { from, seq: 0, msg }));
+            }
+            Unit::Batch(body) => {
+                let frame = Frame::new(CostClass::Coalesced(body.subframes()), payload);
+                t.send_frame(ctx, dst, frame, once(Msg::AsvmBatch { from, seq: 0, body }));
             }
         }
     }
@@ -443,7 +454,8 @@ impl ClusterNode {
     /// invalidation fan-out). In that case the host's protocol-handler
     /// CPU is cancelled — the request was served out of registered memory
     /// without this node's event handler running — and the grant leaves
-    /// as a zero-send-CPU [`Msg::RdmaReadReply`]. Any VM work the engine
+    /// as an unsequenced [`Msg::Asvm`] at zero-send-CPU one-sided cost
+    /// ([`CostClass::OneSidedReply`]). Any VM work the engine
     /// queued (downgrading a writable mapping so the registered copy is
     /// stable) still runs on the host *before* the reply departs: DMA
     /// cannot outrun the shootdown.
@@ -486,27 +498,36 @@ impl ClusterNode {
         let from = self.id;
         let payload = msg.payload_bytes(self.vm.page_size());
         let kind = msg.stat_key();
-        let transport = self.asvm_transport;
-        transport.send_one_sided_reply(ctx, dst, payload, kind, || Msg::RdmaReadReply {
-            from,
-            msg: msg.clone(),
-        });
+        let frame = Frame::new(CostClass::OneSidedReply, payload)
+            .tagged(kind)
+            .exposed();
+        self.asvm_transport
+            .send_frame(ctx, dst, frame, || Msg::Asvm {
+                from,
+                seq: 0,
+                msg: msg.clone(),
+            });
     }
 
     /// Puts one (re)transmission of frame `seq` on the lossy wire and arms
-    /// its retry timer. With coalescing off the wire format is the classic
-    /// single-message [`Msg::AsvmFrame`] (byte-identical to pre-coalescing
-    /// builds); with it on, the whole body travels as one
-    /// [`Msg::AsvmBatchFrame`] — one fault decision, one sequence number.
-    fn transmit_frame(&mut self, ctx: &mut Ctx<'_, Msg>, dst: NodeId, frame: FrameTx) {
+    /// its retry timer. The body holds one subframe on the classic path
+    /// and the whole coalesced batch when [`asvm::CoalesceCfg`] is enabled
+    /// — either way it is one sequenced ARQ unit. With coalescing off the
+    /// wire format is the classic single-message [`Msg::Asvm`]
+    /// (byte-identical to pre-coalescing builds), tagged, so each
+    /// retransmission counts its kind again; with it on, the whole body
+    /// travels as one untagged [`Msg::AsvmBatch`] — one fault decision,
+    /// one sequence number.
+    fn transmit_frame(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        dst: NodeId,
+        seq: u64,
+        body: &FrameBody,
+        timeout: Dur,
+    ) {
         let from = self.id;
-        let FrameTx {
-            seq,
-            body,
-            payload,
-            kind,
-            timeout,
-        } = frame;
+        let payload = body.payload_bytes(self.vm.page_size());
         // Wire-format choice: a body that actually coalesced anything —
         // several subframes, or piggybacked hints — must travel as a
         // batch frame even when the node-level switch is off (per-object
@@ -514,17 +535,20 @@ impl ClusterNode {
         // singletons and the classic format is byte-identical to
         // pre-coalescing builds.
         if self.coalesce.enabled || body.subframes() > 1 || !body.hints.is_empty() {
-            let subframes = body.subframes();
+            let frame = Frame::new(CostClass::Coalesced(body.subframes()), payload).exposed();
             self.asvm_transport
-                .send_coalesced_lossy(ctx, dst, subframes, payload, || Msg::AsvmBatchFrame {
+                .send_frame(ctx, dst, frame, || Msg::AsvmBatch {
                     from,
                     seq,
                     body: body.clone(),
                 });
         } else {
             let msg = &body.msgs[0];
+            let frame = Frame::new(CostClass::Plain, payload)
+                .tagged(msg.stat_key())
+                .exposed();
             self.asvm_transport
-                .send_lossy(ctx, dst, payload, kind, || Msg::AsvmFrame {
+                .send_frame(ctx, dst, frame, || Msg::Asvm {
                     from,
                     seq,
                     msg: msg.clone(),
@@ -536,9 +560,8 @@ impl ClusterNode {
 
     /// Sends one coalesced frame body to `dst`: attaches piggybacked
     /// owner hints, counts the logical per-kind and `asvm.coalesce.*`
-    /// statistics, and puts the frame on the wire — through the ARQ
-    /// channel as one sequenced unit when the fault plan is active,
-    /// directly otherwise.
+    /// statistics, and hands the frame to [`ClusterNode::carry`] as one
+    /// unit.
     fn send_frame_body(&mut self, ctx: &mut Ctx<'_, Msg>, dst: NodeId, mut body: FrameBody) {
         // Every data/ack subframe piggybacks the sender's current owner
         // view for its page, so the receiver's dynamic hint cache stays
@@ -588,10 +611,13 @@ impl ClusterNode {
         let ps = self.vm.page_size();
         let payload = body.payload_bytes(ps);
         let subframes = body.subframes();
-        // Logical accounting is per *subframe* — the asvm.msg.* counters
-        // mean the same thing with coalescing on or off. The frame itself
-        // and the coalescing wins get their own counters; messages per
-        // fault is (Σ asvm.msg.* − merged) / faults.completed.
+        // Logical accounting is per *subframe*, once, here — on a healthy
+        // run the asvm.msg.* counters mean the same thing with coalescing
+        // on or off. (Under loss they do not: a retransmitted body counts
+        // nothing, a retransmitted single message counts its kind again —
+        // docs/TUNING.md "Counters", pinned by tests/carriage.rs.) The
+        // frame itself and the coalescing wins get their own counters;
+        // messages per fault is (Σ asvm.msg.* − merged) / faults.completed.
         for m in &body.msgs {
             ctx.stats().bump(m.stat_key());
         }
@@ -608,34 +634,8 @@ impl ClusterNode {
             ctx.stats()
                 .add("asvm.coalesce.piggyback_hint", body.hints.len() as u64);
         }
-        let from = self.id;
-        if ctx.machine().config.faults.is_active() {
-            let kind = body.msgs[0].stat_key();
-            let seq = self
-                .link_tx
-                .get_or_insert_with(dst, Default::default)
-                .enqueue(body.clone(), payload, kind);
-            let timeout = self.timing.retry.timeout_for(0);
-            self.transmit_frame(
-                ctx,
-                dst,
-                FrameTx {
-                    seq,
-                    body,
-                    payload,
-                    kind,
-                    timeout,
-                },
-            );
-        } else {
-            self.asvm_transport.send_coalesced(
-                ctx,
-                dst,
-                subframes,
-                payload,
-                Msg::AsvmBatch { from, body },
-            );
-        }
+        let kind = body.msgs[0].stat_key();
+        self.carry(ctx, dst, Unit::Batch(body), payload, kind);
     }
 
     /// Drains the frame combiner at the end of a scheduling step: one
@@ -668,6 +668,32 @@ impl ClusterNode {
         }
     }
 
+    /// One arriving unit of the retry channel: acknowledged, then
+    /// delivered in sequence. Every arrival is acked — including
+    /// duplicates, whose original ack may itself have been lost. The ack
+    /// travels the same lossy wire; a lost ack simply provokes a
+    /// retransmission.
+    fn on_sequenced(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, seq: u64, body: FrameBody) {
+        let me = self.id;
+        let ack = Frame::new(CostClass::Plain, 0)
+            .tagged("asvm.retry.ack")
+            .exposed();
+        self.asvm_transport
+            .send_frame(ctx, from, ack, || Msg::AsvmAck { from: me, seq });
+        let accepted = self
+            .link_rx
+            .get_or_insert_with(from, Default::default)
+            .accept(seq, body);
+        if accepted.duplicate {
+            ctx.stats().bump("asvm.retry.dup_drop");
+        } else if accepted.deliver.is_empty() {
+            ctx.stats().bump("asvm.retry.buffered");
+        }
+        for b in accepted.deliver {
+            self.deliver_body(ctx, from, b);
+        }
+    }
+
     /// Handles a sender-side retry timer firing for frame `seq` to `dst`.
     fn on_retry_tick(&mut self, ctx: &mut Ctx<'_, Msg>, dst: NodeId, seq: u64) {
         let cfg = self.timing.retry;
@@ -679,9 +705,8 @@ impl ClusterNode {
             TimeoutVerdict::Stale => {}
             TimeoutVerdict::Resend {
                 msg: body,
-                payload,
-                kind,
                 next_timeout,
+                ..
             } => {
                 ctx.stats().bump("asvm.retry.timeout");
                 ctx.stats().bump("asvm.retry.resent");
@@ -689,17 +714,7 @@ impl ClusterNode {
                 for m in &body.msgs {
                     self.record_trace_asvm(now, TraceDir::Send, dst, m);
                 }
-                self.transmit_frame(
-                    ctx,
-                    dst,
-                    FrameTx {
-                        seq,
-                        body,
-                        payload,
-                        kind,
-                        timeout: next_timeout,
-                    },
-                );
+                self.transmit_frame(ctx, dst, seq, &body, next_timeout);
             }
             TimeoutVerdict::Exhausted { kind } => {
                 ctx.stats().bump("asvm.retry.exhausted");
@@ -718,8 +733,8 @@ impl ClusterNode {
 
     // --- Failure detector (docs/RELIABILITY.md) -----------------------------
 
-    /// One heartbeat/watchdog period: beacon to every compute peer over
-    /// the lossy path, suspect peers silent too long, and let the engine
+    /// One heartbeat/watchdog period: beacon to every compute peer, exposed
+    /// to the fault plan, suspect peers silent too long, and let the engine
     /// re-issue stalled requests. Self-rescheduling while work remains;
     /// armed by the harness only when the fault plan is active.
     fn on_hb_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -727,9 +742,12 @@ impl ClusterNode {
         let me = self.id;
         let machine = ctx.machine();
         let peers = || machine.compute_nodes().filter(move |n| *n != me);
+        let beacon = Frame::new(CostClass::Plain, 0)
+            .tagged("cluster.hb")
+            .exposed();
         for n in peers() {
             self.asvm_transport
-                .send_lossy(ctx, n, 0, "cluster.hb", || Msg::Heartbeat { from: me });
+                .send_frame(ctx, n, beacon, || Msg::Heartbeat { from: me });
         }
         let mut newly = Vec::new();
         for n in peers() {
@@ -1340,8 +1358,17 @@ fn pager_payload(call: &EmmiToPager, page_size: u32) -> u32 {
 impl NodeBehavior<Msg> for ClusterNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
         match msg {
-            Msg::Asvm { from, msg } => {
+            Msg::Asvm { from, seq: 0, msg } => {
                 self.deliver_protocol(ctx, from, ProtocolMsg::Asvm { from, msg });
+            }
+            Msg::Asvm { from, seq, msg } => {
+                self.on_sequenced(ctx, from, seq, FrameBody::single(msg));
+            }
+            Msg::AsvmBatch { from, seq: 0, body } => {
+                self.deliver_body(ctx, from, body);
+            }
+            Msg::AsvmBatch { from, seq, body } => {
+                self.on_sequenced(ctx, from, seq, body);
             }
             Msg::RdmaRead { from, msg } => {
                 // One-sided read posting: the engine computes the same
@@ -1356,61 +1383,6 @@ impl NodeBehavior<Msg> for ClusterNode {
                     .handle_protocol(ctx.now(), &mut self.vm, pm, &mut fx);
                 self.finish_rdma_read(ctx, from, &mut fx);
                 self.put_fx(fx);
-            }
-            Msg::RdmaReadReply { from, msg } => {
-                // Completion of a one-sided read: the grant lands in the
-                // requester's registered buffer and is handled exactly
-                // like its two-sided twin (the completion CPU was part of
-                // the delivery envelope).
-                self.deliver_protocol(ctx, from, ProtocolMsg::Asvm { from, msg });
-            }
-            Msg::AsvmFrame { from, seq, msg } => {
-                // Ack every arrival — including duplicates, whose original
-                // ack may itself have been lost. The ack travels the same
-                // lossy wire; a lost ack simply provokes a retransmission.
-                let me = self.id;
-                self.asvm_transport
-                    .send_lossy(ctx, from, 0, "asvm.retry.ack", || Msg::AsvmAck {
-                        from: me,
-                        seq,
-                    });
-                let accepted = self
-                    .link_rx
-                    .get_or_insert_with(from, Default::default)
-                    .accept(seq, FrameBody::single(msg));
-                if accepted.duplicate {
-                    ctx.stats().bump("asvm.retry.dup_drop");
-                } else if accepted.deliver.is_empty() {
-                    ctx.stats().bump("asvm.retry.buffered");
-                }
-                for b in accepted.deliver {
-                    self.deliver_body(ctx, from, b);
-                }
-            }
-            Msg::AsvmBatch { from, body } => {
-                self.deliver_body(ctx, from, body);
-            }
-            Msg::AsvmBatchFrame { from, seq, body } => {
-                // Same ack-everything discipline as the singleton frame
-                // channel: the whole batch is one sequenced unit.
-                let me = self.id;
-                self.asvm_transport
-                    .send_lossy(ctx, from, 0, "asvm.retry.ack", || Msg::AsvmAck {
-                        from: me,
-                        seq,
-                    });
-                let accepted = self
-                    .link_rx
-                    .get_or_insert_with(from, Default::default)
-                    .accept(seq, body);
-                if accepted.duplicate {
-                    ctx.stats().bump("asvm.retry.dup_drop");
-                } else if accepted.deliver.is_empty() {
-                    ctx.stats().bump("asvm.retry.buffered");
-                }
-                for b in accepted.deliver {
-                    self.deliver_body(ctx, from, b);
-                }
             }
             Msg::AsvmAck { from, seq } => {
                 if self
@@ -1450,45 +1422,32 @@ impl NodeBehavior<Msg> for ClusterNode {
                 let cost = ctx.machine().config.cost.pager_handle;
                 ctx.charge_msg_cpu(cost);
                 let ps = self.vm.page_size();
-                let outs = {
-                    // The disk closure borrows ctx; split pagers out first.
-                    let now = ctx.now();
-                    if pin.mobj == MemObjId(0) {
-                        let pgr = self
-                            .default_pager
-                            .as_mut()
-                            .expect("default pager request on compute node");
-                        let mut disk = |op, pos, len| ctx.disk_access(op, pos, len);
-                        pgr.handle(now, pin, &mut disk)
-                    } else {
-                        let pgr = self
-                            .file_pager
-                            .as_mut()
-                            .expect("file pager request on compute node");
-                        let mut disk = |op, pos, len| ctx.disk_access(op, pos, len);
-                        pgr.handle(now, pin, &mut disk)
-                    }
+                let now = ctx.now();
+                let mut disk = |op, pos, len| ctx.disk_access(op, pos, len);
+                let outs = if pin.mobj == MemObjId(0) {
+                    self.default_pager
+                        .as_mut()
+                        .expect("default pager request on compute node")
+                        .handle(now, pin, &mut disk)
+                } else {
+                    self.file_pager
+                        .as_mut()
+                        .expect("file pager request on compute node")
+                        .handle(now, pin, &mut disk)
                 };
                 for out in outs {
                     let payload = match &out.reply {
                         EmmiToKernel::DataSupply { .. } => ps,
                         _ => 0,
                     };
-                    let costs = Transport::NORMA.costs(&ctx.machine().config.cost, payload);
-                    ctx.stats().bump(Transport::NORMA.stat_key());
-                    ctx.stats().bump(out.reply.stat_key());
-                    if payload > 0 {
-                        ctx.stats().bump("norma.page_messages");
-                    }
-                    ctx.send_after(
-                        out.ready_at,
-                        out.to_node,
-                        costs,
-                        Msg::PagerReply {
-                            obj: out.obj,
-                            reply: out.reply,
-                        },
-                    );
+                    let frame = Frame::new(CostClass::Plain, payload)
+                        .tagged(out.reply.stat_key())
+                        .not_before(out.ready_at);
+                    let reply = Msg::PagerReply {
+                        obj: out.obj,
+                        reply: out.reply,
+                    };
+                    Transport::NORMA.send_frame(ctx, out.to_node, frame, once(reply));
                 }
             }
             Msg::PagerReply { obj, reply } => {

@@ -601,7 +601,8 @@ fn interpreter_drains_effect_classes_in_the_mandatory_order() {
     // The next engine call writes into the preloaded sink.
     let msg = AsvmMsg::PagedHint { mobj, page };
     let from = NodeId(1);
-    ssi.world.post(now, NodeId(0), Msg::Asvm { from, msg });
+    ssi.world
+        .post(now, NodeId(0), Msg::Asvm { from, seq: 0, msg });
     ssi.run(BUDGET).expect("must quiesce");
     assert_eq!(
         traced(&ssi, 0),
@@ -664,7 +665,8 @@ fn evicted_page_is_written_back_before_the_paged_hint() {
         from,
         accept: false,
     };
-    ssi.world.post(now, NodeId(1), Msg::Asvm { from, msg });
+    ssi.world
+        .post(now, NodeId(1), Msg::Asvm { from, seq: 0, msg });
     ssi.run(BUDGET).expect("must quiesce");
     assert_eq!(
         traced(&ssi, 1),

@@ -12,9 +12,9 @@
 //!
 //! The [`FrameCombiner`] accumulates one body per destination over a
 //! single scheduling step; the cluster layer drains it at the end of the
-//! step and hands each body to the transport
-//! (`Transport::send_coalesced`) and, under an active fault plan, to the
-//! ARQ layer as **one sequenced unit** — subframes of one frame share
+//! step and hands each body to the transport (`Transport::send_frame`,
+//! charged as `CostClass::Coalesced`) and, under an active fault plan, to
+//! the ARQ layer as **one sequenced unit** — subframes of one frame share
 //! loss, retransmission and duplicate-suppression fate (see
 //! `docs/RELIABILITY.md`).
 

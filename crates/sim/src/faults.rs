@@ -193,9 +193,11 @@ impl FaultPlan {
         self
     }
 
-    /// True if this plan can produce any fault at all. Inactive plans are
-    /// never sampled, which is what keeps faults-off runs byte-identical
-    /// to the pre-fault-layer baseline.
+    /// True if this plan can produce any fault at all. Deciding on an
+    /// inactive plan draws nothing ([`FaultPlan::decide`]), which is what
+    /// keeps faults-off runs byte-identical to the pre-fault-layer
+    /// baseline; what this gates is the recovery layer (sequencing,
+    /// heartbeats, watchdog), not the sampling.
     pub fn is_active(&self) -> bool {
         !self.default_link.is_none()
             || self.links.iter().any(|(_, _, f)| !f.is_none())
@@ -215,9 +217,10 @@ impl FaultPlan {
     ///
     /// Sampling order is fixed (blackout, drop, duplicate, delay) and draws
     /// lazily; since the event order is deterministic, so is the decision
-    /// stream. Callers must not invoke this on inactive plans (the
-    /// transport checks [`FaultPlan::is_active`] first) so that reliable
-    /// runs never consume fault randomness.
+    /// stream. Total: a plan that is not [`FaultPlan::is_active`] returns
+    /// [`FaultDecision::Deliver`] and draws nothing — every draw sits
+    /// behind a non-zero rate — so callers need no guard of their own and
+    /// reliable runs never consume fault randomness.
     pub fn decide(&self, now: Time, src: NodeId, dst: NodeId, rng: &mut SmallRng) -> FaultDecision {
         if self
             .blackouts
@@ -268,6 +271,27 @@ mod tests {
             .with_blackout(NodeId(0), Time::ZERO, Time::MAX)
             .is_active());
         assert!(!FaultPlan::seeded(7).is_active());
+    }
+
+    #[test]
+    fn inactive_plans_deliver_without_drawing() {
+        let reliable_overrides =
+            FaultPlan::seeded(7).with_link(NodeId(0), NodeId(1), LinkFaults::NONE);
+        for plan in [FaultPlan::none(), FaultPlan::seeded(7), reliable_overrides] {
+            assert!(!plan.is_active());
+            let mut rng = SmallRng::seed_from_u64(plan.seed);
+            for i in 0..256u64 {
+                let (src, dst) = (NodeId((i % 3) as u16), NodeId(((i + 1) % 3) as u16));
+                let d = plan.decide(Time::from_nanos(i), src, dst, &mut rng);
+                assert_eq!(d, FaultDecision::Deliver);
+            }
+            let untouched = SmallRng::seed_from_u64(plan.seed).gen_range(0u64..u64::MAX);
+            assert_eq!(
+                rng.gen_range(0u64..u64::MAX),
+                untouched,
+                "the fault RNG was drawn from"
+            );
+        }
     }
 
     #[test]

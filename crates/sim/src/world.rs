@@ -455,17 +455,18 @@ impl<'a, M> Ctx<'a, M> {
     /// The one send body: charges the sender CPU now, lets the message hit
     /// the wire no earlier than `earliest`, and delivers it `extra` after
     /// its natural arrival.
+    ///
+    /// `earliest` gates a pager reply on its disk access: the processor is
+    /// free to do other work while the buffered message waits, only the
+    /// wire departure is delayed. `extra` is injected delay (and the late
+    /// copy of a duplicated message): within that window, younger messages
+    /// on the same link can overtake it.
     #[inline]
-    fn send_gated(&mut self, dst: NodeId, costs: MsgCosts, extra: Dur, earliest: Time, msg: M) {
-        let cpu = &mut self.cpus[self.me.index()];
-        let departure = cpu.msg_free.max(self.now) + costs.send_cpu;
-        cpu.msg_free = departure;
-        let arrival = departure.max(earliest)
+    pub fn send_gated(&mut self, dst: NodeId, costs: MsgCosts, extra: Dur, earliest: Time, msg: M) {
+        let arrival = self.charge_send_only(costs).max(earliest)
             + self.machine.wire_time(self.me, dst, costs.bytes)
             + costs.extra_latency
             + extra;
-        self.stats.bump_id(self.hot.net_messages);
-        self.stats.add_id(self.hot.net_bytes, costs.bytes as u64);
         self.queue.push(
             arrival,
             Envelope {
@@ -479,9 +480,10 @@ impl<'a, M> Ctx<'a, M> {
     /// Samples the fault layer's verdict for one message to `dst` at the
     /// current instant, drawing from the dedicated fault RNG.
     ///
-    /// Only the transport's exposed send path calls this, and only when the
-    /// machine's [`crate::FaultPlan`] is active — inactive plans never
-    /// consume fault randomness, keeping reliable runs byte-identical.
+    /// Total, like [`crate::FaultPlan::decide`]: under an inactive plan
+    /// the verdict is `Deliver` and the fault RNG is left untouched, so
+    /// the transport asks unconditionally for every exposed frame and
+    /// reliable runs stay byte-identical.
     pub fn fault_decision(&mut self, dst: NodeId) -> FaultDecision {
         self.machine
             .config
@@ -490,31 +492,17 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Charges the sender side of `costs` and counts the wire statistics
-    /// without delivering anything — a message dropped in transit: it left
-    /// the NIC and consumed link bandwidth, but no one receives it.
-    pub fn charge_send_only(&mut self, costs: MsgCosts) {
+    /// without delivering anything — the sender's half of every send, and
+    /// all there is to a message dropped in transit: it left the NIC and
+    /// consumed link bandwidth, but no one receives it. Returns the
+    /// instant the message departs.
+    #[inline]
+    pub fn charge_send_only(&mut self, costs: MsgCosts) -> Time {
         let cpu = &mut self.cpus[self.me.index()];
         cpu.msg_free = cpu.msg_free.max(self.now) + costs.send_cpu;
         self.stats.bump_id(self.hot.net_messages);
         self.stats.add_id(self.hot.net_bytes, costs.bytes as u64);
-    }
-
-    /// Like [`Ctx::send`], but the message arrives `extra` later than its
-    /// natural arrival time — injected delay (and the late copy of a
-    /// duplicated message). Within that window, younger messages on the
-    /// same link can overtake it.
-    pub fn send_delayed(&mut self, dst: NodeId, costs: MsgCosts, extra: Dur, msg: M) {
-        self.send_gated(dst, costs, extra, Time::ZERO, msg);
-    }
-
-    /// Like [`Ctx::send`], but the message may not hit the wire before
-    /// `earliest` (used by pagers whose reply waits for a disk access).
-    ///
-    /// The send CPU is charged now — the processor is free to do other
-    /// work while the buffered message waits for its gate; only the wire
-    /// departure is delayed.
-    pub fn send_after(&mut self, earliest: Time, dst: NodeId, costs: MsgCosts, msg: M) {
-        self.send_gated(dst, costs, Dur::ZERO, earliest, msg);
+        cpu.msg_free
     }
 
     /// Schedules `msg` for local delivery at absolute time `at` with no CPU
@@ -527,14 +515,7 @@ impl<'a, M> Ctx<'a, M> {
     /// clamp then fires the next tick back to back (docs/RELIABILITY.md
     /// §7.5).
     pub fn post_self(&mut self, at: Time, msg: M) {
-        self.queue.push(
-            at.max(self.now),
-            Envelope {
-                dst: self.me,
-                recv_cpu: Dur::ZERO,
-                msg,
-            },
-        );
+        self.post(at, self.me, msg);
     }
 
     /// Schedules `msg` for delivery to `dst` at absolute time `at` with no
@@ -772,7 +753,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod send_after_tests {
+mod send_gated_tests {
     use super::*;
     use crate::machine::MachineConfig;
 
@@ -796,7 +777,8 @@ mod send_after_tests {
                         extra_latency: Dur::ZERO,
                     };
                     // Departure gated far in the future.
-                    ctx.send_after(Time::from_nanos(5_000_000), NodeId(1), costs, M::Note(1));
+                    let gate = Time::from_nanos(5_000_000);
+                    ctx.send_gated(NodeId(1), costs, Dur::ZERO, gate, M::Note(1));
                     // Ungated message sent afterwards still arrives first.
                     ctx.send(NodeId(1), costs, M::Note(2));
                 }
@@ -806,7 +788,7 @@ mod send_after_tests {
     }
 
     #[test]
-    fn send_after_delays_departure_not_order_of_issue() {
+    fn a_gate_delays_departure_not_order_of_issue() {
         let mut w: World<Sender, M> =
             World::new(Machine::new(MachineConfig::paragon(2)), 3, |_, _| Sender {
                 notes: vec![],

@@ -35,17 +35,23 @@
 //! The protocol crates never hard-code costs; they pick a transport, which
 //! keeps the transport-swap ablation (`ablation_transport`) honest.
 //!
-//! # Fault injection
+//! # One send path, one fault seam
 //!
-//! [`Transport::send`] and [`Transport::send_tagged`] model a perfectly
-//! reliable interconnect. The *fault-exposed* path,
-//! [`Transport::send_lossy`], additionally consults the machine's
+//! Everything that leaves a node goes through [`Transport::send_frame`]:
+//! what varies between two sends — cost class, per-kind counter, departure
+//! gate, exposure to faults — is data in a [`Frame`], and loopback,
+//! statistics, the fault decision and its application happen once, there.
+//! [`Transport::send`] is the plain, reliable special case.
+//!
+//! A frame sent with [`Frame::exposed`] consults the machine's
 //! [`FaultPlan`] (carried by `MachineConfig`, re-exported here): per-link
 //! drop/duplicate/delay sampling plus scripted node blackouts, each
-//! counted under `transport.fault.*`. The ASVM protocol opts into this
-//! path through its retry channel (see `docs/RELIABILITY.md`); NORMA-IPC
-//! traffic stays on the reliable path, modelling Mach's kernel-to-kernel
-//! IPC guarantees.
+//! counted under `transport.fault.*`. The decision is total — an inactive
+//! plan delivers and draws nothing — so the seam has no healthy/faulted
+//! fork of its own. The ASVM protocol exposes its retry-channel frames,
+//! acknowledgements, heartbeats and one-sided reads (see
+//! `docs/RELIABILITY.md`); NORMA-IPC traffic (XMMI, EMMI, fork) is never
+//! exposed, modelling Mach's kernel-to-kernel IPC guarantees.
 //!
 //! Constructing a plan is pure configuration — no cluster required:
 //!
@@ -60,7 +66,7 @@
 //! assert!(cfg.faults.is_active());
 //! ```
 
-use svmsim::{CostModel, Ctx, Dur, FaultCause, FaultDecision, MsgCosts, NodeId};
+use svmsim::{CostModel, Ctx, Dur, FaultCause, FaultDecision, MsgCosts, NodeId, Time};
 
 pub use svmsim::{Blackout, FaultPlan, LinkFaults};
 
@@ -97,7 +103,7 @@ pub trait TransportBackend: std::fmt::Debug + Sync {
     fn costs(&self, cost: &CostModel, payload_bytes: u32) -> MsgCosts;
 
     /// Whether several protocol messages may share one wire frame on this
-    /// backend (see [`Transport::send_coalesced`]).
+    /// backend (see [`CostClass::Coalesced`]).
     fn supports_coalescing(&self) -> bool {
         true
     }
@@ -291,8 +297,9 @@ static STS_BACKEND: Sts = Sts;
 static RDMA_BACKEND: Rdma = Rdma;
 
 /// A configured transport endpoint: a `Copy` handle to a
-/// [`TransportBackend`] plus the uniform send paths (reliable, tagged,
-/// lossy, coalesced, one-sided) every protocol layer goes through.
+/// [`TransportBackend`] plus the one send path ([`Transport::send_frame`],
+/// with [`Transport::send`] as its plain case) every protocol layer goes
+/// through.
 #[derive(Clone, Copy)]
 pub struct Transport {
     backend: &'static dyn TransportBackend,
@@ -430,192 +437,62 @@ impl Transport {
         }
     }
 
-    /// Bumps the per-transport message statistic (and the page-carrier
-    /// statistic when the message has payload) — the accounting every send
-    /// path shares.
-    fn bump_transport_stats<M>(&self, ctx: &mut Ctx<'_, M>, payload_bytes: u32) {
-        ctx.stats().bump(self.backend.stat_key());
-        if payload_bytes > 0 {
-            ctx.stats().bump(self.backend.page_stat_key());
-        }
-    }
-
-    /// Sends a coalesced frame of `subframes` protocol messages to `dst`
-    /// over the reliable path, charging [`Transport::coalesced_costs`] and
-    /// one per-transport frame statistic (a coalesced frame is *one* wire
-    /// message).
-    pub fn send_coalesced<M>(
-        &self,
-        ctx: &mut Ctx<'_, M>,
-        dst: NodeId,
-        subframes: u32,
-        payload_bytes: u32,
-        msg: M,
-    ) {
-        let costs = if dst == ctx.me() {
-            self.local_costs(&ctx.machine().config.cost, payload_bytes)
-        } else {
-            self.coalesced_costs(&ctx.machine().config.cost, subframes, payload_bytes)
-        };
-        self.bump_transport_stats(ctx, payload_bytes);
-        ctx.send(dst, costs, msg);
-    }
-
-    /// [`Transport::send_coalesced`] through the fault-injection layer:
-    /// the whole frame is one unit of loss/duplication/delay — subframes
-    /// share its fate, which is what lets the ARQ layer sequence a
-    /// coalesced frame exactly like a singleton one.
-    pub fn send_coalesced_lossy<M>(
-        &self,
-        ctx: &mut Ctx<'_, M>,
-        dst: NodeId,
-        subframes: u32,
-        payload_bytes: u32,
-        mut make: impl FnMut() -> M,
-    ) {
-        if dst == ctx.me() || !ctx.machine().config.faults.is_active() {
-            self.send_coalesced(ctx, dst, subframes, payload_bytes, make());
-            return;
-        }
-        let decision = ctx.fault_decision(dst);
-        self.bump_transport_stats(ctx, payload_bytes);
-        let costs = self.coalesced_costs(&ctx.machine().config.cost, subframes, payload_bytes);
-        self.apply_fault_decision(ctx, dst, costs, decision, make);
-    }
-
-    /// Sends `msg` to `dst` through this transport, charging costs and
-    /// per-transport statistics. Node-local destinations take the loopback
-    /// fast path.
+    /// Sends `msg` to `dst` through this transport as one plain, reliable,
+    /// untagged frame: [`Transport::send_frame`] with nothing switched on.
     pub fn send<M>(&self, ctx: &mut Ctx<'_, M>, dst: NodeId, payload_bytes: u32, msg: M) {
-        let costs = if dst == ctx.me() {
-            self.local_costs(&ctx.machine().config.cost, payload_bytes)
-        } else {
-            self.costs(&ctx.machine().config.cost, payload_bytes)
-        };
-        self.bump_transport_stats(ctx, payload_bytes);
-        ctx.send(dst, costs, msg);
+        let frame = Frame::new(CostClass::Plain, payload_bytes);
+        self.send_frame(ctx, dst, frame, once(msg));
     }
 
-    /// [`Transport::send`] with an additional per-message-kind counter:
-    /// `kind` is an interned statistics key (e.g. `asvm.msg.grant`,
-    /// `emmi.req.data_request`) bumped alongside the per-transport totals.
-    /// The effect interpreter in the cluster layer tags every protocol and
-    /// pager send so reports can break traffic down by message kind.
-    pub fn send_tagged<M>(
-        &self,
-        ctx: &mut Ctx<'_, M>,
-        dst: NodeId,
-        payload_bytes: u32,
-        kind: &'static str,
-        msg: M,
-    ) {
-        ctx.stats().bump(kind);
-        self.send(ctx, dst, payload_bytes, msg);
-    }
-
-    /// [`Transport::send_tagged`] through the fault-injection layer: the
-    /// machine's [`FaultPlan`] decides whether this message is delivered,
-    /// dropped, duplicated or delayed, bumping the matching
-    /// `transport.fault.*` counter.
+    /// The one send path: charges `frame`'s cost envelope (the loopback
+    /// hand-off for node-local destinations), counts the logical send —
+    /// the per-kind tag if any, the per-transport totals — and then puts
+    /// the frame on the wire, through the machine's [`FaultPlan`] when it
+    /// is exposed: delivered, dropped (send-side charge only), duplicated
+    /// or delayed, bumping the matching `transport.fault.*` counter.
     ///
     /// `make` builds the message — a builder rather than a value because
     /// duplication needs a second copy and the cluster's message enum is
     /// not `Clone`. It is called once for delivery, twice for duplication,
-    /// and not at all for drops.
-    ///
-    /// Node-local sends and inactive plans take the reliable path
-    /// unchanged (and consume no fault randomness), so a `FaultPlan::none`
-    /// run is byte-identical to one using [`Transport::send_tagged`].
-    pub fn send_lossy<M>(
+    /// and not at all for drops; an unexposed frame is always built
+    /// exactly once ([`once`] turns a value into such a builder). The
+    /// logical send is counted whatever its fate, so a retransmission
+    /// through here counts its tag again.
+    pub fn send_frame<M>(
         &self,
         ctx: &mut Ctx<'_, M>,
         dst: NodeId,
-        payload_bytes: u32,
-        kind: &'static str,
+        frame: Frame,
         mut make: impl FnMut() -> M,
     ) {
-        if dst == ctx.me() || !ctx.machine().config.faults.is_active() {
-            self.send_tagged(ctx, dst, payload_bytes, kind, make());
-            return;
+        let cost = &ctx.machine().config.cost;
+        let (local, payload) = (dst == ctx.me(), frame.payload_bytes);
+        let costs = match frame.class {
+            _ if local => self.local_costs(cost, payload),
+            CostClass::Plain => self.costs(cost, payload),
+            CostClass::Coalesced(subframes) => self.coalesced_costs(cost, subframes, payload),
+            CostClass::OneSidedRead => self.backend.one_sided_read_costs(cost),
+            CostClass::OneSidedReply => self.backend.one_sided_reply_costs(cost, payload),
+        };
+        if let Some(kind) = frame.kind {
+            ctx.stats().bump(kind);
         }
-        let decision = ctx.fault_decision(dst);
-        // The logical send happened regardless of its fate on the wire:
-        // count it exactly as send_tagged/send would.
-        ctx.stats().bump(kind);
-        self.bump_transport_stats(ctx, payload_bytes);
-        let costs = self.costs(&ctx.machine().config.cost, payload_bytes);
-        self.apply_fault_decision(ctx, dst, costs, decision, make);
-    }
-
-    /// Posts a one-sided read request to `dst` through the fault seam:
-    /// header-only, zero receiver CPU (the target's NIC serves it), and
-    /// counted under both `kind` and `transport.rdma.read`. Drops are
-    /// *not* retransmitted by any link layer — the requester's watchdog
-    /// re-issues the stalled request end-to-end.
-    pub fn send_one_sided<M>(
-        &self,
-        ctx: &mut Ctx<'_, M>,
-        dst: NodeId,
-        kind: &'static str,
-        mut make: impl FnMut() -> M,
-    ) {
-        debug_assert!(self.backend.one_sided_reads());
-        debug_assert!(dst != ctx.me(), "loopback reads never leave the node");
-        let costs = self
-            .backend
-            .one_sided_read_costs(&ctx.machine().config.cost);
-        ctx.stats().bump(kind);
-        ctx.stats().bump("transport.rdma.read");
-        self.bump_transport_stats(ctx, 0);
-        if !ctx.machine().config.faults.is_active() {
-            ctx.send(dst, costs, make());
-            return;
+        if frame.class == CostClass::OneSidedRead {
+            debug_assert!(!local, "loopback reads never leave the node");
+            ctx.stats().bump("transport.rdma.read");
         }
-        let decision = ctx.fault_decision(dst);
-        self.apply_fault_decision(ctx, dst, costs, decision, make);
-    }
-
-    /// Sends a one-sided read completion carrying `payload_bytes` back to
-    /// the requester: the target's NIC DMAs it out (zero sender CPU); the
-    /// requester pays completion handling on arrival. Travels the same
-    /// fault seam as the request — a lost completion is recovered by the
-    /// requester's watchdog, not by retransmission.
-    pub fn send_one_sided_reply<M>(
-        &self,
-        ctx: &mut Ctx<'_, M>,
-        dst: NodeId,
-        payload_bytes: u32,
-        kind: &'static str,
-        mut make: impl FnMut() -> M,
-    ) {
-        debug_assert!(self.backend.one_sided_reads());
-        let costs = self
-            .backend
-            .one_sided_reply_costs(&ctx.machine().config.cost, payload_bytes);
-        ctx.stats().bump(kind);
-        self.bump_transport_stats(ctx, payload_bytes);
-        if dst == ctx.me() || !ctx.machine().config.faults.is_active() {
-            ctx.send(dst, costs, make());
-            return;
+        ctx.stats().bump(self.backend.stat_key());
+        if payload > 0 {
+            ctx.stats().bump(self.backend.page_stat_key());
         }
-        let decision = ctx.fault_decision(dst);
-        self.apply_fault_decision(ctx, dst, costs, decision, make);
-    }
-
-    /// Applies one sampled [`FaultDecision`] to a message whose logical
-    /// statistics have already been counted: delivery, drop (send-side
-    /// charge only), duplication, or delay — bumping the matching
-    /// `transport.fault.*` counter.
-    fn apply_fault_decision<M>(
-        &self,
-        ctx: &mut Ctx<'_, M>,
-        dst: NodeId,
-        costs: MsgCosts,
-        decision: FaultDecision,
-        mut make: impl FnMut() -> M,
-    ) {
+        let decision = if frame.exposed && !local {
+            ctx.fault_decision(dst)
+        } else {
+            FaultDecision::Deliver
+        };
+        let gate = frame.not_before;
         match decision {
-            FaultDecision::Deliver => ctx.send(dst, costs, make()),
+            FaultDecision::Deliver => ctx.send_gated(dst, costs, Dur::ZERO, gate, make()),
             FaultDecision::Drop(cause) => {
                 ctx.stats().bump(match cause {
                     FaultCause::Loss => "transport.fault.dropped",
@@ -625,15 +502,96 @@ impl Transport {
             }
             FaultDecision::Duplicate { extra } => {
                 ctx.stats().bump("transport.fault.duplicated");
-                ctx.send(dst, costs, make());
-                ctx.send_delayed(dst, costs, extra, make());
+                ctx.send_gated(dst, costs, Dur::ZERO, gate, make());
+                ctx.send_gated(dst, costs, extra, gate, make());
             }
             FaultDecision::Delay { extra } => {
                 ctx.stats().bump("transport.fault.delayed");
-                ctx.send_delayed(dst, costs, extra, make());
+                ctx.send_gated(dst, costs, extra, gate, make());
             }
         }
     }
+}
+
+/// Which of the backend's cost envelopes a frame is charged.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CostClass {
+    /// One message in its own frame ([`Transport::costs`]).
+    Plain,
+    /// This many protocol messages sharing one wire frame
+    /// ([`Transport::coalesced_costs`]) — still *one* wire message in the
+    /// per-transport statistics, and one unit of loss, duplication and
+    /// delay: subframes share its fate, which is what lets the ARQ layer
+    /// sequence a coalesced frame exactly like a singleton one.
+    Coalesced(u32),
+    /// A one-sided read posting: header-only, served by the target's NIC
+    /// with zero receiver CPU, also counted under `transport.rdma.read`.
+    /// No link layer retransmits it — the requester's watchdog re-issues
+    /// the stalled request end-to-end.
+    OneSidedRead,
+    /// A one-sided read completion: the target's NIC DMAs the payload out
+    /// (zero sender CPU); the requester pays completion handling on
+    /// arrival. A lost one is recovered like a lost posting.
+    OneSidedReply,
+}
+
+/// What varies between two sends on one transport — the argument of
+/// [`Transport::send_frame`].
+#[derive(Clone, Copy, Debug)]
+pub struct Frame {
+    /// The cost envelope charged.
+    pub class: CostClass,
+    /// Payload bytes (0 for a header-only message, one page size for a
+    /// page carrier).
+    pub payload_bytes: u32,
+    /// Interned per-message-kind statistics key (e.g. `asvm.msg.grant`,
+    /// `emmi.req.data_request`) bumped alongside the per-transport
+    /// totals, so reports can break traffic down by kind.
+    pub kind: Option<&'static str>,
+    /// Whether the machine's [`FaultPlan`] decides this frame's fate.
+    /// Node-local frames never are.
+    pub exposed: bool,
+    /// The frame may not hit the wire before this instant (a pager reply
+    /// waiting for its disk access); the send CPU is still charged now.
+    pub not_before: Time,
+}
+
+impl Frame {
+    /// An untagged, reliable, ungated frame of `class`.
+    pub fn new(class: CostClass, payload_bytes: u32) -> Frame {
+        Frame {
+            class,
+            payload_bytes,
+            kind: None,
+            exposed: false,
+            not_before: Time::ZERO,
+        }
+    }
+
+    /// Counts the frame under `kind` as well.
+    pub fn tagged(mut self, kind: &'static str) -> Frame {
+        self.kind = Some(kind);
+        self
+    }
+
+    /// Lets the fault plan decide the frame's fate.
+    pub fn exposed(mut self) -> Frame {
+        self.exposed = true;
+        self
+    }
+
+    /// Holds the frame back from the wire until `at`.
+    pub fn not_before(mut self, at: Time) -> Frame {
+        self.not_before = at;
+        self
+    }
+}
+
+/// The builder of a frame that is built exactly once — every unexposed
+/// frame — from the message itself, so nothing is cloned.
+pub fn once<M>(msg: M) -> impl FnMut() -> M {
+    let mut msg = Some(msg);
+    move || msg.take().expect("only exposed frames are built twice")
 }
 
 #[cfg(test)]

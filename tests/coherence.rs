@@ -55,6 +55,25 @@ proptest! {
     }
 }
 
+/// The minimal failing case the real `proptest` crate once shrank to and
+/// saved in `coherence.proptest-regressions` — a file the vendored
+/// stand-in never reads, so it lives on as an explicit test: a single cold
+/// read, by a node that is not the home, of a page nobody wrote.
+#[test]
+fn lone_cold_remote_read_regression() {
+    let ops = [TraceOp {
+        node: 1,
+        page: 2,
+        write: false,
+    }];
+    run_trace(ManagerKind::asvm(), 4, 6, &ops);
+    run_trace(ManagerKind::xmm(), 3, 4, &ops);
+    let fixed = asvm::AsvmConfig::fixed_distributed();
+    run_trace(ManagerKind::Asvm(fixed), 4, 6, &ops);
+    let global = asvm::AsvmConfig::global_only();
+    run_trace(ManagerKind::Asvm(global), 4, 4, &ops);
+}
+
 #[test]
 fn write_write_conflict_on_one_page() {
     // Two nodes alternately writing one page: maximum ownership ping-pong.

@@ -192,6 +192,29 @@ proptest! {
     }
 }
 
+/// The two minimal failing chains the real `proptest` crate once shrank
+/// to and saved in `inheritance.proptest-regressions` — a file the
+/// vendored stand-in never reads, so they live on as an explicit test:
+/// four links where only post-fork writes happen, deep in the chain, on
+/// pages no ancestor ever materialised.
+#[test]
+fn post_fork_writes_deep_in_a_chain_regressions() {
+    let chain = |post_writes: [&[u32]; 4]| -> Vec<LinkPlan> {
+        let link = |post: &[u32]| LinkPlan {
+            pre_writes: vec![],
+            post_writes: post.to_vec(),
+        };
+        post_writes.map(link).to_vec()
+    };
+    for plans in [
+        chain([&[], &[], &[0], &[]]),
+        chain([&[], &[5, 0, 7], &[7], &[]]),
+    ] {
+        run_chain(ManagerKind::asvm(), plans.clone());
+        run_chain(ManagerKind::xmm(), plans);
+    }
+}
+
 #[test]
 fn post_fork_writes_do_not_leak() {
     // Root writes everything, forks, rewrites everything; child must see
