@@ -18,9 +18,13 @@
 //! * remote fork with Mach inheritance semantics: `Share` regions map the
 //!   same memory object, `Copy` regions become distributed delayed copies
 //!   (ASVM §3.7) or internal-pager snapshots (XMM §2.3.3);
+//! * [`detector::Detector`] — the gossip failure detector's sans-IO state
+//!   (heartbeat counters, ring targets, suspicion), one beacon per node
+//!   per period at any cluster size;
 //! * [`Ssi`] — the facade harnesses use to assemble clusters, create
 //!   memory objects and tasks, and run workloads to quiescence.
 
+pub mod detector;
 pub mod engine;
 pub mod msg;
 pub mod node;

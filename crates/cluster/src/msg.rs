@@ -138,11 +138,15 @@ pub enum Msg {
         /// The in-flight frame the timer covers.
         seq: u64,
     },
-    /// Failure-detector liveness beacon, exposed to the fault plan so a
-    /// blacked-out link actually silences it (see `docs/RELIABILITY.md`).
+    /// Failure-detector gossip beacon, exposed to the fault plan so a
+    /// blacked-out link actually silences it (see `docs/RELIABILITY.md`
+    /// §7.1): one per node per period, to one peer.
     Heartbeat {
         /// The beaconing node.
         from: NodeId,
+        /// Its heartbeat-counter vector, one entry per compute node;
+        /// the receiver merges by per-entry max.
+        beats: Box<[u64]>,
     },
     /// Self-posted heartbeat/watchdog timer (active fault plans only).
     HbTick,

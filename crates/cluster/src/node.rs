@@ -21,6 +21,7 @@ use pager::{DefaultPager, FilePager, PagerIn};
 use svmsim::{Ctx, Dur, NodeBehavior, NodeId, NodeKind, Time, TraceRing};
 use transport::{once, CostClass, Frame, Transport};
 
+use crate::detector::{Detector, HB_PERIOD};
 use crate::engine::{CoherenceEngine, EngineFx, IdAlloc, ProtoEvent, ProtocolMsg, TraceDir};
 use crate::msg::{ForkMsg, Msg};
 use crate::program::{Program, Step, TaskEnv};
@@ -126,14 +127,9 @@ pub struct ClusterNode {
     rdma_links: BTreeSet<NodeId>,
     /// Frames abandoned after retry exhaustion, in order of occurrence.
     pub link_failures: Vec<LinkFailure>,
-    /// Failure detector: when each compute peer was last heard from
-    /// (heartbeat arrivals; lazily baselined at our first tick).
-    last_heard: SlotTable<NodeId, Time>,
-    /// Compute peers this node currently suspects dead.
-    pub suspects: BTreeSet<NodeId>,
-    /// Peers that announced graceful completion — silence from them is
-    /// expected, not evidence.
-    farewelled: BTreeSet<NodeId>,
+    /// Failure detector: heartbeat counters, who was heard when, who is
+    /// suspected (active fault plans only).
+    pub detector: Detector,
     /// Drained [`EngineFx`] shells reused across engine calls, so the
     /// per-message hot path allocates nothing in steady state. A pool
     /// (not a single slot) because `interpret` re-enters through
@@ -146,13 +142,6 @@ pub struct ClusterNode {
     /// Drained drain-loop work queues.
     vmq_pool: Vec<VecDeque<machvm::Effects>>,
 }
-
-/// Failure-detector beacon period (active fault plans only).
-const HB_PERIOD: Dur = Dur::from_millis(5);
-/// Silence beyond this (8 missed beacons) turns into suspicion. Generous
-/// against 10% loss: eight consecutive independent drops have probability
-/// 1e-8 per peer-window.
-const HB_SUSPECT_AFTER: Dur = Dur::from_millis(40);
 
 impl ClusterNode {
     /// Builds a node.
@@ -193,9 +182,7 @@ impl ClusterNode {
             combiner: asvm::FrameCombiner::default(),
             rdma_links: BTreeSet::new(),
             link_failures: Vec::new(),
-            last_heard: SlotTable::new(),
-            suspects: BTreeSet::new(),
-            farewelled: BTreeSet::new(),
+            detector: Detector::new(id),
             fx_pool: Vec::new(),
             effects_pool: Vec::new(),
             vmq_pool: Vec::new(),
@@ -733,53 +720,51 @@ impl ClusterNode {
 
     // --- Failure detector (docs/RELIABILITY.md) -----------------------------
 
-    /// One heartbeat/watchdog period: beacon to every compute peer, exposed
-    /// to the fault plan, suspect peers silent too long, and let the engine
-    /// re-issue stalled requests. Self-rescheduling while work remains;
-    /// armed by the harness only when the fault plan is active.
+    /// One heartbeat/watchdog period: gossip the heartbeat vector to this
+    /// round's one peer, exposed to the fault plan, suspect peers silent
+    /// too long, and let the engine re-issue stalled requests.
+    /// Self-rescheduling while work remains; armed by the harness only
+    /// when the fault plan is active.
     fn on_hb_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
-        let me = self.id;
-        let machine = ctx.machine();
-        let peers = || machine.compute_nodes().filter(move |n| *n != me);
-        let beacon = Frame::new(CostClass::Plain, 0)
-            .tagged("cluster.hb")
-            .exposed();
-        for n in peers() {
+        let from = self.id;
+        let n = ctx.machine().config.compute_nodes;
+        if let Some((dst, beats)) = self.detector.tick(n) {
+            // The vector is wire bytes in the message body, not a page.
+            let beacon = Frame::new(CostClass::Plain, 8 * beats.len() as u32)
+                .inline()
+                .tagged("cluster.hb")
+                .exposed();
             self.asvm_transport
-                .send_frame(ctx, n, beacon, || Msg::Heartbeat { from: me });
+                .send_frame(ctx, dst, beacon, || Msg::Heartbeat {
+                    from,
+                    beats: beats.into(),
+                });
         }
-        let mut newly = Vec::new();
-        for n in peers() {
-            if self.farewelled.contains(&n) || self.suspects.contains(&n) {
-                continue;
-            }
-            // Lazily baseline at our first tick, so suspicion always
-            // means "silent for the full window while we listened". Not
-            // `now.since(at)`: arrival stamps carry receive-side CPU
-            // charges, so they can sit slightly past this tick's delivery
-            // time.
-            let at = *self.last_heard.get_or_insert_with(n, || now);
-            if now > at + HB_SUSPECT_AFTER {
-                newly.push(n);
-            }
-        }
-        for n in newly {
-            self.suspect_peer(ctx, n);
+        for peer in self.detector.silent(now) {
+            self.peer_suspected(ctx, peer);
         }
         let deadline = self.timing.watchdog_deadline;
         self.engine_call(ctx, |e, vm, fx| e.on_watchdog(now, deadline, vm, fx));
         if !self.all_tasks_done() {
-            ctx.post_self(now + HB_PERIOD, Msg::HbTick);
+            // A period after this handler *ends*: the sends and the
+            // watchdog above advanced the clock, and an instant already
+            // in the past would fire back to back.
+            let next = ctx.now() + HB_PERIOD;
+            ctx.post_self(next, Msg::HbTick);
         }
     }
 
-    /// Marks `peer` suspected and lets the engine unwind everything that
-    /// waits on it. Idempotent.
+    /// Evidence that `peer` is gone. Idempotent.
     fn suspect_peer(&mut self, ctx: &mut Ctx<'_, Msg>, peer: NodeId) {
-        if peer == self.id || !self.suspects.insert(peer) {
-            return;
+        if self.detector.suspect(peer) {
+            self.peer_suspected(ctx, peer);
         }
+    }
+
+    /// `peer` just became suspected: lets the engine unwind everything
+    /// that waits on it.
+    fn peer_suspected(&mut self, ctx: &mut Ctx<'_, Msg>, peer: NodeId) {
         ctx.stats().bump("cluster.suspect.count");
         self.trace_local(ctx.now(), "cluster.suspect", peer, MemObjId(0));
         let now = ctx.now();
@@ -1396,23 +1381,20 @@ impl NodeBehavior<Msg> for ClusterNode {
             Msg::RetryTick { dst, seq } => {
                 self.on_retry_tick(ctx, dst, seq);
             }
-            Msg::Heartbeat { from } => {
-                self.last_heard.insert(from, ctx.now());
-                if self.suspects.remove(&from) {
+            Msg::Heartbeat { beats, .. } => {
+                let now = ctx.now();
+                for peer in self.detector.merge(now, &beats) {
                     ctx.stats().bump("cluster.suspect.cleared");
-                    let now = ctx.now();
-                    self.engine_call(ctx, |e, vm, fx| e.peer_cleared(now, vm, from, fx));
+                    self.engine_call(ctx, |e, vm, fx| e.peer_cleared(now, vm, peer, fx));
                 }
             }
             Msg::HbTick => {
                 self.on_hb_tick(ctx);
             }
             Msg::Farewell { from } => {
-                // Graceful completion: stop expecting heartbeats. Existing
-                // suspicion (from retry exhaustion) deliberately stands —
-                // a farewell does not make the link reachable again.
-                self.farewelled.insert(from);
-                self.last_heard.remove(&from);
+                // Graceful completion: stop expecting (and sending it)
+                // heartbeats.
+                self.detector.farewell(from);
             }
             Msg::Xmm(m) => {
                 // XMMI messages carry no sender; record the node itself.

@@ -353,8 +353,9 @@ impl Ssi {
         // Arm the failure detector on the first spawn per node. Heartbeats
         // run only under an active fault plan (healthy runs stay
         // byte-identical to a build without them), and only on nodes that
-        // actually host work — a task-less node beacons nothing and is
-        // never falsely suspected for going silent.
+        // actually host work — a task-less node never ticks, so its
+        // counter never advances anywhere, and the detector judges by
+        // silence only peers it has seen beat.
         if matches!(self.kind, ManagerKind::Asvm(_))
             && self.world.machine().config.faults.is_active()
             && self.hb_armed.insert(node)

@@ -482,7 +482,7 @@ impl Transport {
             ctx.stats().bump("transport.rdma.read");
         }
         ctx.stats().bump(self.backend.stat_key());
-        if payload > 0 {
+        if payload > 0 && !frame.inline {
             ctx.stats().bump(self.backend.page_stat_key());
         }
         let decision = if frame.exposed && !local {
@@ -544,6 +544,10 @@ pub struct Frame {
     /// Payload bytes (0 for a header-only message, one page size for a
     /// page carrier).
     pub payload_bytes: u32,
+    /// The payload is control bytes in the message body (a gossip
+    /// vector), not a page: costed and counted as bytes like any other,
+    /// but the frame is not a page-carrying message.
+    pub inline: bool,
     /// Interned per-message-kind statistics key (e.g. `asvm.msg.grant`,
     /// `emmi.req.data_request`) bumped alongside the per-transport
     /// totals, so reports can break traffic down by kind.
@@ -562,10 +566,17 @@ impl Frame {
         Frame {
             class,
             payload_bytes,
+            inline: false,
             kind: None,
             exposed: false,
             not_before: Time::ZERO,
         }
+    }
+
+    /// Marks the payload as in-line control bytes rather than a page.
+    pub fn inline(mut self) -> Frame {
+        self.inline = true;
+        self
     }
 
     /// Counts the frame under `kind` as well.

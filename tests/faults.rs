@@ -411,3 +411,63 @@ fn norma_carrier_stays_coherent_under_loss() {
         }
     }
 }
+
+/// The heartbeat period holds under backlog (`docs/RELIABILITY.md` §7.5):
+/// on the NORMA carrier, where one send costs more CPU than a whole STS
+/// exchange, the next tick is still a full period after the handler
+/// *ended* — never back to back — so a loaded node beacons no more than
+/// an idle one: one `cluster.hb` frame per armed node per period.
+#[test]
+fn heartbeat_period_holds_under_backlog_on_the_norma_carrier() {
+    const NODES: u16 = 16;
+    const PAGES: u64 = 16;
+    let period = Dur::from_millis(5);
+    let plan = FaultPlan::seeded(fault_seed())
+        .with_drop_ppm(10_000)
+        .with_dup_ppm(2_000);
+    let sc = Scenario::new(ManagerKind::asvm(), NODES, fault_seed())
+        .transport(transport::Transport::NORMA)
+        .faults(plan);
+    let mut ssi = sc.build();
+    let (_, tasks) = Scenario::shared_region(&mut ssi, NODES, PAGES as u32, false);
+    for (i, t) in tasks.iter().enumerate() {
+        // Everyone walks the whole region from its own page on, writing
+        // every third: 16-way contention for every page.
+        let steps = (0..PAGES)
+            .map(|k| match (i as u64 + k) % PAGES {
+                va_page if k % 3 == 0 => Step::Write {
+                    va_page,
+                    value: k << 8 | i as u64,
+                },
+                va_page => Step::Read { va_page },
+            })
+            .collect();
+        Scenario::spawn_script(&mut ssi, NodeId(i as u16), *t, steps);
+    }
+    // A node's own counter moves exactly when it handles an `HbTick`.
+    let mut ticked = [(0u64, svmsim::Time::ZERO); NODES as usize];
+    while ssi.world.step() {
+        let now = ssi.world.now();
+        for (n, (beat, at)) in ticked.iter_mut().enumerate() {
+            let b = ssi.node(NodeId(n as u16)).detector.beat();
+            if b != *beat {
+                assert!(
+                    *beat == 0 || now.since(*at) >= period,
+                    "n{n}: tick {b} at {now}, {} after the previous",
+                    now.since(*at)
+                );
+                (*beat, *at) = (b, now);
+            }
+        }
+    }
+    let out = sc
+        .finish(ssi, svmsim::Time::ZERO)
+        .expect_completed("16-way contention over norma");
+    let periods = out.elapsed.as_nanos().div_ceil(period.as_nanos());
+    let beacons = out.counter("cluster.hb");
+    assert!(beacons >= periods, "the detector must have run: {beacons}");
+    assert!(
+        beacons <= periods * NODES as u64,
+        "{beacons} beacons in {periods} periods on {NODES} nodes"
+    );
+}

@@ -138,29 +138,58 @@ fn serving_node_piggybacks_predicted_owner_hints() {
 /// A speculative one-sided read lost on RDMA (no link ARQ) is recovered
 /// only by the requester's watchdog — which stops ticking with the node's
 /// last task. The speculation nobody is left to claim must be cancelled
-/// then, not left pending forever (this seed used to end with "pending
-/// requests at quiescence"; `Scenario::finish` checks the invariants).
+/// then, not left pending forever ("pending requests at quiescence";
+/// `Scenario::finish` checks the invariants). The loss is scripted, not
+/// drawn: the requester's link to node 2 drops everything exposed, which
+/// on RDMA is exactly the one-sided postings routed there.
 #[test]
 fn lost_speculative_read_is_cancelled_when_the_node_goes_idle() {
-    use svmsim::FaultPlan;
-    use workloads::{run_pattern, Pattern, Scenario};
-    let seed = 3;
-    let plan = FaultPlan::seeded(seed)
-        .with_drop_ppm(10_000)
-        .with_dup_ppm(2_000);
+    use svmsim::{FaultPlan, LinkFaults};
+    use workloads::Scenario;
+    let dead = LinkFaults {
+        drop_ppm: 1_000_000,
+        ..LinkFaults::NONE
+    };
+    let plan = FaultPlan::seeded(1).with_link(NodeId(1), NodeId(2), dead);
     let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_readahead(8));
-    let sc = Scenario::new(kind, 4, seed)
+    let sc = Scenario::new(kind, 3, 1)
         .transport(transport::Transport::RDMA)
         .faults(plan);
-    let pattern = Pattern::Uniform {
-        ops: 80,
-        write_pct: 30,
-    };
-    let out = run_pattern(&sc, 16, pattern).expect_completed("faulted rdma readahead");
-    assert!(
-        out.counter("asvm.prefetch.cancelled") >= 1,
-        "the stranded speculative read must be scored as cancelled"
+    let mut ssi = sc.build();
+    let (_, tasks) = Scenario::shared_region(&mut ssi, 3, 32, false);
+    // Node 1's only access is a demand read of page 0, whose static
+    // manager is node 0: it is served, and the task is done long before
+    // the watchdog deadline. Of the readahead it triggers for pages
+    // 1..=8, the postings routed to node 2 are lost for good.
+    Scenario::spawn_script(
+        &mut ssi,
+        NodeId(1),
+        tasks[1],
+        vec![Step::Read { va_page: 0 }],
     );
+    ssi.run(u64::MAX / 2).expect("quiesces");
+    let out = sc
+        .finish(ssi, svmsim::Time::ZERO)
+        .expect_completed("a node going idle on lost speculative reads");
+    assert_eq!(
+        out.counter("asvm.recover.reissue"),
+        0,
+        "the demand read is served; no watchdog pass ever re-issues"
+    );
+    // Everything still speculative at idle is cancelled; what node 0
+    // answers afterwards installs as a late fill. The difference is the
+    // postings nobody will ever answer.
+    let cancelled = out.counter("asvm.prefetch.cancelled");
+    let answered = out.counter("asvm.prefetch.cancelled_fill");
+    assert!(
+        answered >= 1,
+        "the live link's speculative reads are served"
+    );
+    assert!(
+        cancelled > answered,
+        "the stranded speculative reads must be scored as cancelled"
+    );
+    assert!(out.counter("transport.fault.dropped") >= cancelled - answered);
 }
 
 /// A cancelled speculation is not always a lost one: readahead onto

@@ -237,6 +237,39 @@ fn heartbeat_silence_suspects_and_recovery_beacon_clears() {
         ssi.stats().counter("cluster.suspect.cleared") >= 1,
         "beacons after the blackout must clear suspicion"
     );
+    // The beacon's counter vector is wire bytes, not a page.
+    assert!(ssi.stats().counter("cluster.hb") > 0);
+    assert_eq!(ssi.stats().counter("sts.page_messages"), 0);
+}
+
+/// A compute node that hosts no task never ticks, so it never beacons —
+/// and must not be suspected for it, by anyone, at any loss rate: the
+/// detector judges by silence only peers whose counter it has seen
+/// advance (`docs/RELIABILITY.md` §7.1). On the all-to-all detector both
+/// workers suspected idle node 2 here.
+#[test]
+fn a_node_without_tasks_is_never_suspected_for_its_silence() {
+    let mut cfg = MachineConfig::paragon(3);
+    cfg.faults = FaultPlan::seeded(1).with_drop_ppm(1000);
+    let mut ssi = Ssi::with_machine(cfg, ManagerKind::asvm(), 7);
+    for n in 0..2u16 {
+        let t = ssi.alloc_task();
+        ssi.spawn(
+            NodeId(n),
+            t,
+            Box::new(ScriptProgram::new(vec![
+                Step::Compute(Dur::from_millis(150)),
+                Step::Done,
+            ])),
+        );
+    }
+    ssi.run(10_000_000).expect("detector run quiesces");
+    assert!(ssi.all_done());
+    assert!(
+        ssi.stats().counter("cluster.hb") >= 2 * 25,
+        "both workers beacon for the whole 150 ms"
+    );
+    assert_eq!(ssi.stats().counter("cluster.suspect.count"), 0);
 }
 
 /// Satellite check for the promoted hop bound: with `hop_limit`
