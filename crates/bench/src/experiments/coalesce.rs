@@ -7,7 +7,7 @@
 //! same node within one scheduling step share a single frame (one fixed
 //! header, amortized per-subframe demux), acks ride data frames, and every
 //! data/ack frame piggybacks the sender's owner hint. This harness sweeps
-//! the sharing-heavy patterns with `CoalesceCfg` off and on and reports
+//! the sharing-heavy patterns with `AsvmConfig::coalesce` off and on and reports
 //! the headline **messages-per-fault** metric (wire frames per resolved
 //! fault, `(Σ asvm.msg.* − asvm.coalesce.merged) / faults`).
 //!

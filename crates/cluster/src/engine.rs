@@ -500,15 +500,16 @@ impl CoherenceEngine for AsvmNode {
     }
 
     fn register(&mut self, mobj: MemObjId, vm_obj: VmObjId, info: &ObjInfo, out: &mut EngineFx) {
-        self.register_object(
+        let o = asvm::AsvmObject::new(
             mobj,
             vm_obj,
             info.size_pages,
             info.home,
             info.pager_node,
+            self.me(),
             info.cfg,
-            &mut out.asvm,
         );
+        self.register_object(o, &mut out.asvm);
         asvm::declare_copy_link(self, mobj, info.source, info.peer);
     }
 
@@ -683,7 +684,7 @@ impl CoherenceEngine for AsvmNode {
     }
 
     fn coalesce_enabled(&self, mobj: MemObjId) -> Option<bool> {
-        self.find_object(mobj).map(|o| o.cfg.coalesce.enabled)
+        self.find_object(mobj).map(|o| o.cfg.coalesce)
     }
 
     fn owner_view(&self, mobj: MemObjId, page: PageIdx) -> Option<NodeId> {
@@ -761,7 +762,10 @@ fn manage_copy_source(
     vm.associate(obj, mobj);
     let size = vm.object(obj).size_pages;
     let cfg = asvm::AsvmConfig::default();
-    a.register_object(mobj, obj, size, me, pager_node, cfg, fx);
+    a.register_object(
+        asvm::AsvmObject::new(mobj, obj, size, me, pager_node, me, cfg),
+        fx,
+    );
     asvm::declare_copy_link(a, mobj, source, source.map(|_| me));
     let o = a.object_mut(mobj);
     for (p, rp) in vm.object(obj).pages.iter() {

@@ -111,7 +111,7 @@ pub enum Msg {
     },
     /// A *coalesced* ASVM frame: several protocol subframes (plus
     /// piggybacked owner hints) sharing one wire message. Only emitted
-    /// when coalescing is enabled ([`asvm::CoalesceCfg`]). With `seq` ≠ 0
+    /// when coalescing is enabled ([`asvm::AsvmConfig::coalesce`]). With `seq` ≠ 0
     /// the whole body is **one sequenced ARQ unit** — its subframes share
     /// loss, retransmission and duplicate-suppression fate.
     AsvmBatch {

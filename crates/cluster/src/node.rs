@@ -116,9 +116,9 @@ pub struct ClusterNode {
     link_tx: SlotTable<NodeId, LinkSender<FrameBody>>,
     /// Receiver halves of the per-peer ASVM retry channels.
     link_rx: SlotTable<NodeId, LinkReceiver<FrameBody>>,
-    /// Message coalescing configuration (default off; set by the harness
+    /// Message coalescing switch (default off; set by the harness
     /// through [`ClusterNode::set_coalesce`]).
-    coalesce: asvm::CoalesceCfg,
+    coalesce: bool,
     /// Per-destination frame combiner, drained at the end of every
     /// scheduling step while coalescing is enabled.
     combiner: asvm::FrameCombiner,
@@ -178,7 +178,7 @@ impl ClusterNode {
             timing: RecoveryTiming::default(),
             link_tx: SlotTable::new(),
             link_rx: SlotTable::new(),
-            coalesce: asvm::CoalesceCfg::default(),
+            coalesce: false,
             combiner: asvm::FrameCombiner::default(),
             rdma_links: BTreeSet::new(),
             link_failures: Vec::new(),
@@ -275,8 +275,8 @@ impl ClusterNode {
 
     /// Installs the coalescing configuration (harness setup, before any
     /// traffic).
-    pub fn set_coalesce(&mut self, cfg: asvm::CoalesceCfg) {
-        self.coalesce = cfg;
+    pub fn set_coalesce(&mut self, on: bool) {
+        self.coalesce = on;
     }
 
     /// The single pager-request send site: every EMMI request to a real
@@ -413,9 +413,7 @@ impl ClusterNode {
     /// per-object overrides and runtime policy switches take effect), the
     /// node-level default otherwise.
     fn coalesce_enabled_for(&self, mobj: MemObjId) -> bool {
-        self.engine
-            .coalesce_enabled(mobj)
-            .unwrap_or(self.coalesce.enabled)
+        self.engine.coalesce_enabled(mobj).unwrap_or(self.coalesce)
     }
 
     /// Charges the backend's one-time per-peer link setup (queue pair
@@ -460,8 +458,11 @@ impl ClusterNode {
             && matches!(
                 a.net.as_slice(),
                 [(dst, AsvmMsg::Grant {
-                    ownership: false,
-                    pull_snapshot: false,
+                    grant: asvm::PageGrant {
+                        ownership: false,
+                        pull_snapshot: false,
+                        ..
+                    },
                     ..
                 })] if *dst == requester
             );
@@ -498,8 +499,9 @@ impl ClusterNode {
 
     /// Puts one (re)transmission of frame `seq` on the lossy wire and arms
     /// its retry timer. The body holds one subframe on the classic path
-    /// and the whole coalesced batch when [`asvm::CoalesceCfg`] is enabled
-    /// — either way it is one sequenced ARQ unit. With coalescing off the
+    /// and the whole coalesced batch when coalescing
+    /// ([`asvm::AsvmConfig::coalesce`]) is on — either way it is one
+    /// sequenced ARQ unit. With coalescing off the
     /// wire format is the classic single-message [`Msg::Asvm`]
     /// (byte-identical to pre-coalescing builds), tagged, so each
     /// retransmission counts its kind again; with it on, the whole body
@@ -521,7 +523,7 @@ impl ClusterNode {
         // coalescing). With everything off, bodies are always hint-less
         // singletons and the classic format is byte-identical to
         // pre-coalescing builds.
-        if self.coalesce.enabled || body.subframes() > 1 || !body.hints.is_empty() {
+        if self.coalesce || body.subframes() > 1 || !body.hints.is_empty() {
             let frame = Frame::new(CostClass::Coalesced(body.subframes()), payload).exposed();
             self.asvm_transport
                 .send_frame(ctx, dst, frame, || Msg::AsvmBatch {

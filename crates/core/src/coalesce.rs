@@ -221,9 +221,11 @@ mod tests {
         b.msgs.push(AsvmMsg::PageTransfer {
             mobj: MemObjId(1),
             page: PageIdx(1),
-            data: machvm::PageData::Word(7),
-            dirty: false,
-            version: 1,
+            xfer: crate::protocol::Transfer {
+                data: machvm::PageData::Word(7),
+                dirty: false,
+                version: 1,
+            },
         });
         assert!(b.carries_data());
         assert_eq!(b.acks_riding_data(), 1);

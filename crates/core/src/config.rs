@@ -19,53 +19,6 @@ pub const WATCHDOG_RETRY_BUDGET: u8 = 5;
 /// immediately and a fresh one started.
 pub const MAX_SUBFRAMES: usize = 16;
 
-/// Bound on the forwarding machinery.
-///
-/// Forwarding chases ownership hints that can be stale; the bound keeps a
-/// request from orbiting a hint cycle forever (see `docs/RELIABILITY.md`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ForwardCfg {
-    /// Maximum number of dynamic-hint hops a request may take before the
-    /// hint chain is abandoned in favour of the static manager / global
-    /// walk. `None` selects the default bound of `2 * members + 4`: a hint
-    /// chain over `n` nodes can legitimately be `n` long, ownership may
-    /// move once more while the request is in flight (`2n`), and the slack
-    /// absorbs a transfer racing the request. Trips of this bound are
-    /// counted under `asvm.forward.loop_trip`.
-    pub hop_limit: Option<u16>,
-}
-
-/// Message coalescing on the ASVM/STS protocol path (off by default).
-///
-/// STS receives into preallocated fixed-size buffers, so several small
-/// protocol messages headed for the same node can share one wire frame:
-/// one fixed header is charged for the frame, and each additional
-/// subframe only pays a small demultiplex overhead instead of a full
-/// per-message send/receive ([`MAX_SUBFRAMES`] per frame). Acks ride on
-/// data frames going the same way, and data/ack frames piggyback the
-/// sender's current owner hint for every page they address, so dynamic
-/// hint caches stay warm without dedicated traffic.
-///
-/// The combiner's window is one scheduling step (one delivered event):
-/// every protocol send an engine produces while handling a single event
-/// is buffered per destination and flushed as one frame per peer at the
-/// end of the step, so enabling coalescing never delays traffic across
-/// events and determinism is preserved. The ARQ layer treats a coalesced
-/// frame as one sequenced unit (see `docs/RELIABILITY.md`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CoalesceCfg {
-    /// Master switch. Off keeps the classic one-frame-per-message path,
-    /// byte-identical to builds without the coalescing layer.
-    pub enabled: bool,
-}
-
-impl CoalesceCfg {
-    /// Coalescing on.
-    pub fn on() -> CoalesceCfg {
-        CoalesceCfg { enabled: true }
-    }
-}
-
 /// Forwarding and cache configuration, settable per memory object.
 ///
 /// The paper: *"The ASVM system allows to disable either dynamic or static
@@ -87,10 +40,27 @@ pub struct AsvmConfig {
     /// clustering"): stream detection plus hint/data prefetch tiers. Off
     /// by default (the paper's measured system); see [`crate::prefetch`].
     pub prefetch: crate::prefetch::PrefetchCfg,
-    /// Forwarding hop bound.
-    pub forward: ForwardCfg,
-    /// Protocol message coalescing over STS (default off).
-    pub coalesce: CoalesceCfg,
+    /// Message coalescing on the ASVM/STS protocol path (default off).
+    ///
+    /// STS receives into preallocated fixed-size buffers, so several
+    /// small protocol messages headed for the same node can share one
+    /// wire frame: one fixed header is charged for the frame, and each
+    /// additional subframe only pays a small demultiplex overhead instead
+    /// of a full per-message send/receive ([`MAX_SUBFRAMES`] per frame).
+    /// Acks ride on data frames going the same way, and data/ack frames
+    /// piggyback the sender's current owner hint for every page they
+    /// address, so dynamic hint caches stay warm without dedicated
+    /// traffic.
+    ///
+    /// The combiner's window is one scheduling step (one delivered
+    /// event): every protocol send an engine produces while handling a
+    /// single event is buffered per destination and flushed as one frame
+    /// per peer at the end of the step, so enabling coalescing never
+    /// delays traffic across events and determinism is preserved. The ARQ
+    /// layer treats a coalesced frame as one sequenced unit (see
+    /// `docs/RELIABILITY.md`). Off keeps the classic one-frame-per-message
+    /// path, byte-identical to builds without the coalescing layer.
+    pub coalesce: bool,
     /// Online per-object strategy selection (default off); see
     /// [`crate::policy`].
     pub policy: crate::policy::PolicyCfg,
@@ -103,8 +73,7 @@ impl Default for AsvmConfig {
             static_forwarding: true,
             dynamic_cache_entries: 4096,
             prefetch: crate::prefetch::PrefetchCfg::default(),
-            forward: ForwardCfg::default(),
-            coalesce: CoalesceCfg::default(),
+            coalesce: false,
             policy: crate::policy::PolicyCfg::default(),
         }
     }
@@ -158,7 +127,7 @@ impl AsvmConfig {
 
     /// Returns this configuration with message coalescing switched on.
     pub fn coalesced(mut self) -> AsvmConfig {
-        self.coalesce = CoalesceCfg::on();
+        self.coalesce = true;
         self
     }
 
@@ -189,9 +158,8 @@ mod tests {
 
     #[test]
     fn coalescing_defaults_off() {
-        let c = AsvmConfig::default().coalesce;
-        assert!(!c.enabled, "coalescing must be opt-in");
-        assert!(AsvmConfig::default().coalesced().coalesce.enabled);
+        assert!(!AsvmConfig::default().coalesce, "coalescing must be opt-in");
+        assert!(AsvmConfig::default().coalesced().coalesce);
     }
 
     #[test]
@@ -224,9 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_defaults_are_documented_values() {
-        let f = ForwardCfg::default();
-        assert_eq!(f.hop_limit, None, "default bound derives from members");
+    fn recovery_defaults_are_documented_values() {
         assert_eq!(WATCHDOG_RETRY_BUDGET, 5);
         let t = crate::RecoveryTiming::default();
         assert_eq!(t.watchdog_deadline, svmsim::Dur::from_millis(250));

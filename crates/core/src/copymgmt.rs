@@ -24,423 +24,304 @@
 //!   progress is bounced back with a retry indicator.
 
 use machvm::{
-    Access, EmmiToKernel, LockMode, LockOp, LockResult, MemObjId, PageData, PageIdx, PullResult,
-    SupplyMode, VmObjId, VmSystem,
+    Access, EmmiToKernel, LockMode, MemObjId, NodeSet, PageData, PageIdx, PullResult, SupplyMode,
+    VmObjId,
 };
-use svmsim::{CostModel, NodeId, Time};
+use svmsim::NodeId;
 
-use crate::node::{AsvmNode, Fx};
-use crate::object::{AsvmObject, Busy, QueuedReq};
-use crate::protocol::{AsvmMsg, ReqPath};
+use crate::node::{AsvmNode, Cx, DOWNGRADE, FLUSH};
+use crate::object::{Busy, QueuedReq};
+use crate::protocol::{AsvmMsg, PageGrant, ReqPath};
 
-/// Starts a push operation at the owner before a write can be granted
-/// (`req` resumes once every sharing node has pushed).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn start_push(
-    o: &mut AsvmObject,
-    me: NodeId,
-    cost: &CostModel,
-    now: Time,
-    vm: &mut VmSystem,
-    page: PageIdx,
-    req: QueuedReq,
-    fx: &mut Fx,
-) {
-    let mobj = o.mobj;
-    // Local half: push the page down our own copy chain.
-    vm.kernel_call(
-        now,
-        o.vm_obj,
-        EmmiToKernel::LockRequest {
+impl Cx<'_> {
+    /// Starts a push operation at the owner before a write can be granted
+    /// (`req` resumes once every sharing node has pushed).
+    pub(crate) fn start_push(&mut self, page: PageIdx, req: QueuedReq) {
+        // Local half: push the page down our own copy chain.
+        let (op, mode) = (DOWNGRADE, LockMode::PushFirst);
+        self.kernel(EmmiToKernel::LockRequest { page, op, mode });
+        // Remote half: every other sharing node pushes too.
+        let (mobj, from) = (self.o.mobj, self.me);
+        let pending: NodeSet = self
+            .o
+            .nodes
+            .iter()
+            .copied()
+            .filter(|n| *n != from)
+            .collect();
+        if pending.is_empty() {
+            let pi = self.o.pages.get_mut(&page).expect("push on untracked page");
+            pi.version = self.o.version;
+            return self.serve(page, req);
+        }
+        for n in &pending {
+            self.fx.send(*n, AsvmMsg::PushReq { mobj, page, from });
+        }
+        let resume = Box::new(req);
+        self.pin(page, Busy::Push { pending, resume });
+    }
+
+    /// A sharing node received a push request: run the local push via the
+    /// extended `lock_request` and report the outcome.
+    pub(crate) fn on_push_req(&mut self, page: PageIdx, from: NodeId) {
+        // The push must also invalidate the page in the source object; a
+        // read copy here is dropped (the owner keeps the authoritative
+        // copy). Our copy chain may need the page while the VM cache lacks
+        // it: then ask the owner for the contents (lock_completed reported
+        // PageAbsent).
+        let resident = self.vm.peek_page(self.o.vm_obj, page).is_some();
+        let needs_data = !resident && self.o.has_local_copy_needing(self.vm, page);
+        if resident {
+            let (op, mode) = (FLUSH, LockMode::PushFirst);
+            self.kernel(EmmiToKernel::LockRequest { page, op, mode });
+            self.o.pages.remove(&page);
+        }
+        let (mobj, me) = (self.o.mobj, self.me);
+        let msg = AsvmMsg::PushAck {
+            mobj,
             page,
-            op: LockOp::Downgrade {
-                return_dirty: false,
-            },
-            mode: LockMode::PushFirst,
-        },
-        &mut fx.vm,
-    );
-    // Remote half: every other sharing node pushes too.
-    let others: machvm::NodeSet = o.nodes.iter().copied().filter(|n| *n != me).collect();
-    let pi = o.pages.get_mut(&page).expect("push on untracked page");
-    if others.is_empty() {
-        pi.version = o.version;
-        let resume = req;
-        crate::node::AsvmNode::serve(o, me, cost, now, vm, page, resume, fx);
-        return;
+            from: me,
+            needs_data,
+        };
+        self.fx.send(from, msg);
     }
-    for n in &others {
-        fx.send(
-            *n,
-            AsvmMsg::PushReq {
-                mobj,
-                page,
-                from: me,
-            },
-        );
-    }
-    pi.busy = Some(Busy::Push {
-        pending: others,
-        resume: Box::new(req),
-    });
-    vm.set_busy(o.vm_obj, page, true);
-}
 
-/// A sharing node received a push request: run the local push via the
-/// extended `lock_request` and report the outcome.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn on_push_req(
-    o: &mut AsvmObject,
-    me: NodeId,
-    _cost: &CostModel,
-    now: Time,
-    vm: &mut VmSystem,
-    page: PageIdx,
-    from: NodeId,
-    fx: &mut Fx,
-) {
-    let mobj = o.mobj;
-    // The push must also invalidate the page in the source object; a read
-    // copy here is dropped (the owner keeps the authoritative copy).
-    let resident = vm.peek_page(o.vm_obj, page).is_some();
-    if resident {
-        vm.kernel_call(
-            now,
-            o.vm_obj,
-            EmmiToKernel::LockRequest {
-                page,
-                op: LockOp::Flush {
-                    return_dirty: false,
-                },
-                mode: LockMode::PushFirst,
-            },
-            &mut fx.vm,
-        );
-        o.pages.remove(&page);
-        fx.send(
-            from,
-            AsvmMsg::PushAck {
-                mobj,
-                page,
-                from: me,
-                needs_data: false,
-            },
-        );
-    } else if o.has_local_copy_needing(vm, page) {
-        // Our copy chain needs the page but the VM cache lacks it: ask the
-        // owner for the contents (lock_completed reported PageAbsent).
-        fx.send(
-            from,
-            AsvmMsg::PushAck {
-                mobj,
-                page,
-                from: me,
-                needs_data: true,
-            },
-        );
-    } else {
-        fx.send(
-            from,
-            AsvmMsg::PushAck {
-                mobj,
-                page,
-                from: me,
-                needs_data: false,
-            },
-        );
-    }
-}
-
-/// The owner received a push acknowledgement.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn on_push_ack(
-    o: &mut AsvmObject,
-    me: NodeId,
-    cost: &CostModel,
-    now: Time,
-    vm: &mut VmSystem,
-    page: PageIdx,
-    from: NodeId,
-    needs_data: bool,
-    fx: &mut Fx,
-) {
-    let mobj = o.mobj;
-    if needs_data {
+    /// The owner received a push acknowledgement.
+    pub(crate) fn on_push_ack(&mut self, page: PageIdx, from: NodeId, needs_data: bool) {
+        if !needs_data {
+            return self.push_done(page, from);
+        }
         // Send the contents; the node completes with data_supply(push) and
         // then reports PushDone.
-        let data = vm
-            .peek_page(o.vm_obj, page)
+        let data = (self.vm.peek_page(self.o.vm_obj, page))
             .map(|(d, _)| d.clone())
-            .or_else(|| match o.pages.get(&page).map(|pi| &pi.busy) {
+            .or_else(|| match self.o.pages.get(&page).map(|pi| &pi.busy) {
                 Some(Some(Busy::Evict { data, .. })) => Some(data.clone()),
                 _ => None,
             })
             .expect("push owner lost the page contents");
-        fx.send(
-            from,
-            AsvmMsg::PushData {
-                mobj,
-                page,
-                from: me,
-                data,
-            },
-        );
-        return;
-    }
-    push_peer_done(o, me, cost, now, vm, page, from, fx);
-}
-
-/// A node that needed contents received them: complete the local push.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn on_push_data(
-    o: &mut AsvmObject,
-    me: NodeId,
-    _cost: &CostModel,
-    now: Time,
-    vm: &mut VmSystem,
-    page: PageIdx,
-    from: NodeId,
-    data: PageData,
-    fx: &mut Fx,
-) {
-    let mobj = o.mobj;
-    vm.kernel_call(
-        now,
-        o.vm_obj,
-        EmmiToKernel::DataSupply {
-            page,
-            data,
-            lock: Access::Write,
-            mode: SupplyMode::PushCopyChain,
-        },
-        &mut fx.vm,
-    );
-    // Report completion to the coordinating owner.
-    fx.send(
-        from,
-        AsvmMsg::PushDone {
+        let (mobj, me) = (self.o.mobj, self.me);
+        let msg = AsvmMsg::PushData {
             mobj,
             page,
             from: me,
-        },
-    );
-}
+            data,
+        };
+        self.fx.send(from, msg);
+    }
 
-/// The owner learned one sharing node finished its push.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn on_push_done(
-    o: &mut AsvmObject,
-    me: NodeId,
-    cost: &CostModel,
-    now: Time,
-    vm: &mut VmSystem,
-    page: PageIdx,
-    from: NodeId,
-    fx: &mut Fx,
-) {
-    push_peer_done(o, me, cost, now, vm, page, from, fx);
-}
+    /// A node that needed contents received them from the coordinating
+    /// `owner`: complete the local push and report completion.
+    pub(crate) fn on_push_data(&mut self, page: PageIdx, owner: NodeId, data: PageData) {
+        let (lock, mode) = (Access::Write, SupplyMode::PushCopyChain);
+        self.kernel(EmmiToKernel::DataSupply {
+            page,
+            data,
+            lock,
+            mode,
+        });
+        let (mobj, from) = (self.o.mobj, self.me);
+        self.fx.send(owner, AsvmMsg::PushDone { mobj, page, from });
+    }
 
-fn push_peer_done(
-    o: &mut AsvmObject,
-    me: NodeId,
-    cost: &CostModel,
-    now: Time,
-    vm: &mut VmSystem,
-    page: PageIdx,
-    from: NodeId,
-    fx: &mut Fx,
-) {
-    let Some(pi) = o.pages.get_mut(&page) else {
-        return;
-    };
-    let Some(Busy::Push { pending, resume }) = &mut pi.busy else {
-        return;
-    };
-    pending.remove(&from);
-    if pending.is_empty() {
-        let resume = (**resume).clone();
-        pi.version = o.version;
+    /// The owner learned one sharing node finished its push.
+    pub(crate) fn push_done(&mut self, page: PageIdx, from: NodeId) {
+        let Some(pi) = self.o.pages.get_mut(&page) else {
+            return;
+        };
+        let Some(Busy::Push { pending, resume }) = &mut pi.busy else {
+            return;
+        };
+        pending.remove(&from);
+        if !pending.is_empty() {
+            return;
+        }
+        let resume = **resume;
+        pi.version = self.o.version;
         pi.busy = None;
-        vm.set_busy(o.vm_obj, page, false);
         let queued: Vec<QueuedReq> = pi.queued.drain(..).collect();
-        crate::node::AsvmNode::serve(o, me, cost, now, vm, page, resume, fx);
+        self.vm.set_busy(self.o.vm_obj, page, false);
+        self.serve(page, resume);
         for q in queued {
             if let Some(deliver) = q.deliver {
                 // §3.7.3: a copy request that entered the source during the
                 // push is bounced back with a retry indicator — the pushed
                 // contents now live in the copy objects, so re-pulling from
                 // the (about to change) source page would be wrong.
-                fx.send(
-                    q.origin,
-                    AsvmMsg::Retry {
-                        mobj: deliver,
-                        page,
-                        access: q.access,
-                    },
-                );
+                let access = q.access;
+                let msg = AsvmMsg::Retry {
+                    mobj: deliver,
+                    page,
+                    access,
+                };
+                self.fx.send(q.origin, msg);
             } else {
-                crate::node::AsvmNode::route(o, me, cost, now, vm, page, q, ReqPath::default(), fx);
+                self.route(page, q, ReqPath::default());
             }
         }
     }
-}
 
-/// A push scan found an owner inside the shared copy object: the push for
-/// this copy object is cancelled; tell the scanning node.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn push_scan_found(
-    o: &mut AsvmObject,
-    _me: NodeId,
-    _cost: &CostModel,
-    _now: Time,
-    _vm: &mut VmSystem,
-    page: PageIdx,
-    req: QueuedReq,
-    fx: &mut Fx,
-) {
-    fx.send(
-        req.origin,
-        AsvmMsg::PushAck {
-            mobj: o.mobj,
+    /// A push scan ended: it found an owner inside the shared copy object
+    /// (`needs_data` false — the push for this copy object is cancelled),
+    /// or fell through to "no owner" (`needs_data` true — the push
+    /// proceeds: the scanning node performs the push supply). Either way
+    /// the scanning node is told.
+    pub(crate) fn push_scan_answer(&mut self, page: PageIdx, req: QueuedReq, needs_data: bool) {
+        let mobj = self.o.mobj;
+        let msg = AsvmMsg::PushAck {
+            mobj,
             page,
             from: req.origin,
-            needs_data: false,
-        },
-    );
-}
-
-/// A push scan fell through to "no owner": the push proceeds for this copy
-/// object. Handled like the found case in this implementation: the scan
-/// requester learns no owner holds the page and performs the push supply.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn push_scan_no_owner(
-    o: &mut AsvmObject,
-    _me: NodeId,
-    _cost: &CostModel,
-    _now: Time,
-    _vm: &mut VmSystem,
-    page: PageIdx,
-    req: QueuedReq,
-    fx: &mut Fx,
-) {
-    fx.send(
-        req.origin,
-        AsvmMsg::PushAck {
-            mobj: o.mobj,
-            page,
-            from: req.origin,
-            needs_data: true,
-        },
-    );
-}
-
-/// A fault in a distributed copy object found no owner anywhere: pull the
-/// page through the shadow chain on the peer node (§3.7.3).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pull_dispatch(
-    o: &mut AsvmObject,
-    me: NodeId,
-    _cost: &CostModel,
-    now: Time,
-    vm: &mut VmSystem,
-    page: PageIdx,
-    mut req: QueuedReq,
-    fx: &mut Fx,
-) {
-    let peer = o.peer.expect("copy object without a peer node");
-    if req.deliver.is_none() {
-        req.deliver = Some(o.mobj);
+            needs_data,
+        };
+        self.fx.send(req.origin, msg);
     }
-    if peer == me {
-        // We are the peer: traverse the local shadow chain.
-        let slot = o.pull_in_flight.entry(page).or_default();
-        let first = slot.is_empty();
-        slot.push(req);
-        if first {
-            vm.kernel_call(
-                now,
-                o.vm_obj,
-                EmmiToKernel::PullRequest { page },
-                &mut fx.vm,
-            );
+
+    /// A fault in a distributed copy object found no owner anywhere: pull
+    /// the page through the shadow chain on the peer node (§3.7.3).
+    pub(crate) fn pull_dispatch(&mut self, page: PageIdx, mut req: QueuedReq) {
+        let peer = self.o.peer.expect("copy object without a peer node");
+        let mobj = self.o.mobj;
+        req.deliver.get_or_insert(mobj);
+        if peer != self.me {
+            // Hand the request to the peer node; it will issue the pull
+            // there. The hop carries no copy claim.
+            let req = QueuedReq {
+                has_copy: false,
+                ..req
+            };
+            return self.fx.send(peer, AsvmMsg::PullHop { mobj, page, req });
         }
-    } else {
-        // Hand the request to the peer node; it will issue the pull there.
-        fx.send(
-            peer,
-            AsvmMsg::PullHop {
-                mobj: o.mobj,
-                page,
-                access: req.access,
-                origin: req.origin,
-                origin_obj: req.origin_obj,
-                deliver: req.deliver.expect("set above"),
-            },
-        );
+        // We are the peer: traverse the local shadow chain.
+        let slot = self.o.pull_in_flight.entry(page).or_default();
+        slot.push(req);
+        if slot.len() == 1 {
+            self.kernel(EmmiToKernel::PullRequest { page });
+        }
     }
-}
 
-/// Outcome of a `pull_request` we issued on the local shadow chain. When
-/// the chain continues in another distributed object, returns that object
-/// and the requests the node dispatcher must forward into it (§3.7.3).
-pub(crate) fn on_pull_completed(
-    o: &mut AsvmObject,
-    page: PageIdx,
-    result: PullResult,
-    fx: &mut Fx,
-) -> Option<(VmObjId, Vec<QueuedReq>)> {
-    let reqs = o.pull_in_flight.remove(&page).unwrap_or_default();
-    if reqs.is_empty() {
-        return None;
+    /// Outcome of a `pull_request` we issued on the local shadow chain.
+    /// When the chain continues in another distributed object, returns
+    /// that object and the requests the node dispatcher must forward into
+    /// it (§3.7.3).
+    pub(crate) fn on_pull_completed(
+        &mut self,
+        page: PageIdx,
+        result: PullResult,
+    ) -> Option<(VmObjId, Vec<QueuedReq>)> {
+        let reqs = self.o.pull_in_flight.remove(&page).unwrap_or_default();
+        if reqs.is_empty() {
+            return None;
+        }
+        let data = match result {
+            PullResult::Zero => PageData::Zero,
+            PullResult::Data(data) => data,
+            PullResult::AskShadow(shadow_obj) => return Some((shadow_obj, reqs)),
+        };
+        for req in reqs {
+            self.grant_pull(page, req, data.clone());
+        }
+        None
     }
-    let data = match result {
-        PullResult::Zero => PageData::Zero,
-        PullResult::Data(data) => data,
-        PullResult::AskShadow(shadow_obj) => return Some((shadow_obj, reqs)),
-    };
-    for req in reqs {
-        grant_pull(page, req, data.clone(), fx);
+
+    /// Sends a pulled page snapshot to the request origin, making it the
+    /// page's first owner inside the copy object. Loopback sends are fine:
+    /// the glue delivers self-addressed messages locally.
+    pub(crate) fn grant_pull(&mut self, page: PageIdx, req: QueuedReq, data: PageData) {
+        let mobj = req.deliver.expect("pull without deliver object");
+        let grant = PageGrant::snapshot(req.access, data);
+        self.fx
+            .send(req.origin, AsvmMsg::Grant { mobj, page, grant });
     }
-    None
-}
 
-/// Sends a pulled page snapshot to the request origin, making it the
-/// page's first owner inside the copy object. Loopback sends are fine:
-/// the glue delivers self-addressed messages locally.
-fn grant_pull(page: PageIdx, req: QueuedReq, data: PageData, fx: &mut Fx) {
-    let deliver = req.deliver.expect("pull without deliver object");
-    fx.send(
-        req.origin,
-        AsvmMsg::Grant {
-            mobj: deliver,
-            page,
-            access: req.access,
-            data: Some(data),
-            dirty: true,
-            ownership: true,
-            readers: vec![],
-            version: 0,
-            pull_snapshot: true,
-        },
-    );
-}
+    /// A delayed copy of the object was created on this node: apply the
+    /// version bump here and broadcast it via the home node.
+    pub(crate) fn copy_made_local(&mut self) {
+        self.apply_copy_made();
+        let (mobj, me) = (self.o.mobj, self.me);
+        if self.o.home == me {
+            self.relay_copy_made(me);
+        } else {
+            self.fx
+                .send(self.o.home, AsvmMsg::CopyMade { mobj, from: me });
+        }
+    }
 
-/// Outcome of a `lock_request` we issued (push mode) — used by the local
-/// half of push operations; plain completions are ignored.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn on_lock_completed(
-    _o: &mut AsvmObject,
-    _me: NodeId,
-    _cost: &CostModel,
-    _now: Time,
-    _vm: &mut VmSystem,
-    _page: PageIdx,
-    _result: LockResult,
-    _fx: &mut Fx,
-) {
-    // All lock flows in this implementation act synchronously on the local
-    // VM, so completions carry no additional information.
+    /// `creator` made a delayed copy of the object: apply the version bump
+    /// here, then relay (home node) or acknowledge (everyone else).
+    pub(crate) fn on_copy_made(&mut self, creator: NodeId) {
+        self.apply_copy_made();
+        let (mobj, me) = (self.o.mobj, self.me);
+        if self.o.home == me {
+            self.relay_copy_made(creator);
+        } else {
+            self.fx
+                .send(self.o.home, AsvmMsg::CopyMadeAck { mobj, from: me });
+        }
+    }
+
+    /// Home node: relays `creator`'s copy notification to every other
+    /// member and settles it once all have acknowledged (at once when
+    /// there is nobody else to tell).
+    fn relay_copy_made(&mut self, creator: NodeId) {
+        let (mobj, me) = (self.o.mobj, self.me);
+        let targets: Vec<NodeId> = (self.o.nodes.iter().copied())
+            .filter(|n| *n != me && *n != creator)
+            .collect();
+        if targets.is_empty() {
+            return self.settle_copy(creator);
+        }
+        // The relayed notification names the creator as its sender.
+        let from = creator;
+        for n in &targets {
+            self.fx.send(*n, AsvmMsg::CopyMade { mobj, from });
+        }
+        self.o
+            .copy_settles
+            .push((creator, targets.into_iter().collect()));
+    }
+
+    /// Home node: a member applied a relayed copy notification.
+    pub(crate) fn on_copy_made_ack(&mut self, acker: NodeId) {
+        assert_eq!(self.o.home, self.me, "copy acks aggregate at the home node");
+        let settles = &mut self.o.copy_settles;
+        let Some(i) = settles.iter().position(|(_, p)| p.contains(&acker)) else {
+            return;
+        };
+        settles[i].1.remove(&acker);
+        if settles[i].1.is_empty() {
+            let (creator, _) = settles.remove(i);
+            self.settle_copy(creator);
+        }
+    }
+
+    /// Every member applied `creator`'s copy notification: tell it, so the
+    /// fork waiting on the copy may complete.
+    fn settle_copy(&mut self, creator: NodeId) {
+        let mobj = self.o.mobj;
+        if creator == self.me {
+            self.fx.settled.push(mobj);
+        } else {
+            self.fx.send(creator, AsvmMsg::CopySettled { mobj });
+        }
+    }
+
+    /// Applies the local half of a copy notification: bump the object
+    /// version and write-protect resident pages so the next write faults
+    /// into the push machinery.
+    fn apply_copy_made(&mut self) {
+        self.o.version += 1;
+        let writable: Vec<PageIdx> = (self.o.pages.iter())
+            .filter(|(_, pi)| pi.access == Access::Write)
+            .map(|(p, _)| p)
+            .collect();
+        for page in writable {
+            self.lock(page, DOWNGRADE);
+            if let Some(pi) = self.o.pages.get_mut(&page) {
+                pi.access = Access::Read;
+            }
+        }
+    }
 }
 
 /// Records a distributed copy relationship: `copy_mobj` is a delayed copy

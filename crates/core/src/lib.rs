@@ -27,14 +27,11 @@
 //! [`machvm::VmSystem`], and emits sends/CPU charges through [`Fx`]. The
 //! `cluster` crate binds it to the simulated machine.
 
-// State-machine entry points naturally thread (object, node, cost, time,
-// vm, ...) through; splitting them into context structs would obscure the
-// protocol flow the paper describes.
-#![allow(clippy::too_many_arguments)]
-
 pub mod coalesce;
 pub mod config;
 pub mod copymgmt;
+mod evict;
+mod grant;
 pub mod locks;
 pub mod lru;
 pub mod node;
@@ -42,13 +39,15 @@ pub mod object;
 pub mod policy;
 pub mod prefetch;
 pub mod protocol;
+mod recovery;
 pub mod retry;
+mod route;
 
 #[cfg(test)]
 mod node_tests;
 
 pub use coalesce::{FrameBody, FrameCombiner, OwnerHintEntry};
-pub use config::{AsvmConfig, CoalesceCfg, ForwardCfg};
+pub use config::AsvmConfig;
 pub use locks::{HeldLock, PageRange, RangeLockMgr};
 pub use lru::Lru;
 pub use node::{AsvmNode, Fx};
@@ -59,7 +58,7 @@ pub use policy::{
     AccelBase, Observation, PolicyCfg, PolicyMode, PolicyState, PolicyVerdict, PrefetchVerdict,
 };
 pub use prefetch::{PrefetchCfg, StreamDetector};
-pub use protocol::{AsvmMsg, ReqKind, ReqPath};
+pub use protocol::{AsvmMsg, CopyView, Handover, PageGrant, ReqKind, ReqPath, Transfer};
 pub use retry::{Accepted, LinkReceiver, LinkSender, RecoveryTiming, RetryConfig, TimeoutVerdict};
 
 use machvm::MemObjId;

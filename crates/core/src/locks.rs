@@ -17,8 +17,13 @@
 
 use std::collections::VecDeque;
 
+use machvm::MemObjId;
 pub use machvm::PageRange;
 use svmsim::NodeId;
+
+use crate::node::Fx;
+use crate::object::AsvmObject;
+use crate::protocol::AsvmMsg;
 
 /// A lock held by a node.
 #[derive(Clone, Copy, Debug)]
@@ -95,6 +100,52 @@ impl RangeLockMgr {
     /// Number of requests waiting.
     pub fn queued_count(&self) -> usize {
         self.queue.len()
+    }
+}
+
+// The lock manager's handlers touch neither the VM nor the clock (their
+// `lock_range`/`unlock_range` entry points have neither), so they are
+// methods on the object rather than on the handler context.
+impl AsvmObject {
+    /// Home node (`me`): `holder` asks for `range`; granted at once when
+    /// the range is free, queued otherwise.
+    pub(crate) fn lock_acquire(
+        &mut self,
+        me: NodeId,
+        range: PageRange,
+        holder: NodeId,
+        fx: &mut Fx,
+    ) {
+        assert_eq!(self.home, me, "range locks are managed at the home node");
+        if self.range_locks.acquire(range, holder) {
+            deliver_grant(self.mobj, me, range, holder, fx);
+        }
+    }
+
+    /// Home node (`me`): `holder` releases `range`; queued requests that
+    /// now fit are granted.
+    pub(crate) fn lock_release(
+        &mut self,
+        me: NodeId,
+        range: PageRange,
+        holder: NodeId,
+        fx: &mut Fx,
+    ) {
+        assert_eq!(self.home, me, "range locks are managed at the home node");
+        for g in self.range_locks.release(range, holder) {
+            deliver_grant(self.mobj, me, g.range, g.holder, fx);
+        }
+    }
+}
+
+/// Delivers a range-lock grant on `mobj` to `holder` (locally when the
+/// home node `me` is the holder).
+fn deliver_grant(mobj: MemObjId, me: NodeId, range: PageRange, holder: NodeId, fx: &mut Fx) {
+    if holder == me {
+        fx.lock_granted.push((mobj, range));
+    } else {
+        let PageRange { first, count } = range;
+        fx.send(holder, AsvmMsg::RangeLockGrant { mobj, first, count });
     }
 }
 

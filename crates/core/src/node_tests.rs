@@ -7,12 +7,12 @@ use machvm::{
     Access, Backing, EmmiToKernel, EmmiToPager, Inherit, MemObjId, PageData, PageIdx, PagerSend,
     SupplyMode, TaskId, VmObjId, VmSystem,
 };
-use svmsim::{CostModel, NodeId, Time};
+use svmsim::{CostModel, Dur, NodeId, Time};
 
-use crate::config::AsvmConfig;
+use crate::config::{AsvmConfig, WATCHDOG_RETRY_BUDGET};
 use crate::node::{AsvmNode, Fx};
-use crate::object::StaticHint;
-use crate::protocol::AsvmMsg;
+use crate::object::{AsvmObject, Busy, PageInfo, QueuedReq, StaticHint};
+use crate::protocol::{AsvmMsg, ReqKind, ReqPath};
 
 const MOBJ: MemObjId = MemObjId(7);
 const PAGES: u32 = 16;
@@ -40,7 +40,8 @@ impl MiniNet {
             let vo = vm.create_object(PAGES, Backing::External(MOBJ));
             let mut fx = Fx::new();
             // Home is node 0; the pager node id is out-of-band (99).
-            asvm.register_object(MOBJ, vo, PAGES, NodeId(0), NodeId(99), cfg, &mut fx);
+            let o = AsvmObject::new(MOBJ, vo, PAGES, NodeId(0), NodeId(99), NodeId(i), cfg);
+            asvm.register_object(o, &mut fx);
             // Drop setup MapNotify traffic; membership is set directly.
             nodes.push((asvm, vm));
         }
@@ -99,48 +100,83 @@ impl MiniNet {
         }
     }
 
+    /// Delivers one in-flight pager request or protocol message (pager
+    /// first, then the newest message); false once the network is
+    /// drained.
+    fn deliver_one(&mut self) -> bool {
+        if let Some(p) = self.pager_wire.pop() {
+            // Fake pager: answer data requests immediately.
+            if let EmmiToPager::DataRequest { page, .. } = p.call {
+                let data = (self.pager_data)(page);
+                let now = self.now();
+                let (a, vm) = &mut self.nodes[p.reply_to.index()];
+                let mut fx = Fx::new();
+                a.on_pager_reply(
+                    now,
+                    vm,
+                    p.obj,
+                    EmmiToKernel::DataSupply {
+                        page,
+                        data,
+                        lock: Access::Write,
+                        mode: SupplyMode::Normal,
+                    },
+                    &mut fx,
+                );
+                self.absorb(p.reply_to, fx);
+            }
+            return true;
+        }
+        let Some((from, to, msg)) = self.wire.pop() else {
+            return false;
+        };
+        let fx = self.deliver(from.0, to.0, msg);
+        self.absorb(to, fx);
+        true
+    }
+
+    /// Hands `msg` from node `from` to node `to` and returns the effects
+    /// without absorbing them.
+    fn deliver(&mut self, from: u16, to: u16, msg: AsvmMsg) -> Fx {
+        let now = self.now();
+        let (a, vm) = &mut self.nodes[to as usize];
+        let mut fx = Fx::new();
+        a.handle_msg(now, vm, NodeId(from), msg, &mut fx);
+        fx
+    }
+
     /// Delivers every in-flight message until the network drains.
     fn settle(&mut self) {
+        self.settle_without(&[]);
+    }
+
+    /// [`MiniNet::settle`] with the `dead` nodes dark: everything sent to
+    /// them is lost.
+    fn settle_without(&mut self, dead: &[NodeId]) {
         let mut guard = 0;
         loop {
             guard += 1;
             assert!(guard < 10_000, "mini net livelock");
-            if let Some(p) = self.pager_wire.pop() {
-                // Fake pager: answer data requests immediately.
-                if let EmmiToPager::DataRequest { page, .. } = p.call {
-                    let data = (self.pager_data)(page);
-                    let now = self.now();
-                    let (a, vm) = &mut self.nodes[p.reply_to.index()];
-                    let mut fx = Fx::new();
-                    a.on_pager_reply(
-                        now,
-                        vm,
-                        p.obj,
-                        EmmiToKernel::DataSupply {
-                            page,
-                            data,
-                            lock: Access::Write,
-                            mode: SupplyMode::Normal,
-                        },
-                        &mut fx,
-                    );
-                    self.absorb(p.reply_to, fx);
-                }
-                continue;
-            }
-            let Some((from, to, msg)) = self.wire.pop() else {
+            self.wire.retain(|(_, to, _)| !dead.contains(to));
+            self.pager_wire.retain(|p| !dead.contains(&p.reply_to));
+            if !self.deliver_one() {
                 return;
-            };
-            let now = self.now();
-            let (a, vm) = &mut self.nodes[to.index()];
-            let mut fx = Fx::new();
-            a.handle_msg(now, vm, from, msg, &mut fx);
-            self.absorb(to, fx);
+            }
         }
     }
 
-    /// Raises a fault on node `n` and settles the network.
-    fn fault(&mut self, n: u16, task: TaskId, page: u32, access: Access) {
+    /// Delivers messages one at a time until `done` holds.
+    fn deliver_until(&mut self, done: impl Fn(&MiniNet) -> bool) {
+        while !done(self) {
+            assert!(
+                self.deliver_one(),
+                "network drained before the condition held"
+            );
+        }
+    }
+
+    /// Raises a fault on node `n`; its requests stay on the wire.
+    fn raise(&mut self, n: u16, task: TaskId, page: u32, access: Access) {
         let now = self.now();
         let (_, vm) = &mut self.nodes[n as usize];
         let mut vfx = machvm::Effects::new();
@@ -150,7 +186,35 @@ impl MiniNet {
             ..Fx::new()
         };
         self.absorb(NodeId(n), fx);
+    }
+
+    /// Raises a fault on node `n` and settles the network.
+    fn fault(&mut self, n: u16, task: TaskId, page: u32, access: Access) {
+        self.raise(n, task, page, access);
         self.settle();
+    }
+
+    /// Node `n`'s failure detector suspects `peer`; returns the effects.
+    fn suspect(&mut self, n: u16, peer: u16) -> Fx {
+        let now = self.now();
+        let (a, vm) = &mut self.nodes[n as usize];
+        let mut fx = Fx::new();
+        a.peer_suspected(now, vm, NodeId(peer), &mut fx);
+        fx
+    }
+
+    /// Runs node `n`'s watchdog with every pending request past its
+    /// deadline; returns the effects.
+    fn watchdog(&mut self, n: u16) -> Fx {
+        let now = self.now();
+        let (a, vm) = &mut self.nodes[n as usize];
+        let mut fx = Fx::new();
+        a.watchdog(now, Dur::ZERO, vm, &mut fx);
+        fx
+    }
+
+    fn page(&self, n: u16, page: u32) -> Option<&PageInfo> {
+        self.nodes[n as usize].0.page_info(MOBJ, PageIdx(page))
     }
 
     fn owner_of(&self, page: u32) -> Option<NodeId> {
@@ -446,16 +510,7 @@ fn stashed_copy_survives_eviction_during_pending_upgrade() {
 
     // Raise the write upgrade on node 1 but keep its request parked on
     // the wire (no settle): the claim `has_copy` is now in flight.
-    let now = net.now();
-    let mut vfx = machvm::Effects::new();
-    net.nodes[1].1.fault(now, t1, 0, Access::Write, &mut vfx);
-    net.absorb(
-        NodeId(1),
-        Fx {
-            vm: vfx,
-            ..Fx::new()
-        },
-    );
+    net.raise(1, t1, 0, Access::Write);
     assert!(
         net.nodes[1]
             .0
@@ -568,4 +623,200 @@ fn state_bytes_stay_bounded_by_residency() {
     assert_eq!(o.pages.len(), PAGES as usize);
     // The other node holds no per-page state at all.
     assert_eq!(net.nodes[1].0.object(MOBJ).pages.len(), 0);
+}
+
+/// The forwarding hop bound is `2 × members + 4`
+/// ([`AsvmObject::hop_bound`]). A request arriving with that many hops
+/// while a live dynamic hint is on offer abandons the hint chain — the
+/// trip is counted — and goes to the page's static manager instead; one
+/// hop fewer still follows the hint.
+#[test]
+fn hop_bound_trip_abandons_the_hint_for_the_static_manager() {
+    let mut net = MiniNet::new(4, AsvmConfig::default());
+    let (page, at, hint) = (PageIdx(1), NodeId(2), NodeId(3));
+    let sm = net.nodes[0].0.object(MOBJ).static_node(page);
+    assert!(sm != at && sm != hint);
+    let bound = net.nodes[at.index()].0.object(MOBJ).hop_bound();
+    assert_eq!(bound, 2 * 4 + 4);
+    let req = read_req(&net);
+    for (hops, trips, dst) in [(bound - 1, 0, hint), (bound, 1, sm)] {
+        net.nodes[at.index()]
+            .0
+            .object_mut(MOBJ)
+            .dyn_cache
+            .insert(page, hint);
+        let path = ReqPath {
+            hops,
+            ..ReqPath::default()
+        };
+        let msg = AsvmMsg::PageReq {
+            mobj: MOBJ,
+            page,
+            req,
+            path,
+        };
+        let now = net.now();
+        let (a, vm) = &mut net.nodes[at.index()];
+        let mut fx = Fx::new();
+        a.handle_msg(now, vm, NodeId(0), msg, &mut fx);
+        let tripped = fx.bumps.iter().filter(|k| **k == "asvm.forward.loop_trip");
+        assert_eq!(tripped.count(), trips, "hops {hops}");
+        match fx.net.as_slice() {
+            [(d, AsvmMsg::PageReq { path, .. })] => {
+                assert_eq!((*d, path.hops), (dst, hops + 1), "hops {hops}");
+            }
+            other => panic!("hops {hops}: expected one forwarded request, got {other:?}"),
+        }
+    }
+}
+
+/// A plain read request from node 0 for `page`, as it travels.
+fn read_req(net: &MiniNet) -> QueuedReq {
+    QueuedReq {
+        access: Access::Read,
+        origin: NodeId(0),
+        origin_obj: net.vm_obj(0),
+        has_copy: false,
+        kind: ReqKind::Access,
+        deliver: None,
+    }
+}
+
+/// Suspicion unwinding, abort branch: the grantee of a write transfer is
+/// suspected while the owner still waits for invalidation acks. The owner
+/// keeps the page, unpins it, and serves the request queued behind the
+/// transfer.
+#[test]
+fn owner_aborts_a_write_transfer_to_a_suspected_grantee() {
+    let mut net = MiniNet::new(4, AsvmConfig::default());
+    let t: Vec<TaskId> = (0..4).map(|n| net.add_task(n)).collect();
+    net.fault(0, t[0], 0, Access::Write);
+    net.fault(1, t[1], 0, Access::Read);
+    // Node 2's write request reaches the owner, which starts invalidating
+    // node 1 …
+    net.raise(2, t[2], 0, Access::Write);
+    net.deliver_until(|net| {
+        matches!(
+            net.page(0, 0).unwrap().busy,
+            Some(Busy::WriteTransfer { .. })
+        )
+    });
+    // … and node 3's read request queues behind the transfer.
+    net.raise(3, t[3], 0, Access::Read);
+    net.deliver_until(|net| !net.page(0, 0).unwrap().queued.is_empty());
+
+    let fx = net.suspect(0, 2);
+    assert!(fx.bumps.contains(&"asvm.recover.abort_transfer"));
+    let pi = net.page(0, 0).unwrap();
+    assert!(
+        pi.owner && pi.busy.is_none(),
+        "the owner keeps the page, unpinned"
+    );
+    assert!(
+        (fx.net.iter()).any(|(d, m)| *d == NodeId(3) && matches!(m, AsvmMsg::Grant { .. })),
+        "the queued read is served"
+    );
+    net.absorb(NodeId(0), fx);
+    net.settle_without(&[NodeId(2)]);
+    assert!(net.page(0, 0).unwrap().owner);
+    assert!(net.nodes[3].1.can_access(t[3], 0, Access::Read));
+    net.check_state_tied_to_residency();
+}
+
+/// A global walk that found no owner comes back to the static manager
+/// (`walk_done`). A live recorded owner gets the request; with suspects
+/// around — the recorded owner dead, or nothing recorded — the manager
+/// reconstructs ownership instead of minting a second owner at the pager.
+#[test]
+fn walk_done_at_the_static_manager_reconstructs_around_a_dead_owner() {
+    let mut net = MiniNet::new(4, AsvmConfig::default());
+    // Pages 1, 5 and 9 are all managed by node 1.
+    let (sm, dead) = (1, NodeId(3));
+    let walk_done = |net: &mut MiniNet, page: u32| {
+        let req = read_req(net);
+        let path = ReqPath {
+            tried_static: true,
+            walk_done: true,
+            ..ReqPath::default()
+        };
+        let page = PageIdx(page);
+        let msg = AsvmMsg::PageReq {
+            mobj: MOBJ,
+            page,
+            req,
+            path,
+        };
+        net.deliver(0, sm, msg)
+    };
+    let o = net.nodes[sm as usize].0.object_mut(MOBJ);
+    for p in [1, 5] {
+        o.static_cache.insert(PageIdx(p), StaticHint::Owner(dead));
+    }
+    let fx = walk_done(&mut net, 1);
+    assert!(
+        matches!(fx.net.as_slice(), [(d, AsvmMsg::PageReq { .. })] if *d == dead),
+        "a live recorded owner gets the request"
+    );
+    net.nodes[sm as usize]
+        .0
+        .object_mut(MOBJ)
+        .suspects
+        .insert(dead);
+    for page in [5, 9] {
+        let fx = walk_done(&mut net, page);
+        assert!(fx.bumps.contains(&"asvm.recover.query"), "page {page}");
+        let asked: Vec<NodeId> = (fx.net.iter())
+            .filter(|(_, m)| matches!(m, AsvmMsg::RecoverQuery { .. }))
+            .map(|(d, _)| *d)
+            .collect();
+        assert_eq!(asked, [NodeId(0), NodeId(2)], "page {page}: live members");
+        let o = net.nodes[sm as usize].0.object(MOBJ);
+        assert!(o.recover.contains_key(&PageIdx(page)), "page {page}");
+    }
+}
+
+/// The watchdog's two rungs on a node whose write upgrade was lost with
+/// the page's owner. A re-issue reconstructs ownership at the dead
+/// manager's live successor — this node — which elects its own surviving
+/// copy and then serves its own stalled upgrade. With the retry budget
+/// spent, the terminal rung instead flushes the held copy and re-fetches
+/// the page from the pager.
+#[test]
+fn watchdog_recovers_an_upgrade_lost_with_the_owner() {
+    for budget_spent in [false, true] {
+        let mut net = MiniNet::new(3, AsvmConfig::default());
+        let (t0, t1) = (net.add_task(0), net.add_task(1));
+        net.fault(0, t0, 0, Access::Write);
+        net.fault(1, t1, 0, Access::Read);
+        // Node 1's upgrade leaves for the owner, node 0, which dies.
+        net.raise(1, t1, 0, Access::Write);
+        net.wire.clear();
+        net.suspect(1, 0);
+        if budget_spent {
+            let o = net.nodes[1].0.object_mut(MOBJ);
+            o.pending.get_mut(&PageIdx(0)).unwrap().retries = WATCHDOG_RETRY_BUDGET;
+        }
+        let fx = net.watchdog(1);
+        if budget_spent {
+            assert!(fx.bumps.contains(&"asvm.recover.refetch"));
+            assert!(net.page(1, 0).is_none(), "the held copy is flushed");
+            assert!(fx.pager.iter().any(|p| matches!(
+                p.call,
+                EmmiToPager::DataRequest {
+                    access: Access::Write,
+                    ..
+                }
+            )));
+        } else {
+            assert!(fx.bumps.contains(&"asvm.recover.reissue"));
+        }
+        net.absorb(NodeId(1), fx);
+        net.settle_without(&[NodeId(0)]);
+        assert!(
+            net.page(1, 0).unwrap().owner,
+            "budget spent: {budget_spent}"
+        );
+        assert!(net.nodes[1].1.can_access(t1, 0, Access::Write));
+        assert!(net.nodes[1].0.object(MOBJ).pending.is_empty());
+    }
 }

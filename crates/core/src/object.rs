@@ -16,7 +16,7 @@ use crate::lru::Lru;
 use crate::protocol::ReqKind;
 
 /// A request parked while the page is busy or while its owner is unknown.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct QueuedReq {
     /// Requested access.
     pub access: Access,
@@ -30,6 +30,15 @@ pub struct QueuedReq {
     pub kind: ReqKind,
     /// Pull lookup on behalf of this copy object (§3.7.3), if any.
     pub deliver: Option<MemObjId>,
+}
+
+impl QueuedReq {
+    /// A fault's own access request — neither a push scan nor a pull
+    /// lookup. Only these carry the object's read/write mix, and only
+    /// these may start ownership reconstruction.
+    pub(crate) fn is_plain_access(&self) -> bool {
+        self.kind == ReqKind::Access && self.deliver.is_none()
+    }
 }
 
 /// Stage of an internode pageout (paper §3.6).
@@ -126,6 +135,13 @@ impl PageInfo {
             busy: None,
             queued: VecDeque::new(),
         }
+    }
+
+    /// No operation is in flight on the page — or only the wait for an
+    /// ownership transfer ([`Busy::AwaitingOwnership`]), which still
+    /// holds a usable copy.
+    pub(crate) fn idle_or_awaiting(&self) -> bool {
+        matches!(self.busy, None | Some(Busy::AwaitingOwnership))
     }
 }
 
@@ -373,6 +389,19 @@ impl AsvmObject {
         }
     }
 
+    /// This node's record of `page`, which the protocol state says exists
+    /// (the node owns the page, or has an operation in flight on it).
+    pub(crate) fn page(&self, page: PageIdx) -> &PageInfo {
+        self.pages
+            .get(&page)
+            .expect("no state for an owned or busy page")
+    }
+
+    /// [`AsvmObject::page`], mutably.
+    pub(crate) fn page_mut(&mut self, page: PageIdx) -> &mut PageInfo {
+        (self.pages.get_mut(&page)).expect("no state for an owned or busy page")
+    }
+
     /// The static ownership manager for `page`: a fixed hash of the page
     /// number over the object's membership.
     pub fn static_node(&self, page: PageIdx) -> NodeId {
@@ -396,6 +425,16 @@ impl AsvmObject {
             }
         }
         self.nodes[start]
+    }
+
+    /// Bound on the dynamic-hint hops a request may take before the hint
+    /// chain is abandoned for the static manager / global walk: a chain
+    /// over `n` members can legitimately be `n` long, ownership may move
+    /// once more while the request is in flight (`2n`), and the slack
+    /// absorbs a transfer racing the request. Trips are counted under
+    /// `asvm.forward.loop_trip` (see `docs/RELIABILITY.md`).
+    pub(crate) fn hop_bound(&self) -> u16 {
+        self.nodes.len() as u16 * 2 + 4
     }
 
     /// The pager serving `page`: round-robin over the stripe set (§6

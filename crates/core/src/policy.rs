@@ -112,7 +112,7 @@ pub struct PolicyCfg {
     /// applied. 1 switches on every disagreeing window; the default of 2
     /// absorbs a single anomalous window.
     pub hysteresis: u8,
-    /// Let the policy toggle the object's `CoalesceCfg::enabled` along
+    /// Let the policy toggle the object's `AsvmConfig::coalesce` along
     /// with the mode (restored to its configured base in Dynamic, off
     /// otherwise). Only bites on transports that support coalescing;
     /// disable to adapt forwarding alone.
@@ -170,7 +170,7 @@ impl PolicyCfg {
 /// round trip would forget what "on" meant for this object.
 #[derive(Clone, Copy, Debug)]
 pub struct AccelBase {
-    /// The configured `CoalesceCfg::enabled`.
+    /// The configured `AsvmConfig::coalesce`.
     pub coalesce: bool,
     /// The configured prefetch tiers and depths.
     pub prefetch: crate::prefetch::PrefetchCfg,
@@ -180,7 +180,7 @@ impl AccelBase {
     /// Snapshots `cfg`'s accelerant settings.
     pub fn of(cfg: &AsvmConfig) -> AccelBase {
         AccelBase {
-            coalesce: cfg.coalesce.enabled,
+            coalesce: cfg.coalesce,
             prefetch: cfg.prefetch,
         }
     }
@@ -229,7 +229,7 @@ impl PolicyMode {
         cfg.static_forwarding = statik;
         let speculate = self == PolicyMode::Dynamic;
         if cfg.policy.manage_coalesce {
-            cfg.coalesce.enabled = speculate && base.coalesce;
+            cfg.coalesce = speculate && base.coalesce;
         }
         if cfg.policy.manage_prefetch {
             cfg.prefetch = if speculate {
@@ -477,6 +477,25 @@ impl PolicyState {
     }
 }
 
+impl crate::node::Cx<'_> {
+    /// Feeds one traffic observation to the object's online policy and
+    /// applies the verdict: a closed window bumps `asvm.policy.observe`,
+    /// an applied mode change additionally bumps `asvm.policy.switch` and
+    /// rewrites the object's forwarding/coalescing switches. Inert when
+    /// the policy is disabled.
+    pub(crate) fn policy_observe(&mut self, obs: Observation) {
+        match self.o.policy.record(self.o.nodes.len(), obs) {
+            PolicyVerdict::Idle => {}
+            PolicyVerdict::Observed => self.fx.bump("asvm.policy.observe"),
+            PolicyVerdict::Switch(mode) => {
+                self.fx.bump("asvm.policy.observe");
+                self.fx.bump("asvm.policy.switch");
+                mode.apply(&mut self.o.cfg, self.o.policy.base());
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,11 +576,11 @@ mod tests {
         let base = AccelBase::of(&cfg);
         PolicyMode::Static.apply(&mut cfg, base);
         assert!(!cfg.dynamic_forwarding && cfg.static_forwarding);
-        assert!(!cfg.coalesce.enabled, "Static strips managed coalescing");
+        assert!(!cfg.coalesce, "Static strips managed coalescing");
         assert!(!cfg.prefetch.enabled, "Static strips managed prefetch");
         assert_eq!(cfg.dynamic_cache_entries, 7, "unrelated knobs survive");
         PolicyMode::Dynamic.apply(&mut cfg, base);
-        assert!(cfg.coalesce.enabled, "Dynamic restores the coalescing base");
+        assert!(cfg.coalesce, "Dynamic restores the coalescing base");
         assert!(cfg.prefetch.enabled, "Dynamic restores the prefetch base");
         assert_eq!(cfg.prefetch.depth, 8, "restored at the configured depth");
     }
@@ -574,7 +593,7 @@ mod tests {
         let base = AccelBase::of(&keep);
         PolicyMode::Global.apply(&mut keep, base);
         assert!(!keep.dynamic_forwarding && !keep.static_forwarding);
-        assert!(keep.coalesce.enabled, "unmanaged coalescing is untouched");
+        assert!(keep.coalesce, "unmanaged coalescing is untouched");
         assert_eq!(keep.prefetch.depth, 3, "unmanaged prefetch is untouched");
         assert!(keep.prefetch.enabled);
     }

@@ -30,8 +30,22 @@
 //!
 //! The detector is sans-IO and fully deterministic: state advances only on
 //! observed page numbers, never on time or randomness.
+//!
+//! The engine glue at the bottom of this module is where the handlers
+//! meet prefetch and the online policy:
+//!
+//! | event | effects |
+//! |---|---|
+//! | local fault | policy observes; detector observes (a broken run counts its in-flight speculation `cancelled`); a prefetched page settles; request; a read issues the predicted window |
+//! | local hit on a prefetched page | settle it (`hit` on read, `wasted` on write); a read tops the window up (detector-gated presets) |
+//! | arriving plain `PageReq` | policy observes; the origin's peer detector observes (hint tier) |
+//! | prefetched page invalidated, evicted or handed away | settle it `wasted`; the policy may latch the data tier off |
 
-use machvm::PageIdx;
+use machvm::{Access, PageIdx};
+
+use crate::node::Cx;
+use crate::policy::{Observation, PrefetchVerdict};
+use crate::protocol::AsvmMsg;
 
 /// Per-object prefetch configuration (default: everything off, which is
 /// byte-identical to builds without the prefetch layer).
@@ -190,6 +204,156 @@ impl StreamDetector {
     /// Confirmed run length at the current stride.
     pub fn run(&self) -> u32 {
         self.run
+    }
+}
+
+impl Cx<'_> {
+    /// A local fault needs `access` to `page` — an EMMI `data_request`,
+    /// or a write upgrade's `data_unlock` (`upgrade`).
+    pub(crate) fn on_fault(&mut self, page: PageIdx, access: Access, upgrade: bool) {
+        let write = access == Access::Write;
+        self.policy_observe(Observation::LocalFault { write });
+        // The stream detector watches every local demand fault; a stride
+        // change cancels outstanding speculation (no further issues on
+        // the stale prediction — in-flight requests complete through the
+        // normal protocol and are charged as wasted if nothing ever reads
+        // them).
+        if !upgrade && self.o.cfg.prefetch.enabled && self.o.local_stream.observe(page) {
+            let inflight = self.o.pending.values().filter(|p| p.speculative).count();
+            for _ in 0..inflight {
+                self.fx.bump("asvm.prefetch.cancelled");
+            }
+        }
+        // A demand fault on a prefetched page still consumes the
+        // speculative fill — even if the policy has since stripped the
+        // object's prefetch, leftovers settle honestly. A read fault
+        // scores a hit; a write fault (or a write upgrade whose *first*
+        // touch of the prefetched read copy is this unlock) clobbers the
+        // copy unread, so the speculative transfer was wasted.
+        if !self.o.prefetched.is_empty() {
+            self.spec_settle(page, write);
+        }
+        self.request(page, access, false);
+        // Read clustering (§6 future work), generalized: pull the
+        // detector's predicted window in the same breath so sequential
+        // and strided scans stream.
+        if !write {
+            self.issue_prefetch(page);
+        }
+    }
+
+    /// Issues the data-prefetch window predicted by the local stream
+    /// detector after a read on `page`: for each predicted page not
+    /// already resident or requested, a speculative read request enters
+    /// the normal protocol, bounded by the in-flight budget. With the
+    /// legacy preset (`min_run == 0`) this is exactly the original
+    /// readahead loop: unconditional `+1` window, no budget.
+    fn issue_prefetch(&mut self, page: PageIdx) {
+        let cfg = self.o.cfg.prefetch;
+        if !cfg.data {
+            return;
+        }
+        let Some((stride, depth)) = self.o.local_stream.prediction(&cfg) else {
+            return;
+        };
+        let budget = cfg.inflight_budget();
+        let mut inflight = match budget {
+            Some(_) => self.o.pending.values().filter(|p| p.speculative).count() as u32,
+            None => 0,
+        };
+        for k in 1..=depth {
+            if budget.is_some_and(|b| inflight >= b) {
+                break;
+            }
+            let idx = page.0 as i64 + stride * k as i64;
+            if idx < 0 || idx >= self.o.size_pages as i64 {
+                continue;
+            }
+            let p = PageIdx(idx as u32);
+            if self.o.pages.contains_key(&p) || self.o.pending.contains_key(&p) {
+                continue;
+            }
+            self.fx.bump("asvm.prefetch.issued");
+            inflight += 1;
+            self.request(p, Access::Read, true);
+        }
+    }
+
+    /// A demand access was satisfied from local memory (see
+    /// [`crate::AsvmNode::prefetch_note_access`]). Returns whether a
+    /// speculative fill was settled.
+    pub(crate) fn note_access(&mut self, page: PageIdx, write: bool) -> bool {
+        if self.o.cfg.prefetch.enabled {
+            self.o.local_stream.observe(page);
+        }
+        let settled = !self.o.prefetched.is_empty() && self.spec_settle(page, write);
+        // Top-up is detector-gated only: the legacy readahead preset
+        // (`min_run == 0`) issues exclusively from fault time, exactly
+        // like the original loop, so its traffic stays byte-identical.
+        if settled && !write && self.o.cfg.prefetch.min_run > 0 {
+            self.issue_prefetch(page);
+        }
+        settled
+    }
+
+    /// Settles the speculative fill for `page`, if one is still waiting
+    /// for a demand access: removes it from the prefetched set, bumps
+    /// `asvm.prefetch.hit`/`wasted`, and feeds the outcome to the online
+    /// policy, which may latch the object's data tier off. Returns
+    /// whether a fill was settled.
+    pub(crate) fn spec_settle(&mut self, page: PageIdx, wasted: bool) -> bool {
+        if !self.o.prefetched.remove(&page) {
+            return false;
+        }
+        self.fx.bump(if wasted {
+            "asvm.prefetch.wasted"
+        } else {
+            "asvm.prefetch.hit"
+        });
+        if self.o.cfg.prefetch.min_run == 0 {
+            // The legacy readahead preset predates the policy's wasted
+            // latch; keeping it out preserves the original preset's
+            // traffic bit-for-bit (the latch guards detector-driven
+            // speculation only).
+            return true;
+        }
+        match self.o.policy.record_prefetch(wasted) {
+            PrefetchVerdict::Idle => {}
+            PrefetchVerdict::Observed => self.fx.bump("asvm.policy.observe"),
+            PrefetchVerdict::Disable => {
+                self.fx.bump("asvm.policy.observe");
+                self.fx.bump("asvm.policy.prefetch_off");
+                self.o.cfg.prefetch.data = false;
+            }
+        }
+        true
+    }
+
+    /// The policy learns from arriving access requests — the traffic a
+    /// forwarding-strategy change would actually redirect. Push scans,
+    /// pull lookups and bookkeeping replies carry no signal about the
+    /// object's read/write mix.
+    pub(crate) fn observe_request(&mut self, msg: &AsvmMsg) {
+        let AsvmMsg::PageReq {
+            page, req, path, ..
+        } = msg
+        else {
+            return;
+        };
+        if !req.is_plain_access() {
+            return;
+        }
+        let write = req.access == Access::Write;
+        self.policy_observe(Observation::RemoteReq { write });
+        // Hint prefetch learns the *demand* stream of the faulting node:
+        // frames flowing back to it will carry owner hints for its
+        // predicted next pages. Speculative requests are its prefetcher
+        // echoing the same stride — not new evidence.
+        let cfg = self.o.cfg.prefetch;
+        if cfg.enabled && cfg.hints && !path.speculative {
+            let detector = self.o.peer_streams.entry(req.origin).or_default();
+            detector.observe(*page);
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! [`AsvmMsg::payload_bytes`] accessor tells the transport how much data
 //! follows the header.
 
-use machvm::{Access, MemObjId, PageData, PageIdx, VmObjId};
+use machvm::{Access, MemObjId, PageData, PageIdx};
 use svmsim::NodeId;
 
 use crate::object::QueuedReq;
@@ -48,6 +48,81 @@ pub enum ReqKind {
     PushScan,
 }
 
+/// What a [`AsvmMsg::Grant`] hands the requester.
+#[derive(Clone, Debug)]
+pub struct PageGrant {
+    /// Access granted.
+    pub access: Access,
+    /// Page contents, unless the requester already has them.
+    pub data: Option<PageData>,
+    /// The distributed page differs from the pager's version.
+    pub dirty: bool,
+    /// Ownership is transferred to the requester.
+    pub ownership: bool,
+    /// Reader list handed over with ownership.
+    pub readers: Vec<NodeId>,
+    /// Delayed-copy page version.
+    pub version: u64,
+    /// This grant answers a pull lookup: the receiver becomes the page's
+    /// first owner inside the copy object and takes the copy object's
+    /// current version.
+    pub pull_snapshot: bool,
+}
+
+impl PageGrant {
+    /// The answer to a pull lookup (§3.7.3): a snapshot of the page that
+    /// makes the receiver its first owner inside the copy object. Version
+    /// 0 — a pulled snapshot has never been pushed, so a later write still
+    /// delivers it to existing copies.
+    pub(crate) fn snapshot(access: Access, data: PageData) -> PageGrant {
+        PageGrant {
+            access,
+            data: Some(data),
+            dirty: true,
+            ownership: true,
+            readers: vec![],
+            version: 0,
+            pull_snapshot: true,
+        }
+    }
+}
+
+/// The owner's page record an [`AsvmMsg::OwnershipTransfer`] hands to a
+/// reader (§3.6 step 2 — no contents).
+#[derive(Clone, Debug)]
+pub struct Handover {
+    /// Remaining reader list (minus the new owner).
+    pub readers: Vec<NodeId>,
+    /// Delayed-copy page version.
+    pub version: u64,
+    /// The page differs from the pager's version.
+    pub dirty: bool,
+}
+
+/// The page an [`AsvmMsg::PageTransfer`] moves to an accepting node (§3.6
+/// step 3).
+#[derive(Clone, Debug)]
+pub struct Transfer {
+    /// Contents.
+    pub data: PageData,
+    /// The page differs from the pager's version.
+    pub dirty: bool,
+    /// Delayed-copy page version.
+    pub version: u64,
+}
+
+/// A member's local view of a page, reported in an
+/// [`AsvmMsg::RecoverReply`].
+#[derive(Clone, Copy, Debug)]
+pub struct CopyView {
+    /// It holds usable page contents (resident, not mid-transition).
+    pub has_copy: bool,
+    /// Delayed-copy version of its copy (0 if none).
+    pub version: u64,
+    /// It is the page's current owner.
+    pub owner: bool,
+}
+
 /// One ASVM protocol message.
 #[derive(Clone, Debug)]
 pub enum AsvmMsg {
@@ -84,22 +159,8 @@ pub enum AsvmMsg {
         mobj: MemObjId,
         /// The page.
         page: PageIdx,
-        /// Access granted.
-        access: Access,
-        /// Page contents, unless the requester already has them.
-        data: Option<PageData>,
-        /// The distributed page differs from the pager's version.
-        dirty: bool,
-        /// Ownership is transferred to the requester.
-        ownership: bool,
-        /// Reader list handed over with ownership.
-        readers: Vec<NodeId>,
-        /// Delayed-copy page version.
-        version: u64,
-        /// This grant answers a pull lookup: the receiver becomes the
-        /// page's first owner inside the copy object and takes the copy
-        /// object's current version.
-        pull_snapshot: bool,
+        /// What is granted.
+        grant: PageGrant,
     },
     /// Owner tells a reader to drop its copy.
     Invalidate {
@@ -146,12 +207,8 @@ pub enum AsvmMsg {
         mobj: MemObjId,
         /// The page.
         page: PageIdx,
-        /// Remaining reader list (minus the new owner).
-        readers: Vec<NodeId>,
-        /// Delayed-copy page version.
-        version: u64,
-        /// The page differs from the pager's version.
-        dirty: bool,
+        /// The owner's record the reader takes over.
+        handover: Handover,
     },
     /// Internode pageout step 3: will you take this page?
     AcceptAsk {
@@ -180,12 +237,8 @@ pub enum AsvmMsg {
         mobj: MemObjId,
         /// The page.
         page: PageIdx,
-        /// Contents.
-        data: PageData,
-        /// The page differs from the pager's version.
-        dirty: bool,
-        /// Delayed-copy page version.
-        version: u64,
+        /// The page and its record.
+        xfer: Transfer,
     },
     /// Tells the page's static ownership manager who owns it now.
     OwnerHint {
@@ -277,14 +330,10 @@ pub enum AsvmMsg {
         mobj: MemObjId,
         /// The page.
         page: PageIdx,
-        /// Access the origin wants.
-        access: Access,
-        /// The faulting node.
-        origin: NodeId,
-        /// The origin's VM object for the deliver object.
-        origin_obj: VmObjId,
-        /// The copy object the grant must be delivered in terms of.
-        deliver: MemObjId,
+        /// The pull lookup: who faulted (`origin`, `origin_obj`), for
+        /// which access, and the copy object the grant must be delivered
+        /// in terms of (`deliver`, always set).
+        req: QueuedReq,
     },
     /// Range-lock request (§6 future work): sent to the object's home
     /// node, which runs the lock manager.
@@ -347,12 +396,8 @@ pub enum AsvmMsg {
         page: PageIdx,
         /// The replying member.
         from: NodeId,
-        /// It holds usable page contents (resident, not mid-transition).
-        has_copy: bool,
-        /// Delayed-copy version of its copy (0 if none).
-        version: u64,
-        /// It is the page's current owner.
-        owner: bool,
+        /// What it holds.
+        view: CopyView,
     },
     /// Ownership reconstruction, step 2: no live owner was found; the
     /// receiver — the surviving copy holder with the highest version
@@ -373,17 +418,10 @@ impl AsvmMsg {
     /// and variable-length lists).
     pub fn payload_bytes(&self, page_size: u32) -> u32 {
         match self {
-            AsvmMsg::Grant {
-                data: Some(_),
-                readers,
-                ..
-            } => page_size + 2 * readers.len() as u32,
-            AsvmMsg::Grant {
-                data: None,
-                readers,
-                ..
+            AsvmMsg::Grant { grant, .. } => {
+                grant.data.as_ref().map_or(0, |_| page_size) + 2 * grant.readers.len() as u32
             }
-            | AsvmMsg::OwnershipTransfer { readers, .. } => 2 * readers.len() as u32,
+            AsvmMsg::OwnershipTransfer { handover, .. } => 2 * handover.readers.len() as u32,
             AsvmMsg::PageTransfer { .. } | AsvmMsg::PushData { .. } => page_size,
             AsvmMsg::Membership { nodes, .. } => 2 * nodes.len() as u32,
             AsvmMsg::RecoverElect { readers, .. } => 2 * readers.len() as u32,
@@ -560,8 +598,10 @@ impl AsvmMsg {
     pub fn carries_data(&self) -> bool {
         matches!(
             self,
-            AsvmMsg::Grant { data: Some(_), .. }
-                | AsvmMsg::PageTransfer { .. }
+            AsvmMsg::Grant {
+                grant: PageGrant { data: Some(_), .. },
+                ..
+            } | AsvmMsg::PageTransfer { .. }
                 | AsvmMsg::PushData { .. }
         )
     }
@@ -581,31 +621,22 @@ mod tests {
         };
         assert_eq!(hdr_only.payload_bytes(ps), 0);
 
-        let grant = AsvmMsg::Grant {
+        let grant = |data, readers| AsvmMsg::Grant {
             mobj: MemObjId(1),
             page: PageIdx(0),
-            access: Access::Write,
-            data: Some(PageData::Word(1)),
-            dirty: false,
-            ownership: true,
-            readers: vec![NodeId(1), NodeId(2)],
-            version: 0,
-            pull_snapshot: false,
+            grant: PageGrant {
+                access: Access::Write,
+                data,
+                dirty: false,
+                ownership: true,
+                readers,
+                version: 0,
+                pull_snapshot: false,
+            },
         };
-        assert_eq!(grant.payload_bytes(ps), ps + 4);
-
-        let upgrade = AsvmMsg::Grant {
-            mobj: MemObjId(1),
-            page: PageIdx(0),
-            access: Access::Write,
-            data: None,
-            dirty: false,
-            ownership: true,
-            readers: vec![],
-            version: 0,
-            pull_snapshot: false,
-        };
-        assert_eq!(upgrade.payload_bytes(ps), 0);
+        let full = grant(Some(PageData::Word(1)), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(full.payload_bytes(ps), ps + 4);
+        assert_eq!(grant(None, vec![]).payload_bytes(ps), 0, "upgrade");
     }
 
     #[test]

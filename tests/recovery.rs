@@ -272,47 +272,6 @@ fn a_node_without_tasks_is_never_suspected_for_its_silence() {
     assert_eq!(ssi.stats().counter("cluster.suspect.count"), 0);
 }
 
-/// Satellite check for the promoted hop bound: with `hop_limit`
-/// configured down to zero, any dynamic-hint chain immediately trips the
-/// bound, the trip is counted, and the request still completes through
-/// the static-manager rung — the bound degrades forwarding, never
-/// correctness.
-#[test]
-fn forward_hop_limit_trips_are_counted_and_survivable() {
-    let mut acfg = asvm::AsvmConfig::default();
-    acfg.forward.hop_limit = Some(0);
-    let (mut ssi, tasks) = build(3, 4, ManagerKind::Asvm(acfg), FaultPlan::none());
-    // A migratory schedule: ownership of every page hops between nodes
-    // each round, leaving dynamic hints behind — the richest possible
-    // hint-chain churn for the bound to trip on.
-    let rounds = 6u32;
-    for (i, t) in tasks.iter().enumerate() {
-        let mut steps = Vec::new();
-        for r in 0..rounds {
-            if r % 3 == i as u32 {
-                for p in 0..4u64 {
-                    steps.push(Step::Write {
-                        va_page: p,
-                        value: (r as u64) << 8 | p,
-                    });
-                }
-            }
-            steps.push(Step::Barrier(r));
-        }
-        steps.push(Step::Done);
-        ssi.spawn(NodeId(i as u16), *t, Box::new(ScriptProgram::new(steps)));
-    }
-    with_trace_dump(&mut ssi, |ssi| {
-        ssi.run(100_000_000).expect("hop-limited run quiesces");
-        assert!(ssi.all_done(), "a zero hop bound must not strand requests");
-        assert!(
-            ssi.stats().counter("asvm.forward.loop_trip") >= 1,
-            "migratory churn under hop_limit=0 must trip the bound"
-        );
-        cluster::check_asvm_invariants(ssi);
-    });
-}
-
 /// The fallback chain end to end on one cluster: a permanent mid-run
 /// blackout of a non-coordinator node, every surviving node still
 /// churning. Deterministic companion to the chaossweep bench and the
