@@ -19,7 +19,7 @@ use machvm::{
 };
 use pager::{DefaultPager, FilePager, PagerIn};
 use svmsim::{Ctx, Dur, NodeBehavior, NodeId, NodeKind, Time, TraceRing};
-use transport::{once, CostClass, Frame, Transport};
+use transport::{once, CostClass, FaultClass, Frame, Transport};
 
 use crate::detector::{Detector, HB_PERIOD};
 use crate::engine::{CoherenceEngine, EngineFx, IdAlloc, ProtoEvent, ProtocolMsg, TraceDir};
@@ -336,7 +336,7 @@ impl ClusterNode {
             }
             let frame = Frame::new(CostClass::OneSidedRead, 0)
                 .tagged(kind)
-                .exposed();
+                .exposed(FaultClass::Protocol);
             self.asvm_transport
                 .send_frame(ctx, dst, frame, || Msg::RdmaRead {
                     from,
@@ -488,7 +488,7 @@ impl ClusterNode {
         let kind = msg.stat_key();
         let frame = Frame::new(CostClass::OneSidedReply, payload)
             .tagged(kind)
-            .exposed();
+            .exposed(FaultClass::Protocol);
         self.asvm_transport
             .send_frame(ctx, dst, frame, || Msg::Asvm {
                 from,
@@ -524,7 +524,8 @@ impl ClusterNode {
         // singletons and the classic format is byte-identical to
         // pre-coalescing builds.
         if self.coalesce || body.subframes() > 1 || !body.hints.is_empty() {
-            let frame = Frame::new(CostClass::Coalesced(body.subframes()), payload).exposed();
+            let frame = Frame::new(CostClass::Coalesced(body.subframes()), payload)
+                .exposed(FaultClass::Protocol);
             self.asvm_transport
                 .send_frame(ctx, dst, frame, || Msg::AsvmBatch {
                     from,
@@ -535,7 +536,7 @@ impl ClusterNode {
             let msg = &body.msgs[0];
             let frame = Frame::new(CostClass::Plain, payload)
                 .tagged(msg.stat_key())
-                .exposed();
+                .exposed(FaultClass::Protocol);
             self.asvm_transport
                 .send_frame(ctx, dst, frame, || Msg::Asvm {
                     from,
@@ -657,18 +658,17 @@ impl ClusterNode {
         }
     }
 
-    /// One arriving unit of the retry channel: acknowledged, then
-    /// delivered in sequence. Every arrival is acked — including
-    /// duplicates, whose original ack may itself have been lost. The ack
-    /// travels the same lossy wire; a lost ack simply provokes a
-    /// retransmission.
+    /// One arriving unit of the retry channel: delivered in sequence, then
+    /// acknowledged. Every arrival is acked — including duplicates, whose
+    /// original ack may itself have been lost, and frames buffered behind
+    /// a gap; those deliver nothing, so their ack leaves at once. The ack
+    /// goes last so that what the delivered bodies send (a forwarded
+    /// request, a grant) does not queue behind it on the message
+    /// processor: only the sender's retry timer waits for the ack, and an
+    /// ack that arrives too late costs one retransmission, suppressed
+    /// here as a duplicate. The ack travels the same lossy wire; a lost
+    /// ack likewise provokes a retransmission.
     fn on_sequenced(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, seq: u64, body: FrameBody) {
-        let me = self.id;
-        let ack = Frame::new(CostClass::Plain, 0)
-            .tagged("asvm.retry.ack")
-            .exposed();
-        self.asvm_transport
-            .send_frame(ctx, from, ack, || Msg::AsvmAck { from: me, seq });
         let accepted = self
             .link_rx
             .get_or_insert_with(from, Default::default)
@@ -681,6 +681,13 @@ impl ClusterNode {
         for b in accepted.deliver {
             self.deliver_body(ctx, from, b);
         }
+        let (me, kind) = (self.id, "asvm.retry.ack");
+        self.trace_event(ctx.now(), TraceDir::Send, from, kind, MemObjId(0), None);
+        let ack = Frame::new(CostClass::Plain, 0)
+            .tagged(kind)
+            .exposed(FaultClass::Ack);
+        self.asvm_transport
+            .send_frame(ctx, from, ack, || Msg::AsvmAck { from: me, seq });
     }
 
     /// Handles a sender-side retry timer firing for frame `seq` to `dst`.
@@ -736,7 +743,7 @@ impl ClusterNode {
             let beacon = Frame::new(CostClass::Plain, 8 * beats.len() as u32)
                 .inline()
                 .tagged("cluster.hb")
-                .exposed();
+                .exposed(FaultClass::Beacon);
             self.asvm_transport
                 .send_frame(ctx, dst, beacon, || Msg::Heartbeat {
                     from,

@@ -1,11 +1,11 @@
 //! End-to-end tests driving full clusters through the public facade.
 
-use asvm::{AsvmMsg, PageRange};
+use asvm::{AsvmMsg, PageRange, QueuedReq, ReqKind, ReqPath};
 use machvm::{
     Access, Backing, EmmiToPager, Inherit, MemObjId, PageData, PageIdx, PagerSend, TaskId,
     VmEffect, VmObjId,
 };
-use svmsim::{NodeId, TraceRing};
+use svmsim::{FaultPlan, MachineConfig, NodeId, Time, TraceRing};
 
 use crate::engine::{EngineFx, TraceDir};
 use crate::msg::{Msg, ObjInfo};
@@ -676,6 +676,81 @@ fn evicted_page_is_written_back_before_the_paged_hint() {
             (TraceDir::Send, "asvm.msg.paged_hint", mobj),
         ]
     );
+}
+
+/// The retry channel's receive order: a sequenced frame's body is
+/// delivered first and acknowledged after, so a request it forwards
+/// leaves ahead of the ack. A duplicate and a frame buffered behind a gap
+/// deliver nothing and are still acked, each at once.
+#[test]
+fn sequenced_frames_are_acked_after_delivery() {
+    let mut cfg = MachineConfig::paragon(3);
+    // Active, so the ARQ channel runs, but dark only long after the test.
+    let late = Time::from_nanos(u64::MAX / 2);
+    cfg.faults = FaultPlan::seeded(1).with_blackout(NodeId(2), late, Time::MAX);
+    let mut ssi = Ssi::with_machine(cfg, ManagerKind::asvm(), 42);
+    let mobj = ssi.create_object(NodeId(0), 8, false);
+    for n in 0..3 {
+        let t = ssi.alloc_task();
+        let (prot, inherit) = (Access::Write, Inherit::Share);
+        ssi.map_shared(t, NodeId(n), 0, mobj, NodeId(0), 8, prot, inherit);
+    }
+    ssi.finalize();
+    let (me, origin) = (NodeId(1), NodeId(2));
+    let o = ssi.node(me).asvm().expect("ASVM").object(mobj);
+    // A page node 1 neither owns nor manages: it forwards the request to
+    // the page's static manager.
+    let page = (0..8)
+        .map(PageIdx)
+        .find(|p| o.static_node(*p) != me)
+        .expect("a page managed elsewhere");
+    let req = QueuedReq {
+        access: Access::Read,
+        origin,
+        origin_obj: ssi.node(origin).engine.vm_obj_of(mobj).expect("mapped"),
+        has_copy: false,
+        kind: ReqKind::Access,
+        deliver: None,
+    };
+    let frame = |seq| Msg::Asvm {
+        from: origin,
+        seq,
+        msg: AsvmMsg::PageReq {
+            mobj,
+            page,
+            req,
+            path: ReqPath::default(),
+        },
+    };
+    let ack = (TraceDir::Send, "asvm.retry.ack", MemObjId(0));
+    // Seq 1 in order, then seq 1 again, then seq 3 ahead of the missing 2.
+    for (seq, delivers, bumped) in [
+        (1, true, None),
+        (1, false, Some("asvm.retry.dup_drop")),
+        (3, false, Some("asvm.retry.buffered")),
+    ] {
+        ssi.world.node_mut(me).trace = Some(TraceRing::new(16));
+        let now = ssi.world.now();
+        ssi.world.post(now, me, frame(seq));
+        // Step exactly that arrival; the sends it caused stay in flight.
+        while ssi.node(me).trace.as_ref().expect("installed").is_empty() {
+            assert!(ssi.world.step(), "the frame was delivered");
+        }
+        let expect = if delivers {
+            vec![
+                (TraceDir::Recv, "asvm.msg.page_req", mobj),
+                (TraceDir::Send, "asvm.msg.page_req", mobj),
+                ack,
+            ]
+        } else {
+            vec![ack]
+        };
+        assert_eq!(traced(&ssi, 1), expect, "seq {seq}");
+        if let Some(key) = bumped {
+            assert_eq!(ssi.stats().counter(key), 1, "seq {seq}");
+        }
+    }
+    assert_eq!(ssi.stats().counter("asvm.retry.ack"), 3);
 }
 
 /// A capability the engine lacks is refused by the trait's default, not

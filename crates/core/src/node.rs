@@ -563,12 +563,17 @@ impl AsvmNode {
     /// by the cluster layer's heartbeat tick, only under active fault
     /// plans; `deadline` is the carrier's
     /// [`crate::RecoveryTiming::watchdog_deadline`].
+    ///
+    /// Charged per action: one handling cost for each stalled request it
+    /// re-issues or re-fetches, and nothing for a tick that finds none —
+    /// the scan of the pending tables is bookkeeping, not protocol work.
     pub fn watchdog(&mut self, now: Time, deadline: Dur, vm: &mut VmSystem, fx: &mut Fx) {
-        fx.cpu += self.cost.asvm_handle;
         let me = self.me;
+        let mut acted = 0;
         for o in self.objects.values_mut() {
-            Cx { o, me, now, vm, fx }.watchdog(deadline);
+            acted += Cx { o, me, now, vm, fx }.watchdog(deadline);
         }
+        fx.cpu += self.cost.asvm_handle * acted;
     }
 
     /// The failure detector now suspects `peer`: scrub hints naming it,

@@ -203,13 +203,13 @@ impl MiniNet {
         fx
     }
 
-    /// Runs node `n`'s watchdog with every pending request past its
-    /// deadline; returns the effects.
-    fn watchdog(&mut self, n: u16) -> Fx {
+    /// Runs node `n`'s watchdog, re-issuing pending requests older than
+    /// `deadline`; returns the effects.
+    fn watchdog(&mut self, n: u16, deadline: Dur) -> Fx {
         let now = self.now();
         let (a, vm) = &mut self.nodes[n as usize];
         let mut fx = Fx::new();
-        a.watchdog(now, Dur::ZERO, vm, &mut fx);
+        a.watchdog(now, deadline, vm, &mut fx);
         fx
     }
 
@@ -796,7 +796,7 @@ fn watchdog_recovers_an_upgrade_lost_with_the_owner() {
             let o = net.nodes[1].0.object_mut(MOBJ);
             o.pending.get_mut(&PageIdx(0)).unwrap().retries = WATCHDOG_RETRY_BUDGET;
         }
-        let fx = net.watchdog(1);
+        let fx = net.watchdog(1, Dur::ZERO);
         if budget_spent {
             assert!(fx.bumps.contains(&"asvm.recover.refetch"));
             assert!(net.page(1, 0).is_none(), "the held copy is flushed");
@@ -819,4 +819,33 @@ fn watchdog_recovers_an_upgrade_lost_with_the_owner() {
         assert!(net.nodes[1].1.can_access(t1, 0, Access::Write));
         assert!(net.nodes[1].0.object(MOBJ).pending.is_empty());
     }
+}
+
+/// The watchdog is charged per action, not per tick: a tick that finds a
+/// pending request younger than the deadline costs no CPU and does
+/// nothing; one that finds it stalled costs exactly one handling charge
+/// for its one re-issue.
+#[test]
+fn watchdog_charges_only_for_stalled_requests() {
+    let mut net = MiniNet::new(3, AsvmConfig::default());
+    let t1 = net.add_task(1);
+    net.raise(1, t1, 0, Access::Read);
+    assert!(net.nodes[1]
+        .0
+        .object(MOBJ)
+        .pending
+        .contains_key(&PageIdx(0)));
+    let idle = net.watchdog(1, Dur::from_millis(1000));
+    assert_eq!(idle.cpu, Dur::ZERO);
+    assert!(idle.bumps.is_empty() && idle.net.is_empty() && idle.pager.is_empty());
+    let late = net.watchdog(1, Dur::ZERO);
+    assert_eq!(late.cpu, CostModel::default().asvm_handle);
+    let reissues = late.bumps.iter().filter(|k| **k == "asvm.recover.reissue");
+    assert_eq!(reissues.count(), 1);
+    assert_eq!(
+        late.bumps.len(),
+        1,
+        "nothing but the re-issue: {:?}",
+        late.bumps
+    );
 }

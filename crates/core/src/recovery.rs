@@ -14,7 +14,8 @@
 //! | member | `RecoverQuery` | `RecoverReply` with its usable copy, version, ownership |
 //! | reconstructing | last `RecoverReply` (or its sender suspected) | owner survived → release waiters to it; else elect the best copy (`RecoverElect`) and release to it; else pager re-fetch |
 //! | copy holder | `RecoverElect` | own the surviving copyset; serve our stalled request; re-route queue; drain parked |
-//! | own request stalled past the deadline | watchdog tick | drop its hint; re-issue as `recovering`, or (budget spent / no live peer) flush and re-fetch from the pager |
+//! | own request stalled past the deadline | watchdog tick | one handling charge; drop its hint; re-issue as `recovering`, or (budget spent / no live peer) flush and re-fetch from the pager |
+//! | no own request stalled | watchdog tick | nothing (not even a charge) |
 //! | any | peer suspected | scrub hints; abort transfers to it; answer its acks, push, read-check and accept rounds negatively; drop it as reader; reclaim its fills; finish reconstructions waiting on it |
 
 use std::collections::BTreeSet;
@@ -219,14 +220,17 @@ impl Cx<'_> {
         self.drain_parked(page);
     }
 
-    /// Re-issues this object's own requests stalled past `deadline`.
-    pub(crate) fn watchdog(&mut self, deadline: Dur) {
+    /// Re-issues this object's own requests stalled past `deadline`;
+    /// returns how many it re-issued or re-fetched.
+    pub(crate) fn watchdog(&mut self, deadline: Dur) -> u64 {
         if self.o.peer.is_some() || self.o.source.is_some() {
             // Distributed copy objects pull through their peer's shadow
             // chain; recovery of those is out of scope (documented).
-            return;
+            return 0;
         }
-        for (page, pl) in self.stalled(deadline) {
+        let stalled = self.stalled(deadline);
+        let acted = stalled.len() as u64;
+        for (page, pl) in stalled {
             // The hint that routed the stalled request is the prime
             // suspect; drop it so the re-issue takes the next rung.
             self.o.dyn_cache.remove(&page);
@@ -250,6 +254,7 @@ impl Cx<'_> {
                 self.route(page, req, path);
             }
         }
+        acted
     }
 
     /// This node's own requests stalled past `deadline`.

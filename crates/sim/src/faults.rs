@@ -12,19 +12,20 @@
 //!
 //! # Determinism
 //!
-//! All fault sampling draws from a dedicated generator seeded **only** by
-//! [`FaultPlan::seed`], kept separate from the world's main RNG. Because
-//! events are totally ordered, the sequence of fault decisions is a pure
-//! function of `(plan, workload)`: two runs with the same plan and seed
-//! take identical drops, duplicates and delays — bit for bit. And because
-//! the disabled plan ([`FaultPlan::none`]) never draws at all, enabling the
-//! machinery with a `none` plan perturbs nothing: baseline runs stay
-//! byte-identical.
+//! Every fault decision is a pure function of
+//! `(plan.seed, src, dst, class, k)` ([`FaultPlan::decide`]), where `k`
+//! counts the exposed frames of that [`FaultClass`] sent on the link
+//! `src → dst` before this one (`FaultStreams`). No generator is shared
+//! between links or classes, so one extra frame on one link moves the
+//! decisions of that link and class only: adding a heartbeat beacon does
+//! not reshuffle protocol-frame drops, and a test that removes a task
+//! does not re-roll the faults every other link sees. Two runs with the
+//! same plan take identical drops, duplicates and delays — bit for bit.
+//! The disabled plan ([`FaultPlan::none`]) allocates no counters and
+//! computes nothing, so enabling the machinery with a `none` plan
+//! perturbs nothing: baseline runs stay byte-identical.
 //!
 //! See `docs/RELIABILITY.md` for the full reliability model.
-
-use rand::rngs::SmallRng;
-use rand::Rng;
 
 use crate::mesh::NodeId;
 use crate::time::{Dur, Time};
@@ -100,8 +101,8 @@ impl Blackout {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// Seed of the dedicated fault RNG. Fault decisions depend on this and
-    /// nothing else (the world's main RNG is untouched).
+    /// Key of the fault decisions. They depend on this and the frame's
+    /// link, class and index, nothing else (the world's RNG is untouched).
     pub seed: u64,
     /// Fault profile applied to every link without an override.
     pub default_link: LinkFaults,
@@ -145,13 +146,105 @@ pub enum FaultCause {
     Blackout,
 }
 
+/// Which independent decision stream an exposed frame draws from. Each
+/// link counts its frames per class, so traffic of one class never
+/// shifts the faults another class sees.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultClass {
+    /// A coherence-protocol frame: sequenced ARQ frames and one-sided
+    /// read postings and completions.
+    Protocol = 0,
+    /// An ARQ acknowledgement.
+    Ack = 1,
+    /// A failure-detector heartbeat beacon.
+    Beacon = 2,
+}
+
+impl FaultClass {
+    /// Number of classes (the per-link counter stride).
+    const COUNT: usize = 3;
+}
+
+/// Per-link, per-class counts of exposed frames: the `k` that, with the
+/// plan's seed, keys each [`FaultPlan::decide`]. Allocated only while a
+/// plan is active; an inactive plan's streams hand out nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FaultStreams {
+    nodes: usize,
+    /// `counts[(src · nodes + dst) · FaultClass::COUNT + class]`.
+    counts: Vec<u64>,
+}
+
+impl FaultStreams {
+    /// The streams of `plan` on a machine of `nodes` nodes: one counter
+    /// per directed link and class if the plan is active, none otherwise.
+    pub(crate) fn new(plan: &FaultPlan, nodes: usize) -> FaultStreams {
+        let counts = if plan.is_active() {
+            vec![0; nodes * nodes * FaultClass::COUNT]
+        } else {
+            Vec::new()
+        };
+        FaultStreams { nodes, counts }
+    }
+
+    /// Index of the next exposed frame of `class` on `src → dst`, counting
+    /// it; `None` under an inactive plan.
+    pub(crate) fn next(&mut self, src: NodeId, dst: NodeId, class: FaultClass) -> Option<u64> {
+        if self.counts.is_empty() {
+            return None;
+        }
+        let i = (src.index() * self.nodes + dst.index()) * FaultClass::COUNT + class as usize;
+        let k = self.counts[i];
+        self.counts[i] = k + 1;
+        Some(k)
+    }
+}
+
+/// A SplitMix64 generator: the finalizer of Steele, Lea and Flood's
+/// SplittableRandom over a Weyl sequence. Keyed by folding a frame's
+/// coordinates into the state, so frames with different coordinates get
+/// unrelated draws.
+struct SplitMix(u64);
+
+impl SplitMix {
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    /// The generator keyed by `parts`, folded in order.
+    fn keyed(parts: [u64; 5]) -> SplitMix {
+        let mut g = SplitMix(0);
+        for p in parts {
+            g.0 = g.next() ^ p;
+        }
+        g
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(Self::GAMMA);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, bound)` (multiply-shift; the bias is below 2⁻³²
+    /// for every bound used here).
+    fn below(&mut self, bound: u64) -> u64 {
+        ((self.next() as u128 * bound as u128) >> 64) as u64
+    }
+
+    /// True with probability `ppm` parts per million.
+    fn hits(&mut self, ppm: u32) -> bool {
+        self.below(1_000_000) < ppm as u64
+    }
+}
+
 impl FaultPlan {
-    /// The reliable plan: no faults, never draws from the fault RNG.
+    /// The reliable plan: no faults, never computes a decision.
     pub fn none() -> FaultPlan {
         FaultPlan::default()
     }
 
-    /// An active-but-empty plan with the given RNG seed; layer faults on
+    /// An active-but-empty plan with the given decision seed; layer faults on
     /// with the `with_*` builders.
     pub fn seeded(seed: u64) -> FaultPlan {
         FaultPlan {
@@ -193,8 +286,8 @@ impl FaultPlan {
         self
     }
 
-    /// True if this plan can produce any fault at all. Deciding on an
-    /// inactive plan draws nothing ([`FaultPlan::decide`]), which is what
+    /// True if this plan can produce any fault at all. An inactive plan
+    /// allocates no `FaultStreams` and decides nothing, which is what
     /// keeps faults-off runs byte-identical to the pre-fault-layer
     /// baseline; what this gates is the recovery layer (sequencing,
     /// heartbeats, watchdog), not the sampling.
@@ -213,15 +306,24 @@ impl FaultPlan {
             .unwrap_or(self.default_link)
     }
 
-    /// Samples the fate of one message on `src → dst` at `now`.
+    /// The fate of the `k`-th exposed frame of `class` on `src → dst`,
+    /// sent at `now`.
     ///
-    /// Sampling order is fixed (blackout, drop, duplicate, delay) and draws
-    /// lazily; since the event order is deterministic, so is the decision
-    /// stream. Total: a plan that is not [`FaultPlan::is_active`] returns
-    /// [`FaultDecision::Deliver`] and draws nothing — every draw sits
-    /// behind a non-zero rate — so callers need no guard of their own and
-    /// reliable runs never consume fault randomness.
-    pub fn decide(&self, now: Time, src: NodeId, dst: NodeId, rng: &mut SmallRng) -> FaultDecision {
+    /// A pure function of `(seed, src, dst, class, k)` plus the blackout
+    /// schedule: the checks run in a fixed order (blackout, drop,
+    /// duplicate, delay), each consuming a draw from a generator keyed by
+    /// those five values alone. Total: a plan that is not
+    /// [`FaultPlan::is_active`] returns [`FaultDecision::Deliver`] without
+    /// keying anything — a link whose rates are all zero draws nothing —
+    /// so callers need no guard of their own.
+    pub fn decide(
+        &self,
+        now: Time,
+        src: NodeId,
+        dst: NodeId,
+        class: FaultClass,
+        k: u64,
+    ) -> FaultDecision {
         if self
             .blackouts
             .iter()
@@ -230,17 +332,21 @@ impl FaultPlan {
             return FaultDecision::Drop(FaultCause::Blackout);
         }
         let link = self.link(src, dst);
-        if link.drop_ppm > 0 && rng.gen_range(0u32..1_000_000) < link.drop_ppm {
+        if link.is_none() {
+            return FaultDecision::Deliver;
+        }
+        let mut g = SplitMix::keyed([self.seed, src.0 as u64, dst.0 as u64, class as u64, k]);
+        if g.hits(link.drop_ppm) {
             return FaultDecision::Drop(FaultCause::Loss);
         }
-        if link.dup_ppm > 0 && rng.gen_range(0u32..1_000_000) < link.dup_ppm {
+        if g.hits(link.dup_ppm) {
             return FaultDecision::Duplicate {
-                extra: sample_extra(link.delay_max, rng),
+                extra: sample_extra(link.delay_max, &mut g),
             };
         }
-        if link.delay_ppm > 0 && rng.gen_range(0u32..1_000_000) < link.delay_ppm {
+        if g.hits(link.delay_ppm) {
             return FaultDecision::Delay {
-                extra: sample_extra(link.delay_max, rng),
+                extra: sample_extra(link.delay_max, &mut g),
             };
         }
         FaultDecision::Deliver
@@ -249,19 +355,44 @@ impl FaultPlan {
 
 /// Uniform extra delay in `(0, window]`; defaults to a 1 ms window when the
 /// plan sets none (duplication without an explicit delay bound).
-fn sample_extra(window: Dur, rng: &mut SmallRng) -> Dur {
+fn sample_extra(window: Dur, g: &mut SplitMix) -> Dur {
     let w = if window.is_zero() {
         Dur::from_millis(1)
     } else {
         window
     };
-    Dur::from_nanos(rng.gen_range(0..w.as_nanos()) + 1)
+    Dur::from_nanos(g.below(w.as_nanos()) + 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+
+    const P: FaultClass = FaultClass::Protocol;
+
+    /// The decisions of the next `n` frames of `class` on `src → dst`.
+    fn run(
+        plan: &FaultPlan,
+        streams: &mut FaultStreams,
+        (src, dst): (u16, u16),
+        class: FaultClass,
+        n: u64,
+    ) -> Vec<FaultDecision> {
+        let (src, dst) = (NodeId(src), NodeId(dst));
+        (0..n)
+            .map(|i| {
+                let k = streams.next(src, dst, class).expect("active plan");
+                plan.decide(Time::from_nanos(i), src, dst, class, k)
+            })
+            .collect()
+    }
+
+    fn lossy() -> FaultPlan {
+        FaultPlan::seeded(42)
+            .with_drop_ppm(100_000)
+            .with_dup_ppm(100_000)
+            .with_delay(100_000, Dur::from_millis(1))
+    }
 
     #[test]
     fn none_is_inactive() {
@@ -279,50 +410,89 @@ mod tests {
             FaultPlan::seeded(7).with_link(NodeId(0), NodeId(1), LinkFaults::NONE);
         for plan in [FaultPlan::none(), FaultPlan::seeded(7), reliable_overrides] {
             assert!(!plan.is_active());
-            let mut rng = SmallRng::seed_from_u64(plan.seed);
+            let mut streams = FaultStreams::new(&plan, 3);
+            assert!(streams.counts.is_empty(), "counters allocated");
             for i in 0..256u64 {
                 let (src, dst) = (NodeId((i % 3) as u16), NodeId(((i + 1) % 3) as u16));
-                let d = plan.decide(Time::from_nanos(i), src, dst, &mut rng);
+                assert_eq!(streams.next(src, dst, P), None, "a frame was counted");
+                let d = plan.decide(Time::from_nanos(i), src, dst, P, i);
                 assert_eq!(d, FaultDecision::Deliver);
             }
-            let untouched = SmallRng::seed_from_u64(plan.seed).gen_range(0u64..u64::MAX);
-            assert_eq!(
-                rng.gen_range(0u64..u64::MAX),
-                untouched,
-                "the fault RNG was drawn from"
-            );
         }
     }
 
     #[test]
     fn decisions_are_deterministic() {
-        let plan = FaultPlan::seeded(42)
-            .with_drop_ppm(100_000)
-            .with_dup_ppm(100_000)
-            .with_delay(100_000, Dur::from_millis(1));
-        let sample = |seed| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            (0..256)
-                .map(|i| {
-                    plan.decide(
-                        Time::from_nanos(i),
-                        NodeId((i % 3) as u16),
-                        NodeId(((i + 1) % 3) as u16),
-                        &mut rng,
-                    )
-                })
-                .collect::<Vec<_>>()
+        let plan = lossy();
+        let sample = || {
+            let mut streams = FaultStreams::new(&plan, 3);
+            run(&plan, &mut streams, (0, 1), P, 256)
         };
-        assert_eq!(sample(plan.seed), sample(plan.seed));
+        let first = sample();
+        assert_eq!(first, sample());
+        let faults = first.iter().filter(|d| **d != FaultDecision::Deliver);
+        assert!((40..120).contains(&faults.count()), "≈ 27 % of 256 faulted");
+    }
+
+    #[test]
+    fn an_extra_frame_on_one_link_leaves_other_links_unchanged() {
+        let plan = lossy();
+        let links = [(0, 1), (1, 0), (0, 2), (2, 1)];
+        let trace = |extra: u64| {
+            let mut streams = FaultStreams::new(&plan, 3);
+            // Interleave the links, with `extra` more frames on 0 → 1 first.
+            run(&plan, &mut streams, (0, 1), P, extra);
+            let mut out = Vec::new();
+            for _ in 0..64 {
+                for l in links {
+                    out.push((l, run(&plan, &mut streams, l, P, 1)[0]));
+                }
+            }
+            out
+        };
+        let (base, shifted) = (trace(0), trace(1));
+        let other = |t: &[((u16, u16), FaultDecision)]| -> Vec<FaultDecision> {
+            t.iter()
+                .filter(|(l, _)| *l != (0, 1))
+                .map(|(_, d)| *d)
+                .collect()
+        };
+        assert_eq!(other(&base), other(&shifted));
+        let on_a = |t: &[((u16, u16), FaultDecision)]| -> Vec<FaultDecision> {
+            t.iter()
+                .filter(|(l, _)| *l == (0, 1))
+                .map(|(_, d)| *d)
+                .collect()
+        };
+        assert_ne!(on_a(&base), on_a(&shifted), "link A itself did move");
+    }
+
+    #[test]
+    fn acks_and_beacons_leave_protocol_decisions_unchanged() {
+        let plan = lossy();
+        let protocol = |noise: u64| {
+            let mut streams = FaultStreams::new(&plan, 2);
+            let mut out = Vec::new();
+            for _ in 0..128 {
+                run(&plan, &mut streams, (0, 1), FaultClass::Ack, noise);
+                run(&plan, &mut streams, (0, 1), FaultClass::Beacon, noise);
+                out.extend(run(&plan, &mut streams, (0, 1), P, 1));
+            }
+            out
+        };
+        assert_eq!(protocol(0), protocol(3));
+        // The classes are distinct streams, not copies of one another.
+        let mut streams = FaultStreams::new(&plan, 2);
+        let acks = run(&plan, &mut streams, (0, 1), FaultClass::Ack, 128);
+        assert_ne!(acks, protocol(0));
     }
 
     #[test]
     fn total_loss_always_drops() {
         let plan = FaultPlan::seeded(1).with_drop_ppm(1_000_000);
-        let mut rng = SmallRng::seed_from_u64(plan.seed);
-        for i in 0..64 {
+        for k in 0..64 {
             assert_eq!(
-                plan.decide(Time::from_nanos(i), NodeId(0), NodeId(1), &mut rng),
+                plan.decide(Time::from_nanos(k), NodeId(0), NodeId(1), P, k),
                 FaultDecision::Drop(FaultCause::Loss)
             );
         }
@@ -335,23 +505,22 @@ mod tests {
             Time::from_nanos(100),
             Time::from_nanos(200),
         );
-        let mut rng = SmallRng::seed_from_u64(plan.seed);
         let dark = Time::from_nanos(150);
         let lit = Time::from_nanos(200); // window end is exclusive
         assert_eq!(
-            plan.decide(dark, NodeId(2), NodeId(0), &mut rng),
+            plan.decide(dark, NodeId(2), NodeId(0), P, 0),
             FaultDecision::Drop(FaultCause::Blackout)
         );
         assert_eq!(
-            plan.decide(dark, NodeId(0), NodeId(2), &mut rng),
+            plan.decide(dark, NodeId(0), NodeId(2), P, 0),
             FaultDecision::Drop(FaultCause::Blackout)
         );
         assert_eq!(
-            plan.decide(lit, NodeId(0), NodeId(2), &mut rng),
+            plan.decide(lit, NodeId(0), NodeId(2), P, 1),
             FaultDecision::Deliver
         );
         assert_eq!(
-            plan.decide(dark, NodeId(0), NodeId(1), &mut rng),
+            plan.decide(dark, NodeId(0), NodeId(1), P, 0),
             FaultDecision::Deliver
         );
     }
@@ -366,14 +535,13 @@ mod tests {
                 ..LinkFaults::NONE
             },
         );
-        let mut rng = SmallRng::seed_from_u64(plan.seed);
         assert_eq!(
-            plan.decide(Time::ZERO, NodeId(0), NodeId(1), &mut rng),
+            plan.decide(Time::ZERO, NodeId(0), NodeId(1), P, 0),
             FaultDecision::Drop(FaultCause::Loss)
         );
         // The reverse direction keeps the (reliable) default profile.
         assert_eq!(
-            plan.decide(Time::ZERO, NodeId(1), NodeId(0), &mut rng),
+            plan.decide(Time::ZERO, NodeId(1), NodeId(0), P, 0),
             FaultDecision::Deliver
         );
     }
@@ -381,9 +549,8 @@ mod tests {
     #[test]
     fn delay_samples_stay_inside_the_window() {
         let plan = FaultPlan::seeded(9).with_delay(1_000_000, Dur::from_micros(500));
-        let mut rng = SmallRng::seed_from_u64(plan.seed);
-        for i in 0..128 {
-            match plan.decide(Time::from_nanos(i), NodeId(0), NodeId(1), &mut rng) {
+        for k in 0..128 {
+            match plan.decide(Time::from_nanos(k), NodeId(0), NodeId(1), P, k) {
                 FaultDecision::Delay { extra } => {
                     assert!(!extra.is_zero() && extra <= Dur::from_micros(500));
                 }

@@ -12,7 +12,8 @@
 //! Design notes:
 //!
 //! * **Determinism.** Events are totally ordered by `(time, sequence)`; all
-//!   randomness flows from one seeded generator; protocol state uses ordered
+//!   randomness flows from one seeded generator, and fault decisions are a
+//!   keyed hash of the plan's seed ([`faults`]); protocol state uses ordered
 //!   maps. Two runs with equal inputs produce equal outputs, bit for bit.
 //! * **Occupancy, not just latency.** Processors and disks are serial
 //!   resources with "free at" watermarks. Queueing behind a busy centralized
@@ -53,7 +54,7 @@ pub mod trace;
 pub mod world;
 
 pub use disk::{Disk, DiskOp};
-pub use faults::{Blackout, FaultCause, FaultDecision, FaultPlan, LinkFaults};
+pub use faults::{Blackout, FaultCause, FaultClass, FaultDecision, FaultPlan, LinkFaults};
 pub use machine::{CostModel, Machine, MachineConfig, NodeKind};
 pub use mesh::{Mesh, NodeId};
 pub use queue::{EventQueue, Slot};

@@ -25,7 +25,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::disk::{Disk, DiskOp};
-use crate::faults::FaultDecision;
+use crate::faults::{FaultClass, FaultDecision, FaultStreams};
 use crate::machine::Machine;
 use crate::mesh::NodeId;
 use crate::queue::{EventQueue, Slot};
@@ -122,10 +122,9 @@ pub struct World<N, M> {
     stats: Stats,
     hot: HotIds,
     rng: SmallRng,
-    /// Dedicated generator for fault-injection decisions, seeded only by
-    /// the [`crate::FaultPlan`]. Kept apart from `rng` so enabling the
-    /// fault layer with an inactive plan perturbs nothing.
-    fault_rng: SmallRng,
+    /// Per-link, per-class exposed-frame counts keying the
+    /// [`crate::FaultPlan`]'s decisions; empty under an inactive plan.
+    fault_streams: FaultStreams,
     events_processed: u64,
     wall_busy: std::time::Duration,
 }
@@ -162,7 +161,7 @@ impl<N: NodeBehavior<M>, M> World<N, M> {
             stats,
             hot,
             rng: SmallRng::seed_from_u64(seed),
-            fault_rng: SmallRng::seed_from_u64(machine.config.faults.seed),
+            fault_streams: FaultStreams::new(&machine.config.faults, n),
             machine,
             events_processed: 0,
             wall_busy: std::time::Duration::ZERO,
@@ -322,7 +321,7 @@ impl<N: NodeBehavior<M>, M> World<N, M> {
             stats: &mut self.stats,
             hot: self.hot,
             rng: &mut self.rng,
-            fault_rng: &mut self.fault_rng,
+            fault_streams: &mut self.fault_streams,
         };
         node.on_message(&mut ctx, msg);
         // The next waiter is ticketed only now, once the handler has
@@ -386,7 +385,7 @@ pub struct Ctx<'a, M> {
     stats: &'a mut Stats,
     hot: HotIds,
     rng: &'a mut SmallRng,
-    fault_rng: &'a mut SmallRng,
+    fault_streams: &'a mut FaultStreams,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -477,18 +476,22 @@ impl<'a, M> Ctx<'a, M> {
         );
     }
 
-    /// Samples the fault layer's verdict for one message to `dst` at the
-    /// current instant, drawing from the dedicated fault RNG.
+    /// The fault layer's verdict for the next exposed frame of `class` to
+    /// `dst`, sent at the current instant: counts the frame on its link
+    /// and class, then asks [`crate::FaultPlan::decide`].
     ///
-    /// Total, like [`crate::FaultPlan::decide`]: under an inactive plan
-    /// the verdict is `Deliver` and the fault RNG is left untouched, so
-    /// the transport asks unconditionally for every exposed frame and
-    /// reliable runs stay byte-identical.
-    pub fn fault_decision(&mut self, dst: NodeId) -> FaultDecision {
-        self.machine
-            .config
-            .faults
-            .decide(self.now, self.me, dst, self.fault_rng)
+    /// Total: under an inactive plan the verdict is `Deliver` and nothing
+    /// is counted, so the transport asks unconditionally for every exposed
+    /// frame and reliable runs stay byte-identical.
+    pub fn fault_decision(&mut self, dst: NodeId, class: FaultClass) -> FaultDecision {
+        match self.fault_streams.next(self.me, dst, class) {
+            Some(k) => self
+                .machine
+                .config
+                .faults
+                .decide(self.now, self.me, dst, class, k),
+            None => FaultDecision::Deliver,
+        }
     }
 
     /// Charges the sender side of `costs` and counts the wire statistics

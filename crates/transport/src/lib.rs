@@ -47,11 +47,13 @@
 //! [`FaultPlan`] (carried by `MachineConfig`, re-exported here): per-link
 //! drop/duplicate/delay sampling plus scripted node blackouts, each
 //! counted under `transport.fault.*`. The decision is total — an inactive
-//! plan delivers and draws nothing — so the seam has no healthy/faulted
-//! fork of its own. The ASVM protocol exposes its retry-channel frames,
-//! acknowledgements, heartbeats and one-sided reads (see
-//! `docs/RELIABILITY.md`); NORMA-IPC traffic (XMMI, EMMI, fork) is never
-//! exposed, modelling Mach's kernel-to-kernel IPC guarantees.
+//! plan delivers and counts nothing — so the seam has no healthy/faulted
+//! fork of its own. The ASVM protocol exposes its retry-channel frames and
+//! one-sided reads ([`FaultClass::Protocol`]), acknowledgements
+//! ([`FaultClass::Ack`]) and heartbeats ([`FaultClass::Beacon`]), each
+//! class on its own per-link decision stream (see `docs/RELIABILITY.md`);
+//! NORMA-IPC traffic (XMMI, EMMI, fork) is never exposed, modelling Mach's
+//! kernel-to-kernel IPC guarantees.
 //!
 //! Constructing a plan is pure configuration — no cluster required:
 //!
@@ -68,7 +70,7 @@
 
 use svmsim::{CostModel, Ctx, Dur, FaultCause, FaultDecision, MsgCosts, NodeId, Time};
 
-pub use svmsim::{Blackout, FaultPlan, LinkFaults};
+pub use svmsim::{Blackout, FaultClass, FaultPlan, LinkFaults};
 
 /// One pluggable transport implementation: its cost envelopes, statistics
 /// keys, and capability flags. Implementations are stateless units behind
@@ -485,10 +487,9 @@ impl Transport {
         if payload > 0 && !frame.inline {
             ctx.stats().bump(self.backend.page_stat_key());
         }
-        let decision = if frame.exposed && !local {
-            ctx.fault_decision(dst)
-        } else {
-            FaultDecision::Deliver
+        let decision = match frame.exposed {
+            Some(class) if !local => ctx.fault_decision(dst, class),
+            _ => FaultDecision::Deliver,
         };
         let gate = frame.not_before;
         match decision {
@@ -552,9 +553,9 @@ pub struct Frame {
     /// `emmi.req.data_request`) bumped alongside the per-transport
     /// totals, so reports can break traffic down by kind.
     pub kind: Option<&'static str>,
-    /// Whether the machine's [`FaultPlan`] decides this frame's fate.
-    /// Node-local frames never are.
-    pub exposed: bool,
+    /// The decision stream through which the machine's [`FaultPlan`]
+    /// decides this frame's fate, if it does. Node-local frames never are.
+    pub exposed: Option<FaultClass>,
     /// The frame may not hit the wire before this instant (a pager reply
     /// waiting for its disk access); the send CPU is still charged now.
     pub not_before: Time,
@@ -568,7 +569,7 @@ impl Frame {
             payload_bytes,
             inline: false,
             kind: None,
-            exposed: false,
+            exposed: None,
             not_before: Time::ZERO,
         }
     }
@@ -585,9 +586,9 @@ impl Frame {
         self
     }
 
-    /// Lets the fault plan decide the frame's fate.
-    pub fn exposed(mut self) -> Frame {
-        self.exposed = true;
+    /// Lets the fault plan decide the frame's fate, on `class`'s stream.
+    pub fn exposed(mut self, class: FaultClass) -> Frame {
+        self.exposed = Some(class);
         self
     }
 

@@ -8,14 +8,19 @@
 //! the commit *before* the transport's send paths, the ASVM frame
 //! envelopes and the fault seam were each collapsed to one — never
 //! regenerate it to make a change to the carriage layer pass: a moved
-//! cell means a counter was bumped a different number of times, the fault
-//! RNG was drawn in a different order, or a cost changed.
+//! cell means a counter was bumped a different number of times, a link
+//! carried a different number of exposed frames, or a cost changed.
 //!
-//! Its `lossy` and `blackout` rows were re-recorded once since, when the
-//! failure detector went from all-to-all beacons to one gossip frame per
-//! node per period: the beacons are exposed frames, so their number is
-//! part of every faulted cell's draw order, message count and timing. The
-//! ten `healthy` rows are the original recording.
+//! Its `lossy` and `blackout` rows were re-recorded twice since. First when
+//! the failure detector went from all-to-all beacons to one gossip frame
+//! per node per period: the beacons are exposed frames, so their number
+//! was part of every faulted cell's draw order, message count and timing.
+//! Then when each fault decision became a pure function of its link, its
+//! frame class and the frame's index on that link (`svmsim::faults`), in
+//! the same change that moved ARQ acks after delivery and made an idle
+//! watchdog tick free. Since then an extra beacon or ack no longer moves
+//! protocol-frame faults at all. The ten `healthy` rows are the original
+//! recording.
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -120,14 +125,12 @@ fn table() -> String {
                     );
                     // NORMA carrier, single-message frames, producer/
                     // consumer under an active plan ends incoherent
-                    // (ROADMAP item 1's ledger): both such cells on the
-                    // recording commit; since the heartbeat period is
-                    // measured from the end of the tick handler, the
-                    // `blackout` one only — `lossy` escapes at this seed
-                    // (not at 3, 7, 42 or 777). The line is the checker's
-                    // diagnostic, which a carriage refactor must not move
-                    // either; the protocol fix is what legitimately
-                    // replaces it.
+                    // (ROADMAP item 1's ledger): both such cells, `lossy`
+                    // and `blackout`. (For one recording `lossy` escaped
+                    // at this seed by timing luck.) The line is the
+                    // checker's diagnostic, which a carriage refactor
+                    // must not move either; the protocol fix is what
+                    // legitimately replaces it.
                     let run = AssertUnwindSafe(|| cell(t, coalesce, plan.clone(), pattern));
                     match catch_unwind(run) {
                         Ok(out) => writeln!(got, "{}", line(&label, t, &out)).unwrap(),

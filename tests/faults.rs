@@ -203,7 +203,8 @@ proptest! {
 }
 
 /// Same seed, same plan, same workload: every statistic of a faulted run
-/// is reproducible — the fault stream comes from its own seeded generator.
+/// is reproducible — each fault decision is a pure function of the plan's
+/// seed and the frame's link, class and index on that link.
 #[test]
 fn faulted_runs_are_deterministic() {
     let plan = || {
@@ -241,9 +242,10 @@ fn faulted_runs_are_deterministic() {
     assert!(a.8 > 0, "drops must provoke retransmissions");
 }
 
-/// An inactive plan — even a seeded one — changes nothing: the fault RNG
-/// is never consulted, so results are identical to `FaultPlan::none()`
-/// (the stdout byte-identity check in CI relies on this).
+/// An inactive plan — even a seeded one — changes nothing: no frame is
+/// counted and no decision computed, so results are identical to
+/// `FaultPlan::none()` (the stdout byte-identity check in CI relies on
+/// this).
 #[test]
 fn inactive_plans_do_not_perturb_runs() {
     let run = |plan: FaultPlan| {
@@ -260,6 +262,45 @@ fn inactive_plans_do_not_perturb_runs() {
     // Seeded but all rates zero: is_active() is false, nothing changes.
     let seeded = run(FaultPlan::seeded(fault_seed()));
     assert_eq!(baseline, seeded, "inactive seeded plan perturbed the run");
+}
+
+/// The price of the recovery layer when nothing goes wrong. A plan that
+/// is active but never fires — its one blackout starts long after the run
+/// ends — arms everything ROADMAP item 7 would run always (ARQ sequencing
+/// and acks, gossip heartbeats, the watchdog tick) and loses nothing. It
+/// must fire no fault and no recovery, and slow a migratory run by at most
+/// `BOUND` over the healthy one. Measured at every seed (the plan draws
+/// nothing): +2.7 % here (8 nodes × 16 pages × 4 rounds), against +9.3 %
+/// while every ack left before delivery and every watchdog tick charged a
+/// full handling step.
+#[test]
+fn armed_lossless_plan_costs_little() {
+    use svmsim::Time;
+    const BOUND: f64 = 1.04;
+    let run = |plan| {
+        faulted(
+            ManagerKind::asvm(),
+            8,
+            16,
+            Pattern::Migratory { rounds: 4 },
+            plan,
+        )
+    };
+    let healthy = run(FaultPlan::none()).expect_completed("healthy");
+    let never = Time::ZERO + Dur::from_millis(1_000_000);
+    let plan = FaultPlan::seeded(fault_seed()).with_blackout(NodeId(1), never, Time::MAX);
+    let armed = run(plan).expect_completed("armed, lossless");
+    let fired: Vec<_> = (armed.stats.counters())
+        .filter(|(k, _)| k.starts_with("transport.fault.") || k.starts_with("asvm.recover."))
+        .collect();
+    assert!(fired.is_empty(), "a lossless plan fired: {fired:?}");
+    assert!(armed.counter("asvm.retry.acked") > 0, "the ARQ channel ran");
+    assert!(armed.counter("cluster.hb") > 0, "the detector ran");
+    let ratio = armed.elapsed_s() / healthy.elapsed_s();
+    assert!(
+        ratio < BOUND,
+        "armed-but-lossless run is {ratio:.4}× the healthy one (bound {BOUND})"
+    );
 }
 
 /// Duplicate-heavy traffic: every duplicated frame must be suppressed by
