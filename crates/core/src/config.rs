@@ -19,6 +19,12 @@ pub const WATCHDOG_RETRY_BUDGET: u8 = 5;
 /// immediately and a fresh one started.
 pub const MAX_SUBFRAMES: usize = 16;
 
+/// Handoff hints (see [`crate::DynHint`]) a request may follow in a row
+/// before the redirector hands it to the page's static manager instead —
+/// on objects with static forwarding and more than five members, where
+/// that detour can beat the rest of the chain.
+pub const HANDOFF_HOPS: u8 = 2;
+
 /// Forwarding and cache configuration, settable per memory object.
 ///
 /// The paper: *"The ASVM system allows to disable either dynamic or static

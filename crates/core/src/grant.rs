@@ -21,7 +21,7 @@ use machvm::{Access, LockOp, NodeSet, PageData, PageIdx};
 use svmsim::NodeId;
 
 use crate::node::{Cx, DOWNGRADE, FLUSH};
-use crate::object::{Busy, PageInfo, QueuedReq, StaticHint};
+use crate::object::{Busy, DynHint, PageInfo, QueuedReq, StaticHint};
 use crate::protocol::{AsvmMsg, PageGrant, ReqKind, ReqPath};
 
 impl Cx<'_> {
@@ -215,7 +215,7 @@ impl Cx<'_> {
                 self.spec_settle(page, true);
             }
         }
-        self.o.dyn_cache.insert(page, owner);
+        self.o.dyn_cache.insert(page, DynHint::learned(owner));
         let (mobj, from) = (self.o.mobj, self.me);
         self.fx
             .send(owner, AsvmMsg::InvalidateAck { mobj, page, from });
@@ -273,7 +273,7 @@ impl Cx<'_> {
         pi.readers.remove(&self.me);
         if !ownership {
             // The sender is the owner; remember it.
-            self.o.dyn_cache.insert(page, from);
+            self.o.dyn_cache.insert(page, DynHint::learned(from));
         }
         // Any grant supersedes a stashed discarded copy: either it carries
         // fresh contents, or (elided) the stash *is* the contents.

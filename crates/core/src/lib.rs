@@ -52,7 +52,8 @@ pub use locks::{HeldLock, PageRange, RangeLockMgr};
 pub use lru::Lru;
 pub use node::{AsvmNode, Fx};
 pub use object::{
-    AsvmObject, Busy, EvictStage, PageInfo, PendingLocal, QueuedReq, RecoverState, StaticHint,
+    AsvmObject, Busy, DynHint, EvictStage, PageInfo, PendingLocal, QueuedReq, RecoverState,
+    StaticHint,
 };
 pub use policy::{
     AccelBase, Observation, PolicyCfg, PolicyMode, PolicyState, PolicyVerdict, PrefetchVerdict,

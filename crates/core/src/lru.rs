@@ -294,6 +294,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The handoff flag of a dynamic hint rides in the entry's padding: a
+    /// hint cache entry is no larger than one holding a bare `NodeId`.
+    #[test]
+    fn the_handoff_flag_costs_no_entry_bytes() {
+        use std::mem::size_of;
+        type Page = machvm::PageIdx;
+        assert_eq!(
+            size_of::<Entry<Page, crate::DynHint>>(),
+            size_of::<Entry<Page, svmsim::NodeId>>()
+        );
+    }
+
     proptest! {
         /// The `O(1)` cache and the B-tree reference agree on every return
         /// value and, after every step, on `len`, `evictions` and key-ordered

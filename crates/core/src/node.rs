@@ -42,7 +42,7 @@ use svmsim::{CostModel, Dur, NodeId, Time};
 
 use crate::locks::PageRange;
 use crate::object::{
-    AsvmObject, PageInfo, PendingLocal, QueuedReq, RecoverState, StashedCopy, StaticHint,
+    AsvmObject, DynHint, PageInfo, PendingLocal, QueuedReq, RecoverState, StashedCopy, StaticHint,
 };
 use crate::prefetch::StreamDetector;
 use crate::protocol::{AsvmMsg, ReqKind, ReqPath};
@@ -235,7 +235,7 @@ impl AsvmNode {
         if o.pages.get(&page).is_some_and(|pi| pi.owner) {
             return Some(self.me);
         }
-        o.dyn_cache.peek(&page).copied()
+        o.dyn_cache.peek(&page).map(|h| h.owner)
     }
 
     /// Applies a piggybacked owner hint from an arriving coalesced frame
@@ -255,7 +255,7 @@ impl AsvmNode {
         if o.pages.get(&page).is_some_and(|pi| pi.owner) {
             return false;
         }
-        o.dyn_cache.insert(page, owner);
+        o.dyn_cache.insert(page, DynHint::learned(owner));
         true
     }
 
@@ -338,7 +338,7 @@ impl AsvmNode {
                 self.me
             } else {
                 match o.dyn_cache.peek(&p) {
-                    Some(n) => *n,
+                    Some(h) => h.owner,
                     None => continue,
                 }
             };

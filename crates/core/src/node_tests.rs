@@ -11,7 +11,7 @@ use svmsim::{CostModel, Dur, NodeId, Time};
 
 use crate::config::{AsvmConfig, WATCHDOG_RETRY_BUDGET};
 use crate::node::{AsvmNode, Fx};
-use crate::object::{AsvmObject, Busy, PageInfo, QueuedReq, StaticHint};
+use crate::object::{AsvmObject, Busy, DynHint, PageInfo, QueuedReq, StaticHint};
 use crate::protocol::{AsvmMsg, ReqKind, ReqPath};
 
 const MOBJ: MemObjId = MemObjId(7);
@@ -644,7 +644,7 @@ fn hop_bound_trip_abandons_the_hint_for_the_static_manager() {
             .0
             .object_mut(MOBJ)
             .dyn_cache
-            .insert(page, hint);
+            .insert(page, DynHint::learned(hint));
         let path = ReqPath {
             hops,
             ..ReqPath::default()
@@ -664,6 +664,8 @@ fn hop_bound_trip_abandons_the_hint_for_the_static_manager() {
         match fx.net.as_slice() {
             [(d, AsvmMsg::PageReq { path, .. })] => {
                 assert_eq!((*d, path.hops), (dst, hops + 1), "hops {hops}");
+                // A tripped request goes to use the static manager's record.
+                assert_eq!(path.static_routed, trips == 1, "hops {hops}");
             }
             other => panic!("hops {hops}: expected one forwarded request, got {other:?}"),
         }
@@ -680,6 +682,184 @@ fn read_req(net: &MiniNet) -> QueuedReq {
         kind: ReqKind::Access,
         deliver: None,
     }
+}
+
+/// Points node `at`'s dynamic hint for `page` at `owner`.
+fn set_hint(net: &mut MiniNet, at: NodeId, page: PageIdx, owner: NodeId, handoff: bool) {
+    let o = net.nodes[at.index()].0.object_mut(MOBJ);
+    o.dyn_cache.insert(page, DynHint { owner, handoff });
+}
+
+/// Delivers `req` for `page` along `path` to node `at`, which must
+/// forward it exactly once: where to, the path it travels on, and the
+/// counters `at` bumped.
+fn route_at(
+    net: &mut MiniNet,
+    at: NodeId,
+    page: PageIdx,
+    req: QueuedReq,
+    path: ReqPath,
+) -> (NodeId, ReqPath, Vec<&'static str>) {
+    let msg = AsvmMsg::PageReq {
+        mobj: MOBJ,
+        page,
+        req,
+        path,
+    };
+    let fx = net.deliver(0, at.0, msg);
+    match fx.net.as_slice() {
+        [(d, AsvmMsg::PageReq { path, .. })] => (*d, *path, fx.bumps.clone()),
+        other => panic!("{at}: expected one forwarded request, got {other:?}"),
+    }
+}
+
+/// A `members`-node object with a handoff chain for page 1: nodes `a → b
+/// → c → d`, each pointing at the next (as if each had given the page to
+/// its successor), none of them the static manager. Runs
+/// a write request from node 0 down the chain, starting at `a`, for three
+/// hops; returns the third hop's destination and path, `c`'s bumps, the
+/// chain and the static manager.
+#[allow(clippy::type_complexity)]
+fn walk_handoff_chain(
+    members: u16,
+    cfg: AsvmConfig,
+) -> (
+    NodeId,
+    ReqPath,
+    Vec<&'static str>,
+    [NodeId; 4],
+    NodeId,
+    MiniNet,
+) {
+    let mut net = MiniNet::new(members, cfg);
+    let page = PageIdx(1);
+    let sm = net.nodes[0].0.object(MOBJ).static_node(page);
+    let others: Vec<NodeId> = (0..members).map(NodeId).filter(|n| *n != sm).collect();
+    let chain: [NodeId; 4] = others[others.len() - 4..].try_into().unwrap();
+    for w in chain.windows(2) {
+        set_hint(&mut net, w[0], page, w[1], true);
+    }
+    let req = QueuedReq {
+        access: Access::Write,
+        ..read_req(&net)
+    };
+    let (mut at, mut path, mut bumps) = (chain[0], ReqPath::default(), vec![]);
+    for hop in 1..=3u8 {
+        (at, path, bumps) = route_at(&mut net, at, page, req, path);
+        if hop < 3 {
+            assert_eq!((at, path.handoff_hops), (chain[hop as usize], hop));
+        }
+    }
+    (at, path, bumps, chain, sm, net)
+}
+
+/// Two handoff hops in a row are followed; the third is cut to the
+/// page's static manager, marked to use its record. The hops taken
+/// collapse their hints onto the writer (Kai Li); the cut one keeps its
+/// handoff hint.
+#[test]
+fn third_handoff_hop_is_cut_to_the_static_manager() {
+    let (dst, path, bumps, chain, sm, net) = walk_handoff_chain(6, AsvmConfig::default());
+    assert!(bumps.contains(&"asvm.forward.handoff_cut"));
+    assert_eq!(dst, sm);
+    assert!(path.static_routed);
+    assert_eq!((path.hops, path.handoff_hops), (3, 0));
+    let hint = |n: NodeId| {
+        *net.nodes[n.index()]
+            .0
+            .object(MOBJ)
+            .dyn_cache
+            .peek(&PageIdx(1))
+            .unwrap()
+    };
+    assert_eq!(hint(chain[0]), DynHint::learned(NodeId(0)));
+    assert_eq!(hint(chain[1]), DynHint::learned(NodeId(0)));
+    assert_eq!(
+        hint(chain[2]),
+        DynHint {
+            owner: chain[3],
+            handoff: true
+        }
+    );
+}
+
+/// Objects without static forwarding, or with at most five members (where
+/// the static detour cannot beat the rest of any chain), never cut.
+#[test]
+fn dynamic_only_and_small_objects_never_cut() {
+    for (members, cfg) in [(6, AsvmConfig::dynamic_only()), (5, AsvmConfig::default())] {
+        let (dst, path, bumps, chain, ..) = walk_handoff_chain(members, cfg);
+        assert!(
+            !bumps.contains(&"asvm.forward.handoff_cut"),
+            "{members} members"
+        );
+        assert_eq!((dst, path.handoff_hops), (chain[3], 3), "{members} members");
+        assert!(!path.static_routed, "{members} members");
+    }
+}
+
+/// The static manager answers a request routed to it for its record from
+/// that record, not from its own (stale) dynamic hint; an unmarked
+/// request still takes the hint.
+#[test]
+fn static_manager_answers_a_static_routed_request_from_its_record() {
+    let mut net = MiniNet::new(6, AsvmConfig::default());
+    let page = PageIdx(1);
+    let sm = net.nodes[0].0.object(MOBJ).static_node(page);
+    let others: Vec<NodeId> = (1..6).map(NodeId).filter(|n| *n != sm).collect();
+    let (stale, owner) = (others[0], others[1]);
+    set_hint(&mut net, sm, page, stale, true);
+    let o = net.nodes[sm.index()].0.object_mut(MOBJ);
+    o.static_cache.insert(page, StaticHint::Owner(owner));
+    for (static_routed, dst) in [(true, owner), (false, stale)] {
+        let path = ReqPath {
+            hops: 3,
+            static_routed,
+            ..ReqPath::default()
+        };
+        let req = read_req(&net);
+        let (d, ..) = route_at(&mut net, sm, page, req, path);
+        assert_eq!(d, dst, "static_routed {static_routed}");
+    }
+}
+
+/// An `OwnerHint` naming the static manager itself, arriving when it does
+/// not own the page, is stale — the page came and went while the hint was
+/// in flight — and is dropped: recording it would point the record at
+/// nobody, and a walk that found no owner would then mint a second one at
+/// the pager. Once the manager does own the page the hint is recorded.
+#[test]
+fn static_manager_drops_a_stale_owner_hint_naming_itself() {
+    let mut net = MiniNet::new(4, AsvmConfig::default());
+    let page = PageIdx(1);
+    let sm = net.nodes[0].0.object(MOBJ).static_node(page);
+    let owner = NodeId((sm.0 + 1) % 4);
+    let record = |net: &MiniNet| {
+        net.nodes[sm.index()]
+            .0
+            .object(MOBJ)
+            .static_cache
+            .peek(&page)
+            .copied()
+    };
+    let t = net.add_task(owner.0);
+    net.fault(owner.0, t, page.0, Access::Write);
+    assert_eq!(record(&net), Some(StaticHint::Owner(owner)));
+    let hint = AsvmMsg::OwnerHint {
+        mobj: MOBJ,
+        page,
+        owner: sm,
+    };
+    let fx = net.deliver(owner.0, sm.0, hint.clone());
+    assert!(fx.bumps.contains(&"asvm.forward.stale_self_hint"));
+    assert_eq!(record(&net), Some(StaticHint::Owner(owner)));
+
+    let t = net.add_task(sm.0);
+    net.fault(sm.0, t, page.0, Access::Write);
+    assert_eq!(net.owner_of(page.0), Some(sm));
+    let fx = net.deliver(owner.0, sm.0, hint);
+    assert!(!fx.bumps.contains(&"asvm.forward.stale_self_hint"));
+    assert_eq!(record(&net), Some(StaticHint::Owner(sm)));
 }
 
 /// Suspicion unwinding, abort branch: the grantee of a write transfer is

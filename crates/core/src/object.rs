@@ -206,6 +206,29 @@ pub enum StaticHint {
     Paged,
 }
 
+/// A dynamic forwarding hint: the page's presumed owner, and whether this
+/// node's own hand-away wrote it (a *handoff* hint). Handoff hints chain:
+/// each former owner points at the next writer, so a request following
+/// them walks the ownership history (see `route.rs`). The flag rides in
+/// the cache entry's padding, so it costs no memory (§3.1).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DynHint {
+    /// The presumed owner.
+    pub owner: NodeId,
+    /// Written by this node's own hand-away.
+    pub handoff: bool,
+}
+
+impl DynHint {
+    /// A hint learned from anyone but this node's own hand-away.
+    pub fn learned(owner: NodeId) -> DynHint {
+        DynHint {
+            owner,
+            handoff: false,
+        }
+    }
+}
+
 /// Per-node representation of one ASVM-managed memory object.
 #[derive(Debug)]
 pub struct AsvmObject {
@@ -241,7 +264,7 @@ pub struct AsvmObject {
     /// write/fill completes.
     pub fill_waiters: BTreeMap<PageIdx, Vec<QueuedReq>>,
     /// Dynamic forwarding hints (most recent presumed owner).
-    pub dyn_cache: Lru<PageIdx, NodeId>,
+    pub dyn_cache: Lru<PageIdx, DynHint>,
     /// Static-manager hint cache (for pages this node statically manages).
     pub static_cache: Lru<PageIdx, StaticHint>,
     /// Pager fills in flight, recorded at the static manager so that
@@ -437,6 +460,16 @@ impl AsvmObject {
         self.nodes.len() as u16 * 2 + 4
     }
 
+    /// Whether a request that has followed [`crate::config::HANDOFF_HOPS`]
+    /// handoff hints in a row is cut to the static manager instead of
+    /// taking another. A chain over `m` members is at most `m − 1` hops
+    /// long; after two of them the static manager's exact record (two hops
+    /// away) can only win if `m − 3 > 2`, and only with static forwarding
+    /// on.
+    pub(crate) fn cuts_handoff_chains(&self) -> bool {
+        self.cfg.static_forwarding && self.nodes.len() > 5
+    }
+
     /// The pager serving `page`: round-robin over the stripe set (§6
     /// future work — *"multiple pagers for one VM object that are used for
     /// paging requests in a round-robin fashion"*).
@@ -557,7 +590,7 @@ mod tests {
                         speculative: false,
                     },
                 );
-                o.dyn_cache.insert(p, NodeId(1));
+                o.dyn_cache.insert(p, DynHint::learned(NodeId(1)));
                 o.static_cache.insert(p, StaticHint::Paged);
             }
         };

@@ -19,6 +19,13 @@ pub struct ReqPath {
     pub tried_static: bool,
     /// Forwarding hops so far (dynamic-hint loop guard).
     pub hops: u16,
+    /// Handoff hints (see [`crate::DynHint`]) followed in a row by the
+    /// latest hops; any other hop resets it.
+    pub handoff_hops: u8,
+    /// The redirector abandoned a hint chain for the static manager — a
+    /// handoff cut or a hop-bound trip — so the static manager answers
+    /// from its record, not from its own dynamic hint.
+    pub static_routed: bool,
     /// Position in the membership list during a global walk, if one is in
     /// progress.
     pub global_pos: Option<u16>,
@@ -34,6 +41,20 @@ pub struct ReqPath {
     /// demand request; the flag only feeds transport-level accounting
     /// (`transport.rdma.prefetch_read`).
     pub speculative: bool,
+}
+
+impl ReqPath {
+    /// The path after one more forwarding hop, `handoff` when it follows
+    /// a handoff hint.
+    pub(crate) fn hop(mut self, handoff: bool) -> ReqPath {
+        self.hops += 1;
+        self.handoff_hops = if handoff {
+            self.handoff_hops.saturating_add(1)
+        } else {
+            0
+        };
+        self
+    }
 }
 
 /// What a [`AsvmMsg::PageReq`] is asking for.
@@ -610,6 +631,21 @@ impl AsvmMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A handoff hop extends the run of handoff hops, any other hop resets
+    /// it; the run saturates rather than overflowing on objects that never
+    /// cut (the hop bound of a large `dynamic_only` object exceeds 255).
+    #[test]
+    fn a_hop_counts_handoff_runs() {
+        let mut path = ReqPath::default().hop(true).hop(true);
+        assert_eq!((path.hops, path.handoff_hops), (2, 2));
+        path = path.hop(false);
+        assert_eq!((path.hops, path.handoff_hops), (3, 0));
+        for _ in 0..300 {
+            path = path.hop(true);
+        }
+        assert_eq!((path.hops, path.handoff_hops), (303, u8::MAX));
+    }
 
     #[test]
     fn payload_accounting() {

@@ -332,7 +332,7 @@ impl Cx<'_> {
         // hints stay: they are the tripwire that routes requests into
         // reconstruction).
         let stale: Vec<PageIdx> = (self.o.dyn_cache.iter())
-            .filter(|(_, h)| **h == peer)
+            .filter(|(_, h)| h.owner == peer)
             .map(|(p, _)| *p)
             .collect();
         for p in stale {

@@ -11,28 +11,39 @@
 //! | state here | event | effects |
 //! |---|---|---|
 //! | page busy | request | park on `PageInfo::queued` |
-//! | owner, idle | request | serve (grant path) |
+//! | owner, idle | request | serve (grant path); a forwarded one bumps its `asvm.forward.hops.*` bucket |
 //! | accepted transfer incoming | request, not recovering | park on `fill_waiters` |
 //! | global walk in progress | request | next live member; exhausted → static manager, `walk_done` |
+//! | static manager | request marked static-routed | skip the dynamic hint: answer from the record |
+//! | live handoff hint, two handoff hops in a row, > 5 members, static forwarding on | request | `asvm.forward.handoff_cut`; mark static-routed; keep the hint; fall through |
 //! | live dynamic hint, hops < bound | request | forward to it (a write points the hint at its origin) |
-//! | hops ≥ bound, hint on offer | request | `asvm.forward.loop_trip`; fall through |
+//! | hops ≥ bound, hint on offer | request | `asvm.forward.loop_trip`; mark static-routed; fall through |
 //! | not the static manager | request | forward to the static manager |
 //! | static manager, fill in flight | request | park on `static_waiting` |
 //! | static manager, own write pending | foreign request | park on `fill_waiters` |
 //! | static manager, suspects | recovering / walk-done / dead-owner plain access | start reconstruction |
 //! | static manager, walk done | request | live `Owner` hint → forward; else pager |
 //! | static manager, first visit | request | `Owner` → forward; `Paged` or fresh → pager; else global walk |
+//! | static manager, not the owner | `OwnerHint` naming itself | drop it (stale: the page came and went) |
 //! | static manager | `OwnerHint` | record, end the fill, release `static_waiting` toward the owner |
 //! | static manager | `PagedHint` | record `Paged` |
 //! | home | `MapNotify` | extend and broadcast membership; re-announce owned pages |
 //! | member | `Membership` | adopt it; re-announce owned pages; re-route `static_waiting` |
-//! | owner | hands the page away | drop the record; hint the new owner; re-route its queue |
+//! | owner | hands the page away | drop the record; point a handoff hint at the new owner; re-route its queue |
+//!
+//! A *handoff hint* is one this node's own hand-away wrote
+//! ([`crate::DynHint`]); any other writer of the hint clears the flag.
+//! Handoff hints chain through the page's ownership history, so a request
+//! follows at most [`crate::config::HANDOFF_HOPS`] of them in a row before
+//! the static manager, whose record is exact, takes over (DESIGN §7
+//! "Handoff chains").
 
 use machvm::{Access, EmmiToPager, PageIdx, PagerSend};
 use svmsim::NodeId;
 
+use crate::config::HANDOFF_HOPS;
 use crate::node::Cx;
-use crate::object::{QueuedReq, StaticHint};
+use crate::object::{DynHint, QueuedReq, StaticHint};
 use crate::protocol::{AsvmMsg, ReqKind, ReqPath};
 
 impl Cx<'_> {
@@ -45,6 +56,9 @@ impl Cx<'_> {
                 return;
             }
             if pi.owner {
+                if path.hops > 0 {
+                    self.fx.bump(hop_key(path.hops));
+                }
                 return self.serve(page, req);
             }
         }
@@ -75,8 +89,13 @@ impl Cx<'_> {
             }
             return self.forward(sm, page, req, path);
         }
-        // 4. Dynamic hint.
-        if self.o.cfg.dynamic_forwarding && !path.walk_done {
+        // 4. Dynamic hint — except at the static manager for a request
+        // sent here to use its record.
+        let sm = self.o.static_node_live(page);
+        if self.o.cfg.dynamic_forwarding
+            && !path.walk_done
+            && !(path.static_routed && sm == self.me)
+        {
             if path.hops < self.o.hop_bound() {
                 // A hint pointing at a suspected-dead node is useless; skip
                 // it (peek, not get — a dead-end consult must not refresh
@@ -86,16 +105,28 @@ impl Cx<'_> {
                     .o
                     .dyn_cache
                     .peek(&page)
-                    .is_some_and(|h| !suspects.contains(h))
+                    .is_some_and(|h| !suspects.contains(&h.owner))
                 {
                     let hint = *self.o.dyn_cache.get(&page).expect("peeked above");
-                    if hint != self.me {
-                        if req.access == Access::Write && req.kind == ReqKind::Access {
-                            // Collapse the hint chain: the originator becomes
-                            // the next owner (Kai Li's optimization).
-                            self.o.dyn_cache.insert(page, req.origin);
+                    if hint.owner != self.me {
+                        // A third handoff hop in a row: the hints are the
+                        // page's ownership history, and the static manager
+                        // holds its end.
+                        if hint.handoff
+                            && path.handoff_hops >= HANDOFF_HOPS
+                            && self.o.cuts_handoff_chains()
+                        {
+                            self.fx.bump("asvm.forward.handoff_cut");
+                            path.static_routed = true;
+                        } else {
+                            if req.access == Access::Write && req.kind == ReqKind::Access {
+                                // Collapse the hint chain: the originator
+                                // becomes the next owner (Kai Li's
+                                // optimization).
+                                self.o.dyn_cache.insert(page, DynHint::learned(req.origin));
+                            }
+                            return self.send_req(hint.owner, page, req, path.hop(hint.handoff));
                         }
-                        return self.forward(hint, page, req, path);
                     }
                 }
             } else if self.o.dyn_cache.peek(&page).is_some() {
@@ -103,10 +134,10 @@ impl Cx<'_> {
                 // cycle (or churn faster than forwarding) — abandon the
                 // chain for the static manager.
                 self.fx.bump("asvm.forward.loop_trip");
+                path.static_routed = true;
             }
         }
         // 5. The static ownership manager.
-        let sm = self.o.static_node_live(page);
         if sm != self.me {
             return self.forward(sm, page, req, path);
         }
@@ -249,15 +280,8 @@ impl Cx<'_> {
     }
 
     /// Sends `req` one forwarding hop on, to `dst`.
-    pub(crate) fn forward(
-        &mut self,
-        dst: NodeId,
-        page: PageIdx,
-        req: QueuedReq,
-        mut path: ReqPath,
-    ) {
-        path.hops += 1;
-        self.send_req(dst, page, req, path);
+    pub(crate) fn forward(&mut self, dst: NodeId, page: PageIdx, req: QueuedReq, path: ReqPath) {
+        self.send_req(dst, page, req, path.hop(false));
     }
 
     fn send_req(&mut self, dst: NodeId, page: PageIdx, req: QueuedReq, path: ReqPath) {
@@ -301,7 +325,11 @@ impl Cx<'_> {
         let queued = self.o.pages.remove(&page).map(|pi| pi.queued);
         self.spec_settle(page, true);
         if let Some(to) = to {
-            self.o.dyn_cache.insert(page, to);
+            let hint = DynHint {
+                owner: to,
+                handoff: true,
+            };
+            self.o.dyn_cache.insert(page, hint);
         }
         if let Some(hint) = hint {
             self.hint_static(page, hint);
@@ -343,6 +371,15 @@ impl Cx<'_> {
     /// Applies an ownership hint at the static manager and releases any
     /// requests serialized behind a pager fill.
     pub(crate) fn owner_hint(&mut self, page: PageIdx, owner: NodeId) {
+        // A hint naming us while we do not own the page is stale: the
+        // granter's eager hint arrived after we had already received the
+        // page and passed it on. Recording it would point the record at
+        // nobody, and a walk that found no owner would then mint a second
+        // one at the pager. We record ourselves when we do become owner.
+        if owner == self.me && !self.o.pages.get(&page).is_some_and(|pi| pi.owner) {
+            self.fx.bump("asvm.forward.stale_self_hint");
+            return;
+        }
         let waiting = self.o.static_waiting.remove(&page).unwrap_or_default();
         self.release_to_owner(page, owner, waiting);
     }
@@ -418,5 +455,17 @@ impl Cx<'_> {
         for (page, reqs) in std::mem::take(&mut self.o.static_waiting) {
             self.reroute(page, reqs);
         }
+    }
+}
+
+/// The `asvm.forward.hops.*` bucket counting a request the owner serves
+/// after `hops` forwarding hops.
+fn hop_key(hops: u16) -> &'static str {
+    match hops {
+        1 => "asvm.forward.hops.1",
+        2 => "asvm.forward.hops.2",
+        3..=4 => "asvm.forward.hops.3-4",
+        5..=8 => "asvm.forward.hops.5-8",
+        _ => "asvm.forward.hops.9+",
     }
 }
