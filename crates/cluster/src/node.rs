@@ -449,7 +449,9 @@ impl ClusterNode {
     /// raises the request to the host (charging the interrupt-driven
     /// receive cost its delivery envelope skipped) and the effects are
     /// interpreted normally, so protocol state stays identical across
-    /// backends.
+    /// backends. A lent page's return (`asvm`'s `grant.rs`) is such an
+    /// outcome: the grant carries ownership, so it takes the two-sided
+    /// path.
     fn finish_rdma_read(&mut self, ctx: &mut Ctx<'_, Msg>, requester: NodeId, fx: &mut EngineFx) {
         let a = &fx.asvm;
         let nic_served = a.pager.is_empty()

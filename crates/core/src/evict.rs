@@ -15,8 +15,13 @@
 //! | `Asking{c}` | `AcceptReply{c, yes}` | `PageTransfer` to `c`; hand the page away to `c` |
 //! | `Asking{c}` | `AcceptReply{c, no}` | `AcceptAsk` the last acceptor once, else step 4 |
 //! | member | `AcceptAsk` | accept iff memory is free and no transfer is already incoming |
-//! | accepted | `PageTransfer` | install as owner; notify static manager; drain parked |
+//! | accepted | `PageTransfer` | install as owner of lent memory; notify static manager; drain parked |
+//! | owner of lent memory, no reader | read request | return the page with its ownership (`grant.rs`) |
 //! | no taker (step 4) | — | dirty → `DataReturn` to the pager; hand the page away, `Paged` at the static manager |
+//!
+//! Each eviction bumps `asvm.evict.step{1,2,3,4}` once, at the step that
+//! decides where the page goes. Lent memory is an exclusive victim cache:
+//! the lender holds a lent page only until someone reads it again.
 
 use machvm::{Access, PageData, PageIdx};
 use svmsim::NodeId;
@@ -35,6 +40,7 @@ impl Cx<'_> {
         };
         assert!(pi.busy.is_none(), "VM evicted a busy page");
         if !pi.owner {
+            self.fx.bump("asvm.evict.step1");
             // Step 1: not the owner — discard; the owner can supply it
             // again at any time. Exception: if our own upgrade request for
             // this page is in flight and claimed this copy, the owner may
@@ -121,6 +127,7 @@ impl Cx<'_> {
         pi.readers.remove(&reader);
         if has_copy {
             // Ownership moves to the reader; no page contents needed.
+            self.fx.bump("asvm.evict.step2");
             let handover = Handover {
                 readers: pi.readers.as_slice().to_vec(),
                 version: pi.version,
@@ -219,6 +226,7 @@ impl Cx<'_> {
         };
         assert_eq!(asked, candidate);
         if accept {
+            self.fx.bump("asvm.evict.step3");
             let xfer = Transfer {
                 data,
                 dirty,
@@ -246,11 +254,13 @@ impl Cx<'_> {
         }
     }
 
-    /// A page we accepted arrives with its ownership (step 3).
+    /// A page we accepted arrives with its ownership (step 3), as lent
+    /// memory.
     pub(crate) fn on_page_transfer(&mut self, page: PageIdx, xfer: Transfer) {
         self.o.incoming_transfer.remove(&page);
         let mut pi = PageInfo::new(Access::Read, true, xfer.version);
         pi.dirty = xfer.dirty;
+        pi.lent = true;
         let prev = self.o.pages.insert(page, Box::new(pi));
         assert!(prev.is_none(), "page transfer onto existing state");
         self.supply(page, xfer.data, Access::Read);
@@ -260,6 +270,7 @@ impl Cx<'_> {
 
     /// Step 4: return the page to the real pager.
     fn evict_step4(&mut self, page: PageIdx, data: PageData, dirty: bool) {
+        self.fx.bump("asvm.evict.step4");
         if dirty {
             self.write_back(page, data);
         }

@@ -6,6 +6,8 @@
 //! |---|---|---|
 //! | nothing (or weaker) pending | own request | record `PendingLocal`; busy → park; owner → serve (7); else route |
 //! | owner, idle | read request | downgrade a writable copy; add reader; `Grant{Read}` (5) |
+//! | owner of lent memory, idle, no reader | read request | `Grant{Read, ownership}`; flush; hand the page away (`asvm.evict.lent_return`) |
+//! | owner of lent memory | own request served | the page is ours: clear `lent` |
 //! | owner, idle, no other reader | write request | `Grant{Write, ownership}`; flush; hand the page away (4) |
 //! | owner, idle, other readers | write request | `Invalidate` them; `Busy::WriteTransfer` (6) |
 //! | owner, idle, readers | own upgrade | `Invalidate` them; `Busy::LocalUpgrade` (7) |
@@ -80,8 +82,10 @@ impl Cx<'_> {
             return self.grant_pull(page, req, data);
         }
         if req.origin == self.me {
-            // Our own request came back to us as owner.
+            // Our own request came back to us as owner: a lent page is
+            // ours from now on.
             self.o.pending.remove(&page);
+            self.o.page_mut(page).lent = false;
             return match req.access {
                 Access::Read => self.lock(page, LockOp::Grant(Access::Read)),
                 Access::Write => self.local_upgrade(page),
@@ -108,9 +112,17 @@ impl Cx<'_> {
         );
     }
 
-    /// Transition 5: grant `to` a read copy and add it to the reader list.
+    /// Transition 5: grant `to` a read copy and add it to the reader list
+    /// — unless the page is lent and has no readers. Lent memory is an
+    /// exclusive victim cache (§3.6): a re-fault is the lender's cue to
+    /// hand the page back whole, with its ownership.
     fn grant_read(&mut self, page: PageIdx, to: NodeId) {
-        if self.o.page(page).access == Access::Write {
+        let pi = self.o.page(page);
+        if pi.lent && pi.readers.is_empty() {
+            self.fx.bump("asvm.evict.lent_return");
+            return self.transfer_ownership(page, to, Access::Read, false);
+        }
+        if pi.access == Access::Write {
             // Single writer XOR multiple readers: downgrade first.
             let dirty = self
                 .vm
@@ -149,12 +161,18 @@ impl Cx<'_> {
     /// step 1 does not notify the owner), and the reader list alone is
     /// not enough, because such a discard leaves it stale.
     fn finish_write_transfer(&mut self, page: PageIdx, to: NodeId, to_has_copy: bool) {
+        let elide = to_has_copy && self.o.page(page).readers.contains(&to);
+        self.transfer_ownership(page, to, Access::Write, elide);
+    }
+
+    /// Grants `to` `access` to `page` with its ownership, dirty bit and
+    /// version — the contents ride along unless `elide` — and gives the
+    /// page up here.
+    fn transfer_ownership(&mut self, page: PageIdx, to: NodeId, access: Access, elide: bool) {
         let (data, vm_dirty) = self.owned_page(page);
-        let pi = self.o.page_mut(page);
-        let elide = to_has_copy && pi.readers.contains(&to);
-        pi.dirty |= vm_dirty;
-        self.send_grant(to, page, Access::Write, (!elide).then_some(data), true);
-        // Flush our own copy: the new writer is the single writer.
+        self.o.page_mut(page).dirty |= vm_dirty;
+        self.send_grant(to, page, access, (!elide).then_some(data), true);
+        // Flush our own copy: the new owner holds the only one.
         self.vm.set_busy(self.o.vm_obj, page, false);
         self.lock(page, FLUSH);
         // Tell the static manager about the transfer NOW (the new owner

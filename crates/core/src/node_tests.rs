@@ -1029,3 +1029,146 @@ fn watchdog_charges_only_for_stalled_requests() {
         late.bumps
     );
 }
+
+/// Node 0 write-faults `page`, stores `value` in it, and evicts it with
+/// no reader left: §3.6 step 3 lends it to node 1, the first candidate.
+fn lend_from_node0(net: &mut MiniNet, page: u32, value: u64) -> TaskId {
+    let t0 = net.add_task(0);
+    net.fault(0, t0, page, Access::Write);
+    net.nodes[0]
+        .1
+        .write_page(Time::from_nanos(1), t0, page as u64, PageData::Word(value));
+    let fx = evict_on(net, 0, page);
+    net.absorb(NodeId(0), fx);
+    // `AcceptAsk` to node 1, then its yes, which decides step 3.
+    for step in 0..2 {
+        let (from, to, msg) = net.wire.pop().expect("the step-3 round trip");
+        let fx = net.deliver(from.0, to.0, msg);
+        assert_eq!(fx.bumps.contains(&"asvm.evict.step3"), step == 1);
+        net.absorb(to, fx);
+    }
+    net.settle();
+    let lent = net.page(1, page).expect("node 1 accepted the page");
+    assert!(lent.owner && lent.lent && lent.dirty);
+    t0
+}
+
+/// Whether node `n`'s VM holds `page`.
+fn resident(net: &MiniNet, n: u16, page: u32) -> bool {
+    let vo = net.vm_obj(n);
+    net.nodes[n as usize].1.object(vo).resident(PageIdx(page))
+}
+
+/// Lent memory is a victim cache: the first read of a lent page takes it
+/// back whole — one grant carrying the contents, ownership, the dirty bit
+/// and the version — and the lender keeps neither state nor a VM page for
+/// it. The lender hints the page's static manager at once.
+#[test]
+fn a_lent_page_goes_back_owned_on_the_first_read() {
+    let mut net = MiniNet::new(3, AsvmConfig::default());
+    let page = 2;
+    let sm = net.nodes[0].0.object(MOBJ).static_node(PageIdx(page));
+    assert_eq!(sm, NodeId(2), "neither the evictor nor the lender");
+    let t0 = lend_from_node0(&mut net, page, 42);
+    let o1 = net.nodes[1].0.object_mut(MOBJ);
+    o1.pages.get_mut(&PageIdx(page)).unwrap().version = 3;
+
+    net.raise(0, t0, page, Access::Read);
+    net.deliver_until(|net| net.page(1, page).is_none());
+    assert!(!resident(&net, 1, page), "the lender flushed its copy");
+    let grant = net.wire.iter().find_map(|(from, to, m)| match m {
+        AsvmMsg::Grant { grant, .. } if (*from, *to) == (NodeId(1), NodeId(0)) => Some(grant),
+        _ => None,
+    });
+    let grant = grant.expect("a grant to the reader");
+    assert!(grant.ownership && grant.dirty && grant.access == Access::Read);
+    assert_eq!((grant.version, &grant.data), (3, &Some(PageData::Word(42))));
+    assert!(
+        (net.wire.iter()).any(|(from, to, m)| (*from, *to) == (NodeId(1), sm)
+            && matches!(m, AsvmMsg::OwnerHint { owner, .. } if *owner == NodeId(0))),
+        "the static manager is hinted by the lender"
+    );
+
+    net.settle();
+    assert_eq!(net.owner_of(page), Some(NodeId(0)));
+    let pi = net.page(0, page).unwrap();
+    assert!(pi.dirty && !pi.lent && pi.readers.is_empty());
+    assert_eq!((pi.access, pi.version), (Access::Read, 3));
+    let now = net.now();
+    assert_eq!(
+        net.nodes[0].1.read_page(now, t0, page as u64),
+        PageData::Word(42)
+    );
+    let o = net.nodes[sm.index()].0.object(MOBJ);
+    assert_eq!(
+        o.static_cache.peek(&PageIdx(page)),
+        Some(&StaticHint::Owner(NodeId(0)))
+    );
+    net.check_state_tied_to_residency();
+}
+
+/// Once the lender uses a lent page itself (its own request is served
+/// there), the page is its own: a remote read is plain transition 5.
+#[test]
+fn a_lent_page_the_lender_used_is_shared_as_usual() {
+    let mut net = MiniNet::new(3, AsvmConfig::default());
+    let page = 2;
+    let t0 = lend_from_node0(&mut net, page, 42);
+    let t1 = net.add_task(1);
+    net.fault(1, t1, page, Access::Write);
+    assert!(!net.page(1, page).unwrap().lent);
+
+    net.raise(0, t0, page, Access::Read);
+    let fx = loop {
+        let (from, to, msg) = net.wire.pop().expect("the read reaches the owner");
+        let fx = net.deliver(from.0, to.0, msg);
+        if to == NodeId(1) {
+            break fx;
+        }
+        net.absorb(to, fx);
+    };
+    assert!(!fx.bumps.contains(&"asvm.evict.lent_return"));
+    assert!(matches!(
+        fx.net.as_slice(),
+        [(d, AsvmMsg::Grant { grant, .. })] if *d == NodeId(0) && !grant.ownership
+    ));
+    net.absorb(NodeId(1), fx);
+    net.settle();
+    assert_eq!(net.owner_of(page), Some(NodeId(1)));
+    assert!(net.page(1, page).unwrap().readers.contains(&NodeId(0)));
+    net.check_state_tied_to_residency();
+}
+
+/// Only pages that arrived as lent memory go back on a read: a page owned
+/// by a pager fill, or one a writer took from the lender (transition 4),
+/// keeps its owner when another node reads it.
+#[test]
+fn pages_owned_by_pager_fill_or_write_are_never_returned() {
+    let mut net = MiniNet::new(3, AsvmConfig::default());
+    let lent = 2;
+    lend_from_node0(&mut net, lent, 42);
+    let t2 = net.add_task(2);
+    net.fault(2, t2, lent, Access::Write);
+    let t1 = net.add_task(1);
+    net.fault(1, t1, 4, Access::Read);
+    assert_eq!(
+        (net.owner_of(lent), net.owner_of(4)),
+        (Some(NodeId(2)), Some(NodeId(1)))
+    );
+    let t0 = TaskId(100);
+    for (page, owner) in [(lent, NodeId(2)), (4, NodeId(1))] {
+        assert!(!net.page(owner.0, page).unwrap().lent, "page {page}");
+        net.fault(0, t0, page, Access::Read);
+        assert_eq!(net.owner_of(page), Some(owner), "page {page}");
+        let pi = net.page(owner.0, page).unwrap();
+        assert!(pi.readers.contains(&NodeId(0)), "page {page}");
+    }
+    net.check_state_tied_to_residency();
+}
+
+/// The provenance bit rides in `PageInfo`'s padding: the record is no
+/// larger than before it.
+#[test]
+fn the_lent_bit_costs_no_page_record_bytes() {
+    assert_eq!(std::mem::size_of::<PageInfo>(), 128);
+}

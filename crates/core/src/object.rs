@@ -117,6 +117,11 @@ pub struct PageInfo {
     pub version: u64,
     /// The distributed page differs from the pager's version.
     pub dirty: bool,
+    /// Lent memory: the page arrived here by another node's §3.6 step 3
+    /// eviction and this node has not used it since. The first read
+    /// request takes it back with its ownership (`grant.rs`); this node's
+    /// own served request clears the flag. Rides in the record's padding.
+    pub lent: bool,
     /// In-flight operation, if any.
     pub busy: Option<Busy>,
     /// Requests parked on this page while busy.
@@ -132,6 +137,7 @@ impl PageInfo {
             readers: NodeSet::new(),
             version,
             dirty: false,
+            lent: false,
             busy: None,
             queued: VecDeque::new(),
         }
