@@ -1053,12 +1053,6 @@ fn lend_from_node0(net: &mut MiniNet, page: u32, value: u64) -> TaskId {
     t0
 }
 
-/// Whether node `n`'s VM holds `page`.
-fn resident(net: &MiniNet, n: u16, page: u32) -> bool {
-    let vo = net.vm_obj(n);
-    net.nodes[n as usize].1.object(vo).resident(PageIdx(page))
-}
-
 /// Lent memory is a victim cache: the first read of a lent page takes it
 /// back whole — one grant carrying the contents, ownership, the dirty bit
 /// and the version — and the lender keeps neither state nor a VM page for
@@ -1075,7 +1069,11 @@ fn a_lent_page_goes_back_owned_on_the_first_read() {
 
     net.raise(0, t0, page, Access::Read);
     net.deliver_until(|net| net.page(1, page).is_none());
-    assert!(!resident(&net, 1, page), "the lender flushed its copy");
+    let lender_vm = net.nodes[1].1.object(net.vm_obj(1));
+    assert!(
+        !lender_vm.resident(PageIdx(page)),
+        "the lender flushed its copy"
+    );
     let grant = net.wire.iter().find_map(|(from, to, m)| match m {
         AsvmMsg::Grant { grant, .. } if (*from, *to) == (NodeId(1), NodeId(0)) => Some(grant),
         _ => None,
