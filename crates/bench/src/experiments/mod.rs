@@ -60,7 +60,7 @@ experiments! {
     coalesce [""] "frames per fault, STS combiner off vs on",
     megascale ["--seed"] "events/s and per-node protocol state at 128–1024 nodes",
     prefetch [""] "stream-driven hint/data prefetch, off vs hint vs hint+data",
-    tenants ["--seed"] "multi-tenant Zipf mix, adaptive policy vs uniform arms",
+    tenants ["--seed"] "multi-tenant Zipf mix, uniform arms vs a per-object oracle",
 }
 
 /// Looks an experiment up by name.

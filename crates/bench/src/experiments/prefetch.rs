@@ -84,7 +84,7 @@ const KEYS: &[Key] = &[
     "asvm.prefetch.hint",
     "wasted_kb",
     "transport.rdma.prefetch_read",
-    "asvm.policy.prefetch_off",
+    "asvm.prefetch.latched",
 ];
 
 fn arm_cfg(arm: u8) -> AsvmConfig {
@@ -94,23 +94,6 @@ fn arm_cfg(arm: u8) -> AsvmConfig {
         1 => PrefetchCfg::hints_only(DEPTH),
         _ => PrefetchCfg::streaming(DEPTH),
     };
-    if arm == 3 {
-        // The latch demo: the online policy watches the speculation
-        // record and switches the data tier off once the wasted share
-        // crosses `prefetch_wasted_pct` (short window so the latch can
-        // engage within the bench's few rounds). Mode management is off
-        // so the write-heavy mix cannot strip prefetch outright via the
-        // Static mode — only the wasted-ratio latch acts, which is the
-        // mechanism this arm demonstrates.
-        cfg.policy.enabled = true;
-        cfg.policy.manage_prefetch = false;
-        cfg.policy.manage_coalesce = false;
-        // Short window, no hysteresis: each node is the stream's reader
-        // for only two of the eight rounds, so the latch must land on
-        // the first bad window to cap the second reader round.
-        cfg.policy.window = 8;
-        cfg.policy.hysteresis = 1;
-    }
     cfg
 }
 
@@ -141,8 +124,8 @@ fn cells() -> Vec<(String, &'static str, u8, Pattern, Transport)> {
             ));
         }
     }
-    // The waste counter-case, plus the policy latch that caps it.
-    for (arm_label, arm) in [("off", 0), ("hint+data", 2), ("latch", 3)] {
+    // The waste counter-case, which the data tier's waste latch caps.
+    for (arm_label, arm) in [("off", 0), ("hint+data", 2)] {
         cells.push((
             "sts / handoff".into(),
             arm_label,
@@ -213,7 +196,7 @@ pub fn run(args: &Args) {
     println!("activity drives speculative pulls. handoff is the waste counter-case:");
     println!("the reader consumes 6 of 64 handed-off pages, so the speculative window");
     println!("overshoots its interest and the overshoot copies are invalidated or");
-    println!("overwritten unread (wasted column); the latch arm shows asvm::policy");
-    println!("capping that via asvm.policy.prefetch_off.");
+    println!("overwritten unread (wasted column) until the waste latch turns the");
+    println!("data tier off (asvm.prefetch.latched).");
     report.finish();
 }

@@ -410,7 +410,7 @@ impl ClusterNode {
 
     /// Whether protocol sends for `mobj` should go through the frame
     /// combiner: the object's own setting where the engine keeps one (so
-    /// per-object overrides and runtime policy switches take effect), the
+    /// per-object overrides take effect), the
     /// node-level default otherwise.
     fn coalesce_enabled_for(&self, mobj: MemObjId) -> bool {
         self.engine.coalesce_enabled(mobj).unwrap_or(self.coalesce)

@@ -136,11 +136,10 @@ impl Ssi {
     /// paper's per-memory-object strategy hook (*"The ASVM system allows
     /// to disable either dynamic or static forwarding (or both) on a
     /// memory-object basis"*), extended to the full [`AsvmConfig`]
-    /// surface: forwarding switches, cache capacities, prefetch,
-    /// watchdog bounds, coalescing, and the online policy. Takes effect
-    /// on every [`Ssi::map_shared`] after the call, so set it before the
-    /// object's first map; other objects keep the cluster-wide
-    /// configuration. ASVM only.
+    /// surface: forwarding switches, cache capacity, prefetch and
+    /// coalescing. Takes effect on every [`Ssi::map_shared`] after the
+    /// call, so set it before the object's first map; other objects keep
+    /// the cluster-wide configuration. ASVM only.
     pub fn set_object_config(&mut self, mobj: MemObjId, cfg: AsvmConfig) {
         assert!(
             matches!(self.kind, ManagerKind::Asvm(_)),

@@ -67,9 +67,6 @@ pub struct AsvmConfig {
     /// `docs/RELIABILITY.md`). Off keeps the classic one-frame-per-message
     /// path, byte-identical to builds without the coalescing layer.
     pub coalesce: bool,
-    /// Online per-object strategy selection (default off); see
-    /// [`crate::policy`].
-    pub policy: crate::policy::PolicyCfg,
 }
 
 impl Default for AsvmConfig {
@@ -80,7 +77,6 @@ impl Default for AsvmConfig {
             dynamic_cache_entries: 4096,
             prefetch: crate::prefetch::PrefetchCfg::default(),
             coalesce: false,
-            policy: crate::policy::PolicyCfg::default(),
         }
     }
 }
@@ -136,16 +132,6 @@ impl AsvmConfig {
         self.coalesce = true;
         self
     }
-
-    /// Returns this configuration with the online per-object policy
-    /// switched on (default window and hysteresis): each node then picks
-    /// dynamic/static/global forwarding — and, where the transport
-    /// supports it, coalescing — per memory object from the object's own
-    /// observed traffic. See [`crate::policy`].
-    pub fn adaptive(mut self) -> AsvmConfig {
-        self.policy = crate::policy::PolicyCfg::on();
-        self
-    }
 }
 
 #[cfg(test)]
@@ -168,18 +154,24 @@ mod tests {
         assert!(AsvmConfig::default().coalesced().coalesce);
     }
 
+    /// Every settable value, by name: adding one is a deliberate edit
+    /// here (and a row in docs/TUNING.md), not a side effect.
     #[test]
-    fn policy_defaults_off_and_adaptive_enables_it() {
-        let d = AsvmConfig::default();
-        assert!(!d.policy.enabled, "the online policy must be opt-in");
-        let a = AsvmConfig::default().adaptive();
-        assert!(a.policy.enabled);
-        assert_eq!(a.policy.window, 48);
-        assert_eq!(a.policy.hysteresis, 2);
-        assert!(a.policy.manage_coalesce);
-        assert!(a.policy.manage_prefetch);
-        // Forwarding switches are untouched until the policy acts.
-        assert!(a.dynamic_forwarding && a.static_forwarding);
+    fn settable_values_are_pinned() {
+        let AsvmConfig {
+            dynamic_forwarding: _,
+            static_forwarding: _,
+            dynamic_cache_entries: _,
+            prefetch:
+                crate::prefetch::PrefetchCfg {
+                    enabled: _,
+                    hints: _,
+                    data: _,
+                    min_run: _,
+                    depth: _,
+                },
+            coalesce: _,
+        } = AsvmConfig::default();
     }
 
     #[test]

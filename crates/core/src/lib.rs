@@ -36,7 +36,6 @@ pub mod locks;
 pub mod lru;
 pub mod node;
 pub mod object;
-pub mod policy;
 pub mod prefetch;
 pub mod protocol;
 mod recovery;
@@ -55,10 +54,7 @@ pub use object::{
     AsvmObject, Busy, DynHint, EvictStage, PageInfo, PendingLocal, QueuedReq, RecoverState,
     StaticHint,
 };
-pub use policy::{
-    AccelBase, Observation, PolicyCfg, PolicyMode, PolicyState, PolicyVerdict, PrefetchVerdict,
-};
-pub use prefetch::{PrefetchCfg, StreamDetector};
+pub use prefetch::{PrefetchCfg, StreamDetector, WasteLatch};
 pub use protocol::{AsvmMsg, CopyView, Handover, PageGrant, ReqKind, ReqPath, Transfer};
 pub use retry::{Accepted, LinkReceiver, LinkSender, RecoveryTiming, RetryConfig, TimeoutVerdict};
 

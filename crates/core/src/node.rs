@@ -24,14 +24,14 @@
 //! | `evict` | the §3.6 four-step internode pageout |
 //! | `recovery` | ownership reconstruction, the watchdog, suspicion unwinding |
 //! | [`crate::copymgmt`] | §3.7 delayed copies: version bumps, push, pull |
-//! | [`crate::prefetch`], [`crate::policy`] | prefetch and online-policy glue |
+//! | [`crate::prefetch`] | prefetch glue and the data tier's waste latch |
 //!
 //! Dispatch (event → handler): `EMMI data_request`/`data_unlock` →
 //! `on_fault`; `pull_completed` → `on_pull_completed` (escalating into
 //! the shadow's object); pager supply → `pager_supply`; VM eviction →
 //! `evict`; every [`AsvmMsg`] variant → the `on_*`/`*_reply` handler of
-//! the same name, after `observe_request` lets the policy and the hint
-//! prefetcher see arriving requests.
+//! the same name, after `observe_request` lets the hint prefetcher see
+//! arriving requests.
 
 use machvm::{
     Access, EmmiToKernel, EmmiToPager, KeyTable, LockMode, LockOp, MemObjId, PageData, PageIdx,
@@ -158,9 +158,7 @@ impl AsvmNode {
     /// (built by [`AsvmObject::new`] when the object is first mapped
     /// here). Notifies the home node so membership propagates.
     pub fn register_object(&mut self, o: AsvmObject, fx: &mut Fx) {
-        // The *configured* setting, before any policy-start strip: a
-        // Static-start object can still have its prefetch restored later.
-        self.prefetch_live |= o.policy.base().prefetch.enabled;
+        self.prefetch_live |= o.cfg.prefetch.enabled;
         let (mobj, vm_obj, home) = (o.mobj, o.vm_obj, o.home);
         let prev = self.objects.insert(mobj, Box::new(o));
         assert!(prev.is_none(), "object {mobj:?} registered twice");
@@ -204,8 +202,7 @@ impl AsvmNode {
     /// The object state, if `mobj` is registered here — the non-panicking
     /// lookup the cluster layer uses on paths where an unknown object is
     /// legitimate (first mapping; per-object transport choices on the
-    /// protocol send path, which reflect any runtime changes the online
-    /// policy has applied to the object's configuration).
+    /// protocol send path).
     pub fn find_object(&self, mobj: MemObjId) -> Option<&AsvmObject> {
         self.objects.get(&mobj).map(|o| &**o)
     }
@@ -264,9 +261,8 @@ impl AsvmNode {
     /// Whether any object on this node was *configured* with prefetch
     /// enabled. The cluster layer tests this one boolean on the hot
     /// no-fault access path, so prefetch-off runs pay nothing for the
-    /// bookkeeping hook. Sticky across policy strips: a Dynamic-mode
-    /// object whose prefetch is currently latched off still needs its
-    /// hits noted.
+    /// bookkeeping hook. Sticky across the waste latch: an object whose
+    /// data tier is latched off still needs its hits noted.
     pub fn wants_access_notes(&self) -> bool {
         self.prefetch_live
     }
@@ -430,8 +426,8 @@ impl AsvmNode {
     }
 
     /// Handles one ASVM protocol message from node `from`: charges the
-    /// handling cost, lets the policy and the hint prefetcher observe
-    /// arriving requests, and dispatches to the message's handler.
+    /// handling cost, lets the hint prefetcher observe arriving requests,
+    /// and dispatches to the message's handler.
     pub fn handle_msg(
         &mut self,
         now: Time,

@@ -313,11 +313,9 @@ pub struct AsvmObject {
     pub copy_settles: Vec<(NodeId, BTreeSet<NodeId>)>,
     /// Range-lock manager (home node only; §6 future work).
     pub range_locks: crate::locks::RangeLockMgr,
-    /// Online per-object policy state (inert unless `cfg.policy.enabled`):
-    /// traffic-window accumulators and the hysteresis ledger driving
-    /// runtime switches of this node's forwarding/coalescing choices for
-    /// the object. See [`crate::policy`].
-    pub policy: crate::policy::PolicyState,
+    /// The data tier's waste latch (inert unless a detector-gated data
+    /// tier is on). See [`crate::prefetch::WasteLatch`].
+    pub latch: crate::prefetch::WasteLatch,
     /// Local fault-stream detector driving data prefetch (inert unless
     /// `cfg.prefetch.enabled`). See [`crate::prefetch`].
     pub local_stream: crate::prefetch::StreamDetector,
@@ -355,18 +353,6 @@ impl AsvmObject {
             nodes.push(me);
             nodes.sort();
         }
-        // Under a live policy the configuration must agree with the mode
-        // the policy believes it holds: apply the starting mode up front
-        // (a no-op for a Dynamic start, which keeps its configured
-        // accelerants; a Static/Global start has them stripped until read
-        // evidence upgrades the object). The accelerant base is snapshotted
-        // first so an upgrade knows what to restore.
-        let base = crate::policy::AccelBase::of(&cfg);
-        let mode = crate::policy::PolicyMode::of(&cfg);
-        let mut cfg = cfg;
-        if cfg.policy.enabled {
-            mode.apply(&mut cfg, base);
-        }
         AsvmObject {
             mobj,
             vm_obj,
@@ -396,7 +382,7 @@ impl AsvmObject {
             pull_in_flight: BTreeMap::new(),
             copy_settles: Vec::new(),
             range_locks: crate::locks::RangeLockMgr::default(),
-            policy: crate::policy::PolicyState::new(cfg.policy, mode, base),
+            latch: crate::prefetch::WasteLatch::default(),
             local_stream: crate::prefetch::StreamDetector::default(),
             peer_streams: BTreeMap::new(),
             prefetched: BTreeSet::new(),

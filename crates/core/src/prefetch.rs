@@ -23,29 +23,36 @@
 //!   moment the stride breaks.
 //!
 //! Accounting is honest: `asvm.prefetch.issued` / `hit` / `late` /
-//! `wasted` / `cancelled` counters, and the online policy
-//! ([`crate::policy`]) can latch data prefetch off per object when the
-//! wasted ratio climbs (migratory sharing is the counter-case: prefetched
+//! `wasted` / `cancelled` counters, and a detector-gated stream latches
+//! its data tier off per object when the wasted share climbs
+//! ([`WasteLatch`]; migratory sharing is the counter-case: prefetched
 //! neighbours are invalidated before they are read).
 //!
 //! The detector is sans-IO and fully deterministic: state advances only on
 //! observed page numbers, never on time or randomness.
 //!
 //! The engine glue at the bottom of this module is where the handlers
-//! meet prefetch and the online policy:
+//! meet prefetch:
 //!
 //! | event | effects |
 //! |---|---|
-//! | local fault | policy observes; detector observes (a broken run counts its in-flight speculation `cancelled`); a prefetched page settles; request; a read issues the predicted window |
+//! | local fault | detector observes (a broken run counts its in-flight speculation `cancelled`); a prefetched page settles; request; a read issues the predicted window |
 //! | local hit on a prefetched page | settle it (`hit` on read, `wasted` on write); a read tops the window up (detector-gated presets) |
-//! | arriving plain `PageReq` | policy observes; the origin's peer detector observes (hint tier) |
-//! | prefetched page invalidated, evicted or handed away | settle it `wasted`; the policy may latch the data tier off |
+//! | arriving plain `PageReq` | the origin's peer detector observes (hint tier) |
+//! | prefetched page invalidated, evicted or handed away | settle it `wasted` |
+//! | a fill settles, detector-gated data tier on | the waste latch counts it; a wasteful window turns the data tier off (`asvm.prefetch.latched`) |
 
 use machvm::{Access, PageIdx};
 
 use crate::node::Cx;
-use crate::policy::{Observation, PrefetchVerdict};
 use crate::protocol::AsvmMsg;
+
+/// Settled speculative fills per [`WasteLatch`] window.
+pub const LATCH_WINDOW: u8 = 8;
+
+/// Wasted share of a window, in percent, at or above which the
+/// [`WasteLatch`] turns the data tier off.
+pub const LATCH_WASTED_PCT: u8 = 50;
 
 /// Per-object prefetch configuration (default: everything off, which is
 /// byte-identical to builds without the prefetch layer).
@@ -207,12 +214,61 @@ impl StreamDetector {
     }
 }
 
+/// The data tier's waste latch: counts settled speculative fills in
+/// windows of [`LATCH_WINDOW`], and the first window in which
+/// [`LATCH_WASTED_PCT`] or more were wasted — invalidated, evicted or
+/// overwritten before a demand read consumed them — turns the object's
+/// data tier off for good. `PrefetchCfg::data == false` is the latch
+/// flag, so it fires at most once. Only detector-gated streams latch: the
+/// legacy [`PrefetchCfg::readahead`] preset (`min_run == 0`) keeps its
+/// original traffic bit-for-bit.
+///
+/// ```
+/// use asvm::prefetch::{PrefetchCfg, WasteLatch, LATCH_WINDOW};
+///
+/// let mut cfg = PrefetchCfg::streaming(4);
+/// let mut latch = WasteLatch::default();
+/// // Migratory sharing: every speculative copy is invalidated unread.
+/// // The window's last outcome latches the data tier off.
+/// let fired: Vec<bool> = (0..LATCH_WINDOW).map(|_| latch.record(&mut cfg, true)).collect();
+/// assert_eq!(fired.iter().position(|&f| f), Some(LATCH_WINDOW as usize - 1));
+/// assert!(!cfg.data && cfg.hints, "only the data tier goes");
+/// // Further outcomes never re-fire it.
+/// assert!(!latch.record(&mut cfg, true));
+/// ```
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WasteLatch {
+    /// Settled fills in the current window.
+    seen: u8,
+    /// Of those, how many were wasted.
+    wasted: u8,
+}
+
+impl WasteLatch {
+    /// Feeds the outcome of one settled speculative fill under `cfg`.
+    /// Returns `true` when this outcome closed a wasteful window and
+    /// latched `cfg.data` off.
+    pub fn record(&mut self, cfg: &mut PrefetchCfg, wasted: bool) -> bool {
+        if cfg.min_run == 0 || !cfg.data {
+            return false;
+        }
+        self.seen += 1;
+        self.wasted += u8::from(wasted);
+        if self.seen < LATCH_WINDOW {
+            return false;
+        }
+        let bad = self.wasted as u32 * 100 >= LATCH_WASTED_PCT as u32 * self.seen as u32;
+        *self = WasteLatch::default();
+        cfg.data = !bad;
+        bad
+    }
+}
+
 impl Cx<'_> {
     /// A local fault needs `access` to `page` — an EMMI `data_request`,
     /// or a write upgrade's `data_unlock` (`upgrade`).
     pub(crate) fn on_fault(&mut self, page: PageIdx, access: Access, upgrade: bool) {
         let write = access == Access::Write;
-        self.policy_observe(Observation::LocalFault { write });
         // The stream detector watches every local demand fault; a stride
         // change cancels outstanding speculation (no further issues on
         // the stale prediction — in-flight requests complete through the
@@ -225,11 +281,11 @@ impl Cx<'_> {
             }
         }
         // A demand fault on a prefetched page still consumes the
-        // speculative fill — even if the policy has since stripped the
-        // object's prefetch, leftovers settle honestly. A read fault
-        // scores a hit; a write fault (or a write upgrade whose *first*
-        // touch of the prefetched read copy is this unlock) clobbers the
-        // copy unread, so the speculative transfer was wasted.
+        // speculative fill — even if the latch has since turned the data
+        // tier off, leftovers settle honestly. A read fault scores a hit;
+        // a write fault (or a write upgrade whose *first* touch of the
+        // prefetched read copy is this unlock) clobbers the copy unread,
+        // so the speculative transfer was wasted.
         if !self.o.prefetched.is_empty() {
             self.spec_settle(page, write);
         }
@@ -298,9 +354,9 @@ impl Cx<'_> {
 
     /// Settles the speculative fill for `page`, if one is still waiting
     /// for a demand access: removes it from the prefetched set, bumps
-    /// `asvm.prefetch.hit`/`wasted`, and feeds the outcome to the online
-    /// policy, which may latch the object's data tier off. Returns
-    /// whether a fill was settled.
+    /// `asvm.prefetch.hit`/`wasted`, and feeds the outcome to the
+    /// object's [`WasteLatch`], which may turn its data tier off
+    /// (`asvm.prefetch.latched`). Returns whether a fill was settled.
     pub(crate) fn spec_settle(&mut self, page: PageIdx, wasted: bool) -> bool {
         if !self.o.prefetched.remove(&page) {
             return false;
@@ -310,29 +366,15 @@ impl Cx<'_> {
         } else {
             "asvm.prefetch.hit"
         });
-        if self.o.cfg.prefetch.min_run == 0 {
-            // The legacy readahead preset predates the policy's wasted
-            // latch; keeping it out preserves the original preset's
-            // traffic bit-for-bit (the latch guards detector-driven
-            // speculation only).
-            return true;
-        }
-        match self.o.policy.record_prefetch(wasted) {
-            PrefetchVerdict::Idle => {}
-            PrefetchVerdict::Observed => self.fx.bump("asvm.policy.observe"),
-            PrefetchVerdict::Disable => {
-                self.fx.bump("asvm.policy.observe");
-                self.fx.bump("asvm.policy.prefetch_off");
-                self.o.cfg.prefetch.data = false;
-            }
+        if self.o.latch.record(&mut self.o.cfg.prefetch, wasted) {
+            self.fx.bump("asvm.prefetch.latched");
         }
         true
     }
 
-    /// The policy learns from arriving access requests — the traffic a
-    /// forwarding-strategy change would actually redirect. Push scans,
+    /// Hint prefetch learns from arriving demand requests. Push scans,
     /// pull lookups and bookkeeping replies carry no signal about the
-    /// object's read/write mix.
+    /// requester's stream.
     pub(crate) fn observe_request(&mut self, msg: &AsvmMsg) {
         let AsvmMsg::PageReq {
             page, req, path, ..
@@ -343,8 +385,6 @@ impl Cx<'_> {
         if !req.is_plain_access() {
             return;
         }
-        let write = req.access == Access::Write;
-        self.policy_observe(Observation::RemoteReq { write });
         // Hint prefetch learns the *demand* stream of the faulting node:
         // frames flowing back to it will carry owner hints for its
         // predicted next pages. Speculative requests are its prefetcher
@@ -422,6 +462,49 @@ mod tests {
             d.observe(PageIdx(7));
         }
         assert_eq!(d.prediction(&cfg), None, "stride 0 must never predict");
+    }
+
+    /// Feeds `outcomes` (true = wasted) to a fresh latch over `cfg`;
+    /// returns the indices at which it fired.
+    fn latch_fires(cfg: &mut PrefetchCfg, outcomes: impl IntoIterator<Item = bool>) -> Vec<usize> {
+        let mut latch = WasteLatch::default();
+        outcomes
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, wasted)| latch.record(cfg, wasted).then_some(i))
+            .collect()
+    }
+
+    #[test]
+    fn wasteful_window_latches_the_data_tier_off_once() {
+        let mut cfg = PrefetchCfg::streaming(4);
+        let w = LATCH_WINDOW as usize;
+        // Exactly half wasted is wasteful: the window's last outcome fires.
+        let half = (0..w).map(|i| i % 2 == 0);
+        assert_eq!(latch_fires(&mut cfg, half), vec![w - 1]);
+        assert!(!cfg.data, "the data tier is latched off");
+        assert!(cfg.enabled && cfg.hints, "the detector and hint tier stay");
+        assert!(
+            latch_fires(&mut cfg, std::iter::repeat_n(true, 4 * w)).is_empty(),
+            "a latched tier never fires again"
+        );
+    }
+
+    #[test]
+    fn hit_heavy_windows_never_latch() {
+        let mut cfg = PrefetchCfg::streaming(4);
+        let w = LATCH_WINDOW as usize;
+        // Just under half wasted, window after window.
+        let mostly_hits = (0..64 * w).map(|i| i % w < w / 2 - 1);
+        assert!(latch_fires(&mut cfg, mostly_hits).is_empty());
+        assert!(cfg.data);
+    }
+
+    #[test]
+    fn readahead_preset_never_latches() {
+        let mut cfg = PrefetchCfg::readahead(8);
+        assert!(latch_fires(&mut cfg, std::iter::repeat_n(true, 1000)).is_empty());
+        assert!(cfg.data, "the legacy preset keeps its traffic");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   the 128–1024-node `megascale` benchmark;
 //! * [`tenants`] — the multi-tenant consolidation shape: thousands of
 //!   Zipf-popular memory objects with mixed per-object read/write ratios
-//!   and tasks arriving/departing in waves, driving the per-object
-//!   adaptive strategy selection of [`asvm::policy`].
+//!   and tasks arriving/departing in waves, where per-object strategy
+//!   selection ([`cluster::Ssi::set_object_config`]) pays.
 //!
 //! Every shape builds its cluster through [`Scenario::build`] and drains
 //! it through [`Scenario::finish`] into the one [`Outcome`] type — the

@@ -5,9 +5,9 @@
 //! that: *thousands* of memory objects with heavily skewed popularity,
 //! tasks arriving and departing mid-run, and no single access pattern —
 //! some objects are read-mostly fan-out, others write-heavy migratory.
-//! No static forwarding/coalescing configuration wins across that mix,
-//! which is exactly the case for per-object strategy selection
-//! ([`asvm::policy`]).
+//! One uniform configuration need not suit that whole mix, which is what
+//! the paper's per-object strategy hook
+//! ([`cluster::Ssi::set_object_config`]) is for.
 //!
 //! The generator is fully seeded and deterministic:
 //!
@@ -31,13 +31,11 @@
 //!   objects hammer Zipf-hot pages (the OLTP tenant, where prefetched
 //!   neighbours are invalidated before anyone reads them).
 //!
-//! [`TenantsSpec::phase_flip`] is the honest counter-case knob: it
-//! inverts every object's read/write mix each `phase_flip` ops, and a
-//! flip period shorter than the policy's `window × hysteresis` makes an
-//! adaptive run churn (`asvm.policy.switch` climbs, latency does not
-//! improve) — see the `tenants` bench.
+//! [`TenantsSpec::phase_flip`] inverts every object's read/write mix
+//! each `phase_flip` ops, so no per-object configuration chosen up front
+//! fits the whole run — see the `tenants` bench.
 
-use asvm::{AccelBase, AsvmConfig, PolicyMode};
+use asvm::AsvmConfig;
 use cluster::{ManagerKind, Program, Step, TaskEnv};
 use machvm::{Access, Inherit};
 use rand::rngs::StdRng;
@@ -116,7 +114,7 @@ pub struct TenantsSpec {
     /// Modeled compute per access, in microseconds.
     pub think_us: f64,
     /// Invert every object's read/write mix each `phase_flip` ops per
-    /// task (0 disables): the adaptation-churn counter-case.
+    /// task (0 disables).
     pub phase_flip: u32,
     /// Master seed for classes, working sets, and access streams.
     pub seed: u64,
@@ -145,15 +143,10 @@ impl Default for TenantsSpec {
     }
 }
 
-/// Statistics keys under which [`run_tenants`] records how many object
-/// replicas (per node, per object) ended the run in Dynamic / Static /
-/// Global mode — engine state, not traffic, so the run books it as gauges
-/// for the snapshot to carry.
-pub const MODE_GAUGES: [&str; 3] = [
-    "tenants.modes.dynamic",
-    "tenants.modes.static",
-    "tenants.modes.global",
-];
+/// Simulator events [`run_tenants`] allows per access before it calls
+/// the run livelocked. Healthy runs need under ten; a livelock climbs
+/// without bound.
+pub const EVENTS_PER_OP: u64 = 100;
 
 struct TenantProgram {
     pages: u32,
@@ -212,12 +205,12 @@ impl Program for TenantProgram {
 }
 
 /// Runs the tenants workload under `cfg` on `transport` and drains it
-/// (every task must depart). With `oracle` set, every object is registered
-/// with its class-ideal configuration through
-/// [`cluster::Ssi::set_object_config`] — dynamic + coalescing for
+/// (every task must depart; a run that needs more than
+/// [`EVENTS_PER_OP`] events per access panics as livelocked). With
+/// `oracle` set, every object is registered with a class-ideal
+/// configuration through [`cluster::Ssi::set_object_config`]: `cfg` for
 /// read-mostly objects, the fixed distributed manager for write-heavy
-/// ones — the upper bound the online policy tries to reach without being
-/// told the classes.
+/// ones.
 pub fn run_tenants(
     cfg: AsvmConfig,
     transport: Transport,
@@ -241,16 +234,11 @@ pub fn run_tenants(
         let mobj = ssi.create_object(home, spec.pages_per_object, false);
         let rm = setup.gen_range(0..100) < spec.read_mostly_pct;
         if oracle {
-            let mut c = cfg;
-            c.policy.enabled = false;
-            let mode = if rm {
-                PolicyMode::Dynamic
+            let c = if rm {
+                cfg
             } else {
-                PolicyMode::Static
+                AsvmConfig::fixed_distributed()
             };
-            // Same rewrite an online switch would perform: Dynamic keeps
-            // the base accelerants, Static strips them.
-            mode.apply(&mut c, AccelBase::of(&cfg));
             ssi.set_object_config(mobj, c);
         }
         mobjs.push((mobj, home));
@@ -317,23 +305,15 @@ pub fn run_tenants(
         };
         ssi.spawn_at(at, node, task, Box::new(program));
     }
-    ssi.run(u64::MAX / 2).expect("tenants run quiesces");
-
-    let mut modes = [0u64; 3];
-    for n in 0..spec.nodes {
-        if let Some(a) = ssi.node(NodeId(n)).asvm() {
-            for o in a.objects() {
-                let m = match PolicyMode::of(&o.cfg) {
-                    PolicyMode::Dynamic => 0,
-                    PolicyMode::Static => 1,
-                    PolicyMode::Global => 2,
-                };
-                modes[m] += 1;
-            }
-        }
-    }
-    for (key, n) in MODE_GAUGES.into_iter().zip(modes) {
-        ssi.world.stats_mut().add(key, n);
+    let ops = spec.tasks as u64 * spec.ops_per_task as u64;
+    if let Err(e) = ssi.run(ops * EVENTS_PER_OP) {
+        let done: u32 = (0..spec.nodes)
+            .map(|n| ssi.node(NodeId(n)).tasks_done)
+            .sum();
+        panic!(
+            "tenants run livelocked: {e}, {done} of {} tasks done",
+            spec.tasks
+        );
     }
     sc.finish(ssi, Time::ZERO)
         .expect_completed("tenants (all tasks depart)")
@@ -380,10 +360,6 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "all ranks reachable: {seen:?}");
     }
 
-    fn modes(out: &Outcome) -> [u64; 3] {
-        MODE_GAUGES.map(|k| out.counter(k))
-    }
-
     fn small_spec() -> TenantsSpec {
         TenantsSpec {
             nodes: 4,
@@ -419,48 +395,16 @@ mod tests {
     }
 
     #[test]
-    fn static_configs_never_touch_the_policy_counters() {
-        let spec = small_spec();
-        let out = run_tenants(AsvmConfig::default(), Transport::STS, &spec, false);
-        assert_eq!(out.counter("asvm.policy.observe"), 0);
-        assert_eq!(out.counter("asvm.policy.switch"), 0);
-        let modes = modes(&out);
-        assert_eq!(modes[1] + modes[2], 0, "all replicas stay Dynamic");
-    }
-
-    #[test]
-    fn adaptive_run_observes_and_switches() {
-        let mut spec = small_spec();
-        spec.ops_per_task = 150;
-        spec.read_mostly_pct = 40;
-        let mut cfg = AsvmConfig::default().adaptive();
-        cfg.policy.window = 24;
-        let out = run_tenants(cfg, Transport::STS, &spec, false);
-        assert!(out.counter("asvm.policy.observe") > 0, "windows must close");
-        assert!(
-            out.counter("asvm.policy.switch") > 0,
-            "mixed classes must force switches"
-        );
-        let modes = modes(&out);
-        assert!(
-            modes[1] + modes[2] > 0,
-            "some replicas leave Dynamic: {modes:?}"
-        );
-    }
-
-    #[test]
     fn oracle_assigns_class_ideal_configs() {
         let spec = small_spec();
-        let out = run_tenants(AsvmConfig::default(), Transport::STS, &spec, true);
-        let modes = modes(&out);
-        assert!(
-            modes[0] > 0 && modes[1] > 0,
-            "both classes appear: {modes:?}"
-        );
-        assert_eq!(
-            out.counter("asvm.policy.switch"),
-            0,
-            "the oracle never adapts at runtime"
-        );
+        let key = |o: &Outcome| (o.faults(), o.asvm_msgs(), o.events);
+        let accel = AsvmConfig::with_readahead(4).coalesced();
+        let oracle = run_tenants(accel, Transport::STS, &spec, true);
+        // Both classes appear, so the oracle run matches neither of the
+        // uniform runs it mixes.
+        for uniform in [accel, AsvmConfig::fixed_distributed()] {
+            let u = run_tenants(uniform, Transport::STS, &spec, false);
+            assert_ne!(key(&oracle), key(&u), "{uniform:?}");
+        }
     }
 }

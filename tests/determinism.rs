@@ -67,13 +67,14 @@ fn tenants_is_deterministic() {
         ops_per_task: 120,
         ..TenantsSpec::default()
     };
-    let cfg = asvm::AsvmConfig::fixed_distributed().coalesced().adaptive();
+    // Streaming prefetch with coalescing: the waste latch runs too.
+    let cfg = asvm::AsvmConfig::with_prefetch(4).coalesced();
     let a = run_tenants(cfg, transport::Transport::STS, &spec, false);
     let b = run_tenants(cfg, transport::Transport::STS, &spec, false);
     assert_eq!(a.faults(), b.faults());
     assert_eq!(a.stall_ms(), b.stall_ms());
     assert_eq!(a.asvm_msgs(), b.asvm_msgs());
-    // Every counter, the policy's switches and final modes included.
+    // Every counter, the prefetch and latch counters included.
     assert!(a.stats.counters().eq(b.stats.counters()));
 }
 

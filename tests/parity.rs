@@ -343,46 +343,6 @@ proptest! {
         }
     }
 
-    /// The online per-object policy (`asvm::policy`) makes *consultation*
-    /// choices only — which forwarding layer to ask first, whether to
-    /// speculate — so an adaptive run must converge to the same final
-    /// state as any static configuration, healthy and faulted. With a
-    /// speculation-free base, the full state (memory, ownership,
-    /// copysets) must match the static arms exactly. With readahead in
-    /// the base, prefetch legitimately changes *who asks first* for a
-    /// never-written page, so the minted owner may differ — visible
-    /// memory still may not.
-    #[test]
-    fn adaptive_policy_preserves_final_state(ops in trace_strategy(3, 6, 12)) {
-        let mut adaptive = asvm::AsvmConfig::default().adaptive();
-        adaptive.policy.window = 4;
-        let mut adaptive_accel = asvm::AsvmConfig::fixed_distributed().coalesced().adaptive();
-        adaptive_accel.prefetch = asvm::PrefetchCfg::readahead(4);
-        adaptive_accel.policy.window = 4;
-        for faulted in [false, true] {
-            let plan = || if faulted {
-                FaultPlan::seeded(7).with_drop_ppm(10_000).with_dup_ppm(2_000)
-            } else {
-                FaultPlan::none()
-            };
-            let (mem_dyn, own_dyn) =
-                asvm_final_state(asvm::AsvmConfig::default(), plan(), 3, 6, &ops);
-            let (mem_static, own_static) =
-                asvm_final_state(asvm::AsvmConfig::fixed_distributed(), plan(), 3, 6, &ops);
-            let (mem_ad, own_ad) = asvm_final_state(adaptive, plan(), 3, 6, &ops);
-            prop_assert_eq!(&mem_ad, &mem_dyn, "adaptive vs dynamic memory (faulted={})", faulted);
-            prop_assert_eq!(&mem_ad, &mem_static, "adaptive vs static memory (faulted={})", faulted);
-            prop_assert_eq!(&own_ad, &own_dyn, "adaptive vs dynamic ownership (faulted={})", faulted);
-            prop_assert_eq!(&own_ad, &own_static, "adaptive vs static ownership (faulted={})", faulted);
-            // Accelerated base: runtime readahead toggles may mint
-            // different first owners for never-written pages, so only
-            // visible memory is compared (single-owner and coherence
-            // invariants are still asserted inside the runner).
-            let (mem_acc, _own_acc) = asvm_final_state(adaptive_accel, plan(), 3, 6, &ops);
-            prop_assert_eq!(&mem_acc, &mem_dyn, "accel-adaptive memory (faulted={})", faulted);
-        }
-    }
-
     /// The transport backend is a carrier, not a protocol: the same
     /// randomized workload over STS, NORMA-IPC, and RDMA must converge to
     /// identical final memory contents, page ownership, and copysets —
