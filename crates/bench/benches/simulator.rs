@@ -5,9 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use asvm::{AsvmMsg, FrameBody, FrameCombiner, Lru};
+use asvm::Lru;
 use cluster::ManagerKind;
-use machvm::{KeyTable, MemObjId, NodeSet, PageIdx};
+use machvm::{KeyTable, NodeSet, PageIdx};
 use svmsim::{
     Ctx, Dur, EventQueue, Machine, MachineConfig, MsgCosts, NodeBehavior, NodeId, Stats, Time,
     World,
@@ -249,48 +249,6 @@ fn bench_copy_chain(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_frame_combiner(c: &mut Criterion) {
-    // The coalescing hot path: one push per protocol send, one drain per
-    // scheduling step (see crates/core/src/coalesce.rs).
-    let mut g = c.benchmark_group("coalesce");
-    g.bench_function("combiner_push_drain_64x4", |b| {
-        b.iter(|| {
-            let mut cb = FrameCombiner::new(16);
-            let mut frames = 0u32;
-            for i in 0..64u32 {
-                let msg = AsvmMsg::Invalidate {
-                    mobj: MemObjId(1),
-                    page: PageIdx(i),
-                    from: NodeId(0),
-                };
-                if cb.push(NodeId((i % 4) as u16 + 1), msg).is_some() {
-                    frames += 1;
-                }
-            }
-            for (_, body) in cb.drain() {
-                frames += 1;
-                black_box(body.subframes());
-            }
-            black_box(frames)
-        })
-    });
-    g.bench_function("body_hints_and_payload_16", |b| {
-        b.iter(|| {
-            let mut body = FrameBody::single(AsvmMsg::Invalidate {
-                mobj: MemObjId(1),
-                page: PageIdx(0),
-                from: NodeId(0),
-            });
-            for i in 0..16u32 {
-                // Half the pushes dedupe against an existing entry.
-                body.push_hint((MemObjId(1), PageIdx(i % 8), NodeId((i % 3) as u16)));
-            }
-            black_box(body.payload_bytes(8192))
-        })
-    });
-    g.finish();
-}
-
 fn bench_lru(c: &mut Criterion) {
     let mut g = c.benchmark_group("lru");
     // The `migratory` shape: a 128-page working set in a dynamic hint
@@ -408,7 +366,6 @@ criterion_group!(
     bench_mesh_routing,
     bench_fault_probe,
     bench_copy_chain,
-    bench_frame_combiner,
     bench_lru,
     bench_node_set,
     bench_page_table,

@@ -13,9 +13,9 @@
 //!    the messages each implementation actually sends.
 //!
 //! 3. The modern coda: a 3-way backend × sharing-pattern sweep (NORMA-IPC,
-//!    STS with coalescing, one-sided RDMA) over the synthetic patterns.
+//!    STS, one-sided RDMA) over the synthetic patterns.
 //!    The 1996 trade-off holds where ownership migrates — ASVM's 3-message
-//!    write transfer over the thin coalescable transport stays ahead of an
+//!    write transfer over the thin STS transport stays ahead of an
 //!    interrupt-driven RNIC control path — but inverts on read-heavy
 //!    sharing, where a one-sided pull serves a hot page with zero owner
 //!    CPU occupancy and no handler serialization. Per-backend message
@@ -72,17 +72,14 @@ fn asvm_over(t: Transport) -> Outcome {
     transfer_probe(Scenario::new(ManagerKind::asvm(), 4, 7).transport(t), &[])
 }
 
-/// The backend arms of the 3-way sweep. STS runs with the frame combiner
-/// on (coalescing is that transport's capability — see PR 5); the other
-/// two cannot coalesce: NORMA's typed envelopes gain nothing from sharing
-/// a frame, and on RDMA every verb is its own work request. All arms get
-/// the same readahead so the protocol configuration differs only where
-/// the backend itself does.
+/// The backend arms of the 3-way sweep. All arms get the same readahead
+/// so the protocol configuration differs only where the backend itself
+/// does.
 fn backend_arms() -> [(&'static str, Transport, asvm::AsvmConfig); 3] {
     let ra = asvm::AsvmConfig::with_readahead(8);
     [
         ("norma", Transport::NORMA, ra),
-        ("sts+co", Transport::STS, ra.coalesced()),
+        ("sts", Transport::STS, ra),
         ("rdma", Transport::RDMA, ra),
     ]
 }

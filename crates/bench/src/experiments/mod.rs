@@ -7,7 +7,6 @@ mod ablation_memory;
 mod ablation_paging;
 mod ablation_transport;
 mod chaossweep;
-mod coalesce;
 mod faultsweep;
 mod figure10;
 mod figure11;
@@ -57,9 +56,8 @@ experiments! {
     futurework [""] "§6 — striping and read clustering",
     faultsweep [""] "completion time and retry traffic vs link loss",
     chaossweep ["--seed"] "every pattern through a permanent node blackout",
-    coalesce [""] "frames per fault, STS combiner off vs on",
     megascale ["--seed"] "events/s and per-node protocol state at 128–1024 nodes",
-    prefetch [""] "stream-driven hint/data prefetch, off vs hint vs hint+data",
+    prefetch [""] "stream-driven data prefetch, off vs on",
     tenants ["--seed"] "multi-tenant Zipf mix, uniform arms vs a per-object oracle",
 }
 

@@ -1,15 +1,12 @@
-//! Prefetch ablation: access-pattern-driven owner-hint prefetch and
-//! cross-node page readahead (§6 future work, "read clustering"), off vs
-//! hint-only vs hint+data.
+//! Prefetch ablation: access-pattern-driven cross-node page readahead
+//! (§6 future work, "read clustering"), off vs the streaming data tier.
 //!
 //! Each node runs a per-object stream detector over its local demand
-//! faults; once a stride survives `min_run` faults the engine (a) lets
-//! peers piggyback **owner hints** for the predicted window on frames
-//! already flowing back (zero extra frames, a few hint bytes), and (b)
-//! pulls **speculative read copies** of the window through the normal
-//! protocol, bounded by an in-flight budget and cancelled on a stride
-//! break. This harness sweeps the streaming patterns where that should
-//! hide demand faults — `filescan` (pure stride-1 read scan), `chain`
+//! faults; once a stride survives `min_run` faults the engine pulls
+//! **speculative read copies** of the predicted window through the
+//! normal protocol, bounded by an in-flight budget and cancelled on a
+//! stride break. This harness sweeps the streaming patterns where that
+//! should hide demand faults — `filescan` (pure stride-1 read scan), `chain`
 //! (writer hands a region to the next reader), `prodcons` (one writer
 //! fanning out to readers) — plus `migratory` as the honest counter-case
 //! (write-token hops; speculative read copies are invalidated unread and
@@ -20,16 +17,17 @@
 //! accounting rides along: `asvm.prefetch.{issued,hit,late,wasted}` and
 //! wasted transfer kilobytes.
 //!
-//! All arms run coalescing (the hint tier's carrier) and identical
-//! per-touch think time, so the only difference between arms is the
-//! prefetch engine. Backend rows: the scan on RDMA (speculative reads go
-//! one-sided, `transport.rdma.prefetch_read`) and prodcons on NORMA-IPC.
+//! The `off` arm is `AsvmConfig::default()` and the `data` arm
+//! `AsvmConfig::with_prefetch(DEPTH)`, with identical per-touch think
+//! time, so the only difference between arms is the prefetch engine.
+//! Backend rows: the scan on RDMA (speculative reads go one-sided,
+//! `transport.rdma.prefetch_read`) and prodcons on NORMA-IPC.
 //!
 //! Determinism: the patterns draw nothing from the world seed, so
 //! `--seed` only relabels the table; `--json --stable-json` regenerates
 //! `BENCH_prefetch.json` byte-identically.
 
-use asvm::{AsvmConfig, PrefetchCfg};
+use asvm::AsvmConfig;
 use cluster::ManagerKind;
 use svmsim::Dur;
 use transport::Transport;
@@ -67,7 +65,7 @@ const HANDOFF: Pattern = Pattern::Chain {
     read_pages: 6,
 };
 
-const ARMS: [(&str, u8); 3] = [("off", 0), ("hint", 1), ("hint+data", 2)];
+const ARMS: [(&str, bool); 2] = [("off", false), ("data", true)];
 
 /// `fpka_x10` and `wasted_kb` are gauges [`run_cell`] derives into the
 /// snapshot (the analytic access count and the page size are the cell's
@@ -81,24 +79,21 @@ const KEYS: &[Key] = &[
     "asvm.prefetch.late",
     "asvm.prefetch.wasted",
     "asvm.prefetch.cancelled",
-    "asvm.prefetch.hint",
     "wasted_kb",
     "transport.rdma.prefetch_read",
     "asvm.prefetch.latched",
 ];
 
-fn arm_cfg(arm: u8) -> AsvmConfig {
-    let mut cfg = AsvmConfig::default().coalesced();
-    cfg.prefetch = match arm {
-        0 => PrefetchCfg::off(),
-        1 => PrefetchCfg::hints_only(DEPTH),
-        _ => PrefetchCfg::streaming(DEPTH),
-    };
-    cfg
+fn arm_cfg(data: bool) -> AsvmConfig {
+    if data {
+        AsvmConfig::with_prefetch(DEPTH)
+    } else {
+        AsvmConfig::default()
+    }
 }
 
-fn run_cell(seed: u64, pattern: Pattern, arm: u8, transport: Transport) -> Outcome {
-    let sc = Scenario::new(ManagerKind::Asvm(arm_cfg(arm)), NODES, seed)
+fn run_cell(seed: u64, pattern: Pattern, data: bool, transport: Transport) -> Outcome {
+    let sc = Scenario::new(ManagerKind::Asvm(arm_cfg(data)), NODES, seed)
         .transport(transport)
         .think(Dur::from_micros_f64(THINK_US));
     let mut o = run_pattern(&sc, PAGES, pattern).expect_completed("prefetch cell");
@@ -110,7 +105,7 @@ fn run_cell(seed: u64, pattern: Pattern, arm: u8, transport: Transport) -> Outco
 }
 
 /// Every cell: (table row, arm label, arm, pattern, transport).
-fn cells() -> Vec<(String, &'static str, u8, Pattern, Transport)> {
+fn cells() -> Vec<(String, &'static str, bool, Pattern, Transport)> {
     let mut cells = Vec::new();
     // STS: every pattern × every arm.
     for (label, pattern) in PATTERNS {
@@ -125,7 +120,7 @@ fn cells() -> Vec<(String, &'static str, u8, Pattern, Transport)> {
         }
     }
     // The waste counter-case, which the data tier's waste latch caps.
-    for (arm_label, arm) in [("off", 0), ("hint+data", 2)] {
+    for (arm_label, arm) in ARMS {
         cells.push((
             "sts / handoff".into(),
             arm_label,
@@ -140,7 +135,7 @@ fn cells() -> Vec<(String, &'static str, u8, Pattern, Transport)> {
         ("rdma", Transport::RDMA, PATTERNS[0]),
         ("norma", Transport::NORMA, PATTERNS[2]),
     ] {
-        for (arm_label, arm) in [("off", 0), ("hint+data", 2)] {
+        for (arm_label, arm) in ARMS {
             cells.push((
                 format!("{backend} / {label}"),
                 arm_label,
@@ -172,13 +167,13 @@ pub fn run(args: &Args) {
     );
     println!("fpka = demand faults per 1000 accesses (analytic access count per pattern)");
     println!(
-        "{:<22}{:>8}{:>8}{:>8}{:>9}{:>9}{:>8}{:>8}{:>8}{:>8}",
-        "pattern", "arm", "faults", "fpka", "flt us", "issued", "hit", "late", "wasted", "hints"
+        "{:<22}{:>8}{:>8}{:>8}{:>9}{:>9}{:>8}{:>8}{:>8}",
+        "pattern", "arm", "faults", "fpka", "flt us", "issued", "hit", "late", "wasted"
     );
-    println!("{}", "-".repeat(96));
+    println!("{}", "-".repeat(88));
     for ((row, arm_label, _, pattern, _), o) in cells().iter().zip(report.values()) {
         println!(
-            "{:<22}{:>8}{:>8}{:>8.1}{:>9.0}{:>9}{:>8}{:>8}{:>8}{:>8}",
+            "{:<22}{:>8}{:>8}{:>8.1}{:>9.0}{:>9}{:>8}{:>8}{:>8}",
             row,
             arm_label,
             o.faults(),
@@ -188,7 +183,6 @@ pub fn run(args: &Args) {
             o.counter("asvm.prefetch.hit"),
             o.counter("asvm.prefetch.late"),
             o.counter("asvm.prefetch.wasted"),
-            o.counter("asvm.prefetch.hint"),
         );
     }
     println!();

@@ -5,14 +5,14 @@
 //! memory objects, some sequential-scan read-mostly (analytics), some
 //! hot-page write-heavy (OLTP), with tasks arriving and departing
 //! (`workloads::tenants`). No uniform configuration need suit both
-//! classes: readahead + coalescing cut a scan's faults by more than half
-//! but are pure frame cost on write-heavy objects (prefetched neighbours
-//! are invalidated unread, and wider copysets make every write's
+//! classes: readahead cuts a scan's faults by more than half but is pure
+//! frame cost on write-heavy objects (prefetched neighbours are
+//! invalidated unread, and wider copysets make every write's
 //! invalidation fan-out dearer), while the forwarding ablation's
 //! static-vs-dynamic trade cuts the other way. This sweep runs
 //!
 //! * four uniform arms — `plain` (dynamic forwarding, no speculation),
-//!   `accel` (dynamic + readahead + coalescing), `static` (the fixed
+//!   `accel` (dynamic + readahead), `static` (the fixed
 //!   distributed manager), `global` (zero-hint-state walk), and
 //! * an **oracle** arm that registers every object with its class-ideal
 //!   configuration up front (`Ssi::set_object_config`, the paper's
@@ -52,8 +52,6 @@ const KEYS: &[Key] = &[
     "stall_ms",
     "fault_us_mean=mean_fault_us",
     "asvm.msgs",
-    "asvm.frames",
-    "coalesce.merged=asvm.coalesce.merged",
 ];
 
 /// The base mixed-tenant shape (the generator's defaults at `seed`); the
@@ -68,7 +66,7 @@ pub fn base_spec(seed: u64) -> TenantsSpec {
 /// The accelerated uniform configuration (and the oracle's choice for
 /// read-mostly objects).
 fn accel() -> AsvmConfig {
-    AsvmConfig::with_readahead(RA).coalesced()
+    AsvmConfig::with_readahead(RA)
 }
 
 /// The four uniform configuration arms, in table-column order.

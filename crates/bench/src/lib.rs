@@ -46,7 +46,7 @@ pub type Key = &'static str;
 /// | `faults` | page faults completed (`fault.ms` samples) |
 /// | `elapsed_us`, `mean_fault_us`, `stall_ms` | rounded times |
 /// | `messages`, `dropped` | transport totals (all backends; loss + blackout) |
-/// | `asvm.msgs`, `asvm.frames`, `frames_per_fault_x100` | ASVM logical messages, wire frames, their ratio × 100 |
+/// | `asvm.msgs` | ASVM protocol messages |
 /// | `state.{max,mean,total}_bytes`, `queue.{peak,grow}` | the [`workloads::StateProbe`] |
 pub fn metric(o: &Outcome, source: &'static str) -> u64 {
     match source {
@@ -57,8 +57,6 @@ pub fn metric(o: &Outcome, source: &'static str) -> u64 {
         "messages" => o.messages(),
         "dropped" => o.dropped(),
         "asvm.msgs" => o.asvm_msgs(),
-        "asvm.frames" => o.asvm_frames(),
-        "frames_per_fault_x100" => (o.frames_per_fault() * 100.0).round() as u64,
         "state.max_bytes" => o.probe.state_max_bytes,
         "state.mean_bytes" => o.probe.state_mean_bytes,
         "state.total_bytes" => o.probe.state_total_bytes,

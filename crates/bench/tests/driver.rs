@@ -7,7 +7,7 @@
 //! protocol message, or a cost model shows up here as a diff.
 //!
 //! The experiments that finish in a debug build run here; the slow ones
-//! are `#[ignore]`d — CI runs all sixteen against the release binary via
+//! are `#[ignore]`d — CI runs all fifteen against the release binary via
 //! `ci/bench_check.sh` (locally: `cargo test -p bench --release --
 //! --ignored`).
 
@@ -122,7 +122,6 @@ fn fast_experiments_match_their_goldens() {
         "futurework",
         "faultsweep",
         "chaossweep",
-        "coalesce",
         "prefetch",
     ] {
         check(name);

@@ -10,30 +10,30 @@
 //! removed, seeds 26, 28, 40 and 42 fail again; seed 33 passes either
 //! way.
 //!
+//! The `static` cells at the end livelocked while message coalescing
+//! existed: a coalesced frame could deliver a grant and the request that
+//! takes the page away again in one step, before the faulting task ran
+//! (DESIGN §7, "Atomic multi-message delivery"). With one message per
+//! frame the task runs in between.
+//!
 //! Still open (ROADMAP item 1): over RDMA, a few cells end with a writer
-//! while another node still holds a read copy — the first ignored test is
-//! the first of them at seeds 1–100 that also failed before the fix. The
-//! second is a livelock: static forwarding with coalescing never drains.
+//! while another node still holds a read copy — the ignored test is the
+//! first of them at seeds 1–100 that also failed before the fix.
 
-use asvm::AsvmConfig;
 use bench::experiments::tenants::{base_spec, configs, workloads};
 use transport::Transport;
 use workloads::run_tenants;
 
-fn run(seed: u64, backend: Transport, workload: &str, cfg: AsvmConfig) {
+fn cell(seed: u64, backend: Transport, workload: &str, arm: &str) {
     let (_, spec) = workloads(base_spec(seed))
         .into_iter()
         .find(|(wl, _)| *wl == workload)
         .expect("a workload row");
-    run_tenants(cfg, backend, &spec, false);
-}
-
-fn cell(seed: u64, backend: Transport, workload: &str, arm: &str) {
     let (_, cfg) = configs()
         .into_iter()
         .find(|(a, _)| *a == arm)
         .expect("a configuration arm");
-    run(seed, backend, workload, cfg);
+    run_tenants(cfg, backend, &spec, false);
 }
 
 #[test]
@@ -68,8 +68,11 @@ fn seed_26_rdma_write_heavy_static() {
 }
 
 #[test]
-#[ignore = "open: ROADMAP item 1(f)"]
-fn seed_1_sts_mixed_static_coalesced() {
-    let cfg = AsvmConfig::fixed_distributed().coalesced();
-    run(1, Transport::STS, "mixed", cfg);
+fn seed_1_sts_mixed_static() {
+    cell(1, Transport::STS, "mixed", "static");
+}
+
+#[test]
+fn seed_1996_norma_churn_static() {
+    cell(1996, Transport::NORMA, "churn", "static");
 }

@@ -64,7 +64,7 @@
 
 use std::collections::BTreeMap;
 
-use asvm::{AsvmNode, OwnerHintEntry, PageRange};
+use asvm::{AsvmNode, PageRange};
 use machvm::{
     Backing, EmmiToKernel, EmmiToPager, Inherit, MemObjId, PageData, PageIdx, TaskId, VmObjId,
     VmSystem,
@@ -401,28 +401,6 @@ pub trait CoherenceEngine {
 
     // --- Optional capabilities ----------------------------------------------------
 
-    /// Whether protocol sends for `mobj` go through the frame combiner,
-    /// where the engine configures that per object; `None` defers to the
-    /// node-level switch.
-    fn coalesce_enabled(&self, _mobj: MemObjId) -> Option<bool> {
-        None
-    }
-
-    /// This node's current ownership view of `(mobj, page)`, for
-    /// piggybacking on outgoing coalesced frames; `None` when cold.
-    fn owner_view(&self, _mobj: MemObjId, _page: PageIdx) -> Option<NodeId> {
-        None
-    }
-
-    /// Appends owner hints for the pages `dst` is predicted to fault on
-    /// next in `mobj`.
-    fn hint_window(&self, _mobj: MemObjId, _dst: NodeId, _out: &mut Vec<OwnerHintEntry>) {}
-
-    /// Applies a piggybacked owner hint; returns whether it was taken.
-    fn apply_owner_hint(&mut self, _mobj: MemObjId, _page: PageIdx, _owner: NodeId) -> bool {
-        false
-    }
-
     /// Whether [`CoherenceEngine::note_access`] wants to hear about
     /// accesses that hit in local memory. One boolean test per hit, so
     /// engines that do not care cost the hot path nothing.
@@ -681,22 +659,6 @@ impl CoherenceEngine for AsvmNode {
             }
         }
         true
-    }
-
-    fn coalesce_enabled(&self, mobj: MemObjId) -> Option<bool> {
-        self.find_object(mobj).map(|o| o.cfg.coalesce)
-    }
-
-    fn owner_view(&self, mobj: MemObjId, page: PageIdx) -> Option<NodeId> {
-        AsvmNode::owner_view(self, mobj, page)
-    }
-
-    fn hint_window(&self, mobj: MemObjId, dst: NodeId, out: &mut Vec<OwnerHintEntry>) {
-        self.prefetch_hint_window(mobj, dst, out);
-    }
-
-    fn apply_owner_hint(&mut self, mobj: MemObjId, page: PageIdx, owner: NodeId) -> bool {
-        AsvmNode::apply_owner_hint(self, mobj, page, owner)
     }
 
     fn wants_access_notes(&self) -> bool {

@@ -109,21 +109,7 @@ pub enum Msg {
         /// The message.
         msg: AsvmMsg,
     },
-    /// A *coalesced* ASVM frame: several protocol subframes (plus
-    /// piggybacked owner hints) sharing one wire message. Only emitted
-    /// when coalescing is enabled ([`asvm::AsvmConfig::coalesce`]). With `seq` ≠ 0
-    /// the whole body is **one sequenced ARQ unit** — its subframes share
-    /// loss, retransmission and duplicate-suppression fate.
-    AsvmBatch {
-        /// Sending node.
-        from: NodeId,
-        /// Retry-channel sequence number, or 0 (as for [`Msg::Asvm`]).
-        seq: u64,
-        /// Subframes and hints.
-        body: asvm::FrameBody,
-    },
-    /// Acknowledgement of a sequenced [`Msg::Asvm`] or [`Msg::AsvmBatch`]
-    /// (header-only).
+    /// Acknowledgement of a sequenced [`Msg::Asvm`] (header-only).
     AsvmAck {
         /// The acknowledging node (the frame's receiver).
         from: NodeId,

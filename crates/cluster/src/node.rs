@@ -10,9 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use asvm::{
-    AsvmMsg, FrameBody, LinkReceiver, LinkSender, PageRange, RecoveryTiming, TimeoutVerdict,
-};
+use asvm::{AsvmMsg, LinkReceiver, LinkSender, PageRange, RecoveryTiming, TimeoutVerdict};
 use machvm::{
     Access, EmmiToKernel, EmmiToPager, MemObjId, PageData, PageIdx, PagerSend, SlotTable,
     SortedMap, TaskId, VmEffect, VmSystem,
@@ -43,13 +41,6 @@ struct DeferredFork {
     waiting: std::collections::BTreeSet<MemObjId>,
     parent_node: NodeId,
     parent_task: TaskId,
-}
-
-/// What one wire frame of ASVM traffic carries: a single protocol message,
-/// or a coalesced body.
-enum Unit {
-    One(AsvmMsg),
-    Batch(FrameBody),
 }
 
 /// One ASVM frame that exhausted its retries: the link is considered
@@ -110,18 +101,11 @@ pub struct ClusterNode {
     /// is active), sized for the carrier by
     /// [`crate::Ssi::set_asvm_transport`].
     pub timing: RecoveryTiming,
-    /// Sender halves of the per-peer ASVM retry channels. Each sequenced
-    /// unit is a [`FrameBody`]: a singleton on the classic path, a whole
-    /// coalesced batch when coalescing is on.
-    link_tx: SlotTable<NodeId, LinkSender<FrameBody>>,
+    /// Sender halves of the per-peer ASVM retry channels; each sequenced
+    /// unit is one protocol message.
+    link_tx: SlotTable<NodeId, LinkSender<AsvmMsg>>,
     /// Receiver halves of the per-peer ASVM retry channels.
-    link_rx: SlotTable<NodeId, LinkReceiver<FrameBody>>,
-    /// Message coalescing switch (default off; set by the harness
-    /// through [`ClusterNode::set_coalesce`]).
-    coalesce: bool,
-    /// Per-destination frame combiner, drained at the end of every
-    /// scheduling step while coalescing is enabled.
-    combiner: asvm::FrameCombiner,
+    link_rx: SlotTable<NodeId, LinkReceiver<AsvmMsg>>,
     /// Peers this node already paid one-time link setup for (RDMA queue
     /// pair + memory registration; empty on connectionless backends).
     rdma_links: BTreeSet<NodeId>,
@@ -178,8 +162,6 @@ impl ClusterNode {
             timing: RecoveryTiming::default(),
             link_tx: SlotTable::new(),
             link_rx: SlotTable::new(),
-            coalesce: false,
-            combiner: asvm::FrameCombiner::default(),
             rdma_links: BTreeSet::new(),
             link_failures: Vec::new(),
             detector: Detector::new(id),
@@ -265,18 +247,12 @@ impl ClusterNode {
     }
 
     /// [`ClusterNode::record_trace`] for a bare ASVM message — used where
-    /// subframes of a coalesced frame are traced individually without
-    /// rebuilding a `ProtocolMsg` per subframe.
+    /// a buffered or NIC-served message is traced without rebuilding a
+    /// `ProtocolMsg`.
     fn record_trace_asvm(&mut self, now: Time, dir: TraceDir, peer: NodeId, msg: &AsvmMsg) {
         if self.trace.is_some() {
             self.trace_event(now, dir, peer, msg.stat_key(), msg.mobj(), msg.page());
         }
-    }
-
-    /// Installs the coalescing configuration (harness setup, before any
-    /// traffic).
-    pub fn set_coalesce(&mut self, on: bool) {
-        self.coalesce = on;
     }
 
     /// The single pager-request send site: every EMMI request to a real
@@ -313,12 +289,10 @@ impl ClusterNode {
                 return;
             }
         };
-        // The one place an ASVM message picks its way out. Remote sends
-        // take, in order of preference: a one-sided read posting (RDMA
-        // backend, eligible request), the frame combiner (coalescing
-        // enabled — buffered per destination and flushed as one wire
-        // frame per peer at the end of this scheduling step), or a frame
-        // of their own. Loopback always goes direct.
+        // The one place an ASVM message picks its way out. A remote send
+        // takes a one-sided read posting where it can (RDMA backend,
+        // eligible request) and a frame of its own otherwise. Loopback
+        // always goes direct.
         let remote = dst != self.id;
         if remote && self.asvm_transport.one_sided_reads() && msg.one_sided_read_candidate(self.id)
         {
@@ -342,17 +316,8 @@ impl ClusterNode {
                     from,
                     msg: msg.clone(),
                 });
-        } else if remote
-            && self.coalesce_enabled_for(msg.mobj())
-            && self.asvm_transport.supports_coalescing()
-        {
-            if let Some(full) = self.combiner.push(dst, msg) {
-                // Frame hit its subframe capacity: send it now so order
-                // is preserved.
-                self.send_frame_body(ctx, dst, full);
-            }
         } else {
-            self.carry(ctx, dst, Unit::One(msg), payload, kind);
+            self.carry(ctx, dst, msg, payload, kind);
         }
     }
 
@@ -366,54 +331,33 @@ impl ClusterNode {
         ctx.machine().config.faults.is_active() && self.asvm_transport.per_link_arq()
     }
 
-    /// Hands one ASVM unit its own wire frame — the one place that chooses
-    /// between the retry channel and the bare path, which is byte-identical
-    /// to pre-fault builds and neither builds a [`FrameBody`] nor clones
-    /// anything for a single message.
+    /// Hands one ASVM message its own wire frame — the one place that
+    /// chooses between the retry channel and the bare path, which is
+    /// byte-identical to pre-fault builds and clones nothing.
     fn carry(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         dst: NodeId,
-        unit: Unit,
+        msg: AsvmMsg,
         payload: u32,
         kind: &'static str,
     ) {
         let (from, remote) = (self.id, dst != self.id);
         if remote && self.arq_active(ctx) {
-            let body = match unit {
-                Unit::One(msg) => FrameBody::single(msg),
-                Unit::Batch(body) => body,
-            };
             let seq = self
                 .link_tx
                 .get_or_insert_with(dst, Default::default)
-                .enqueue(body.clone(), payload, kind);
+                .enqueue(msg.clone(), payload, kind);
             let timeout = self.timing.retry.timeout_for(0);
-            self.transmit_frame(ctx, dst, seq, &body, timeout);
+            self.transmit_frame(ctx, dst, seq, &msg, timeout);
             return;
         }
-        let t = self.asvm_transport;
-        match unit {
-            Unit::One(msg) => {
-                if remote {
-                    self.charge_link_setup(ctx, dst);
-                }
-                let frame = Frame::new(CostClass::Plain, payload).tagged(kind);
-                t.send_frame(ctx, dst, frame, once(Msg::Asvm { from, seq: 0, msg }));
-            }
-            Unit::Batch(body) => {
-                let frame = Frame::new(CostClass::Coalesced(body.subframes()), payload);
-                t.send_frame(ctx, dst, frame, once(Msg::AsvmBatch { from, seq: 0, body }));
-            }
+        if remote {
+            self.charge_link_setup(ctx, dst);
         }
-    }
-
-    /// Whether protocol sends for `mobj` should go through the frame
-    /// combiner: the object's own setting where the engine keeps one (so
-    /// per-object overrides take effect), the
-    /// node-level default otherwise.
-    fn coalesce_enabled_for(&self, mobj: MemObjId) -> bool {
-        self.engine.coalesce_enabled(mobj).unwrap_or(self.coalesce)
+        let frame = Frame::new(CostClass::Plain, payload).tagged(kind);
+        self.asvm_transport
+            .send_frame(ctx, dst, frame, once(Msg::Asvm { from, seq: 0, msg }));
     }
 
     /// Charges the backend's one-time per-peer link setup (queue pair
@@ -500,188 +444,53 @@ impl ClusterNode {
     }
 
     /// Puts one (re)transmission of frame `seq` on the lossy wire and arms
-    /// its retry timer. The body holds one subframe on the classic path
-    /// and the whole coalesced batch when coalescing
-    /// ([`asvm::AsvmConfig::coalesce`]) is on — either way it is one
-    /// sequenced ARQ unit. With coalescing off the
-    /// wire format is the classic single-message [`Msg::Asvm`]
-    /// (byte-identical to pre-coalescing builds), tagged, so each
-    /// retransmission counts its kind again; with it on, the whole body
-    /// travels as one untagged [`Msg::AsvmBatch`] — one fault decision,
-    /// one sequence number.
+    /// its retry timer. The frame is tagged with the message's kind, so
+    /// each retransmission counts its kind again.
     fn transmit_frame(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         dst: NodeId,
         seq: u64,
-        body: &FrameBody,
+        msg: &AsvmMsg,
         timeout: Dur,
     ) {
         let from = self.id;
-        let payload = body.payload_bytes(self.vm.page_size());
-        // Wire-format choice: a body that actually coalesced anything —
-        // several subframes, or piggybacked hints — must travel as a
-        // batch frame even when the node-level switch is off (per-object
-        // coalescing). With everything off, bodies are always hint-less
-        // singletons and the classic format is byte-identical to
-        // pre-coalescing builds.
-        if self.coalesce || body.subframes() > 1 || !body.hints.is_empty() {
-            let frame = Frame::new(CostClass::Coalesced(body.subframes()), payload)
-                .exposed(FaultClass::Protocol);
-            self.asvm_transport
-                .send_frame(ctx, dst, frame, || Msg::AsvmBatch {
-                    from,
-                    seq,
-                    body: body.clone(),
-                });
-        } else {
-            let msg = &body.msgs[0];
-            let frame = Frame::new(CostClass::Plain, payload)
-                .tagged(msg.stat_key())
-                .exposed(FaultClass::Protocol);
-            self.asvm_transport
-                .send_frame(ctx, dst, frame, || Msg::Asvm {
-                    from,
-                    seq,
-                    msg: msg.clone(),
-                });
-        }
+        let payload = msg.payload_bytes(self.vm.page_size());
+        let frame = Frame::new(CostClass::Plain, payload)
+            .tagged(msg.stat_key())
+            .exposed(FaultClass::Protocol);
+        self.asvm_transport
+            .send_frame(ctx, dst, frame, || Msg::Asvm {
+                from,
+                seq,
+                msg: msg.clone(),
+            });
         let at = ctx.now() + timeout;
         ctx.post_self(at, Msg::RetryTick { dst, seq });
     }
 
-    /// Sends one coalesced frame body to `dst`: attaches piggybacked
-    /// owner hints, counts the logical per-kind and `asvm.coalesce.*`
-    /// statistics, and hands the frame to [`ClusterNode::carry`] as one
-    /// unit.
-    fn send_frame_body(&mut self, ctx: &mut Ctx<'_, Msg>, dst: NodeId, mut body: FrameBody) {
-        // Every data/ack subframe piggybacks the sender's current owner
-        // view for its page, so the receiver's dynamic hint cache stays
-        // warm without dedicated OwnerHint traffic. Computed at flush
-        // time — after the engine finished handling the event — so the
-        // hints reflect post-transition truth. Telling the destination
-        // about itself is useless; skip those.
-        let mut hints = Vec::new();
-        for m in &body.msgs {
-            if !(m.carries_data() || m.is_ack_class()) {
-                continue;
-            }
-            if let Some(page) = m.page() {
-                let mobj = m.mobj();
-                if let Some(owner) = self.engine.owner_view(mobj, page) {
-                    if owner != dst {
-                        hints.push((mobj, page, owner));
-                    }
-                }
-            }
-        }
-        for h in hints {
-            body.push_hint(h);
-        }
-        // Prefetch hint tier: beyond the pages this frame already
-        // addresses, attach the sender's owner view for the pages
-        // it predicts `dst` will fault on *next* (per-peer demand
-        // stream detector), so the peer's dynamic hint cache is
-        // warm before the fault even happens. Zero extra frames —
-        // only hint bytes on a frame already flowing.
-        let mut window = Vec::new();
-        let mut seen: Vec<MemObjId> = Vec::new();
-        for m in &body.msgs {
-            let mobj = m.mobj();
-            if seen.contains(&mobj) {
-                continue;
-            }
-            seen.push(mobj);
-            self.engine.hint_window(mobj, dst, &mut window);
-        }
-        if !window.is_empty() {
-            ctx.stats().add("asvm.prefetch.hint", window.len() as u64);
-            for h in window {
-                body.push_hint(h);
-            }
-        }
-        let ps = self.vm.page_size();
-        let payload = body.payload_bytes(ps);
-        let subframes = body.subframes();
-        // Logical accounting is per *subframe*, once, here — on a healthy
-        // run the asvm.msg.* counters mean the same thing with coalescing
-        // on or off. (Under loss they do not: a retransmitted body counts
-        // nothing, a retransmitted single message counts its kind again —
-        // docs/TUNING.md "Counters", pinned by tests/carriage.rs.) The
-        // frame itself and the coalescing wins get their own counters;
-        // messages per fault is (Σ asvm.msg.* − merged) / faults.completed.
-        for m in &body.msgs {
-            ctx.stats().bump(m.stat_key());
-        }
-        ctx.stats().bump("asvm.frames");
-        if subframes > 1 {
-            ctx.stats()
-                .add("asvm.coalesce.merged", (subframes - 1) as u64);
-        }
-        let acks = body.acks_riding_data();
-        if acks > 0 {
-            ctx.stats().add("asvm.coalesce.piggyback_ack", acks as u64);
-        }
-        if !body.hints.is_empty() {
-            ctx.stats()
-                .add("asvm.coalesce.piggyback_hint", body.hints.len() as u64);
-        }
-        let kind = body.msgs[0].stat_key();
-        self.carry(ctx, dst, Unit::Batch(body), payload, kind);
-    }
-
-    /// Drains the frame combiner at the end of a scheduling step: one
-    /// coalesced frame per destination, in destination order.
-    fn flush_coalesced(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if self.combiner.is_empty() {
-            return;
-        }
-        for (dst, body) in self.combiner.drain() {
-            self.send_frame_body(ctx, dst, body);
-        }
-    }
-
-    /// Delivers one arriving frame body: applies piggybacked owner hints
-    /// (first — a subframe carrying fresher truth overwrites them), then
-    /// handles every subframe in order, exactly like the equivalent
-    /// sequence of singleton frames.
-    fn deliver_body(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, body: FrameBody) {
-        let mut applied = 0u64;
-        for (mobj, page, owner) in &body.hints {
-            if self.engine.apply_owner_hint(*mobj, *page, *owner) {
-                applied += 1;
-            }
-        }
-        if applied > 0 {
-            ctx.stats().add("asvm.coalesce.hint_applied", applied);
-        }
-        for m in body.msgs {
-            self.deliver_protocol(ctx, from, ProtocolMsg::Asvm { from, msg: m });
-        }
-    }
-
-    /// One arriving unit of the retry channel: delivered in sequence, then
-    /// acknowledged. Every arrival is acked — including duplicates, whose
+    /// One arriving message of the retry channel: delivered in sequence,
+    /// then acknowledged. Every arrival is acked — including duplicates, whose
     /// original ack may itself have been lost, and frames buffered behind
     /// a gap; those deliver nothing, so their ack leaves at once. The ack
-    /// goes last so that what the delivered bodies send (a forwarded
+    /// goes last so that what the delivered messages send (a forwarded
     /// request, a grant) does not queue behind it on the message
     /// processor: only the sender's retry timer waits for the ack, and an
     /// ack that arrives too late costs one retransmission, suppressed
     /// here as a duplicate. The ack travels the same lossy wire; a lost
     /// ack likewise provokes a retransmission.
-    fn on_sequenced(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, seq: u64, body: FrameBody) {
+    fn on_sequenced(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, seq: u64, msg: AsvmMsg) {
         let accepted = self
             .link_rx
             .get_or_insert_with(from, Default::default)
-            .accept(seq, body);
+            .accept(seq, msg);
         if accepted.duplicate {
             ctx.stats().bump("asvm.retry.dup_drop");
         } else if accepted.deliver.is_empty() {
             ctx.stats().bump("asvm.retry.buffered");
         }
-        for b in accepted.deliver {
-            self.deliver_body(ctx, from, b);
+        for msg in accepted.deliver {
+            self.deliver_protocol(ctx, from, ProtocolMsg::Asvm { from, msg });
         }
         let (me, kind) = (self.id, "asvm.retry.ack");
         self.trace_event(ctx.now(), TraceDir::Send, from, kind, MemObjId(0), None);
@@ -702,17 +511,12 @@ impl ClusterNode {
         match verdict {
             TimeoutVerdict::Stale => {}
             TimeoutVerdict::Resend {
-                msg: body,
-                next_timeout,
-                ..
+                msg, next_timeout, ..
             } => {
                 ctx.stats().bump("asvm.retry.timeout");
                 ctx.stats().bump("asvm.retry.resent");
-                let now = ctx.now();
-                for m in &body.msgs {
-                    self.record_trace_asvm(now, TraceDir::Send, dst, m);
-                }
-                self.transmit_frame(ctx, dst, seq, &body, next_timeout);
+                self.record_trace_asvm(ctx.now(), TraceDir::Send, dst, &msg);
+                self.transmit_frame(ctx, dst, seq, &msg, next_timeout);
             }
             TimeoutVerdict::Exhausted { kind } => {
                 ctx.stats().bump("asvm.retry.exhausted");
@@ -1358,13 +1162,7 @@ impl NodeBehavior<Msg> for ClusterNode {
                 self.deliver_protocol(ctx, from, ProtocolMsg::Asvm { from, msg });
             }
             Msg::Asvm { from, seq, msg } => {
-                self.on_sequenced(ctx, from, seq, FrameBody::single(msg));
-            }
-            Msg::AsvmBatch { from, seq: 0, body } => {
-                self.deliver_body(ctx, from, body);
-            }
-            Msg::AsvmBatch { from, seq, body } => {
-                self.on_sequenced(ctx, from, seq, body);
+                self.on_sequenced(ctx, from, seq, msg);
             }
             Msg::RdmaRead { from, msg } => {
                 // One-sided read posting: the engine computes the same
@@ -1504,9 +1302,5 @@ impl NodeBehavior<Msg> for ClusterNode {
             }
         }
         self.pageout(ctx);
-        // End of the scheduling step: everything the engines emitted
-        // while handling this event (pageout included) leaves as one
-        // coalesced frame per destination. No-op with coalescing off.
-        self.flush_coalesced(ctx);
     }
 }

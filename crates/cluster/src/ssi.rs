@@ -112,14 +112,7 @@ impl Ssi {
                 ManagerKind::Asvm(_) => Box::new(AsvmNode::new(id, cost)),
                 ManagerKind::Xmm { copy_threads } => Box::new(XmmNode::new(id, cost, copy_threads)),
             };
-            let mut node = ClusterNode::new(id, vm, engine, m.kind(id), m.config.page_size);
-            if let ManagerKind::Asvm(acfg) = kind {
-                // Coalescing is a node-level transport concern (the frame
-                // combiner sits under every object), configured from the
-                // cluster-wide ASVM config.
-                node.set_coalesce(acfg.coalesce);
-            }
-            node
+            ClusterNode::new(id, vm, engine, m.kind(id), m.config.page_size)
         });
         Ssi {
             world,
@@ -136,10 +129,10 @@ impl Ssi {
     /// paper's per-memory-object strategy hook (*"The ASVM system allows
     /// to disable either dynamic or static forwarding (or both) on a
     /// memory-object basis"*), extended to the full [`AsvmConfig`]
-    /// surface: forwarding switches, cache capacity, prefetch and
-    /// coalescing. Takes effect on every [`Ssi::map_shared`] after the
-    /// call, so set it before the object's first map; other objects keep
-    /// the cluster-wide configuration. ASVM only.
+    /// surface: forwarding switches, cache capacity and prefetch. Takes
+    /// effect on every [`Ssi::map_shared`] after the call, so set it
+    /// before the object's first map; other objects keep the cluster-wide
+    /// configuration. ASVM only.
     pub fn set_object_config(&mut self, mobj: MemObjId, cfg: AsvmConfig) {
         assert!(
             matches!(self.kind, ManagerKind::Asvm(_)),

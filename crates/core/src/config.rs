@@ -14,11 +14,6 @@ pub const STATIC_CACHE_ENTRIES: usize = 4096;
 /// falls back to a terminal pager re-fetch.
 pub const WATCHDOG_RETRY_BUDGET: u8 = 5;
 
-/// Maximum subframes per coalesced wire frame: the model of STS's
-/// preallocated receive buffer capacity. A full frame is flushed
-/// immediately and a fresh one started.
-pub const MAX_SUBFRAMES: usize = 16;
-
 /// Handoff hints (see [`crate::DynHint`]) a request may follow in a row
 /// before the redirector hands it to the page's static manager instead —
 /// on objects with static forwarding and more than five members, where
@@ -43,30 +38,9 @@ pub struct AsvmConfig {
     /// Capacity of each node's dynamic hint cache, in entries.
     pub dynamic_cache_entries: usize,
     /// Access-pattern-driven prefetch (§6 future work, "read
-    /// clustering"): stream detection plus hint/data prefetch tiers. Off
+    /// clustering"): stream detection plus a speculative data tier. Off
     /// by default (the paper's measured system); see [`crate::prefetch`].
     pub prefetch: crate::prefetch::PrefetchCfg,
-    /// Message coalescing on the ASVM/STS protocol path (default off).
-    ///
-    /// STS receives into preallocated fixed-size buffers, so several
-    /// small protocol messages headed for the same node can share one
-    /// wire frame: one fixed header is charged for the frame, and each
-    /// additional subframe only pays a small demultiplex overhead instead
-    /// of a full per-message send/receive ([`MAX_SUBFRAMES`] per frame).
-    /// Acks ride on data frames going the same way, and data/ack frames
-    /// piggyback the sender's current owner hint for every page they
-    /// address, so dynamic hint caches stay warm without dedicated
-    /// traffic.
-    ///
-    /// The combiner's window is one scheduling step (one delivered
-    /// event): every protocol send an engine produces while handling a
-    /// single event is buffered per destination and flushed as one frame
-    /// per peer at the end of the step, so enabling coalescing never
-    /// delays traffic across events and determinism is preserved. The ARQ
-    /// layer treats a coalesced frame as one sequenced unit (see
-    /// `docs/RELIABILITY.md`). Off keeps the classic one-frame-per-message
-    /// path, byte-identical to builds without the coalescing layer.
-    pub coalesce: bool,
 }
 
 impl Default for AsvmConfig {
@@ -76,7 +50,6 @@ impl Default for AsvmConfig {
             static_forwarding: true,
             dynamic_cache_entries: 4096,
             prefetch: crate::prefetch::PrefetchCfg::default(),
-            coalesce: false,
         }
     }
 }
@@ -117,20 +90,14 @@ impl AsvmConfig {
         }
     }
 
-    /// With the detector-gated streaming prefetch preset: hint and data
-    /// tiers on once a stride is confirmed
+    /// With the detector-gated streaming prefetch preset: the data tier
+    /// pulls ahead once a stride is confirmed
     /// ([`crate::prefetch::PrefetchCfg::streaming`]).
     pub fn with_prefetch(depth: u32) -> AsvmConfig {
         AsvmConfig {
             prefetch: crate::prefetch::PrefetchCfg::streaming(depth),
             ..AsvmConfig::default()
         }
-    }
-
-    /// Returns this configuration with message coalescing switched on.
-    pub fn coalesced(mut self) -> AsvmConfig {
-        self.coalesce = true;
-        self
     }
 }
 
@@ -148,12 +115,6 @@ mod tests {
         assert!(!g.dynamic_forwarding && !g.static_forwarding);
     }
 
-    #[test]
-    fn coalescing_defaults_off() {
-        assert!(!AsvmConfig::default().coalesce, "coalescing must be opt-in");
-        assert!(AsvmConfig::default().coalesced().coalesce);
-    }
-
     /// Every settable value, by name: adding one is a deliberate edit
     /// here (and a row in docs/TUNING.md), not a side effect.
     #[test]
@@ -165,12 +126,10 @@ mod tests {
             prefetch:
                 crate::prefetch::PrefetchCfg {
                     enabled: _,
-                    hints: _,
                     data: _,
                     min_run: _,
                     depth: _,
                 },
-            coalesce: _,
         } = AsvmConfig::default();
     }
 
@@ -179,10 +138,10 @@ mod tests {
         let d = AsvmConfig::default().prefetch;
         assert!(!d.enabled, "prefetch must be opt-in");
         let ra = AsvmConfig::with_readahead(8).prefetch;
-        assert!(ra.enabled && ra.data && !ra.hints);
+        assert!(ra.enabled && ra.data);
         assert_eq!((ra.min_run, ra.depth, ra.inflight_budget()), (0, 8, None));
         let st = AsvmConfig::with_prefetch(4).prefetch;
-        assert!(st.enabled && st.data && st.hints);
+        assert!(st.enabled && st.data);
         assert_eq!(
             (st.min_run, st.depth, st.inflight_budget()),
             (2, 4, Some(4))

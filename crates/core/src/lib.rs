@@ -27,7 +27,6 @@
 //! [`machvm::VmSystem`], and emits sends/CPU charges through [`Fx`]. The
 //! `cluster` crate binds it to the simulated machine.
 
-pub mod coalesce;
 pub mod config;
 pub mod copymgmt;
 mod evict;
@@ -45,7 +44,6 @@ mod route;
 #[cfg(test)]
 mod node_tests;
 
-pub use coalesce::{FrameBody, FrameCombiner, OwnerHintEntry};
 pub use config::AsvmConfig;
 pub use locks::{HeldLock, PageRange, RangeLockMgr};
 pub use lru::Lru;

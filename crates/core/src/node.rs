@@ -30,8 +30,7 @@
 //! `on_fault`; `pull_completed` → `on_pull_completed` (escalating into
 //! the shadow's object); pager supply → `pager_supply`; VM eviction →
 //! `evict`; every [`AsvmMsg`] variant → the `on_*`/`*_reply` handler of
-//! the same name, after `observe_request` lets the hint prefetcher see
-//! arriving requests.
+//! the same name.
 
 use machvm::{
     Access, EmmiToKernel, EmmiToPager, KeyTable, LockMode, LockOp, MemObjId, PageData, PageIdx,
@@ -42,9 +41,8 @@ use svmsim::{CostModel, Dur, NodeId, Time};
 
 use crate::locks::PageRange;
 use crate::object::{
-    AsvmObject, DynHint, PageInfo, PendingLocal, QueuedReq, RecoverState, StashedCopy, StaticHint,
+    AsvmObject, PageInfo, PendingLocal, QueuedReq, RecoverState, StashedCopy, StaticHint,
 };
-use crate::prefetch::StreamDetector;
 use crate::protocol::{AsvmMsg, ReqKind, ReqPath};
 
 /// Effects produced by ASVM handlers: the shared manager sink, carrying
@@ -147,8 +145,6 @@ impl AsvmNode {
                 total += node_ids(r.expect.len() + r.holders.len());
                 total += (r.waiting.len() * size_of::<QueuedReq>()) as u64;
             }
-            total +=
-                (o.peer_streams.len() * (size_of::<NodeId>() + size_of::<StreamDetector>())) as u64;
             total += pages(o.prefetched.len());
         }
         total
@@ -200,9 +196,8 @@ impl AsvmNode {
     }
 
     /// The object state, if `mobj` is registered here — the non-panicking
-    /// lookup the cluster layer uses on paths where an unknown object is
-    /// legitimate (first mapping; per-object transport choices on the
-    /// protocol send path).
+    /// lookup the cluster layer uses where an unknown object is
+    /// legitimate (first mapping).
     pub fn find_object(&self, mobj: MemObjId) -> Option<&AsvmObject> {
         self.objects.get(&mobj).map(|o| &**o)
     }
@@ -221,39 +216,6 @@ impl AsvmNode {
     /// Page state for `(mobj, page)` on this node.
     pub fn page_info(&self, mobj: MemObjId, page: PageIdx) -> Option<&PageInfo> {
         self.objects.get(&mobj)?.pages.get(&page).map(|pi| &**pi)
-    }
-
-    /// This node's current ownership view of `(mobj, page)`, for
-    /// piggybacking on outgoing coalesced frames: itself if it owns the
-    /// page, else the dynamic hint cache's entry. `None` when the view is
-    /// cold — no hint is attached rather than a guess.
-    pub fn owner_view(&self, mobj: MemObjId, page: PageIdx) -> Option<NodeId> {
-        let o = self.objects.get(&mobj)?;
-        if o.pages.get(&page).is_some_and(|pi| pi.owner) {
-            return Some(self.me);
-        }
-        o.dyn_cache.peek(&page).map(|h| h.owner)
-    }
-
-    /// Applies a piggybacked owner hint from an arriving coalesced frame
-    /// to the dynamic hint cache. Returns whether the hint was taken;
-    /// hints for unknown objects, hint-disabled objects, self-ownership
-    /// or pages this node *knows* it owns are ignored (local truth beats
-    /// a peer's view). Pure cache warming: wrong hints are only ever a
-    /// forwarding detour, exactly like any stale dynamic hint.
-    pub fn apply_owner_hint(&mut self, mobj: MemObjId, page: PageIdx, owner: NodeId) -> bool {
-        let me = self.me;
-        let Some(o) = self.objects.get_mut(&mobj) else {
-            return false;
-        };
-        if !o.cfg.dynamic_forwarding || owner == me {
-            return false;
-        }
-        if o.pages.get(&page).is_some_and(|pi| pi.owner) {
-            return false;
-        }
-        o.dyn_cache.insert(page, DynHint::learned(owner));
-        true
     }
 
     // --- Prefetch (access-pattern-driven, §6 "read clustering") ------------
@@ -295,54 +257,6 @@ impl AsvmNode {
             return false;
         };
         Cx { o, me, now, vm, fx }.note_access(page, write)
-    }
-
-    /// Fills `out` with owner hints for the pages the serving side
-    /// predicts `dst` will fault on next, based on the per-peer demand
-    /// stream detector. The cluster layer piggybacks these on frames
-    /// already flowing to `dst` (zero extra frames, a few extra subframe
-    /// bytes), warming the peer's dynamic hint cache *before* the fault.
-    pub fn prefetch_hint_window(
-        &self,
-        mobj: MemObjId,
-        dst: NodeId,
-        out: &mut Vec<crate::coalesce::OwnerHintEntry>,
-    ) {
-        let Some(o) = self.objects.get(&mobj) else {
-            return;
-        };
-        if !(o.cfg.prefetch.enabled && o.cfg.prefetch.hints) {
-            return;
-        }
-        let Some(det) = o.peer_streams.get(&dst) else {
-            return;
-        };
-        let (Some(anchor), Some((stride, depth))) = (det.anchor(), det.prediction(&o.cfg.prefetch))
-        else {
-            return;
-        };
-        for k in 1..=depth {
-            let idx = anchor.0 as i64 + stride * k as i64;
-            if idx < 0 || idx >= o.size_pages as i64 {
-                continue;
-            }
-            let p = PageIdx(idx as u32);
-            // Same view `owner_view` serves the per-subframe piggyback:
-            // local ownership is ground truth, the dynamic cache is the
-            // best available guess, no hint otherwise.
-            let owner = if o.pages.get(&p).is_some_and(|pi| pi.owner) {
-                self.me
-            } else {
-                match o.dyn_cache.peek(&p) {
-                    Some(h) => h.owner,
-                    None => continue,
-                }
-            };
-            if owner == dst {
-                continue;
-            }
-            out.push((mobj, p, owner));
-        }
     }
 
     /// No local task is left to claim a speculative fill: forgets every
@@ -449,7 +363,6 @@ impl AsvmNode {
             panic!("{me}: message for unregistered object {mobj:?}: {msg:?}");
         };
         let mut cx = Cx { o, me, now, vm, fx };
-        cx.observe_request(&msg);
         let range = |first, count| PageRange { first, count };
         match msg {
             AsvmMsg::MapNotify { node, .. } => cx.on_map_notify(node),

@@ -319,11 +319,6 @@ pub struct AsvmObject {
     /// Local fault-stream detector driving data prefetch (inert unless
     /// `cfg.prefetch.enabled`). See [`crate::prefetch`].
     pub local_stream: crate::prefetch::StreamDetector,
-    /// Per-peer request-stream detectors driving hint prefetch: arriving
-    /// demand requests advance the origin node's detector, and frames
-    /// flowing back to it carry owner hints for its predicted window.
-    /// Populated only when `cfg.prefetch.hints` is on.
-    pub peer_streams: BTreeMap<NodeId, crate::prefetch::StreamDetector>,
     /// Speculatively filled pages no demand access has consumed yet:
     /// removed with `asvm.prefetch.hit` on first demand use, or with
     /// `asvm.prefetch.wasted` when invalidation/eviction takes the page
@@ -384,7 +379,6 @@ impl AsvmObject {
             range_locks: crate::locks::RangeLockMgr::default(),
             latch: crate::prefetch::WasteLatch::default(),
             local_stream: crate::prefetch::StreamDetector::default(),
-            peer_streams: BTreeMap::new(),
             prefetched: BTreeSet::new(),
             suspects: BTreeSet::new(),
             recover: BTreeMap::new(),
@@ -497,8 +491,6 @@ impl AsvmObject {
             + self.static_cache.len() * (size_of::<PageIdx>() + size_of::<StaticHint>() + 8)
             + self.static_seen.len() * size_of::<PageIdx>()
             + self.nodes.len() * size_of::<NodeId>()
-            + self.peer_streams.len()
-                * (size_of::<NodeId>() + size_of::<crate::prefetch::StreamDetector>())
             + self.prefetched.len() * size_of::<PageIdx>()
     }
 }

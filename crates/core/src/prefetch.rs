@@ -10,17 +10,10 @@
 //! backend supports it), so every safety property of the demand path
 //! carries over unchanged.
 //!
-//! Two tiers, independently switchable per object:
-//!
-//! * **hint prefetch** ([`PrefetchCfg::hints`]) — nodes *serving* a
-//!   detected stream piggyback owner hints for the predicted next pages on
-//!   data/ack frames already flowing back to the requester (the PR-5
-//!   `OwnerHintEntry` carrier), so the requester's dynamic hint cache is
-//!   warm before it faults: zero extra frames, only extra subframe bytes;
-//! * **data prefetch** ([`PrefetchCfg::data`]) — the faulting node itself
-//!   pulls read copies ahead of the stream, bounded by
-//!   [`PrefetchCfg::inflight_budget`], cancelled (no further issues) the
-//!   moment the stride breaks.
+//! The one tier is **data prefetch** ([`PrefetchCfg::data`]): the faulting
+//! node itself pulls read copies ahead of the stream, bounded by
+//! [`PrefetchCfg::inflight_budget`], cancelled (no further issues) the
+//! moment the stride breaks.
 //!
 //! Accounting is honest: `asvm.prefetch.issued` / `hit` / `late` /
 //! `wasted` / `cancelled` counters, and a detector-gated stream latches
@@ -38,14 +31,12 @@
 //! |---|---|
 //! | local fault | detector observes (a broken run counts its in-flight speculation `cancelled`); a prefetched page settles; request; a read issues the predicted window |
 //! | local hit on a prefetched page | settle it (`hit` on read, `wasted` on write); a read tops the window up (detector-gated presets) |
-//! | arriving plain `PageReq` | the origin's peer detector observes (hint tier) |
 //! | prefetched page invalidated, evicted or handed away | settle it `wasted` |
 //! | a fill settles, detector-gated data tier on | the waste latch counts it; a wasteful window turns the data tier off (`asvm.prefetch.latched`) |
 
 use machvm::{Access, PageIdx};
 
 use crate::node::Cx;
-use crate::protocol::AsvmMsg;
 
 /// Settled speculative fills per [`WasteLatch`] window.
 pub const LATCH_WINDOW: u8 = 8;
@@ -58,12 +49,8 @@ pub const LATCH_WASTED_PCT: u8 = 50;
 /// byte-identical to builds without the prefetch layer).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PrefetchCfg {
-    /// Master switch for the detector and both tiers.
+    /// Master switch for the detector and the data tier.
     pub enabled: bool,
-    /// Hint tier: piggyback predicted-page owner hints on frames already
-    /// flowing to the node driving a detected stream. Needs a coalescing
-    /// transport (the hint carrier); inert elsewhere.
-    pub hints: bool,
     /// Data tier: speculatively pull read copies of predicted pages.
     pub data: bool,
     /// Consecutive same-stride fault intervals required before the
@@ -92,45 +79,32 @@ impl PrefetchCfg {
 
     /// The legacy §6 "read clustering" preset: on every read fault,
     /// unconditionally request the next `pages` pages. No detector gate,
-    /// no hint tier, no in-flight budget — behaviourally identical to the
+    /// no in-flight budget — behaviourally identical to the
     /// old `AsvmConfig::readahead` knob.
     pub fn readahead(pages: u32) -> PrefetchCfg {
         PrefetchCfg {
             enabled: pages > 0,
-            hints: false,
             data: pages > 0,
             min_run: 0,
             depth: pages,
         }
     }
 
-    /// Detector-gated streaming preset: both tiers on, stride trusted
-    /// after two confirming intervals, in-flight budget equal to the
-    /// window depth.
+    /// Detector-gated streaming preset: the data tier pulls ahead once a
+    /// stride is trusted after two confirming intervals, with an
+    /// in-flight budget equal to the window depth.
     pub fn streaming(depth: u32) -> PrefetchCfg {
         PrefetchCfg {
             enabled: depth > 0,
-            hints: true,
             data: depth > 0,
             min_run: 2,
             depth,
         }
     }
-
-    /// [`PrefetchCfg::streaming`] with the data tier off: owner hints for
-    /// predicted pages are piggybacked, but no speculative transfers are
-    /// issued.
-    pub fn hints_only(depth: u32) -> PrefetchCfg {
-        PrefetchCfg {
-            data: false,
-            ..PrefetchCfg::streaming(depth)
-        }
-    }
 }
 
 /// Sequential/strided stream detector over one node's fault stream for
-/// one object (also instantiated per *peer* on serving nodes, to predict
-/// the requester's stream for the hint tier).
+/// one object.
 ///
 /// State machine: the detector keeps the last observed page, the interval
 /// (`stride`) between the last two observations, and how many consecutive
@@ -203,11 +177,6 @@ impl StreamDetector {
         }
     }
 
-    /// The most recently observed page, if any (the prediction anchor).
-    pub fn anchor(&self) -> Option<PageIdx> {
-        self.last
-    }
-
     /// Confirmed run length at the current stride.
     pub fn run(&self) -> u32 {
         self.run
@@ -232,7 +201,7 @@ impl StreamDetector {
 /// // The window's last outcome latches the data tier off.
 /// let fired: Vec<bool> = (0..LATCH_WINDOW).map(|_| latch.record(&mut cfg, true)).collect();
 /// assert_eq!(fired.iter().position(|&f| f), Some(LATCH_WINDOW as usize - 1));
-/// assert!(!cfg.data && cfg.hints, "only the data tier goes");
+/// assert!(!cfg.data && cfg.enabled, "the data tier goes, the detector stays");
 /// // Further outcomes never re-fire it.
 /// assert!(!latch.record(&mut cfg, true));
 /// ```
@@ -371,30 +340,6 @@ impl Cx<'_> {
         }
         true
     }
-
-    /// Hint prefetch learns from arriving demand requests. Push scans,
-    /// pull lookups and bookkeeping replies carry no signal about the
-    /// requester's stream.
-    pub(crate) fn observe_request(&mut self, msg: &AsvmMsg) {
-        let AsvmMsg::PageReq {
-            page, req, path, ..
-        } = msg
-        else {
-            return;
-        };
-        if !req.is_plain_access() {
-            return;
-        }
-        // Hint prefetch learns the *demand* stream of the faulting node:
-        // frames flowing back to it will carry owner hints for its
-        // predicted next pages. Speculative requests are its prefetcher
-        // echoing the same stride — not new evidence.
-        let cfg = self.o.cfg.prefetch;
-        if cfg.enabled && cfg.hints && !path.speculative {
-            let detector = self.o.peer_streams.entry(req.origin).or_default();
-            detector.observe(*page);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -404,7 +349,7 @@ mod tests {
     #[test]
     fn defaults_are_fully_off() {
         let c = PrefetchCfg::default();
-        assert!(!c.enabled && !c.hints && !c.data);
+        assert!(!c.enabled && !c.data);
         assert_eq!(c.depth, 0);
         let d = StreamDetector::default();
         assert_eq!(d.prediction(&PrefetchCfg::streaming(8)), None);
@@ -419,7 +364,6 @@ mod tests {
         assert_eq!(d.prediction(&cfg), None);
         assert!(!d.observe(PageIdx(12))); // run 2: trusted
         assert_eq!(d.prediction(&cfg), Some((1, 4)));
-        assert_eq!(d.anchor(), Some(PageIdx(12)));
     }
 
     #[test]
@@ -483,7 +427,7 @@ mod tests {
         let half = (0..w).map(|i| i % 2 == 0);
         assert_eq!(latch_fires(&mut cfg, half), vec![w - 1]);
         assert!(!cfg.data, "the data tier is latched off");
-        assert!(cfg.enabled && cfg.hints, "the detector and hint tier stay");
+        assert!(cfg.enabled, "the detector stays");
         assert!(
             latch_fires(&mut cfg, std::iter::repeat_n(true, 4 * w)).is_empty(),
             "a latched tier never fires again"

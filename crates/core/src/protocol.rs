@@ -599,9 +599,7 @@ impl AsvmMsg {
     }
 
     /// Whether this is an ack-class message: pure bookkeeping replies that
-    /// the engine handles at `asvm_ack_handle` cost. These are what the
-    /// coalescing layer counts as "acks riding on data frames" when they
-    /// share a wire frame with a payload-carrying subframe.
+    /// the engine handles at `asvm_ack_handle` cost.
     pub fn is_ack_class(&self) -> bool {
         matches!(
             self,
@@ -612,18 +610,6 @@ impl AsvmMsg {
                 | AsvmMsg::PushDone { .. }
                 | AsvmMsg::OwnerHint { .. }
                 | AsvmMsg::PagedHint { .. }
-        )
-    }
-
-    /// Whether this message carries page contents on the wire.
-    pub fn carries_data(&self) -> bool {
-        matches!(
-            self,
-            AsvmMsg::Grant {
-                grant: PageGrant { data: Some(_), .. },
-                ..
-            } | AsvmMsg::PageTransfer { .. }
-                | AsvmMsg::PushData { .. }
         )
     }
 }

@@ -168,15 +168,6 @@ pub struct CostModel {
     /// Per-side CPU for node-local (loopback) messages — kernel-internal
     /// hand-off, no wire or protocol stack.
     pub local_ipc_cpu: Dur,
-    /// Per-side CPU to demultiplex one *additional* subframe out of a
-    /// coalesced STS frame (the first subframe pays the full
-    /// `sts_send_cpu`/`sts_recv_cpu`). STS receives into preallocated
-    /// buffers, so an extra subframe skips per-message interrupt and
-    /// buffer management — only parse-and-dispatch remains.
-    pub sts_subframe_cpu: Dur,
-    /// Wire bytes per additional subframe in a coalesced STS frame
-    /// (length/kind tag inside the shared fixed header's framing).
-    pub sts_subframe_bytes: u32,
 
     // --- NORMA-IPC ----------------------------------------------------------
     /// Sender-side occupancy per NORMA-IPC message (port right translation,
@@ -195,8 +186,7 @@ pub struct CostModel {
     // (zero host CPU at the target), while ordinary two-sided protocol
     // sends take an interrupt-driven completion path with no message
     // co-processor behind it — slightly costlier per message than STS,
-    // far cheaper than NORMA, and not coalescable (each verb is its own
-    // work request).
+    // far cheaper than NORMA.
     /// Requester CPU to post a one-sided read work request (WQE build +
     /// doorbell write).
     pub rdma_post_cpu: Dur,
@@ -267,8 +257,6 @@ impl Default for CostModel {
             sts_recv_cpu: Dur::from_micros_f64(55.0),
             sts_header_bytes: 32,
             local_ipc_cpu: Dur::from_micros_f64(25.0),
-            sts_subframe_cpu: Dur::from_micros_f64(8.0),
-            sts_subframe_bytes: 8,
 
             norma_send_cpu: Dur::from_micros_f64(450.0),
             norma_recv_cpu: Dur::from_micros_f64(550.0),

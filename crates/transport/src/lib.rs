@@ -19,15 +19,15 @@
 //! enum. A backend turns "send this many payload bytes to that node" into a
 //! [`MsgCosts`] envelope (sender CPU, receiver CPU, wire bytes, in-flight
 //! latency) evaluated against the machine's [`CostModel`], and declares its
-//! capabilities: statistics keys, coalescing support, per-link ARQ
-//! eligibility, and one-sided read support. Three backends ship:
+//! capabilities: statistics keys, per-link ARQ eligibility, and
+//! one-sided read support. Three backends ship:
 //!
 //! * [`NormaIpc`] and [`Sts`] — the paper's pair, byte-identical in cost
 //!   and accounting to the pre-trait implementation.
 //! * [`Rdma`] — a modern one-sided backend: remote page *reads* are served
 //!   entirely by the target's NIC (**zero receiver CPU occupancy**), at the
 //!   price of per-link setup/registration, a per-message latency floor, and
-//!   an interrupt-driven (coalescing-free) control path. Reliability lives
+//!   an interrupt-driven control path. Reliability lives
 //!   in the fabric, so it opts out of the software ARQ layer; a lost
 //!   one-sided read surfaces only at the requester, whose watchdog
 //!   re-issues it (see `docs/RELIABILITY.md`).
@@ -84,9 +84,6 @@ pub use svmsim::{Blackout, FaultClass, FaultPlan, LinkFaults};
 ///   [`page_stat_key`](TransportBackend::page_stat_key) are distinct per
 ///   backend, so per-backend chattiness is separable in every bench JSON.
 /// * A backend that returns `false` from
-///   [`supports_coalescing`](TransportBackend::supports_coalescing) is
-///   never handed a multi-subframe frame.
-/// * A backend that returns `false` from
 ///   [`per_link_arq`](TransportBackend::per_link_arq) must tolerate loss
 ///   end-to-end (requester-side timeout and re-issue).
 pub trait TransportBackend: std::fmt::Debug + Sync {
@@ -103,12 +100,6 @@ pub trait TransportBackend: std::fmt::Debug + Sync {
     /// Cost envelope for a message with `payload_bytes` of payload (0 for
     /// a header-only message, one page size for a page carrier).
     fn costs(&self, cost: &CostModel, payload_bytes: u32) -> MsgCosts;
-
-    /// Whether several protocol messages may share one wire frame on this
-    /// backend (see [`CostClass::Coalesced`]).
-    fn supports_coalescing(&self) -> bool {
-        true
-    }
 
     /// Whether protocol traffic on this backend rides the software
     /// per-link ARQ channel when a fault plan is active. Backends whose
@@ -217,7 +208,7 @@ impl TransportBackend for Sts {
 /// occupancy, so a hot read-shared page never serializes on its owner's
 /// event handler. The control plane is ordinary two-sided sends with an
 /// interrupt-driven completion path (no STS-style message co-processor):
-/// slightly costlier per message than STS, not coalescable, and every
+/// slightly costlier per message than STS, and every
 /// message pays the RNIC's latency floor in flight. Reliability lives in
 /// the fabric (hardware retransmission on connected queue pairs), so the
 /// backend opts out of the software ARQ layer; the only software-visible
@@ -250,12 +241,6 @@ impl TransportBackend for Rdma {
             bytes: cost.rdma_header_bytes + payload_bytes,
             extra_latency: cost.rdma_latency_floor,
         }
-    }
-
-    fn supports_coalescing(&self) -> bool {
-        // Each verb is its own work request; there is no shared frame to
-        // amortize into.
-        false
     }
 
     fn per_link_arq(&self) -> bool {
@@ -351,11 +336,6 @@ impl Transport {
         self.backend.page_stat_key()
     }
 
-    /// Whether several protocol messages may share one wire frame.
-    pub fn supports_coalescing(&self) -> bool {
-        self.backend.supports_coalescing()
-    }
-
     /// Whether protocol traffic rides the software per-link ARQ channel
     /// under an active fault plan (see `docs/RELIABILITY.md`).
     pub fn per_link_arq(&self) -> bool {
@@ -398,47 +378,6 @@ impl Transport {
         c.send_cpu + c.recv_cpu
     }
 
-    /// Cost envelope for a *coalesced* frame carrying `subframes` protocol
-    /// messages and `payload_bytes` of total payload in one wire message.
-    ///
-    /// The frame pays one fixed header and one full per-message CPU charge
-    /// (exactly [`Transport::costs`] for the first subframe); every
-    /// additional subframe adds only the amortized software overhead of
-    /// demultiplexing it out of the shared buffer (`sts_subframe_cpu` per
-    /// side) plus a small framing tag on the wire (`sts_subframe_bytes`).
-    /// This models STS's preallocated receive buffers: the expensive part
-    /// of a small message is per-*frame* interrupt and buffer handling,
-    /// not per-*subframe* parsing. With `subframes <= 1` this is identical
-    /// to [`Transport::costs`], so an empty coalescing layer charges
-    /// nothing extra.
-    ///
-    /// NORMA keeps its per-byte marshalling for the whole payload — typed
-    /// in-line data gains nothing from sharing an envelope — so coalescing
-    /// only ever pays off on STS, which is the point of the ablation.
-    pub fn coalesced_costs(
-        &self,
-        cost: &CostModel,
-        subframes: u32,
-        payload_bytes: u32,
-    ) -> MsgCosts {
-        let base = self.backend.costs(cost, payload_bytes);
-        let extra = subframes.saturating_sub(1);
-        if extra == 0 {
-            return base;
-        }
-        debug_assert!(
-            self.backend.supports_coalescing(),
-            "coalesced frame on a non-coalescing backend"
-        );
-        let demux = Dur::from_nanos(cost.sts_subframe_cpu.as_nanos() * extra as u64);
-        MsgCosts {
-            send_cpu: base.send_cpu + demux,
-            recv_cpu: base.recv_cpu + demux,
-            bytes: base.bytes + cost.sts_subframe_bytes * extra,
-            extra_latency: base.extra_latency,
-        }
-    }
-
     /// Sends `msg` to `dst` through this transport as one plain, reliable,
     /// untagged frame: [`Transport::send_frame`] with nothing switched on.
     pub fn send<M>(&self, ctx: &mut Ctx<'_, M>, dst: NodeId, payload_bytes: u32, msg: M) {
@@ -472,7 +411,6 @@ impl Transport {
         let costs = match frame.class {
             _ if local => self.local_costs(cost, payload),
             CostClass::Plain => self.costs(cost, payload),
-            CostClass::Coalesced(subframes) => self.coalesced_costs(cost, subframes, payload),
             CostClass::OneSidedRead => self.backend.one_sided_read_costs(cost),
             CostClass::OneSidedReply => self.backend.one_sided_reply_costs(cost, payload),
         };
@@ -519,12 +457,6 @@ impl Transport {
 pub enum CostClass {
     /// One message in its own frame ([`Transport::costs`]).
     Plain,
-    /// This many protocol messages sharing one wire frame
-    /// ([`Transport::coalesced_costs`]) — still *one* wire message in the
-    /// per-transport statistics, and one unit of loss, duplication and
-    /// delay: subframes share its fate, which is what lets the ARQ layer
-    /// sequence a coalesced frame exactly like a singleton one.
-    Coalesced(u32),
     /// A one-sided read posting: header-only, served by the target's NIC
     /// with zero receiver CPU, also counted under `transport.rdma.read`.
     /// No link layer retransmits it — the requester's watchdog re-issues
@@ -647,46 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn one_subframe_coalesces_to_plain_costs() {
-        let c = cost();
-        for t in [Transport::STS, Transport::NORMA] {
-            for payload in [0u32, 8192] {
-                let plain = t.costs(&c, payload);
-                let co = t.coalesced_costs(&c, 1, payload);
-                assert_eq!(
-                    (co.send_cpu, co.recv_cpu, co.bytes),
-                    (plain.send_cpu, plain.recv_cpu, plain.bytes)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn coalesced_frame_beats_separate_sends() {
-        // k header-only messages in one frame: one fixed header, one full
-        // CPU charge, and k-1 cheap demultiplexes — strictly cheaper than
-        // k independent frames on every axis.
-        let c = cost();
-        let k = 6u32;
-        let co = Transport::STS.coalesced_costs(&c, k, 0);
-        let single = Transport::STS.costs(&c, 0);
-        let separate_cpu =
-            Dur::from_nanos((single.send_cpu + single.recv_cpu).as_nanos() * k as u64);
-        let co_cpu = co.send_cpu + co.recv_cpu;
-        assert!(
-            co_cpu < separate_cpu,
-            "coalesced {co_cpu} vs separate {separate_cpu}"
-        );
-        assert!(co.bytes < single.bytes * k, "one header, not {k}");
-        // The header really is charged once: only small per-subframe tags
-        // beyond it.
-        assert_eq!(
-            co.bytes,
-            c.sts_header_bytes + c.sts_subframe_bytes * (k - 1)
-        );
-    }
-
-    #[test]
     fn sts_page_cpu_overhead_stays_small() {
         // The whole point of STS: moving a page costs wire time, not CPU.
         let c = cost();
@@ -726,7 +618,6 @@ mod tests {
         for t in [Transport::NORMA, Transport::STS] {
             for payload in [0u32, 8192] {
                 assert!(t.costs(&c, payload).extra_latency.is_zero());
-                assert!(t.coalesced_costs(&c, 5, payload).extra_latency.is_zero());
             }
         }
     }
@@ -749,12 +640,10 @@ mod tests {
 
     #[test]
     fn rdma_capability_flags() {
-        assert!(!Transport::RDMA.supports_coalescing());
         assert!(!Transport::RDMA.per_link_arq());
         assert!(Transport::RDMA.one_sided_reads());
         assert!(Transport::RDMA.link_setup_cpu(&cost()) > Dur::ZERO);
         for t in [Transport::NORMA, Transport::STS] {
-            assert!(t.supports_coalescing());
             assert!(t.per_link_arq());
             assert!(!t.one_sided_reads());
             assert!(t.link_setup_cpu(&cost()).is_zero());

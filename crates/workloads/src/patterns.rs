@@ -326,49 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_cuts_messages_per_fault_on_sharing_heavy_patterns() {
-        // The acceptance bar of the coalescing ablation: ≥25% fewer wire
-        // frames per resolved fault on sharing-heavy patterns. Readahead
-        // is identical in both arms so the only difference is coalescing.
-        let off_cfg = asvm::AsvmConfig::with_readahead(8);
-        let on_cfg = off_cfg.coalesced();
-        for pattern in [
-            Pattern::ProducerConsumer { rounds: 4 },
-            Pattern::Hotspot {
-                rounds: 24,
-                write_every: 4,
-            },
-        ] {
-            // 800µs of compute per touch: enough for staggered readahead
-            // fills to land before the next access in both arms, so the
-            // fault denominator reflects the pattern, not fill spacing.
-            let run = |cfg| {
-                let sc =
-                    Scenario::new(ManagerKind::Asvm(cfg), 4, 17).think(Dur::from_micros_f64(800.0));
-                run_pattern(&sc, 32, pattern).expect_completed("paced pattern")
-            };
-            let (off, on) = (run(off_cfg), run(on_cfg));
-            let merged = on.counter("asvm.coalesce.merged");
-            assert_eq!(
-                off.counter("asvm.coalesce.merged"),
-                0,
-                "off arm must not touch the combiner"
-            );
-            assert!(merged > 0, "on arm must merge subframes");
-            assert!(
-                on.counter("asvm.coalesce.piggyback_hint") > 0,
-                "data/ack frames carry hints"
-            );
-            let (m_off, m_on) = (off.frames_per_fault(), on.frames_per_fault());
-            eprintln!("{pattern:?}: {m_off:.2} -> {m_on:.2} frames/fault (merged {merged})");
-            assert!(
-                m_on <= 0.75 * m_off,
-                "{pattern:?}: expected >=25% reduction, got {m_off:.2} -> {m_on:.2}"
-            );
-        }
-    }
-
-    #[test]
     fn uniform_churn_under_every_forwarding_config() {
         for cfg in [
             asvm::AsvmConfig::default(),

@@ -331,26 +331,13 @@ impl Outcome {
         self.counter("transport.fault.dropped") + self.counter("transport.fault.blackout")
     }
 
-    /// Logical ASVM protocol messages (Σ `asvm.msg.*`) — unchanged by
-    /// coalescing, which only merges them onto shared wire frames.
+    /// ASVM protocol messages (Σ `asvm.msg.*`).
     pub fn asvm_msgs(&self) -> u64 {
         self.stats
             .counters()
             .filter(|(k, _)| k.starts_with("asvm.msg."))
             .map(|(_, v)| v)
             .sum()
-    }
-
-    /// Physical ASVM wire frames: logical messages minus the subframes
-    /// that shared a frame with an earlier one (`asvm.coalesce.merged`).
-    pub fn asvm_frames(&self) -> u64 {
-        self.asvm_msgs() - self.counter("asvm.coalesce.merged")
-    }
-
-    /// ASVM wire frames per resolved page fault — the headline metric of
-    /// the coalescing ablation (`BENCH_coalesce.json`).
-    pub fn frames_per_fault(&self) -> f64 {
-        ratio(self.asvm_frames(), self.faults())
     }
 
     /// Demand faults per thousand memory accesses — the prefetch
@@ -398,7 +385,6 @@ mod tests {
         let out = sc.finish(sc.build(), Time::ZERO);
         assert!(out.completed);
         assert_eq!(out.faults(), 0);
-        assert_eq!(out.frames_per_fault(), 0.0);
         assert_eq!(out.faults_per_kilo_access(0), 0.0);
     }
 }

@@ -398,7 +398,7 @@ mod tests {
     fn oracle_assigns_class_ideal_configs() {
         let spec = small_spec();
         let key = |o: &Outcome| (o.faults(), o.asvm_msgs(), o.events);
-        let accel = AsvmConfig::with_readahead(4).coalesced();
+        let accel = AsvmConfig::with_readahead(4);
         let oracle = run_tenants(accel, Transport::STS, &spec, true);
         // Both classes appear, so the oracle run matches neither of the
         // uniform runs it mixes.

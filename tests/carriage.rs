@@ -1,10 +1,11 @@
 //! The carriage layer's safety net: one small fixed workload over the
-//! whole {backend} × {coalescing} × {fault plan} matrix, every cell pinned
-//! to an exact tuple of simulated numbers.
+//! whole {backend} × {fault plan} matrix, every cell pinned to an exact
+//! tuple of simulated numbers. Every protocol message travels in a wire
+//! frame of its own (`single` in the row labels).
 //!
-//! The goldens cover healthy × {single, coalesced, RDMA} and faulted ×
-//! single; faulted × coalesced and faulted × RDMA were otherwise checked
-//! for completion only. `tests/testdata/carriage_table.txt` was recorded on
+//! The goldens cover healthy × {STS, NORMA, RDMA} and faulted × {STS,
+//! NORMA}; faulted × RDMA was otherwise checked for completion only.
+//! `tests/testdata/carriage_table.txt` was recorded on
 //! the commit *before* the transport's send paths, the ASVM frame
 //! envelopes and the fault seam were each collapsed to one — never
 //! regenerate it to make a change to the carriage layer pass: a moved
@@ -19,8 +20,9 @@
 //! frame class and the frame's index on that link (`svmsim::faults`), in
 //! the same change that moved ARQ acks after delivery and made an idle
 //! watchdog tick free. Since then an extra beacon or ack no longer moves
-//! protocol-frame faults at all. The ten `healthy` rows are the original
-//! recording.
+//! protocol-frame faults at all. The six `healthy` rows are the original
+//! recording. Its rows for the deleted coalescing arm are gone, and so is
+//! the always-zero `frames=` field (wire frames of coalesced messages).
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,9 +66,8 @@ fn patterns() -> [(&'static str, Pattern); 2] {
 }
 
 /// Runs one cell of the matrix.
-fn cell(t: Transport, coalesce: bool, plan: FaultPlan, pattern: Pattern) -> Outcome {
-    let base = AsvmConfig::with_readahead(8);
-    let cfg = if coalesce { base.coalesced() } else { base };
+fn cell(t: Transport, plan: FaultPlan, pattern: Pattern) -> Outcome {
+    let cfg = AsvmConfig::with_readahead(8);
     let sc = Scenario::new(ManagerKind::Asvm(cfg), NODES, SEED)
         .transport(t)
         .faults(plan);
@@ -88,9 +89,8 @@ fn line(label: &str, t: Transport, out: &Outcome) -> String {
     );
     write!(
         s,
-        " asvm.msg={} frames={} retry={}/{}/{}/{} fault={}/{}/{}/{} rdma={}/{}/{}/{}/{}",
+        " asvm.msg={} retry={}/{}/{}/{} fault={}/{}/{}/{} rdma={}/{}/{}/{}/{}",
         out.asvm_msgs(),
-        c("asvm.frames"),
         c("asvm.retry.resent"),
         c("asvm.retry.acked"),
         c("asvm.retry.dup_drop"),
@@ -112,32 +112,22 @@ fn line(label: &str, t: Transport, out: &Outcome) -> String {
 fn table() -> String {
     let mut got = String::new();
     for t in [Transport::STS, Transport::NORMA, Transport::RDMA] {
-        for coalesce in [false, true] {
-            if coalesce && !t.supports_coalescing() {
-                continue;
-            }
-            for (plan_name, plan) in plans() {
-                for (pat_name, pattern) in patterns() {
-                    let label = format!(
-                        "{}/{}/{plan_name}/{pat_name}",
-                        t.name(),
-                        if coalesce { "co" } else { "single" },
-                    );
-                    // NORMA carrier, single-message frames, producer/
-                    // consumer under an active plan ends incoherent
-                    // (ROADMAP item 1's ledger): both such cells, `lossy`
-                    // and `blackout`. (For one recording `lossy` escaped
-                    // at this seed by timing luck.) The line is the
-                    // checker's diagnostic, which a carriage refactor
-                    // must not move either; the protocol fix is what
-                    // legitimately replaces it.
-                    let run = AssertUnwindSafe(|| cell(t, coalesce, plan.clone(), pattern));
-                    match catch_unwind(run) {
-                        Ok(out) => writeln!(got, "{}", line(&label, t, &out)).unwrap(),
-                        Err(panic) => {
-                            let why = panic.downcast_ref::<String>().expect("formatted panic");
-                            writeln!(got, "{label}: INCOHERENT {why}").unwrap();
-                        }
+        for (plan_name, plan) in plans() {
+            for (pat_name, pattern) in patterns() {
+                let label = format!("{}/single/{plan_name}/{pat_name}", t.name());
+                // NORMA carrier, producer/consumer under an active plan
+                // ends incoherent (ROADMAP item 1's ledger): both such
+                // cells, `lossy` and `blackout`. (For one recording `lossy`
+                // escaped at this seed by timing luck.) The line is the
+                // checker's diagnostic, which a carriage refactor must not
+                // move either; the protocol fix is what legitimately
+                // replaces it.
+                let run = AssertUnwindSafe(|| cell(t, plan.clone(), pattern));
+                match catch_unwind(run) {
+                    Ok(out) => writeln!(got, "{}", line(&label, t, &out)).unwrap(),
+                    Err(panic) => {
+                        let why = panic.downcast_ref::<String>().expect("formatted panic");
+                        writeln!(got, "{label}: INCOHERENT {why}").unwrap();
                     }
                 }
             }
@@ -160,19 +150,16 @@ fn every_cell_matches_the_table_recorded_before_the_collapse() {
     );
 }
 
-/// Σ `asvm.msg.*` does **not** mean the same thing in the two coalescing
-/// arms once the ARQ channel retransmits (docs/TUNING.md, "Counters";
-/// docs/RELIABILITY.md §3). With coalescing off the per-kind counter rides
-/// the transport send, so every retransmission bumps it again; with
-/// coalescing on the subframe kinds are counted once when the body is
-/// sealed, and a retransmitted body counts nothing. Every sequenced frame
-/// is acknowledged exactly once by quiescence (no exhaustion here, and
-/// these workloads send no loopback protocol messages), so
-/// `asvm.retry.acked` is the number of logical frames in both arms. This
-/// pins the inconsistency (it is part of `BENCH_faultsweep.json`'s
-/// `protocol.messages`) until ROADMAP item 6's single re-golden fixes it.
+/// Σ `asvm.msg.*` counts transmissions, not logical messages, once the
+/// ARQ channel retransmits (docs/TUNING.md, "Counters";
+/// docs/RELIABILITY.md §3): the per-kind counter rides the transport
+/// send, so every retransmission bumps it again. Every sequenced frame is
+/// acknowledged exactly once by quiescence (no exhaustion here, and these
+/// workloads send no loopback protocol messages), so `asvm.retry.acked`
+/// is the number of logical messages. This identity is part of
+/// `BENCH_faultsweep.json`'s `protocol.messages`.
 #[test]
-fn per_kind_counters_count_retransmissions_only_with_coalescing_off() {
+fn per_kind_counters_count_every_transmission() {
     let (_, lossy) = plans().into_iter().nth(1).unwrap();
     let [(_, prodcons), (_, migratory)] = patterns();
     // (NORMA, prodcons) is the table's incoherent shape.
@@ -181,32 +168,20 @@ fn per_kind_counters_count_retransmissions_only_with_coalescing_off() {
         (Transport::STS, migratory),
         (Transport::NORMA, migratory),
     ] {
-        let off = cell(t, false, lossy.clone(), pattern);
-        let on = cell(t, true, lossy.clone(), pattern);
-        for (arm, out) in [("off", &off), ("on", &on)] {
-            assert!(out.completed, "{}/{arm} completes", t.name());
-            assert_eq!(out.counter("asvm.retry.exhausted"), 0);
-            assert!(
-                out.counter("asvm.retry.resent") > 0,
-                "{}/{arm}: the plan must provoke retransmissions",
-                t.name()
-            );
-        }
-        // Off: first transmissions *and* retransmissions are counted.
-        assert_eq!(
-            off.asvm_frames(),
-            off.counter("asvm.retry.acked") + off.counter("asvm.retry.resent"),
-            "{}: coalescing off counts asvm.msg.* per transmission",
+        let out = cell(t, lossy.clone(), pattern);
+        assert!(out.completed, "{} completes", t.name());
+        assert_eq!(out.counter("asvm.retry.exhausted"), 0);
+        assert!(
+            out.counter("asvm.retry.resent") > 0,
+            "{}: the plan must provoke retransmissions",
             t.name()
         );
-        assert_eq!(off.counter("asvm.frames"), 0);
-        // On: sealed bodies only; a resent body bumps nothing.
+        // First transmissions *and* retransmissions are counted.
         assert_eq!(
-            on.asvm_frames(),
-            on.counter("asvm.retry.acked"),
-            "{}: coalescing on counts asvm.msg.* once per sealed body",
+            out.asvm_msgs(),
+            out.counter("asvm.retry.acked") + out.counter("asvm.retry.resent"),
+            "{}: asvm.msg.* counts every transmission",
             t.name()
         );
-        assert_eq!(on.asvm_frames(), on.counter("asvm.frames"));
     }
 }

@@ -67,8 +67,8 @@ fn tenants_is_deterministic() {
         ops_per_task: 120,
         ..TenantsSpec::default()
     };
-    // Streaming prefetch with coalescing: the waste latch runs too.
-    let cfg = asvm::AsvmConfig::with_prefetch(4).coalesced();
+    // Streaming prefetch: the waste latch runs too.
+    let cfg = asvm::AsvmConfig::with_prefetch(4);
     let a = run_tenants(cfg, transport::Transport::STS, &spec, false);
     let b = run_tenants(cfg, transport::Transport::STS, &spec, false);
     assert_eq!(a.faults(), b.faults());

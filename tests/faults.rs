@@ -338,57 +338,6 @@ fn duplicates_are_suppressed_not_applied() {
     );
 }
 
-/// A dropped *coalesced* frame retries and converges exactly like its
-/// unbatched equivalent: the whole multi-subframe body is one ARQ unit —
-/// one sequence number, one fault decision, one retransmission — so loss
-/// of a frame carrying a readahead burst is recovered wholesale. Both
-/// arms run the same plan; both must complete through retransmission,
-/// and the coalesced arm must actually have been merging when hit.
-#[test]
-fn dropped_coalesced_frames_retry_and_converge() {
-    let plan = || {
-        FaultPlan::seeded(fault_seed() ^ 0xC0A1)
-            .with_drop_ppm(30_000)
-            .with_dup_ppm(10_000)
-    };
-    let base = asvm::AsvmConfig::with_readahead(8);
-    let off = faulted(
-        ManagerKind::Asvm(base),
-        4,
-        16,
-        Pattern::ProducerConsumer { rounds: 3 },
-        plan(),
-    );
-    let on = faulted(
-        ManagerKind::Asvm(base.coalesced()),
-        4,
-        16,
-        Pattern::ProducerConsumer { rounds: 3 },
-        plan(),
-    );
-    assert!(off.completed, "unbatched arm completes under 3% loss");
-    assert!(on.completed, "coalesced arm completes under 3% loss");
-    assert!(
-        on.counter("asvm.coalesce.merged") > 0,
-        "the coalesced arm must have merged subframes while being hit"
-    );
-    assert!(
-        on.dropped() > 0,
-        "the plan must have dropped coalesced frames"
-    );
-    assert!(
-        on.counter("asvm.retry.resent") > 0,
-        "dropped coalesced frames must be retransmitted as whole bodies"
-    );
-    for (arm, out) in [("off", &off), ("on", &on)] {
-        assert_eq!(
-            out.counter("asvm.retry.exhausted"),
-            0,
-            "loss rate stays below the exhaustion regime ({arm} arm)"
-        );
-    }
-}
-
 /// A scripted blackout window delays progress but, once it lifts, retries
 /// push the workload through to completion.
 #[test]
@@ -425,12 +374,10 @@ fn blackout_window_recovers_after_it_lifts() {
 /// quiescence invariants without the watchdog ever firing.
 #[test]
 fn norma_carrier_stays_coherent_under_loss() {
-    let readahead = asvm::AsvmConfig::with_readahead(8);
     for seed in (0..8).map(|i| fault_seed() + i) {
         for (arm, cfg) in [
             ("default", asvm::AsvmConfig::default()),
-            ("readahead 8", readahead),
-            ("readahead 8 + coalescing", readahead.coalesced()),
+            ("readahead 8", asvm::AsvmConfig::with_readahead(8)),
         ] {
             let plan = FaultPlan::seeded(seed)
                 .with_drop_ppm(10_000)

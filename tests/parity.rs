@@ -276,31 +276,10 @@ proptest! {
         }
     }
 
-    /// Coalescing is a transport-layer change only: the same randomized
-    /// workload with the frame combiner off and on must reach identical
-    /// final memory contents, page ownership, and copysets — both on a
-    /// healthy machine and under an active fault plan (where a coalesced
-    /// frame is one ARQ unit, see docs/RELIABILITY.md).
-    #[test]
-    fn coalescing_preserves_final_state(ops in trace_strategy(3, 6, 12)) {
-        let base = asvm::AsvmConfig::with_readahead(4);
-        for faulted in [false, true] {
-            let plan = || if faulted {
-                FaultPlan::seeded(7).with_drop_ppm(10_000).with_dup_ppm(2_000)
-            } else {
-                FaultPlan::none()
-            };
-            let (mem_off, own_off) = asvm_final_state(base, plan(), 3, 6, &ops);
-            let (mem_on, own_on) = asvm_final_state(base.coalesced(), plan(), 3, 6, &ops);
-            prop_assert_eq!(mem_off, mem_on, "memory diverged (faulted={})", faulted);
-            prop_assert_eq!(own_off, own_on, "ownership diverged (faulted={})", faulted);
-        }
-    }
-
     /// Prefetch is a latency optimisation, not a semantics change: the
-    /// same randomized workload with speculation off, hint-only, and
-    /// hint+data must reach identical final memory contents and page
-    /// ownership — healthy and under an active fault plan. A
+    /// same randomized workload with speculation off and on must reach
+    /// identical final memory contents and page ownership — healthy and
+    /// under an active fault plan. A
     /// deterministic write prefix mints every page's first owner before
     /// any speculation can reach the static manager; without it, a
     /// speculative read racing the baseline's demand read would mint a
@@ -313,11 +292,8 @@ proptest! {
             .map(|p| TraceOp { node: (p % 3) as u16, page: p, write: true })
             .collect();
         full.extend(ops.iter().copied());
-        let base = asvm::AsvmConfig::default().coalesced();
-        let mut hints = base;
-        hints.prefetch = asvm::PrefetchCfg::hints_only(4);
-        let mut streaming = base;
-        streaming.prefetch = asvm::PrefetchCfg::streaming(4);
+        let base = asvm::AsvmConfig::default();
+        let streaming = asvm::AsvmConfig::with_prefetch(4);
         let owners = |own: &OwnershipMap| -> Vec<(u32, u16)> {
             own.iter().map(|(p, o, _)| (*p, *o)).collect()
         };
@@ -328,17 +304,11 @@ proptest! {
                 FaultPlan::none()
             };
             let (mem_off, own_off) = asvm_final_state(base, plan(), 3, 6, &full);
-            let (mem_h, own_h) = asvm_final_state(hints, plan(), 3, 6, &full);
             let (mem_s, own_s) = asvm_final_state(streaming, plan(), 3, 6, &full);
-            prop_assert_eq!(&mem_off, &mem_h, "hint-only memory diverged (faulted={})", faulted);
-            prop_assert_eq!(&mem_off, &mem_s, "hint+data memory diverged (faulted={})", faulted);
-            prop_assert_eq!(
-                owners(&own_off), owners(&own_h),
-                "hint-only ownership diverged (faulted={})", faulted
-            );
+            prop_assert_eq!(&mem_off, &mem_s, "prefetch memory diverged (faulted={})", faulted);
             prop_assert_eq!(
                 owners(&own_off), owners(&own_s),
-                "hint+data ownership diverged (faulted={})", faulted
+                "prefetch ownership diverged (faulted={})", faulted
             );
         }
     }

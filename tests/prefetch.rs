@@ -1,6 +1,6 @@
 //! Integration tests for the access-pattern-driven prefetch engine:
-//! stream detection, speculative data pulls, cancellation on a pattern
-//! break, and the piggybacked owner-hint tier.
+//! stream detection, speculative data pulls and cancellation on a pattern
+//! break.
 
 use cluster::{ManagerKind, ScriptProgram, Ssi, Step};
 use machvm::{Access, Inherit, PageIdx};
@@ -25,7 +25,7 @@ fn assert_healthy(ssi: &Ssi) {
 /// the break still observe the file's bytes.
 #[test]
 fn pattern_break_cancels_inflight_prefetches() {
-    let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_prefetch(8).coalesced());
+    let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_prefetch(8));
     let mut ssi = Ssi::new(2, kind, 5);
     let pages = 64u32;
     let mobj = ssi.create_object(NodeId(0), pages, true);
@@ -67,70 +67,6 @@ fn pattern_break_cancels_inflight_prefetches() {
             "page {p} content after the pattern break"
         );
     }
-    assert_healthy(&ssi);
-    cluster::check_asvm_invariants(&ssi);
-}
-
-/// The hint tier rides on frames already flowing: a serving node that
-/// recognises a requester's stream attaches predicted-window owner hints
-/// to its coalesced replies, and the requester applies them to its
-/// dynamic owner-hint cache before faulting on those pages.
-#[test]
-fn serving_node_piggybacks_predicted_owner_hints() {
-    let mut cfg = asvm::AsvmConfig::default().coalesced();
-    cfg.prefetch = asvm::PrefetchCfg::hints_only(8);
-    let mut ssi = Ssi::new(2, ManagerKind::Asvm(cfg), 5);
-    let pages = 32u32;
-    let mobj = ssi.create_object(NodeId(0), pages, false);
-    let tasks: Vec<_> = (0..2u16)
-        .map(|n| {
-            let t = ssi.alloc_task();
-            ssi.map_shared(
-                t,
-                NodeId(n),
-                0,
-                mobj,
-                NodeId(0),
-                pages,
-                Access::Write,
-                Inherit::Share,
-            );
-            t
-        })
-        .collect();
-    ssi.finalize();
-    ssi.set_barrier_parties(2);
-    // Node 0 writes (and thus owns) the whole region, then node 1
-    // streams it back: node 0's per-peer detector locks onto the stride
-    // and piggybacks owner hints for the window ahead of node 1's reads.
-    let writer: Vec<Step> = (0..pages as u64)
-        .map(|p| Step::Write {
-            va_page: p,
-            value: 7_000 + p,
-        })
-        .chain([Step::Barrier(0), Step::Done])
-        .collect();
-    let reader: Vec<Step> = std::iter::once(Step::Barrier(0))
-        .chain((0..pages as u64).map(|p| Step::Read { va_page: p }))
-        .chain([Step::Done])
-        .collect();
-    ssi.spawn(NodeId(0), tasks[0], Box::new(ScriptProgram::new(writer)));
-    ssi.spawn(NodeId(1), tasks[1], Box::new(ScriptProgram::new(reader)));
-    ssi.run(u64::MAX / 2).expect("quiesces");
-    assert!(ssi.all_done());
-    assert!(
-        ssi.stats().counter("asvm.prefetch.hint") > 0,
-        "the serving node must attach predicted-window hints"
-    );
-    assert!(
-        ssi.stats().counter("asvm.prefetch.issued") == 0,
-        "hints_only must not pull data speculatively"
-    );
-    assert_eq!(
-        ssi.node(NodeId(1)).vm.peek_task_page(tasks[1], 20),
-        Some(7_020),
-        "streamed contents survive the hint tier"
-    );
     assert_healthy(&ssi);
     cluster::check_asvm_invariants(&ssi);
 }
