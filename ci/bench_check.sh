@@ -3,10 +3,11 @@
 #
 #   ci/bench_check.sh <name> [seed...]        (default: 1996)
 #
-# For every seed, `bench <name> --serial --stable-json --seed <seed>` runs
-# twice and both its stdout and its BENCH_<name>.json must come out
-# byte-identical: the simulator is deterministic, so any difference is a
-# bug. The seed-1996 run is also diffed against the committed goldens/<name>.stdout.txt and,
+# For every seed, `bench <name> --json --seed <seed>` runs twice, once
+# `--serial` and once on `--threads 2`, and both its stdout and its
+# BENCH_<name>.json must come out byte-identical: the simulator is
+# deterministic and the sweep harness reports cells in submission order,
+# so any difference is a bug. The seed-1996 run is also diffed against the committed goldens/<name>.stdout.txt and,
 # where one is committed, BENCH_<name>.json — an event ordering, protocol
 # message (the per-kind `asvm.msg.*` / `asvm.prefetch.*` counters live in
 # those JSONs) or cost model that moved shows up here. Every cell that
@@ -32,13 +33,16 @@ bench=${CARGO_TARGET_DIR:-$root/target}/release/bench
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# run <dir> <seed>: one run's stdout and JSON, side by side in <dir>.
+# run <dir> <seed> <threads...>: one run's stdout and JSON, side by side
+# in <dir>.
 run() {
-    mkdir -p "$1"
-    (cd "$1" && timeout 120 "$bench" "$name" --serial --stable-json --seed "$2" \
+    local dir=$1 seed=$2
+    shift 2
+    mkdir -p "$dir"
+    (cd "$dir" && timeout 120 "$bench" "$name" "$@" --json --seed "$seed" \
         >stdout.txt 2>stderr.txt) || {
-        echo "bench_check: bench $name --seed $2 failed or ran past 120 s:"
-        cat "$1/stderr.txt"
+        echo "bench_check: bench $name $* --seed $seed failed or ran past 120 s:"
+        cat "$dir/stderr.txt"
         exit 1
     }
 }
@@ -54,11 +58,11 @@ same() {
 
 json=BENCH_$name.json
 for seed in "${seeds[@]}"; do
-    run "$work/$seed.a" "$seed"
-    run "$work/$seed.b" "$seed"
-    same "two runs at seed $seed printed different tables" "$work/$seed".{a,b}/stdout.txt
-    same "two runs at seed $seed wrote different JSON" "$work/$seed".{a,b}/"$json"
-    echo "bench_check: $name seed $seed: two runs byte-identical"
+    run "$work/$seed.a" "$seed" --serial
+    run "$work/$seed.b" "$seed" --threads 2
+    same "serial and 2-thread runs at seed $seed printed different tables" "$work/$seed".{a,b}/stdout.txt
+    same "serial and 2-thread runs at seed $seed wrote different JSON" "$work/$seed".{a,b}/"$json"
+    echo "bench_check: $name seed $seed: serial and 2-thread runs byte-identical"
 done
 
 if "$bench" list | grep -q "^$name  *--seed"; then
@@ -71,7 +75,7 @@ if "$bench" list | grep -q "^$name  *--seed"; then
 fi
 
 if [ -d "$work/1996.a" ]; then
-    hint="regenerate from the repo root with: target/release/bench $name --serial --stable-json > goldens/$name.stdout.txt"
+    hint="regenerate from the repo root with: target/release/bench $name --serial --json > goldens/$name.stdout.txt"
     same "stdout diverged from goldens/$name.stdout.txt ($hint)" \
         "$root/goldens/$name.stdout.txt" "$work/1996.a/stdout.txt"
     if [ -f "$root/$json" ]; then

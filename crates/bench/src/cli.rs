@@ -8,7 +8,7 @@ use crate::sweep::SweepConfig;
 
 /// Usage text, printed on a bad invocation.
 pub const USAGE: &str = "usage: bench list
-       bench <name> [--serial | --threads N] [--json | --stable-json] [--seed S]";
+       bench <name> [--serial | --threads N] [--json] [--seed S]";
 
 /// Parsed flags of one `bench <name>` invocation.
 #[derive(Clone, Debug)]
@@ -27,7 +27,6 @@ impl Default for Args {
             sweep: SweepConfig {
                 threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
                 json: false,
-                stable_json: false,
             },
             seed: 1996,
         }
@@ -51,10 +50,6 @@ impl Args {
                         .ok_or("--threads needs a positive integer")?
                 }
                 "--json" => args.sweep.json = true,
-                "--stable-json" => {
-                    args.sweep.json = true;
-                    args.sweep.stable_json = true;
-                }
                 "--seed" => {
                     args.seed = value("a u64")?.parse().map_err(|_| "--seed needs a u64")?
                 }
@@ -77,15 +72,15 @@ mod tests {
     fn defaults_are_the_golden_configuration() {
         let a = parse(&[]).unwrap();
         assert_eq!(a.seed, 1996);
-        assert!(!a.sweep.json && !a.sweep.stable_json);
+        assert!(!a.sweep.json);
         assert!(a.sweep.threads >= 1);
     }
 
     #[test]
     fn flags_combine() {
-        let a = parse(&["--serial", "--stable-json", "--seed", "777"]).unwrap();
+        let a = parse(&["--serial", "--json", "--seed", "777"]).unwrap();
         assert_eq!(a.sweep.threads, 1);
-        assert!(a.sweep.json && a.sweep.stable_json);
+        assert!(a.sweep.json);
         assert_eq!(a.seed, 777);
         assert_eq!(parse(&["--threads", "3"]).unwrap().sweep.threads, 3);
     }

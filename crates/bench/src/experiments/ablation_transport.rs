@@ -72,15 +72,15 @@ fn asvm_over(t: Transport) -> Outcome {
     transfer_probe(Scenario::new(ManagerKind::asvm(), 4, 7).transport(t), &[])
 }
 
-/// The backend arms of the 3-way sweep. All arms get the same readahead
-/// so the protocol configuration differs only where the backend itself
-/// does.
+/// The backend arms of the 3-way sweep. All arms get the same prefetch
+/// depth so the protocol configuration differs only where the backend
+/// itself does.
 fn backend_arms() -> [(&'static str, Transport, asvm::AsvmConfig); 3] {
-    let ra = asvm::AsvmConfig::with_readahead(8);
+    let cfg = asvm::AsvmConfig::with_prefetch(8);
     [
-        ("norma", Transport::NORMA, ra),
-        ("sts", Transport::STS, ra),
-        ("rdma", Transport::RDMA, ra),
+        ("norma", Transport::NORMA, cfg),
+        ("sts", Transport::STS, cfg),
+        ("rdma", Transport::RDMA, cfg),
     ]
 }
 

@@ -12,7 +12,7 @@
 //!
 //! Cells report elapsed time plus the `asvm.recover.*` /
 //! `cluster.suspect.*` counters, landing in `BENCH_chaossweep.json` under
-//! `--json` / `--stable-json` (schema in EXPERIMENTS.md).
+//! `--json` (schema in EXPERIMENTS.md).
 //!
 //! Determinism: the plan seed comes from `--seed` (default 1996) and
 //! also seeds the uniform cell, so two invocations with the same seed and

@@ -15,13 +15,13 @@ use crate::cli::Args;
 use crate::sweep::Sweep;
 
 const STRIPES: [u16; 3] = [1, 2, 4];
-const READAHEADS: [u32; 3] = [0, 4, 8];
+const DEPTHS: [u32; 3] = [0, 4, 8];
 
 /// Sequential cold read of a populated file; returns MB/s seen by node 0.
-fn read_rate(stripes: u16, readahead: u32, pages: u32) -> (f64, Outcome) {
+fn read_rate(stripes: u16, depth: u32, pages: u32) -> (f64, Outcome) {
     let mut cfg = MachineConfig::paragon(2);
     cfg.io_nodes = stripes.max(1);
-    let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_readahead(readahead));
+    let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_prefetch(depth));
     let sc = Scenario::new(kind, 2, 7).machine(cfg);
     let mut ssi = sc.build();
     let mobj = if stripes > 1 {
@@ -61,7 +61,7 @@ pub fn run(args: &Args) {
     let pages = 512; // a 4 MB file, as in Table 2
     let mut sweep = Sweep::with_config("futurework", args.sweep.clone());
     for stripes in STRIPES {
-        for ra in READAHEADS {
+        for ra in DEPTHS {
             crate::cell(&mut sweep, format!("{stripes}s ra{ra}"), &[], move || {
                 read_rate(stripes, ra, pages)
             });
@@ -78,7 +78,7 @@ pub fn run(args: &Args) {
     let mut cells = report.values();
     for stripes in STRIPES {
         print!("{stripes:<12}");
-        for _ in READAHEADS {
+        for _ in DEPTHS {
             print!("{:>14.2}", cells.next().expect("one result per cell").0);
         }
         println!();

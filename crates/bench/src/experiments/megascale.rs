@@ -21,7 +21,7 @@
 //! (pages × using nodes).
 //!
 //! Knob: `--seed`, the EM3D graph seed. Same seed ⇒ byte-identical
-//! `--stable-json` output.
+//! `--json` output.
 
 use cluster::ManagerKind;
 use svmsim::Dur;

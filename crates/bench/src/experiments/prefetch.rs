@@ -1,10 +1,10 @@
 //! Prefetch ablation: access-pattern-driven cross-node page readahead
-//! (§6 future work, "read clustering"), off vs the streaming data tier.
+//! (§6 future work, "read clustering"), off vs on.
 //!
 //! Each node runs a per-object stream detector over its local demand
-//! faults; once a stride survives `min_run` faults the engine pulls
-//! **speculative read copies** of the predicted window through the
-//! normal protocol, bounded by an in-flight budget and cancelled on a
+//! faults; once a stride survives `asvm::prefetch::MIN_RUN` intervals the
+//! engine pulls **speculative read copies** of the predicted window
+//! through the normal protocol, at most `DEPTH` in flight, cancelled on a
 //! stride break. This harness sweeps the streaming patterns where that
 //! should hide demand faults — `filescan` (pure stride-1 read scan), `chain`
 //! (writer hands a region to the next reader), `prodcons` (one writer
@@ -24,7 +24,7 @@
 //! `transport.rdma.prefetch_read`) and prodcons on NORMA-IPC.
 //!
 //! Determinism: the patterns draw nothing from the world seed, so
-//! `--seed` only relabels the table; `--json --stable-json` regenerates
+//! `--seed` only relabels the table; `--json` regenerates
 //! `BENCH_prefetch.json` byte-identically.
 
 use asvm::AsvmConfig;
@@ -119,7 +119,7 @@ fn cells() -> Vec<(String, &'static str, bool, Pattern, Transport)> {
             ));
         }
     }
-    // The waste counter-case, which the data tier's waste latch caps.
+    // The waste counter-case, which the waste latch caps.
     for (arm_label, arm) in ARMS {
         cells.push((
             "sts / handoff".into(),

@@ -5,14 +5,14 @@
 //! memory objects, some sequential-scan read-mostly (analytics), some
 //! hot-page write-heavy (OLTP), with tasks arriving and departing
 //! (`workloads::tenants`). No uniform configuration need suit both
-//! classes: readahead cuts a scan's faults by more than half but is pure
+//! classes: prefetch cuts a scan's faults by more than half but is pure
 //! frame cost on write-heavy objects (prefetched neighbours are
 //! invalidated unread, and wider copysets make every write's
 //! invalidation fan-out dearer), while the forwarding ablation's
 //! static-vs-dynamic trade cuts the other way. This sweep runs
 //!
 //! * four uniform arms — `plain` (dynamic forwarding, no speculation),
-//!   `accel` (dynamic + readahead), `static` (the fixed
+//!   `accel` (dynamic + prefetch), `static` (the fixed
 //!   distributed manager), `global` (zero-hint-state walk), and
 //! * an **oracle** arm that registers every object with its class-ideal
 //!   configuration up front (`Ssi::set_object_config`, the paper's
@@ -32,7 +32,7 @@
 //!
 //! Knob: `--seed` (classes, working sets, access streams).
 //!
-//! Determinism: fully seeded; `--json --stable-json` regenerates
+//! Determinism: fully seeded; `--json` regenerates
 //! `BENCH_tenants.json` byte-identically.
 
 use asvm::AsvmConfig;
@@ -43,9 +43,9 @@ use crate::cli::Args;
 use crate::sweep::Sweep;
 use crate::Key;
 
-/// Readahead depth of the accelerated arm (the committed `futurework`
-/// sweep's depth; deep enough to stream a 16-page scan).
-const RA: u32 = 4;
+/// Prefetch depth of the accelerated arm (the committed `futurework`
+/// sweep's middle depth; deep enough to stream a 16-page scan).
+const DEPTH: u32 = 4;
 
 const KEYS: &[Key] = &[
     "page.faults=faults",
@@ -66,7 +66,7 @@ pub fn base_spec(seed: u64) -> TenantsSpec {
 /// The accelerated uniform configuration (and the oracle's choice for
 /// read-mostly objects).
 fn accel() -> AsvmConfig {
-    AsvmConfig::with_readahead(RA)
+    AsvmConfig::with_prefetch(DEPTH)
 }
 
 /// The four uniform configuration arms, in table-column order.
@@ -132,7 +132,7 @@ pub fn run(args: &Args) {
     let spec = &base;
     println!(
         "Multi-tenant sweep ({} nodes, {} objects x {} pages, {} tasks x {} ops, \
-         object skew {}, readahead {RA})",
+         object skew {}, prefetch {DEPTH})",
         spec.nodes,
         spec.objects,
         spec.pages_per_object,

@@ -10,11 +10,13 @@
 //!
 //! Output discipline: `run` prints nothing, and results come back in
 //! cell-index order, so a table printed from the report is **byte-identical**
-//! between serial and parallel runs. Timing goes to stderr and, with
-//! `--json`, to a `BENCH_<name>.json` trajectory file — never stdout.
+//! between serial and parallel runs. Host timing goes to stderr only; with
+//! `--json` the cells' events and counters go to a `BENCH_<name>.json`
+//! file, which holds no host-dependent field and so is byte-identical
+//! between runs and thread counts too (`perf/` owns host time).
 //!
-//! The driver's flags (`--serial`, `--threads N`, `--json`,
-//! `--stable-json`; see [`crate::cli`]) resolve to a [`SweepConfig`].
+//! The driver's flags (`--serial`, `--threads N`, `--json`; see
+//! [`crate::cli`]) resolve to a [`SweepConfig`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -25,12 +27,8 @@ use std::time::{Duration, Instant};
 pub struct SweepConfig {
     /// Worker thread count (1 = serial).
     pub threads: usize,
-    /// Write a `BENCH_<name>.json` trajectory file after the sweep.
+    /// Write a `BENCH_<name>.json` file after the sweep.
     pub json: bool,
-    /// Zero out host wall-clock fields in the JSON so two runs of a
-    /// deterministic sweep produce byte-identical files (`--stable-json`;
-    /// what `ci/bench_check.sh` compares).
-    pub stable_json: bool,
 }
 
 impl SweepConfig {
@@ -39,7 +37,6 @@ impl SweepConfig {
         SweepConfig {
             threads: threads.max(1),
             json: false,
-            stable_json: false,
         }
     }
 }
@@ -50,8 +47,8 @@ pub type CellCounters = Vec<(String, u64)>;
 
 type Job<T> = Box<dyn FnOnce() -> (T, u64, CellCounters) + Send>;
 
-/// One finished cell before labelling: value, events, counters, wall time.
-type TimedCell<T> = (T, u64, CellCounters, Duration);
+/// One finished cell before labelling: value, events, counters.
+type Done<T> = (T, u64, CellCounters);
 
 /// A sweep under construction: named, configured, accumulating cells.
 pub struct Sweep<T> {
@@ -64,7 +61,7 @@ pub struct Sweep<T> {
 /// One finished cell: the job's value plus the harness's accounting.
 #[derive(Clone, Debug)]
 pub struct CellResult<T> {
-    /// The cell's label (for the JSON trajectory).
+    /// The cell's label (for the JSON file).
     pub label: String,
     /// What the job returned.
     pub value: T,
@@ -73,8 +70,6 @@ pub struct CellResult<T> {
     /// Named counters the job reported (empty unless the cell was added
     /// with [`Sweep::cell_with_counters`]).
     pub counters: CellCounters,
-    /// Wall-clock time the job took on its worker thread.
-    pub wall: Duration,
 }
 
 /// A completed sweep, cells in submission order regardless of how many
@@ -138,22 +133,15 @@ impl<T: Send> Sweep<T> {
         let threads = config.threads.min(n.max(1));
         let started = Instant::now();
 
-        let timed: Vec<TimedCell<T>> = if threads <= 1 {
-            jobs.into_iter()
-                .map(|job| {
-                    let t0 = Instant::now();
-                    let (value, events, counters) = job();
-                    (value, events, counters, t0.elapsed())
-                })
-                .collect()
+        let done: Vec<Done<T>> = if threads <= 1 {
+            jobs.into_iter().map(|job| job()).collect()
         } else {
             // Work-stealing over an atomic cursor: each worker claims the
             // next unclaimed cell, runs it locally, and deposits the result
             // in that cell's slot. Slot order — not completion order —
             // determines the report, which is what keeps parallel output
             // byte-identical to serial.
-            let slots: Vec<Mutex<Option<TimedCell<T>>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
+            let slots: Vec<Mutex<Option<Done<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
             let pending: Vec<Mutex<Option<Job<T>>>> =
                 jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
             let cursor = AtomicUsize::new(0);
@@ -165,9 +153,7 @@ impl<T: Send> Sweep<T> {
                             break;
                         }
                         let job = pending[i].lock().unwrap().take().unwrap();
-                        let t0 = Instant::now();
-                        let (value, events, counters) = job();
-                        *slots[i].lock().unwrap() = Some((value, events, counters, t0.elapsed()));
+                        *slots[i].lock().unwrap() = Some(job());
                     });
                 }
             });
@@ -179,13 +165,12 @@ impl<T: Send> Sweep<T> {
 
         let cells = labels
             .into_iter()
-            .zip(timed)
-            .map(|(label, (value, events, counters, wall))| CellResult {
+            .zip(done)
+            .map(|(label, (value, events, counters))| CellResult {
                 label,
                 value,
                 events,
                 counters,
-                wall,
             })
             .collect();
         SweepReport {
@@ -203,33 +188,28 @@ impl<T> SweepReport<T> {
         self.cells.iter().map(|c| c.events).sum()
     }
 
-    /// Sweep-level throughput: events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.total_wall.as_secs_f64();
-        if secs > 0.0 {
-            self.total_events() as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// The cell values in order (for printing the table).
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.cells.iter().map(|c| &c.value)
     }
 
     /// Emits the timing summary to stderr and, in `--json` mode, writes the
-    /// `BENCH_<name>.json` trajectory file. Stdout is untouched.
+    /// `BENCH_<name>.json` file. Stdout is untouched.
     pub fn finish(&self) {
+        let secs = self.total_wall.as_secs_f64();
         eprintln!(
             "[{}] {} cells on {} thread{} in {:.3}s — {} events, {:.0} events/s",
             self.name,
             self.cells.len(),
             self.config.threads,
             if self.config.threads == 1 { "" } else { "s" },
-            self.total_wall.as_secs_f64(),
+            secs,
             self.total_events(),
-            self.events_per_sec(),
+            if secs > 0.0 {
+                self.total_events() as f64 / secs
+            } else {
+                0.0
+            },
         );
         if self.config.json {
             let path = format!("BENCH_{}.json", self.name);
@@ -238,37 +218,16 @@ impl<T> SweepReport<T> {
         }
     }
 
-    /// The JSON trajectory document (hand-rolled; the workspace has no
-    /// serde). With `stable_json`, host wall-clock fields are written as
-    /// zero so a deterministic sweep serializes byte-identically on every
-    /// run.
+    /// The JSON document (hand-rolled; the workspace has no serde). It
+    /// holds only simulated quantities, so a deterministic sweep
+    /// serializes byte-identically on every run and thread count.
     pub fn to_json(&self) -> String {
-        let stable = self.config.stable_json;
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!("  \"name\": {},\n", json_str(self.name)));
-        s.push_str(&format!("  \"threads\": {},\n", self.config.threads));
-        s.push_str(&format!(
-            "  \"total_wall_secs\": {:.6},\n",
-            if stable {
-                0.0
-            } else {
-                self.total_wall.as_secs_f64()
-            }
-        ));
         s.push_str(&format!("  \"total_events\": {},\n", self.total_events()));
-        s.push_str(&format!(
-            "  \"events_per_sec\": {:.2},\n",
-            if stable { 0.0 } else { self.events_per_sec() }
-        ));
         s.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
-            let secs = if stable { 0.0 } else { c.wall.as_secs_f64() };
-            let eps = if secs > 0.0 {
-                c.events as f64 / secs
-            } else {
-                0.0
-            };
             let mut counters = String::new();
             if !c.counters.is_empty() {
                 counters.push_str(", \"counters\": {");
@@ -281,11 +240,9 @@ impl<T> SweepReport<T> {
                 counters.push('}');
             }
             s.push_str(&format!(
-                "    {{\"label\": {}, \"wall_secs\": {:.6}, \"events\": {}, \"events_per_sec\": {:.2}{}}}{}\n",
+                "    {{\"label\": {}, \"events\": {}{}}}{}\n",
                 json_str(&c.label),
-                secs,
                 c.events,
-                eps,
                 counters,
                 if i + 1 < self.cells.len() { "," } else { "" },
             ));
@@ -366,7 +323,10 @@ mod tests {
             json.contains(r#""counters": {"asvm.msg.grant": 3}"#),
             "{json}"
         );
-        assert!(!json.contains(r#""plain", "wall_secs": 0.000000, "events": 1, "counters""#));
+        assert!(
+            json.contains("{\"label\": \"plain\", \"events\": 1}\n"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The simulator promises bit-for-bit determinism, and the sweep harness
 //! promises that stdout is independent of thread count; together those
-//! make every experiment's printed table and `--stable-json` document a
+//! make every experiment's printed table and `--json` document a
 //! regression artifact. Any change that shifts an event ordering, a
 //! protocol message, or a cost model shows up here as a diff.
 //!
@@ -50,14 +50,14 @@ fn named(dir: &Path, prefix: &str, suffix: &str) -> BTreeSet<String> {
         .collect()
 }
 
-/// Runs `bench <name> --serial --stable-json` in a scratch directory and
+/// Runs `bench <name> --serial --json` in a scratch directory and
 /// diffs stdout against `goldens/<name>.stdout.txt` and, where one is
 /// committed, the JSON against `BENCH_<name>.json`.
 fn check(name: &str) {
     let scratch = std::env::temp_dir().join(format!("bench-driver-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("scratch dir");
     let out = Command::new(BENCH)
-        .args([name, "--serial", "--stable-json"])
+        .args([name, "--serial", "--json"])
         .current_dir(&scratch)
         .output()
         .expect("run bench");
@@ -75,7 +75,7 @@ fn check(name: &str) {
     );
     let json = format!("BENCH_{name}.json");
     if let Ok(want) = golden(json.clone()) {
-        let got = std::fs::read_to_string(scratch.join(&json)).expect("--stable-json wrote it");
+        let got = std::fs::read_to_string(scratch.join(&json)).expect("--json wrote it");
         assert!(
             got == want,
             "bench {name}: {json} diverged from the committed file"

@@ -37,10 +37,11 @@ pub struct AsvmConfig {
     pub static_forwarding: bool,
     /// Capacity of each node's dynamic hint cache, in entries.
     pub dynamic_cache_entries: usize,
-    /// Access-pattern-driven prefetch (§6 future work, "read
-    /// clustering"): stream detection plus a speculative data tier. Off
-    /// by default (the paper's measured system); see [`crate::prefetch`].
-    pub prefetch: crate::prefetch::PrefetchCfg,
+    /// Access-pattern-driven prefetch (§6 future work, "clustering of
+    /// page-in requests"): pages pulled ahead of a confirmed stream, and
+    /// the cap on speculative requests in flight. 0 (the default, the
+    /// paper's measured system) turns it off; see [`crate::prefetch`].
+    pub prefetch_depth: u32,
 }
 
 impl Default for AsvmConfig {
@@ -49,7 +50,7 @@ impl Default for AsvmConfig {
             dynamic_forwarding: true,
             static_forwarding: true,
             dynamic_cache_entries: 4096,
-            prefetch: crate::prefetch::PrefetchCfg::default(),
+            prefetch_depth: 0,
         }
     }
 }
@@ -80,22 +81,10 @@ impl AsvmConfig {
         }
     }
 
-    /// With the legacy §6 read-clustering preset: every read fault
-    /// unconditionally requests the next `pages` pages
-    /// ([`crate::prefetch::PrefetchCfg::readahead`]).
-    pub fn with_readahead(pages: u32) -> AsvmConfig {
-        AsvmConfig {
-            prefetch: crate::prefetch::PrefetchCfg::readahead(pages),
-            ..AsvmConfig::default()
-        }
-    }
-
-    /// With the detector-gated streaming prefetch preset: the data tier
-    /// pulls ahead once a stride is confirmed
-    /// ([`crate::prefetch::PrefetchCfg::streaming`]).
+    /// With prefetch `depth` pages ahead of a confirmed stream.
     pub fn with_prefetch(depth: u32) -> AsvmConfig {
         AsvmConfig {
-            prefetch: crate::prefetch::PrefetchCfg::streaming(depth),
+            prefetch_depth: depth,
             ..AsvmConfig::default()
         }
     }
@@ -123,29 +112,14 @@ mod tests {
             dynamic_forwarding: _,
             static_forwarding: _,
             dynamic_cache_entries: _,
-            prefetch:
-                crate::prefetch::PrefetchCfg {
-                    enabled: _,
-                    data: _,
-                    min_run: _,
-                    depth: _,
-                },
+            prefetch_depth: _,
         } = AsvmConfig::default();
     }
 
     #[test]
-    fn prefetch_presets_map_to_cfgs() {
-        let d = AsvmConfig::default().prefetch;
-        assert!(!d.enabled, "prefetch must be opt-in");
-        let ra = AsvmConfig::with_readahead(8).prefetch;
-        assert!(ra.enabled && ra.data);
-        assert_eq!((ra.min_run, ra.depth, ra.inflight_budget()), (0, 8, None));
-        let st = AsvmConfig::with_prefetch(4).prefetch;
-        assert!(st.enabled && st.data);
-        assert_eq!(
-            (st.min_run, st.depth, st.inflight_budget()),
-            (2, 4, Some(4))
-        );
+    fn prefetch_is_opt_in() {
+        assert_eq!(AsvmConfig::default().prefetch_depth, 0);
+        assert_eq!(AsvmConfig::with_prefetch(4).prefetch_depth, 4);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use object::{
     AsvmObject, Busy, DynHint, EvictStage, PageInfo, PendingLocal, QueuedReq, RecoverState,
     StaticHint,
 };
-pub use prefetch::{PrefetchCfg, StreamDetector, WasteLatch};
+pub use prefetch::{StreamDetector, WasteLatch};
 pub use protocol::{AsvmMsg, CopyView, Handover, PageGrant, ReqKind, ReqPath, Transfer};
 pub use retry::{Accepted, LinkReceiver, LinkSender, RecoveryTiming, RetryConfig, TimeoutVerdict};
 

@@ -24,7 +24,7 @@
 //! | `evict` | the §3.6 four-step internode pageout |
 //! | `recovery` | ownership reconstruction, the watchdog, suspicion unwinding |
 //! | [`crate::copymgmt`] | §3.7 delayed copies: version bumps, push, pull |
-//! | [`crate::prefetch`] | prefetch glue and the data tier's waste latch |
+//! | [`crate::prefetch`] | prefetch glue and the waste latch |
 //!
 //! Dispatch (event → handler): `EMMI data_request`/`data_unlock` →
 //! `on_fault`; `pull_completed` → `on_pull_completed` (escalating into
@@ -154,7 +154,7 @@ impl AsvmNode {
     /// (built by [`AsvmObject::new`] when the object is first mapped
     /// here). Notifies the home node so membership propagates.
     pub fn register_object(&mut self, o: AsvmObject, fx: &mut Fx) {
-        self.prefetch_live |= o.cfg.prefetch.enabled;
+        self.prefetch_live |= o.cfg.prefetch_depth > 0;
         let (mobj, vm_obj, home) = (o.mobj, o.vm_obj, o.home);
         let prev = self.objects.insert(mobj, Box::new(o));
         assert!(prev.is_none(), "object {mobj:?} registered twice");
@@ -224,7 +224,7 @@ impl AsvmNode {
     /// enabled. The cluster layer tests this one boolean on the hot
     /// no-fault access path, so prefetch-off runs pay nothing for the
     /// bookkeeping hook. Sticky across the waste latch: an object whose
-    /// data tier is latched off still needs its hits noted.
+    /// speculation is latched off still needs its hits noted.
     pub fn wants_access_notes(&self) -> bool {
         self.prefetch_live
     }
@@ -234,11 +234,11 @@ impl AsvmNode {
     /// hit when the access *read* the prefetched data, as wasted when a
     /// write clobbered it unread (the speculative transfer bought
     /// nothing) — advances the stream detector (hits are part of the
-    /// stream), and — for detector-gated presets — tops the predicted
-    /// window back up on read hits so a steady stream keeps riding ahead
-    /// of its faults. Writes never top up: speculative pulls fetch *read*
-    /// copies, so only read activity is evidence they help. Returns
-    /// whether a speculative fill was settled.
+    /// stream), and tops the predicted window back up on read hits so a
+    /// steady stream keeps riding ahead of its faults. Writes never top
+    /// up: speculative pulls fetch *read* copies, so only read activity
+    /// is evidence they help. Returns whether a speculative fill was
+    /// settled.
     pub fn prefetch_note_access(
         &mut self,
         now: Time,
@@ -340,8 +340,7 @@ impl AsvmNode {
     }
 
     /// Handles one ASVM protocol message from node `from`: charges the
-    /// handling cost, lets the hint prefetcher observe arriving requests,
-    /// and dispatches to the message's handler.
+    /// handling cost and dispatches to the message's handler.
     pub fn handle_msg(
         &mut self,
         now: Time,

@@ -313,11 +313,11 @@ pub struct AsvmObject {
     pub copy_settles: Vec<(NodeId, BTreeSet<NodeId>)>,
     /// Range-lock manager (home node only; §6 future work).
     pub range_locks: crate::locks::RangeLockMgr,
-    /// The data tier's waste latch (inert unless a detector-gated data
-    /// tier is on). See [`crate::prefetch::WasteLatch`].
+    /// Prefetch's waste latch (inert unless prefetch is on). See
+    /// [`crate::prefetch::WasteLatch`].
     pub latch: crate::prefetch::WasteLatch,
-    /// Local fault-stream detector driving data prefetch (inert unless
-    /// `cfg.prefetch.enabled`). See [`crate::prefetch`].
+    /// Local fault-stream detector driving prefetch (inert unless
+    /// `cfg.prefetch_depth > 0`). See [`crate::prefetch`].
     pub local_stream: crate::prefetch::StreamDetector,
     /// Speculatively filled pages no demand access has consumed yet:
     /// removed with `asvm.prefetch.hit` on first demand use, or with

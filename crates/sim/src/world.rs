@@ -126,7 +126,6 @@ pub struct World<N, M> {
     /// [`crate::FaultPlan`]'s decisions; empty under an inactive plan.
     fault_streams: FaultStreams,
     events_processed: u64,
-    wall_busy: std::time::Duration,
 }
 
 impl<N: NodeBehavior<M>, M> World<N, M> {
@@ -164,7 +163,6 @@ impl<N: NodeBehavior<M>, M> World<N, M> {
             fault_streams: FaultStreams::new(&machine.config.faults, n),
             machine,
             events_processed: 0,
-            wall_busy: std::time::Duration::ZERO,
         }
     }
 
@@ -208,12 +206,6 @@ impl<N: NodeBehavior<M>, M> World<N, M> {
         self.events_processed
     }
 
-    /// Wall-clock time spent inside [`World::run_to_quiescence`] and
-    /// [`World::run_until`] so far (accumulated across calls).
-    pub fn wall_time(&self) -> std::time::Duration {
-        self.wall_busy
-    }
-
     /// High-water mark of simultaneously pending events — capacity-planning
     /// telemetry for the event queue's pre-reservation heuristic.
     pub fn queue_peak(&self) -> usize {
@@ -224,18 +216,6 @@ impl<N: NodeBehavior<M>, M> World<N, M> {
     /// a reallocation). Zero means the sizing heuristic held for this run.
     pub fn queue_grow_events(&self) -> u64 {
         self.queue.grow_events()
-    }
-
-    /// Events processed per wall-clock second of event-loop execution —
-    /// the simulator's throughput, surfaced in the benchmark trajectory
-    /// output. Zero until the loop has run.
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall_busy.as_secs_f64();
-        if secs > 0.0 {
-            self.events_processed as f64 / secs
-        } else {
-            0.0
-        }
     }
 
     /// Schedules `msg` for delivery to `dst` at absolute time `at` with no
@@ -339,30 +319,25 @@ impl<N: NodeBehavior<M>, M> World<N, M> {
     /// The budget is a livelock guard: protocol bugs that ping-pong messages
     /// forever fail fast instead of hanging the test suite.
     pub fn run_to_quiescence(&mut self, budget: u64) -> Result<Time, EventBudgetExceeded> {
-        let started = std::time::Instant::now();
         let limit = self.events_processed + budget;
-        let result = loop {
+        loop {
             if !self.step() {
-                break Ok(self.now);
+                return Ok(self.now);
             }
             if self.events_processed > limit {
-                break Err(EventBudgetExceeded { budget });
+                return Err(EventBudgetExceeded { budget });
             }
-        };
-        self.wall_busy += started.elapsed();
-        result
+        }
     }
 
     /// Runs until simulated time reaches `until` or the queue drains.
     pub fn run_until(&mut self, until: Time) -> Time {
-        let started = std::time::Instant::now();
         while let Some(t) = self.queue.peek_time() {
             if t > until {
                 break;
             }
             self.step();
         }
-        self.wall_busy += started.elapsed();
         self.now = self.now.max(until);
         self.now
     }

@@ -27,7 +27,7 @@
 //!   most popular first) and read vs write from the object's class
 //!   ratio. The classes differ in *shape*, not just mix: read-mostly
 //!   objects are scanned sequentially (the analytics/file-scan tenant,
-//!   where readahead turns k faults into k/(1+depth)), while write-heavy
+//!   where prefetch turns k faults into k/(1+depth)), while write-heavy
 //!   objects hammer Zipf-hot pages (the OLTP tenant, where prefetched
 //!   neighbours are invalidated before anyone reads them).
 //!
@@ -398,7 +398,7 @@ mod tests {
     fn oracle_assigns_class_ideal_configs() {
         let spec = small_spec();
         let key = |o: &Outcome| (o.faults(), o.asvm_msgs(), o.events);
-        let accel = AsvmConfig::with_readahead(4);
+        let accel = AsvmConfig::with_prefetch(4);
         let oracle = run_tenants(accel, Transport::STS, &spec, true);
         // Both classes appear, so the oracle run matches neither of the
         // uniform runs it mixes.

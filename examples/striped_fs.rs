@@ -15,7 +15,7 @@ use svmsim::{MachineConfig, NodeId};
 fn main() {
     let mut cfg = MachineConfig::paragon(4);
     cfg.io_nodes = 4;
-    let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_readahead(8));
+    let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_prefetch(8));
     let mut ssi = Ssi::with_machine(cfg, kind, 21);
 
     let pages = 256u32; // a 2 MB file

@@ -20,9 +20,18 @@
 //! frame class and the frame's index on that link (`svmsim::faults`), in
 //! the same change that moved ARQ acks after delivery and made an idle
 //! watchdog tick free. Since then an extra beacon or ack no longer moves
-//! protocol-frame faults at all. The six `healthy` rows are the original
-//! recording. Its rows for the deleted coalescing arm are gone, and so is
-//! the always-zero `frames=` field (wire frames of coalesced messages).
+//! protocol-frame faults at all. Its rows for the deleted coalescing arm
+//! are gone, and so is the always-zero `frames=` field (wire frames of
+//! coalesced messages).
+//!
+//! The seven completing `prodcons` rows were re-recorded once more when
+//! the ungated readahead policy was deleted: every cell runs prefetch
+//! depth 8, which now waits for a confirmed stride and caps its
+//! speculation in flight, so the producer/consumer scans issue fewer
+//! speculative reads. That is a change of workload, not of carriage. The
+//! nine `migratory` rows (their writes never issue speculation) and the
+//! two NORMA `INCOHERENT` rows stayed byte-identical; the other healthy
+//! rows are the original recording.
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -67,7 +76,7 @@ fn patterns() -> [(&'static str, Pattern); 2] {
 
 /// Runs one cell of the matrix.
 fn cell(t: Transport, plan: FaultPlan, pattern: Pattern) -> Outcome {
-    let cfg = AsvmConfig::with_readahead(8);
+    let cfg = AsvmConfig::with_prefetch(8);
     let sc = Scenario::new(ManagerKind::Asvm(cfg), NODES, SEED)
         .transport(t)
         .faults(plan);

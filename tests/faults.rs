@@ -377,7 +377,7 @@ fn norma_carrier_stays_coherent_under_loss() {
     for seed in (0..8).map(|i| fault_seed() + i) {
         for (arm, cfg) in [
             ("default", asvm::AsvmConfig::default()),
-            ("readahead 8", asvm::AsvmConfig::with_readahead(8)),
+            ("prefetch 8", asvm::AsvmConfig::with_prefetch(8)),
         ] {
             let plan = FaultPlan::seeded(seed)
                 .with_drop_ppm(10_000)

@@ -223,7 +223,7 @@ fn striped_file_reads_use_all_io_nodes() {
 #[test]
 fn readahead_cuts_sequential_scan_time() {
     let run = |readahead: u32| {
-        let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_readahead(readahead));
+        let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_prefetch(readahead));
         let mut ssi = Ssi::new(2, kind, 5);
         let pages = 128u32;
         let mobj = ssi.create_object(NodeId(0), pages, true);

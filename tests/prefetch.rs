@@ -76,7 +76,7 @@ fn pattern_break_cancels_inflight_prefetches() {
 /// last task. The speculation nobody is left to claim must be cancelled
 /// then, not left pending forever ("pending requests at quiescence";
 /// `Scenario::finish` checks the invariants). The loss is scripted, not
-/// drawn: the requester's link to node 2 drops everything exposed, which
+/// drawn: the requester's link to node 3 drops everything exposed, which
 /// on RDMA is exactly the one-sided postings routed there.
 #[test]
 fn lost_speculative_read_is_cancelled_when_the_node_goes_idle() {
@@ -86,22 +86,23 @@ fn lost_speculative_read_is_cancelled_when_the_node_goes_idle() {
         drop_ppm: 1_000_000,
         ..LinkFaults::NONE
     };
-    let plan = FaultPlan::seeded(1).with_link(NodeId(1), NodeId(2), dead);
-    let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_readahead(8));
-    let sc = Scenario::new(kind, 3, 1)
+    let plan = FaultPlan::seeded(1).with_link(NodeId(1), NodeId(3), dead);
+    let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_prefetch(8));
+    let sc = Scenario::new(kind, 4, 1)
         .transport(transport::Transport::RDMA)
         .faults(plan);
     let mut ssi = sc.build();
-    let (_, tasks) = Scenario::shared_region(&mut ssi, 3, 32, false);
-    // Node 1's only access is a demand read of page 0, whose static
-    // manager is node 0: it is served, and the task is done long before
-    // the watchdog deadline. Of the readahead it triggers for pages
-    // 1..=8, the postings routed to node 2 are lost for good.
+    let (_, tasks) = Scenario::shared_region(&mut ssi, 4, 32, false);
+    // Node 1 reads pages 0, 1 and 2, which confirms a stride-1 stream.
+    // Their static managers are nodes 0, 1 and 2, so the demand reads are
+    // served, and the task is done long before the watchdog deadline. Of
+    // the prefetch window the third read issues for pages 3..=10, the
+    // postings routed to node 3 (pages 3 and 7) are lost for good.
     Scenario::spawn_script(
         &mut ssi,
         NodeId(1),
         tasks[1],
-        vec![Step::Read { va_page: 0 }],
+        (0..3).map(|p| Step::Read { va_page: p }).collect(),
     );
     ssi.run(u64::MAX / 2).expect("quiesces");
     let out = sc
@@ -128,7 +129,7 @@ fn lost_speculative_read_is_cancelled_when_the_node_goes_idle() {
     assert!(out.counter("transport.fault.dropped") >= cancelled - answered);
 }
 
-/// A cancelled speculation is not always a lost one: readahead onto
+/// A cancelled speculation is not always a lost one: prefetch onto
 /// never-touched pages is routed by the static manager to the pager,
 /// which serializes every later request for the page behind that fill.
 /// The supply arriving after the requester went idle must still install
@@ -141,19 +142,20 @@ fn cancelled_speculation_still_completes_its_pager_fill() {
     // An armed plan that (at 1 ppm) never fires: the cancellation path
     // runs, nothing is lost.
     let plan = FaultPlan::seeded(1).with_dup_ppm(1);
-    let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_readahead(8));
+    let kind = ManagerKind::Asvm(asvm::AsvmConfig::with_prefetch(8));
     let sc = Scenario::new(kind, 3, 1)
         .transport(transport::Transport::RDMA)
         .faults(plan);
     let mut ssi = sc.build();
     let (_, tasks) = Scenario::shared_region(&mut ssi, 3, 32, false);
-    // Node 1's only access issues readahead for pages 1..=8 and the task
-    // is done before any pager fill returns.
+    // Node 1 reads pages 0, 1 and 2; the third read confirms the stride,
+    // issues prefetch for pages 3..=10, and the task is done before any
+    // of those pager fills returns.
     Scenario::spawn_script(
         &mut ssi,
         NodeId(1),
         tasks[1],
-        vec![Step::Read { va_page: 0 }],
+        (0..3).map(|p| Step::Read { va_page: p }).collect(),
     );
     // Node 2 asks for one of those pages while its fill is in flight,
     // and for another long after.

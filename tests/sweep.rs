@@ -77,8 +77,8 @@ fn fault_probe_slice_is_thread_count_invariant() {
 
 #[test]
 fn report_order_and_json_shape_are_thread_count_invariant() {
-    // Wall-clock fields legitimately vary between runs; labels, cell
-    // order and event counts must not, whatever the thread count.
+    // Labels, cell order and event counts must not vary with the thread
+    // count, and the JSON, which holds no host time, not by a byte.
     let run = |threads: usize| {
         let mut sweep = Sweep::with_config("json_stability", SweepConfig::with_threads(threads));
         for i in 0..5u64 {
@@ -95,6 +95,7 @@ fn report_order_and_json_shape_are_thread_count_invariant() {
     };
     assert_eq!(key(&a), key(&b));
     assert_eq!(a.total_events(), b.total_events());
+    assert_eq!(a.to_json(), b.to_json());
     // The JSON document carries every label in order.
     let json = a.to_json();
     for i in 0..5 {
