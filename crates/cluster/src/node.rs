@@ -195,12 +195,7 @@ impl ClusterNode {
         self.tasks.values().all(|t| t.status == TaskStatus::Done)
     }
 
-    /// Completion time of `task`, if it finished.
-    pub fn task_finished(&self, task: TaskId) -> Option<Time> {
-        self.tasks.get(&task).and_then(|t| t.finished)
-    }
-
-    /// Wall-clock runtime of `task` (install to finish), if it finished.
+    /// Simulated runtime of `task` (install to finish), if it finished.
     pub fn task_runtime(&self, task: TaskId) -> Option<svmsim::Dur> {
         let t = self.tasks.get(&task)?;
         Some(t.finished?.since(t.started))

@@ -97,11 +97,13 @@ pub struct Ssi {
 
 impl Ssi {
     /// Builds a Paragon-like cluster with `compute_nodes` compute nodes.
+    /// The simulator consumes none of `seed` (see [`World::new`]).
     pub fn new(compute_nodes: u16, kind: ManagerKind, seed: u64) -> Ssi {
         Ssi::with_machine(MachineConfig::paragon(compute_nodes), kind, seed)
     }
 
-    /// Builds a cluster from an explicit machine configuration.
+    /// Builds a cluster from an explicit machine configuration. The
+    /// simulator consumes none of `seed` (see [`World::new`]).
     pub fn with_machine(cfg: MachineConfig, kind: ManagerKind, seed: u64) -> Ssi {
         let machine = Machine::new(cfg);
         let world = World::new(machine, seed, |id, m| {

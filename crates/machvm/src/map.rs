@@ -101,11 +101,6 @@ impl AddressMap {
     pub fn entries(&self) -> &[MapEntry] {
         &self.entries
     }
-
-    /// Mutable access to all entries (fork rewrites inheritance state).
-    pub fn entries_mut(&mut self) -> &mut [MapEntry] {
-        &mut self.entries
-    }
 }
 
 #[cfg(test)]

@@ -141,11 +141,6 @@ impl VmObject {
         self.pages.contains_key(&page)
     }
 
-    /// Number of resident pages.
-    pub fn resident_count(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Write-protects every resident page (used when a delayed copy is
     /// created, so the next write faults and triggers a push).
     pub fn write_protect_all(&mut self) -> u32 {

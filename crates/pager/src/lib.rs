@@ -17,7 +17,7 @@
 //! `cluster` crate runs them on I/O nodes and carries their traffic over
 //! NORMA-IPC, as the real system does.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use machvm::{
     Access, EmmiToKernel, EmmiToPager, LockMode, LockOp, MemObjId, PageData, PageIdx, SupplyMode,
@@ -155,8 +155,6 @@ struct FileState {
     /// Pages written back by kernels (dirty data now authoritative here),
     /// with the completion time of the disk write (supplies wait for it).
     written: BTreeMap<PageIdx, (PageData, Time)>,
-    /// Pages ever supplied (statistics).
-    touched: BTreeSet<PageIdx>,
 }
 
 /// The file pager: a memory-mapped Unix file system on an I/O node.
@@ -210,20 +208,9 @@ impl FilePager {
                 stride,
                 populated,
                 written: BTreeMap::new(),
-                touched: BTreeSet::new(),
             },
         );
         assert!(prev.is_none(), "file already exists for {mobj:?}");
-    }
-
-    /// True if `mobj` is a file managed here.
-    pub fn has_file(&self, mobj: MemObjId) -> bool {
-        self.files.contains_key(&mobj)
-    }
-
-    /// Number of distinct pages ever supplied for `mobj`.
-    pub fn pages_touched(&self, mobj: MemObjId) -> usize {
-        self.files[&mobj].touched.len()
     }
 
     /// The authoritative contents of `page` of file `mobj` as the pager
@@ -251,7 +238,6 @@ impl FilePager {
             // Generous fixed extent; disk offsets are virtual.
             self.create_file(req.mobj, 1 << 20, false);
         }
-        let _ = &self.files;
         let Some(f) = self.files.get_mut(&req.mobj) else {
             unreachable!()
         };
@@ -269,7 +255,6 @@ impl FilePager {
                     // Fresh file: zero-filled pages cost no I/O.
                     (PageData::Zero, now)
                 };
-                f.touched.insert(page);
                 vec![PagerOut {
                     to_node: req.from_node,
                     obj: req.obj,

@@ -102,7 +102,7 @@ impl Blackout {
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     /// Key of the fault decisions. They depend on this and the frame's
-    /// link, class and index, nothing else (the world's RNG is untouched).
+    /// link, class and index, nothing else.
     pub seed: u64,
     /// Fault profile applied to every link without an override.
     pub default_link: LinkFaults,

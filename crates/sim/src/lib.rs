@@ -11,9 +11,9 @@
 //!
 //! Design notes:
 //!
-//! * **Determinism.** Events are totally ordered by `(time, sequence)`; all
-//!   randomness flows from one seeded generator, and fault decisions are a
-//!   keyed hash of the plan's seed ([`faults`]); protocol state uses ordered
+//! * **Determinism.** Events are totally ordered by `(time, sequence)`; the
+//!   simulator draws no random numbers — fault decisions are a keyed hash
+//!   of the plan's seed ([`faults`]) — and protocol state uses ordered
 //!   maps. Two runs with equal inputs produce equal outputs, bit for bit.
 //! * **Occupancy, not just latency.** Processors and disks are serial
 //!   resources with "free at" watermarks. Queueing behind a busy centralized

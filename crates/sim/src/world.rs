@@ -21,9 +21,6 @@
 
 use std::collections::VecDeque;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
 use crate::disk::{Disk, DiskOp};
 use crate::faults::{FaultClass, FaultDecision, FaultStreams};
 use crate::machine::Machine;
@@ -121,7 +118,6 @@ pub struct World<N, M> {
     blocked: Vec<VecDeque<Slot>>,
     stats: Stats,
     hot: HotIds,
-    rng: SmallRng,
     /// Per-link, per-class exposed-frame counts keying the
     /// [`crate::FaultPlan`]'s decisions; empty under an inactive plan.
     fault_streams: FaultStreams,
@@ -130,9 +126,12 @@ pub struct World<N, M> {
 
 impl<N: NodeBehavior<M>, M> World<N, M> {
     /// Builds a world, constructing one node via `factory` per machine node.
+    ///
+    /// The simulator draws no random numbers, so it consumes none of
+    /// `_seed`; only workload generators do, from their own seeds.
     pub fn new(
         machine: Machine,
-        seed: u64,
+        _seed: u64,
         mut factory: impl FnMut(NodeId, &Machine) -> N,
     ) -> Self {
         let n = machine.config.total_nodes() as usize;
@@ -159,7 +158,6 @@ impl<N: NodeBehavior<M>, M> World<N, M> {
             blocked: (0..n).map(|_| VecDeque::new()).collect(),
             stats,
             hot,
-            rng: SmallRng::seed_from_u64(seed),
             fault_streams: FaultStreams::new(&machine.config.faults, n),
             machine,
             events_processed: 0,
@@ -300,7 +298,6 @@ impl<N: NodeBehavior<M>, M> World<N, M> {
             queue: &mut self.queue,
             stats: &mut self.stats,
             hot: self.hot,
-            rng: &mut self.rng,
             fault_streams: &mut self.fault_streams,
         };
         node.on_message(&mut ctx, msg);
@@ -359,7 +356,6 @@ pub struct Ctx<'a, M> {
     queue: &'a mut EventQueue<Envelope<M>>,
     stats: &'a mut Stats,
     hot: HotIds,
-    rng: &'a mut SmallRng,
     fault_streams: &'a mut FaultStreams,
 }
 
@@ -384,11 +380,6 @@ impl<'a, M> Ctx<'a, M> {
     /// Statistics sink.
     pub fn stats(&mut self) -> &mut Stats {
         self.stats
-    }
-
-    /// Deterministic random source.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
     }
 
     /// Charges `d` of message-processor time on this node and advances the
@@ -820,7 +811,8 @@ mod fan_in_tests {
     //! change pass.
     use super::*;
     use crate::machine::MachineConfig;
-    use rand::Rng;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use std::cell::RefCell;
     use std::fmt::Write as _;
     use std::rc::Rc;

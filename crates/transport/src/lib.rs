@@ -14,23 +14,21 @@
 //!   ever move in response to a request. The result is roughly an order of
 //!   magnitude less software overhead per message.
 //!
-//! The 1996 trade-off inverts on modern one-sided interconnects, so the
-//! crate is built around a [`TransportBackend`] trait rather than a closed
-//! enum. A backend turns "send this many payload bytes to that node" into a
-//! [`MsgCosts`] envelope (sender CPU, receiver CPU, wire bytes, in-flight
-//! latency) evaluated against the machine's [`CostModel`], and declares its
-//! capabilities: statistics keys, per-link ARQ eligibility, and
-//! one-sided read support. Three backends ship:
+//! The 1996 trade-off inverts on modern one-sided interconnects, so
+//! [`Transport`] is a closed enum of three carriers. Each turns "send this
+//! many payload bytes to that node" into a [`MsgCosts`] envelope (sender
+//! CPU, receiver CPU, wire bytes, in-flight latency) evaluated against the
+//! machine's [`CostModel`], and has fixed capabilities: statistics keys,
+//! per-link ARQ eligibility, and one-sided read support.
 //!
-//! * [`NormaIpc`] and [`Sts`] — the paper's pair, byte-identical in cost
-//!   and accounting to the pre-trait implementation.
-//! * [`Rdma`] — a modern one-sided backend: remote page *reads* are served
-//!   entirely by the target's NIC (**zero receiver CPU occupancy**), at the
-//!   price of per-link setup/registration, a per-message latency floor, and
-//!   an interrupt-driven control path. Reliability lives
-//!   in the fabric, so it opts out of the software ARQ layer; a lost
-//!   one-sided read surfaces only at the requester, whose watchdog
-//!   re-issues it (see `docs/RELIABILITY.md`).
+//! * [`Transport::NORMA`] and [`Transport::STS`] — the paper's pair.
+//! * [`Transport::RDMA`] — a modern one-sided carrier: remote page *reads*
+//!   are served entirely by the target's NIC (**zero receiver CPU
+//!   occupancy**), at the price of per-link setup/registration, a
+//!   per-message latency floor, and an interrupt-driven control path.
+//!   Reliability lives in the fabric, so it opts out of the software ARQ
+//!   layer; a lost one-sided read surfaces only at the requester, whose
+//!   watchdog re-issues it (see `docs/RELIABILITY.md`).
 //!
 //! The protocol crates never hard-code costs; they pick a transport, which
 //! keeps the transport-swap ablation (`ablation_transport`) honest.
@@ -72,315 +70,163 @@ use svmsim::{CostModel, Ctx, Dur, FaultCause, FaultDecision, MsgCosts, NodeId, T
 
 pub use svmsim::{Blackout, FaultClass, FaultPlan, LinkFaults};
 
-/// One pluggable transport implementation: its cost envelopes, statistics
-/// keys, and capability flags. Implementations are stateless units behind
-/// `&'static` references so [`Transport`] stays `Copy`.
+/// A transport: its cost envelopes, statistics keys and capabilities,
+/// plus the one send path ([`Transport::send_frame`], with
+/// [`Transport::send`] as its plain case) every protocol layer goes
+/// through.
 ///
-/// The contract every backend must uphold:
-///
-/// * [`costs`](TransportBackend::costs) is deterministic in
-///   `(cost, payload_bytes)` — the simulation replays byte-identically.
-/// * [`stat_key`](TransportBackend::stat_key) /
-///   [`page_stat_key`](TransportBackend::page_stat_key) are distinct per
-///   backend, so per-backend chattiness is separable in every bench JSON.
-/// * A backend that returns `false` from
-///   [`per_link_arq`](TransportBackend::per_link_arq) must tolerate loss
-///   end-to-end (requester-side timeout and re-issue).
-pub trait TransportBackend: std::fmt::Debug + Sync {
+/// [`costs`](Transport::costs) is deterministic in `(cost, payload_bytes)`,
+/// so the simulation replays byte-identically, and each carrier counts
+/// under its own statistics keys, so per-carrier chattiness is separable
+/// in every bench JSON.
+#[allow(clippy::upper_case_acronyms)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Transport {
+    /// Mach NORMA-IPC: heavyweight, typed, port-based.
+    NORMA,
+    /// The SVM Transport Service: fixed 32-byte untyped header, dedicated
+    /// message co-processor, preallocated receive buffers.
+    STS,
+    /// A modern one-sided interconnect (RDMA-style RNIC).
+    ///
+    /// The data plane is the star: a remote page read is served entirely
+    /// by the target's NIC out of pre-registered memory — zero receiver
+    /// CPU occupancy, so a hot read-shared page never serializes on its
+    /// owner's event handler. The control plane is ordinary two-sided
+    /// sends with an interrupt-driven completion path (no STS-style
+    /// message co-processor): slightly costlier per message than STS, and
+    /// every message pays the RNIC's latency floor in flight. Reliability
+    /// lives in the fabric (hardware retransmission on connected queue
+    /// pairs), so the carrier opts out of the software ARQ layer; the only
+    /// software-visible failures are one-sided read completions, recovered
+    /// by the requester's watchdog re-issue.
+    RDMA,
+}
+
+impl Transport {
     /// Short human-readable name (table labels: `"sts"`, `"norma"`,
     /// `"rdma"`).
-    fn name(&self) -> &'static str;
+    pub fn name(self) -> &'static str {
+        match self {
+            Transport::NORMA => "norma",
+            Transport::STS => "sts",
+            Transport::RDMA => "rdma",
+        }
+    }
 
-    /// Statistics key counting messages sent on this backend.
-    fn stat_key(&self) -> &'static str;
+    /// Statistics key counting messages sent on this transport.
+    pub fn stat_key(self) -> &'static str {
+        match self {
+            Transport::NORMA => "norma.messages",
+            Transport::STS => "sts.messages",
+            Transport::RDMA => "rdma.messages",
+        }
+    }
 
-    /// Statistics key counting page-carrying messages on this backend.
-    fn page_stat_key(&self) -> &'static str;
+    /// Statistics key counting page-carrying messages on this transport.
+    pub fn page_stat_key(self) -> &'static str {
+        match self {
+            Transport::NORMA => "norma.page_messages",
+            Transport::STS => "sts.page_messages",
+            Transport::RDMA => "rdma.page_messages",
+        }
+    }
 
-    /// Cost envelope for a message with `payload_bytes` of payload (0 for
-    /// a header-only message, one page size for a page carrier).
-    fn costs(&self, cost: &CostModel, payload_bytes: u32) -> MsgCosts;
-
-    /// Whether protocol traffic on this backend rides the software
-    /// per-link ARQ channel when a fault plan is active. Backends whose
-    /// reliability lives in the fabric return `false`: the fault seam
-    /// still applies (end-to-end failures exist), but recovery is the
-    /// requester's watchdog, not per-frame retransmission.
-    fn per_link_arq(&self) -> bool {
-        true
+    /// Whether protocol traffic rides the software per-link ARQ channel
+    /// under an active fault plan (see `docs/RELIABILITY.md`). RDMA's
+    /// reliability lives in the fabric: the fault seam still applies, but
+    /// recovery is the requester's watchdog, not per-frame retransmission.
+    pub fn per_link_arq(self) -> bool {
+        self != Transport::RDMA
     }
 
     /// Whether remote page reads can be posted as one-sided pulls that
     /// bypass the target's event handler entirely.
-    fn one_sided_reads(&self) -> bool {
-        false
-    }
-
-    /// Cost envelope for posting a one-sided read request (header-only;
-    /// the target's NIC serves it, so receiver CPU must be zero).
-    fn one_sided_read_costs(&self, cost: &CostModel) -> MsgCosts {
-        let _ = cost;
-        unimplemented!("backend does not support one-sided reads")
-    }
-
-    /// Cost envelope for a one-sided read completion carrying
-    /// `payload_bytes` back: the target's NIC DMAs the data out (zero
-    /// sender CPU); the requester pays completion handling on arrival.
-    fn one_sided_reply_costs(&self, cost: &CostModel, payload_bytes: u32) -> MsgCosts {
-        let _ = (cost, payload_bytes);
-        unimplemented!("backend does not support one-sided reads")
+    pub fn one_sided_reads(self) -> bool {
+        self == Transport::RDMA
     }
 
     /// One-time CPU charged at a node the first time it sends to a given
     /// peer (connection setup, memory registration). Zero for the
     /// connectionless Paragon transports.
-    fn link_setup_cpu(&self, cost: &CostModel) -> Dur {
-        let _ = cost;
-        Dur::ZERO
-    }
-}
-
-/// Mach NORMA-IPC: heavyweight, typed, port-based.
-#[derive(Debug)]
-pub struct NormaIpc;
-
-impl TransportBackend for NormaIpc {
-    fn name(&self) -> &'static str {
-        "norma"
-    }
-
-    fn stat_key(&self) -> &'static str {
-        "norma.messages"
-    }
-
-    fn page_stat_key(&self) -> &'static str {
-        "norma.page_messages"
-    }
-
-    fn costs(&self, cost: &CostModel, payload_bytes: u32) -> MsgCosts {
-        // Typed in-line data adds per-byte marshalling work on both
-        // sides in addition to the fixed port/translation overhead.
-        let marshal = Dur::from_nanos(payload_bytes as u64 * 12);
-        MsgCosts {
-            send_cpu: cost.norma_send_cpu + marshal,
-            recv_cpu: cost.norma_recv_cpu + marshal,
-            bytes: cost.norma_header_bytes + payload_bytes,
-            extra_latency: Dur::ZERO,
-        }
-    }
-}
-
-/// The SVM Transport Service: fixed 32-byte untyped header, dedicated
-/// message co-processor, preallocated receive buffers.
-#[derive(Debug)]
-pub struct Sts;
-
-impl TransportBackend for Sts {
-    fn name(&self) -> &'static str {
-        "sts"
-    }
-
-    fn stat_key(&self) -> &'static str {
-        "sts.messages"
-    }
-
-    fn page_stat_key(&self) -> &'static str {
-        "sts.page_messages"
-    }
-
-    fn costs(&self, cost: &CostModel, payload_bytes: u32) -> MsgCosts {
-        // Preallocated receive buffers: pages land directly where
-        // they belong, so payload adds wire time but almost no CPU.
-        let touch = Dur::from_nanos(payload_bytes as u64 * 2);
-        MsgCosts {
-            send_cpu: cost.sts_send_cpu,
-            recv_cpu: cost.sts_recv_cpu + touch,
-            bytes: cost.sts_header_bytes + payload_bytes,
-            extra_latency: Dur::ZERO,
-        }
-    }
-}
-
-/// A modern one-sided interconnect (RDMA-style RNIC).
-///
-/// The data plane is the star: a remote page read is served entirely by
-/// the target's NIC out of pre-registered memory — zero receiver CPU
-/// occupancy, so a hot read-shared page never serializes on its owner's
-/// event handler. The control plane is ordinary two-sided sends with an
-/// interrupt-driven completion path (no STS-style message co-processor):
-/// slightly costlier per message than STS, and every
-/// message pays the RNIC's latency floor in flight. Reliability lives in
-/// the fabric (hardware retransmission on connected queue pairs), so the
-/// backend opts out of the software ARQ layer; the only software-visible
-/// failures are one-sided read completions, recovered by the requester's
-/// watchdog re-issue.
-#[derive(Debug)]
-pub struct Rdma;
-
-impl TransportBackend for Rdma {
-    fn name(&self) -> &'static str {
-        "rdma"
-    }
-
-    fn stat_key(&self) -> &'static str {
-        "rdma.messages"
-    }
-
-    fn page_stat_key(&self) -> &'static str {
-        "rdma.page_messages"
-    }
-
-    fn costs(&self, cost: &CostModel, payload_bytes: u32) -> MsgCosts {
-        // Two-sided control path: payload DMAs into a registered buffer
-        // (no per-byte marshalling), but each message takes the
-        // interrupt-driven completion path and the fabric latency floor.
-        let touch = Dur::from_nanos(payload_bytes as u64 * 2);
-        MsgCosts {
-            send_cpu: cost.rdma_ctrl_send_cpu,
-            recv_cpu: cost.rdma_ctrl_recv_cpu + touch,
-            bytes: cost.rdma_header_bytes + payload_bytes,
-            extra_latency: cost.rdma_latency_floor,
-        }
-    }
-
-    fn per_link_arq(&self) -> bool {
-        // Hardware retransmission on connected queue pairs: the software
-        // ARQ layer (sequence numbers, acks, backoff CPU) would model
-        // cost that the fabric does not charge.
-        false
-    }
-
-    fn one_sided_reads(&self) -> bool {
-        true
-    }
-
-    fn one_sided_read_costs(&self, cost: &CostModel) -> MsgCosts {
-        MsgCosts {
-            send_cpu: cost.rdma_post_cpu,
-            // Served by the target's NIC: its host never runs.
-            recv_cpu: Dur::ZERO,
-            bytes: cost.rdma_header_bytes,
-            extra_latency: cost.rdma_latency_floor,
-        }
-    }
-
-    fn one_sided_reply_costs(&self, cost: &CostModel, payload_bytes: u32) -> MsgCosts {
-        MsgCosts {
-            // The NIC DMAs the page out of registered memory.
-            send_cpu: Dur::ZERO,
-            recv_cpu: cost.rdma_completion_cpu,
-            bytes: cost.rdma_header_bytes + payload_bytes,
-            extra_latency: cost.rdma_latency_floor,
-        }
-    }
-
-    fn link_setup_cpu(&self, cost: &CostModel) -> Dur {
-        cost.rdma_link_setup_cpu
-    }
-}
-
-static NORMA_BACKEND: NormaIpc = NormaIpc;
-static STS_BACKEND: Sts = Sts;
-static RDMA_BACKEND: Rdma = Rdma;
-
-/// A configured transport endpoint: a `Copy` handle to a
-/// [`TransportBackend`] plus the one send path ([`Transport::send_frame`],
-/// with [`Transport::send`] as its plain case) every protocol layer goes
-/// through.
-#[derive(Clone, Copy)]
-pub struct Transport {
-    backend: &'static dyn TransportBackend,
-}
-
-impl std::fmt::Debug for Transport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Transport")
-            .field("backend", &self.backend.name())
-            .finish()
-    }
-}
-
-impl Transport {
-    /// The NORMA-IPC transport.
-    pub const NORMA: Transport = Transport {
-        backend: &NORMA_BACKEND,
-    };
-
-    /// The STS transport.
-    pub const STS: Transport = Transport {
-        backend: &STS_BACKEND,
-    };
-
-    /// The one-sided RDMA transport.
-    pub const RDMA: Transport = Transport {
-        backend: &RDMA_BACKEND,
-    };
-
-    /// The backend carrying this transport's messages.
-    pub fn backend(&self) -> &'static dyn TransportBackend {
-        self.backend
-    }
-
-    /// Short backend name (table labels).
-    pub fn name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// Statistics key counting messages sent on this transport.
-    pub fn stat_key(&self) -> &'static str {
-        self.backend.stat_key()
-    }
-
-    /// Statistics key counting page-carrying messages on this transport.
-    pub fn page_stat_key(&self) -> &'static str {
-        self.backend.page_stat_key()
-    }
-
-    /// Whether protocol traffic rides the software per-link ARQ channel
-    /// under an active fault plan (see `docs/RELIABILITY.md`).
-    pub fn per_link_arq(&self) -> bool {
-        self.backend.per_link_arq()
-    }
-
-    /// Whether remote page reads can be posted as one-sided pulls.
-    pub fn one_sided_reads(&self) -> bool {
-        self.backend.one_sided_reads()
-    }
-
-    /// One-time CPU for first contact with a peer (setup/registration).
-    pub fn link_setup_cpu(&self, cost: &CostModel) -> Dur {
-        self.backend.link_setup_cpu(cost)
-    }
-
-    /// Cost envelope for a node-local (loopback) message: a kernel-internal
-    /// hand-off that skips the wire and the protocol stack.
-    pub fn local_costs(&self, cost: &CostModel, payload_bytes: u32) -> MsgCosts {
-        MsgCosts {
-            send_cpu: cost.local_ipc_cpu,
-            recv_cpu: cost.local_ipc_cpu,
-            bytes: payload_bytes,
-            extra_latency: Dur::ZERO,
+    pub fn link_setup_cpu(self, cost: &CostModel) -> Dur {
+        match self {
+            Transport::RDMA => cost.rdma_link_setup_cpu,
+            Transport::NORMA | Transport::STS => Dur::ZERO,
         }
     }
 
     /// Computes the cost envelope for a message with `payload_bytes` of
     /// payload (0 for a header-only message, one page size for a page
     /// carrier).
-    pub fn costs(&self, cost: &CostModel, payload_bytes: u32) -> MsgCosts {
-        self.backend.costs(cost, payload_bytes)
+    pub fn costs(self, cost: &CostModel, payload_bytes: u32) -> MsgCosts {
+        let per_byte = |ns: u64| Dur::from_nanos(payload_bytes as u64 * ns);
+        match self {
+            // Typed in-line data adds per-byte marshalling work on both
+            // sides in addition to the fixed port/translation overhead.
+            Transport::NORMA => MsgCosts {
+                send_cpu: cost.norma_send_cpu + per_byte(12),
+                recv_cpu: cost.norma_recv_cpu + per_byte(12),
+                bytes: cost.norma_header_bytes + payload_bytes,
+                extra_latency: Dur::ZERO,
+            },
+            // Preallocated receive buffers: pages land directly where
+            // they belong, so payload adds wire time but almost no CPU.
+            Transport::STS => MsgCosts {
+                send_cpu: cost.sts_send_cpu,
+                recv_cpu: cost.sts_recv_cpu + per_byte(2),
+                bytes: cost.sts_header_bytes + payload_bytes,
+                extra_latency: Dur::ZERO,
+            },
+            // Two-sided control path: payload DMAs into a registered
+            // buffer (no per-byte marshalling), but each message takes the
+            // interrupt-driven completion path and the fabric latency
+            // floor.
+            Transport::RDMA => MsgCosts {
+                send_cpu: cost.rdma_ctrl_send_cpu,
+                recv_cpu: cost.rdma_ctrl_recv_cpu + per_byte(2),
+                bytes: cost.rdma_header_bytes + payload_bytes,
+                extra_latency: cost.rdma_latency_floor,
+            },
+        }
+    }
+
+    /// The cost envelope `class` charges a remote frame of `payload_bytes`.
+    /// The one-sided envelopes exist only on a carrier with
+    /// [`one_sided_reads`](Transport::one_sided_reads): asking another
+    /// carrier for one panics.
+    fn class_costs(self, cost: &CostModel, class: CostClass, payload_bytes: u32) -> MsgCosts {
+        let (send_cpu, recv_cpu, bytes) = match class {
+            CostClass::Plain => return self.costs(cost, payload_bytes),
+            _ if !self.one_sided_reads() => {
+                panic!("{} does not support one-sided reads", self.name())
+            }
+            // Posting a read: served by the target's NIC, so its host
+            // never runs.
+            CostClass::OneSidedRead => (cost.rdma_post_cpu, Dur::ZERO, 0),
+            // The completion: the NIC DMAs the page out of registered
+            // memory; the requester reaps the completion.
+            CostClass::OneSidedReply => (Dur::ZERO, cost.rdma_completion_cpu, payload_bytes),
+        };
+        MsgCosts {
+            send_cpu,
+            recv_cpu,
+            bytes: cost.rdma_header_bytes + bytes,
+            extra_latency: cost.rdma_latency_floor,
+        }
     }
 
     /// Software time one header-only message costs end to end (sender plus
     /// receiver CPU) — what timeouts layered over this transport scale
     /// with.
-    pub fn per_message_cpu(&self, cost: &CostModel) -> Dur {
+    pub fn per_message_cpu(self, cost: &CostModel) -> Dur {
         let c = self.costs(cost, 0);
         c.send_cpu + c.recv_cpu
     }
 
     /// Sends `msg` to `dst` through this transport as one plain, reliable,
     /// untagged frame: [`Transport::send_frame`] with nothing switched on.
-    pub fn send<M>(&self, ctx: &mut Ctx<'_, M>, dst: NodeId, payload_bytes: u32, msg: M) {
+    pub fn send<M>(self, ctx: &mut Ctx<'_, M>, dst: NodeId, payload_bytes: u32, msg: M) {
         let frame = Frame::new(CostClass::Plain, payload_bytes);
         self.send_frame(ctx, dst, frame, once(msg));
     }
@@ -400,7 +246,7 @@ impl Transport {
     /// logical send is counted whatever its fate, so a retransmission
     /// through here counts its tag again.
     pub fn send_frame<M>(
-        &self,
+        self,
         ctx: &mut Ctx<'_, M>,
         dst: NodeId,
         frame: Frame,
@@ -408,11 +254,17 @@ impl Transport {
     ) {
         let cost = &ctx.machine().config.cost;
         let (local, payload) = (dst == ctx.me(), frame.payload_bytes);
-        let costs = match frame.class {
-            _ if local => self.local_costs(cost, payload),
-            CostClass::Plain => self.costs(cost, payload),
-            CostClass::OneSidedRead => self.backend.one_sided_read_costs(cost),
-            CostClass::OneSidedReply => self.backend.one_sided_reply_costs(cost, payload),
+        let costs = if local {
+            // A kernel-internal hand-off that skips the wire and the
+            // protocol stack.
+            MsgCosts {
+                send_cpu: cost.local_ipc_cpu,
+                recv_cpu: cost.local_ipc_cpu,
+                bytes: payload,
+                extra_latency: Dur::ZERO,
+            }
+        } else {
+            self.class_costs(cost, frame.class, payload)
         };
         if let Some(kind) = frame.kind {
             ctx.stats().bump(kind);
@@ -421,9 +273,9 @@ impl Transport {
             debug_assert!(!local, "loopback reads never leave the node");
             ctx.stats().bump("transport.rdma.read");
         }
-        ctx.stats().bump(self.backend.stat_key());
+        ctx.stats().bump(self.stat_key());
         if payload > 0 && !frame.inline {
-            ctx.stats().bump(self.backend.page_stat_key());
+            ctx.stats().bump(self.page_stat_key());
         }
         let decision = match frame.exposed {
             Some(class) if !local => ctx.fault_decision(dst, class),
@@ -452,7 +304,7 @@ impl Transport {
     }
 }
 
-/// Which of the backend's cost envelopes a frame is charged.
+/// Which of the transport's cost envelopes a frame is charged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CostClass {
     /// One message in its own frame ([`Transport::costs`]).
@@ -612,8 +464,8 @@ mod tests {
 
     #[test]
     fn classic_backends_have_no_latency_floor() {
-        // Behavior preservation: the trait refactor must not move a single
-        // arrival time for STS/NORMA traffic.
+        // The paper's carriers add no in-flight latency: only RDMA's
+        // fabric has a floor.
         let c = cost();
         for t in [Transport::NORMA, Transport::STS] {
             for payload in [0u32, 8192] {
@@ -625,17 +477,29 @@ mod tests {
     #[test]
     fn one_sided_read_occupies_no_receiver_cpu() {
         let c = cost();
-        let req = Transport::RDMA.backend().one_sided_read_costs(&c);
+        let req = Transport::RDMA.class_costs(&c, CostClass::OneSidedRead, 0);
         assert!(req.recv_cpu.is_zero(), "NIC-served: target host never runs");
         assert!(req.send_cpu > Dur::ZERO, "posting the WQE is not free");
         assert_eq!(req.bytes, c.rdma_header_bytes);
-        let reply = Transport::RDMA.backend().one_sided_reply_costs(&c, 8192);
+        let reply = Transport::RDMA.class_costs(&c, CostClass::OneSidedReply, 8192);
         assert!(reply.send_cpu.is_zero(), "NIC DMAs the page out");
         assert!(reply.recv_cpu > Dur::ZERO, "requester reaps the completion");
         assert_eq!(reply.bytes, c.rdma_header_bytes + 8192);
         // Both directions pay the fabric's latency floor.
         assert_eq!(req.extra_latency, c.rdma_latency_floor);
         assert_eq!(reply.extra_latency, c.rdma_latency_floor);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not support one-sided reads")]
+    fn one_sided_read_on_sts_panics() {
+        Transport::STS.class_costs(&cost(), CostClass::OneSidedRead, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not support one-sided reads")]
+    fn one_sided_reply_on_norma_panics() {
+        Transport::NORMA.class_costs(&cost(), CostClass::OneSidedReply, 8192);
     }
 
     #[test]

@@ -24,7 +24,8 @@ pub struct Scenario {
     pub kind: ManagerKind,
     /// Transport carrying the ASVM protocol (STS unless overridden).
     pub transport: Transport,
-    /// World seed; seeded workloads derive their access streams from it.
+    /// Workload seed: seeded workloads derive their access streams from
+    /// it. The simulator itself consumes none of it.
     pub seed: u64,
     /// Modeled compute after every memory touch of [`crate::run_pattern`].
     /// Back-to-back streams (`Dur::ZERO`) race ahead of in-flight
