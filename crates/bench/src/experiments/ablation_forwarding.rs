@@ -5,7 +5,8 @@
 //! static+global reproduces Kai Li's fixed distributed manager, dynamic
 //! behaviour comes from enabling the hint caches. This harness measures
 //! the strategies across the access patterns that stress them differently,
-//! plus the effect of shrinking the dynamic hint cache.
+//! the effect of shrinking the dynamic hint cache, and the default
+//! strategy's forwarding-hop histogram under a rotating writer.
 
 use asvm::AsvmConfig;
 use cluster::ManagerKind;
@@ -27,6 +28,15 @@ const CONFIGS: [(&str, ConfigFn); 4] = [
 ];
 
 const CACHE_SIZES: [usize; 5] = [0, 4, 16, 64, 4096];
+
+/// The `asvm.forward.hops.*` buckets, by column label.
+const HOP_BUCKETS: [(&str, &str); 5] = [
+    ("1", "asvm.forward.hops.1"),
+    ("2", "asvm.forward.hops.2"),
+    ("3-4", "asvm.forward.hops.3-4"),
+    ("5-8", "asvm.forward.hops.5-8"),
+    ("9+", "asvm.forward.hops.9+"),
+];
 
 fn row(label: &str, outs: &[&Outcome]) {
     print!("{label:<36}");
@@ -109,6 +119,19 @@ pub fn run(args: &Args) {
             o.messages()
         );
     }
+    println!();
+    println!("forwarding hops before the owner served a request (default strategy,");
+    println!("migratory pattern):");
+    // The first cell: the default strategy on the migratory pattern.
+    let o = report.values().next().expect("the default strategy ran");
+    for (label, _) in HOP_BUCKETS {
+        print!("{label:>8}");
+    }
+    println!("{:>16}", "handoff cuts");
+    for (_, key) in HOP_BUCKETS {
+        print!("{:>8}", o.stats.counter(key));
+    }
+    println!("{:>16}", o.stats.counter("asvm.forward.handoff_cut"));
     println!();
     println!("hints cut forwarding hops; when a cache level is disabled or too");
     println!("small, requests fall back to the static managers and finally the");

@@ -15,7 +15,7 @@
 //! | `WriteTransfer` | last `InvalidateAck` | as transition 4 |
 //! | `LocalUpgrade` | last `InvalidateAck` | grant write locally; re-route queue; drain parked |
 //! | reader | `Invalidate` | flush the copy; `InvalidateAck` (8) |
-//! | request pending | `Grant` | install contents (elided → stash or lock upgrade); ownership → notify static manager; drain parked |
+//! | request pending | `Grant` | install contents (elided → stash or lock upgrade); pull snapshot, or ownership at the static manager → notify static manager; drain parked |
 //! | no request, page resident | non-owner `Grant` | drop it (`asvm.recover.stale_grant`) |
 //! | fill pending | pager supply | install as owner; notify static manager; push if copies exist; drain parked |
 
@@ -175,8 +175,8 @@ impl Cx<'_> {
         // Flush our own copy: the new owner holds the only one.
         self.vm.set_busy(self.o.vm_obj, page, false);
         self.lock(page, FLUSH);
-        // Tell the static manager about the transfer NOW (the new owner
-        // repeats this on receipt): a concurrent global walk that finds no
+        // Tell the static manager about the transfer NOW — this is the
+        // transfer's only report: a concurrent global walk that finds no
         // owner must see the in-flight transfer at the static manager
         // instead of minting a second owner at the pager.
         self.hand_away(page, Some(to), Some(StaticHint::Owner(to)));
@@ -249,7 +249,7 @@ impl Cx<'_> {
             ownership,
             readers,
             version,
-            ..
+            pull_snapshot,
         } = grant;
         // An owner-making write grant for a page whose version lags the
         // object version must run a push before the write proceeds (the
@@ -311,7 +311,12 @@ impl Cx<'_> {
             }
             None => self.lock(page, LockOp::Grant(lock)),
         }
-        if ownership {
+        // An owner-to-owner transfer was reported by its granter when it
+        // handed the page away. A pull snapshot has no granter in this
+        // object, so its receiver reports it; and a static manager records
+        // itself, having dropped the granter's hint as a stale self-hint
+        // if that hint arrived first.
+        if ownership && (pull_snapshot || self.o.static_node_live(page) == self.me) {
             self.notify_owner_hint(page);
         }
         if needs_push {

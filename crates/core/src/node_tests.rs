@@ -12,7 +12,7 @@ use svmsim::{CostModel, Dur, NodeId, Time};
 use crate::config::{AsvmConfig, WATCHDOG_RETRY_BUDGET};
 use crate::node::{AsvmNode, Fx};
 use crate::object::{AsvmObject, Busy, DynHint, PageInfo, QueuedReq, StaticHint};
-use crate::protocol::{AsvmMsg, ReqKind, ReqPath};
+use crate::protocol::{AsvmMsg, PageGrant, ReqKind, ReqPath};
 
 const MOBJ: MemObjId = MemObjId(7);
 const PAGES: u32 = 16;
@@ -27,6 +27,10 @@ struct MiniNet {
     pager_wire: Vec<PagerSend>,
     /// What the fake pager supplies per page.
     pager_data: Box<dyn Fn(PageIdx) -> PageData>,
+    /// Every protocol message absorbed onto the wire, by stat key.
+    sent: Vec<&'static str>,
+    /// Every counter bumped by an absorbed effect set.
+    bumps: Vec<&'static str>,
     now_ns: u64,
 }
 
@@ -54,6 +58,8 @@ impl MiniNet {
             wire: Vec::new(),
             pager_wire: Vec::new(),
             pager_data: Box::new(|_| PageData::Zero),
+            sent: Vec::new(),
+            bumps: Vec::new(),
             now_ns: 0,
         }
     }
@@ -79,8 +85,10 @@ impl MiniNet {
 
     fn absorb(&mut self, from: NodeId, fx: Fx) {
         for (dst, msg) in fx.net {
+            self.sent.push(msg.stat_key());
             self.wire.push((from, dst, msg));
         }
+        self.bumps.extend(fx.bumps);
         self.pager_wire.extend(fx.pager);
         // VM effects: route EMMI back into the local ASVM; surface fault
         // completions implicitly through VM state.
@@ -92,8 +100,10 @@ impl MiniNet {
                 let mut fx2 = Fx::new();
                 a.handle_emmi(now, vm, obj, call, &mut fx2);
                 for (dst, msg) in fx2.net {
+                    self.sent.push(msg.stat_key());
                     self.wire.push((from, dst, msg));
                 }
+                self.bumps.extend(fx2.bumps);
                 self.pager_wire.extend(fx2.pager);
                 vm_out.extend(fx2.vm.out);
             }
@@ -860,6 +870,152 @@ fn static_manager_drops_a_stale_owner_hint_naming_itself() {
     let fx = net.deliver(owner.0, sm.0, hint);
     assert!(!fx.bumps.contains(&"asvm.forward.stale_self_hint"));
     assert_eq!(record(&net), Some(StaticHint::Owner(sm)));
+}
+
+/// The static manager of `page` and its record for it.
+fn static_record(net: &MiniNet, page: PageIdx) -> (NodeId, Option<StaticHint>) {
+    let sm = net.nodes[0].0.object(MOBJ).static_node(page);
+    let o = net.nodes[sm.index()].0.object(MOBJ);
+    (sm, o.static_cache.peek(&page).copied())
+}
+
+/// An owner-to-owner write transfer is reported to the static manager
+/// once, by the granter as it hands the page away; the new owner does not
+/// repeat the report.
+#[test]
+fn an_owner_to_owner_write_transfer_sends_one_owner_hint() {
+    let mut net = MiniNet::new(4, AsvmConfig::default());
+    let page = PageIdx(1);
+    let (sm, _) = static_record(&net, page);
+    let others: Vec<NodeId> = (0..4).map(NodeId).filter(|n| *n != sm).collect();
+    let (owner, writer) = (others[0], others[1]);
+    let t = net.add_task(owner.0);
+    net.fault(owner.0, t, page.0, Access::Write);
+    let t = net.add_task(writer.0);
+    net.sent.clear();
+    net.fault(writer.0, t, page.0, Access::Write);
+    assert_eq!(net.owner_of(page.0), Some(writer));
+    let hints = net.sent.iter().filter(|k| **k == "asvm.msg.owner_hint");
+    assert_eq!(hints.count(), 1, "sent {:?}", net.sent);
+    assert_eq!(static_record(&net, page).1, Some(StaticHint::Owner(writer)));
+}
+
+/// A pull snapshot (§3.7.3) has no granter in the object to report it, so
+/// its receiver does: the static manager records the new owner and ends
+/// the fill it serialized the page behind.
+#[test]
+fn a_pull_snapshot_grant_still_ends_the_static_managers_fill() {
+    let mut net = MiniNet::new(4, AsvmConfig::default());
+    let page = PageIdx(1);
+    let (sm, _) = static_record(&net, page);
+    let origin = NodeId((sm.0 + 1) % 4);
+    let filling = |net: &MiniNet| {
+        let o = net.nodes[sm.index()].0.object(MOBJ);
+        o.static_filling.get(&page).copied()
+    };
+    let t = net.add_task(origin.0);
+    net.raise(origin.0, t, page.0, Access::Read);
+    net.deliver_until(|n| !n.pager_wire.is_empty());
+    assert_eq!(filling(&net), Some(origin));
+    // Answer the fill with a pulled snapshot instead of the pager's supply.
+    net.pager_wire.clear();
+    let grant = PageGrant::snapshot(Access::Read, PageData::Word(5));
+    let msg = AsvmMsg::Grant {
+        mobj: MOBJ,
+        page,
+        grant,
+    };
+    net.wire.push((sm, origin, msg));
+    net.settle();
+    assert_eq!(net.owner_of(page.0), Some(origin));
+    assert_eq!(filling(&net), None);
+    assert_eq!(static_record(&net, page).1, Some(StaticHint::Owner(origin)));
+}
+
+/// A static manager granted its own page records itself. The granter's
+/// eager hint naming it arrives first and is dropped as a stale
+/// self-hint, so without this record the manager would keep naming the
+/// node that gave the page away.
+#[test]
+fn a_static_manager_granted_its_own_page_records_itself() {
+    let mut net = MiniNet::new(4, AsvmConfig::default());
+    let page = PageIdx(1);
+    let (sm, _) = static_record(&net, page);
+    let owner = NodeId((sm.0 + 1) % 4);
+    let t = net.add_task(owner.0);
+    net.fault(owner.0, t, page.0, Access::Write);
+    assert_eq!(static_record(&net, page).1, Some(StaticHint::Owner(owner)));
+    let t = net.add_task(sm.0);
+    net.bumps.clear();
+    net.fault(sm.0, t, page.0, Access::Write);
+    assert_eq!(net.owner_of(page.0), Some(sm));
+    assert!(net.bumps.contains(&"asvm.forward.stale_self_hint"));
+    assert_eq!(static_record(&net, page).1, Some(StaticHint::Owner(sm)));
+}
+
+/// An origin whose hint for the page it faults on is its own handoff
+/// hint — it gave the page away, and the page has moved on since — sends
+/// the request to the static manager, marked to use its record, in an
+/// object that cuts handoff chains (more than five members); with five or
+/// fewer it follows the hint.
+#[test]
+fn an_origins_fault_on_its_handoff_hint_goes_to_the_static_manager() {
+    for (members, cut) in [(6, true), (5, false)] {
+        let mut net = MiniNet::new(members, AsvmConfig::default());
+        let page = PageIdx(1);
+        let (sm, _) = static_record(&net, page);
+        let others: Vec<NodeId> = (0..members).map(NodeId).filter(|n| *n != sm).collect();
+        let (origin, next) = (others[0], others[1]);
+        set_hint(&mut net, origin, page, next, true);
+        let t = net.add_task(origin.0);
+        net.raise(origin.0, t, page.0, Access::Write);
+        match net.wire.as_slice() {
+            [(_, d, AsvmMsg::PageReq { path, .. })] => {
+                assert_eq!(*d, if cut { sm } else { next }, "{members} members");
+                assert_eq!(path.static_routed, cut, "{members} members");
+            }
+            other => panic!("{members} members: expected one request, got {other:?}"),
+        }
+        let cuts = net
+            .bumps
+            .iter()
+            .filter(|k| **k == "asvm.forward.handoff_cut");
+        assert_eq!(cuts.count(), cut as usize, "{members} members");
+    }
+}
+
+/// A request that has left its origin still follows two handoff hints in
+/// a row before the cut to the static manager.
+#[test]
+fn a_forwarded_request_takes_two_handoff_hops_before_the_cut() {
+    let mut net = MiniNet::new(6, AsvmConfig::default());
+    let page = PageIdx(1);
+    let (sm, _) = static_record(&net, page);
+    let others: Vec<NodeId> = (0..6).map(NodeId).filter(|n| *n != sm).collect();
+    let (origin, chain) = (others[0], &others[1..]);
+    set_hint(&mut net, origin, page, chain[0], false);
+    for w in chain.windows(2) {
+        set_hint(&mut net, w[0], page, w[1], true);
+    }
+    let t = net.add_task(origin.0);
+    net.raise(origin.0, t, page.0, Access::Write);
+    let mut hops = vec![];
+    for _ in 0..4 {
+        match net.wire.as_slice() {
+            [(_, d, AsvmMsg::PageReq { path, .. })] => {
+                hops.push((*d, path.handoff_hops, path.static_routed))
+            }
+            other => panic!("expected one request in flight, got {other:?}"),
+        }
+        net.deliver_one();
+    }
+    let expected = [
+        (chain[0], 0, false),
+        (chain[1], 1, false),
+        (chain[2], 2, false),
+        (sm, 0, true),
+    ];
+    assert_eq!(hops, expected);
 }
 
 /// Suspicion unwinding, abort branch: the grantee of a write transfer is

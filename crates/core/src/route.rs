@@ -16,6 +16,7 @@
 //! | global walk in progress | request | next live member; exhausted → static manager, `walk_done` |
 //! | static manager | request marked static-routed | skip the dynamic hint: answer from the record |
 //! | live handoff hint, two handoff hops in a row, > 5 members, static forwarding on | request | `asvm.forward.handoff_cut`; mark static-routed; keep the hint; fall through |
+//! | origin, live handoff hint, > 5 members, static forwarding on | own request, no hop yet | `asvm.forward.handoff_cut`; mark static-routed; keep the hint; fall through |
 //! | live dynamic hint, hops < bound | request | forward to it (a write points the hint at its origin) |
 //! | hops ≥ bound, hint on offer | request | `asvm.forward.loop_trip`; mark static-routed; fall through |
 //! | not the static manager | request | forward to the static manager |
@@ -35,8 +36,9 @@
 //! ([`crate::DynHint`]); any other writer of the hint clears the flag.
 //! Handoff hints chain through the page's ownership history, so a request
 //! follows at most [`crate::config::HANDOFF_HOPS`] of them in a row before
-//! the static manager, whose record is exact, takes over (DESIGN §7
-//! "Handoff chains").
+//! the static manager, whose record is exact, takes over — and none at its
+//! origin, whose own handoff hint is the oldest link of the chain (DESIGN
+//! §7 "Handoff chains").
 
 use machvm::{Access, EmmiToPager, PageIdx, PagerSend};
 use svmsim::NodeId;
@@ -109,11 +111,13 @@ impl Cx<'_> {
                 {
                     let hint = *self.o.dyn_cache.get(&page).expect("peeked above");
                     if hint.owner != self.me {
-                        // A third handoff hop in a row: the hints are the
-                        // page's ownership history, and the static manager
-                        // holds its end.
+                        // A third handoff hop in a row, or a first one
+                        // still at the origin: the hints are the page's
+                        // ownership history, and the static manager holds
+                        // its end.
+                        let at_origin = path.hops == 0 && req.origin == self.me;
                         if hint.handoff
-                            && path.handoff_hops >= HANDOFF_HOPS
+                            && (at_origin || path.handoff_hops >= HANDOFF_HOPS)
                             && self.o.cuts_handoff_chains()
                         {
                             self.fx.bump("asvm.forward.handoff_cut");

@@ -30,8 +30,14 @@
 //! speculation in flight, so the producer/consumer scans issue fewer
 //! speculative reads. That is a change of workload, not of carriage. The
 //! nine `migratory` rows (their writes never issue speculation) and the
-//! two NORMA `INCOHERENT` rows stayed byte-identical; the other healthy
-//! rows are the original recording.
+//! two NORMA `INCOHERENT` rows stayed byte-identical.
+//!
+//! The nine `migratory` rows were re-recorded when the new owner of an
+//! owner-to-owner transfer stopped repeating the granter's report to the
+//! static manager: each row's logical protocol messages fell by 84 (496 →
+//! 412 on the healthy rows), again a change of protocol, not of carriage.
+//! The `prodcons` rows and the two `INCOHERENT` rows stayed
+//! byte-identical; no row is the original recording any more.
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};

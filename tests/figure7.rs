@@ -1,4 +1,5 @@
-//! The eight state transitions of FIGURE 7, exercised by number.
+//! The eight state transitions of FIGURE 7, exercised by number, and
+//! what a write transfer costs in messages.
 //!
 //! The paper's sharing state machine: a page's state on a node is its
 //! access level plus an owner flag; the listed transitions keep it
@@ -59,6 +60,17 @@ impl Rig {
         let a = n.asvm().expect("figure 7 rig runs ASVM");
         a.page_info(self.mobj, PageIdx(0))
             .map(|pi| (pi.access, pi.owner, pi.readers.len()))
+    }
+
+    /// Protocol messages and page-carrying messages sent so far.
+    fn messages(&self) -> (u64, u64) {
+        let stats = self.ssi.stats();
+        let sum =
+            |f: fn(&str) -> bool| stats.counters().filter(|(k, _)| f(k)).map(|(_, v)| v).sum();
+        (
+            sum(|k| k.starts_with("asvm.msg.")),
+            sum(|k| k.ends_with(".page_messages")),
+        )
     }
 }
 
@@ -221,4 +233,43 @@ fn transition_8_reader_receives_invalidation() {
     }
     assert_eq!(r.state(3), Some((Access::Write, true, 0)));
     cluster::check_asvm_invariants(&r.ssi);
+}
+
+/// Figure 7's cost of a write transfer with no readers, the static
+/// manager on a third node: the request to the owner, the owner's grant
+/// with the page and its ownership, and the owner's ownership report to
+/// the static manager — three protocol messages, one carrying the page.
+/// The new owner does not repeat the report.
+#[test]
+fn a_write_transfer_costs_three_messages() {
+    let mut r = rig(3);
+    let sm = r
+        .ssi
+        .node(NodeId(0))
+        .asvm()
+        .expect("figure 7 rig runs ASVM")
+        .object(r.mobj)
+        .static_node(PageIdx(0));
+    let [writer, owner] = [0, 1, 2]
+        .into_iter()
+        .filter(|n| NodeId(*n) != sm)
+        .collect::<Vec<u16>>()
+        .try_into()
+        .expect("two nodes besides the static manager");
+    let write = |value| vec![Step::Write { va_page: 0, value }, Step::Done];
+    // The writer first owns the page, then hands it to the owner: its
+    // hint now names the owner, so its next request goes straight there.
+    r.run_on(writer, write(1));
+    r.run_on(owner, write(2));
+    assert_eq!(r.state(owner), Some((Access::Write, true, 0)));
+    let before = r.messages();
+    r.run_on(writer, write(3));
+    let after = r.messages();
+    assert_eq!(r.state(writer), Some((Access::Write, true, 0)));
+    assert_eq!(r.state(owner), None);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (3, 1),
+        "(protocol messages, page-carrying messages)"
+    );
 }
