@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# One-code-path ratchet (ROADMAP item 6): every `faults.is_active()` call
-# outside `crates/sim` forks healthy and faulted runs into different
-# programs, so the healthy goldens vouch for less than they seem to. The
+# One-code-path ratchet (ROADMAP "One code path for healthy and faulted
+# runs"): every `faults.is_active()` call outside `crates/sim` forks
+# healthy and faulted runs into different programs, so the healthy
+# goldens vouch for less than they seem to. The
 # fault *seam* needs no such gate — `FaultPlan::decide` is total — which
 # leaves the recovery layer's: the ARQ predicate and the farewell in
 # `cluster/src/node.rs`, heartbeat arming in `cluster/src/ssi.rs`, and the

@@ -43,6 +43,7 @@ const KEYS: &[Key] = &[
     "recover.refetch=asvm.recover.refetch",
     "recover.elected=asvm.recover.elected",
     "retry.resent=asvm.retry.resent",
+    "retry.dup_drop=asvm.retry.dup_drop",
     "retry.exhausted=asvm.retry.exhausted",
     "fault.blackout=dropped",
     "page.faults=faults",

@@ -35,6 +35,7 @@ const KEYS: &[Key] = &[
     "fault.duplicated=transport.fault.duplicated",
     "fault.delayed=transport.fault.delayed",
     "retry.resent=asvm.retry.resent",
+    "retry.dup_drop=asvm.retry.dup_drop",
     "retry.exhausted=asvm.retry.exhausted",
     "page.faults=faults",
     "protocol.messages=messages",

@@ -3,7 +3,7 @@
 use asvm::{AsvmConfig, AsvmMsg};
 use machvm::{Access, EmmiToKernel, Inherit, MemObjId, TaskId, VmObjId};
 use pager::PagerIn;
-use svmsim::NodeId;
+use svmsim::{NodeId, Time};
 use xmm::XmmMsg;
 
 use crate::program::Program;
@@ -105,7 +105,11 @@ pub enum Msg {
         /// Sending node.
         from: NodeId,
         /// Retry-channel sequence number, or 0.
-        seq: u64,
+        seq: u32,
+        /// When this transmission of a sequenced frame left the sender
+        /// (its ack echoes it back as a round-trip sample, like RFC 7323's
+        /// TSval); `Time::ZERO` on an unsequenced message.
+        sent: Time,
         /// The message.
         msg: AsvmMsg,
     },
@@ -114,7 +118,11 @@ pub enum Msg {
         /// The acknowledging node (the frame's receiver).
         from: NodeId,
         /// Sequence number being acknowledged.
-        seq: u64,
+        seq: u32,
+        /// The `sent` stamp of the copy being acknowledged (TSecr), so a
+        /// late ack of a frame already retransmitted still measures the
+        /// round trip of the copy it answers.
+        echo: Time,
     },
     /// Sender-side retry timer for the frame `seq` on the link to `dst`
     /// (self-posted; stale ticks are ignored).
@@ -122,7 +130,7 @@ pub enum Msg {
         /// The link's destination node.
         dst: NodeId,
         /// The in-flight frame the timer covers.
-        seq: u64,
+        seq: u32,
     },
     /// Failure-detector gossip beacon, exposed to the fault plan so a
     /// blacked-out link actually silences it (see `docs/RELIABILITY.md`
