@@ -242,6 +242,63 @@ fn heartbeat_silence_suspects_and_recovery_beacon_clears() {
     assert_eq!(ssi.stats().counter("sts.page_messages"), 0);
 }
 
+/// A mid-run outage shorter than the retry channel's patience is bridged,
+/// unnoticed. Node 2 writes 32 pages, then node 1 reads them back one by
+/// one. Requests for pages node 0 manages go through node 0, which only
+/// forwards them, so that link's round trip is a steady 436 µs and its
+/// estimated first timeout settles just above it. Node 0 then goes dark
+/// for 40 ms mid-read. The request caught on that link is resent until
+/// the lights come back: retransmissions after the first back off from
+/// the 2 ms base (110 ms of patience), not from the estimate, whose
+/// 63 × RTO ≈ 28 ms abandoned the frame and suspected node 0. No frame is
+/// given up on, no peer suspected, and the reads run on. Node 0 computes
+/// through the outage, so its silence is judged; 40 ms stays under the
+/// gossip detector's 50 ms window on three nodes.
+#[test]
+fn a_mid_run_blackout_is_bridged_after_the_link_is_sampled() {
+    let dark = Time::from_nanos(160_000_000);
+    let plan = FaultPlan::seeded(fault_seed() ^ 0xB41D).with_blackout(
+        NodeId(0),
+        dark,
+        dark + Dur::from_millis(40),
+    );
+    let pages = 32;
+    let (mut ssi, tasks) = build(3, pages, ManagerKind::asvm(), plan);
+    let mut writes = Vec::new();
+    let mut reads = vec![Step::Barrier(0)];
+    for p in 0..pages as u64 {
+        writes.push(Step::Write {
+            va_page: p,
+            value: p + 1,
+        });
+        reads.push(Step::Read { va_page: p });
+        reads.push(Step::Compute(Dur::from_micros(100)));
+    }
+    writes.extend([Step::Barrier(0), Step::Done]);
+    reads.push(Step::Done);
+    let busy = vec![
+        Step::Barrier(0),
+        Step::Compute(Dur::from_millis(300)),
+        Step::Done,
+    ];
+    ssi.spawn(NodeId(2), tasks[2], Box::new(ScriptProgram::new(writes)));
+    ssi.spawn(NodeId(1), tasks[1], Box::new(ScriptProgram::new(reads)));
+    ssi.spawn(NodeId(0), tasks[0], Box::new(ScriptProgram::new(busy)));
+    with_trace_dump(&mut ssi, |ssi| {
+        ssi.run(10_000_000).expect("bridged run quiesces");
+        assert!(ssi.all_done());
+    });
+    let stats = ssi.stats();
+    assert!(
+        stats.counter("transport.fault.blackout") > 0,
+        "the outage bit"
+    );
+    assert!(stats.counter("asvm.retry.resent") > 0, "bridged by resends");
+    assert_eq!(stats.counter("asvm.retry.exhausted"), 0);
+    assert_eq!(stats.counter("cluster.suspect.count"), 0);
+    assert!(ssi.link_failures().is_empty());
+}
+
 /// A compute node that hosts no task never ticks, so it never beacons —
 /// and must not be suspected for it, by anyone, at any loss rate: the
 /// detector judges by silence only peers whose counter it has seen
