@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Engine-shape ratchet (ROADMAP item 5): the ASVM engine's handlers are
+# Engine-shape ratchet (ROADMAP "`ClusterNode` gets the `Cx` treatment,
+# and the shape ratchet covers the workspace"): the ASVM engine's handlers are
 # methods on one per-invocation context (`node::Cx`, the object, node,
 # instant, VM and effect sink of one event), so no function in
 # `crates/core` needs a long parameter list, and the engine is split by
 # concern into modules a reader can hold in their head. This check fails
 # when a non-test source file under `crates/core/src` grows past MAX_LINES
 # lines, or when `too_many_arguments` appears there anywhere but on the
-# line above `AsvmNode::evict_external`, whose arguments the
-# `CoherenceEngine::handle_evict` trait fixes. Lower MAX_LINES when files
+# line above `AsvmNode::evict_external`, whose arguments
+# `cluster::Engine::handle_evict` fixes. Lower MAX_LINES when files
 # shrink, never raise it.
 #
 # Test code is exempt: `*tests.rs` files are not counted.

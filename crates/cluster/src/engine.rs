@@ -1,29 +1,31 @@
-//! The coherence-engine boundary: one trait, one effect sink.
+//! The coherence-engine boundary: one closed enum, one effect sink.
 //!
 //! The paper can swap XMM for ASVM because both are *EMMI memory
 //! managers*: the Mach VM talks to either through one interface and never
-//! asks which one backs an object. [`CoherenceEngine`] is that boundary in
-//! this repository:
+//! asks which one backs an object. [`Engine`] is that boundary in this
+//! repository:
 //!
 //! * it is the single surface a manager presents to the node — EMMI
 //!   ingress, inbound protocol messages, pager replies, eviction, copy
 //!   notification, fault completion, object registration, fork export and
-//!   import, and the optional capabilities (owner hints, access notes,
-//!   range locks) as defaulted methods an engine without them inherits;
+//!   import, and the capabilities only ASVM has (owner hints, access
+//!   notes, range locks, recovery), each one method that `match`es the
+//!   two managers once;
 //! * every entry point writes into the caller's [`EngineFx`], which *is*
 //!   the manager's own sink ([`machvm::Fx`], defined once for both
-//!   managers): the trait impls hand [`AsvmNode`] and [`XmmNode`] the
-//!   field they write, nothing is converted or re-wrapped;
+//!   managers): each arm hands [`AsvmNode`] or [`XmmNode`] the field it
+//!   writes, nothing is converted or re-wrapped;
 //! * exactly one interpreter (`ClusterNode::interpret`) drains those
 //!   sinks, so transport choice, pager routing, per-message-kind
 //!   statistics and the protocol trace live in one place.
 //!
-//! The trait is *closed*: `ClusterNode` and `Ssi` never downcast. The
-//! read-only [`CoherenceEngine::as_asvm`]/[`CoherenceEngine::as_xmm`]
-//! views exist for invariant checks, tests and bench probes only
-//! (`ci/check_engine_boundary.sh` keeps them out of `node.rs`/`ssi.rs`).
-//! A new protocol variant is a trait impl plus a `Box::new` in the cluster
-//! factory.
+//! The set is *closed*: only this file names a variant, and `ClusterNode`
+//! and `Ssi` never ask which engine they run. The read-only
+//! [`Engine::as_asvm`]/[`Engine::as_xmm`] views exist for invariant
+//! checks, tests and bench probes only (`ci/check_engine_boundary.sh`
+//! keeps variant patterns out of every other file of the crate and the
+//! views out of `node.rs`/`ssi.rs`). Being a plain enum, the whole engine
+//! stack is `Clone`.
 //!
 //! **Drain order is load-bearing.** The interpreter empties a sink class
 //! by class — pager sends, protocol sends, settled copies, lock grants,
@@ -71,10 +73,11 @@ use machvm::{
     Backing, EmmiToKernel, EmmiToPager, Inherit, MemObjId, PageData, PageIdx, TaskId, VmObjId,
     VmSystem,
 };
-use svmsim::{Dur, NodeId, Time};
+use svmsim::{CostModel, Dur, NodeId, Time};
 use xmm::{XmmBacking, XmmNode};
 
 use crate::msg::{ForkEntry, ObjInfo};
+use crate::ssi::ManagerKind;
 
 /// A protocol message in transit between two engine instances, transport
 /// not yet chosen (that is the interpreter's job).
@@ -126,11 +129,11 @@ impl ProtocolMsg {
 }
 
 /// What one engine entry point asks the interpreter to do: the engines'
-/// own sinks, side by side. Each trait impl hands its manager the field
-/// it writes (the other stays empty), and `ClusterNode::interpret` drains
-/// both in place — nothing is copied between effect shapes. The cluster
-/// node pools drained shells, so every vector keeps its capacity across
-/// millions of engine calls and the hot path allocates nothing.
+/// own sinks, side by side. Each [`Engine`] arm hands its manager the
+/// field it writes (the other stays empty), and `ClusterNode::interpret`
+/// drains both in place — nothing is copied between effect shapes. The
+/// cluster node pools drained shells, so every vector keeps its capacity
+/// across millions of engine calls and the hot path allocates nothing.
 #[derive(Debug, Default)]
 pub struct EngineFx {
     /// Written by [`AsvmNode`]; protocol sends leave as
@@ -181,45 +184,72 @@ impl IdAlloc {
     }
 }
 
-/// A distributed-memory coherence protocol, as seen by the cluster node.
+/// A distributed-memory coherence protocol, as seen by the cluster node:
+/// [`AsvmNode`] (the paper's contribution) or [`XmmNode`] (the NMK13
+/// baseline).
 ///
-/// Implementations are sans-IO state machines: every entry point consumes
-/// one stimulus and writes what must happen into a caller-provided
+/// Both are sans-IO state machines: every entry point consumes one
+/// stimulus and writes what must happen into a caller-provided
 /// [`EngineFx`] sink — nothing here touches the event loop, the
 /// transports or the pagers. The sink is reused across calls (the node
 /// pools drained shells), which is what keeps the per-message hot path
-/// allocation-free. [`AsvmNode`] (the paper's contribution) and
-/// [`XmmNode`] (the NMK13 baseline) both implement it; the parity
-/// property test drives the same workload through each via this exact
-/// surface.
+/// allocation-free. The parity property test drives the same workload
+/// through each variant via this exact surface.
 ///
-/// Methods with a default body are capabilities an engine may lack: the
-/// node calls them unconditionally and an engine without the capability
-/// answers "nothing to do".
-pub trait CoherenceEngine {
-    /// Short engine name for traces and diagnostics.
-    fn name(&self) -> &'static str;
+/// Each operation `match`es once. A capability XMM lacks (striping,
+/// membership, copy notification, recovery, access notes, range locks)
+/// is an explicit XMM arm that does nothing, answers "nothing to do" or,
+/// for range locks, panics.
+#[derive(Clone)]
+pub enum Engine {
+    /// The paper's ASVM.
+    Asvm(AsvmNode),
+    /// The NMK13 XMM baseline.
+    Xmm(XmmNode),
+}
+
+impl Engine {
+    /// The engine `kind` selects, for node `id`.
+    pub fn new(id: NodeId, cost: CostModel, kind: &ManagerKind) -> Engine {
+        match *kind {
+            ManagerKind::Asvm(_) => Engine::Asvm(AsvmNode::new(id, cost)),
+            ManagerKind::Xmm { copy_threads } => Engine::Xmm(XmmNode::new(id, cost, copy_threads)),
+        }
+    }
 
     /// The memory object backing `obj`, if this engine manages it.
-    fn mobj_of(&self, obj: VmObjId) -> Option<MemObjId>;
+    pub fn mobj_of(&self, obj: VmObjId) -> Option<MemObjId> {
+        match self {
+            Engine::Asvm(a) => a.mobj_of(obj),
+            Engine::Xmm(x) => x.mobj_of(obj),
+        }
+    }
 
     /// The local VM object representing `mobj`, if it is registered here.
-    fn vm_obj_of(&self, mobj: MemObjId) -> Option<VmObjId>;
+    pub fn vm_obj_of(&self, mobj: MemObjId) -> Option<VmObjId> {
+        match self {
+            Engine::Asvm(a) => a.find_object(mobj).map(|o| o.vm_obj),
+            Engine::Xmm(x) => x.has_object(mobj).then(|| x.object(mobj).vm_obj),
+        }
+    }
 
     /// Approximate bytes of protocol metadata this engine holds right now
     /// (copyset entries, hint caches, manager tables, in-flight request
     /// state). Purely a telemetry gauge for the bounded-memory claim —
     /// never consulted by the protocol itself.
-    fn state_bytes(&self) -> u64;
+    pub fn state_bytes(&self) -> u64 {
+        match self {
+            Engine::Asvm(a) => a.state_bytes(),
+            Engine::Xmm(x) => x.state_bytes(),
+        }
+    }
 
     // --- Objects and forks ----------------------------------------------------
 
-    /// Registers `vm_obj` as the local representation of `mobj`.
-    fn register(&mut self, mobj: MemObjId, vm_obj: VmObjId, info: &ObjInfo, out: &mut EngineFx);
-
-    /// Ensures the local representation of `mobj` exists; returns its VM
-    /// object. Asking again for a known object emits nothing.
-    fn ensure_object(
+    /// Ensures the local representation of `mobj` exists, registering a
+    /// new VM object for it if need be; returns its VM object. Asking
+    /// again for a known object emits nothing.
+    pub fn ensure_object(
         &mut self,
         vm: &mut VmSystem,
         mobj: MemObjId,
@@ -230,7 +260,27 @@ pub trait CoherenceEngine {
             return vo;
         }
         let vo = vm.create_object(info.size_pages, Backing::External(mobj));
-        self.register(mobj, vo, info, out);
+        match self {
+            Engine::Asvm(a) => {
+                let o = asvm::AsvmObject::new(
+                    mobj,
+                    vo,
+                    info.size_pages,
+                    info.home,
+                    info.pager_node,
+                    a.me(),
+                    info.cfg,
+                );
+                a.register_object(o, &mut out.asvm);
+                asvm::declare_copy_link(a, mobj, info.source, info.peer);
+            }
+            Engine::Xmm(x) => {
+                let backing = XmmBacking::RealPager {
+                    node: info.pager_node,
+                };
+                x.register_object(mobj, vo, info.size_pages, info.home, backing);
+            }
+        }
         vo
     }
 
@@ -238,7 +288,7 @@ pub trait CoherenceEngine {
     /// address space a child inherits, preparing `Copy` regions for
     /// delayed copying the engine's way. `pager_node` backs objects that
     /// become managed on the way; `ids` mints their names.
-    fn fork_export(
+    pub fn fork_export(
         &mut self,
         now: Time,
         vm: &mut VmSystem,
@@ -246,94 +296,169 @@ pub trait CoherenceEngine {
         pager_node: NodeId,
         ids: &mut IdAlloc,
         out: &mut EngineFx,
-    ) -> Vec<ForkEntry>;
+    ) -> Vec<ForkEntry> {
+        match self {
+            Engine::Asvm(a) => asvm_fork_export(a, vm, parent, pager_node, ids, &mut out.asvm),
+            Engine::Xmm(x) => xmm_fork_export(x, now, vm, parent, ids, &mut out.xmm),
+        }
+    }
 
     /// Child side of a remote fork: maps one inherited region into
     /// `child`'s address space. Returns the object whose copy notification
-    /// must settle before the fork completes, if any.
-    fn fork_import(
+    /// must settle before the fork completes, if any. A `Copy` region's
+    /// entry kind is the exporting engine's own.
+    pub fn fork_import(
         &mut self,
         vm: &mut VmSystem,
         child: TaskId,
         entry: ForkEntry,
         out: &mut EngineFx,
     ) -> Option<MemObjId> {
-        match entry {
-            ForkEntry::Share {
-                va_page,
-                pages,
-                prot,
-                inherit,
-                mobj,
-                info,
-            } => {
-                let vo = self.ensure_object(vm, mobj, &info, out);
+        match (self, entry) {
+            (
+                e,
+                ForkEntry::Share {
+                    va_page,
+                    pages,
+                    prot,
+                    inherit,
+                    mobj,
+                    info,
+                },
+            ) => {
+                let vo = e.ensure_object(vm, mobj, &info, out);
                 vm.map_object(child, va_page, pages, vo, 0, prot, inherit);
                 None
             }
-            copy => self.import_copy(vm, child, copy, out),
+            (
+                e @ Engine::Asvm(_),
+                ForkEntry::CopyAsvm {
+                    va_page,
+                    pages,
+                    prot,
+                    source_mobj,
+                    info,
+                },
+            ) => {
+                // Paper §3.7: establish a shared mapping of the source,
+                // then create a local copy through the VM; the resulting
+                // CopyCreated effect broadcasts the version bump, and the
+                // fork completes only when every member settled it.
+                let src_vo = e.ensure_object(vm, source_mobj, &info, out);
+                let copy = vm.copy_delayed(src_vo, &mut out.asvm.vm);
+                vm.map_object(child, va_page, pages, copy, 0, prot, Inherit::Copy);
+                Some(source_mobj)
+            }
+            (
+                Engine::Xmm(x),
+                ForkEntry::CopyXmm {
+                    va_page,
+                    pages,
+                    prot,
+                    mobj,
+                    ip_node,
+                },
+            ) => {
+                let vo = vm.create_object(pages, Backing::External(mobj));
+                let backing = XmmBacking::InternalPager { node: ip_node };
+                x.register_object(mobj, vo, pages, ip_node, backing);
+                vm.map_object(child, va_page, pages, vo, 0, prot, Inherit::Copy);
+                None
+            }
+            (_, entry) => panic!("fork entry {entry:?} is another engine's"),
         }
     }
 
-    /// [`CoherenceEngine::fork_import`] for a `Copy` region, whose entry
-    /// kind is the exporting engine's own.
-    fn import_copy(
-        &mut self,
-        vm: &mut VmSystem,
-        child: TaskId,
-        entry: ForkEntry,
-        out: &mut EngineFx,
-    ) -> Option<MemObjId>;
-
     /// Setup: `mobj`'s pages are striped over the pagers on `stripe`.
-    /// Engines with one pager per object ignore it.
-    fn set_object_stripe(&mut self, _mobj: MemObjId, _stripe: Vec<NodeId>) {}
+    /// XMM has one pager per object and ignores it.
+    pub fn set_object_stripe(&mut self, mobj: MemObjId, stripe: Vec<NodeId>) {
+        match self {
+            Engine::Asvm(a) => a.object_mut(mobj).stripe = stripe,
+            Engine::Xmm(_) => {}
+        }
+    }
 
     /// Setup: the objects whose member lists
-    /// [`CoherenceEngine::finalize_membership`] wants. Engines that keep
-    /// no membership report none.
-    fn registered_objects(&self) -> Vec<MemObjId> {
-        Vec::new()
+    /// [`Engine::finalize_membership`] wants. XMM keeps no membership and
+    /// reports none.
+    pub fn registered_objects(&self) -> Vec<MemObjId> {
+        match self {
+            Engine::Asvm(a) => a.objects().map(|o| o.mobj).collect(),
+            Engine::Xmm(_) => Vec::new(),
+        }
     }
 
     /// Setup: fixes each registered object's member list to the nodes that
     /// registered it (`members`, gathered over the whole cluster).
-    fn finalize_membership(&mut self, _members: &BTreeMap<MemObjId, Vec<NodeId>>) {}
+    pub fn finalize_membership(&mut self, members: &BTreeMap<MemObjId, Vec<NodeId>>) {
+        match self {
+            Engine::Asvm(a) => {
+                let mobjs: Vec<MemObjId> = a.objects().map(|o| o.mobj).collect();
+                for mobj in mobjs {
+                    if let Some(list) = members.get(&mobj) {
+                        a.object_mut(mobj).nodes = list.clone();
+                    }
+                }
+            }
+            Engine::Xmm(_) => {}
+        }
+    }
 
     // --- Stimuli ----------------------------------------------------------------
 
     /// Handles an EMMI call from the local VM on a managed object.
-    fn handle_emmi(
+    pub fn handle_emmi(
         &mut self,
         now: Time,
         vm: &mut VmSystem,
         obj: VmObjId,
         call: EmmiToPager,
         out: &mut EngineFx,
-    );
+    ) {
+        match self {
+            Engine::Asvm(a) => a.handle_emmi(now, vm, obj, call, &mut out.asvm),
+            Engine::Xmm(x) => x.handle_emmi(now, vm, obj, call, &mut out.xmm),
+        }
+    }
 
-    /// Handles one inbound protocol message.
-    fn handle_protocol(
+    /// Handles one inbound protocol message. A message of the other
+    /// engine's kind cannot happen in a well-formed cluster (every node
+    /// runs the same engine); it is dropped rather than panicking, so a
+    /// corrupt message cannot take the whole simulation down.
+    pub fn handle_protocol(
         &mut self,
         now: Time,
         vm: &mut VmSystem,
         msg: ProtocolMsg,
         out: &mut EngineFx,
-    );
+    ) {
+        match (self, msg) {
+            (Engine::Asvm(a), ProtocolMsg::Asvm { from, msg }) => {
+                a.handle_msg(now, vm, from, msg, &mut out.asvm);
+            }
+            (Engine::Xmm(x), ProtocolMsg::Xmm(m)) => x.handle_msg(now, vm, m, &mut out.xmm),
+            (_, msg) => debug_assert!(false, "message for the other engine: {msg:?}"),
+        }
+    }
 
     /// Handles a real pager's EMMI reply for a managed object.
-    fn handle_pager_reply(
+    pub fn handle_pager_reply(
         &mut self,
         now: Time,
         vm: &mut VmSystem,
         obj: VmObjId,
         reply: EmmiToKernel,
         out: &mut EngineFx,
-    );
+    ) {
+        match self {
+            Engine::Asvm(a) => a.on_pager_reply(now, vm, obj, reply, &mut out.asvm),
+            Engine::Xmm(x) => x.on_pager_reply(now, vm, obj, reply, &mut out.xmm),
+        }
+    }
 
     /// Handles the kernel evicting a page of a managed object.
     #[allow(clippy::too_many_arguments)]
-    fn handle_evict(
+    pub fn handle_evict(
         &mut self,
         now: Time,
         vm: &mut VmSystem,
@@ -342,53 +467,87 @@ pub trait CoherenceEngine {
         data: PageData,
         dirty: bool,
         out: &mut EngineFx,
-    );
-
-    /// A delayed copy of `source` was created locally. Engines without
-    /// distributed copy management ignore it.
-    fn copy_created(
-        &mut self,
-        _now: Time,
-        _vm: &mut VmSystem,
-        _source: VmObjId,
-        _out: &mut EngineFx,
     ) {
+        match self {
+            Engine::Asvm(a) => a.evict_external(now, vm, obj, page, data, dirty, &mut out.asvm),
+            Engine::Xmm(x) => x.evict_external(now, vm, obj, page, data, dirty, &mut out.xmm),
+        }
+    }
+
+    /// A delayed copy of `source` was created locally. Only ASVM copies
+    /// of managed objects trigger the distributed version bump (§3.7);
+    /// anonymous shadow-chain internals stay local, and XMM has no
+    /// distributed copy management.
+    pub fn copy_created(
+        &mut self,
+        now: Time,
+        vm: &mut VmSystem,
+        source: VmObjId,
+        out: &mut EngineFx,
+    ) {
+        match self {
+            Engine::Asvm(a) => {
+                if let Some(mobj) = a.mobj_of(source) {
+                    a.copy_made_local(now, vm, mobj, &mut out.asvm);
+                }
+            }
+            Engine::Xmm(_) => {}
+        }
     }
 
     /// A fault completed. Returning `false` resumes the faulting task (the
-    /// normal case); an engine that runs pseudo tasks (XMM's internal
-    /// pagers) may claim the completion, returning `true` with follow-up
+    /// normal case). XMM's internal-pager pseudo tasks never resume a
+    /// program: their completions feed the copy-pager state machine
+    /// (§2.3.3), so XMM claims them, returning `true` with follow-up
     /// effects in `out`.
-    fn fault_completed(
+    pub fn fault_completed(
         &mut self,
-        _now: Time,
-        _vm: &mut VmSystem,
-        _task: TaskId,
-        _fault: machvm::FaultId,
-        _out: &mut EngineFx,
+        now: Time,
+        vm: &mut VmSystem,
+        task: TaskId,
+        fault: machvm::FaultId,
+        out: &mut EngineFx,
     ) -> bool {
-        false
+        match self {
+            Engine::Xmm(x) if x.is_ip_task(task) => {
+                x.ip_fault_done(now, vm, task, fault, &mut out.xmm);
+                true
+            }
+            Engine::Asvm(_) | Engine::Xmm(_) => false,
+        }
     }
 
     /// The failure detector suspects `peer` (see `docs/RELIABILITY.md`).
-    /// Engines without recovery machinery ignore it — XMM deliberately
-    /// stays the fragile baseline.
-    fn peer_suspected(
+    /// XMM has no recovery machinery and ignores it: it deliberately stays
+    /// the fragile baseline.
+    pub fn peer_suspected(
         &mut self,
-        _now: Time,
-        _vm: &mut VmSystem,
-        _peer: NodeId,
-        _out: &mut EngineFx,
+        now: Time,
+        vm: &mut VmSystem,
+        peer: NodeId,
+        out: &mut EngineFx,
     ) {
+        match self {
+            Engine::Asvm(a) => a.peer_suspected(now, vm, peer, &mut out.asvm),
+            Engine::Xmm(_) => {}
+        }
     }
 
     /// The failure detector heard from a previously suspected `peer`.
-    fn peer_cleared(&mut self, _now: Time, _vm: &mut VmSystem, _peer: NodeId, _out: &mut EngineFx) {
+    pub fn peer_cleared(&mut self, peer: NodeId) {
+        match self {
+            Engine::Asvm(a) => a.peer_cleared(peer),
+            Engine::Xmm(_) => {}
+        }
     }
 
     /// Periodic watchdog pass: re-issue requests stalled past `deadline`.
     /// Driven by the heartbeat tick, only under active fault plans.
-    fn on_watchdog(&mut self, _now: Time, _deadline: Dur, _vm: &mut VmSystem, _out: &mut EngineFx) {
+    pub fn on_watchdog(&mut self, now: Time, deadline: Dur, vm: &mut VmSystem, out: &mut EngineFx) {
+        match self {
+            Engine::Asvm(a) => a.watchdog(now, deadline, vm, &mut out.asvm),
+            Engine::Xmm(_) => {}
+        }
     }
 
     /// The node's last task finished under an active fault plan, so its
@@ -396,278 +555,38 @@ pub trait CoherenceEngine {
     /// transport has no link ARQ, so a request it lost is re-issued by
     /// nothing but that watchdog. Returns whether peers run a failure
     /// detector against this node and must be told the coming silence is
-    /// deliberate.
-    fn on_idle(&mut self, _lossy_carrier: bool, _out: &mut EngineFx) -> bool {
-        false
+    /// deliberate (ASVM: yes; XMM: no).
+    pub fn on_idle(&mut self, lossy_carrier: bool, out: &mut EngineFx) -> bool {
+        match self {
+            Engine::Asvm(a) => {
+                if lossy_carrier {
+                    // Speculation nobody is left to claim must not wait on
+                    // a re-issue that will never come.
+                    for _ in 0..a.cancel_unclaimed_speculation() {
+                        out.asvm.bump("asvm.prefetch.cancelled");
+                    }
+                }
+                true
+            }
+            Engine::Xmm(_) => false,
+        }
     }
 
     // --- Optional capabilities ----------------------------------------------------
 
-    /// Whether [`CoherenceEngine::note_access`] wants to hear about
-    /// accesses that hit in local memory. One boolean test per hit, so
-    /// engines that do not care cost the hot path nothing.
-    fn wants_access_notes(&self) -> bool {
-        false
+    /// Whether [`Engine::note_access`] wants to hear about accesses that
+    /// hit in local memory. One boolean test per hit, so runs that do not
+    /// care cost the hot path nothing.
+    pub fn wants_access_notes(&self) -> bool {
+        match self {
+            Engine::Asvm(a) => a.wants_access_notes(),
+            Engine::Xmm(_) => false,
+        }
     }
 
     /// A demand access to `page` of `obj` was satisfied locally (no fault).
     #[allow(clippy::too_many_arguments)]
-    fn note_access(
-        &mut self,
-        _now: Time,
-        _vm: &mut VmSystem,
-        _obj: VmObjId,
-        _page: PageIdx,
-        _write: bool,
-        _out: &mut EngineFx,
-    ) {
-    }
-
-    /// Requests an exclusive range lock (§6 future work). Returns whether
-    /// it was granted within this call; otherwise the grant arrives later
-    /// as a lock-granted effect.
-    ///
-    /// # Panics
-    ///
-    /// Panics on engines without range locks.
-    fn lock_range(&mut self, _mobj: MemObjId, _range: PageRange, _out: &mut EngineFx) -> bool {
-        panic!(
-            "range locks require an ASVM cluster (this one runs {})",
-            self.name()
-        )
-    }
-
-    /// Releases a range lock previously granted to this node.
-    ///
-    /// # Panics
-    ///
-    /// Panics on engines without range locks.
-    fn unlock_range(&mut self, _mobj: MemObjId, _range: PageRange, _out: &mut EngineFx) {
-        panic!(
-            "range locks require an ASVM cluster (this one runs {})",
-            self.name()
-        )
-    }
-
-    // --- Inspection (invariant checks, tests, bench probes) -----------------------
-
-    /// Read-only view of the ASVM instance, if this engine is ASVM.
-    fn as_asvm(&self) -> Option<&AsvmNode> {
-        None
-    }
-
-    /// Read-only view of the XMM instance, if this engine is XMM.
-    fn as_xmm(&self) -> Option<&XmmNode> {
-        None
-    }
-}
-
-impl CoherenceEngine for AsvmNode {
-    fn name(&self) -> &'static str {
-        "asvm"
-    }
-
-    fn mobj_of(&self, obj: VmObjId) -> Option<MemObjId> {
-        AsvmNode::mobj_of(self, obj)
-    }
-
-    fn vm_obj_of(&self, mobj: MemObjId) -> Option<VmObjId> {
-        self.find_object(mobj).map(|o| o.vm_obj)
-    }
-
-    fn state_bytes(&self) -> u64 {
-        AsvmNode::state_bytes(self)
-    }
-
-    fn register(&mut self, mobj: MemObjId, vm_obj: VmObjId, info: &ObjInfo, out: &mut EngineFx) {
-        let o = asvm::AsvmObject::new(
-            mobj,
-            vm_obj,
-            info.size_pages,
-            info.home,
-            info.pager_node,
-            self.me(),
-            info.cfg,
-        );
-        self.register_object(o, &mut out.asvm);
-        asvm::declare_copy_link(self, mobj, info.source, info.peer);
-    }
-
-    fn fork_export(
-        &mut self,
-        _now: Time,
-        vm: &mut VmSystem,
-        parent: TaskId,
-        pager_node: NodeId,
-        ids: &mut IdAlloc,
-        out: &mut EngineFx,
-    ) -> Vec<ForkEntry> {
-        let mut fes = Vec::new();
-        for e in vm.address_map(parent).entries().to_vec() {
-            match e.inherit {
-                Inherit::None => {}
-                Inherit::Share => {
-                    let mobj = AsvmNode::mobj_of(self, e.object)
-                        .expect("Share-inherited region must be ASVM-managed");
-                    fes.push(ForkEntry::Share {
-                        va_page: e.va_page,
-                        pages: e.pages,
-                        prot: e.prot,
-                        inherit: e.inherit,
-                        mobj,
-                        info: obj_info(self, mobj),
-                    });
-                }
-                Inherit::Copy => {
-                    let source_mobj =
-                        manage_copy_source(self, vm, e.object, pager_node, ids, &mut out.asvm);
-                    fes.push(ForkEntry::CopyAsvm {
-                        va_page: e.va_page,
-                        pages: e.pages,
-                        prot: e.prot,
-                        source_mobj,
-                        info: obj_info(self, source_mobj),
-                    });
-                }
-            }
-        }
-        fes
-    }
-
-    fn import_copy(
-        &mut self,
-        vm: &mut VmSystem,
-        child: TaskId,
-        entry: ForkEntry,
-        out: &mut EngineFx,
-    ) -> Option<MemObjId> {
-        let ForkEntry::CopyAsvm {
-            va_page,
-            pages,
-            prot,
-            source_mobj,
-            info,
-        } = entry
-        else {
-            panic!("ASVM cannot import fork entry {entry:?}");
-        };
-        // Paper §3.7: establish a shared mapping of the source, then
-        // create a local copy through the VM; the resulting CopyCreated
-        // effect broadcasts the version bump, and the fork completes only
-        // when every member settled it.
-        let src_vo = self.ensure_object(vm, source_mobj, &info, out);
-        let copy = vm.copy_delayed(src_vo, &mut out.asvm.vm);
-        vm.map_object(child, va_page, pages, copy, 0, prot, Inherit::Copy);
-        Some(source_mobj)
-    }
-
-    fn set_object_stripe(&mut self, mobj: MemObjId, stripe: Vec<NodeId>) {
-        self.object_mut(mobj).stripe = stripe;
-    }
-
-    fn registered_objects(&self) -> Vec<MemObjId> {
-        self.objects().map(|o| o.mobj).collect()
-    }
-
-    fn finalize_membership(&mut self, members: &BTreeMap<MemObjId, Vec<NodeId>>) {
-        for mobj in self.registered_objects() {
-            if let Some(list) = members.get(&mobj) {
-                self.object_mut(mobj).nodes = list.clone();
-            }
-        }
-    }
-
-    fn handle_emmi(
-        &mut self,
-        now: Time,
-        vm: &mut VmSystem,
-        obj: VmObjId,
-        call: EmmiToPager,
-        out: &mut EngineFx,
-    ) {
-        AsvmNode::handle_emmi(self, now, vm, obj, call, &mut out.asvm);
-    }
-
-    fn handle_protocol(
-        &mut self,
-        now: Time,
-        vm: &mut VmSystem,
-        msg: ProtocolMsg,
-        out: &mut EngineFx,
-    ) {
-        match msg {
-            ProtocolMsg::Asvm { from, msg } => {
-                AsvmNode::handle_msg(self, now, vm, from, msg, &mut out.asvm);
-            }
-            ProtocolMsg::Xmm(m) => {
-                // Cannot happen in a well-formed cluster (every node runs
-                // the same engine); drop rather than panic so a corrupt
-                // message cannot take the whole simulation down.
-                debug_assert!(false, "XMMI message delivered to ASVM engine: {m:?}");
-            }
-        }
-    }
-
-    fn handle_pager_reply(
-        &mut self,
-        now: Time,
-        vm: &mut VmSystem,
-        obj: VmObjId,
-        reply: EmmiToKernel,
-        out: &mut EngineFx,
-    ) {
-        AsvmNode::on_pager_reply(self, now, vm, obj, reply, &mut out.asvm);
-    }
-
-    fn handle_evict(
-        &mut self,
-        now: Time,
-        vm: &mut VmSystem,
-        obj: VmObjId,
-        page: PageIdx,
-        data: PageData,
-        dirty: bool,
-        out: &mut EngineFx,
-    ) {
-        AsvmNode::evict_external(self, now, vm, obj, page, data, dirty, &mut out.asvm);
-    }
-
-    fn copy_created(&mut self, now: Time, vm: &mut VmSystem, source: VmObjId, out: &mut EngineFx) {
-        // Only copies of managed objects trigger the distributed version
-        // bump (§3.7); anonymous shadow-chain internals stay local.
-        if let Some(mobj) = AsvmNode::mobj_of(self, source) {
-            AsvmNode::copy_made_local(self, now, vm, mobj, &mut out.asvm);
-        }
-    }
-
-    fn peer_suspected(&mut self, now: Time, vm: &mut VmSystem, peer: NodeId, out: &mut EngineFx) {
-        AsvmNode::peer_suspected(self, now, vm, peer, &mut out.asvm);
-    }
-
-    fn peer_cleared(&mut self, _now: Time, _vm: &mut VmSystem, peer: NodeId, _out: &mut EngineFx) {
-        AsvmNode::peer_cleared(self, peer);
-    }
-
-    fn on_watchdog(&mut self, now: Time, deadline: Dur, vm: &mut VmSystem, out: &mut EngineFx) {
-        AsvmNode::watchdog(self, now, deadline, vm, &mut out.asvm);
-    }
-
-    fn on_idle(&mut self, lossy_carrier: bool, out: &mut EngineFx) -> bool {
-        if lossy_carrier {
-            // Speculation nobody is left to claim must not wait on a
-            // re-issue that will never come.
-            for _ in 0..self.cancel_unclaimed_speculation() {
-                out.asvm.bump("asvm.prefetch.cancelled");
-            }
-        }
-        true
-    }
-
-    fn wants_access_notes(&self) -> bool {
-        AsvmNode::wants_access_notes(self)
-    }
-
-    fn note_access(
+    pub fn note_access(
         &mut self,
         now: Time,
         vm: &mut VmSystem,
@@ -676,21 +595,174 @@ impl CoherenceEngine for AsvmNode {
         write: bool,
         out: &mut EngineFx,
     ) {
-        self.prefetch_note_access(now, vm, obj, page, write, &mut out.asvm);
+        match self {
+            Engine::Asvm(a) => {
+                a.prefetch_note_access(now, vm, obj, page, write, &mut out.asvm);
+            }
+            Engine::Xmm(_) => {}
+        }
     }
 
-    fn lock_range(&mut self, mobj: MemObjId, range: PageRange, out: &mut EngineFx) -> bool {
-        AsvmNode::lock_range(self, mobj, range, &mut out.asvm);
-        out.asvm.lock_granted.contains(&(mobj, range))
+    /// Requests an exclusive range lock (§6 future work). Returns whether
+    /// it was granted within this call; otherwise the grant arrives later
+    /// as a lock-granted effect.
+    ///
+    /// # Panics
+    ///
+    /// Panics on XMM, which has no range locks.
+    pub fn lock_range(&mut self, mobj: MemObjId, range: PageRange, out: &mut EngineFx) -> bool {
+        match self {
+            Engine::Asvm(a) => {
+                a.lock_range(mobj, range, &mut out.asvm);
+                out.asvm.lock_granted.contains(&(mobj, range))
+            }
+            Engine::Xmm(_) => panic!("{NO_RANGE_LOCKS}"),
+        }
     }
 
-    fn unlock_range(&mut self, mobj: MemObjId, range: PageRange, out: &mut EngineFx) {
-        AsvmNode::unlock_range(self, mobj, range, &mut out.asvm);
+    /// Releases a range lock previously granted to this node.
+    ///
+    /// # Panics
+    ///
+    /// Panics on XMM, which has no range locks.
+    pub fn unlock_range(&mut self, mobj: MemObjId, range: PageRange, out: &mut EngineFx) {
+        match self {
+            Engine::Asvm(a) => a.unlock_range(mobj, range, &mut out.asvm),
+            Engine::Xmm(_) => panic!("{NO_RANGE_LOCKS}"),
+        }
     }
 
-    fn as_asvm(&self) -> Option<&AsvmNode> {
-        Some(self)
+    // --- Inspection (invariant checks, tests, bench probes) -----------------------
+
+    /// Read-only view of the ASVM instance, if this engine is ASVM.
+    pub fn as_asvm(&self) -> Option<&AsvmNode> {
+        match self {
+            Engine::Asvm(a) => Some(a),
+            Engine::Xmm(_) => None,
+        }
     }
+
+    /// Read-only view of the XMM instance, if this engine is XMM.
+    pub fn as_xmm(&self) -> Option<&XmmNode> {
+        match self {
+            Engine::Xmm(x) => Some(x),
+            Engine::Asvm(_) => None,
+        }
+    }
+}
+
+/// The panic of a range-lock step on an XMM cluster.
+const NO_RANGE_LOCKS: &str = "range locks require an ASVM cluster (this one runs XMM)";
+
+/// [`Engine::fork_export`] on ASVM: `Copy` regions become distributed
+/// delayed copies of ASVM-managed sources (§3.7).
+fn asvm_fork_export(
+    a: &mut AsvmNode,
+    vm: &mut VmSystem,
+    parent: TaskId,
+    pager_node: NodeId,
+    ids: &mut IdAlloc,
+    fx: &mut asvm::Fx,
+) -> Vec<ForkEntry> {
+    let mut fes = Vec::new();
+    for e in vm.address_map(parent).entries().to_vec() {
+        match e.inherit {
+            Inherit::None => {}
+            Inherit::Share => {
+                let mobj = a
+                    .mobj_of(e.object)
+                    .expect("Share-inherited region must be ASVM-managed");
+                fes.push(ForkEntry::Share {
+                    va_page: e.va_page,
+                    pages: e.pages,
+                    prot: e.prot,
+                    inherit: e.inherit,
+                    mobj,
+                    info: obj_info(a, mobj),
+                });
+            }
+            Inherit::Copy => {
+                let source_mobj = manage_copy_source(a, vm, e.object, pager_node, ids, fx);
+                fes.push(ForkEntry::CopyAsvm {
+                    va_page: e.va_page,
+                    pages: e.pages,
+                    prot: e.prot,
+                    source_mobj,
+                    info: obj_info(a, source_mobj),
+                });
+            }
+        }
+    }
+    fes
+}
+
+/// [`Engine::fork_export`] on XMM: the parent's address space is
+/// snapshotted into a pseudo task, and internal pagers serve the copies
+/// (§2.3.3).
+fn xmm_fork_export(
+    x: &mut XmmNode,
+    now: Time,
+    vm: &mut VmSystem,
+    parent: TaskId,
+    ids: &mut IdAlloc,
+    fx: &mut xmm::Fx,
+) -> Vec<ForkEntry> {
+    let entries = vm.address_map(parent).entries().to_vec();
+    let pseudo = ids.pseudo_task();
+    vm.fork_local(now, parent, pseudo, &mut fx.vm);
+    let mut fes = Vec::new();
+    for e in entries {
+        match e.inherit {
+            Inherit::None => {}
+            Inherit::Share => {
+                let mobj = x
+                    .mobj_of(e.object)
+                    .expect("Share-inherited region must be XMM-managed");
+                let xo = x.object(mobj);
+                let XmmBacking::RealPager { node: pager_node } = xo.backing else {
+                    panic!("shared mapping of internal-pager object")
+                };
+                fes.push(ForkEntry::Share {
+                    va_page: e.va_page,
+                    pages: e.pages,
+                    prot: e.prot,
+                    inherit: e.inherit,
+                    mobj,
+                    info: ObjInfo {
+                        size_pages: xo.size_pages,
+                        home: xo.manager,
+                        pager_node,
+                        cfg: asvm::AsvmConfig::default(),
+                        peer: None,
+                        source: None,
+                    },
+                });
+            }
+            Inherit::Copy => {
+                if let Some(m) = x.mobj_of(e.object) {
+                    // Inherited-memory *chains* are fine (the object is
+                    // backed by an internal pager); combining truly shared
+                    // (real-pager) memory with inheritance is NMK13's
+                    // semantic gap and unsupported.
+                    assert!(
+                        matches!(x.object(m).backing, XmmBacking::InternalPager { .. }),
+                        "NMK13 XMM cannot combine shared and inherited memory \
+                         (the semantic gap the paper notes)"
+                    );
+                }
+                let mobj = ids.mobj();
+                x.register_internal_pager(mobj, pseudo, e.va_page);
+                fes.push(ForkEntry::CopyXmm {
+                    va_page: e.va_page,
+                    pages: e.pages,
+                    prot: e.prot,
+                    mobj,
+                    ip_node: x.me(),
+                });
+            }
+        }
+    }
+    fes
 }
 
 /// What another node needs to instantiate `mobj`, as this node knows it.
@@ -740,194 +812,6 @@ fn manage_copy_source(
     mobj
 }
 
-impl CoherenceEngine for XmmNode {
-    fn name(&self) -> &'static str {
-        "xmm"
-    }
-
-    fn mobj_of(&self, obj: VmObjId) -> Option<MemObjId> {
-        XmmNode::mobj_of(self, obj)
-    }
-
-    fn vm_obj_of(&self, mobj: MemObjId) -> Option<VmObjId> {
-        self.has_object(mobj).then(|| self.object(mobj).vm_obj)
-    }
-
-    fn state_bytes(&self) -> u64 {
-        XmmNode::state_bytes(self)
-    }
-
-    fn register(&mut self, mobj: MemObjId, vm_obj: VmObjId, info: &ObjInfo, _out: &mut EngineFx) {
-        let backing = XmmBacking::RealPager {
-            node: info.pager_node,
-        };
-        self.register_object(mobj, vm_obj, info.size_pages, info.home, backing);
-    }
-
-    fn fork_export(
-        &mut self,
-        now: Time,
-        vm: &mut VmSystem,
-        parent: TaskId,
-        _pager_node: NodeId,
-        ids: &mut IdAlloc,
-        out: &mut EngineFx,
-    ) -> Vec<ForkEntry> {
-        let entries = vm.address_map(parent).entries().to_vec();
-        // Snapshot the parent's address space into a pseudo task;
-        // internal pagers serve the copies (paper §2.3.3).
-        let pseudo = ids.pseudo_task();
-        vm.fork_local(now, parent, pseudo, &mut out.xmm.vm);
-        let mut fes = Vec::new();
-        for e in entries {
-            match e.inherit {
-                Inherit::None => {}
-                Inherit::Share => {
-                    let mobj = XmmNode::mobj_of(self, e.object)
-                        .expect("Share-inherited region must be XMM-managed");
-                    let xo = self.object(mobj);
-                    let XmmBacking::RealPager { node: pager_node } = xo.backing else {
-                        panic!("shared mapping of internal-pager object")
-                    };
-                    fes.push(ForkEntry::Share {
-                        va_page: e.va_page,
-                        pages: e.pages,
-                        prot: e.prot,
-                        inherit: e.inherit,
-                        mobj,
-                        info: ObjInfo {
-                            size_pages: xo.size_pages,
-                            home: xo.manager,
-                            pager_node,
-                            cfg: asvm::AsvmConfig::default(),
-                            peer: None,
-                            source: None,
-                        },
-                    });
-                }
-                Inherit::Copy => {
-                    if let Some(m) = XmmNode::mobj_of(self, e.object) {
-                        // Inherited-memory *chains* are fine (the object
-                        // is backed by an internal pager); combining
-                        // truly shared (real-pager) memory with
-                        // inheritance is NMK13's semantic gap and
-                        // unsupported.
-                        assert!(
-                            matches!(self.object(m).backing, XmmBacking::InternalPager { .. }),
-                            "NMK13 XMM cannot combine shared and inherited memory \
-                             (the semantic gap the paper notes)"
-                        );
-                    }
-                    let mobj = ids.mobj();
-                    self.register_internal_pager(mobj, pseudo, e.va_page);
-                    fes.push(ForkEntry::CopyXmm {
-                        va_page: e.va_page,
-                        pages: e.pages,
-                        prot: e.prot,
-                        mobj,
-                        ip_node: self.me(),
-                    });
-                }
-            }
-        }
-        fes
-    }
-
-    fn import_copy(
-        &mut self,
-        vm: &mut VmSystem,
-        child: TaskId,
-        entry: ForkEntry,
-        _out: &mut EngineFx,
-    ) -> Option<MemObjId> {
-        let ForkEntry::CopyXmm {
-            va_page,
-            pages,
-            prot,
-            mobj,
-            ip_node,
-        } = entry
-        else {
-            panic!("XMM cannot import fork entry {entry:?}");
-        };
-        let vo = vm.create_object(pages, Backing::External(mobj));
-        let backing = XmmBacking::InternalPager { node: ip_node };
-        self.register_object(mobj, vo, pages, ip_node, backing);
-        vm.map_object(child, va_page, pages, vo, 0, prot, Inherit::Copy);
-        None
-    }
-
-    fn handle_emmi(
-        &mut self,
-        now: Time,
-        vm: &mut VmSystem,
-        obj: VmObjId,
-        call: EmmiToPager,
-        out: &mut EngineFx,
-    ) {
-        XmmNode::handle_emmi(self, now, vm, obj, call, &mut out.xmm);
-    }
-
-    fn handle_protocol(
-        &mut self,
-        now: Time,
-        vm: &mut VmSystem,
-        msg: ProtocolMsg,
-        out: &mut EngineFx,
-    ) {
-        match msg {
-            ProtocolMsg::Xmm(m) => XmmNode::handle_msg(self, now, vm, m, &mut out.xmm),
-            ProtocolMsg::Asvm { msg, .. } => {
-                debug_assert!(false, "ASVM message delivered to XMM engine: {msg:?}");
-            }
-        }
-    }
-
-    fn handle_pager_reply(
-        &mut self,
-        now: Time,
-        vm: &mut VmSystem,
-        obj: VmObjId,
-        reply: EmmiToKernel,
-        out: &mut EngineFx,
-    ) {
-        XmmNode::on_pager_reply(self, now, vm, obj, reply, &mut out.xmm);
-    }
-
-    fn handle_evict(
-        &mut self,
-        now: Time,
-        vm: &mut VmSystem,
-        obj: VmObjId,
-        page: PageIdx,
-        data: PageData,
-        dirty: bool,
-        out: &mut EngineFx,
-    ) {
-        XmmNode::evict_external(self, now, vm, obj, page, data, dirty, &mut out.xmm);
-    }
-
-    fn fault_completed(
-        &mut self,
-        now: Time,
-        vm: &mut VmSystem,
-        task: TaskId,
-        fault: machvm::FaultId,
-        out: &mut EngineFx,
-    ) -> bool {
-        // Internal-pager pseudo tasks never resume a program; their fault
-        // completions feed the copy-pager state machine (§2.3.3).
-        if !self.is_ip_task(task) {
-            return false;
-        }
-        self.ip_fault_done(now, vm, task, fault, &mut out.xmm);
-        true
-    }
-
-    fn as_xmm(&self) -> Option<&XmmNode> {
-        Some(self)
-    }
-}
 /// Direction of a traced protocol event, relative to the recording node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TraceDir {

@@ -4,8 +4,8 @@
 //!
 //! The crate provides:
 //!
-//! * [`CoherenceEngine`] — the trait boundary every distributed memory
-//!   manager implements ([`asvm::AsvmNode`] and [`xmm::XmmNode`]); each
+//! * [`Engine`] — the closed boundary over the two distributed memory
+//!   managers ([`asvm::AsvmNode`] and [`xmm::XmmNode`]); each
 //!   entry point writes the manager's own effect sink ([`EngineFx`],
 //!   one [`machvm::Fx`] per manager), drained in place by the node's
 //!   single effect interpreter, which owns transport choice, pager
@@ -32,7 +32,7 @@ pub mod program;
 pub mod ssi;
 pub mod validate;
 
-pub use engine::{CoherenceEngine, EngineFx, IdAlloc, ProtoEvent, ProtocolMsg, TraceDir};
+pub use engine::{Engine, EngineFx, IdAlloc, ProtoEvent, ProtocolMsg, TraceDir};
 pub use msg::{ForkEntry, ForkMsg, Msg, ObjInfo};
 pub use node::{ClusterNode, LinkFailure};
 pub use program::{FnProgram, Program, ScriptProgram, Step, TaskEnv};

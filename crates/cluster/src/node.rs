@@ -1,8 +1,8 @@
 //! The cluster node: kernel VM + coherence engine + pagers + task driver,
 //! bound to the simulation event loop.
 //!
-//! Protocol work is delegated to the node's [`CoherenceEngine`] — only
-//! through the trait; this file never asks which engine it runs.
+//! Protocol work is delegated to the node's [`Engine`] through its
+//! methods alone; this file never asks which engine it runs.
 //! Everything the engine wants done is written into an [`EngineFx`] and
 //! drained by one interpreter (`ClusterNode::interpret`), which is the
 //! only place that chooses transports, routes pager traffic, counts
@@ -20,7 +20,7 @@ use svmsim::{Ctx, Dur, NodeBehavior, NodeId, NodeKind, Time, TraceRing};
 use transport::{once, CostClass, FaultClass, Frame, Transport};
 
 use crate::detector::{Detector, HB_PERIOD};
-use crate::engine::{CoherenceEngine, EngineFx, IdAlloc, ProtoEvent, ProtocolMsg, TraceDir};
+use crate::engine::{Engine, EngineFx, IdAlloc, ProtoEvent, ProtocolMsg, TraceDir};
 use crate::msg::{ForkMsg, Msg};
 use crate::program::{Program, Step, TaskEnv};
 
@@ -72,8 +72,8 @@ pub struct ClusterNode {
     pub id: NodeId,
     /// The kernel VM system.
     pub vm: VmSystem,
-    /// The coherence engine (ASVM or XMM behind one trait).
-    pub engine: Box<dyn CoherenceEngine>,
+    /// The coherence engine (ASVM or XMM behind one enum).
+    pub engine: Engine,
     /// File pager (I/O nodes only).
     pub file_pager: Option<FilePager>,
     /// Default pager (I/O nodes only).
@@ -129,13 +129,7 @@ pub struct ClusterNode {
 
 impl ClusterNode {
     /// Builds a node.
-    pub fn new(
-        id: NodeId,
-        vm: VmSystem,
-        engine: Box<dyn CoherenceEngine>,
-        kind: NodeKind,
-        page_size: u32,
-    ) -> Self {
+    pub fn new(id: NodeId, vm: VmSystem, engine: Engine, kind: NodeKind, page_size: u32) -> Self {
         let (file_pager, default_pager) = match kind {
             NodeKind::Io => (
                 Some(FilePager::new(page_size)),
@@ -695,10 +689,10 @@ impl ClusterNode {
     fn engine_call<R>(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        call: impl FnOnce(&mut dyn CoherenceEngine, &mut VmSystem, &mut EngineFx) -> R,
+        call: impl FnOnce(&mut Engine, &mut VmSystem, &mut EngineFx) -> R,
     ) -> R {
         let mut fx = self.take_fx();
-        let r = call(self.engine.as_mut(), &mut self.vm, &mut fx);
+        let r = call(&mut self.engine, &mut self.vm, &mut fx);
         self.run_fx(ctx, &mut fx);
         self.put_fx(fx);
         r
@@ -1228,7 +1222,7 @@ impl NodeBehavior<Msg> for ClusterNode {
                 let now = ctx.now();
                 for peer in self.detector.merge(now, &beats) {
                     ctx.stats().bump("cluster.suspect.cleared");
-                    self.engine_call(ctx, |e, vm, fx| e.peer_cleared(now, vm, peer, fx));
+                    self.engine.peer_cleared(peer);
                 }
             }
             Msg::HbTick => {

@@ -3,12 +3,11 @@
 
 use std::collections::BTreeMap;
 
-use asvm::{AsvmConfig, AsvmNode};
+use asvm::AsvmConfig;
 use machvm::{Access, Inherit, MemObjId, TaskId, VmSystem};
 use svmsim::{EventBudgetExceeded, Machine, MachineConfig, NodeId, Stats, Time, World};
-use xmm::XmmNode;
 
-use crate::engine::{EngineFx, ProtoEvent};
+use crate::engine::{Engine, EngineFx, ProtoEvent};
 use crate::msg::{Msg, ObjInfo};
 use crate::node::ClusterNode;
 use crate::program::Program;
@@ -110,10 +109,7 @@ impl Ssi {
             let cost = m.config.cost.clone();
             let capacity = m.config.user_pages_per_node();
             let vm = VmSystem::new(m.config.page_size, capacity, cost.clone());
-            let engine: Box<dyn crate::engine::CoherenceEngine> = match kind {
-                ManagerKind::Asvm(_) => Box::new(AsvmNode::new(id, cost)),
-                ManagerKind::Xmm { copy_threads } => Box::new(XmmNode::new(id, cost, copy_threads)),
-            };
+            let engine = Engine::new(id, cost, &kind);
             ClusterNode::new(id, vm, engine, m.kind(id), m.config.page_size)
         });
         Ssi {

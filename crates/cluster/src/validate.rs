@@ -19,7 +19,7 @@ use crate::ssi::Ssi;
 
 /// Read-only engine inspectors for the checks below, tests, examples and
 /// bench probes. They live here, not in `node.rs`: the node's own control
-/// flow goes through [`crate::CoherenceEngine`] alone.
+/// flow goes through [`crate::Engine`]'s methods alone.
 impl ClusterNode {
     /// The ASVM instance, if this node runs ASVM.
     pub fn asvm(&self) -> Option<&AsvmNode> {

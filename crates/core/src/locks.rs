@@ -35,7 +35,7 @@ pub struct HeldLock {
 }
 
 /// Lock-manager state for one object (home node only).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct RangeLockMgr {
     held: Vec<HeldLock>,
     queue: VecDeque<HeldLock>,

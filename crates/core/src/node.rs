@@ -50,6 +50,7 @@ use crate::protocol::{AsvmMsg, ReqKind, ReqPath};
 pub type Fx = machvm::Fx<AsvmMsg>;
 
 /// The ASVM instance of one node.
+#[derive(Clone)]
 pub struct AsvmNode {
     me: NodeId,
     cost: CostModel,
@@ -448,7 +449,7 @@ impl AsvmNode {
 
     /// The VM evicted `page` of `vm_obj`; run the four-step internode
     /// pageout algorithm (§3.6).
-    #[allow(clippy::too_many_arguments)] // fixed by `CoherenceEngine::handle_evict`
+    #[allow(clippy::too_many_arguments)] // fixed by `Engine::handle_evict`
     pub fn evict_external(
         &mut self,
         now: Time,

@@ -19,6 +19,7 @@ const PAGES: u32 = 16;
 
 /// A miniature cluster: ASVM instances with their VM systems, a message
 /// bag, and a fake pager that answers data requests with stamps.
+#[derive(Clone)]
 struct MiniNet {
     nodes: Vec<(AsvmNode, VmSystem)>,
     /// In-flight protocol messages: (from, to, msg).
@@ -26,7 +27,7 @@ struct MiniNet {
     /// In-flight pager requests.
     pager_wire: Vec<PagerSend>,
     /// What the fake pager supplies per page.
-    pager_data: Box<dyn Fn(PageIdx) -> PageData>,
+    pager_data: fn(PageIdx) -> PageData,
     /// Every protocol message absorbed onto the wire, by stat key.
     sent: Vec<&'static str>,
     /// Every counter bumped by an absorbed effect set.
@@ -57,7 +58,7 @@ impl MiniNet {
             nodes,
             wire: Vec::new(),
             pager_wire: Vec::new(),
-            pager_data: Box::new(|_| PageData::Zero),
+            pager_data: |_| PageData::Zero,
             sent: Vec::new(),
             bumps: Vec::new(),
             now_ns: 0,
@@ -602,7 +603,7 @@ fn copy_made_bumps_version_and_write_protects() {
 #[test]
 fn pager_contents_flow_through_grants() {
     let mut net = MiniNet::new(2, AsvmConfig::default());
-    net.pager_data = Box::new(|p| PageData::Word(0xF00D_0000 + p.0 as u64));
+    net.pager_data = |p| PageData::Word(0xF00D_0000 + p.0 as u64);
     let t0 = net.add_task(0);
     net.fault(0, t0, 6, Access::Read);
     let now = net.now();
@@ -1325,4 +1326,37 @@ fn pages_owned_by_pager_fill_or_write_are_never_returned() {
 #[test]
 fn the_lent_bit_costs_no_page_record_bytes() {
     assert_eq!(std::mem::size_of::<PageInfo>(), 128);
+}
+
+/// The engine stack is `Clone`: a copy taken with messages in flight
+/// replays the same run when delivered in the same order, and the two
+/// copies share nothing.
+#[test]
+fn a_cloned_mini_net_replays_the_same_run_and_shares_nothing() {
+    let mut net = MiniNet::new(4, AsvmConfig::default());
+    let tasks: Vec<_> = (0..4).map(|n| net.add_task(n)).collect();
+    net.fault(0, tasks[0], 0, Access::Write);
+    net.fault(1, tasks[1], 1, Access::Write);
+    net.raise(1, tasks[1], 0, Access::Write);
+    net.raise(2, tasks[2], 0, Access::Read);
+    net.raise(3, tasks[3], 1, Access::Read);
+    assert!(!net.wire.is_empty(), "requests in flight");
+
+    let mut copy = net.clone();
+    let wire_at_clone = format!("{:?}", copy.wire);
+    let sent_at_clone = copy.sent.len();
+    net.settle();
+    assert_eq!(format!("{:?}", copy.wire), wire_at_clone);
+    copy.settle();
+
+    assert!(net.sent.len() > sent_at_clone, "settling sent messages");
+    assert_eq!(copy.sent, net.sent);
+    assert_eq!(copy.bumps, net.bumps);
+    for page in 0..PAGES {
+        assert_eq!(copy.owner_of(page), net.owner_of(page), "page {page}");
+        for n in 0..4 {
+            let state = |m: &MiniNet| m.page(n, page).map(|pi| (pi.access, pi.readers.clone()));
+            assert_eq!(state(&copy), state(&net), "node {n} page {page}");
+        }
+    }
 }

@@ -187,7 +187,7 @@ pub struct PendingLocal {
 
 /// Ownership reconstruction in progress at a static manager (or the node
 /// that inherited the role) for one page whose owner is suspected dead.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct RecoverState {
     /// Members whose [`crate::protocol::AsvmMsg::RecoverReply`] is still
     /// outstanding.
@@ -236,7 +236,7 @@ impl DynHint {
 }
 
 /// Per-node representation of one ASVM-managed memory object.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct AsvmObject {
     /// The distributed memory object.
     pub mobj: MemObjId,

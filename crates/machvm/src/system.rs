@@ -137,6 +137,7 @@ struct PendingFault {
 }
 
 /// The VM system of one node.
+#[derive(Clone)]
 pub struct VmSystem {
     page_size: u32,
     capacity_pages: u32,

@@ -53,21 +53,23 @@ impl TestRng {
     }
 }
 
-/// Runner configuration; only `cases` is meaningful here.
+/// Runner configuration: how many cases each property runs.
 #[derive(Clone, Debug)]
 pub struct ProptestConfig {
     /// Number of generated cases per property.
     pub cases: u32,
-    /// Accepted for source compatibility; unused (no shrinking).
-    pub max_shrink_iters: u32,
+}
+
+impl ProptestConfig {
+    /// A configuration running `cases` cases per property.
+    pub fn with_cases(cases: u32) -> Self {
+        ProptestConfig { cases }
+    }
 }
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig {
-            cases: 256,
-            max_shrink_iters: 0,
-        }
+        ProptestConfig::with_cases(256)
     }
 }
 
@@ -280,7 +282,7 @@ macro_rules! prop_assert_ne {
 ///
 /// ```ignore
 /// proptest! {
-///     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+///     #![proptest_config(ProptestConfig::with_cases(16))]
 ///     #[test]
 ///     fn prop_holds(x in 0u32..100, ys in prop::collection::vec(any::<bool>(), 0..8)) {
 ///         prop_assert!(x < 100);
@@ -339,7 +341,7 @@ mod tests {
     use super::prelude::*;
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn ranges_stay_in_bounds(x in 3u32..17, y in 0usize..5) {

@@ -202,7 +202,7 @@ impl Scenario {
 /// baseline's centralized manager keeps a lock-state table of one entry
 /// per page *per using node* — state that grows linearly with the
 /// cluster. The probe reads both through
-/// [`cluster::engine::CoherenceEngine::state_bytes`], so the `megascale`
+/// [`cluster::Engine::state_bytes`], so the `megascale`
 /// experiment can plot the ASVM-flat vs. XMM-growing curve directly. The
 /// queue fields are the telemetry behind the event queue's
 /// pre-reservation heuristic.

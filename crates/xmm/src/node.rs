@@ -54,7 +54,7 @@ struct PendingReq {
 }
 
 /// One in-flight transaction at the manager (one per page at a time).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Txn {
     req: PendingReq,
     awaiting: NodeSet,
@@ -63,7 +63,7 @@ struct Txn {
 }
 
 /// Centralized manager state for one object.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct MgrState {
     /// The paper's memory hog: one state byte per page per using node
     /// (0 = none, 1 = read, 2 = write).
@@ -101,7 +101,7 @@ impl MgrState {
 }
 
 /// Per-node representation of one XMM-managed object.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct XmmObject {
     /// The object.
     pub mobj: MemObjId,
@@ -121,7 +121,7 @@ pub struct XmmObject {
 
 /// An internal copy pager: serves one inherited memory object from a local
 /// fork-time snapshot.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct InternalPager {
     /// The object it backs.
     pub mobj: MemObjId,
@@ -134,6 +134,7 @@ pub struct InternalPager {
 }
 
 /// The XMM instance of one node.
+#[derive(Clone)]
 pub struct XmmNode {
     me: NodeId,
     cost: CostModel,

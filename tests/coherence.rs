@@ -24,10 +24,7 @@ fn trace_strategy(nodes: u16, pages: u32, max_ops: usize) -> impl Strategy<Value
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn asvm_is_strongly_coherent(ops in trace_strategy(4, 6, 24)) {

@@ -50,10 +50,7 @@ fn trace_strategy(nodes: u16, pages: u32, max_ops: usize) -> impl Strategy<Value
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Convergence under randomized fault plans: any barrier-sequenced
     /// trace, run under random drop/duplicate/delay rates, still satisfies
@@ -172,10 +169,7 @@ fn total_loss_exhausts_retries_cleanly() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 6,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Killing a static ownership-manager node mid-run: a randomly chosen
     /// compute node (which holds the static manager role for its share of

@@ -179,7 +179,7 @@ fn plan_strategy(links: usize) -> impl Strategy<Value = Vec<LinkPlan>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn asvm_chain_snapshots_hold(plans in plan_strategy(4)) {

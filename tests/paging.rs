@@ -123,7 +123,7 @@ fn churn(kind: ManagerKind, capacity_pages: u64, region: u32, stride: u32, nodes
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn asvm_survives_pressure(

@@ -1,5 +1,5 @@
 //! Cross-manager parity: the same randomized workload through both
-//! coherence engines, driven via the unified `CoherenceEngine` dispatcher.
+//! coherence engines, driven via the one `cluster::Engine` surface.
 //!
 //! Both managers promise the same memory model — strong coherence (paper
 //! §3.5) — so any barrier-sequenced trace must leave *identical* visible
@@ -232,10 +232,7 @@ fn asvm_backend_state(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 12,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The coherence check itself, through both engines: every in-trace and
     /// final read observes the sequential reference value.
