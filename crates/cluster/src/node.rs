@@ -114,6 +114,10 @@ pub struct ClusterNode {
     /// Failure detector: heartbeat counters, who was heard when, who is
     /// suspected (active fault plans only).
     pub detector: Detector,
+    /// The heartbeat/watchdog tick chain is running: an `HbTick` is
+    /// posted and will reschedule itself while tasks remain. Cleared when
+    /// the chain ends, so a later spawn here re-arms it.
+    pub hb_ticking: bool,
     /// Drained [`EngineFx`] shells reused across engine calls, so the
     /// per-message hot path allocates nothing in steady state. A pool
     /// (not a single slot) because `interpret` re-enters through
@@ -158,6 +162,7 @@ impl ClusterNode {
             link_rx: SlotTable::new(),
             rdma_links: BTreeSet::new(),
             link_failures: Vec::new(),
+            hb_ticking: false,
             detector: Detector::new(id),
             fx_pool: Vec::new(),
             effects_pool: Vec::new(),
@@ -559,7 +564,8 @@ impl ClusterNode {
     /// round's one peer, exposed to the fault plan, suspect peers silent
     /// too long, and let the engine re-issue stalled requests.
     /// Self-rescheduling while work remains; armed by the harness only
-    /// when the fault plan is active.
+    /// when the fault plan is active, and re-armed by a spawn after the
+    /// chain ended.
     fn on_hb_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
         let from = self.id;
@@ -587,6 +593,8 @@ impl ClusterNode {
             // in the past would fire back to back.
             let next = ctx.now() + HB_PERIOD;
             ctx.post_self(next, Msg::HbTick);
+        } else {
+            self.hb_ticking = false;
         }
     }
 

@@ -90,8 +90,6 @@ pub struct Ssi {
     /// Per-object ASVM configuration overrides, applied at registration
     /// in place of the cluster-wide configuration.
     object_cfgs: std::collections::BTreeMap<MemObjId, AsvmConfig>,
-    /// Nodes whose failure-detector heartbeat is already armed.
-    hb_armed: std::collections::BTreeSet<NodeId>,
 }
 
 impl Ssi {
@@ -119,7 +117,6 @@ impl Ssi {
             next_task: 1,
             striped: std::collections::BTreeMap::new(),
             object_cfgs: std::collections::BTreeMap::new(),
-            hb_armed: std::collections::BTreeSet::new(),
         }
     }
 
@@ -340,16 +337,19 @@ impl Ssi {
         let now = self.world.now();
         self.world.node_mut(node).install_task(task, program, now);
         self.world.post(at.max(now), node, Msg::Resume(task));
-        // Arm the failure detector on the first spawn per node. Heartbeats
-        // run only under an active fault plan (healthy runs stay
-        // byte-identical to a build without them), and only on nodes that
-        // actually host work — a task-less node never ticks, so its
+        // Arm the failure detector and watchdog unless the node's tick
+        // chain is already running — on its first spawn, and again on a
+        // spawn after its tasks all finished and the chain ended.
+        // Heartbeats run only under an active fault plan (healthy runs
+        // stay byte-identical to a build without them), and only on nodes
+        // that actually host work — a task-less node never ticks, so its
         // counter never advances anywhere, and the detector judges by
         // silence only peers it has seen beat.
         if matches!(self.kind, ManagerKind::Asvm(_))
             && self.world.machine().config.faults.is_active()
-            && self.hb_armed.insert(node)
+            && !self.world.node(node).hb_ticking
         {
+            self.world.node_mut(node).hb_ticking = true;
             self.world.post(now, node, Msg::HbTick);
         }
     }

@@ -660,12 +660,16 @@ fn evicted_page_is_written_back_before_the_paged_hint() {
     let mut asked = EngineFx::default();
     n1.engine
         .handle_evict(now, &mut n1.vm, obj, page, data, dirty, &mut asked);
-    assert!(matches!(
-        asked.asvm.net[..],
-        [(NodeId(0), AsvmMsg::AcceptAsk { .. })]
-    ));
-    // The peer declines (its AcceptAsk is answered by hand): step 4, with
-    // node 0 the static manager of page 0.
+    let [(NodeId(0), ref offer @ AsvmMsg::AcceptAsk { .. })] = asked.asvm.net[..] else {
+        panic!("one offer to the peer: {:?}", asked.asvm.net);
+    };
+    assert_eq!(
+        offer.payload_bytes(8192),
+        8192,
+        "the offer carries the page"
+    );
+    // The peer declines (the offer is dropped and its answer posted by
+    // hand): step 4, with node 0 the static manager of page 0.
     let from = NodeId(0);
     let msg = AsvmMsg::AcceptReply {
         mobj,

@@ -11,13 +11,23 @@
 //! | `CheckingReaders{r}` | `ReadCheckReply{r, none}` | `ReadCheck` the next reader, or step 3 |
 //! | reader, idle | `ReadCheck` | `Busy::AwaitingOwnership`; `ReadCheckReply{copy}` |
 //! | `AwaitingOwnership` | `OwnershipTransfer` | become owner; notify static manager; re-route queue; drain parked |
-//! | owner, no reader left (step 3) | — | `Busy::Evict{Asking}`; `AcceptAsk` the next member (cycling counter) |
-//! | `Asking{c}` | `AcceptReply{c, yes}` | `PageTransfer` to `c`; hand the page away to `c` |
-//! | `Asking{c}` | `AcceptReply{c, no}` | `AcceptAsk` the last acceptor once, else step 4 |
-//! | member | `AcceptAsk` | accept iff memory is free and no transfer is already incoming |
-//! | accepted | `PageTransfer` | install as owner of lent memory; notify static manager; drain parked |
+//! | owner, no reader left (step 3) | — | `Busy::Evict{Asking}`; `AcceptAsk` carrying the page to the first unmarked live member at or after the cycling counter (every candidate marked: to the one at the counter), which moves past it |
+//! | `Asking{c}` | `AcceptReply{c, yes}` | unmark `c`; hand the page away to `c` |
+//! | `Asking{c}` | `AcceptReply{c, no}` (or `c` suspected) | mark `c` refused; `AcceptAsk` the next unmarked candidate, or step 4 once none is left |
+//! | not `Asking{c}` | `AcceptReply{c, ..}` | a reply to an offer unwound when `c` was suspected: count a yes (`c` owns the page now, besides whoever took it since), ignore a no |
+//! | member, memory free, no record of the page | `AcceptAsk` | install as owner of lent memory; notify static manager; drain parked; `AcceptReply{yes}` |
+//! | otherwise | `AcceptAsk` | drop the offered copy; `AcceptReply{no}` |
 //! | owner of lent memory, no reader | read request | return the page with its ownership (`grant.rs`) |
 //! | no taker (step 4) | — | dirty → `DataReturn` to the pager; hand the page away, `Paged` at the static manager |
+//!
+//! Step 3 is one round trip: the offer carries the page, so an accepting
+//! candidate owns it before it answers, and the evicting owner keeps its
+//! copy (in `Busy::Evict`) only until the answer. The refusal marks make
+//! the cycling counter adaptive: it still moves on at every offer, so
+//! pages spread evenly over the lenders (§5), but skips a candidate whose
+//! last answer was no. A page reaches the pager once every unmarked
+//! candidate refused it, or, with every candidate marked, once the one
+//! probe at the counter did.
 //!
 //! Each eviction bumps `asvm.evict.step{1,2,3,4}` once, at the step that
 //! decides where the page goes. Lent memory is an exclusive victim cache:
@@ -67,7 +77,7 @@ impl Cx<'_> {
     /// left, go on to step 3.
     fn check_readers(&mut self, page: PageIdx, data: PageData, dirty: bool, readers: &[NodeId]) {
         let Some((&current, rest)) = readers.split_first() else {
-            return self.evict_step3(page, data, dirty);
+            return self.evict_step3(page, data, dirty, 0);
         };
         let remaining = rest.to_vec();
         let stage = EvictStage::CheckingReaders { current, remaining };
@@ -84,7 +94,18 @@ impl Cx<'_> {
                 (current, AsvmMsg::ReadCheck { mobj, page, from })
             }
             EvictStage::Asking { candidate, .. } => {
-                (candidate, AsvmMsg::AcceptAsk { mobj, page, from })
+                let xfer = Transfer {
+                    data: data.clone(),
+                    dirty,
+                    version: self.o.page(page).version,
+                };
+                let msg = AsvmMsg::AcceptAsk {
+                    mobj,
+                    page,
+                    from,
+                    xfer,
+                };
+                (candidate, msg)
             }
         };
         self.o.page_mut(page).busy = Some(Busy::Evict { data, dirty, stage });
@@ -172,28 +193,53 @@ impl Cx<'_> {
         self.drain_parked(page);
     }
 
-    /// Step 3: pick a candidate via the cycling counter.
-    fn evict_step3(&mut self, page: PageIdx, data: PageData, dirty: bool) {
-        let me = self.me;
-        let candidates: Vec<NodeId> = self.o.nodes.iter().copied().filter(|n| *n != me).collect();
-        if candidates.is_empty() {
+    /// Step 3: offer the page to the first candidate at or after the
+    /// cycling counter whose last answer was not a refusal, and move the
+    /// counter past it; once every such candidate has refused this page,
+    /// go to step 4. When every candidate carries a mark as the eviction
+    /// starts, probe only the one at the counter: a single offer finds a
+    /// lender that has made room again, and a full cluster pays one
+    /// refused offer per page that reaches the pager, not one per
+    /// candidate.
+    fn evict_step3(&mut self, page: PageIdx, data: PageData, dirty: bool, refusals: u16) {
+        let (me, o) = (self.me, &*self.o);
+        let candidates: Vec<NodeId> = (o.nodes.iter().copied())
+            .filter(|n| *n != me && !o.suspects.contains(n))
+            .collect();
+        let n = candidates.len();
+        let start = o.pageout_counter;
+        let unmarked = (start..start + n).find(|i| !o.pageout_refused.contains(&candidates[i % n]));
+        let next = match unmarked {
+            None if refusals == 0 && n > 0 => Some(start),
+            next => next,
+        };
+        let Some(i) = next else {
             return self.evict_step4(page, data, dirty);
-        }
-        let candidate = candidates[self.o.pageout_counter % candidates.len()];
-        self.o.pageout_counter += 1;
+        };
+        self.o.pageout_counter = (i + 1) % n;
         let stage = EvictStage::Asking {
-            candidate,
-            tried_last_accept: false,
+            candidate: candidates[i % n],
+            refusals,
         };
         self.evict_ask(page, data, dirty, stage);
     }
 
-    /// An evicting owner asks whether we have room for the page (step 3).
-    pub(crate) fn on_accept_ask(&mut self, page: PageIdx, owner: NodeId) {
+    /// An evicting owner offers us the page (step 3): with memory free
+    /// and no record of the page here (a copy, or an eviction of our own
+    /// still waiting for its answer), install it as lent memory — we own
+    /// it from now on — and accept; otherwise drop the offered copy and
+    /// refuse.
+    pub(crate) fn on_accept_ask(&mut self, page: PageIdx, owner: NodeId, xfer: Transfer) {
         let free = self.vm.resident_total() + 16 <= self.vm.capacity_pages();
-        let accept = free && !self.o.incoming_transfer.contains(&page);
+        let accept = free && !self.o.pages.contains_key(&page);
         if accept {
-            self.o.incoming_transfer.insert(page);
+            let mut pi = PageInfo::new(Access::Read, true, xfer.version);
+            pi.dirty = xfer.dirty;
+            pi.lent = true;
+            self.o.pages.insert(page, Box::new(pi));
+            self.supply(page, xfer.data, Access::Read);
+            self.notify_owner_hint(page);
+            self.drain_parked(page);
         }
         let (mobj, from) = (self.o.mobj, self.me);
         let msg = AsvmMsg::AcceptReply {
@@ -205,67 +251,41 @@ impl Cx<'_> {
         self.fx.send(owner, msg);
     }
 
-    /// Step 3 reply.
+    /// Step 3 reply: on a yes the candidate already holds the page; on a
+    /// no, mark it refused and offer the page to the next candidate.
+    ///
+    /// A reply to an offer that was unwound as a refusal when the
+    /// candidate became suspected (a live node, falsely suspected) finds
+    /// no eviction asking it. A no dropped the offered copy; a yes
+    /// installed it, so the candidate owns the page besides whichever node
+    /// took it after the unwind (RELIABILITY §7.4). Neither changes
+    /// anything here.
     pub(crate) fn accept_reply(&mut self, page: PageIdx, candidate: NodeId, accept: bool) {
-        let pi = self
-            .o
-            .pages
-            .get_mut(&page)
-            .expect("accept reply without state");
+        let asking = |b: &mut Busy| {
+            matches!(b, Busy::Evict {
+                stage: EvictStage::Asking { candidate: c, .. },
+                ..
+            } if *c == candidate)
+        };
+        let busy = (self.o.pages.get_mut(&page)).and_then(|pi| pi.busy.take_if(asking));
         let Some(Busy::Evict {
             data,
             dirty,
-            stage:
-                EvictStage::Asking {
-                    candidate: asked,
-                    tried_last_accept,
-                },
-        }) = pi.busy.take()
+            stage: EvictStage::Asking { refusals, .. },
+        }) = busy
         else {
-            panic!("accept reply while not asking");
+            if accept {
+                self.fx.bump("asvm.evict.late_accept");
+            }
+            return;
         };
-        assert_eq!(asked, candidate);
         if accept {
             self.fx.bump("asvm.evict.step3");
-            let xfer = Transfer {
-                data,
-                dirty,
-                version: pi.version,
-            };
-            let mobj = self.o.mobj;
-            self.fx
-                .send(candidate, AsvmMsg::PageTransfer { mobj, page, xfer });
-            self.o.last_accept = Some(candidate);
+            self.o.pageout_refused.remove(&candidate);
             return self.hand_away(page, Some(candidate), None);
         }
-        // Fall back to the node that most recently accepted a transfer.
-        let me = self.me;
-        let fallback =
-            (self.o.last_accept).filter(|n| *n != candidate && *n != me && !tried_last_accept);
-        match fallback {
-            Some(n) => {
-                let stage = EvictStage::Asking {
-                    candidate: n,
-                    tried_last_accept: true,
-                };
-                self.evict_ask(page, data, dirty, stage);
-            }
-            None => self.evict_step4(page, data, dirty),
-        }
-    }
-
-    /// A page we accepted arrives with its ownership (step 3), as lent
-    /// memory.
-    pub(crate) fn on_page_transfer(&mut self, page: PageIdx, xfer: Transfer) {
-        self.o.incoming_transfer.remove(&page);
-        let mut pi = PageInfo::new(Access::Read, true, xfer.version);
-        pi.dirty = xfer.dirty;
-        pi.lent = true;
-        let prev = self.o.pages.insert(page, Box::new(pi));
-        assert!(prev.is_none(), "page transfer onto existing state");
-        self.supply(page, xfer.data, Access::Read);
-        self.notify_owner_hint(page);
-        self.drain_parked(page);
+        self.o.pageout_refused.insert(candidate);
+        self.evict_step3(page, data, dirty, refusals + 1);
     }
 
     /// Step 4: return the page to the real pager.

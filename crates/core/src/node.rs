@@ -118,6 +118,7 @@ impl AsvmNode {
         for o in self.objects.values() {
             total += size_of::<AsvmObject>() as u64;
             total += node_ids(o.nodes.len() + o.stripe.len() + o.suspects.len());
+            total += node_ids(o.pageout_refused.len());
             for info in o.pages.values() {
                 total += (size_of::<PageIdx>() + size_of::<PageInfo>()) as u64;
                 total += node_ids(info.readers.len());
@@ -128,7 +129,7 @@ impl AsvmNode {
             total += (o.dyn_cache.len() * (size_of::<PageIdx>() + size_of::<NodeId>())) as u64;
             total +=
                 (o.static_cache.len() * (size_of::<PageIdx>() + size_of::<StaticHint>())) as u64;
-            total += pages(o.static_seen.len() + o.incoming_transfer.len());
+            total += pages(o.static_seen.len());
             total += (o.static_filling.len() * (size_of::<PageIdx>() + size_of::<NodeId>())) as u64;
             for q in o
                 .fill_waiters
@@ -383,11 +384,12 @@ impl AsvmNode {
             AsvmMsg::OwnershipTransfer { page, handover, .. } => {
                 cx.on_ownership_transfer(page, handover)
             }
-            AsvmMsg::AcceptAsk { page, from, .. } => cx.on_accept_ask(page, from),
+            AsvmMsg::AcceptAsk {
+                page, from, xfer, ..
+            } => cx.on_accept_ask(page, from, xfer),
             AsvmMsg::AcceptReply {
                 page, from, accept, ..
             } => cx.accept_reply(page, from, accept),
-            AsvmMsg::PageTransfer { page, xfer, .. } => cx.on_page_transfer(page, xfer),
             AsvmMsg::OwnerHint { page, owner, .. } => cx.owner_hint(page, owner),
             AsvmMsg::PagedHint { page, .. } => cx.record_static(page, StaticHint::Paged),
             AsvmMsg::PushReq { page, from, .. } => cx.on_push_req(page, from),

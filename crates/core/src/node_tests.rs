@@ -37,10 +37,15 @@ struct MiniNet {
 
 impl MiniNet {
     fn new(n: u16, cfg: AsvmConfig) -> MiniNet {
+        MiniNet::with_frames(n, cfg, 1 << 20)
+    }
+
+    /// [`MiniNet::new`] with `frames` pages of physical memory per node.
+    fn with_frames(n: u16, cfg: AsvmConfig, frames: u32) -> MiniNet {
         let cost = CostModel::default();
         let mut nodes = Vec::new();
         for i in 0..n {
-            let mut vm = VmSystem::new(8192, 1 << 20, cost.clone());
+            let mut vm = VmSystem::new(8192, frames, cost.clone());
             let mut asvm = AsvmNode::new(NodeId(i), cost.clone());
             let vo = vm.create_object(PAGES, Backing::External(MOBJ));
             let mut fx = Fx::new();
@@ -1197,13 +1202,27 @@ fn lend_from_node0(net: &mut MiniNet, page: u32, value: u64) -> TaskId {
         .write_page(Time::from_nanos(1), t0, page as u64, PageData::Word(value));
     let fx = evict_on(net, 0, page);
     net.absorb(NodeId(0), fx);
-    // `AcceptAsk` to node 1, then its yes, which decides step 3.
-    for step in 0..2 {
-        let (from, to, msg) = net.wire.pop().expect("the step-3 round trip");
-        let fx = net.deliver(from.0, to.0, msg);
-        assert_eq!(fx.bumps.contains(&"asvm.evict.step3"), step == 1);
-        net.absorb(to, fx);
-    }
+    // The `AcceptAsk` carrying the page to node 1, which installs it, then
+    // its yes, which decides step 3.
+    let (from, to, offer) = net.wire.pop().expect("the step-3 offer");
+    assert!(matches!(offer, AsvmMsg::AcceptAsk { .. }));
+    assert_eq!(
+        offer.payload_bytes(8192),
+        8192,
+        "the offer carries the page"
+    );
+    let fx = net.deliver(from.0, to.0, offer);
+    assert!(!fx.bumps.contains(&"asvm.evict.step3"));
+    net.absorb(to, fx);
+    assert!(net.page(1, page).is_some_and(|pi| pi.owner && pi.lent));
+    let reply = net
+        .wire
+        .iter()
+        .rposition(|(_, _, m)| matches!(m, AsvmMsg::AcceptReply { accept: true, .. }));
+    let (from, to, reply) = net.wire.remove(reply.expect("the yes"));
+    let fx = net.deliver(from.0, to.0, reply);
+    assert!(fx.bumps.contains(&"asvm.evict.step3"));
+    net.absorb(to, fx);
     net.settle();
     let lent = net.page(1, page).expect("node 1 accepted the page");
     assert!(lent.owner && lent.lent && lent.dirty);
@@ -1319,6 +1338,267 @@ fn pages_owned_by_pager_fill_or_write_are_never_returned() {
         assert!(pi.readers.contains(&NodeId(0)), "page {page}");
     }
     net.check_state_tied_to_residency();
+}
+
+/// Takes every free frame of node `n` with anonymous pages, so it has no
+/// room for a step-3 offer.
+fn fill_memory(net: &mut MiniNet, n: u16) {
+    let vm = &mut net.nodes[n as usize].1;
+    let frames = vm.capacity_pages() - vm.resident_total();
+    let obj = vm.create_object(frames, Backing::Anonymous);
+    let task = TaskId(200 + n as u32);
+    vm.create_task(task);
+    vm.map_object(task, 0, frames, obj, 0, Access::Write, Inherit::Share);
+    for va in 0..frames as u64 {
+        vm.fault(
+            Time::ZERO,
+            task,
+            va,
+            Access::Write,
+            &mut machvm::Effects::new(),
+        );
+    }
+    assert_eq!(vm.resident_total(), vm.capacity_pages());
+}
+
+/// Node 0 write-faults each of `pages` and then evicts them one by one
+/// with no reader left, settling after each (§3.6 step 3 or 4). Returns
+/// where each page went: its new owner, or `None` for the pager.
+fn evict_each(net: &mut MiniNet, pages: std::ops::Range<u32>) -> Vec<Option<NodeId>> {
+    let t0 = net.add_task(0);
+    for page in pages.clone() {
+        net.fault(0, t0, page, Access::Write);
+    }
+    pages
+        .map(|page| {
+            let fx = evict_on(net, 0, page);
+            net.absorb(NodeId(0), fx);
+            net.settle();
+            net.owner_of(page)
+        })
+        .collect()
+}
+
+/// The candidates node 0's step-3 offers went to since `from`, in order.
+fn offers_since(net: &MiniNet, from: usize) -> Vec<&'static str> {
+    net.sent[from..]
+        .iter()
+        .copied()
+        .filter(|k| k.starts_with("asvm.msg.accept"))
+        .collect()
+}
+
+/// Step 3 is one round trip: a single `AcceptAsk` carries the page, the
+/// candidate installs it as lent memory and owns it, and a single
+/// `AcceptReply` ends the eviction. No other message carries the page.
+#[test]
+fn a_step3_eviction_is_one_page_bearing_offer_and_one_reply() {
+    let mut net = MiniNet::new(3, AsvmConfig::default());
+    let t0 = net.add_task(0);
+    net.fault(0, t0, 2, Access::Write);
+    let before = net.sent.len();
+    let fx = evict_on(&mut net, 0, 2);
+    assert!(matches!(
+        fx.net.as_slice(),
+        [(d, AsvmMsg::AcceptAsk { .. })] if *d == NodeId(1)
+    ));
+    assert_eq!(fx.net[0].1.payload_bytes(8192), 8192);
+    net.absorb(NodeId(0), fx);
+    let mut page_bearing = 0;
+    while let Some((from, to, msg)) = net.wire.pop() {
+        page_bearing += usize::from(msg.payload_bytes(8192) > 0);
+        let fx = net.deliver(from.0, to.0, msg);
+        net.absorb(to, fx);
+    }
+    assert_eq!(page_bearing, 1);
+    assert_eq!(
+        offers_since(&net, before),
+        ["asvm.msg.accept_ask", "asvm.msg.accept_reply"]
+    );
+    assert_eq!(net.owner_of(2), Some(NodeId(1)));
+    assert!(net.page(1, 2).unwrap().lent);
+    assert!(net.page(0, 2).is_none(), "the evicting owner kept nothing");
+    net.check_state_tied_to_residency();
+}
+
+/// A full candidate is asked once; its refusal marks it, and the cycling
+/// counter skips it while the others accept, so the lent pages alternate
+/// between the two candidates with room.
+#[test]
+fn a_full_candidate_is_asked_once_then_skipped() {
+    let mut net = MiniNet::with_frames(4, AsvmConfig::default(), 64);
+    fill_memory(&mut net, 1);
+    let before = net.sent.len();
+    let went = evict_each(&mut net, 0..6);
+    let (two, three) = (Some(NodeId(2)), Some(NodeId(3)));
+    assert_eq!(went, [two, three, two, three, two, three]);
+    // Seven offers: one refused by node 1, then one per page.
+    let asks = offers_since(&net, before);
+    assert_eq!(asks.iter().filter(|k| k.ends_with("ask")).count(), 7);
+    let o0 = net.nodes[0].0.object(MOBJ);
+    assert!(o0.pageout_refused.contains(&NodeId(1)));
+    assert!(!net.bumps.contains(&"asvm.evict.step4"));
+    net.check_state_tied_to_residency();
+}
+
+/// When every candidate refuses, each is offered the page exactly once
+/// and it goes to the pager (step 4). Every candidate is then marked, so
+/// each later eviction offers its page only to the candidate at the
+/// counter, which moves on: one refused offer per page written back.
+#[test]
+fn when_every_candidate_refuses_the_page_goes_to_the_pager() {
+    let mut net = MiniNet::with_frames(4, AsvmConfig::default(), 64);
+    for n in 1..4 {
+        fill_memory(&mut net, n);
+    }
+    let t0 = net.add_task(0);
+    for page in 0..3 {
+        net.fault(0, t0, page, Access::Write);
+    }
+    let probes: [&[u16]; 3] = [&[1, 2, 3], &[1], &[2]];
+    for (page, want) in (0..3).zip(probes) {
+        let before = net.wire.len();
+        let fx = evict_on(&mut net, 0, page);
+        net.absorb(NodeId(0), fx);
+        let mut asked = Vec::new();
+        while net.wire.len() > before {
+            let (from, to, msg) = net.wire.pop().unwrap();
+            if matches!(msg, AsvmMsg::AcceptAsk { .. }) {
+                asked.push(to.0);
+            }
+            let fx = net.deliver(from.0, to.0, msg);
+            net.absorb(to, fx);
+        }
+        assert_eq!(asked, want, "page {page}");
+        assert!(
+            (net.pager_wire.iter()).any(|p| matches!(
+                p.call,
+                EmmiToPager::DataReturn { page: p, .. } if p == PageIdx(page)
+            )),
+            "page {page} is written back"
+        );
+        net.settle();
+        assert_eq!(net.owner_of(page), None);
+    }
+    let step4 = net.bumps.iter().filter(|k| **k == "asvm.evict.step4");
+    assert_eq!(step4.count(), 3);
+}
+
+/// A candidate suspected while it holds the offer unwinds as a refusal:
+/// the evicting owner still has the page and offers it to the next
+/// candidate, where it lands; nothing reaches the pager.
+#[test]
+fn an_offer_to_a_suspected_candidate_unwinds_as_a_refusal() {
+    let mut net = MiniNet::new(4, AsvmConfig::default());
+    let t0 = net.add_task(0);
+    net.fault(0, t0, 2, Access::Write);
+    let fx = evict_on(&mut net, 0, 2);
+    net.absorb(NodeId(0), fx);
+    assert!(matches!(
+        net.wire.as_slice(),
+        [(_, d, AsvmMsg::AcceptAsk { .. })] if *d == NodeId(1)
+    ));
+    let fx = net.suspect(0, 1);
+    assert!(matches!(
+        fx.net.as_slice(),
+        [(d, AsvmMsg::AcceptAsk { .. })] if *d != NodeId(1)
+    ));
+    let next = fx.net[0].0;
+    net.absorb(NodeId(0), fx);
+    net.settle_without(&[NodeId(1)]);
+    assert_eq!(net.owner_of(2), Some(next));
+    assert!(net.page(next.0, 2).unwrap().lent);
+    assert!(!net.bumps.contains(&"asvm.evict.step4"));
+    net.check_state_tied_to_residency();
+}
+
+/// A falsely suspected candidate that accepted before the suspicion
+/// unwound its offer answers yes too late. The evicting owner counts the
+/// late yes and changes nothing, whether the page is still being offered
+/// to the next candidate or has landed there already. Both candidates own
+/// the page afterwards: the double owner of RELIABILITY §7.4, which this
+/// test pins until a fix (ROADMAP ledger 1(g)).
+#[test]
+fn a_late_yes_from_a_falsely_suspected_candidate_is_counted() {
+    let mut net = MiniNet::new(4, AsvmConfig::default());
+    let t0 = net.add_task(0);
+    net.fault(0, t0, 2, Access::Write);
+    let fx = evict_on(&mut net, 0, 2);
+    net.absorb(NodeId(0), fx);
+    // Node 1 installs the page and answers yes; the yes stays in flight
+    // while node 0 suspects node 1 and offers the page to the next
+    // candidate.
+    let (from, to, ask) = net.wire.pop().unwrap();
+    assert_eq!((from, to), (NodeId(0), NodeId(1)));
+    let mut fx = net.deliver(0, 1, ask);
+    let reply = (fx.net.iter())
+        .position(|(_, m)| matches!(m, AsvmMsg::AcceptReply { .. }))
+        .unwrap();
+    let (_, late_yes) = fx.net.remove(reply);
+    assert!(matches!(
+        late_yes,
+        AsvmMsg::AcceptReply { accept: true, .. }
+    ));
+    net.absorb(NodeId(1), fx);
+    assert!(net.page(1, 2).unwrap().owner);
+    let fx = net.suspect(0, 1);
+    net.absorb(NodeId(0), fx);
+    net.nodes[0].0.peer_cleared(NodeId(1));
+    let (_, next, offer) = net.wire.pop().unwrap();
+    assert!(matches!(offer, AsvmMsg::AcceptAsk { .. }));
+    for yes_first in [true, false] {
+        let mut net = net.clone();
+        let mut order = vec![(1, late_yes.clone()), (0, offer.clone())];
+        if !yes_first {
+            order.reverse();
+        }
+        for (from, msg) in order {
+            let to = if from == 0 { next.0 } else { 0 };
+            let fx = net.deliver(from, to, msg);
+            net.absorb(NodeId(to), fx);
+            net.settle();
+        }
+        let late = net.bumps.iter().filter(|k| **k == "asvm.evict.late_accept");
+        assert_eq!(late.count(), 1, "yes first: {yes_first}");
+        assert!(net.page(0, 2).is_none(), "the evicting owner kept nothing");
+        for n in [1, next.0] {
+            let pi = net.page(n, 2).unwrap();
+            assert!(pi.owner && pi.lent, "node {n}, yes first: {yes_first}");
+        }
+        net.check_state_tied_to_residency();
+    }
+}
+
+/// A suspected member is no step-3 candidate, not even as the probe once
+/// every candidate is marked: an offer to a dark node would never be
+/// answered, and the page would stay pinned in its eviction for good.
+#[test]
+fn a_suspected_member_is_never_offered_a_page() {
+    let mut net = MiniNet::with_frames(3, AsvmConfig::default(), 64);
+    fill_memory(&mut net, 2);
+    let t0 = net.add_task(0);
+    for page in 0..2 {
+        net.fault(0, t0, page, Access::Write);
+    }
+    let fx = evict_on(&mut net, 0, 0);
+    net.absorb(NodeId(0), fx);
+    let fx = net.suspect(0, 1);
+    net.absorb(NodeId(0), fx);
+    net.settle_without(&[NodeId(1)]);
+    // Node 1 unwound as a refusal and node 2 refused: both are marked.
+    assert_eq!(net.owner_of(0), None, "page 0 went to the pager");
+    let before = net.sent.len();
+    let fx = evict_on(&mut net, 0, 1);
+    assert!(matches!(
+        fx.net.as_slice(),
+        [(d, AsvmMsg::AcceptAsk { .. })] if *d == NodeId(2)
+    ));
+    net.absorb(NodeId(0), fx);
+    net.settle_without(&[NodeId(1)]);
+    assert_eq!(offers_since(&net, before).len(), 2, "one offer, one no");
+    assert!(net.page(0, 1).is_none(), "page 1 went to the pager too");
+    let step4 = net.bumps.iter().filter(|k| **k == "asvm.evict.step4");
+    assert_eq!(step4.count(), 2);
 }
 
 /// The provenance bit rides in `PageInfo`'s padding: the record is no

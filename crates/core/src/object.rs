@@ -52,12 +52,12 @@ pub enum EvictStage {
         /// Readers not yet asked.
         remaining: Vec<NodeId>,
     },
-    /// Step 3: asking a node with mapped memory to accept the page.
+    /// Step 3: offering the page to a node with mapped memory.
     Asking {
-        /// The candidate currently being asked.
+        /// The candidate currently holding the offer.
         candidate: NodeId,
-        /// Whether the most-recent-acceptor fallback was already tried.
-        tried_last_accept: bool,
+        /// Candidates that already refused this page.
+        refusals: u16,
     },
 }
 
@@ -288,15 +288,16 @@ pub struct AsvmObject {
     /// pages then take the global walk, which finds owners the (moved)
     /// static managers never heard about.
     pub fresh_valid: bool,
-    /// Pages whose transfer we accepted and are waiting to receive
-    /// (internode pageout step 3); requests park until the page lands.
-    pub incoming_transfer: BTreeSet<PageIdx>,
     /// Delayed-copy object version counter (incremented per copy).
     pub version: u64,
-    /// Internode pageout cycling counter (§3.6 step 3).
+    /// Internode pageout cycling counter (§3.6 step 3): indexes the
+    /// candidate list one past the candidate offered a page last, so
+    /// pages spread evenly over the lenders.
     pub pageout_counter: usize,
-    /// Node that most recently accepted a page transfer from us.
-    pub last_accept: Option<NodeId>,
+    /// Step-3 candidates whose last answer was a refusal; the counter
+    /// skips them until they accept again. While all of them are marked,
+    /// each eviction probes only the one at the counter.
+    pub pageout_refused: NodeSet,
     /// Distributed delayed copy: the node where this copy object was
     /// created ("peer node", §3.7.3), which maps the source object.
     pub peer: Option<NodeId>,
@@ -367,10 +368,9 @@ impl AsvmObject {
             static_waiting: BTreeMap::new(),
             static_seen: BTreeSet::new(),
             fresh_valid: true,
-            incoming_transfer: BTreeSet::new(),
             version: 0,
             pageout_counter: 0,
-            last_accept: None,
+            pageout_refused: NodeSet::new(),
             peer: None,
             source: None,
             copies: Vec::new(),

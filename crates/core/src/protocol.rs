@@ -120,8 +120,9 @@ pub struct Handover {
     pub dirty: bool,
 }
 
-/// The page an [`AsvmMsg::PageTransfer`] moves to an accepting node (§3.6
-/// step 3).
+/// The page an [`AsvmMsg::AcceptAsk`] offers to a step-3 candidate (§3.6):
+/// the candidate installs it at once if it accepts, and drops it if it
+/// refuses — the evicting owner keeps its own copy until the answer.
 #[derive(Clone, Debug)]
 pub struct Transfer {
     /// Contents.
@@ -231,7 +232,8 @@ pub enum AsvmMsg {
         /// The owner's record the reader takes over.
         handover: Handover,
     },
-    /// Internode pageout step 3: will you take this page?
+    /// Internode pageout step 3: will you take this page? The page rides
+    /// along; accepting installs it and makes the receiver owner.
     AcceptAsk {
         /// The object.
         mobj: MemObjId,
@@ -239,6 +241,8 @@ pub enum AsvmMsg {
         page: PageIdx,
         /// The evicting owner.
         from: NodeId,
+        /// The page and its record.
+        xfer: Transfer,
     },
     /// Answer to [`AsvmMsg::AcceptAsk`].
     AcceptReply {
@@ -248,18 +252,8 @@ pub enum AsvmMsg {
         page: PageIdx,
         /// The candidate node.
         from: NodeId,
-        /// It has memory available and accepts.
+        /// It had memory available and installed the page.
         accept: bool,
-    },
-    /// Internode pageout step 3: the page moves; the receiver becomes
-    /// owner.
-    PageTransfer {
-        /// The object.
-        mobj: MemObjId,
-        /// The page.
-        page: PageIdx,
-        /// The page and its record.
-        xfer: Transfer,
     },
     /// Tells the page's static ownership manager who owns it now.
     OwnerHint {
@@ -443,7 +437,7 @@ impl AsvmMsg {
                 grant.data.as_ref().map_or(0, |_| page_size) + 2 * grant.readers.len() as u32
             }
             AsvmMsg::OwnershipTransfer { handover, .. } => 2 * handover.readers.len() as u32,
-            AsvmMsg::PageTransfer { .. } | AsvmMsg::PushData { .. } => page_size,
+            AsvmMsg::AcceptAsk { .. } | AsvmMsg::PushData { .. } => page_size,
             AsvmMsg::Membership { nodes, .. } => 2 * nodes.len() as u32,
             AsvmMsg::RecoverElect { readers, .. } => 2 * readers.len() as u32,
             _ => 0,
@@ -466,7 +460,6 @@ impl AsvmMsg {
             AsvmMsg::OwnershipTransfer { .. } => "asvm.msg.ownership_transfer",
             AsvmMsg::AcceptAsk { .. } => "asvm.msg.accept_ask",
             AsvmMsg::AcceptReply { .. } => "asvm.msg.accept_reply",
-            AsvmMsg::PageTransfer { .. } => "asvm.msg.page_transfer",
             AsvmMsg::OwnerHint { .. } => "asvm.msg.owner_hint",
             AsvmMsg::PagedHint { .. } => "asvm.msg.paged_hint",
             AsvmMsg::PushReq { .. } => "asvm.msg.push_req",
@@ -540,7 +533,6 @@ impl AsvmMsg {
             | AsvmMsg::OwnershipTransfer { page, .. }
             | AsvmMsg::AcceptAsk { page, .. }
             | AsvmMsg::AcceptReply { page, .. }
-            | AsvmMsg::PageTransfer { page, .. }
             | AsvmMsg::OwnerHint { page, .. }
             | AsvmMsg::PagedHint { page, .. }
             | AsvmMsg::PushReq { page, .. }
@@ -577,7 +569,6 @@ impl AsvmMsg {
             | AsvmMsg::OwnershipTransfer { mobj, .. }
             | AsvmMsg::AcceptAsk { mobj, .. }
             | AsvmMsg::AcceptReply { mobj, .. }
-            | AsvmMsg::PageTransfer { mobj, .. }
             | AsvmMsg::OwnerHint { mobj, .. }
             | AsvmMsg::PagedHint { mobj, .. }
             | AsvmMsg::PushReq { mobj, .. }

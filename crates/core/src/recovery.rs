@@ -325,9 +325,6 @@ impl Cx<'_> {
         // Static roles just rehashed onto successors that have never
         // seen these pages: "never seen" no longer implies "fresh".
         self.o.fresh_valid = false;
-        if self.o.last_accept == Some(peer) {
-            self.o.last_accept = None;
-        }
         // Scrub dynamic hints naming the dead node (the static Owner(peer)
         // hints stay: they are the tripwire that routes requests into
         // reconstruction).

@@ -12,7 +12,6 @@
 //! |---|---|---|
 //! | page busy | request | park on `PageInfo::queued` |
 //! | owner, idle | request | serve (grant path); a forwarded one bumps its `asvm.forward.hops.*` bucket |
-//! | accepted transfer incoming | request, not recovering | park on `fill_waiters` |
 //! | global walk in progress | request | next live member; exhausted → static manager, `walk_done` |
 //! | static manager | request marked static-routed | skip the dynamic hint: answer from the record |
 //! | live handoff hint, two handoff hops in a row, > 5 members, static forwarding on | request | `asvm.forward.handoff_cut`; mark static-routed; keep the hint; fall through |
@@ -51,7 +50,11 @@ use crate::protocol::{AsvmMsg, ReqKind, ReqPath};
 impl Cx<'_> {
     /// Routes a request currently held by this node toward the page owner.
     pub(crate) fn route(&mut self, page: PageIdx, req: QueuedReq, mut path: ReqPath) {
-        // 1. Can we serve or must the request wait here?
+        // 1. Can we serve or must the request wait here? (Requests are
+        // deliberately NOT parked at nodes with their own grants pending —
+        // two pending nodes could park each other's requests in a cycle;
+        // in-flight ownership is instead tracked at the static manager,
+        // whose hint the granter updates eagerly.)
         if let Some(pi) = self.o.pages.get_mut(&page) {
             if pi.busy.is_some() {
                 pi.queued.push_back(req);
@@ -64,18 +67,7 @@ impl Cx<'_> {
                 return self.serve(page, req);
             }
         }
-        // 2. An accepted page transfer is guaranteed to arrive: park the
-        // request until it lands. (Requests are deliberately NOT parked at
-        // nodes with their own grants pending — two pending nodes could
-        // park each other's requests in a cycle; in-flight ownership is
-        // instead tracked at the static manager, whose hint the granter
-        // updates eagerly.) Watchdog re-issues skip the park: the transfer
-        // they are recovering from may never land.
-        if self.o.incoming_transfer.contains(&page) && !path.recovering {
-            self.o.fill_waiters.entry(page).or_default().push(req);
-            return;
-        }
-        // 3. Global walk in progress: try the next (live) member.
+        // 2. Global walk in progress: try the next (live) member.
         if let Some(pos) = path.global_pos {
             if let Some(next) = self.next_live(pos as usize + 1) {
                 path.global_pos = Some(next as u16);
@@ -91,7 +83,7 @@ impl Cx<'_> {
             }
             return self.forward(sm, page, req, path);
         }
-        // 4. Dynamic hint — except at the static manager for a request
+        // 3. Dynamic hint — except at the static manager for a request
         // sent here to use its record.
         let sm = self.o.static_node_live(page);
         if self.o.cfg.dynamic_forwarding
@@ -141,7 +133,7 @@ impl Cx<'_> {
                 path.static_routed = true;
             }
         }
-        // 5. The static ownership manager.
+        // 4. The static ownership manager.
         if sm != self.me {
             return self.forward(sm, page, req, path);
         }

@@ -12,7 +12,7 @@
 
 mod common;
 
-use cluster::{ManagerKind, Program, Ssi, Step, TaskEnv};
+use cluster::{ManagerKind, Program, ScriptProgram, Ssi, Step, TaskEnv};
 use machvm::{Access, Inherit, TaskId};
 use proptest::prelude::*;
 use svmsim::{FaultPlan, MachineConfig, NodeId};
@@ -20,11 +20,14 @@ use transport::Transport;
 
 /// Sweeps `len` pages from `first`, `rounds` times over: a sequential
 /// write pass, then a read pass in `stride` order checking every value.
+/// A read-only sweeper skips the write passes and checks for the values
+/// a one-round sweeper wrote.
 struct Sweeper {
     first: u32,
     len: u32,
     rounds: u32,
     stride: u32,
+    read_only: bool,
     at: u32,
     check: Option<(u32, u64)>,
 }
@@ -36,9 +39,15 @@ impl Sweeper {
             len,
             rounds,
             stride,
+            read_only: false,
             at: 0,
             check: None,
         })
+    }
+
+    /// The value `page` holds after the write pass of `round`.
+    fn value(round: u32, page: u32) -> u64 {
+        (round as u64 + 1) << 32 | page as u64
     }
 }
 
@@ -51,23 +60,25 @@ impl Program for Sweeper {
                 "page {page} lost its data under memory pressure"
             );
         }
-        if self.at == self.rounds * 2 * self.len {
+        let writes = if self.read_only { 0 } else { self.len };
+        let pass = writes + self.len;
+        if self.at == self.rounds * pass {
             return Step::Done;
         }
-        let (round, within) = (self.at / (2 * self.len), self.at % (2 * self.len));
+        let (round, within) = (self.at / pass, self.at % pass);
         self.at += 1;
-        let value = |page: u32| (round as u64 + 1) << 32 | page as u64;
-        if within < self.len {
+        if within < writes {
             let page = self.first + within;
             Step::Write {
                 va_page: page as u64,
-                value: value(page),
+                value: Sweeper::value(round, page),
             }
         } else {
             // Strided revisit order: the FIFO victim is rarely the page
             // visited longest ago.
-            let page = self.first + (within - self.len) * self.stride % self.len;
-            self.check = Some((page, value(page)));
+            let page = self.first + (within - writes) * self.stride % self.len;
+            let written = if self.read_only { 0 } else { round };
+            self.check = Some((page, Sweeper::value(written, page)));
             Step::Read {
                 va_page: page as u64,
             }
@@ -257,17 +268,52 @@ fn lent_memory_keeps_disk_writes_flat_after_the_first_round() {
 /// pages) is more than the two lenders can hold, so pages keep reaching
 /// the disk, and the lent return must still cost nothing there. Before it
 /// this shape wrote 373 / 746 / 1 494 pages after 1 / 2 / 4 rounds.
+///
+/// Every refused step-3 offer carries a page, so while all lenders are
+/// full a page bound for the disk is offered once (to the candidate at
+/// the counter), not to every candidate: refused offers stay within a
+/// handful of the step-4 evictions. Offering it to all three again cost
+/// 4 439 refusals for 1 541 step-4 evictions after 4 rounds.
 #[test]
 fn oversubscribed_lenders_write_no_more_than_before() {
     for (rounds, before) in [(1, 373), (2, 746), (4, 1_494)] {
         let ssi = sweep_pair(ManagerKind::asvm(), 300, rounds, FaultPlan::none(), None);
-        let writes = ssi.stats().counter("disk.writes");
-        println!("300-page slices, {rounds} rounds: {writes} disk writes");
+        let s = ssi.stats();
+        let writes = s.counter("disk.writes");
+        let refused = s.counter("asvm.msg.accept_ask") - s.counter("asvm.evict.step3");
+        let step4 = s.counter("asvm.evict.step4");
+        println!(
+            "300-page slices, {rounds} rounds: {writes} disk writes, \
+             {refused} refused offers for {step4} step-4 evictions"
+        );
         assert!(
             writes <= before,
             "{writes} disk writes after {rounds} rounds, {before} before"
         );
+        assert!(
+            refused <= step4 + 8,
+            "{refused} refused offers for {step4} step-4 evictions"
+        );
     }
+}
+
+/// Step 3 asks a candidate that refused only once before skipping it, so
+/// nearly every offer is accepted, and a page reaches the disk only when
+/// every candidate it was offered to refused it. Before the refusal marks, each sweeper
+/// offered every third page to the other, always-full sweeper: 2 730
+/// offers for 2 046 step-3 evictions here, and 2 pages written to disk
+/// while a lender still had room.
+#[test]
+fn step3_offers_skip_refusers_and_spare_the_disk() {
+    let ssi = sweep_pair(ManagerKind::asvm(), 192, 3, FaultPlan::none(), None);
+    let s = ssi.stats();
+    let (asks, step3) = (
+        s.counter("asvm.msg.accept_ask"),
+        s.counter("asvm.evict.step3"),
+    );
+    println!("{asks} offers for {step3} step-3 evictions");
+    assert!(asks - step3 <= 3, "{asks} offers for {step3} evictions");
+    assert_eq!(s.counter("disk.writes"), 0);
 }
 
 /// Base seed of the lossy variant's fault plan (CI matrix: 1996, 777).
@@ -321,4 +367,36 @@ fn lent_returns_survive_loss() {
         "a lent return left from the NIC"
     );
     assert!(s.counter("transport.rdma.read_fallback") > 0);
+}
+
+/// A node whose tasks all finished under an active fault plan ends its
+/// heartbeat/watchdog tick chain; a task spawned there later must start it
+/// again. Over RDMA, which has no link ARQ, only the watchdog re-issues a
+/// dropped one-sided read: without the re-arm, a reader of the second
+/// phase strands with its fault pending and the run quiesces unfinished.
+#[test]
+fn a_spawn_after_idle_rearms_the_watchdog() {
+    const PAGES: u32 = 160;
+    let plan = FaultPlan::seeded(1).with_drop_ppm(20_000);
+    let (mut ssi, tasks) = pressured(ManagerKind::asvm(), 4, 128, PAGES, plan);
+    ssi.set_asvm_transport(Transport::RDMA);
+    let writes = (0..PAGES).map(|page| Step::Write {
+        va_page: page as u64,
+        value: Sweeper::value(0, page),
+    });
+    let script = writes.chain([Step::Done]).collect();
+    ssi.spawn(NodeId(0), tasks[0], Box::new(ScriptProgram::new(script)));
+    ssi.run(u64::MAX / 2).expect("the writer quiesces");
+    assert!(ssi.all_done(), "the writer finished");
+    for (n, stride) in [(0u16, 1), (1, 7)] {
+        let reader = Sweeper {
+            read_only: true,
+            ..*Sweeper::new(0, PAGES, 3, stride)
+        };
+        ssi.spawn(NodeId(n), tasks[n as usize], Box::new(reader));
+    }
+    ssi.run(u64::MAX / 2).expect("the readers quiesce");
+    assert!(ssi.all_done(), "a reader stranded without a watchdog");
+    assert!(ssi.stats().counter("asvm.recover.reissue") > 0);
+    cluster::check_asvm_invariants(&ssi);
 }
