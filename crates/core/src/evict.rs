@@ -207,7 +207,7 @@ impl Cx<'_> {
             .filter(|n| *n != me && !o.suspects.contains(n))
             .collect();
         let n = candidates.len();
-        let start = o.pageout_counter;
+        let start = o.pageout_counter as usize;
         let unmarked = (start..start + n).find(|i| !o.pageout_refused.contains(&candidates[i % n]));
         let next = match unmarked {
             None if refusals == 0 && n > 0 => Some(start),
@@ -216,7 +216,7 @@ impl Cx<'_> {
         let Some(i) = next else {
             return self.evict_step4(page, data, dirty);
         };
-        self.o.pageout_counter = (i + 1) % n;
+        self.o.pageout_counter = ((i + 1) % n) as u16;
         let stage = EvictStage::Asking {
             candidate: candidates[i % n],
             refusals,

@@ -15,7 +15,7 @@
 //! | `WriteTransfer` | last `InvalidateAck` | as transition 4 |
 //! | `LocalUpgrade` | last `InvalidateAck` | grant write locally; re-route queue; drain parked |
 //! | reader | `Invalidate` | flush the copy; `InvalidateAck` (8) |
-//! | request pending | `Grant` | install contents (elided → stash or lock upgrade); pull snapshot, or ownership at the static manager → notify static manager; drain parked |
+//! | request pending | `Grant` | install contents (elided → stash or lock upgrade); completes the request over our handoff hint to `y` → successor record `(y, granter)`; pull snapshot, or ownership at the static manager → notify static manager; drain parked |
 //! | no request, page resident | non-owner `Grant` | drop it (`asvm.recover.stale_grant`) |
 //! | fill pending | pager supply | install as owner; notify static manager; push if copies exist; drain parked |
 
@@ -272,6 +272,12 @@ impl Cx<'_> {
         }
         if let Some(p) = pend.filter(|p| !needs_push && access.allows(p.access)) {
             self.o.pending.remove(&page);
+            // The request went out over our handoff hint to `y`: pages
+            // handed to `y` have moved on to the granter.
+            let hint = self.o.dyn_cache.peek(&page).copied();
+            if let Some(h) = hint.filter(|h| h.handoff && !pull_snapshot) {
+                self.o.successor = Some((h.owner, from));
+            }
             if p.speculative {
                 // The fill landed before any demand access touched it:
                 // remember it so the eventual demand hit (or eviction)

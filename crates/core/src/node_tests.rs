@@ -990,6 +990,163 @@ fn an_origins_fault_on_its_handoff_hint_goes_to_the_static_manager() {
     }
 }
 
+/// Node 0 (never page 1's static manager) in a `members`-node object,
+/// with a handoff hint for page 1 naming `y` and the successor record
+/// `succ`; returns the net, the page and its static manager.
+fn origin_on_handoff_hint(
+    members: u16,
+    y: NodeId,
+    succ: Option<(NodeId, NodeId)>,
+) -> (MiniNet, PageIdx, NodeId) {
+    let mut net = MiniNet::new(members, AsvmConfig::default());
+    let page = PageIdx(1);
+    let (sm, _) = static_record(&net, page);
+    assert_ne!(sm, NodeId(0));
+    set_hint(&mut net, NodeId(0), page, y, true);
+    net.nodes[0].0.object_mut(MOBJ).successor = succ;
+    (net, page, sm)
+}
+
+/// An origin whose handoff hint names `y`, and whose pages handed to `y`
+/// last came back from `x`, sends its fault's request straight to `x`:
+/// one unmarked hop, counted `asvm.forward.successor`, the hint kept.
+#[test]
+fn an_origins_fault_on_its_handoff_hint_goes_to_where_its_handoffs_went() {
+    let (y, x) = (NodeId(2), NodeId(3));
+    let (mut net, page, _) = origin_on_handoff_hint(6, y, Some((y, x)));
+    let t = net.add_task(0);
+    net.raise(0, t, page.0, Access::Write);
+    match net.wire.as_slice() {
+        [(_, d, AsvmMsg::PageReq { path, .. })] => {
+            assert_eq!(*d, x);
+            assert_eq!((path.hops, path.handoff_hops), (1, 0));
+            assert!(!path.static_routed);
+        }
+        other => panic!("expected one request, got {other:?}"),
+    }
+    assert!(net.bumps.contains(&"asvm.forward.successor"));
+    assert!(!net.bumps.contains(&"asvm.forward.handoff_cut"));
+    let hint = net.nodes[0].0.object(MOBJ).dyn_cache.peek(&page).copied();
+    assert_eq!(
+        hint,
+        Some(DynHint {
+            owner: y,
+            handoff: true
+        })
+    );
+}
+
+/// Every other request on a handoff hint goes where it went without the
+/// successor record: a record about another node, a suspected or
+/// self-naming successor, a watchdog re-issue, a push scan, a pull or a
+/// request past its origin is cut to the static manager; five members
+/// follow the hint.
+#[test]
+fn an_unusable_successor_record_leaves_the_origin_cut_as_it_was() {
+    let (y, x, z) = (NodeId(2), NodeId(3), NodeId(4));
+    let cases: [(&str, u16, (NodeId, NodeId)); 8] = [
+        ("another node's record", 6, (z, x)),
+        ("suspected successor", 6, (y, x)),
+        ("successor is the origin", 6, (y, NodeId(0))),
+        ("watchdog re-issue", 6, (y, x)),
+        ("push scan", 6, (y, x)),
+        ("pull", 6, (y, x)),
+        ("third handoff hop", 6, (y, x)),
+        ("five members", 5, (y, x)),
+    ];
+    for (case, members, succ) in cases {
+        let (mut net, page, sm) = origin_on_handoff_hint(members, y, Some(succ));
+        if case == "suspected successor" {
+            net.nodes[0].0.object_mut(MOBJ).suspects.insert(x);
+        }
+        let mut req = read_req(&net);
+        match case {
+            "push scan" => req.kind = ReqKind::PushScan,
+            "pull" => req.deliver = Some(MemObjId(8)),
+            _ => {}
+        }
+        let forwarded = case == "third handoff hop";
+        let path = ReqPath {
+            recovering: case == "watchdog re-issue",
+            hops: 2 * forwarded as u16,
+            handoff_hops: 2 * forwarded as u8,
+            ..ReqPath::default()
+        };
+        let (d, path, bumps) = route_at(&mut net, NodeId(0), page, req, path);
+        assert!(!bumps.contains(&"asvm.forward.successor"), "{case}");
+        let cut = members > 5;
+        assert_eq!(d, if cut { sm } else { y }, "{case}");
+        assert_eq!(path.static_routed, cut, "{case}");
+        assert_eq!(bumps.contains(&"asvm.forward.handoff_cut"), cut, "{case}");
+    }
+}
+
+/// A grant completing the origin's request over its handoff hint to `y`
+/// records where the page went: `(y, granter)`. A stale or duplicate
+/// grant, which completes nothing, leaves the record as it is, and so
+/// does a grant for a request that went out over a learned hint.
+#[test]
+fn a_grant_over_a_handoff_hint_records_the_successor() {
+    let (y, x, z) = (NodeId(2), NodeId(3), NodeId(4));
+    let (mut net, page, _) = origin_on_handoff_hint(6, y, None);
+    let t = net.add_task(x.0);
+    net.fault(x.0, t, page.0, Access::Write);
+    let t0 = net.add_task(0);
+    net.fault(0, t0, page.0, Access::Write);
+    assert_eq!(net.owner_of(page.0), Some(NodeId(0)));
+    let successor = |net: &MiniNet| net.nodes[0].0.object(MOBJ).successor;
+    assert_eq!(successor(&net), Some((y, x)));
+    // The ownership grant kept the handoff hint; a late read grant from
+    // another node is dropped and must not rewrite the record.
+    let grant = PageGrant {
+        access: Access::Read,
+        data: Some(PageData::Word(5)),
+        dirty: false,
+        ownership: false,
+        readers: vec![],
+        version: 0,
+        pull_snapshot: false,
+    };
+    let msg = AsvmMsg::Grant {
+        mobj: MOBJ,
+        page,
+        grant,
+    };
+    let fx = net.deliver(z.0, 0, msg);
+    assert!(fx.bumps.contains(&"asvm.recover.stale_grant"));
+    assert_eq!(successor(&net), Some((y, x)));
+
+    let other = PageIdx(2);
+    let t = net.add_task(z.0);
+    net.fault(z.0, t, other.0, Access::Write);
+    set_hint(&mut net, NodeId(0), other, y, false);
+    net.fault(0, t0, other.0, Access::Write);
+    assert_eq!(net.owner_of(other.0), Some(NodeId(0)));
+    assert_eq!(successor(&net), Some((y, x)));
+}
+
+/// A pull snapshot completes a request but has no granter in the object,
+/// so it names no successor.
+#[test]
+fn a_pull_snapshot_grant_records_no_successor() {
+    let y = NodeId(2);
+    let (mut net, page, sm) = origin_on_handoff_hint(6, y, None);
+    let t = net.add_task(0);
+    net.raise(0, t, page.0, Access::Read);
+    net.deliver_until(|n| !n.pager_wire.is_empty());
+    net.pager_wire.clear();
+    let grant = PageGrant::snapshot(Access::Read, PageData::Word(5));
+    let msg = AsvmMsg::Grant {
+        mobj: MOBJ,
+        page,
+        grant,
+    };
+    net.wire.push((sm, NodeId(0), msg));
+    net.settle();
+    assert_eq!(net.owner_of(page.0), Some(NodeId(0)));
+    assert_eq!(net.nodes[0].0.object(MOBJ).successor, None);
+}
+
 /// A request that has left its origin still follows two handoff hints in
 /// a row before the cut to the static manager.
 #[test]

@@ -292,8 +292,16 @@ pub struct AsvmObject {
     pub version: u64,
     /// Internode pageout cycling counter (§3.6 step 3): indexes the
     /// candidate list one past the candidate offered a page last, so
-    /// pages spread evenly over the lenders.
-    pub pageout_counter: usize,
+    /// pages spread evenly over the lenders. A member index, so `u16`
+    /// like [`NodeId`]; the narrow width keeps [`AsvmObject::successor`]
+    /// in the record's tail padding.
+    pub pageout_counter: u16,
+    /// Where this node's handoffs went (DESIGN §7 "Handoff chains"):
+    /// `(y, x)` says a page this node had handed to `y` came back to it
+    /// in a grant from `x`, the latest such grant. An origin whose
+    /// handoff hint names `y` sends its request to `x` (`route.rs`).
+    /// One entry per object, not per page (§3.1).
+    pub successor: Option<(NodeId, NodeId)>,
     /// Step-3 candidates whose last answer was a refusal; the counter
     /// skips them until they accept again. While all of them are marked,
     /// each eviction probes only the one at the counter.
@@ -370,6 +378,7 @@ impl AsvmObject {
             fresh_valid: true,
             version: 0,
             pageout_counter: 0,
+            successor: None,
             pageout_refused: NodeSet::new(),
             peer: None,
             source: None,

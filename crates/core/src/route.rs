@@ -15,7 +15,8 @@
 //! | global walk in progress | request | next live member; exhausted → static manager, `walk_done` |
 //! | static manager | request marked static-routed | skip the dynamic hint: answer from the record |
 //! | live handoff hint, two handoff hops in a row, > 5 members, static forwarding on | request | `asvm.forward.handoff_cut`; mark static-routed; keep the hint; fall through |
-//! | origin, live handoff hint, > 5 members, static forwarding on | own request, no hop yet | `asvm.forward.handoff_cut`; mark static-routed; keep the hint; fall through |
+//! | origin, live handoff hint to `y`, successor record `(y, x)`, `x` live and not here, > 5 members, static forwarding on | own plain request, no hop yet, not a re-issue | `asvm.forward.successor`; forward to `x`, unmarked; keep the hint |
+//! | origin, live handoff hint, > 5 members, static forwarding on | own request, no hop yet, no usable successor | `asvm.forward.handoff_cut`; mark static-routed; keep the hint; fall through |
 //! | live dynamic hint, hops < bound | request | forward to it (a write points the hint at its origin) |
 //! | hops ≥ bound, hint on offer | request | `asvm.forward.loop_trip`; mark static-routed; fall through |
 //! | not the static manager | request | forward to the static manager |
@@ -36,8 +37,10 @@
 //! Handoff hints chain through the page's ownership history, so a request
 //! follows at most [`crate::config::HANDOFF_HOPS`] of them in a row before
 //! the static manager, whose record is exact, takes over — and none at its
-//! origin, whose own handoff hint is the oldest link of the chain (DESIGN
-//! §7 "Handoff chains").
+//! origin, whose own handoff hint is the oldest link of the chain. The
+//! origin instead sends the request to where its pages handed to the same
+//! node last came back from ([`crate::AsvmObject::successor`]), or, with
+//! no such record, to the static manager (DESIGN §7 "Handoff chains").
 
 use machvm::{Access, EmmiToPager, PageIdx, PagerSend};
 use svmsim::NodeId;
@@ -112,6 +115,15 @@ impl Cx<'_> {
                             && (at_origin || path.handoff_hops >= HANDOFF_HOPS)
                             && self.o.cuts_handoff_chains()
                         {
+                            // At the origin: pages it handed to the
+                            // hint's node last came back from the
+                            // successor, so the page has likely moved on
+                            // there too.
+                            let succ = self.successor(hint.owner, &req, &path);
+                            if let Some(x) = succ.filter(|_| at_origin) {
+                                self.fx.bump("asvm.forward.successor");
+                                return self.forward(x, page, req, path);
+                            }
                             self.fx.bump("asvm.forward.handoff_cut");
                             path.static_routed = true;
                         } else {
@@ -138,6 +150,18 @@ impl Cx<'_> {
             return self.forward(sm, page, req, path);
         }
         self.static_route(page, req, path);
+    }
+
+    /// The node an origin's own request goes to instead of its handoff
+    /// hint's node `y`: the successor record's `x` when the record is
+    /// about `y`, `x` is live and not this node, and the request is a
+    /// first issue of a plain access (not a watchdog re-issue, a push
+    /// scan or a pull). A wrong guess costs what a stale hint costs: `x`
+    /// routes the request on like any other.
+    fn successor(&self, y: NodeId, req: &QueuedReq, path: &ReqPath) -> Option<NodeId> {
+        let (hy, x) = self.o.successor?;
+        let usable = hy == y && x != self.me && !self.o.suspects.contains(&x);
+        (usable && !path.recovering && req.is_plain_access()).then_some(x)
     }
 
     /// Routing at the static ownership manager.
