@@ -6,7 +6,8 @@
 //! behaviour comes from enabling the hint caches. This harness measures
 //! the strategies across the access patterns that stress them differently,
 //! the effect of shrinking the dynamic hint cache, and the default
-//! strategy's forwarding-hop histogram under a rotating writer.
+//! strategy's forwarding-hop histogram under a rotating writer, at the
+//! harness's size and at the 64-node size where long walks once lived.
 
 use asvm::AsvmConfig;
 use cluster::ManagerKind;
@@ -48,16 +49,35 @@ fn row(label: &str, outs: &[&Outcome]) {
 
 const NODES: u16 = 8;
 const PAGES: u32 = 32;
+/// Rotations of the migratory pattern at that size.
+const ROUNDS: u32 = 4;
+
+/// The rotating writer whose hop tail the second histogram row pins:
+/// nodes, pages and rotations.
+const TAIL_SHAPE: (u16, u32, u32) = (64, 128, 32);
+
+fn run_sized(cfg: AsvmConfig, nodes: u16, pages: u32, pattern: Pattern) -> Outcome {
+    let sc = Scenario::new(ManagerKind::Asvm(cfg), nodes, 17);
+    run_pattern(&sc, pages, pattern).expect_completed("forwarding cell")
+}
 
 fn run_cell(cfg: AsvmConfig, pattern: Pattern) -> Outcome {
-    let sc = Scenario::new(ManagerKind::Asvm(cfg), NODES, 17);
-    run_pattern(&sc, PAGES, pattern).expect_completed("forwarding cell")
+    run_sized(cfg, NODES, PAGES, pattern)
+}
+
+fn hop_row(shape: (u16, u32, u32), o: &Outcome) {
+    let (nodes, pages, rounds) = shape;
+    print!("{nodes:>6}{pages:>7}{rounds:>8}");
+    for (_, key) in HOP_BUCKETS {
+        print!("{:>8}", o.stats.counter(key));
+    }
+    println!("{:>16}", o.stats.counter("asvm.forward.handoff_cut"));
 }
 
 pub fn run(args: &Args) {
     let (nodes, pages) = (NODES, PAGES);
     let patterns: [(&str, Pattern); 3] = [
-        ("migratory", Pattern::Migratory { rounds: 4 }),
+        ("migratory", Pattern::Migratory { rounds: ROUNDS }),
         ("producer/consumer", Pattern::ProducerConsumer { rounds: 4 }),
         (
             "hotspot",
@@ -83,9 +103,13 @@ pub fn run(args: &Args) {
                 dynamic_cache_entries: entries,
                 ..AsvmConfig::default()
             };
-            run_cell(cfg, Pattern::Migratory { rounds: 4 })
+            run_cell(cfg, Pattern::Migratory { rounds: ROUNDS })
         });
     }
+    let (tn, tp, rounds) = TAIL_SHAPE;
+    crate::cell(&mut sweep, "default / migratory tail", &[], move || {
+        run_sized(AsvmConfig::default(), tn, tp, Pattern::Migratory { rounds })
+    });
     let report = sweep.run();
 
     println!("forwarding strategies x access patterns ({nodes} nodes, {pages} pages)");
@@ -122,16 +146,15 @@ pub fn run(args: &Args) {
     println!();
     println!("forwarding hops before the owner served a request (default strategy,");
     println!("migratory pattern):");
-    // The first cell: the default strategy on the migratory pattern.
-    let o = report.values().next().expect("the default strategy ran");
+    print!("{:>6}{:>7}{:>8}", "nodes", "pages", "rounds");
     for (label, _) in HOP_BUCKETS {
         print!("{label:>8}");
     }
     println!("{:>16}", "handoff cuts");
-    for (_, key) in HOP_BUCKETS {
-        print!("{:>8}", o.stats.counter(key));
-    }
-    println!("{:>16}", o.stats.counter("asvm.forward.handoff_cut"));
+    // The first cell: the default strategy on the migratory pattern.
+    let o = report.values().next().expect("the default strategy ran");
+    hop_row((nodes, pages, ROUNDS), o);
+    hop_row(TAIL_SHAPE, cells.next().expect("the tail cell ran"));
     println!();
     println!("hints cut forwarding hops; when a cache level is disabled or too");
     println!("small, requests fall back to the static managers and finally the");

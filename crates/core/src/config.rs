@@ -14,10 +14,11 @@ pub const STATIC_CACHE_ENTRIES: usize = 4096;
 /// falls back to a terminal pager re-fetch.
 pub const WATCHDOG_RETRY_BUDGET: u8 = 5;
 
-/// Handoff hints (see [`crate::DynHint`]) a request may follow in a row
-/// before the redirector hands it to the page's static manager instead —
-/// on objects with static forwarding and more than five members, where
-/// that detour can beat the rest of the chain.
+/// Dynamic hints of either kind (see [`crate::DynHint`]) a request may
+/// follow in a row before the redirector sends it to the page's static
+/// manager instead of along a handoff hint — on objects with static
+/// forwarding and more than five members, where that detour can beat the
+/// rest of the chain. Learned hints are followed past it.
 pub const HANDOFF_HOPS: u8 = 2;
 
 /// Forwarding and cache configuration, settable per memory object.

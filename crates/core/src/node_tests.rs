@@ -763,7 +763,7 @@ fn walk_handoff_chain(
     for hop in 1..=3u8 {
         (at, path, bumps) = route_at(&mut net, at, page, req, path);
         if hop < 3 {
-            assert_eq!((at, path.handoff_hops), (chain[hop as usize], hop));
+            assert_eq!((at, path.hint_hops), (chain[hop as usize], hop));
         }
     }
     (at, path, bumps, chain, sm, net)
@@ -779,7 +779,7 @@ fn third_handoff_hop_is_cut_to_the_static_manager() {
     assert!(bumps.contains(&"asvm.forward.handoff_cut"));
     assert_eq!(dst, sm);
     assert!(path.static_routed);
-    assert_eq!((path.hops, path.handoff_hops), (3, 0));
+    assert_eq!((path.hops, path.hint_hops), (3, 0));
     let hint = |n: NodeId| {
         *net.nodes[n.index()]
             .0
@@ -809,7 +809,7 @@ fn dynamic_only_and_small_objects_never_cut() {
             !bumps.contains(&"asvm.forward.handoff_cut"),
             "{members} members"
         );
-        assert_eq!((dst, path.handoff_hops), (chain[3], 3), "{members} members");
+        assert_eq!((dst, path.hint_hops), (chain[3], 3), "{members} members");
         assert!(!path.static_routed, "{members} members");
     }
 }
@@ -1019,7 +1019,7 @@ fn an_origins_fault_on_its_handoff_hint_goes_to_where_its_handoffs_went() {
     match net.wire.as_slice() {
         [(_, d, AsvmMsg::PageReq { path, .. })] => {
             assert_eq!(*d, x);
-            assert_eq!((path.hops, path.handoff_hops), (1, 0));
+            assert_eq!((path.hops, path.hint_hops), (1, 0));
             assert!(!path.static_routed);
         }
         other => panic!("expected one request, got {other:?}"),
@@ -1069,7 +1069,7 @@ fn an_unusable_successor_record_leaves_the_origin_cut_as_it_was() {
         let path = ReqPath {
             recovering: case == "watchdog re-issue",
             hops: 2 * forwarded as u16,
-            handoff_hops: 2 * forwarded as u8,
+            hint_hops: 2 * forwarded as u8,
             ..ReqPath::default()
         };
         let (d, path, bumps) = route_at(&mut net, NodeId(0), page, req, path);
@@ -1147,38 +1147,82 @@ fn a_pull_snapshot_grant_records_no_successor() {
     assert_eq!(net.nodes[0].0.object(MOBJ).successor, None);
 }
 
-/// A request that has left its origin still follows two handoff hints in
-/// a row before the cut to the static manager.
-#[test]
-fn a_forwarded_request_takes_two_handoff_hops_before_the_cut() {
+/// A request on the wire: its destination, `hint_hops` and
+/// `static_routed`.
+type Hop = (NodeId, u8, bool);
+
+/// Raises a write fault at the first member other than page 1's static
+/// manager, whose dynamic hint chains through the next members, link `i`
+/// a handoff hint when `handoff[i]`. Returns the static manager, the
+/// chain's members after the origin, and each of the first `msgs`
+/// requests on the wire, along with the counters bumped on the way.
+fn walk_hint_chain(
+    handoff: [bool; 4],
+    msgs: usize,
+) -> (NodeId, Vec<NodeId>, Vec<Hop>, Vec<&'static str>) {
     let mut net = MiniNet::new(6, AsvmConfig::default());
     let page = PageIdx(1);
     let (sm, _) = static_record(&net, page);
     let others: Vec<NodeId> = (0..6).map(NodeId).filter(|n| *n != sm).collect();
-    let (origin, chain) = (others[0], &others[1..]);
-    set_hint(&mut net, origin, page, chain[0], false);
-    for w in chain.windows(2) {
-        set_hint(&mut net, w[0], page, w[1], true);
+    for (w, h) in others.windows(2).zip(handoff) {
+        set_hint(&mut net, w[0], page, w[1], h);
     }
+    let origin = others[0];
     let t = net.add_task(origin.0);
     net.raise(origin.0, t, page.0, Access::Write);
     let mut hops = vec![];
-    for _ in 0..4 {
+    for _ in 0..msgs {
         match net.wire.as_slice() {
             [(_, d, AsvmMsg::PageReq { path, .. })] => {
-                hops.push((*d, path.handoff_hops, path.static_routed))
+                hops.push((*d, path.hint_hops, path.static_routed))
             }
             other => panic!("expected one request in flight, got {other:?}"),
         }
         net.deliver_one();
     }
+    (sm, others[1..].to_vec(), hops, net.bumps.clone())
+}
+
+/// A request that has left its origin over a learned hint follows one
+/// handoff hint: that makes two hint hops in a row, and the next
+/// handoff hint is cut to the static manager.
+#[test]
+fn a_forwarded_request_takes_two_hint_hops_before_the_cut() {
+    let (sm, chain, hops, _) = walk_hint_chain([false, true, true, true], 3);
+    let expected = [(chain[0], 1, false), (chain[1], 2, false), (sm, 0, true)];
+    assert_eq!(hops, expected);
+}
+
+/// Learned hops count toward the run: a chain that alternates learned
+/// and handoff hints is cut at its first handoff hint after two hint
+/// hops, though no two of its handoff hints are in a row.
+#[test]
+fn an_alternating_hint_chain_is_cut_at_its_first_handoff_hint_after_two_hops() {
+    let (sm, chain, hops, bumps) = walk_hint_chain([false, true, false, true], 4);
     let expected = [
-        (chain[0], 0, false),
-        (chain[1], 1, false),
-        (chain[2], 2, false),
+        (chain[0], 1, false),
+        (chain[1], 2, false),
+        (chain[2], 3, false),
         (sm, 0, true),
     ];
     assert_eq!(hops, expected);
+    assert!(bumps.contains(&"asvm.forward.handoff_cut"));
+}
+
+/// The cut needs a handoff hint: a chain of learned hints alone is
+/// followed to its end, however long, before the static manager.
+#[test]
+fn a_chain_of_learned_hints_is_followed_to_its_end() {
+    let (sm, chain, hops, bumps) = walk_hint_chain([false; 4], 5);
+    let expected = [
+        (chain[0], 1, false),
+        (chain[1], 2, false),
+        (chain[2], 3, false),
+        (chain[3], 4, false),
+        (sm, 0, false),
+    ];
+    assert_eq!(hops, expected);
+    assert!(!bumps.contains(&"asvm.forward.handoff_cut"));
 }
 
 /// Suspicion unwinding, abort branch: the grantee of a write transfer is

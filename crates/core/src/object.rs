@@ -456,11 +456,11 @@ impl AsvmObject {
     }
 
     /// Whether a request that has followed [`crate::config::HANDOFF_HOPS`]
-    /// handoff hints in a row is cut to the static manager instead of
-    /// taking another. A chain over `m` members is at most `m − 1` hops
-    /// long; after two of them the static manager's exact record (two hops
-    /// away) can only win if `m − 3 > 2`, and only with static forwarding
-    /// on.
+    /// dynamic hints of either kind in a row is cut to the static manager
+    /// instead of taking a handoff hint. A chain over `m` members is at
+    /// most `m − 1` hops long; after two of them the static manager's
+    /// exact record (two hops away) can only win if `m − 3 > 2`, and only
+    /// with static forwarding on.
     pub(crate) fn cuts_handoff_chains(&self) -> bool {
         self.cfg.static_forwarding && self.nodes.len() > 5
     }

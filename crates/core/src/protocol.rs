@@ -19,9 +19,10 @@ pub struct ReqPath {
     pub tried_static: bool,
     /// Forwarding hops so far (dynamic-hint loop guard).
     pub hops: u16,
-    /// Handoff hints (see [`crate::DynHint`]) followed in a row by the
-    /// latest hops; any other hop resets it.
-    pub handoff_hops: u8,
+    /// Dynamic hints of either kind (see [`crate::DynHint`]) followed in
+    /// a row by the latest hops; any other hop (to or from the static
+    /// manager, of a global walk, on the successor record) resets it.
+    pub hint_hops: u8,
     /// The redirector abandoned a hint chain for the static manager — a
     /// handoff cut or a hop-bound trip — so the static manager answers
     /// from its record, not from its own dynamic hint.
@@ -44,12 +45,12 @@ pub struct ReqPath {
 }
 
 impl ReqPath {
-    /// The path after one more forwarding hop, `handoff` when it follows
-    /// a handoff hint.
-    pub(crate) fn hop(mut self, handoff: bool) -> ReqPath {
+    /// The path after one more forwarding hop, `hint` when it follows a
+    /// dynamic hint.
+    pub(crate) fn hop(mut self, hint: bool) -> ReqPath {
         self.hops += 1;
-        self.handoff_hops = if handoff {
-            self.handoff_hops.saturating_add(1)
+        self.hint_hops = if hint {
+            self.hint_hops.saturating_add(1)
         } else {
             0
         };
@@ -609,19 +610,19 @@ impl AsvmMsg {
 mod tests {
     use super::*;
 
-    /// A handoff hop extends the run of handoff hops, any other hop resets
-    /// it; the run saturates rather than overflowing on objects that never
-    /// cut (the hop bound of a large `dynamic_only` object exceeds 255).
+    /// A hint hop extends the run of hint hops, any other hop resets it;
+    /// the run saturates rather than overflowing on objects that never cut
+    /// (the hop bound of a large `dynamic_only` object exceeds 255).
     #[test]
-    fn a_hop_counts_handoff_runs() {
+    fn a_hop_counts_hint_runs() {
         let mut path = ReqPath::default().hop(true).hop(true);
-        assert_eq!((path.hops, path.handoff_hops), (2, 2));
+        assert_eq!((path.hops, path.hint_hops), (2, 2));
         path = path.hop(false);
-        assert_eq!((path.hops, path.handoff_hops), (3, 0));
+        assert_eq!((path.hops, path.hint_hops), (3, 0));
         for _ in 0..300 {
             path = path.hop(true);
         }
-        assert_eq!((path.hops, path.handoff_hops), (303, u8::MAX));
+        assert_eq!((path.hops, path.hint_hops), (303, u8::MAX));
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! | owner, idle | request | serve (grant path); a forwarded one bumps its `asvm.forward.hops.*` bucket |
 //! | global walk in progress | request | next live member; exhausted → static manager, `walk_done` |
 //! | static manager | request marked static-routed | skip the dynamic hint: answer from the record |
-//! | live handoff hint, two handoff hops in a row, > 5 members, static forwarding on | request | `asvm.forward.handoff_cut`; mark static-routed; keep the hint; fall through |
+//! | live handoff hint, two hint hops of either kind in a row, > 5 members, static forwarding on | request | `asvm.forward.handoff_cut`; mark static-routed; keep the hint; fall through |
 //! | origin, live handoff hint to `y`, successor record `(y, x)`, `x` live and not here, > 5 members, static forwarding on | own plain request, no hop yet, not a re-issue | `asvm.forward.successor`; forward to `x`, unmarked; keep the hint |
 //! | origin, live handoff hint, > 5 members, static forwarding on | own request, no hop yet, no usable successor | `asvm.forward.handoff_cut`; mark static-routed; keep the hint; fall through |
-//! | live dynamic hint, hops < bound | request | forward to it (a write points the hint at its origin) |
+//! | live dynamic hint, hops < bound | request | forward to it, one more hint hop in a row (a write points the hint at its origin) |
 //! | hops ≥ bound, hint on offer | request | `asvm.forward.loop_trip`; mark static-routed; fall through |
 //! | not the static manager | request | forward to the static manager |
 //! | static manager, fill in flight | request | park on `static_waiting` |
@@ -34,13 +34,17 @@
 //!
 //! A *handoff hint* is one this node's own hand-away wrote
 //! ([`crate::DynHint`]); any other writer of the hint clears the flag.
-//! Handoff hints chain through the page's ownership history, so a request
-//! follows at most [`crate::config::HANDOFF_HOPS`] of them in a row before
-//! the static manager, whose record is exact, takes over — and none at its
-//! origin, whose own handoff hint is the oldest link of the chain. The
-//! origin instead sends the request to where its pages handed to the same
-//! node last came back from ([`crate::AsvmObject::successor`]), or, with
-//! no such record, to the static manager (DESIGN §7 "Handoff chains").
+//! Handoff hints chain through the page's ownership history, and a
+//! forwarded write collapses the ones it passes into learned hints, so a
+//! stale chain alternates the two kinds. A request that has followed
+//! [`crate::config::HANDOFF_HOPS`] hints of either kind in a row takes no
+//! further handoff hint: the static manager, whose record is exact, takes
+//! over. Any hop not taken on a hint ends the run, and a learned hint is
+//! never cut. At its origin a request takes no handoff hint at all, the
+//! origin's own being the oldest link of the chain: it goes to where its
+//! pages handed to the same node last came back from
+//! ([`crate::AsvmObject::successor`]), or, with no such record, to the
+//! static manager (DESIGN §7 "Handoff chains").
 
 use machvm::{Access, EmmiToPager, PageIdx, PagerSend};
 use svmsim::NodeId;
@@ -106,13 +110,13 @@ impl Cx<'_> {
                 {
                     let hint = *self.o.dyn_cache.get(&page).expect("peeked above");
                     if hint.owner != self.me {
-                        // A third handoff hop in a row, or a first one
-                        // still at the origin: the hints are the page's
-                        // ownership history, and the static manager holds
-                        // its end.
+                        // A handoff hop after two hint hops of either
+                        // kind in a row, or a first one still at the
+                        // origin: the hints are the page's ownership
+                        // history, and the static manager holds its end.
                         let at_origin = path.hops == 0 && req.origin == self.me;
                         if hint.handoff
-                            && (at_origin || path.handoff_hops >= HANDOFF_HOPS)
+                            && (at_origin || path.hint_hops >= HANDOFF_HOPS)
                             && self.o.cuts_handoff_chains()
                         {
                             // At the origin: pages it handed to the
@@ -133,7 +137,7 @@ impl Cx<'_> {
                                 // optimization).
                                 self.o.dyn_cache.insert(page, DynHint::learned(req.origin));
                             }
-                            return self.send_req(hint.owner, page, req, path.hop(hint.handoff));
+                            return self.send_req(hint.owner, page, req, path.hop(true));
                         }
                     }
                 }
