@@ -6,39 +6,24 @@
 //! space size. Lookups refresh recency; inserts evict the least recently
 //! used entry when full.
 //!
-//! Every operation is `O(1)`: entries live in a slab threaded by an
-//! intrusive recency list, found through a keyed index. A request costs a
-//! cache probe, not a search — this cache is consulted on every forwarded
-//! message. The slab grows with the entries held, never with `cap`.
+//! Every operation is `O(1)`: a keyed index holds each value with its
+//! handle in a [`HandleQueue`] of keys, least recently used at the front.
+//! A request costs a cache probe, not a search — this cache is consulted
+//! on every forwarded message. Memory grows with the entries held, never
+//! with `cap`.
 
 use std::hash::Hash;
 
-use machvm::KeyTable;
-
-/// Slab index meaning "no entry".
-const NIL: u32 = u32::MAX;
-
-#[derive(Clone, Debug)]
-struct Entry<K, V> {
-    key: K,
-    val: V,
-    /// Toward the most recently used end.
-    newer: u32,
-    /// Toward the least recently used end.
-    older: u32,
-}
+use machvm::{HandleQueue, KeyTable};
 
 /// An exact LRU cache with `O(1)` operations.
 #[derive(Clone, Debug)]
 pub struct Lru<K: Copy + Ord + Hash, V> {
     cap: usize,
-    index: KeyTable<K, u32>,
-    slab: Vec<Entry<K, V>>,
-    /// Most recently used entry.
-    newest: u32,
-    /// Least recently used entry: the next victim.
-    oldest: u32,
-    evictions: u64,
+    /// Each entry's value and its handle in `recency`.
+    index: KeyTable<K, (u32, V)>,
+    /// The keys, least recently used first: the front is the next victim.
+    recency: HandleQueue<K>,
 }
 
 impl<K: Copy + Ord + Hash, V> Lru<K, V> {
@@ -48,32 +33,25 @@ impl<K: Copy + Ord + Hash, V> Lru<K, V> {
         Lru {
             cap,
             index: KeyTable::new(),
-            slab: Vec::new(),
-            newest: NIL,
-            oldest: NIL,
-            evictions: 0,
+            recency: HandleQueue::new(),
         }
     }
 
     /// Looks up `k`, refreshing its recency.
     pub fn get(&mut self, k: &K) -> Option<&V> {
-        let at = *self.index.get(k)?;
-        self.touch(at);
-        Some(&self.slab[at as usize].val)
+        let (at, v) = self.index.get(k)?;
+        self.recency.move_to_back(*at);
+        Some(v)
     }
 
     /// Looks up `k` without refreshing recency.
     pub fn peek(&self, k: &K) -> Option<&V> {
-        let at = *self.index.get(k)?;
-        Some(&self.slab[at as usize].val)
+        self.index.get(k).map(|(_, v)| v)
     }
 
     /// Iterates over all entries in key order without touching recency.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.index.iter().map(|(_, at)| {
-            let e = &self.slab[*at as usize];
-            (&e.key, &e.val)
-        })
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        self.index.iter().map(|(k, (_, v))| (k, v))
     }
 
     /// Inserts or updates `k`, evicting the LRU entry if over capacity.
@@ -81,56 +59,25 @@ impl<K: Copy + Ord + Hash, V> Lru<K, V> {
         if self.cap == 0 {
             return;
         }
-        if let Some(&at) = self.index.get(&k) {
-            self.slab[at as usize].val = v;
-            self.touch(at);
+        if let Some((at, val)) = self.index.get_mut(&k) {
+            *val = v;
+            self.recency.move_to_back(*at);
             return;
         }
-        let entry = Entry {
-            key: k,
-            val: v,
-            newer: NIL,
-            older: NIL,
-        };
-        let at = if self.index.len() == self.cap {
-            // Full: the victim's slot takes the new entry.
-            let victim = self.oldest;
-            self.unlink(victim);
-            self.index.remove(&self.slab[victim as usize].key);
-            self.slab[victim as usize] = entry;
-            self.evictions += 1;
-            victim
-        } else {
-            self.slab.push(entry);
-            (self.slab.len() - 1) as u32
-        };
-        self.index.insert(k, at);
-        self.link_newest(at);
+        if self.index.len() == self.cap {
+            let (victim, key) = self.recency.front().expect("a full cache has entries");
+            self.recency.unlink(victim);
+            self.index.remove(&key);
+        }
+        let at = self.recency.push_back(k);
+        self.index.insert(k, (at, v));
     }
 
     /// Removes `k`.
     pub fn remove(&mut self, k: &K) -> Option<V> {
-        let at = self.index.remove(k)?;
-        self.unlink(at);
-        let removed = self.slab.swap_remove(at as usize);
-        if let Some(moved) = self.slab.get(at as usize) {
-            // The last entry now lives in the vacated slot: re-point its
-            // neighbours and its index entry.
-            let (key, newer, older) = (moved.key, moved.newer, moved.older);
-            match newer {
-                NIL => self.newest = at,
-                n => self.slab[n as usize].older = at,
-            }
-            match older {
-                NIL => self.oldest = at,
-                o => self.slab[o as usize].newer = at,
-            }
-            *self
-                .index
-                .get_mut(&key)
-                .expect("every slab entry is indexed") = at;
-        }
-        Some(removed.val)
+        let (at, v) = self.index.remove(k)?;
+        self.recency.unlink(at);
+        Some(v)
     }
 
     /// Entries currently held.
@@ -143,51 +90,10 @@ impl<K: Copy + Ord + Hash, V> Lru<K, V> {
         self.index.is_empty()
     }
 
-    /// Total evictions so far — non-zero means forwarding information may
-    /// have been lost and fallback strategies can kick in.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Slots allocated by the larger of the slab and its index.
+    /// Slots allocated by the larger of the recency queue and the index.
     #[cfg(test)]
     pub(crate) fn slots(&self) -> usize {
-        self.slab.capacity().max(self.index.capacity())
-    }
-
-    /// Makes `at` the most recently used entry.
-    fn touch(&mut self, at: u32) {
-        if self.newest != at {
-            self.unlink(at);
-            self.link_newest(at);
-        }
-    }
-
-    fn unlink(&mut self, at: u32) {
-        let (newer, older) = {
-            let e = &self.slab[at as usize];
-            (e.newer, e.older)
-        };
-        match newer {
-            NIL => self.newest = older,
-            n => self.slab[n as usize].older = older,
-        }
-        match older {
-            NIL => self.oldest = newer,
-            o => self.slab[o as usize].newer = newer,
-        }
-    }
-
-    fn link_newest(&mut self, at: u32) {
-        let prev = self.newest;
-        let e = &mut self.slab[at as usize];
-        e.newer = NIL;
-        e.older = prev;
-        match prev {
-            NIL => self.oldest = at,
-            p => self.slab[p as usize].newer = at,
-        }
-        self.newest = at;
+        self.recency.slots().max(self.index.capacity())
     }
 }
 
@@ -203,7 +109,6 @@ mod reference {
         tick: u64,
         map: BTreeMap<K, (u64, V)>,
         by_age: BTreeMap<u64, K>,
-        evictions: u64,
     }
 
     impl<K: Ord + Copy, V> BTreeLru<K, V> {
@@ -215,7 +120,6 @@ mod reference {
                 tick: 0,
                 map: BTreeMap::new(),
                 by_age: BTreeMap::new(),
-                evictions: 0,
             }
         }
 
@@ -235,8 +139,8 @@ mod reference {
         }
 
         /// Iterates over all entries in key order without touching recency.
-        pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-            self.map.iter().map(|(k, (_, v))| (k, v))
+        pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+            self.map.iter().map(|(k, (_, v))| (*k, v))
         }
 
         /// Inserts or updates `k`, evicting the LRU entry if over capacity.
@@ -254,7 +158,6 @@ mod reference {
                 let (&oldest, &victim) = self.by_age.iter().next().expect("len > 0");
                 self.by_age.remove(&oldest);
                 self.map.remove(&victim);
-                self.evictions += 1;
             }
         }
 
@@ -273,12 +176,6 @@ mod reference {
         /// True if the cache is empty.
         pub fn is_empty(&self) -> bool {
             self.map.is_empty()
-        }
-
-        /// Total evictions so far — non-zero means forwarding information may
-        /// have been lost and fallback strategies can kick in.
-        pub fn evictions(&self) -> u64 {
-            self.evictions
         }
 
         fn next_tick(&mut self) -> u64 {
@@ -301,14 +198,14 @@ mod tests {
         use std::mem::size_of;
         type Page = machvm::PageIdx;
         assert_eq!(
-            size_of::<Entry<Page, crate::DynHint>>(),
-            size_of::<Entry<Page, svmsim::NodeId>>()
+            size_of::<(Page, (u32, crate::DynHint))>(),
+            size_of::<(Page, (u32, svmsim::NodeId))>()
         );
     }
 
     proptest! {
         /// The `O(1)` cache and the B-tree reference agree on every return
-        /// value and, after every step, on `len`, `evictions` and key-ordered
+        /// value and, after every step, on `len` and key-ordered
         /// contents — hence on every eviction victim, which is what keeps
         /// simulated time identical.
         #[test]
@@ -330,7 +227,6 @@ mod tests {
                 }
                 prop_assert_eq!(lru.len(), model.len());
                 prop_assert_eq!(lru.is_empty(), model.is_empty());
-                prop_assert_eq!(lru.evictions(), model.evictions());
                 prop_assert_eq!(lru.iter().collect::<Vec<_>>(), model.iter().collect::<Vec<_>>());
             }
         }
@@ -346,7 +242,7 @@ mod tests {
         assert_eq!(c.peek(&2), None);
         assert_eq!(c.peek(&1), Some(&"a"));
         assert_eq!(c.peek(&3), Some(&"c"));
-        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

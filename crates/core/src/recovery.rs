@@ -330,7 +330,7 @@ impl Cx<'_> {
         // reconstruction).
         let stale: Vec<PageIdx> = (self.o.dyn_cache.iter())
             .filter(|(_, h)| h.owner == peer)
-            .map(|(p, _)| *p)
+            .map(|(p, _)| p)
             .collect();
         for p in stale {
             self.o.dyn_cache.remove(&p);

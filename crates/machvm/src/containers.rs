@@ -19,8 +19,9 @@
 //!   bounded by construction: node ids, a node's VM object ids, and the
 //!   VM's own resident-page table. A [`HandleQueue`] holds one slot per
 //!   live entry and reuses the slots of entries that left, so the VM's
-//!   replacement queue is proportional to the pages resident, never to
-//!   how often they came and went.
+//!   replacement queue (and `asvm`'s hint-cache recency order) is
+//!   proportional to the entries live, never to how often they came and
+//!   went.
 //!
 //! | key kind | container | why |
 //! |---|---|---|
@@ -28,7 +29,7 @@
 //! | node id, VM object id, resident page | [`SlotTable`] | dense from zero: array index, ordered for free |
 //! | task id | [`SortedMap`] | a handful per node out of a machine-wide id space, looked up on every task event: a one-entry search is one compare |
 //! | set of nodes (readers, outstanding acks) | [`NodeSet`] | small, cloned per write fault: sorted `Vec`, `clone` is one `memcpy` |
-//! | resident page, in fault-in order | [`HandleQueue`] | leaves from the middle on flush or eviction: the page keeps a stable handle, unlink is `O(1)`, memory ∝ resident pages |
+//! | resident page in fault-in order; hint key in recency order | [`HandleQueue`] | leaves from the middle (flush, eviction, hint removal) or moves to the back: each entry keeps a stable handle, unlink and move are `O(1)`, memory ∝ live entries |
 
 use std::collections::HashMap;
 use std::fmt;
@@ -596,7 +597,7 @@ pub struct HandleQueue<T> {
     front: u32,
     back: u32,
     free: u32,
-    len: usize,
+    len: u32,
 }
 
 impl<T> Default for HandleQueue<T> {
@@ -618,7 +619,7 @@ impl<T: Copy> HandleQueue<T> {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub fn len(&self) -> u32 {
         self.len
     }
 
@@ -862,7 +863,7 @@ mod tests {
                     }
                 }
                 peak = peak.max(model.len());
-                prop_assert_eq!(queue.len(), model.len());
+                prop_assert_eq!(queue.len() as usize, model.len());
                 prop_assert_eq!(queue.is_empty(), model.is_empty());
                 prop_assert_eq!(queue.front(), model.front().copied());
                 prop_assert_eq!(queue.iter().collect::<Vec<_>>(), Vec::from(model.clone()));

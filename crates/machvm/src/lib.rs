@@ -10,7 +10,8 @@
 //! * **delayed copy semantics** — both the *symmetric* strategy (shadow
 //!   object on first write; source freezes) and the *asymmetric* strategy
 //!   (copy objects linked by copy/shadow links, push and pull operations),
-//!   exactly as FIGURE 2 / FIGURE 3 of the paper sketch them;
+//!   exactly as FIGURE 2 / FIGURE 3 of the paper sketch them, with one
+//!   shadow-chain walk behind faults, reads, access checks and pulls;
 //! * **EMMI** — the External Memory Management Interface between kernel and
 //!   pager tasks, including the five ASVM extensions of §3.7.1
 //!   (`lock_request` mode, `lock_completed` result, `data_supply` mode,
@@ -24,11 +25,6 @@
 //! Everything is a sans-IO state machine emitting [`system::VmEffect`]s, so
 //! the same code is unit-testable in isolation and drives the full
 //! cluster simulation.
-
-// State-machine entry points naturally thread (object, node, cost, time,
-// vm, ...) through; splitting them into context structs would obscure the
-// protocol flow the paper describes.
-#![allow(clippy::too_many_arguments)]
 
 pub mod containers;
 pub mod emmi;
@@ -44,7 +40,7 @@ mod chain_tests;
 #[cfg(test)]
 mod system_tests;
 
-pub use containers::{KeyTable, NodeSet, SlotTable, SortedMap};
+pub use containers::{HandleQueue, KeyTable, NodeSet, SlotTable, SortedMap};
 pub use emmi::{EmmiToKernel, EmmiToPager, LockMode, LockOp, LockResult, PullResult, SupplyMode};
 pub use fx::{Fx, PageRange, PagerSend};
 pub use ids::{Access, FaultId, Inherit, MemObjId, PageIdx, TaskId, VmObjId};

@@ -12,6 +12,13 @@
 //! a later `data_supply`/`lock_request(grant)` re-runs resolution. Nothing
 //! ever blocks a thread, mirroring the paper's "asynchronous state
 //! transitions" design rule.
+//!
+//! Faults, the driver's reads and access checks, and pull operations all
+//! find a page through one shadow-chain walk (`VmSystem::find`): it stops
+//! where the page is resident, paged out to the default pager, missing
+//! from an externally managed object, or at the end of the chain. So what
+//! a task reads, what `can_access` promises and what a fault resolves
+//! never disagree.
 
 use svmsim::{CostModel, Dur, Time};
 
@@ -120,6 +127,20 @@ pub enum EvictDisposition {
 enum Resolve {
     Done,
     Wait(VmObjId, PageIdx),
+}
+
+/// Why a lookup of a page in a shadow chain stopped (see [`VmSystem::find`]).
+#[derive(Debug)]
+enum Stop<'a> {
+    /// Resident in the object the lookup stopped at.
+    Resident(&'a ResidentPage),
+    /// That anonymous object's page is held by the default pager.
+    PagedOut,
+    /// That object is externally managed and lacks the page: its manager
+    /// supplies it (paper §3.7.3).
+    External,
+    /// The chain ended without the page: it reads as zeros.
+    End,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -243,7 +264,9 @@ impl VmSystem {
     }
 
     /// Maps `pages` pages of `obj` starting at `offset` into `task`'s
-    /// address space at `va_page`.
+    /// address space at `va_page`. (One argument per `vm_map` attribute;
+    /// `perf/` calls it with this signature.)
+    #[allow(clippy::too_many_arguments)]
     pub fn map_object(
         &mut self,
         task: TaskId,
@@ -359,39 +382,31 @@ impl VmSystem {
 
     // --- Data access (driver fast path) ----------------------------------------
 
+    /// The map entry of `task` covering `va_page`.
+    fn entry(&self, task: TaskId, va_page: u64) -> Option<&MapEntry> {
+        self.maps.get(&task)?.lookup(va_page)
+    }
+
+    /// The page a read of `va_page` by `task` sees right now, with the map
+    /// entry and the page's depth below the entry's object; `None` when
+    /// the read must fault first.
+    fn readable(&self, task: TaskId, va_page: u64) -> Option<(&MapEntry, u32, &ResidentPage)> {
+        let entry = self.entry(task, va_page)?;
+        match self.find(entry.object, entry.object_page(va_page), false) {
+            (_, depth, Stop::Resident(rp)) => Some((entry, depth, rp)),
+            _ => None,
+        }
+    }
+
     /// True if `task` can access `va_page` with `access` right now (no
     /// fault needed). Does not mutate.
     pub fn can_access(&self, task: TaskId, va_page: u64, access: Access) -> bool {
-        let Some(entry) = self.maps.get(&task).and_then(|m| m.lookup(va_page)) else {
-            return false;
-        };
-        if access == Access::Write && entry.needs_copy {
-            return false;
-        }
-        let page = entry.object_page(va_page);
-        let mut oid = entry.object;
-        let mut depth = 0u32;
-        loop {
-            let o = self.object(oid);
-            if let Some(rp) = o.pages.get(&page) {
-                return match access {
-                    Access::Read => true,
-                    // Writes must hit the top object with write protection.
-                    Access::Write => depth == 0 && rp.prot == Access::Write,
-                };
-            }
-            if o.paged_out.contains(&page) {
-                return false;
-            }
-            match (o.backing, o.shadow) {
-                (Backing::External(_), _) => return false,
-                (Backing::Anonymous, Some(s)) => {
-                    oid = s;
-                    depth += 1;
-                }
-                (Backing::Anonymous, None) => return false,
-            }
-        }
+        self.readable(task, va_page)
+            .is_some_and(|(entry, depth, rp)| match access {
+                Access::Read => true,
+                // Writes must hit the top object with write protection.
+                Access::Write => !entry.needs_copy && depth == 0 && rp.prot == Access::Write,
+            })
     }
 
     /// Combined [`VmSystem::can_access`] + [`VmSystem::read_page`]: one
@@ -400,23 +415,8 @@ impl VmSystem {
     /// The `None` cases are precisely those where `can_access(.., Read)`
     /// is false, so `try_read_page(..).is_some() == can_access(.., Read)`.
     pub fn try_read_page(&self, _now: Time, task: TaskId, va_page: u64) -> Option<PageData> {
-        let entry = self.maps.get(&task).and_then(|m| m.lookup(va_page))?;
-        let page = entry.object_page(va_page);
-        let mut oid = entry.object;
-        loop {
-            let o = self.object(oid);
-            if let Some(rp) = o.pages.get(&page) {
-                return Some(rp.data.clone());
-            }
-            if o.paged_out.contains(&page) {
-                return None;
-            }
-            match (o.backing, o.shadow) {
-                (Backing::External(_), _) => return None,
-                (Backing::Anonymous, Some(s)) => oid = s,
-                (Backing::Anonymous, None) => return None,
-            }
-        }
+        self.readable(task, va_page)
+            .map(|(_, _, rp)| rp.data.clone())
     }
 
     /// Combined [`VmSystem::can_access`] + [`VmSystem::write_page`]: one
@@ -431,7 +431,7 @@ impl VmSystem {
         va_page: u64,
         data: PageData,
     ) -> bool {
-        let Some(entry) = self.maps.get(&task).and_then(|m| m.lookup(va_page)) else {
+        let Some(entry) = self.entry(task, va_page) else {
             return false;
         };
         if entry.needs_copy {
@@ -441,13 +441,7 @@ impl VmSystem {
         let obj = entry.object;
         // Writes must hit the top object with write protection; a page
         // resident only deeper in the chain still faults.
-        let Some(rp) = self
-            .objects
-            .get_mut(&obj)
-            .expect("no such VM object")
-            .pages
-            .get_mut(&page)
-        else {
+        let Some(rp) = self.object_mut(obj).pages.get_mut(&page) else {
             return false;
         };
         if rp.prot != Access::Write {
@@ -458,20 +452,12 @@ impl VmSystem {
         true
     }
 
-    /// The stamp of the page currently serving `va_page` for `task`, or
-    /// `None` if no resident page serves it (no mutation; for tests and
-    /// verification harnesses).
+    /// The stamp `task` reads at `va_page` right now, or `None` if the
+    /// read would fault (no mutation; for tests and verification
+    /// harnesses).
     pub fn peek_task_page(&self, task: TaskId, va_page: u64) -> Option<u64> {
-        let entry = self.maps.get(&task)?.lookup(va_page)?;
-        let page = entry.object_page(va_page);
-        let mut oid = entry.object;
-        loop {
-            let o = self.objects.get(&oid)?;
-            if let Some(rp) = o.pages.get(&page) {
-                return Some(rp.data.word());
-            }
-            oid = o.shadow?;
-        }
+        self.readable(task, va_page)
+            .map(|(_, _, rp)| rp.data.word())
     }
 
     /// Reads the page serving `va_page` for `task`.
@@ -479,23 +465,9 @@ impl VmSystem {
     /// # Panics
     ///
     /// Panics if the access would fault — callers must fault first.
-    pub fn read_page(&self, _now: Time, task: TaskId, va_page: u64) -> PageData {
-        let entry = self
-            .maps
-            .get(&task)
-            .and_then(|m| m.lookup(va_page))
-            .expect("read of unmapped page");
-        let page = entry.object_page(va_page);
-        let mut oid = entry.object;
-        loop {
-            if let Some(rp) = self.object(oid).pages.get(&page) {
-                return rp.data.clone();
-            }
-            oid = self
-                .object(oid)
-                .shadow
-                .expect("read_page: page not resident anywhere in chain");
-        }
+    pub fn read_page(&self, now: Time, task: TaskId, va_page: u64) -> PageData {
+        self.try_read_page(now, task, va_page)
+            .expect("read_page: the read would fault")
     }
 
     /// Overwrites the page at `va_page` with `data`.
@@ -504,25 +476,47 @@ impl VmSystem {
     ///
     /// Panics if the task lacks a resident, writable page — callers must
     /// fault for write first.
-    pub fn write_page(&mut self, _now: Time, task: TaskId, va_page: u64, data: PageData) {
-        let entry = self
-            .maps
-            .get(&task)
-            .and_then(|m| m.lookup(va_page))
-            .expect("write to unmapped page");
-        assert!(!entry.needs_copy, "write_page before copy-on-write fault");
-        let page = entry.object_page(va_page);
-        let obj = entry.object;
-        let rp = self
-            .objects
-            .get_mut(&obj)
-            .unwrap()
-            .pages
-            .get_mut(&page)
-            .expect("write_page: page not resident");
-        assert_eq!(rp.prot, Access::Write, "write_page without write grant");
-        rp.data = data;
-        rp.dirty = true;
+    pub fn write_page(&mut self, now: Time, task: TaskId, va_page: u64, data: PageData) {
+        assert!(
+            self.try_write_page(now, task, va_page, data),
+            "write_page: the write would fault"
+        );
+    }
+
+    /// The one shadow-chain walk that faults, reads, access checks and
+    /// pulls share (paper §2.2): follows shadow links from `top` until
+    /// `page` is resident or the lookup must stop. Returns the object it
+    /// stopped at, that object's depth below `top`, and why it stopped.
+    /// With `through_external_top`, an externally managed `top` that lacks
+    /// the page does not stop the walk (a pull looks below its own object,
+    /// §3.7.1).
+    #[inline]
+    fn find(
+        &self,
+        top: VmObjId,
+        page: PageIdx,
+        through_external_top: bool,
+    ) -> (VmObjId, u32, Stop<'_>) {
+        let (mut oid, mut depth) = (top, 0u32);
+        loop {
+            let o = self.object(oid);
+            let stop = if let Some(rp) = o.pages.get(&page) {
+                Stop::Resident(rp)
+            } else if o.paged_out.contains(&page) {
+                Stop::PagedOut
+            } else if matches!(o.backing, Backing::External(_))
+                && (depth > 0 || !through_external_top)
+            {
+                Stop::External
+            } else if let Some(s) = o.shadow {
+                oid = s;
+                depth += 1;
+                continue;
+            } else {
+                Stop::End
+            };
+            return (oid, depth, stop);
+        }
     }
 
     // --- Fault entry ------------------------------------------------------------
@@ -577,9 +571,7 @@ impl VmSystem {
         // Symmetric copy-on-write: the first write through a needs-copy
         // entry gets a fresh shadow object (paper FIGURE 2).
         let entry = self
-            .maps
-            .get(&task)
-            .and_then(|m| m.lookup(va_page))
+            .entry(task, va_page)
             .unwrap_or_else(|| panic!("fault outside mappings: {task:?} va {va_page}"));
         let (mut top, page) = (entry.object, entry.object_page(va_page));
         if access == Access::Write && entry.needs_copy {
@@ -601,44 +593,35 @@ impl VmSystem {
             top = shadow;
         }
 
-        let mut oid = top;
-        let mut depth = 0u32;
-        loop {
-            let obj = self.object(oid);
-            assert!(
-                page.0 < obj.size_pages,
-                "fault beyond object size: {page:?} in {oid:?}"
-            );
-            if obj.resident(page) {
-                return self.resolve_at(top, oid, page, depth, access, fx);
-            }
-            if obj.paged_out.contains(&page) {
+        // Every object of a chain has the size of the one it was made from.
+        assert!(
+            page.0 < self.object(top).size_pages,
+            "fault beyond object size: {page:?} in {top:?}"
+        );
+        let (oid, depth, stop) = self.find(top, page, false);
+        fx.charge(self.cost.vm_object_op * depth as u64);
+        match stop {
+            Stop::Resident(_) => self.resolve_at(top, oid, page, depth, access, fx),
+            Stop::PagedOut => {
                 // The default pager holds this anonymous page.
                 self.request(oid, page, Access::Write, fx);
-                return Resolve::Wait(oid, page);
+                Resolve::Wait(oid, page)
             }
-            match (obj.backing, obj.shadow) {
-                (Backing::External(_), _) => {
-                    // Stop the local walk at the first externally managed
-                    // object lacking the page (paper §3.7.3). Below the top
-                    // object we only ever need read access: a write fault
-                    // copies the page up into the top object afterwards.
-                    let want = if depth == 0 { access } else { Access::Read };
-                    self.request(oid, page, want, fx);
-                    return Resolve::Wait(oid, page);
-                }
-                (Backing::Anonymous, Some(s)) => {
-                    fx.charge(self.cost.vm_object_op);
-                    oid = s;
-                    depth += 1;
-                }
-                (Backing::Anonymous, None) => {
-                    // End of chain: zero-fill into the top object.
-                    fx.charge(self.cost.vm_zero_fill);
-                    let dirty = access == Access::Write;
-                    self.insert_page(top, page, PageData::Zero, Access::Write, dirty);
-                    return Resolve::Done;
-                }
+            Stop::External => {
+                // Stop the local walk at the first externally managed
+                // object lacking the page (paper §3.7.3). Below the top
+                // object we only ever need read access: a write fault
+                // copies the page up into the top object afterwards.
+                let want = if depth == 0 { access } else { Access::Read };
+                self.request(oid, page, want, fx);
+                Resolve::Wait(oid, page)
+            }
+            Stop::End => {
+                // End of chain: zero-fill into the top object.
+                fx.charge(self.cost.vm_zero_fill);
+                let dirty = access == Access::Write;
+                self.insert_page(top, page, PageData::Zero, Access::Write, dirty);
+                Resolve::Done
             }
         }
     }
@@ -655,13 +638,7 @@ impl VmSystem {
         fx: &mut Effects,
     ) -> Resolve {
         if depth == 0 {
-            let rp = self
-                .objects
-                .get_mut(&oid)
-                .unwrap()
-                .pages
-                .get_mut(&page)
-                .unwrap();
+            let rp = self.resident_mut(oid, page);
             if access == Access::Read || rp.prot == Access::Write {
                 if access == Access::Write {
                     rp.dirty = true;
@@ -674,20 +651,14 @@ impl VmSystem {
             let obj = self.object(oid);
             match obj.backing {
                 Backing::Anonymous => {
-                    let rp = self
-                        .objects
-                        .get_mut(&oid)
-                        .unwrap()
-                        .pages
-                        .get_mut(&page)
-                        .unwrap();
+                    let rp = self.resident_mut(oid, page);
                     rp.prot = Access::Write;
                     rp.dirty = true;
                     Resolve::Done
                 }
                 Backing::External(_) => {
                     // The manager must grant the upgrade.
-                    self.unlock(oid, page, fx);
+                    self.request(oid, page, Access::Write, fx);
                     Resolve::Wait(oid, page)
                 }
             }
@@ -741,8 +712,9 @@ impl VmSystem {
         true
     }
 
-    /// Emits a `data_request` unless an equal-or-stronger one is already
-    /// outstanding for `(obj, page)`.
+    /// Asks the manager of `obj` for `access` to `page` — a `data_unlock`
+    /// (upgrade) when the page is resident, a `data_request` when not —
+    /// unless an equal-or-stronger ask is already outstanding.
     fn request(&mut self, obj: VmObjId, page: PageIdx, access: Access, fx: &mut Effects) {
         if let Some(prev) = self.outstanding.get(&(obj, page)) {
             if prev.allows(access) {
@@ -750,29 +722,14 @@ impl VmSystem {
             }
         }
         self.outstanding.insert((obj, page), access);
-        let backing = self.object(obj).backing;
+        let o = self.object(obj);
+        let call = if o.resident(page) {
+            EmmiToPager::DataUnlock { page, access }
+        } else {
+            EmmiToPager::DataRequest { page, access }
+        };
         fx.charge(self.cost.vm_object_op);
-        fx.pager(obj, backing, EmmiToPager::DataRequest { page, access });
-    }
-
-    /// Emits a `data_unlock` (write upgrade) unless already outstanding.
-    fn unlock(&mut self, obj: VmObjId, page: PageIdx, fx: &mut Effects) {
-        if let Some(prev) = self.outstanding.get(&(obj, page)) {
-            if prev.allows(Access::Write) {
-                return;
-            }
-        }
-        self.outstanding.insert((obj, page), Access::Write);
-        let backing = self.object(obj).backing;
-        fx.charge(self.cost.vm_object_op);
-        fx.pager(
-            obj,
-            backing,
-            EmmiToPager::DataUnlock {
-                page,
-                access: Access::Write,
-            },
-        );
+        fx.pager(obj, o.backing, call);
     }
 
     // --- EMMI ingress (manager → kernel) -------------------------------------------
@@ -857,113 +814,66 @@ impl VmSystem {
     ) {
         fx.charge(self.cost.vm_object_op);
         let backing = self.object(obj).backing;
-        if mode == LockMode::PushFirst && !self.object(obj).resident(page) {
+        let resident = self.object(obj).resident(page);
+        let result = if mode == LockMode::PushFirst && !resident {
             // ASVM extension: report that the push could not run.
-            fx.pager(
-                obj,
-                backing,
-                EmmiToPager::LockCompleted {
-                    page,
-                    result: LockResult::PageAbsent,
-                },
-            );
-            return;
-        }
-        if mode == LockMode::PushFirst {
-            self.local_push(obj, page, fx);
-        }
-        if self.object(obj).resident(page) {
+            LockResult::PageAbsent
+        } else {
+            if mode == LockMode::PushFirst {
+                self.local_push(obj, page, fx);
+            }
             match op {
-                LockOp::Flush { return_dirty } => {
+                LockOp::Flush { return_dirty } if resident => {
                     let rp = self.remove_page(obj, page);
-                    if rp.dirty && return_dirty {
-                        fx.charge(self.cost.vm_pmap_op);
-                        fx.pager(
-                            obj,
-                            backing,
-                            EmmiToPager::DataReturn {
-                                page,
-                                data: rp.data,
-                                dirty: true,
-                            },
-                        );
-                    } else {
-                        fx.charge(self.cost.vm_pmap_op);
-                    }
-                }
-                LockOp::Downgrade { return_dirty } => {
-                    let rp = self
-                        .objects
-                        .get_mut(&obj)
-                        .unwrap()
-                        .pages
-                        .get_mut(&page)
-                        .unwrap();
-                    rp.prot = Access::Read;
                     fx.charge(self.cost.vm_pmap_op);
                     if rp.dirty && return_dirty {
-                        let data = rp.data.clone();
+                        let call = EmmiToPager::DataReturn {
+                            page,
+                            data: rp.data,
+                            dirty: true,
+                        };
+                        fx.pager(obj, backing, call);
+                    }
+                }
+                LockOp::Downgrade { return_dirty } if resident => {
+                    fx.charge(self.cost.vm_pmap_op);
+                    let rp = self.resident_mut(obj, page);
+                    rp.prot = Access::Read;
+                    if rp.dirty && return_dirty {
                         rp.dirty = false;
-                        fx.pager(
-                            obj,
-                            backing,
-                            EmmiToPager::DataReturn {
-                                page,
-                                data,
-                                dirty: true,
-                            },
-                        );
+                        let call = EmmiToPager::DataReturn {
+                            page,
+                            data: rp.data.clone(),
+                            dirty: true,
+                        };
+                        fx.pager(obj, backing, call);
                     }
                 }
                 LockOp::Grant(a) => {
-                    let rp = self
-                        .objects
-                        .get_mut(&obj)
-                        .unwrap()
-                        .pages
-                        .get_mut(&page)
-                        .unwrap();
-                    rp.prot = rp.prot.max(a);
+                    // A grant for a page no longer resident just wakes the
+                    // fault, which re-requests.
+                    if resident {
+                        let rp = self.resident_mut(obj, page);
+                        rp.prot = rp.prot.max(a);
+                    }
                     self.outstanding.remove(&(obj, page));
                     self.wake(obj, page, fx);
                 }
+                _ => {}
             }
-        } else if let LockOp::Grant(_) = op {
-            // Grant for a page that is no longer resident: the fault will
-            // re-request; nothing to do.
-            self.outstanding.remove(&(obj, page));
-            self.wake(obj, page, fx);
-        }
-        fx.pager(
-            obj,
-            backing,
-            EmmiToPager::LockCompleted {
-                page,
-                result: LockResult::Done,
-            },
-        );
+            LockResult::Done
+        };
+        fx.pager(obj, backing, EmmiToPager::LockCompleted { page, result });
     }
 
     fn pull_request(&mut self, obj: VmObjId, page: PageIdx, fx: &mut Effects) {
         fx.charge(self.cost.vm_object_op);
         let backing = self.object(obj).backing;
-        let mut oid = obj;
-        let mut depth = 0u32;
-        loop {
-            let o = self.object(oid);
-            if let Some(rp) = o.pages.get(&page) {
-                let data = rp.data.clone();
-                fx.pager(
-                    obj,
-                    backing,
-                    EmmiToPager::PullCompleted {
-                        page,
-                        result: PullResult::Data(data),
-                    },
-                );
-                return;
-            }
-            if o.paged_out.contains(&page) {
+        let (oid, depth, stop) = self.find(obj, page, true);
+        fx.charge(self.cost.vm_object_op * depth as u64);
+        let result = match stop {
+            Stop::Resident(rp) => PullResult::Data(rp.data.clone()),
+            Stop::PagedOut => {
                 // Fetch from the default pager, then re-run the pull.
                 self.waiters
                     .get_or_insert_with((oid, page), Vec::new)
@@ -971,39 +881,11 @@ impl VmSystem {
                 self.request(oid, page, Access::Write, fx);
                 return;
             }
-            if depth > 0 {
-                if let Backing::External(_) = o.backing {
-                    // Case 3: ask the shadow object's memory manager.
-                    fx.pager(
-                        obj,
-                        backing,
-                        EmmiToPager::PullCompleted {
-                            page,
-                            result: PullResult::AskShadow(oid),
-                        },
-                    );
-                    return;
-                }
-            }
-            match o.shadow {
-                Some(s) => {
-                    fx.charge(self.cost.vm_object_op);
-                    oid = s;
-                    depth += 1;
-                }
-                None => {
-                    fx.pager(
-                        obj,
-                        backing,
-                        EmmiToPager::PullCompleted {
-                            page,
-                            result: PullResult::Zero,
-                        },
-                    );
-                    return;
-                }
-            }
-        }
+            // Case 3: ask the shadow object's memory manager.
+            Stop::External => PullResult::AskShadow(oid),
+            Stop::End => PullResult::Zero,
+        };
+        fx.pager(obj, backing, EmmiToPager::PullCompleted { page, result });
     }
 
     /// Re-runs everything stalled on `(obj, page)`.
@@ -1132,7 +1014,7 @@ impl VmSystem {
     pub fn check_replacement_queue(&self) {
         assert_eq!(
             self.replacement.len(),
-            self.resident_total as usize,
+            self.resident_total,
             "replacement queue length differs from the resident page count"
         );
         for (handle, (obj, page)) in self.replacement.iter() {
@@ -1157,11 +1039,10 @@ impl VmSystem {
         page: PageIdx,
         fx: &mut Effects,
     ) -> EvictDisposition {
-        let backing = self.object(obj).backing;
-        match backing {
+        let rp = self.remove_page(obj, page);
+        fx.charge(self.cost.vm_pmap_op);
+        match self.object(obj).backing {
             Backing::External(mobj) => {
-                let rp = self.remove_page(obj, page);
-                fx.charge(self.cost.vm_pmap_op);
                 fx.out.push(VmEffect::EvictExternal {
                     obj,
                     mobj,
@@ -1172,8 +1053,6 @@ impl VmSystem {
                 EvictDisposition::Handed
             }
             Backing::Anonymous => {
-                let rp = self.remove_page(obj, page);
-                fx.charge(self.cost.vm_pmap_op);
                 let reconstructible = !rp.dirty
                     && (matches!(rp.data, PageData::Zero)
                         || self.object(obj).paged_out.contains(&page));
@@ -1181,15 +1060,12 @@ impl VmSystem {
                     return EvictDisposition::Dropped;
                 }
                 self.object_mut(obj).paged_out.insert(page);
-                fx.pager(
-                    obj,
-                    Backing::Anonymous,
-                    EmmiToPager::DataReturn {
-                        page,
-                        data: rp.data,
-                        dirty: true,
-                    },
-                );
+                let call = EmmiToPager::DataReturn {
+                    page,
+                    data: rp.data,
+                    dirty: true,
+                };
+                fx.pager(obj, Backing::Anonymous, call);
                 EvictDisposition::ToDefaultPager
             }
         }
@@ -1215,6 +1091,12 @@ impl VmSystem {
         assert!(prev.is_none(), "page already resident: {obj:?} {page:?}");
         o.paged_out.remove(&page);
         self.resident_total += 1;
+    }
+
+    /// The resident page `(obj, page)`.
+    fn resident_mut(&mut self, obj: VmObjId, page: PageIdx) -> &mut ResidentPage {
+        let o = self.objects.get_mut(&obj).expect("no such VM object");
+        o.pages.get_mut(&page).expect("page not resident")
     }
 
     fn remove_page(&mut self, obj: VmObjId, page: PageIdx) -> ResidentPage {

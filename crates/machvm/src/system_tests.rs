@@ -6,7 +6,7 @@ use crate::emmi::{
     EmmiToKernel, EmmiToPager, LockMode, LockOp, LockResult, PullResult, SupplyMode,
 };
 use crate::ids::{Access, Inherit, MemObjId, PageIdx, TaskId, VmObjId};
-use crate::object::Backing;
+use crate::object::{Backing, CopyStrategy};
 use crate::pagedata::PageData;
 use crate::system::{Effects, EvictDisposition, FaultOutcome, VmEffect, VmSystem};
 
@@ -683,4 +683,204 @@ fn share_mapping_sees_other_tasks_writes() {
         FaultOutcome::Hit
     );
     assert_eq!(v.read_page(t(2), b, 0), PageData::Word(10));
+}
+
+#[test]
+fn peek_sees_what_the_task_reads_after_its_shadow_page_is_paged_out() {
+    let mut v = vm();
+    let (a, b) = (TaskId(1), TaskId(2));
+    v.create_task(a);
+    let obj = v.create_object(4, Backing::Anonymous);
+    v.map_object(a, 0, 4, obj, 0, Access::Write, Inherit::Copy);
+    v.fault(t(0), a, 0, Access::Write, &mut Effects::new());
+    v.write_page(t(0), a, 0, PageData::Word(1));
+
+    // Symmetric fork; B's first write gives it a shadow of its own.
+    v.fork_local(t(1), a, b, &mut Effects::new());
+    v.fault(t(2), b, 0, Access::Write, &mut Effects::new());
+    v.write_page(t(2), b, 0, PageData::Word(2));
+    let shadow = v.address_map(b).lookup(0).unwrap().object;
+    assert_ne!(shadow, obj);
+
+    // B's page goes to the default pager: B must fault to read it again,
+    // and must not see A's older contents below its shadow.
+    let mut fx = Effects::new();
+    let out = v.evict(t(3), shadow, PageIdx(0), &mut fx);
+    assert_eq!(out, EvictDisposition::ToDefaultPager);
+    assert_eq!(v.try_read_page(t(4), b, 0), None);
+    assert!(!v.can_access(b, 0, Access::Read));
+    assert_eq!(v.peek_task_page(b, 0), None);
+    assert_eq!(v.peek_task_page(a, 0), Some(1));
+}
+
+/// A random VM history (see `reads_and_writes_agree_with_access_checks`):
+/// tasks, their objects, and the default pager's and the external
+/// manager's side of every EMMI exchange.
+struct History {
+    v: VmSystem,
+    now: u64,
+    /// The one externally managed object every task maps at va 4..8.
+    external: VmObjId,
+    /// Unanswered `data_request`s (`false`) and `data_unlock`s (`true`).
+    asks: Vec<(VmObjId, PageIdx, Access, bool)>,
+    /// Contents handed back by evictions and returns.
+    store: std::collections::BTreeMap<(VmObjId, PageIdx), PageData>,
+}
+
+impl History {
+    /// Tasks `TaskId(1..=4)`; va 0..4 is the task's own anonymous object.
+    const TASKS: u32 = 4;
+    const VAS: u64 = 8;
+
+    fn new() -> History {
+        let mut v = vm();
+        let external = v.create_object(4, Backing::External(MemObjId(9)));
+        History {
+            v,
+            now: 0,
+            external,
+            asks: Vec::new(),
+            store: Default::default(),
+        }
+    }
+
+    fn absorb(&mut self, fx: Effects) {
+        for e in fx.out {
+            match e {
+                VmEffect::ToPager { obj, call, .. } => match call {
+                    EmmiToPager::DataRequest { page, access } => {
+                        self.asks.push((obj, page, access, false))
+                    }
+                    EmmiToPager::DataUnlock { page, access } => {
+                        self.asks.push((obj, page, access, true))
+                    }
+                    EmmiToPager::DataReturn { page, data, .. } => {
+                        self.store.insert((obj, page), data);
+                    }
+                    _ => {}
+                },
+                VmEffect::EvictExternal {
+                    obj, page, data, ..
+                } => {
+                    self.store.insert((obj, page), data);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Runs one step: `kind` picks the operation, the rest are its
+    /// arguments.
+    fn step(&mut self, kind: u8, task: u32, va: u64, val: u32) {
+        self.now += 1;
+        let now = t(self.now);
+        let (task, other) = (
+            TaskId(task % Self::TASKS + 1),
+            TaskId(val % Self::TASKS + 1),
+        );
+        let mut fx = Effects::new();
+        match kind {
+            // Map: a new task with its own anonymous object (either copy
+            // strategy) and the external object, shared or copied.
+            0 if !self.v.has_task(task) => {
+                self.v.create_task(task);
+                let anon = self.v.create_object(4, Backing::Anonymous);
+                if val & 1 == 1 {
+                    self.v.object_mut(anon).copy_strategy = CopyStrategy::Asymmetric;
+                }
+                let inherit = if val & 2 == 0 {
+                    Inherit::Share
+                } else {
+                    Inherit::Copy
+                };
+                self.v
+                    .map_object(task, 0, 4, anon, 0, Access::Write, Inherit::Copy);
+                self.v
+                    .map_object(task, 4, 4, self.external, 0, Access::Write, inherit);
+            }
+            1 if self.v.has_task(task) && !self.v.has_task(other) => {
+                self.v.fork_local(now, task, other, &mut fx)
+            }
+            2 if self.v.has_task(task) => {
+                let access = if val & 1 == 0 {
+                    Access::Read
+                } else {
+                    Access::Write
+                };
+                self.v.fault(now, task, va, access, &mut fx);
+            }
+            3 if self.v.has_task(task) => {
+                let data = PageData::Word(val as u64);
+                if !self.v.try_write_page(now, task, va, data.clone())
+                    && self.v.fault(now, task, va, Access::Write, &mut fx) == FaultOutcome::Hit
+                {
+                    self.v.write_page(now, task, va, data);
+                }
+            }
+            4 => {
+                if let Some((obj, page)) = self.v.select_victim() {
+                    self.v.evict(now, obj, page, &mut fx);
+                }
+            }
+            5 if !self.asks.is_empty() => {
+                let (obj, page, access, unlock) = self.asks.remove(val as usize % self.asks.len());
+                let call = if unlock {
+                    EmmiToKernel::LockRequest {
+                        page,
+                        op: LockOp::Grant(access),
+                        mode: LockMode::Normal,
+                    }
+                } else {
+                    let stamp = PageData::Word(0xE000 + page.0 as u64);
+                    EmmiToKernel::DataSupply {
+                        page,
+                        data: self.store.get(&(obj, page)).cloned().unwrap_or(stamp),
+                        lock: access,
+                        mode: SupplyMode::Normal,
+                    }
+                };
+                self.v.kernel_call(now, obj, call, &mut fx);
+            }
+            _ => {}
+        }
+        self.absorb(fx);
+    }
+}
+
+proptest::proptest! {
+    /// After every step of a random history of maps, forks (both copy
+    /// strategies), faults, writes, evictions and supplies, the driver's
+    /// fused accessors agree with the access check for every task and
+    /// page: a read succeeds exactly when `can_access(.., Read)`, peeking
+    /// sees what the read returns, and a write succeeds exactly when
+    /// `can_access(.., Write)`.
+    #[test]
+    fn reads_and_writes_agree_with_access_checks(
+        ops in proptest::prelude::prop::collection::vec(
+            (0u8..6, 0u32..4, 0u64..History::VAS, 0u32..1000),
+            1..60,
+        ),
+    ) {
+        let mut h = History::new();
+        for (kind, task, va, val) in ops {
+            h.step(kind, task, va, val);
+            h.v.check_replacement_queue();
+            let now = t(h.now);
+            for task in (1..=History::TASKS).map(TaskId).filter(|&t| h.v.has_task(t)) {
+                for va in 0..History::VAS {
+                    let read = h.v.try_read_page(now, task, va);
+                    proptest::prop_assert_eq!(
+                        read.is_some(),
+                        h.v.can_access(task, va, Access::Read)
+                    );
+                    proptest::prop_assert_eq!(
+                        h.v.peek_task_page(task, va),
+                        read.map(|d| d.word())
+                    );
+                    let wrote = h.v.clone().try_write_page(now, task, va, PageData::Word(7));
+                    proptest::prop_assert_eq!(wrote, h.v.can_access(task, va, Access::Write));
+                }
+            }
+        }
+    }
 }

@@ -28,6 +28,7 @@
 //! See `docs/RELIABILITY.md` for the full reliability model.
 
 use crate::mesh::NodeId;
+use crate::rng::SplitMix;
 use crate::time::{Dur, Time};
 
 /// Per-link fault rates. Probabilities are in parts per million so integer
@@ -197,44 +198,6 @@ impl FaultStreams {
         let k = self.counts[i];
         self.counts[i] = k + 1;
         Some(k)
-    }
-}
-
-/// A SplitMix64 generator: the finalizer of Steele, Lea and Flood's
-/// SplittableRandom over a Weyl sequence. Keyed by folding a frame's
-/// coordinates into the state, so frames with different coordinates get
-/// unrelated draws.
-struct SplitMix(u64);
-
-impl SplitMix {
-    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-    /// The generator keyed by `parts`, folded in order.
-    fn keyed(parts: [u64; 5]) -> SplitMix {
-        let mut g = SplitMix(0);
-        for p in parts {
-            g.0 = g.next() ^ p;
-        }
-        g
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(Self::GAMMA);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, bound)` (multiply-shift; the bias is below 2⁻³²
-    /// for every bound used here).
-    fn below(&mut self, bound: u64) -> u64 {
-        ((self.next() as u128 * bound as u128) >> 64) as u64
-    }
-
-    /// True with probability `ppm` parts per million.
-    fn hits(&mut self, ppm: u32) -> bool {
-        self.below(1_000_000) < ppm as u64
     }
 }
 

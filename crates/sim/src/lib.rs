@@ -13,8 +13,9 @@
 //!
 //! * **Determinism.** Events are totally ordered by `(time, sequence)`; the
 //!   simulator draws no random numbers — fault decisions are a keyed hash
-//!   of the plan's seed ([`faults`]) — and protocol state uses ordered
-//!   maps. Two runs with equal inputs produce equal outputs, bit for bit.
+//!   of the plan's seed ([`faults`]), and workload generators draw from
+//!   their own seeded [`Rng`] — and protocol state uses ordered maps. Two
+//!   runs with equal inputs produce equal outputs, bit for bit.
 //! * **Occupancy, not just latency.** Processors and disks are serial
 //!   resources with "free at" watermarks. Queueing behind a busy centralized
 //!   manager is what produces the paper's scalability cliffs, so it is
@@ -48,6 +49,7 @@ pub mod faults;
 pub mod machine;
 pub mod mesh;
 pub mod queue;
+pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -58,6 +60,7 @@ pub use faults::{Blackout, FaultCause, FaultClass, FaultDecision, FaultPlan, Lin
 pub use machine::{CostModel, Machine, MachineConfig, NodeKind};
 pub use mesh::{Mesh, NodeId};
 pub use queue::{EventQueue, Slot};
+pub use rng::Rng;
 pub use stats::{HistId, Histogram, StatId, Stats, Tally, TallyId};
 pub use time::{Dur, Time};
 pub use trace::TraceRing;

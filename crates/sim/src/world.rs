@@ -811,8 +811,7 @@ mod fan_in_tests {
     //! change pass.
     use super::*;
     use crate::machine::MachineConfig;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use crate::Rng;
     use std::cell::RefCell;
     use std::fmt::Write as _;
     use std::rc::Rc;
@@ -911,12 +910,12 @@ mod fan_in_tests {
                     senders: k as u32,
                 }
             });
-        let mut rng = SmallRng::seed_from_u64(1996 + k as u64);
+        let mut rng = Rng::seeded(1996 + k as u64);
         for s in 1..=k {
             // Most senders start together so that equidistant ones reach
             // the sink at the same instant.
-            let at = [0, 0, 0, 40, 90][rng.gen_range(0..5usize)];
-            let n = rng.gen_range(1..4u32);
+            let at = [0, 0, 0, 40, 90][rng.range(0..5) as usize];
+            let n = rng.range(1..4) as u32;
             let go = Fan::Go { id: s as u32, n };
             w.post(Time::ZERO + Dur::from_micros(at), NodeId(s), go);
         }

@@ -20,9 +20,7 @@ use std::collections::BTreeSet;
 
 use cluster::{ManagerKind, Program, Step, TaskEnv};
 use machvm::Access;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use svmsim::{Dur, MachineConfig, NodeId};
+use svmsim::{Dur, MachineConfig, NodeId, Rng};
 
 use crate::scenario::{Outcome, Scenario};
 
@@ -104,7 +102,7 @@ struct NodePattern {
 }
 
 fn build_patterns(spec: &Em3dSpec) -> Vec<NodePattern> {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut rng = Rng::seeded(spec.seed);
     let n = spec.nodes as u64;
     let cpn = spec.cells / n;
     let mut out = Vec::new();
@@ -126,7 +124,7 @@ fn build_patterns(spec: &Em3dSpec) -> Vec<NodePattern> {
             let remote_refs =
                 (own_cells as f64 * spec.edges_per_cell as f64 * spec.pct_remote) as u64;
             for _ in 0..remote_refs {
-                let dir: bool = rng.gen();
+                let dir = rng.coin();
                 let neighbour = if dir { (i + 1) % n } else { (i + n - 1) % n };
                 let nb_first = neighbour * cpn;
                 let nb_last = if neighbour == n - 1 {
@@ -137,7 +135,7 @@ fn build_patterns(spec: &Em3dSpec) -> Vec<NodePattern> {
                 let nb_cells = nb_last - nb_first;
                 let w = (spec.window as u64).min(nb_cells);
                 // Bias toward the block edge facing us.
-                let off = rng.gen_range(0..w.max(1));
+                let off = rng.range(0..w.max(1));
                 let cell = if dir {
                     nb_first + off
                 } else {

@@ -7,9 +7,7 @@
 //! tests are built from these.
 
 use cluster::{Program, Step, TaskEnv};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use svmsim::{Dur, NodeId, Time};
+use svmsim::{Dur, NodeId, Rng, Time};
 
 use crate::scenario::{Outcome, Scenario};
 
@@ -97,7 +95,7 @@ struct PatternProgram {
     idx: u32,
     barrier: u32,
     phase: u8,
-    rng: StdRng,
+    rng: Rng,
     /// Per-touch compute time ([`Scenario::think`]); `Dur::ZERO` keeps
     /// the classic back-to-back access stream.
     think: Dur,
@@ -215,8 +213,8 @@ impl Program for PatternProgram {
             }
             Pattern::Uniform { write_pct, .. } => {
                 self.round += 1;
-                let p = self.rng.gen_range(0..pages) as u64;
-                return if self.rng.gen_range(0..100) < write_pct {
+                let p = self.rng.range(0..pages as u64);
+                return if self.rng.range(0..100) < write_pct as u64 {
                     self.write(p, self.round as u64)
                 } else {
                     self.read(p)
@@ -248,7 +246,7 @@ pub fn run_pattern(sc: &Scenario, pages: u32, pattern: Pattern) -> Outcome {
                 idx: 0,
                 barrier: 0,
                 phase: 0,
-                rng: StdRng::seed_from_u64(sc.seed ^ (i as u64) << 32),
+                rng: Rng::seeded(sc.seed ^ (i as u64) << 32),
                 think: sc.think,
                 think_pending: false,
             }),

@@ -38,9 +38,7 @@
 use asvm::AsvmConfig;
 use cluster::{ManagerKind, Program, Step, TaskEnv};
 use machvm::{Access, Inherit};
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-use svmsim::{Dur, NodeId, Time};
+use svmsim::{Dur, NodeId, Rng, Time};
 use transport::Transport;
 
 use crate::scenario::{Outcome, Scenario};
@@ -72,9 +70,8 @@ impl Zipf {
     }
 
     /// Draws one rank in `0..n`.
-    pub fn sample(&self, rng: &mut StdRng) -> usize {
-        // Uniform in [0, 1): 53 random bits over 2^53 (the vendored rand
-        // has no float sampling).
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        // Uniform in [0, 1): 53 random bits over 2^53.
         let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         self.cum.partition_point(|&c| c < u).min(self.cum.len() - 1)
     }
@@ -162,7 +159,7 @@ struct TenantProgram {
     slot_zipf: Zipf,
     page_zipf: Zipf,
     phase_flip: u32,
-    rng: StdRng,
+    rng: Rng,
     think: Dur,
     think_pending: bool,
 }
@@ -193,7 +190,7 @@ impl Program for TenantProgram {
         if self.think > Dur::ZERO {
             self.think_pending = true;
         }
-        if self.rng.gen_range(0..100) < read_pct {
+        if self.rng.range(0..100) < read_pct as u64 {
             Step::Read { va_page: va }
         } else {
             Step::Write {
@@ -222,7 +219,7 @@ pub fn run_tenants(
         spec.objs_per_task <= spec.objects,
         "working set larger than the object pool"
     );
-    let mut setup = StdRng::seed_from_u64(spec.seed);
+    let mut setup = Rng::seeded(spec.seed);
     let sc = Scenario::new(ManagerKind::Asvm(cfg), spec.nodes, spec.seed).transport(transport);
     let mut ssi = sc.build();
 
@@ -232,7 +229,7 @@ pub fn run_tenants(
     for i in 0..spec.objects {
         let home = NodeId(i as u16 % spec.nodes);
         let mobj = ssi.create_object(home, spec.pages_per_object, false);
-        let rm = setup.gen_range(0..100) < spec.read_mostly_pct;
+        let rm = setup.range(0..100) < spec.read_mostly_pct as u64;
         if oracle {
             let c = if rm {
                 cfg
@@ -299,7 +296,7 @@ pub fn run_tenants(
             slot_zipf: Zipf::new(spec.objs_per_task as usize, spec.object_skew),
             page_zipf: Zipf::new(spec.pages_per_object as usize, spec.page_skew),
             phase_flip: spec.phase_flip,
-            rng: StdRng::seed_from_u64(spec.seed ^ ((task.0 as u64) << 32)),
+            rng: Rng::seeded(spec.seed ^ ((task.0 as u64) << 32)),
             think: Dur::from_micros_f64(spec.think_us),
             think_pending: false,
         };
@@ -327,7 +324,7 @@ mod tests {
     fn zipf_is_deterministic_under_a_fixed_seed() {
         let z = Zipf::new(1000, 0.9);
         let draw = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seeded(seed);
             (0..256).map(|_| z.sample(&mut rng)).collect::<Vec<_>>()
         };
         assert_eq!(draw(7), draw(7), "same seed, same sequence");
@@ -336,7 +333,7 @@ mod tests {
 
     #[test]
     fn zipf_skew_concentrates_mass_on_low_ranks() {
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seeded(42);
         let z = Zipf::new(100, 1.1);
         let head = (0..2000).filter(|_| z.sample(&mut rng) < 10).count() as f64;
         assert!(
@@ -351,7 +348,7 @@ mod tests {
 
     #[test]
     fn zipf_covers_the_domain() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seeded(3);
         let z = Zipf::new(4, 0.8);
         let mut seen = [false; 4];
         for _ in 0..500 {
